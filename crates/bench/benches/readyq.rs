@@ -25,12 +25,11 @@ fn bench_readyq(c: &mut Criterion) {
         let mut chain = JumpChain::new();
         for i in 0..8u32 {
             let n = make_node(&mut m, 0x1000 + i * 0x100, i);
-            let at = if chain.is_empty() { None } else { Some(0) };
-            chain.insert_after(&mut m, at, n).unwrap();
+            chain.insert_next(&mut m, None, n).unwrap();
         }
         let extra = make_node(&mut m, 0x9000, 99);
         b.iter(|| {
-            chain.insert_after(&mut m, Some(3), extra).unwrap();
+            chain.insert_next(&mut m, Some(5), extra).unwrap();
             chain.remove(&mut m, 99).unwrap();
         });
     });
@@ -39,8 +38,7 @@ fn bench_readyq(c: &mut Criterion) {
         let mut chain = JumpChain::new();
         for i in 0..8u32 {
             let n = make_node(&mut m, 0x1000 + i * 0x100, i);
-            let at = if chain.is_empty() { None } else { Some(0) };
-            chain.insert_after(&mut m, at, n).unwrap();
+            chain.insert_next(&mut m, None, n).unwrap();
         }
         m.cpu.pc = chain.nodes()[0].entry;
         m.cpu.a[7] = 0x8000;

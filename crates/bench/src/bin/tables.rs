@@ -1,32 +1,71 @@
-//! Regenerate every table of the paper's evaluation section.
+//! Regenerate every table of the paper's evaluation section; `tables
+//! --help` lists the modes ([`HELP`]). An unknown flag, or a flag missing
+//! its value, is an error — never a silent fall-through to the default
+//! report.
 //!
-//! ```text
-//! tables            # all tables
-//! tables --table 3  # one table
-//! tables --kernel-size
-//! tables --iters 100
-//! tables --json BENCH_4.json  # tables 1-3 + cache figures, as JSON
-//! tables --trace-report       # profiler: per-thread I/O rates + quanta
-//! tables --trace-report --json BENCH_5.json
-//! tables --cpus 4             # SMP scaling table at 1, 2, and 4 CPUs
-//! tables --cpus 4 --json BENCH_6.json
-//! tables --recovery-report --cpus 4 --seed 7   # chaos-soak scoreboard
-//! tables --recovery-report --cpus 4 --json RECOVERY.json
-//! tables --capacity                  # 10k-thread capacity soak (BENCH_8)
-//! tables --capacity --json BENCH_8.json
-//! tables --capacity --threads 2000   # reduced population
-//! tables --capacity-gate NEW.json BASELINE.json   # CI regression gate
-//! tables --table1-gate NEW.json BASELINE.json     # Table 1 ratio gate
-//! ```
-//!
-//! `--cpus 1` (the default) reproduces the uniprocessor kernel byte for
-//! byte: every other mode's output is unchanged from the pre-SMP
-//! binary. `--cpus N` with N > 1 switches to the SMP scaling report
-//! (and makes `--trace-report` profile an N-CPU kernel).
+//! `--cpus N` with N > 1 switches to the SMP scaling report (and makes
+//! `--trace-report` / `--recovery-report` run an N-CPU kernel).
 
 use synthesis_bench::{
     capacity, profile, render, smp, table1, table2, table3, table4, table5, Row,
 };
+
+/// The one-line synopsis, printed with every argument error.
+const USAGE: &str = "usage: tables [--table 1-5] [--iters N] [--kernel-size] [--json FILE] \
+[--cpus 1-8] [--trace-report] [--recovery-report [--seed N]] [--capacity [--threads N]] \
+[--capacity-gate NEW BASE] [--table1-gate NEW BASE] [--help]";
+
+/// What `--help` prints under the synopsis.
+const HELP: &str = "  tables                      all tables
+  tables --table 3            one table
+  tables --kernel-size        the Section 6.4 size figures only
+  tables --iters 100          Table 1 iteration count (default 40)
+  tables --json BENCH_4.json  tables 1-3 + cache figures, as JSON
+  tables --trace-report [--json BENCH_5.json]
+                              profiler: per-thread I/O rates + quanta
+  tables --cpus 4 [--json BENCH_6.json]
+                              SMP scaling table at 1, 2, and 4 CPUs
+  tables --recovery-report --cpus 4 --seed 7 [--json RECOVERY.json]
+                              chaos-soak scoreboard
+  tables --capacity [--threads 2000] [--json BENCH_8.json]
+                              10k-thread capacity soak
+  tables --capacity-gate NEW.json BASELINE.json
+  tables --table1-gate NEW.json BASELINE.json
+                              CI regression gates";
+
+/// Every flag `tables` accepts, with the number of values it takes.
+const FLAGS: &[(&str, usize)] = &[
+    ("--table", 1),
+    ("--iters", 1),
+    ("--kernel-size", 0),
+    ("--json", 1),
+    ("--cpus", 1),
+    ("--trace-report", 0),
+    ("--recovery-report", 0),
+    ("--seed", 1),
+    ("--capacity", 0),
+    ("--threads", 1),
+    ("--capacity-gate", 2),
+    ("--table1-gate", 2),
+    ("--help", 0),
+];
+
+/// The front door: reject anything that is not a known flag followed by
+/// its values before any mode runs.
+fn check_args(args: &[String]) {
+    let mut i = 1;
+    while i < args.len() {
+        let Some(&(flag, values)) = FLAGS.iter().find(|(f, _)| *f == args[i]) else {
+            eprintln!("error: unknown argument {:?}\n{USAGE}", args[i]);
+            std::process::exit(2);
+        };
+        if args.len() - i - 1 < values {
+            eprintln!("error: {flag} takes {values} value(s)\n{USAGE}");
+            std::process::exit(2);
+        }
+        i += 1 + values;
+    }
+}
 
 /// Minimal JSON string escaping (the row labels are plain ASCII, but be
 /// safe about quotes and backslashes).
@@ -540,6 +579,11 @@ fn kernel_size() -> Vec<Row> {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_args(&args);
+    if args.iter().any(|a| a == "--help") {
+        println!("{USAGE}\n{HELP}");
+        return;
+    }
     let get = |flag: &str| -> Option<String> {
         args.iter()
             .position(|a| a == flag)
@@ -579,20 +623,12 @@ fn main() {
     let size_only = args.iter().any(|a| a == "--kernel-size");
 
     if let Some(i) = args.iter().position(|a| a == "--capacity-gate") {
-        let (Some(new_path), Some(base_path)) = (args.get(i + 1), args.get(i + 2)) else {
-            eprintln!("error: --capacity-gate takes NEW.json BASELINE.json");
-            std::process::exit(2);
-        };
-        capacity_gate(new_path, base_path);
+        capacity_gate(&args[i + 1], &args[i + 2]);
         return;
     }
 
     if let Some(i) = args.iter().position(|a| a == "--table1-gate") {
-        let (Some(new_path), Some(base_path)) = (args.get(i + 1), args.get(i + 2)) else {
-            eprintln!("error: --table1-gate takes NEW.json BASELINE.json");
-            std::process::exit(2);
-        };
-        table1_gate(new_path, base_path);
+        table1_gate(&args[i + 1], &args[i + 2]);
         return;
     }
 

@@ -20,6 +20,8 @@
 //! 3. **No churn leaks.** 10k× thread synthesize/destroy cycles return
 //!    the fast-fit heap and the code buffer to their starting bytes.
 
+use std::collections::HashMap;
+
 use quamachine::asm::Asm;
 use quamachine::isa::{Cond, Operand::*, Size::*};
 use quamachine::mem::AddressMap;
@@ -76,16 +78,15 @@ pub fn default_lifecycle() -> usize {
     }
 }
 
-/// Boot a kernel scaled to hold `threads` threads, with `cpus` CPUs and
-/// a specialization-cache warm budget of `cache_budget` bytes. Trace
-/// rings are kept small (64 records/thread) so 10k rings stay cheap.
+/// Boot a kernel scaled to hold `threads` threads, with `cpus` CPUs.
+/// Trace rings are kept small (64 records/thread) so 10k rings stay
+/// cheap.
 #[must_use]
-pub fn boot_capacity(threads: usize, cpus: usize, cache_budget: u32) -> Kernel {
+pub fn boot_capacity(threads: usize, cpus: usize) -> Kernel {
     let layout = MemLayout::for_threads(u32::try_from(threads).unwrap_or(u32::MAX) + 64);
     Kernel::boot(KernelConfig {
         cpus,
         layout,
-        cache_budget,
         trace_records: 64,
         ..KernelConfig::default()
     })
@@ -178,19 +179,23 @@ pub struct DispatchPoint {
 }
 
 /// `Irq(quantum)`→next guest `CtxSwitch` cycle deltas from a drained
-/// trace. Guest dispatches only (`CtxSwitch` with `a == 0`): host-side
-/// `enter` calls are kernel surgery, not the executable chain.
+/// trace, paired per recording CPU (each CPU has its own clock and its
+/// own chain; a neighbour's records falling in between are not this
+/// CPU's dispatch). Guest dispatches only (`CtxSwitch` with `a == 0`):
+/// host-side `enter` calls are kernel surgery, not the executable chain.
 #[must_use]
 pub fn dispatch_deltas(q: &TraceQuery) -> Vec<u64> {
     let mut recs: Vec<_> = q.records().to_vec();
     recs.sort_by_key(|r| r.cycle);
-    let mut pending: Option<u64> = None;
+    let mut pending: HashMap<u16, u64> = HashMap::new();
     let mut out = Vec::new();
     for r in &recs {
         match r.kind {
-            Kind::Irq if r.a == u32::from(irq_levels::QUANTUM) => pending = Some(r.cycle),
+            Kind::Irq if r.a == u32::from(irq_levels::QUANTUM) => {
+                pending.insert(r.flags, r.cycle);
+            }
             Kind::CtxSwitch if r.a == 0 => {
-                if let Some(c0) = pending.take() {
+                if let Some(c0) = pending.remove(&r.flags) {
                     out.push(r.cycle.saturating_sub(c0));
                 }
             }
@@ -243,7 +248,7 @@ pub struct ScalePoint {
 /// thread, run with signal traffic, and measure dispatch by trace.
 #[must_use]
 pub fn scale_point(threads: usize, cpus: usize) -> ScalePoint {
-    let mut k = boot_capacity(threads, cpus, 0);
+    let mut k = boot_capacity(threads, cpus);
     let ub = k.layout.user_base;
     let (handler_slot, spin_ctr, sig_ctr) = (ub + 0x100, ub + 0x108, ub + 0x110);
     let ustack = ub + 0x1_0000;
@@ -281,27 +286,30 @@ pub fn scale_point(threads: usize, cpus: usize) -> ScalePoint {
     let code_in_use = k.creator.codebuf.in_use;
 
     // Run phase with signal traffic: between slices, signal the threads
-    // about to be dispatched (the chain nodes after the current one), so
-    // delivery lands within a few quanta even at 10k threads.
+    // about to be dispatched (the chain nodes after each CPU's current
+    // one, 16 per slice in all), so delivery lands within a few quanta
+    // even at 10k threads.
     let start = (0..cpus).map(|i| k.m.cpu_cycles(i)).max().unwrap_or(0);
     let slices = 8u64;
     let mut signals_sent = 0u64;
     for _ in 0..slices {
         k.run(RUN_CYCLES / slices);
-        let mut cursor = k.current_tid();
-        for _ in 0..16 {
-            let Some(cur) = cursor else { break };
-            let Some(next) = k.cpus[0].ready.next_of_id(cur) else {
-                break;
-            };
-            let installed = k
-                .threads
-                .get(&next.id)
-                .is_some_and(|t| k.m.mem.peek(t.tte + off::SIG_HANDLER, L) != 0);
-            if installed && k.signal(next.id, 1).is_ok() {
-                signals_sent += 1;
+        for c in 0..cpus {
+            let mut cursor = k.current_tid_on(c);
+            for _ in 0..16 / cpus {
+                let Some(cur) = cursor else { break };
+                let Some(next) = k.cpus[c].ready.next_of_id(cur) else {
+                    break;
+                };
+                let installed = k
+                    .threads
+                    .get(&next.id)
+                    .is_some_and(|t| k.m.mem.peek(t.tte + off::SIG_HANDLER, L) != 0);
+                if installed && k.signal(next.id, 1).is_ok() {
+                    signals_sent += 1;
+                }
+                cursor = Some(next.id);
             }
-            cursor = Some(next.id);
         }
     }
     let end = (0..cpus).map(|i| k.m.cpu_cycles(i)).max().unwrap_or(0);
@@ -369,7 +377,8 @@ pub struct CurvePoint {
 /// choose.
 #[must_use]
 pub fn churn_point(cycles: usize, budget: u32) -> CurvePoint {
-    let mut k = boot_capacity(64, 1, budget);
+    let mut k = boot_capacity(64, 1);
+    k.creator.set_cache_budget(&mut k.m, budget);
     let ub = k.layout.user_base;
     let entry = load_spinner(&mut k, ub + 0x100, ub + 0x108, ub + 0x110);
     let map = user_map(&k);
@@ -457,7 +466,7 @@ pub struct LifecycleStats {
 /// cycle) and account every byte back.
 #[must_use]
 pub fn lifecycle_churn(cycles: usize) -> LifecycleStats {
-    let mut k = boot_capacity(64, 1, 0);
+    let mut k = boot_capacity(64, 1);
     let ub = k.layout.user_base;
     let entry = load_spinner(&mut k, ub + 0x100, ub + 0x108, ub + 0x110);
     let map = user_map(&k);

@@ -25,19 +25,17 @@ pub mod table5;
 
 use synthesis_core::kernel::{Kernel, KernelConfig};
 
-/// A measurement-friendly kernel configuration: a long CPU quantum so
-/// single-call timings are not polluted by preemption (the paper timed
-/// single calls on a trace, with no switches inside), kernel⇄caller
-/// fusion on (the Table 1 binaries are single processes sharing the
-/// flat space — the paper's measured configuration), and a warm
-/// specialization cache so reopened channels relink instead of
-/// resynthesizing.
+/// The measurement configuration: [`KernelConfig::default`] with a 50 ms
+/// CPU quantum. The quantum is the one value that must differ between
+/// measuring and soaking — soaks need preemption to interleave threads,
+/// while single-call timings must not contain a context switch (the
+/// paper timed single calls on a trace, with no switches inside).
+/// Everything else — templates, cache budget, the fusion rule — is the
+/// kernel every test boots.
 #[must_use]
 pub fn measurement_config() -> KernelConfig {
     KernelConfig {
         default_quantum_us: 50_000,
-        fuse: true,
-        cache_budget: 128 * 1024,
         ..KernelConfig::default()
     }
 }

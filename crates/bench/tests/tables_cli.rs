@@ -1,0 +1,36 @@
+//! The `tables` front door: bad arguments fail loudly instead of running
+//! the full default report.
+
+use std::process::Command;
+
+#[test]
+fn help_prints_usage_and_bad_arguments_exit_2() {
+    let tables = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_tables"))
+            .args(args)
+            .output()
+            .expect("tables runs");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+
+    let (code, stdout, _) = tables(&["--help"]);
+    assert_eq!(code, Some(0));
+    assert!(stdout.starts_with("usage: tables"), "{stdout}");
+    assert!(stdout.contains("--capacity-gate NEW.json BASELINE.json"));
+
+    for bad in [
+        &["--bogus"][..],
+        &["--table", "3", "-h"],
+        &["--iters"],
+        &["--table1-gate", "NEW.json"],
+    ] {
+        let (code, stdout, stderr) = tables(bad);
+        assert_eq!(code, Some(2), "{bad:?}");
+        assert!(stderr.contains("usage: tables"), "{bad:?}: {stderr}");
+        assert!(stdout.is_empty(), "{bad:?} ran a report: {stdout}");
+    }
+}

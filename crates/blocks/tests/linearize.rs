@@ -739,6 +739,50 @@ fn mpsc_linearizable_under_bounded_dfs() {
     explore_flavor("mpsc", 3, mpsc_scenario);
 }
 
+/// Two producers driven to overlapping claims collide at the CAS, and
+/// [`PutStats::retries`](synthesis_blocks::mpsc::PutStats) counts it: the
+/// executor enumerates every schedule with one preemption, so the
+/// interleaving "A reads the head, B claims it, A's CAS fails" is
+/// reached by construction, not by luck of the host scheduler.
+#[test]
+fn mpsc_overlapping_claims_count_cas_retries() {
+    let seen: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+    let seen_in = seen.clone();
+    let report = Explorer {
+        preemption_budget: 1,
+        max_schedules: 12_000,
+        max_steps: 20_000,
+    }
+    .explore(move || {
+        let (p, mut c) = mpsc::channel::<u64>(4);
+        let (p1, p2) = (p.clone(), p.clone());
+        let seen = seen_in.clone();
+        Scenario::new()
+            .thread(move || p1.put(1).expect("room for two"))
+            .thread(move || p2.put(2).expect("room for two"))
+            .check(move || {
+                let mut got = [c.get(), c.get(), c.get()];
+                got.sort_unstable();
+                if got != [None, Some(1), Some(2)] {
+                    return Err(format!("delivery broke under contention: {got:?}"));
+                }
+                seen.lock().unwrap().push(p.stats().retries);
+                Ok(())
+            })
+    });
+    report.assert_ok();
+    assert!(report.exhausted, "two puts: the 1-preemption tree is small");
+    let seen = seen.lock().unwrap();
+    assert!(
+        seen.contains(&0),
+        "claims that do not overlap never retry: {seen:?}"
+    );
+    assert!(
+        seen.iter().any(|&r| r > 0),
+        "no explored schedule collided at the CAS: {seen:?}"
+    );
+}
+
 #[test]
 fn spmc_put_only_strictly_linearizable() {
     explore_flavor("spmc", 4, spmc_strict_scenario);

@@ -393,9 +393,11 @@ proptest! {
 }
 
 /// Four producers hammering a tiny queue with mixed single and batch
-/// inserts: every item is delivered exactly once, and the contention is
-/// visible in [`PutStats::retries`] — "the failing thread goes once
-/// around the retry loop".
+/// inserts: every item is delivered exactly once. Whether two claims
+/// actually overlap here is up to the host scheduler; the CAS collision
+/// itself ("the failing thread goes once around the retry loop") is
+/// forced deterministically by `mpsc_overlapping_claims_count_cas_retries`
+/// in `linearize.rs`.
 #[test]
 fn mpsc_contended_puts_count_cas_retries() {
     use synthesis_blocks::{BatchFull, Full};
@@ -452,17 +454,6 @@ fn mpsc_contended_puts_count_cas_retries() {
     assert_eq!(c.get(), None, "nothing duplicated or left behind");
     let expect: u64 = (0..total).sum();
     assert_eq!(sum, expect, "every item delivered exactly once");
-    // With real parallelism the CAS windows overlap and the retry loop
-    // is demonstrably taken. On a single hardware thread producers are
-    // only preempted *between* claim attempts, so contention is not
-    // guaranteed — the counter is merely consistent (shared by clones).
-    let parallel = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    if parallel > 1 {
-        assert!(
-            p.stats().retries > 0,
-            "four producers on a four-slot queue must collide at the CAS"
-        );
-    }
     assert_eq!(
         p.stats().retries,
         p.clone().stats().retries,

@@ -510,22 +510,18 @@ impl QuajectCreator {
                 base: s.base,
                 evicted: false,
             }),
-            Release::Evicted(cached) => {
-                self.cache_event(CacheEvent::Release {
-                    base: s.base,
-                    evicted: true,
-                });
-                self.unload(m, &cached);
-            }
             Release::NotCached => self.unload(m, s),
             Release::Retained { trimmed } => {
                 // The released entry stays warm (a later identical open
-                // will hit); the budget trim may have pushed other warm
-                // blocks out — unload those.
-                self.cache_event(CacheEvent::Release {
-                    base: s.base,
-                    evicted: false,
-                });
+                // will hit) unless the budget trim pushed it straight
+                // out again, possibly along with other warm blocks —
+                // unload those. One event per block either way.
+                if trimmed.iter().all(|t| t.base != s.base) {
+                    self.cache_event(CacheEvent::Release {
+                        base: s.base,
+                        evicted: false,
+                    });
+                }
                 for t in trimmed {
                     self.cache_event(CacheEvent::Release {
                         base: t.base,

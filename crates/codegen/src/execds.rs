@@ -15,10 +15,10 @@
 //! tests, neighbour lookups, insertion, and removal are all O(1) in the
 //! number of nodes — the host-side bookkeeping must stay as constant-cost
 //! as the guest-side dispatch it mirrors, or a 10k-thread ready queue
-//! would pay O(n) host work per scheduling operation. Order-dependent
-//! views ([`JumpChain::nodes`], [`JumpChain::position`]) walk the links
-//! from the head and remain O(n); they serve monitors, evacuation sweeps,
-//! and tests, never the per-dispatch hot path.
+//! would pay O(n) host work per scheduling operation. The one
+//! order-dependent view, [`JumpChain::nodes`], walks the links from the
+//! head and remains O(n); it serves monitors, evacuation sweeps, and
+//! tests, never the per-dispatch hot path.
 
 use quamachine::error::MachineError;
 use quamachine::machine::Machine;
@@ -120,32 +120,6 @@ impl JumpChain {
         out
     }
 
-    /// Position of a node by id, in traversal order. O(n); for
-    /// membership alone use [`JumpChain::contains`].
-    #[must_use]
-    pub fn position(&self, id: u32) -> Option<usize> {
-        let h = self.head?;
-        let mut cur = h;
-        let mut i = 0;
-        loop {
-            if cur == id {
-                return Some(i);
-            }
-            cur = self.links[&cur].next;
-            i += 1;
-            if cur == h {
-                return None;
-            }
-        }
-    }
-
-    /// The node following position `i` (circularly). O(n).
-    #[must_use]
-    pub fn next_of(&self, i: usize) -> ChainNode {
-        let nodes = self.nodes();
-        nodes[(i + 1) % nodes.len()]
-    }
-
     fn patch(&mut self, m: &mut Machine, jmp_at: u32, target: u32) -> Result<(), MachineError> {
         self.patch_count += 1;
         m.code.patch_jmp_target(jmp_at, target)
@@ -216,46 +190,6 @@ impl JumpChain {
             (Some(a), _) => self.insert_after_id(m, a, node),
             (None, Some(h)) => self.insert_after_id(m, h, node),
         }
-    }
-
-    /// Insert `node` after position `at` (or as the only node). Position
-    /// lookup is O(n); embedders on the hot path use
-    /// [`JumpChain::insert_next`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Fails if a `jmp` address does not hold a patchable jump.
-    pub fn insert_after(
-        &mut self,
-        m: &mut Machine,
-        at: Option<usize>,
-        node: ChainNode,
-    ) -> Result<(), MachineError> {
-        match at {
-            None => {
-                debug_assert!(self.links.is_empty());
-                self.insert_sole(m, node)
-            }
-            Some(i) => {
-                let after = self.nodes()[i].id;
-                self.insert_after_id(m, after, node)
-            }
-        }
-    }
-
-    /// Insert `node` so it is the *next* node after position `cur` (see
-    /// [`JumpChain::insert_next`] for the O(1) id-based form).
-    ///
-    /// # Errors
-    ///
-    /// Fails if a `jmp` address does not hold a patchable jump.
-    pub fn insert_front(
-        &mut self,
-        m: &mut Machine,
-        cur: Option<usize>,
-        node: ChainNode,
-    ) -> Result<(), MachineError> {
-        self.insert_after(m, cur, node)
     }
 
     /// Remove the node with `id`, patching its predecessor to skip it.
@@ -334,7 +268,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::sun3_emulation());
         let n0 = make_node(&mut m, 0x1000, 10);
         let mut chain = JumpChain::new();
-        chain.insert_after(&mut m, None, n0).unwrap();
+        chain.insert_next(&mut m, None, n0).unwrap();
         let visits = run_chain(&mut m, n0.entry, 3);
         assert_eq!(visits, vec![10, 10, 10]);
     }
@@ -346,9 +280,9 @@ mod tests {
         let n1 = make_node(&mut m, 0x1100, 11);
         let n2 = make_node(&mut m, 0x1200, 12);
         let mut chain = JumpChain::new();
-        chain.insert_after(&mut m, None, n0).unwrap();
-        chain.insert_after(&mut m, Some(0), n1).unwrap();
-        chain.insert_after(&mut m, Some(1), n2).unwrap();
+        chain.insert_next(&mut m, None, n0).unwrap();
+        chain.insert_next(&mut m, Some(10), n1).unwrap();
+        chain.insert_next(&mut m, Some(11), n2).unwrap();
         let visits = run_chain(&mut m, n0.entry, 6);
         assert_eq!(visits, vec![10, 11, 12, 10, 11, 12]);
     }
@@ -360,9 +294,9 @@ mod tests {
         let n1 = make_node(&mut m, 0x1100, 11);
         let n2 = make_node(&mut m, 0x1200, 12);
         let mut chain = JumpChain::new();
-        chain.insert_after(&mut m, None, n0).unwrap();
-        chain.insert_after(&mut m, Some(0), n1).unwrap();
-        chain.insert_after(&mut m, Some(1), n2).unwrap();
+        chain.insert_next(&mut m, None, n0).unwrap();
+        chain.insert_next(&mut m, Some(10), n1).unwrap();
+        chain.insert_next(&mut m, Some(11), n2).unwrap();
         chain.remove(&mut m, 11).unwrap().unwrap();
         let visits = run_chain(&mut m, n0.entry, 4);
         assert_eq!(visits, vec![10, 12, 10, 12]);
@@ -381,7 +315,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::sun3_emulation());
         let n0 = make_node(&mut m, 0x1000, 10);
         let mut chain = JumpChain::new();
-        chain.insert_after(&mut m, None, n0).unwrap();
+        chain.insert_next(&mut m, None, n0).unwrap();
         let removed = chain.remove(&mut m, 10).unwrap().unwrap();
         assert_eq!(removed.id, 10);
         assert!(chain.is_empty());
@@ -396,14 +330,14 @@ mod tests {
         let n0 = make_node(&mut m, 0x1000, 10);
         let n1 = make_node(&mut m, 0x1100, 11);
         let mut chain = JumpChain::new();
-        chain.insert_after(&mut m, None, n0).unwrap();
+        chain.insert_next(&mut m, None, n0).unwrap();
         m.cpu.pc = n0.entry;
         m.cpu.a[7] = 0x8000;
         // Take a lap, then splice in n1.
         for _ in 0..3 {
             m.step().unwrap();
         }
-        chain.insert_after(&mut m, Some(0), n1).unwrap();
+        chain.insert_next(&mut m, Some(10), n1).unwrap();
         let pc = m.cpu.pc;
         let visits = run_chain(&mut m, pc, 4);
         assert!(visits.windows(2).any(|w| w == [10, 11] || w == [11, 10]));
@@ -415,16 +349,14 @@ mod tests {
         let n0 = make_node(&mut m, 0x1000, 1);
         let n1 = make_node(&mut m, 0x1100, 2);
         let mut chain = JumpChain::new();
-        chain.insert_after(&mut m, None, n0).unwrap();
-        chain.insert_after(&mut m, Some(0), n1).unwrap();
+        chain.insert_next(&mut m, None, n0).unwrap();
+        chain.insert_next(&mut m, Some(1), n1).unwrap();
         chain.remove(&mut m, 2).unwrap();
         assert_eq!(chain.patch_count, 4); // 1 + 2 + 1
     }
 
     #[test]
-    fn insert_next_matches_position_semantics() {
-        // insert_next(None) on a non-empty chain goes right after the
-        // head, exactly like insert_after(Some(0)).
+    fn insert_next_without_an_anchor_goes_after_the_head() {
         let mut m = Machine::new(MachineConfig::sun3_emulation());
         let n0 = make_node(&mut m, 0x1000, 10);
         let n1 = make_node(&mut m, 0x1100, 11);
@@ -447,18 +379,12 @@ mod tests {
         let mut chain = JumpChain::new();
         for i in 0..5u32 {
             let n = make_node(&mut m, 0x1000 + i * 0x100, i);
-            let at = if chain.is_empty() {
-                None
-            } else {
-                Some(i as usize - 1)
-            };
-            chain.insert_after(&mut m, at, n).unwrap();
+            chain.insert_next(&mut m, i.checked_sub(1), n).unwrap();
         }
         let order: Vec<u32> = chain.nodes().iter().map(|n| n.id).collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
         for (i, &id) in order.iter().enumerate() {
             assert!(chain.contains(id));
-            assert_eq!(chain.position(id), Some(i));
             assert_eq!(
                 chain.next_of_id(id).unwrap().id,
                 order[(i + 1) % order.len()]

@@ -12,11 +12,11 @@
 //!
 //! # Eviction under pressure
 //!
-//! With a zero [`byte budget`](SpecCache::set_budget) (the default) the
-//! last `release` evicts immediately — byte-identical to the original
-//! cache. A non-zero budget keeps *warm* entries (refcount zero) resident
-//! up to that many bytes, so a re-open with the same invariants is a
-//! cache hit instead of a full resynthesis. When the warm set overflows
+//! The [`byte budget`](SpecCache::set_budget) keeps *warm* entries
+//! (refcount zero) resident up to that many bytes, so a re-open with the
+//! same invariants is a cache hit instead of a full resynthesis (a zero
+//! budget retains nothing: every last release trims the entry it just
+//! made warm). When the warm set overflows
 //! the budget, the cache trims it with a cost-aware LRU: among the
 //! oldest warm entries it evicts the one cheapest to resynthesize first
 //! (`synth_cycles`), so expensive specializations survive pressure the
@@ -111,9 +111,6 @@ pub enum Release {
     NotCached,
     /// Other references remain; the block stays installed.
     Shared,
-    /// The last reference dropped: the entry was evicted and the caller
-    /// must unload and free the returned block.
-    Evicted(Synthesized),
     /// The last reference dropped but the entry stays warm under the
     /// eviction budget; the caller must unload each *trimmed* block the
     /// retention pushed over the budget (possibly including the released
@@ -136,8 +133,7 @@ pub struct SpecCache {
     /// Reverse index: installed base address → key (for `release`, which
     /// only has the `Synthesized` in hand).
     by_base: HashMap<u32, SpecKey>,
-    /// Byte budget for warm (refcount-zero) entries; 0 = evict on last
-    /// release.
+    /// Byte budget for warm (refcount-zero) entries.
     budget: u32,
     /// Bytes currently held by warm entries.
     warm_bytes: u64,
@@ -208,11 +204,6 @@ impl SpecCache {
         if e.refs > 0 {
             return Release::Shared;
         }
-        if self.budget == 0 {
-            let key = self.by_base.remove(&base).expect("present");
-            let e = self.entries.remove(&key).expect("present");
-            return Release::Evicted(e.code);
-        }
         // Keep the entry warm under the budget; trim the oldest/cheapest
         // warm entries past it.
         self.tick += 1;
@@ -258,11 +249,7 @@ impl SpecCache {
     /// the caller must unload the returned blocks.
     pub fn set_budget(&mut self, bytes: u32) -> Vec<Synthesized> {
         self.budget = bytes;
-        if bytes == 0 {
-            self.flush()
-        } else {
-            self.trim_to_budget()
-        }
+        self.trim_to_budget()
     }
 
     /// The warm-entry byte budget.
@@ -275,6 +262,13 @@ impl SpecCache {
     #[must_use]
     pub fn warm_bytes(&self) -> u64 {
         self.warm_bytes
+    }
+
+    /// The warm (refcount-zero) blocks, oldest release first.
+    pub fn warm_blocks(&self) -> impl Iterator<Item = &Synthesized> + '_ {
+        self.warm
+            .values()
+            .map(|base| &self.entries[&self.by_base[base]].code)
     }
 
     /// Number of warm (refcount-zero) entries.
@@ -406,9 +400,14 @@ mod tests {
         assert_eq!(c.shared_bytes(), 8);
         assert!(matches!(c.release(0x100), Release::Shared));
         assert_eq!(c.shared_bytes(), 0);
+        // A fresh cache has a zero budget: the last release trims the
+        // entry it just made warm.
         match c.release(0x100) {
-            Release::Evicted(s) => assert_eq!((s.base, s.size), (0x100, 8)),
-            other => panic!("expected eviction, got {other:?}"),
+            Release::Retained { trimmed } => {
+                assert_eq!(trimmed.len(), 1);
+                assert_eq!((trimmed[0].base, trimmed[0].size), (0x100, 8));
+            }
+            other => panic!("expected a trimmed retention, got {other:?}"),
         }
         assert!(c.is_empty());
         assert!(matches!(c.release(0x100), Release::NotCached));

@@ -77,19 +77,15 @@ pub struct KernelConfig {
     /// constants exactly; the capacity harness boots with
     /// [`layout::MemLayout::for_threads`] to make room for 10k+ TTEs.
     pub layout: layout::MemLayout,
-    /// Specialization-cache warm-entry byte budget (0 = evict on last
-    /// release, the historical behaviour; see
-    /// [`synthesis_codegen::speccache::SpecCache`]).
-    pub cache_budget: u32,
-    /// Kernel⇄caller fusion: when true (and collapse is on), threads
-    /// get the hooked context switch (`sw_*_hooked`, with its inline
-    /// `resume_hook` splice point) and same-space callers are eligible
-    /// for trap-elided `jsr`-bound fused I/O wrappers (see
-    /// [`crate::templates::syscall`] and the UNIX emulator's loader).
-    /// Off by default: the layered trap path stays byte-identical to
-    /// the historical kernel.
-    pub fuse: bool,
 }
+
+/// Specialization-cache warm-entry byte budget the kernel boots with:
+/// closed channels' code stays resident up to this many bytes, so a
+/// reopen with the same invariants relinks instead of resynthesizing
+/// (see [`synthesis_codegen::speccache::SpecCache`]). Experiments that
+/// sweep the budget call
+/// [`set_cache_budget`](QuajectCreator::set_cache_budget) after boot.
+pub const CACHE_BUDGET: u32 = 128 * 1024;
 
 /// CPU count from `SYNTHESIS_CPUS`, clamped to 1..=8; 1 if unset/garbage.
 fn cpus_from_env() -> usize {
@@ -111,8 +107,6 @@ impl Default for KernelConfig {
             trace_records: crate::trace::DEFAULT_RING_RECORDS,
             cpus: cpus_from_env(),
             layout: layout::MemLayout::default(),
-            cache_budget: 0,
-            fuse: false,
         }
     }
 }
@@ -325,9 +319,6 @@ pub struct Kernel {
     pub file_chans: HashMap<(Tid, u32), FileChan>,
     /// The synthesis switchboard in effect.
     pub opts: SynthesisOptions,
-    /// Whether kernel⇄caller fusion is enabled (see
-    /// [`KernelConfig::fuse`]).
-    pub fuse: bool,
     /// Default quantum for new threads.
     pub default_quantum_us: u32,
     /// Console output collected from `PUTC`.
@@ -428,7 +419,7 @@ impl Kernel {
         let mut creator = QuajectCreator::new(cfg.layout.code_base, cfg.layout.code_len);
         templates::install_all(&mut creator.lib);
         creator.lib.add(crate::io::tty::cooked_read_template());
-        let trimmed = creator.cache.set_budget(cfg.cache_budget);
+        let trimmed = creator.cache.set_budget(CACHE_BUDGET);
         debug_assert!(trimmed.is_empty(), "empty cache trims nothing");
 
         let mut heap = FastFit::new(cfg.layout.heap_base, cfg.layout.heap_len);
@@ -526,7 +517,6 @@ impl Kernel {
             pipes: Vec::new(),
             file_chans: HashMap::new(),
             opts,
-            fuse: cfg.fuse && opts.collapse,
             default_quantum_us: cfg.default_quantum_us,
             console: Vec::new(),
             exited: std::collections::HashSet::new(),
@@ -755,16 +745,7 @@ impl Kernel {
         if fp {
             b.bind("fp_save", tte + off::FP);
         }
-        // Under fusion every thread gets the hooked switch: the
-        // `resume_hook` splice point costs nothing while the hook is
-        // the default empty body (it collapses to a fall-through), and
-        // is the seam a fused continuation is spliced into.
-        let name = match (fp, self.fuse) {
-            (false, false) => "sw_basic",
-            (true, false) => "sw_fp",
-            (false, true) => "sw_basic_hooked",
-            (true, true) => "sw_fp_hooked",
-        };
+        let name = if fp { "sw_fp" } else { "sw_basic" };
         Ok(self.creator.synthesize(&mut self.m, name, &b, self.opts)?)
     }
 
@@ -1013,7 +994,7 @@ impl Kernel {
                 entry: t.sw_in,
                 jmp_at: t.jmp_at,
             };
-            self.cpus[cpu].ready.insert_front(&mut self.m, None, node)?;
+            self.cpus[cpu].ready.insert_next(&mut self.m, None, node)?;
             self.threads.get_mut(&idle).expect("idle exists").state = ThreadState::Ready;
         }
         Ok(())
@@ -1818,9 +1799,6 @@ impl Kernel {
     /// work-stealing rebalancer runs at a safe point.
     fn run_smp(&mut self, max_cycles: u64) -> RunExit {
         let n = self.cpus.len();
-        let deadlines: Vec<u64> = (0..n)
-            .map(|i| self.m.cpu_cycles(i).saturating_add(max_cycles))
-            .collect();
         // A CPU that halts (idle with nothing ever due) stays parked
         // until an IPI or device interrupt shows up for it.
         let mut halted = vec![false; n];
@@ -1837,6 +1815,13 @@ impl Kernel {
         // forward, or every host service call would cost the caller up
         // to a full watchdog slice of virtual time.
         self.m.catch_up_cpu_clocks();
+        // Deadlines are taken after the catch-up: an idle CPU that leapt
+        // to its next timer event raises every parked CPU with it, and a
+        // deadline measured from the stale clocks would already be past
+        // for all of them — only the leaper would ever run.
+        let deadlines: Vec<u64> = (0..n)
+            .map(|i| self.m.cpu_cycles(i).saturating_add(max_cycles))
+            .collect();
         loop {
             // The watched thread may have exited host-side between runs
             // (an embedder servicing its exit call). Surface that before
@@ -2895,25 +2880,34 @@ impl Kernel {
         Ok(fd)
     }
 
+    /// Whether a caller running under `map` can be fused with the
+    /// kernel: its map covers the kernel's whole flat space — so the
+    /// trap protects nothing a `jsr` would expose — and the collapse
+    /// stage, which inlines the fused wrappers' bodies, is on.
+    #[must_use]
+    pub fn fusable(&self, map: &AddressMap) -> bool {
+        self.opts.collapse && map.allows(0, self.m.mem.size(), true)
+    }
+
     /// The fused (trap-elided) wrapper spec for `(tid, fd)`, if the
-    /// caller shares the kernel's flat address space and the channel
-    /// end has a fused form: the template name plus complete bindings,
-    /// ready for [`QuajectCreator::synthesize_cached`]. `write` selects
-    /// the end (the fd class alone decides for pipe ends, which only
-    /// have one).
+    /// caller is [`fusable`](Kernel::fusable) and the channel end has a
+    /// fused form: the template name plus complete bindings, ready for
+    /// [`QuajectCreator::synthesize_cached`]. `write` selects the end
+    /// (the fd class alone decides for pipe ends, which only have one).
     ///
-    /// `None` when fusion is off, the fd is not an open channel, the
-    /// end has no fused template, or — for pipes — the pipe is not
-    /// *solo* (exactly one reader and one writer). Solo is what lets
-    /// the fused fast path elide the peer-wake check: both ends belong
-    /// to the calling thread, and a thread cannot be blocked on the
-    /// pipe it is currently calling into.
+    /// `None` when the thread's map does not cover kernel space, the fd
+    /// is not an open channel, the end has no fused template, or — for
+    /// pipes — the pipe is not *solo* (exactly one reader and one
+    /// writer). Solo is what lets the fused fast path elide the
+    /// peer-wake check: both ends belong to the calling thread, and a
+    /// thread cannot be blocked on the pipe it is currently calling
+    /// into.
     #[must_use]
     pub fn fused_rw_spec(&self, tid: Tid, fd: u32, write: bool) -> Option<(String, Bindings)> {
-        if !self.fuse {
+        let t = self.threads.get(&tid)?;
+        if !self.fusable(&t.map) {
             return None;
         }
-        let t = self.threads.get(&tid)?;
         let FdObject::Channel { class, .. } = t.fds.get(fd as usize)? else {
             return None;
         };
@@ -3120,95 +3114,6 @@ impl Kernel {
             let _ = self.fix_chain_entries_on(cpu);
         }
         self.m.cpu.fpu_enabled = true;
-    }
-
-    // --- Resume-hook fusion --------------------------------------------------
-
-    /// Fuse a continuation into `tid`'s context-switch-in path.
-    ///
-    /// The hook body (which must end in `rts`; clobbering `d0`–`d7`/
-    /// `a0`–`a6` is fine) is collapsed *inline* into the thread's switch
-    /// code at the `resume_hook` seam — after the kernel stack is
-    /// restored, before registers are reloaded — so the thread executes
-    /// it on every resume with no call, dispatch, or trap. This is the
-    /// scheduler end of the pipe⇄ctxsw fusion: a blocked reader's resume
-    /// point becomes the post-copy continuation itself.
-    ///
-    /// Pass [`templates::ctxsw::resume_hook_nop_template`] to clear the
-    /// hook (the empty body collapses to a fall-through).
-    ///
-    /// # Errors
-    ///
-    /// [`KernelError::Invalid`] unless the kernel booted with
-    /// [`KernelConfig::fuse`]; [`KernelError::NoThread`] for an unknown
-    /// tid; synthesis errors if the hooked switch fails to build (the
-    /// thread keeps its old switch in that case).
-    pub fn set_resume_hook(
-        &mut self,
-        tid: Tid,
-        hook: synthesis_codegen::template::Template,
-    ) -> Result<(), KernelError> {
-        if !self.fuse {
-            return Err(KernelError::Invalid(
-                "resume hooks require KernelConfig::fuse",
-            ));
-        }
-        let Some(t) = self.threads.get(&tid) else {
-            return Err(KernelError::NoThread(tid));
-        };
-        let (tte, vt, quantum, fp, old_sw) = (t.tte, t.vt, t.quantum_us, t.uses_fp, t.sw.clone());
-
-        // Splice the hook into the template library under the seam name,
-        // synthesize the replacement switch, then restore the empty hook
-        // so later-created threads resume clean.
-        let mut hook = hook;
-        hook.name = "resume_hook".into();
-        self.creator.lib.add(hook);
-        let sw = self.synth_switch(tid, tte, vt, quantum, fp);
-        self.creator
-            .lib
-            .add(templates::ctxsw::resume_hook_nop_template());
-        let sw = sw?;
-
-        // Swap it in (same dance as the lazy-FP resynthesis).
-        let cpu = self.home_cpu(tid);
-        let in_chain = self.cpus[cpu].ready.contains(tid);
-        if in_chain {
-            let _ = self.cpus[cpu].ready.remove(&mut self.m, tid);
-        }
-        self.sw_extents.remove(&old_sw.base);
-        self.creator.destroy(&mut self.m, &old_sw);
-        let (sw_out, ipi_in, sw_in, sw_in_mmu, jmp_at) = Kernel::switch_entries(&self.m, &sw);
-        self.sw_extents.insert(sw.base, sw.base + sw.size);
-        {
-            let t = self.threads.get_mut(&tid).expect("exists");
-            t.sw = sw;
-            t.sw_out = sw_out;
-            t.sw_in = sw_in;
-            t.sw_in_mmu = sw_in_mmu;
-            t.jmp_at = jmp_at;
-        }
-        self.m.mem.poke(
-            vt + 4 * (24 + u32::from(irq_levels::QUANTUM)),
-            Size::L,
-            sw_out,
-        );
-        if self.m.num_cpus() > 1 {
-            self.m
-                .mem
-                .poke(vt + 4 * (24 + u32::from(irq_levels::IPI)), Size::L, ipi_in);
-        }
-        if in_chain {
-            let t = &self.threads[&tid];
-            let node = ChainNode {
-                id: tid,
-                entry: t.sw_in,
-                jmp_at: t.jmp_at,
-            };
-            let _ = self.cpus[cpu].ready.insert_next(&mut self.m, None, node);
-            let _ = self.fix_chain_entries_on(cpu);
-        }
-        Ok(())
     }
 
     // --- Misc host services ---------------------------------------------------

@@ -34,34 +34,7 @@ pub const KCALL_SET_MAP: u16 = 0x10;
 /// — in the FP variant — `fp_save`.
 #[must_use]
 pub fn switch_template(fp: bool) -> Template {
-    build_switch(fp, false)
-}
-
-/// The hooked variant of [`switch_template`] (`sw_basic_hooked` /
-/// `sw_fp_hooked`): identical, plus a `call:resume_hook` splice point at
-/// the top of `sw_in`, right after the kernel stack is restored and
-/// before any register state is reloaded.
-///
-/// This is the scheduler end of the pipe⇄ctxsw fusion seam: a kernel
-/// that knows what a thread will do the moment it resumes (e.g. re-run
-/// the fused pipe-read retry after a writer published data) collapses
-/// that continuation *into the switch path itself* — the hook body is
-/// inlined by Collapsing Layers, so the resumed thread's first
-/// instructions are the continuation, with no dispatch, no call, and no
-/// trap between the context switch and the I/O. The hook may clobber
-/// `d0`–`d7`/`a0`–`a6` freely (they are restored immediately after).
-#[must_use]
-pub fn switch_template_hooked(fp: bool) -> Template {
-    build_switch(fp, true)
-}
-
-fn build_switch(fp: bool, hooked: bool) -> Template {
-    let name = match (fp, hooked) {
-        (false, false) => "sw_basic",
-        (true, false) => "sw_fp",
-        (false, true) => "sw_basic_hooked",
-        (true, true) => "sw_fp_hooked",
-    };
+    let name = if fp { "sw_fp" } else { "sw_basic" };
     let mut a = Asm::new(name);
     let save = a.abs_hole("save");
     let usp_slot = a.abs_hole("usp_slot");
@@ -74,11 +47,6 @@ fn build_switch(fp: bool, hooked: bool) -> Template {
     let next = a.abs_hole("next");
     let fp_save = if fp {
         Some(a.abs_hole("fp_save"))
-    } else {
-        None
-    };
-    let hook = if hooked {
-        Some(a.abs_hole(Template::call_hole_name("resume_hook")))
     } else {
         None
     };
@@ -123,12 +91,6 @@ fn build_switch(fp: bool, hooked: bool) -> Template {
     // --- sw_in ----------------------------------------------------------
     a.mark("sw_in");
     a.move_(L, ssp_slot, Ar(7));
-    if let Some(h) = hook {
-        // Resume continuation: collapsed inline, runs on the freshly
-        // restored kernel stack before any register state is reloaded,
-        // so it may clobber d0–d7/a0–a6 freely.
-        a.jsr(h);
-    }
     a.move_to_vbr(vt);
     // Program this thread's CPU quantum (fine-grain scheduling patches
     // this immediate in place to adapt it).
@@ -145,19 +107,6 @@ fn build_switch(fp: bool, hooked: bool) -> Template {
     a.rte();
 
     Template::from_asm(a).expect("ctxsw template assembles")
-}
-
-/// The default resume-hook body: empty. Collapsing Layers inlines it
-/// into the hooked switch as nothing at all (the trailing `rts` becomes
-/// a fall-through), so an unhooked `sw_*_hooked` block is
-/// instruction-for-instruction the plain switch. The kernel replaces
-/// this template when it fuses a continuation into a thread's resume
-/// path.
-#[must_use]
-pub fn resume_hook_nop_template() -> Template {
-    let mut a = Asm::new("resume_hook");
-    a.rts();
-    Template::from_asm(a).expect("assembles")
 }
 
 #[cfg(test)]
@@ -195,43 +144,6 @@ mod tests {
             assert_eq!(t.marks["ipi_in"], 0);
             assert_eq!(t.marks["sw_out"], 1);
             assert!(t.marks["sw_in_mmu"] < t.marks["sw_in"]);
-        }
-    }
-
-    /// The hooked switch is the fusion seam: Collapsing Layers splices
-    /// the resume-hook body inline, so at run time there is no `jsr` —
-    /// the continuation *is* the switch-in path. With the default empty
-    /// hook the collapsed block degenerates to the plain switch
-    /// (trailing `rts` → fall-through `nop`), so hooked threads pay
-    /// nothing until a continuation is actually fused in.
-    #[test]
-    fn resume_hook_is_collapsed_inline() {
-        use quamachine::isa::Instr;
-        use synthesis_codegen::collapse;
-        use synthesis_codegen::template::TemplateLib;
-        let mut lib = TemplateLib::new();
-        lib.add(resume_hook_nop_template());
-        for fp in [false, true] {
-            let t = switch_template_hooked(fp);
-            assert_eq!(t.call_sites().len(), 1, "one hook site");
-            let c = collapse::collapse(&t, &lib).unwrap();
-            assert!(
-                !c.instrs.iter().any(|i| matches!(i, Instr::Jsr(_))),
-                "hook must be inlined, not called: {:?}",
-                c.instrs
-            );
-            // Entries survive the splice.
-            assert_eq!(c.marks["ipi_in"], 0);
-            assert!(c.marks["sw_in_mmu"] < c.marks["sw_in"]);
-            // Modulo the nop left by the empty hook, the collapsed
-            // hooked switch is the plain switch.
-            let plain = switch_template(fp);
-            let stripped: Vec<&Instr> = c
-                .instrs
-                .iter()
-                .filter(|i| !matches!(i, Instr::Nop))
-                .collect();
-            assert_eq!(stripped.len(), plain.instrs.len());
         }
     }
 

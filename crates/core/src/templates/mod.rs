@@ -32,9 +32,6 @@ pub mod syscall;
 pub fn install_all(lib: &mut TemplateLib) {
     lib.add(ctxsw::switch_template(false));
     lib.add(ctxsw::switch_template(true));
-    lib.add(ctxsw::switch_template_hooked(false));
-    lib.add(ctxsw::switch_template_hooked(true));
-    lib.add(ctxsw::resume_hook_nop_template());
     lib.add(rw::read_null_template());
     lib.add(rw::write_null_template());
     lib.add(rw::read_tty_template());
@@ -102,7 +99,7 @@ mod tests {
     fn all_templates_verify() {
         let mut lib = TemplateLib::new();
         install_all(&mut lib);
-        assert!(lib.len() >= 44);
+        assert!(lib.len() >= 41);
         for name in [
             "pipe_write~rts",
             "pipe_read~rts",
@@ -122,9 +119,6 @@ mod tests {
             "fused_write_file",
             "sw_basic",
             "sw_fp",
-            "sw_basic_hooked",
-            "sw_fp_hooked",
-            "resume_hook",
             "read_null",
             "write_null",
             "read_tty",

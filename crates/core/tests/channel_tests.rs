@@ -173,8 +173,17 @@ fn eviction_at_zero_refcount_returns_code_space() {
     k.close_for(tid, fd1).unwrap();
     assert_eq!(k.creator.codebuf.in_use, one_copy, "still referenced");
 
-    // Closing the last evicts: code space and the offset slot return.
+    // Closing the last drops the refcount to zero: the offset slot
+    // returns at once, the code stays warm for a reopen, and evicting
+    // the warm entries returns the code space to the byte.
     k.close_for(tid, fd2).unwrap();
+    assert_eq!(k.creator.codebuf.in_use, one_copy, "kept warm");
+    assert_eq!(
+        k.creator.cache.resident_bytes(),
+        k.creator.cache.warm_bytes(),
+        "no reference outlives the last fd"
+    );
+    k.creator.flush_cache(&mut k.m);
     assert_eq!(k.creator.codebuf.in_use, code_base, "code space restored");
     assert_eq!(k.heap.in_use, heap_base, "offset slot restored");
     let fid = k.fs.lookup("/tmp/f").0.unwrap();
@@ -266,6 +275,12 @@ fn stream_endpoints_share_through_the_cache() {
     k.stream_release_endpoint(&put2);
     k.close_stream(chan);
     assert_eq!(k.heap.in_use, heap_base, "ring storage returned");
+    assert_eq!(
+        k.creator.cache.resident_bytes(),
+        k.creator.cache.warm_bytes(),
+        "every endpoint reference released"
+    );
+    k.creator.flush_cache(&mut k.m);
     assert_eq!(
         k.creator.codebuf.in_use, code_base,
         "endpoint code returned"

@@ -18,6 +18,7 @@ use std::collections::HashMap;
 use quamachine::asm::Asm;
 use quamachine::isa::{BranchTarget, Cond, Instr, Operand, Operand::*, Size, Size::*};
 use quamachine::machine::RunExit;
+use quamachine::mem::AddressMap;
 use synthesis_codegen::creator::Synthesized;
 use synthesis_codegen::template::{Bindings, Template};
 use synthesis_core::kernel::{Kernel, KernelError};
@@ -213,17 +214,8 @@ impl UnixEmulator {
         e
     }
 
-    /// Install the trap-elision thunks (idempotent). Requires the kernel
-    /// to have booted with fusion on.
-    ///
-    /// # Errors
-    ///
-    /// [`KernelError::Invalid`] without [`KernelConfig::fuse`]
-    /// (synthesis_core::kernel::KernelConfig::fuse); synthesis errors.
-    pub fn install_fusion(&mut self) -> Result<(), KernelError> {
-        if !self.k.fuse {
-            return Err(KernelError::Invalid("fusion requires KernelConfig::fuse"));
-        }
+    /// Install the trap-elision thunks (idempotent).
+    fn install_fusion(&mut self) -> Result<(), KernelError> {
         if self.fusion.is_some() {
             return Ok(());
         }
@@ -272,6 +264,36 @@ impl UnixEmulator {
             sites: HashMap::new(),
         });
         Ok(())
+    }
+
+    /// Load `program` and start it as a UNIX thread running under `map`.
+    ///
+    /// A caller the kernel reports [`fusable`](Kernel::fusable) — its
+    /// map covers the kernel's flat space, which is what makes the trap
+    /// redundant — has its statically-resolvable syscall traps rewritten
+    /// into `jsr`-thunk calls before loading (the fused wrappers bind in
+    /// lazily, per call site, at first execution). Any other caller
+    /// keeps its traps and the layered path behind them.
+    ///
+    /// # Errors
+    ///
+    /// Propagates kernel errors.
+    pub fn spawn(&mut self, program: Asm, map: AddressMap) -> Result<Tid, KernelError> {
+        use crate::programs::{addrs, path_blob};
+        let mut block = program.assemble().expect("program assembles");
+        if self.k.fusable(&map) {
+            self.install_fusion()?;
+            let f = self.fusion.as_ref().expect("just installed");
+            let mut instrs = block.instrs;
+            elide_traps(&mut instrs, f.unix_thunk, f.bind_r, f.bind_w);
+            block = quamachine::code::CodeBlock::new(block.name, instrs);
+        }
+        let entry = self.k.load_user_program(block)?;
+        self.k.m.mem.poke_bytes(addrs::PATHS, &path_blob());
+        let tid = self.k.create_thread(entry, addrs::USTACK, map)?;
+        self.install(tid)?;
+        self.k.start(tid)?;
+        Ok(tid)
     }
 
     /// Install the UNIX personality on a thread: synthesize its
@@ -346,7 +368,7 @@ impl UnixEmulator {
         let ret = self.k.m.mem.peek(self.k.m.cpu.a[7], Size::L);
         let site = ret.wrapping_sub(JSR_ABS_BYTES);
         let write = sysno == abi::SYS_WRITE;
-        let f = self.fusion.as_ref().expect("bind kcall ⇒ fused boot");
+        let f = self.fusion.as_ref().expect("bind kcall ⇒ elided caller");
         let trap_shim = if write { f.shim_w } else { f.shim_r };
         let spec = self
             .k
@@ -517,8 +539,10 @@ impl UnixEmulator {
     }
 }
 
-/// Convenience: boot a Synthesis kernel, load a UNIX program, install the
-/// emulator, and return everything ready to run.
+/// Convenience: boot a Synthesis kernel, load a UNIX program as a thread
+/// sharing the kernel's flat address space (a single process, as the
+/// Table 1 binaries are), install the emulator, and return everything
+/// ready to run.
 ///
 /// # Errors
 ///
@@ -527,36 +551,8 @@ pub fn boot_with_program(
     cfg: synthesis_core::kernel::KernelConfig,
     program: Asm,
 ) -> Result<(UnixEmulator, Tid), KernelError> {
-    use crate::programs::{addrs, path_blob};
-    let k = Kernel::boot(cfg)?;
-    let mut emu = UnixEmulator::new(k);
-    let mut block = program.assemble().expect("program assembles");
-    if emu.k.fuse {
-        // Trap elision: rewrite the program's statically-resolvable
-        // syscall traps into jsr-thunk calls before loading (the fused
-        // wrappers bind in lazily, per call site, at first execution).
-        emu.install_fusion()?;
-        let f = emu.fusion.as_ref().expect("just installed");
-        let (ut, br, bw) = (f.unix_thunk, f.bind_r, f.bind_w);
-        let mut instrs = block.instrs;
-        elide_traps(&mut instrs, ut, br, bw);
-        block = quamachine::code::CodeBlock::new(block.name, instrs);
-    }
-    let entry = emu.k.load_user_program(block)?;
-    emu.k.m.mem.poke_bytes(addrs::PATHS, &path_blob());
-    // Fused callers share the kernel's flat space (that is what makes
-    // the trap redundant); the layered boot keeps the user window.
-    let map = if emu.k.fuse {
-        quamachine::mem::AddressMap::single(1, 0, emu.k.m.mem.size())
-    } else {
-        quamachine::mem::AddressMap::single(
-            1,
-            synthesis_core::layout::USER_BASE,
-            synthesis_core::layout::USER_LEN,
-        )
-    };
-    let tid = emu.k.create_thread(entry, addrs::USTACK, map)?;
-    emu.install(tid)?;
-    emu.k.start(tid)?;
+    let mut emu = UnixEmulator::new(Kernel::boot(cfg)?);
+    let flat = AddressMap::single(1, 0, emu.k.m.mem.size());
+    let tid = emu.spawn(program, flat)?;
     Ok((emu, tid))
 }

@@ -26,6 +26,9 @@ pub mod addrs {
     pub const BUF: u32 = USER_BASE + 0x2_0000;
     /// Path strings.
     pub const PATHS: u32 = USER_BASE + 0x2_8000;
+    /// Destination buffer of [`pipe_xfer`](super::pipe_xfer), disjoint
+    /// from the source at [`BUF`].
+    pub const XFER_DST: u32 = BUF + 0x4000;
     /// Result slot: programs may store a checksum here.
     pub const RESULT: u32 = USER_BASE + 0x2_9000;
     /// The chaotic-sequence array (up to 64 K entries × 4 bytes).
@@ -144,6 +147,58 @@ pub fn pipe_rw(chunk: u32, iters: u32) -> Asm {
     a.trap(abi::UNIX_TRAP);
     a.sub(L, Imm(1), Dr(7));
     a.bcc(Cond::Ne, top);
+    emit_exit(&mut a);
+    a
+}
+
+/// The checkable sibling of [`pipe_rw`], for tests rather than Table 1:
+/// `rounds` × (pipe; `iters` × (write `chunk` bytes from [`addrs::BUF`];
+/// read them back into [`addrs::XFER_DST`]); close both ends), with
+/// every `read`/`write` return value totalled into [`addrs::RESULT`] —
+/// so a test can check bytes moved and data integrity, not just
+/// completion, and with `rounds > 1` every call site serves a fresh pair
+/// of fds each round.
+#[must_use]
+pub fn pipe_xfer(chunk: u32, iters: u32, rounds: u32) -> Asm {
+    let mut a = Asm::new("pipe_xfer");
+    a.move_i(L, rounds, Dr(4));
+    a.move_i(L, 0, Dr(6)); // bytes-moved total
+    let round = a.here();
+    a.move_i(L, abi::SYS_PIPE, Dr(0));
+    a.trap(abi::UNIX_TRAP);
+    a.move_(L, Dr(0), Dr(5)); // (rfd<<8) | wfd
+    a.move_i(L, iters, Dr(7));
+    let top = a.here();
+    // write(wfd, BUF, chunk)
+    a.move_i(L, abi::SYS_WRITE, Dr(0));
+    a.move_(L, Dr(5), Dr(1));
+    a.and(L, Imm(0xFF), Dr(1));
+    a.lea(Abs(addrs::BUF), 0);
+    a.move_i(L, chunk, Dr(2));
+    a.trap(abi::UNIX_TRAP);
+    a.add(L, Dr(0), Dr(6));
+    // read(rfd, XFER_DST, chunk)
+    a.move_i(L, abi::SYS_READ, Dr(0));
+    a.move_(L, Dr(5), Dr(1));
+    a.shift(ShiftKind::Lsr, L, Imm(8), Dr(1));
+    a.lea(Abs(addrs::XFER_DST), 0);
+    a.move_i(L, chunk, Dr(2));
+    a.trap(abi::UNIX_TRAP);
+    a.add(L, Dr(0), Dr(6));
+    a.sub(L, Imm(1), Dr(7));
+    a.bcc(Cond::Ne, top);
+    // close(rfd); close(wfd)
+    a.move_i(L, abi::SYS_CLOSE, Dr(0));
+    a.move_(L, Dr(5), Dr(1));
+    a.shift(ShiftKind::Lsr, L, Imm(8), Dr(1));
+    a.trap(abi::UNIX_TRAP);
+    a.move_i(L, abi::SYS_CLOSE, Dr(0));
+    a.move_(L, Dr(5), Dr(1));
+    a.and(L, Imm(0xFF), Dr(1));
+    a.trap(abi::UNIX_TRAP);
+    a.sub(L, Imm(1), Dr(4));
+    a.bcc(Cond::Ne, round);
+    a.move_(L, Dr(6), Abs(addrs::RESULT));
     emit_exit(&mut a);
     a
 }

@@ -3,10 +3,11 @@
 //! The tentpole's contract: collapsing the pipe path into the caller
 //! (trap-elided `jsr`-bound wrappers, superoptimized bodies) must not
 //! change anything a program can see — only how many cycles it costs.
-//! This property test runs the same transfer program on two Synthesis
-//! kernels, one with `KernelConfig::fuse` on and one layered, across
-//! randomized chunk sizes, data seeds, and 1/2/4-CPU machines, and
-//! compares:
+//! This property test runs the same transfer program on two identically
+//! configured Synthesis kernels — once as a thread sharing the kernel's
+//! flat space (fused) and once under the user-window map, which the
+//! kernel never fuses (layered) — across randomized chunk sizes, data
+//! seeds, and 1/2/4-CPU machines, and compares:
 //!
 //! - **bytes moved** — the program totals its `read`/`write` return
 //!   values into a result slot; both kernels must report the full
@@ -20,54 +21,12 @@
 //!   both kernels.
 
 use proptest::prelude::*;
-use quamachine::asm::Asm;
-use quamachine::isa::{Cond, Operand::*, ShiftKind, Size::L};
-use synthesis_core::kernel::KernelConfig;
+use quamachine::mem::AddressMap;
+use synthesis_core::kernel::{Kernel, KernelConfig};
+use synthesis_core::layout;
 use synthesis_core::trace::{Kind, TraceQuery, QCLASS_PIPE};
-use synthesis_unix::abi;
-use synthesis_unix::emu::boot_with_program;
-use synthesis_unix::programs::addrs;
-
-/// Destination buffer, disjoint from the source at [`addrs::BUF`].
-const DST: u32 = addrs::BUF + 0x4000;
-
-/// Like `programs::pipe_rw`, but reads land in a *separate* buffer and
-/// the `read`/`write` return values accumulate into `RESULT` — so the
-/// test can check bytes moved and data integrity, not just completion.
-fn pipe_xfer(chunk: u32, iters: u32) -> Asm {
-    let mut a = Asm::new("prop_pipe_xfer");
-    a.move_i(L, abi::SYS_PIPE, Dr(0));
-    a.trap(abi::UNIX_TRAP);
-    a.move_(L, Dr(0), Dr(5)); // (rfd<<8) | wfd
-    a.move_i(L, iters, Dr(7));
-    a.move_i(L, 0, Dr(6)); // bytes-moved total
-    let top = a.here();
-    // write(wfd, BUF, chunk)
-    a.move_i(L, abi::SYS_WRITE, Dr(0));
-    a.move_(L, Dr(5), Dr(1));
-    a.and(L, Imm(0xFF), Dr(1));
-    a.lea(Abs(addrs::BUF), 0);
-    a.move_i(L, chunk, Dr(2));
-    a.trap(abi::UNIX_TRAP);
-    a.add(L, Dr(0), Dr(6));
-    // read(rfd, DST, chunk)
-    a.move_i(L, abi::SYS_READ, Dr(0));
-    a.move_(L, Dr(5), Dr(1));
-    a.shift(ShiftKind::Lsr, L, Imm(8), Dr(1));
-    a.lea(Abs(DST), 0);
-    a.move_i(L, chunk, Dr(2));
-    a.trap(abi::UNIX_TRAP);
-    a.add(L, Dr(0), Dr(6));
-    a.sub(L, Imm(1), Dr(7));
-    a.bcc(Cond::Ne, top);
-    a.move_(L, Dr(6), Abs(addrs::RESULT));
-    a.move_i(L, abi::SYS_EXIT, Dr(0));
-    a.move_i(L, 0, Dr(1));
-    a.trap(abi::UNIX_TRAP);
-    let dead = a.here();
-    a.bcc(Cond::T, dead);
-    a
-}
+use synthesis_unix::emu::UnixEmulator;
+use synthesis_unix::programs::{addrs, pipe_xfer};
 
 /// One run: boot, seed the source buffer, transfer, collect everything
 /// a program (or a tracing observer) can see.
@@ -79,13 +38,20 @@ struct Observed {
     syscall_traps: usize,
 }
 
-fn run_one(fuse: bool, cpus: usize, chunk: u32, iters: u32, seed: u64) -> Observed {
+fn run_one(flat: bool, cpus: usize, chunk: u32, iters: u32, seed: u64) -> Observed {
     let cfg = KernelConfig {
-        fuse,
         cpus,
         ..KernelConfig::default()
     };
-    let (mut emu, tid) = boot_with_program(cfg, pipe_xfer(chunk, iters)).expect("boots");
+    let mut emu = UnixEmulator::new(Kernel::boot(cfg).expect("boots"));
+    // The caller's address map is the whole difference between the two
+    // sides: the kernel fuses a thread that can already see all of it.
+    let map = if flat {
+        AddressMap::single(1, 0, emu.k.m.mem.size())
+    } else {
+        AddressMap::single(1, layout::USER_BASE, layout::USER_LEN)
+    };
+    let tid = emu.spawn(pipe_xfer(chunk, iters, 1), map).expect("spawns");
     // Deterministic pseudo-random source bytes from the seed.
     let mut x = seed | 1;
     let data: Vec<u8> = (0..chunk)
@@ -99,11 +65,11 @@ fn run_one(fuse: bool, cpus: usize, chunk: u32, iters: u32, seed: u64) -> Observ
     emu.k.m.mem.poke_bytes(addrs::BUF, &data);
     assert!(
         emu.run_until_exit(tid, 10_000_000_000),
-        "transfer must finish (fuse={fuse}, cpus={cpus}, chunk={chunk}, iters={iters})"
+        "transfer must finish (flat={flat}, cpus={cpus}, chunk={chunk}, iters={iters})"
     );
     let bytes_moved = emu.k.m.mem.peek(addrs::RESULT, quamachine::isa::Size::L);
     let src = emu.k.m.mem.peek_bytes(addrs::BUF, chunk);
-    let dst = emu.k.m.mem.peek_bytes(DST, chunk);
+    let dst = emu.k.m.mem.peek_bytes(addrs::XFER_DST, chunk);
     let q = TraceQuery::drain(&mut emu.k);
     let pipe_events: Vec<(Kind, u32, u32)> = q
         .records()
@@ -157,4 +123,44 @@ proptest! {
             layered.syscall_traps
         );
     }
+}
+
+/// The fusion rule is the caller's address map and nothing else: on one
+/// kernel configuration, a thread under the user-window map gets no
+/// fused spec for fds a flat-space thread fuses, and every one of its
+/// syscalls stays a trap.
+#[test]
+fn user_window_thread_never_fuses() {
+    use synthesis_core::thread::FdObject;
+
+    let iters = 4;
+    let specs = |flat: bool| -> (bool, bool) {
+        let mut emu = UnixEmulator::new(Kernel::boot(KernelConfig::default()).expect("boots"));
+        let map = if flat {
+            AddressMap::single(1, 0, emu.k.m.mem.size())
+        } else {
+            AddressMap::single(1, layout::USER_BASE, layout::USER_LEN)
+        };
+        let tid = emu.spawn(pipe_xfer(64, iters, 1), map).expect("spawns");
+        // Run up to the first transfer: the pipe's two fds are open.
+        while matches!(emu.k.threads[&tid].fds[1], FdObject::Free) {
+            emu.run(500);
+        }
+        (
+            emu.k.fused_rw_spec(tid, 0, false).is_some(),
+            emu.k.fused_rw_spec(tid, 1, true).is_some(),
+        )
+    };
+    assert_eq!(
+        specs(true),
+        (true, true),
+        "a flat-space caller's solo pipe fuses"
+    );
+    assert_eq!(specs(false), (false, false), "a windowed caller never does");
+
+    // pipe + iters × (write + read) + 2 closes + exit, each one a trap —
+    // or none.
+    let layered = run_one(false, 1, 64, iters, 7);
+    assert_eq!(layered.syscall_traps, 2 * iters as usize + 4);
+    assert_eq!(run_one(true, 1, 64, iters, 7).syscall_traps, 0);
 }

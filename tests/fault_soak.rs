@@ -28,6 +28,8 @@ use synthesis::machine::isa::Size;
 use synthesis::machine::isa::{Operand::*, Size::*};
 use synthesis::machine::machine::RunExit;
 use synthesis::machine::mem::AddressMap;
+use synthesis::unix::emu::{boot_with_program, UnixEmulator};
+use synthesis::unix::programs::{addrs, pipe_xfer};
 
 /// Distinct seeds each pipeline soaks under.
 const SEEDS: u64 = 32;
@@ -291,18 +293,20 @@ fn tty_pipeline_soaks_across_seeds() {
 /// interrupts, jittered timer periods).
 fn pipe_scenario(slot: &mut Option<Kernel>, seed: u64) {
     let k = slot.insert(boot());
-    k.m.fault = FaultPlan::seeded(
-        seed,
-        FaultConfig {
-            irq_lost_permille: 150,
-            irq_spurious_permille: 4,
-            irq_spurious_levels: 0b0011_0100, // disk (2), tty (4), audio (5)
-            timer_jitter_permille: 300,
-            timer_jitter_magnitude_permille: 250,
-            ..FaultConfig::none()
-        },
-    );
+    k.m.fault = FaultPlan::seeded(seed, irq_chaos());
     pipe_run(k, seed);
+}
+
+/// The interrupt-fabric fault mix of the uniprocessor pipe soaks.
+fn irq_chaos() -> FaultConfig {
+    FaultConfig {
+        irq_lost_permille: 150,
+        irq_spurious_permille: 4,
+        irq_spurious_levels: 0b0011_0100, // disk (2), tty (4), audio (5)
+        timer_jitter_permille: 300,
+        timer_jitter_magnitude_permille: 250,
+        ..FaultConfig::none()
+    }
 }
 
 /// The pipe workload body, shared by the uniprocessor and SMP chaos
@@ -552,20 +556,246 @@ fn quarantined_thread_is_not_evacuated_onto_healthy_cpus() {
     // The innocent spinner moved to CPU 0; the quarantined one is on no
     // chain at all and stays that way.
     assert!(
-        k.cpus[0].ready.position(innocent).is_some(),
+        k.cpus[0].ready.contains(innocent),
         "the innocent thread was evacuated onto the healthy CPU"
     );
     assert!(
-        k.cpus[0].ready.position(victim).is_none(),
+        !k.cpus[0].ready.contains(victim),
         "the quarantined thread must not ride the evacuation"
     );
-    assert!(k.cpus[1].ready.position(victim).is_none());
+    assert!(!k.cpus[1].ready.contains(victim));
     assert!(k.recovery.threads_evacuated.read() >= 1);
     // And it never comes back through the scheduler either.
     assert!(matches!(k.start(victim), Err(KernelError::Invalid(_))));
     k.run(2_000_000);
-    assert!(k.cpus[0].ready.position(victim).is_none());
+    assert!(!k.cpus[0].ready.contains(victim));
     assert!(k.is_quarantined(victim));
+}
+
+// --------------------------------------------------------------- fused --
+//
+// Run-time code rewriting under faults: `programs::pipe_xfer` booted
+// through `boot_with_program` runs with its syscall traps elided, its
+// `read`/`write` sites bound to fused per-(tid, fd) wrappers on first
+// call and re-armed at `close`. These scenarios drive that bind/unbind
+// machinery through the same fault domains as the layered soaks above.
+
+/// One fused transfer: `rounds` pipes, each carrying `iters` chunks.
+#[derive(Clone, Copy)]
+struct Xfer {
+    chunk: u32,
+    iters: u32,
+    rounds: u32,
+}
+
+impl Xfer {
+    /// Shape per seed: the 1-byte fast path, an odd size that wraps the
+    /// ring unevenly, and two copy-loop sizes, each iterated long enough
+    /// to span a few hundred quanta.
+    fn for_seed(seed: u64, rounds: u32) -> Xfer {
+        let (chunk, iters) = [(1, 2000), (7, 2000), (64, 400), (1024, 60)][(seed % 4) as usize];
+        Xfer {
+            chunk,
+            iters,
+            rounds,
+        }
+    }
+}
+
+/// Boot the fused transfer on `cpus` CPUs under `faults`, with the
+/// source buffer seeded.
+fn fused_boot(
+    x: Xfer,
+    seed: u64,
+    cpus: usize,
+    faults: FaultConfig,
+) -> (UnixEmulator, u32, Vec<u8>) {
+    let cfg = KernelConfig {
+        cpus,
+        ..KernelConfig::default()
+    };
+    let (mut emu, tid) =
+        boot_with_program(cfg, pipe_xfer(x.chunk, x.iters, x.rounds)).expect("boots");
+    emu.k.m.fault = FaultPlan::seeded(seed, faults);
+    let data: Vec<u8> = (0..x.chunk)
+        .map(|i| ((u64::from(i) * 31 + seed * 7 + 3) % 251) as u8)
+        .collect();
+    emu.k.m.mem.poke_bytes(addrs::BUF, &data);
+    (emu, tid, data)
+}
+
+/// The transfer ran to its exit with every byte counted and intact, and
+/// the rewritten program is left consistent: every `jsr` in it targets
+/// loaded code (a site still aimed at an evicted wrapper would be a
+/// wild jump on the next call), and no cache reference outlived the
+/// thread.
+fn fused_check(emu: &UnixEmulator, x: Xfer, seed: u64, data: &[u8]) {
+    use synthesis::machine::isa::Instr;
+    assert_eq!(
+        emu.k.m.mem.peek(addrs::RESULT, Size::L),
+        2 * x.chunk * x.iters * x.rounds,
+        "seed {seed}: every read and write moved its full chunk"
+    );
+    assert_eq!(
+        emu.k.m.mem.peek_bytes(addrs::XFER_DST, x.chunk),
+        data,
+        "seed {seed}: fused pipe data survives the faults"
+    );
+    assert_eq!(emu.k.m.mem.peek_bytes(addrs::BUF, x.chunk), data);
+    let program = emu
+        .k
+        .m
+        .code
+        .iter()
+        .map(|(_, b)| b)
+        .find(|b| b.name == "pipe_xfer")
+        .expect("the program stays loaded");
+    let mut sites = 0;
+    for i in &program.instrs {
+        if let Instr::Jsr(Abs(target)) = i {
+            sites += 1;
+            assert!(
+                emu.k.m.code.locate(*target).is_some(),
+                "seed {seed}: call site targets unloaded code at {target:#x}"
+            );
+        }
+    }
+    assert!(
+        sites >= 5,
+        "the program's traps were elided ({sites} sites)"
+    );
+    assert_eq!(
+        emu.k.creator.cache.resident_bytes(),
+        emu.k.creator.cache.warm_bytes(),
+        "seed {seed}: a fused wrapper reference outlived its thread"
+    );
+}
+
+/// One fused chaos run; returns the fault trace.
+fn fused_chaos_scenario(seed: u64, cpus: usize) -> Vec<FaultRecord> {
+    let faults = if cpus == 1 {
+        irq_chaos()
+    } else {
+        FaultConfig::soak_smp(cpus)
+    };
+    let x = Xfer::for_seed(seed, 1);
+    let (mut emu, tid, data) = fused_boot(x, seed, cpus, faults);
+    assert!(
+        emu.run_until_exit(tid, 2_000_000_000),
+        "seed {seed} at {cpus} CPUs: the fused transfer finishes under chaos"
+    );
+    fused_check(&emu, x, seed, &data);
+    emu.k.m.fault.trace().to_vec()
+}
+
+/// The fused program under the interrupt-fault mix at 1 CPU and the full
+/// SMP fault domain at 2 and 4: completion, byte-correct data, and a
+/// deterministic fault-trace replay per seed.
+#[test]
+fn fused_pipe_soaks_across_seeds_and_cpus() {
+    for cpus in [1usize, 2, 4] {
+        let mut total_faults = 0usize;
+        for seed in soak_seeds(SEEDS) {
+            total_faults += soak_case("fused_pipe_soaks_across_seeds_and_cpus", seed, |_| {
+                let trace = fused_chaos_scenario(seed, cpus);
+                let replay = fused_chaos_scenario(seed, cpus);
+                assert!(
+                    trace == replay,
+                    "seed {seed} at {cpus} CPUs: fault trace must be reproducible \
+                     ({} vs {} fault records)",
+                    trace.len(),
+                    replay.len()
+                );
+                trace.len()
+            });
+        }
+        assert!(total_faults > 0, "the {cpus}-CPU fused soak injects faults");
+    }
+}
+
+/// Eviction racing bound sites: flush the cache and squeeze its budget
+/// to almost nothing while the program sits between calls with its
+/// sites bound, then let it continue through further unbind/rebind
+/// rounds. Bound wrappers are pinned by their sites' references, so
+/// nothing in use is evicted; everything released afterwards is trimmed
+/// at once and resynthesized on the next bind.
+#[test]
+fn cache_eviction_under_bound_sites_keeps_fused_io_correct() {
+    for seed in soak_seeds(4) {
+        soak_case(
+            "cache_eviction_under_bound_sites_keeps_fused_io_correct",
+            seed,
+            |_| {
+                let x = Xfer::for_seed(seed, 3);
+                let (mut emu, tid, data) = fused_boot(x, seed, 1, FaultConfig::none());
+                let mut squeezes = 0;
+                while !emu.k.exited.contains(&tid) {
+                    assert!(
+                        squeezes < 100_000,
+                        "seed {seed}: the transfer never finished"
+                    );
+                    emu.run(50_000);
+                    let live =
+                        emu.k.creator.cache.resident_bytes() - emu.k.creator.cache.warm_bytes();
+                    emu.k.creator.flush_cache(&mut emu.k.m);
+                    emu.k.creator.set_cache_budget(&mut emu.k.m, 16);
+                    assert_eq!(
+                        emu.k.creator.cache.resident_bytes(),
+                        live,
+                        "seed {seed}: eviction took exactly the unreferenced blocks"
+                    );
+                    squeezes += 1;
+                }
+                assert!(squeezes > 3, "the squeeze landed mid-transfer");
+                fused_check(&emu, x, seed, &data);
+            },
+        );
+    }
+}
+
+/// CPU quarantine under a fused caller: the CPU running the program
+/// turns sick mid-transfer at 4 CPUs. The kernel quarantines it and
+/// evacuates the thread — wherever it was parked, inside a fused
+/// wrapper or between calls — and the transfer finishes on the
+/// survivors with its data intact.
+#[test]
+fn sick_cpu_under_a_fused_program_finishes_on_the_survivors() {
+    // Long enough for the sick CPU to spend its whole fault budget.
+    let x = Xfer {
+        chunk: 64,
+        iters: 8000,
+        rounds: 1,
+    };
+    let (mut emu, tid, data) = fused_boot(x, 0, 4, FaultConfig::none());
+    // A spinner on every other CPU keeps the rotation dispatching all
+    // four — a CPU is only ever sick at dispatch. Their user-window map
+    // gets its own id: the evacuated program must arrive through
+    // `sw_in_mmu` and get its flat map back.
+    let window = AddressMap::single(2, layout::USER_BASE, layout::USER_LEN);
+    let home = emu.k.threads[&tid].cpu;
+    let mut spin = Asm::new("bystander");
+    let top = spin.here();
+    spin.bcc(synthesis::machine::isa::Cond::T, top);
+    let entry = emu.k.load_user_program(spin.assemble().unwrap()).unwrap();
+    for cpu in (0..4).filter(|&c| c != home) {
+        let t = emu.k.create_thread(entry, USTACK, window.clone()).unwrap();
+        emu.k.threads.get_mut(&t).unwrap().cpu = cpu;
+        emu.k.start(t).unwrap();
+    }
+    emu.run(200_000);
+    assert!(!emu.k.exited.contains(&tid), "sickened mid-transfer");
+    assert_eq!(emu.k.threads[&tid].cpu, home, "nothing to steal it for");
+    emu.k.m.fault.sicken_cpu(home);
+    assert!(
+        emu.run_until_exit(tid, 2_000_000_000),
+        "the fused transfer finishes on the healthy CPUs"
+    );
+    fused_check(&emu, x, 0, &data);
+    assert!(
+        emu.k.is_cpu_quarantined(home),
+        "the sick CPU ends up quarantined"
+    );
+    assert!(emu.k.recovery.threads_evacuated.read() >= 1);
 }
 
 // ------------------------------------------------------------ recovery --

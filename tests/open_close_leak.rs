@@ -1,7 +1,9 @@
 //! Leak soak for the channel registry: thousands of open/close cycles
 //! across every device class must return the code buffer and the
-//! FastFit kernel heap to their initial byte counts, with the
-//! specialization cache empty at every quiescent point.
+//! FastFit kernel heap to their initial byte counts. Closed channels'
+//! code stays warm in the specialization cache, so a quiescent point
+//! holds exactly `baseline + warm_bytes` of code with no live
+//! reference; flushing the cache restores the baseline to the byte.
 
 mod common;
 
@@ -10,6 +12,7 @@ use quamachine::isa::{Operand::*, Size::*};
 use quamachine::mem::AddressMap;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use synthesis::codegen::codebuf;
 use synthesis::kernel::io::stream::standard;
 use synthesis::kernel::kernel::{Kernel, KernelConfig};
 use synthesis::kernel::layout;
@@ -50,14 +53,28 @@ fn baseline(k: &Kernel) -> Baseline {
     }
 }
 
-fn assert_restored(k: &Kernel, b: &Baseline, what: &str, cycle: usize) {
+/// A quiescent point (no fd open): every cached block is warm — no
+/// reference outlived its fd — the code buffer holds the baseline plus
+/// exactly the warm blocks' extents, and the heap is back to the byte.
+fn assert_quiescent(k: &Kernel, b: &Baseline, what: &str, cycle: usize) {
+    let cache = &k.creator.cache;
     assert_eq!(
-        k.creator.codebuf.in_use, b.code_in_use,
+        cache.resident_bytes(),
+        cache.warm_bytes(),
+        "{what} cycle {cycle}: a cache reference outlived its fd"
+    );
+    let warm: u32 = cache
+        .warm_blocks()
+        .map(|s| s.size.next_multiple_of(codebuf::ALIGN))
+        .sum();
+    assert_eq!(
+        k.creator.codebuf.in_use,
+        b.code_in_use + warm,
         "{what} cycle {cycle}: codebuf bytes in use"
     );
     assert_eq!(
         k.creator.codebuf.free_bytes(),
-        b.code_free,
+        b.code_free - warm,
         "{what} cycle {cycle}: codebuf free list"
     );
     assert_eq!(
@@ -69,10 +86,18 @@ fn assert_restored(k: &Kernel, b: &Baseline, what: &str, cycle: usize) {
         b.heap_free,
         "{what} cycle {cycle}: heap free list"
     );
+}
+
+/// Quiescent, and after flushing the warm entries the code buffer is
+/// back at the baseline exactly, with the cache empty.
+fn assert_restored(k: &mut Kernel, b: &Baseline, what: &str, cycle: usize) {
+    assert_quiescent(k, b, what, cycle);
+    k.creator.flush_cache(&mut k.m);
     assert!(
         k.creator.cache.is_empty(),
         "{what} cycle {cycle}: stale cache entries"
     );
+    assert_quiescent(k, b, what, cycle);
 }
 
 #[test]
@@ -89,47 +114,47 @@ fn ten_thousand_open_close_cycles_leak_nothing() {
         let fd = k.open_for(tid, "/dev/null").unwrap();
         k.close_for(tid, fd).unwrap();
         if i % 1024 == 0 {
-            assert_restored(&k, &b, "/dev/null", i);
+            assert_quiescent(&k, &b, "/dev/null", i);
         }
     }
-    assert_restored(&k, &b, "/dev/null", per);
+    assert_restored(&mut k, &b, "/dev/null", per);
 
     for i in 0..per {
         let fd = k.open_for(tid, "/dev/tty").unwrap();
         k.close_for(tid, fd).unwrap();
         if i % 1024 == 0 {
-            assert_restored(&k, &b, "/dev/tty", i);
+            assert_quiescent(&k, &b, "/dev/tty", i);
         }
     }
-    assert_restored(&k, &b, "/dev/tty", per);
+    assert_restored(&mut k, &b, "/dev/tty", per);
 
     for i in 0..per {
         let fd = k.open_for(tid, "/dev/tty-raw").unwrap();
         k.close_for(tid, fd).unwrap();
         if i % 1024 == 0 {
-            assert_restored(&k, &b, "/dev/tty-raw", i);
+            assert_quiescent(&k, &b, "/dev/tty-raw", i);
         }
     }
-    assert_restored(&k, &b, "/dev/tty-raw", per);
+    assert_restored(&mut k, &b, "/dev/tty-raw", per);
 
     for i in 0..per {
         let fd = k.open_for(tid, "/tmp/soak").unwrap();
         k.close_for(tid, fd).unwrap();
         if i % 1024 == 0 {
-            assert_restored(&k, &b, "/tmp/soak", i);
+            assert_quiescent(&k, &b, "/tmp/soak", i);
         }
     }
-    assert_restored(&k, &b, "/tmp/soak", per);
+    assert_restored(&mut k, &b, "/tmp/soak", per);
 
     for i in 0..per {
         let (rfd, wfd) = k.pipe_for(tid).unwrap();
         k.close_for(tid, rfd).unwrap();
         k.close_for(tid, wfd).unwrap();
         if i % 1024 == 0 {
-            assert_restored(&k, &b, "pipe", i);
+            assert_quiescent(&k, &b, "pipe", i);
         }
     }
-    assert_restored(&k, &b, "pipe", per);
+    assert_restored(&mut k, &b, "pipe", per);
 }
 
 /// The same invariant seen through the event trace: every device class
@@ -203,10 +228,10 @@ fn interleaved_open_close_with_sharing_leaks_nothing() {
         k.close_for(tid, c).unwrap();
         k.close_for(tid, e).unwrap();
         if round % 100 == 0 {
-            assert_restored(&k, &b, "interleaved", round);
+            assert_quiescent(&k, &b, "interleaved", round);
         }
     }
-    assert_restored(&k, &b, "interleaved", 500);
+    assert_restored(&mut k, &b, "interleaved", 500);
 }
 
 /// Seeded randomized churn: arbitrary interleavings of opens and
@@ -239,7 +264,7 @@ fn randomized_open_close_order_leaks_nothing() {
                         k.close_for(tid, fd).unwrap();
                     }
                     if i % 512 == 0 && live.is_empty() {
-                        assert_restored(k, &b, "randomized", i);
+                        assert_quiescent(k, &b, "randomized", i);
                     }
                 }
                 for fd in live.drain(..) {
@@ -261,8 +286,73 @@ fn stream_open_close_cycles_leak_nothing() {
         k.stream_release_endpoint(&put2);
         k.close_stream(chan);
         if i % 100 == 0 {
-            assert_restored(&k, &b, "stream", i);
+            assert_quiescent(&k, &b, "stream", i);
         }
     }
-    assert_restored(&k, &b, "stream", 500);
+    assert_restored(&mut k, &b, "stream", 500);
+}
+
+/// The same invariant through run-time code rewriting: a UNIX-ABI
+/// program whose traps are elided opens a channel, writes through it —
+/// binding the call site to a freshly fused per-(tid, fd) wrapper — and
+/// closes it, which re-arms the site and releases the wrapper. Every
+/// cycle binds and unbinds; code and heap come back to the byte.
+#[test]
+fn fused_open_write_close_churn_leaks_nothing() {
+    use quamachine::isa::Cond;
+    use quamachine::machine::RunExit;
+    use synthesis::unix::abi;
+    use synthesis::unix::emu::boot_with_program;
+    use synthesis::unix::programs::addrs;
+
+    /// A `kcall` the emulator does not own: each one hands control to
+    /// the host between cycles, with no fd open.
+    const MARK: u16 = 0x60;
+    const ROUNDS: usize = 300;
+
+    let mut a = Asm::new("fused_churn");
+    let top = a.here();
+    a.kcall(MARK);
+    a.move_i(L, abi::SYS_OPEN, Dr(0));
+    a.lea(Abs(addrs::PATHS), 0); // "/dev/null"
+    a.trap(abi::UNIX_TRAP);
+    a.move_(L, Dr(0), Dr(5));
+    a.move_i(L, abi::SYS_WRITE, Dr(0));
+    a.move_(L, Dr(5), Dr(1));
+    a.lea(Abs(addrs::BUF), 0);
+    a.move_i(L, 8, Dr(2));
+    a.trap(abi::UNIX_TRAP);
+    a.add(L, Dr(0), Abs(addrs::RESULT));
+    a.move_i(L, abi::SYS_CLOSE, Dr(0));
+    a.move_(L, Dr(5), Dr(1));
+    a.trap(abi::UNIX_TRAP);
+    a.bcc(Cond::T, top);
+
+    let (mut emu, tid) = boot_with_program(KernelConfig::default(), a).expect("boots");
+    let mut b = None;
+    for round in 0..=ROUNDS {
+        assert_eq!(emu.run(10_000_000), RunExit::KCall(MARK), "round {round}");
+        if round == 1 {
+            // One warm-up cycle behind us; start from an empty cache.
+            emu.k.creator.flush_cache(&mut emu.k.m);
+            b = Some(baseline(&emu.k));
+        } else if let Some(b) = &b {
+            assert_quiescent(&emu.k, b, "fused churn", round);
+        }
+    }
+    assert_eq!(
+        emu.k.m.mem.peek(addrs::RESULT, L),
+        8 * ROUNDS as u32,
+        "every write went through"
+    );
+    // The warm-up cycle and the one after the flush synthesize; every
+    // later cycle relinks both endpoints and rebinds the fused wrapper.
+    assert_eq!(emu.k.creator.stats.cache_hits, 3 * (ROUNDS as u64 - 2));
+    assert_restored(
+        &mut emu.k,
+        &b.expect("set in round 1"),
+        "fused churn",
+        ROUNDS,
+    );
+    assert!(emu.k.threads.contains_key(&tid), "still parked at its mark");
 }

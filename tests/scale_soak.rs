@@ -100,7 +100,7 @@ fn quarantine_at_scale_loses_no_thread() {
             "quarantine_at_scale_loses_no_thread",
             seed,
             |slot| {
-                let k = slot.insert(capacity::boot_capacity(threads, 4, 0));
+                let k = slot.insert(capacity::boot_capacity(threads, 4));
                 let ub = k.layout.user_base;
                 let entry = capacity::load_spinner(k, ub + 0x100, ub + 0x108, ub + 0x110);
                 let map = capacity::user_map(k);
