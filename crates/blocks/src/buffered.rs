@@ -61,46 +61,54 @@ impl<T: Send, const N: usize> BufferedProducer<T, N> {
     /// Insert one item. The fast path fills one slot of the current
     /// chunk; every `N`-th call pushes the chunk into the queue.
     ///
+    /// `Ok` means the item was accepted, not that it is visible: when
+    /// the `N`-th item completes a chunk and the queue is full, the
+    /// chunk stays staged until the next `put` or [`flush`](Self::flush).
+    ///
     /// # Errors
     ///
-    /// Returns [`Full`] when the chunk is complete and the underlying
-    /// queue has no room (the item is handed back; the partial chunk is
-    /// retained).
+    /// Returns [`Full`] when a complete chunk is staged and the
+    /// underlying queue has no room for it (the item is handed back).
     pub fn put(&mut self, data: T) -> Result<(), Full<T>> {
-        if self.fill_len == N {
-            // A complete chunk is still staged from a previous full-queue
-            // attempt; it must go out before `data` can be accepted.
-            if self.try_flush().is_err() {
-                return Err(Full(data));
-            }
+        // A complete chunk still staged from a previous full-queue
+        // attempt must go out before `data` can be accepted.
+        if !self.flush() {
+            return Err(Full(data));
         }
         self.fill[self.fill_len] = Some(data);
         self.fill_len += 1;
         self.items += 1;
-        if self.fill_len == N {
-            // Hand the chunk off eagerly; if the queue is full keep it
-            // staged and retry on the next put.
-            let _ = self.try_flush();
-        }
+        // Hand a completed chunk off eagerly; if the queue is full it
+        // stays staged.
+        self.flush();
         Ok(())
     }
 
-    fn try_flush(&mut self) -> Result<(), ()> {
-        debug_assert_eq!(self.fill_len, N);
+    /// Push the staged chunk if it is complete. Returns `true` when no
+    /// complete chunk remains staged (there was none, or it went out)
+    /// and `false` when the queue had no room for it.
+    ///
+    /// A producer that stops calling [`put`](Self::put) must call this
+    /// until it returns `true`, or its last chunk may never reach the
+    /// consumer.
+    pub fn flush(&mut self) -> bool {
+        if self.fill_len < N {
+            return true;
+        }
         let chunk: [T; N] =
             std::array::from_fn(|i| self.fill[i].take().expect("chunk slot filled"));
         match self.inner.put(chunk) {
             Ok(()) => {
                 self.fill_len = 0;
                 self.chunk_puts += 1;
-                Ok(())
+                true
             }
             Err(Full(chunk)) => {
                 // Re-stage the chunk; fill_len stays N.
                 for (i, item) in chunk.into_iter().enumerate() {
                     self.fill[i] = Some(item);
                 }
-                Err(())
+                false
             }
         }
     }
@@ -188,6 +196,28 @@ mod tests {
     }
 
     #[test]
+    fn completed_chunk_stays_staged_until_flushed() {
+        let (mut p, mut c) = channel::<u32, 4>(1);
+        for i in 0..4 {
+            p.put(i).unwrap();
+        }
+        assert_eq!(p.chunk_puts, 1, "the queue's one element is taken");
+        // The second chunk completes against a full queue: every item is
+        // accepted, none is visible, and the chunk waits.
+        for i in 4..8 {
+            p.put(i).unwrap();
+        }
+        assert_eq!(p.chunk_puts, 1);
+        assert!(!p.flush(), "still no room");
+        assert!(p.put(8).is_err(), "nowhere to stage a ninth item");
+        assert_eq!(c.get_chunk(), Some([0, 1, 2, 3]));
+        assert!(p.flush());
+        assert_eq!(p.chunk_puts, 2);
+        assert_eq!(c.get_chunk(), Some([4, 5, 6, 7]));
+        assert!(p.flush(), "nothing staged is not a failure");
+    }
+
+    #[test]
     fn ad_server_rate_smoke() {
         // One simulated second of 44.1 kHz samples through a factor-8
         // buffered queue, drained concurrently.
@@ -204,10 +234,15 @@ mod tests {
             got
         });
         for i in 0..44_104u32 {
-            // 44_104 = next multiple of 8, so everything flushes.
+            // 44_104 = next multiple of 8, so the last chunk completes.
             while p.put(i).is_err() {
                 std::thread::yield_now();
             }
+        }
+        // The last `put` may have found the queue full and left its
+        // chunk staged; the consumer waits on an item inside it.
+        while !p.flush() {
+            std::thread::yield_now();
         }
         assert_eq!(t.join().unwrap(), 44_100);
         assert_eq!(p.chunk_puts, 44_104 / 8);

@@ -14,11 +14,9 @@ use quamachine::machine::Machine;
 
 use crate::codebuf::{CodeBuf, CodeBufFull};
 use crate::collapse::{self, CollapseError};
-use crate::equiv::{self, DiffConfig, DiffMismatch};
 use crate::factor::{self, FactorError};
 use crate::peephole;
 use crate::speccache::{Release, SpecCache, SpecKey};
-use crate::superopt::{self, SuperoptConfig};
 use crate::template::{Bindings, Template, TemplateLib};
 use crate::verify::{self, VerifyReport};
 
@@ -44,24 +42,16 @@ pub struct SynthesisOptions {
     pub fold: bool,
     /// The peephole optimizer.
     pub peephole: bool,
-    /// The cost-guided superoptimizer ([`crate::superopt`]): search the
-    /// straight-line windows for cheaper equivalent sequences, then
-    /// differentially check the whole block against its pre-peephole
-    /// form before installing. Off by default — the fused fast paths
-    /// (pipe/read/write collapsed across the trap boundary) turn it on.
-    pub superopt: bool,
 }
 
 impl SynthesisOptions {
-    /// Everything on — the Synthesis kernel's normal mode. The
-    /// superoptimizer stays off: it is opted into per-path.
+    /// Everything on — the Synthesis kernel's normal mode.
     #[must_use]
     pub fn full() -> SynthesisOptions {
         SynthesisOptions {
             collapse: true,
             fold: true,
             peephole: true,
-            superopt: false,
         }
     }
 
@@ -73,7 +63,6 @@ impl SynthesisOptions {
             collapse: false,
             fold: false,
             peephole: false,
-            superopt: false,
         }
     }
 }
@@ -95,9 +84,6 @@ pub enum SynthError {
     Factor(FactorError),
     /// The result failed verification (named and disassembled).
     Verify(VerifyReport),
-    /// The optimized block failed differential-execution equivalence
-    /// against its pre-optimization form and was NOT installed.
-    Equiv(DiffMismatch),
     /// No code space left.
     CodeBuf(CodeBufFull),
     /// Installing at the allocated address failed (overlap).
@@ -111,7 +97,6 @@ impl std::fmt::Display for SynthError {
             SynthError::Collapse(e) => write!(f, "collapse: {e}"),
             SynthError::Factor(e) => write!(f, "factor: {e}"),
             SynthError::Verify(e) => write!(f, "verify: {e}"),
-            SynthError::Equiv(e) => write!(f, "equivalence: {e}"),
             SynthError::CodeBuf(e) => write!(f, "code buffer: {e}"),
             SynthError::Install(e) => write!(f, "install: {e}"),
         }
@@ -181,14 +166,6 @@ pub struct CreatorStats {
     pub cache_hits_cross: u64,
     /// The subset of `bytes_shared` handed out across CPUs.
     pub bytes_shared_cross: u64,
-    /// Straight-line windows the superoptimizer searched.
-    pub superopt_windows: u64,
-    /// Candidates it accepted (cheaper AND proven equivalent).
-    pub superopt_accepted: u64,
-    /// Static cycles it shaved off installed code.
-    pub superopt_cycles_saved: u64,
-    /// Blocks that passed the pre-install differential check.
-    pub equiv_checked: u64,
 }
 
 impl CreatorStats {
@@ -257,13 +234,6 @@ pub struct QuajectCreator {
     /// Undrained cache transitions (feature `trace`; always empty
     /// otherwise).
     pub cache_events: Vec<CacheEvent>,
-    /// Register preset sets for the pre-install differential check of
-    /// superoptimized blocks (rotated across odd trials; `(true, n, v)`
-    /// sets `d[n]`, `(false, n, v)` sets `a[n]`). Transient steering
-    /// state — NOT part of the cache key: callers set one set per
-    /// guarded path of the block (a fused wrapper's fast path *and* its
-    /// general body) before synthesizing, and clear it after.
-    pub diff_presets: Vec<Vec<(bool, u8, u32)>>,
 }
 
 impl QuajectCreator {
@@ -277,7 +247,6 @@ impl QuajectCreator {
             cache: SpecCache::new(),
             stats: CreatorStats::default(),
             cache_events: Vec::new(),
-            diff_presets: Vec::new(),
         }
     }
 
@@ -361,11 +330,7 @@ impl QuajectCreator {
             }
         };
 
-        // Stage 2: optimization. The post-factor stream is the semantic
-        // reference: everything the optimizers do must be behaviorally
-        // invisible, and for superoptimized blocks that is *proven* by
-        // differential execution before install.
-        let reference = opts.superopt.then(|| work.instrs.clone());
+        // Stage 2: optimization.
         if opts.peephole {
             let mut marks = work.marks.clone();
             let instrs = peephole::optimize(work.instrs, &mut marks);
@@ -376,37 +341,8 @@ impl QuajectCreator {
                 marks,
             };
         }
-        if opts.superopt {
-            let mut marks = work.marks.clone();
-            let (instrs, sstats) =
-                superopt::optimize(work.instrs, &mut marks, &m.cost, &SuperoptConfig::default());
-            self.stats.superopt_windows += u64::from(sstats.windows);
-            self.stats.superopt_accepted += u64::from(sstats.accepted);
-            self.stats.superopt_cycles_saved += sstats.cycles_saved;
-            work = Template {
-                name: work.name,
-                instrs,
-                holes: Vec::new(),
-                marks,
-            };
-        }
 
         verify::verify_reported(&work).map_err(SynthError::Verify)?;
-
-        // Pre-install equivalence gate: the final optimized block must be
-        // indistinguishable from its post-factor form on randomized
-        // states (presets steer trials down the specialized fast path).
-        if let Some(reference) = reference {
-            let base = DiffConfig::default();
-            let diff = DiffConfig {
-                // Two odd trials per preset set, plus the random evens.
-                trials: base.trials.max(4 * self.diff_presets.len() as u32 + 2),
-                preset_sets: self.diff_presets.clone(),
-                ..base
-            };
-            equiv::diff_check(&reference, &work.instrs, &diff).map_err(SynthError::Equiv)?;
-            self.stats.equiv_checked += 1;
-        }
 
         // Stage 3: allocation + install.
         let instrs_out = work.instrs.len();
@@ -764,7 +700,7 @@ mod tests {
     }
 
     #[test]
-    fn superopt_stage_optimizes_and_proves_blocks() {
+    fn peephole_stage_strength_reduces_installed_code() {
         let mut m = machine();
         let mut c = creator();
         let t = Template {
@@ -777,18 +713,9 @@ mod tests {
             holes: vec![],
             marks: HashMap::new(),
         };
-        // Peephole off isolates the superoptimizer: the search itself
-        // must find mask+shift, and the pre-install differential check
-        // must pass (it runs against the post-factor reference).
-        let mut opts = SynthesisOptions::full();
-        opts.peephole = false;
-        opts.superopt = true;
         let s = c
-            .synthesize_template(&mut m, &t, &Bindings::new(), opts)
+            .synthesize_template(&mut m, &t, &Bindings::new(), SynthesisOptions::full())
             .unwrap();
-        assert!(c.stats.superopt_accepted >= 1, "{:?}", c.stats);
-        assert!(c.stats.superopt_cycles_saved >= 20, "{:?}", c.stats);
-        assert_eq!(c.stats.equiv_checked, 1);
         let block = m.code.block(s.base).unwrap();
         assert!(
             !block.instrs.iter().any(|i| matches!(i, Instr::MulU(..))),

@@ -1,28 +1,33 @@
-//! Differential-execution equivalence checking.
+//! The differential oracle, used by tests.
 //!
-//! [`crate::verify`] proves structural well-formedness; this module
-//! proves *behavior*: a candidate sequence is accepted only if it is
+//! [`crate::verify`] checks structural well-formedness; this module
+//! compares *behavior*: a candidate sequence passes only if it is
 //! indistinguishable from its reference when both run on the
 //! cycle-modelled interpreter from the same randomized register and
-//! memory states. This is the acceptance gate of the superoptimizer
-//! ([`crate::superopt`]) and the pre-install check the creator applies
-//! to every superoptimized or fused block.
+//! memory states. It is not a stage of the synthesis pipeline — agreeing
+//! on N random states is evidence, not proof, so nothing is installed on
+//! its say-so. Tests use it to check what the pipeline's rewrites
+//! (collapse, factor, peephole) did to real templates: the peephole
+//! unit tests here, and `crates/core/tests/fused_oracle.rs` for every
+//! fused `read`/`write` wrapper.
 //!
 //! # What is compared
 //!
 //! Both sequences are loaded into otherwise-identical scratch machines,
 //! seeded with the same pseudo-random register file and memory image,
-//! and run to completion (`halt`, `rts` into a sentinel, a `kcall`, an
-//! execution error, or the step budget). The runs must then agree on:
+//! and run to completion (`halt`, `rts` into a sentinel, a `kcall`, a
+//! trap or fault, an execution error, or the step budget). The runs must
+//! then agree on:
 //!
 //! - all data and address registers (`a7` included — stack discipline);
 //! - the condition codes `N`/`Z`/`V`/`C` (`X` is excluded: no
-//!   implemented instruction observes it except a store-SR, and windows
-//!   feeding a store-SR are never superoptimized);
+//!   implemented instruction observes it except a store-SR, and no
+//!   rewrite touches code that feeds a store-SR);
 //! - every byte of memory;
-//! - the exit reason, including the `kcall` selector — a fused block
-//!   that blocks in the kernel must block through the *same* kcall with
-//!   the same visible state.
+//! - the exit reason, including the `kcall` selector and the vector of
+//!   a trap or fault — a fused block that blocks in the kernel must block
+//!   through the *same* kcall with the same visible state, and one that
+//!   faults on a wild pointer must raise the same fault.
 //!
 //! Trials are seeded and replayable: a mismatch reports the trial seed
 //! so the exact failing state can be reproduced.
@@ -37,12 +42,17 @@ const CODE_BASE: u32 = 0x0040_0000;
 /// A one-instruction `halt` block: the return target of a terminating
 /// `rts`.
 const SENTINEL: u32 = 0x0050_0000;
-/// Per-vector trap landing pads (`TRAP_LAND + 8 * n`, each a `halt`).
-/// Separate pads make the trap *number* part of the exit contract, and
-/// let the harness recognize a trap exit so it can normalize the pushed
-/// return PC (a code offset — reference and candidate encode to
+/// Per-vector exception landing pads (`VEC_LAND + 8 * vector`, each a
+/// `halt`). Separate pads make the vector part of the exit contract, and
+/// let the harness recognize an exception exit so it can normalize the
+/// pushed return PC (a code offset — reference and candidate encode to
 /// different lengths, so the frame's PC field legitimately differs).
-const TRAP_LAND: u32 = 0x0050_0100;
+const VEC_LAND: u32 = 0x0050_0100;
+/// The fault vectors a sequence can raise without a `trap` instruction
+/// (bus and address error, illegal instruction, zero divide, privilege
+/// violation, coprocessor unavailable): random trial states send copies
+/// through wild pointers, so these always get a pad.
+const FAULT_VECTORS: [u32; 6] = [2, 3, 4, 5, 8, 11];
 /// Data window randomized each trial (address registers are seeded to
 /// point into it).
 const DATA_BASE: u32 = 0x0001_0000;
@@ -109,10 +119,10 @@ impl std::fmt::Display for DiffMismatch {
 
 /// splitmix64 — the standard small seedable generator; good enough to
 /// scatter register files and replayable from a single `u64`.
-pub(crate) struct Rng(pub u64);
+struct Rng(u64);
 
 impl Rng {
-    pub(crate) fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -120,7 +130,7 @@ impl Rng {
         z ^ (z >> 31)
     }
 
-    pub(crate) fn next_u32(&mut self) -> u32 {
+    fn next_u32(&mut self) -> u32 {
         (self.next_u64() >> 32) as u32
     }
 }
@@ -129,9 +139,10 @@ impl Rng {
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum ExitToken {
     Halted,
-    /// Exited through `trap #n` — a fused wrapper's fallback path must
-    /// raise the *same* trap as its reference.
-    Trap(u8),
+    /// Exited through exception vector `n` — a fused wrapper's fallback
+    /// path must raise the *same* trap as its reference, and a faulting
+    /// copy the same fault.
+    Exception(u32),
     KCall(u16),
     CycleLimit,
     Error(String),
@@ -215,27 +226,28 @@ fn run_one(
     }
 
     // Sentinel halt block (the rts return target), plus a per-vector
-    // halt pad for every trap the sequence can raise.
+    // halt pad for every fault and every trap the sequence can raise.
     m.mem.poke(STACK_TOP, Size::L, SENTINEL);
     m.load_block(
         SENTINEL,
         CodeBlock::new("equiv-sentinel", vec![Instr::Halt]),
     )
     .expect("sentinel loads");
-    let mut traps: Vec<u8> = instrs
+    let mut vectors: Vec<u32> = instrs
         .iter()
         .filter_map(|i| match i {
-            Instr::Trap(n) => Some(*n),
+            Instr::Trap(n) => Some(32 + u32::from(*n)),
             _ => None,
         })
+        .chain(FAULT_VECTORS)
         .collect();
-    traps.sort_unstable();
-    traps.dedup();
-    for n in traps {
-        let land = TRAP_LAND + 8 * u32::from(n);
-        m.mem.poke((32 + u32::from(n)) * 4, Size::L, land);
-        m.load_block(land, CodeBlock::new("equiv-trap-land", vec![Instr::Halt]))
-            .expect("trap landing loads");
+    vectors.sort_unstable();
+    vectors.dedup();
+    for v in vectors {
+        let land = VEC_LAND + 8 * v;
+        m.mem.poke(v * 4, Size::L, land);
+        m.load_block(land, CodeBlock::new("equiv-vec-land", vec![Instr::Halt]))
+            .expect("exception landing loads");
     }
 
     // The sequence itself, with a trailing halt so falling off the end
@@ -248,16 +260,16 @@ fn run_one(
     m.cpu.pc = CODE_BASE;
     let exit = m.run(cfg.cycles);
     let mut tok = token(&exit);
-    if tok == ExitToken::Halted && (TRAP_LAND..TRAP_LAND + 8 * 256).contains(&m.cpu.pc) {
-        // Halted on a trap pad: record which trap, and zero the pushed
-        // return PC in the exception frame (SP+2) — it is an offset into
-        // the sequence's own encoding, not comparable state. The pushed
-        // SR word at SP stays compared: trap-time flags are semantics.
-        tok = ExitToken::Trap(((m.cpu.pc - TRAP_LAND) / 8) as u8);
+    if tok == ExitToken::Halted && (VEC_LAND..VEC_LAND + 8 * 256).contains(&m.cpu.pc) {
+        // Halted on an exception pad: record which vector, and zero the
+        // pushed return PC in the exception frame (SP+2) — it is an
+        // offset into the sequence's own encoding, not comparable state.
+        // The pushed SR word at SP stays compared: trap-time flags are
+        // semantics.
+        tok = ExitToken::Exception((m.cpu.pc - VEC_LAND) / 8);
         let sp = m.cpu.a[7];
         m.mem.poke(sp.wrapping_add(2), Size::L, 0);
-        // Mask X out of the frame SR as well: like the final-CCR compare,
-        // X is unobservable in superoptimizable windows.
+        // Mask X out of the frame SR as well, like the final-CCR compare.
         let frame_sr = m.mem.peek(sp, Size::W);
         m.mem.poke(sp, Size::W, frame_sr & !0x10);
     }
@@ -283,7 +295,7 @@ fn compare(mr: &Machine, tr: &ExitToken, mc: &Machine, tc: &ExitToken) -> Option
             ));
         }
     }
-    // N/Z/V/C only; X is unobservable in superoptimizable windows.
+    // N/Z/V/C only (see the module doc on X).
     if mr.cpu.sr & 0xF != mc.cpu.sr & 0xF {
         return Some(format!(
             "ccr differs: {:#06x} vs {:#06x}",
@@ -391,6 +403,21 @@ mod tests {
     fn kcall_selector_is_part_of_the_contract() {
         let reference = vec![Instr::KCall(0x21)];
         let candidate = vec![Instr::KCall(0x22)];
+        let err = diff_check(&reference, &candidate, &DiffConfig::default()).unwrap_err();
+        assert!(err.detail.contains("exit differs"), "{err}");
+    }
+
+    #[test]
+    fn fault_frames_compare_modulo_the_return_pc() {
+        // Both sequences fault on the same wild load, but at different
+        // code offsets (`tst` encodes shorter than `cmp #0`): the pushed
+        // return PC differs and nothing else does.
+        let wild = Instr::Move(L, Abs(0x7FFF_FFF0), Dr(0));
+        let reference = vec![Instr::Cmp(L, Imm(0), Dr(1)), wild];
+        let candidate = vec![Instr::Tst(L, Dr(1)), wild];
+        diff_check(&reference, &candidate, &DiffConfig::default()).unwrap();
+        // The vector is part of the contract: a different fault is caught.
+        let candidate = vec![Instr::Tst(L, Dr(1)), Instr::DivU(Imm(0), 0)];
         let err = diff_check(&reference, &candidate, &DiffConfig::default()).unwrap_err();
         assert!(err.detail.contains("exit differs"), "{err}");
     }

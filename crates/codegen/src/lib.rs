@@ -57,7 +57,6 @@
 
 pub mod codebuf;
 pub mod collapse;
-pub mod cost;
 pub mod creator;
 pub mod equiv;
 pub mod execds;
@@ -66,7 +65,6 @@ pub mod interfacer;
 pub mod peephole;
 pub mod rewrite;
 pub mod speccache;
-pub mod superopt;
 pub mod template;
 pub mod verify;
 

@@ -17,14 +17,13 @@
 //! - `bcc` over a single `bra` (inverted-branch threading);
 //! - `bra`-to-`bra` chains are threaded to the final target;
 //! - `mulu #2ᵏ,Dn` → `and.l #0xFFFF,Dn ; lsl.l #k,Dn` when flags are
-//!   dead (promoted from a [`crate::superopt`] discovery: 27 → 6
-//!   cycles; the mask reproduces mulu's 16-bit operand truncation and
-//!   keeps the shifted-out carry at zero, but `lsl` writes X, hence the
-//!   flags-dead gate);
+//!   dead (27 → 6 cycles; the mask reproduces mulu's 16-bit operand
+//!   truncation and keeps the shifted-out carry at zero, but `lsl`
+//!   writes X, hence the flags-dead gate);
 //! - a reload `move Abs,Dn` immediately after the matching store
-//!   `move Dn,Abs` → deleted (promoted likewise; the store already set
-//!   the same flags from the same value, so no gate is needed — but
-//!   device registers are volatile and are never touched).
+//!   `move Dn,Abs` → deleted (the store already set the same flags from
+//!   the same value, so no gate is needed — but device registers are
+//!   volatile and are never touched).
 
 use std::collections::HashMap;
 
@@ -39,7 +38,7 @@ use crate::rewrite;
 ///
 /// Conservative: branch targets, block exits, and unknown instructions
 /// count as reads.
-pub(crate) fn flags_dead_after(instrs: &[Instr], i: usize, targets: &[bool]) -> bool {
+fn flags_dead_after(instrs: &[Instr], i: usize, targets: &[bool]) -> bool {
     let mut j = i + 1;
     while j < instrs.len() {
         if targets[j] {
@@ -643,8 +642,9 @@ mod tests {
 
     #[test]
     fn promoted_patterns_prove_equivalent() {
-        // The differential checker certifies both promoted rewrites on
-        // the same randomized states the superoptimizer would use.
+        // The differential oracle agrees with the two rewrites that came
+        // from search rather than from the paper: `mulu` strength reduction
+        // and store-reload elision.
         let original = vec![
             Instr::MulU(Imm(4), 2),
             Instr::Move(L, Dr(2), Abs(0x2000)),

@@ -144,7 +144,7 @@ proptest! {
         fold in any::<bool>(),
         peephole in any::<bool>(),
     ) {
-        let opts = SynthesisOptions { collapse, fold, peephole, superopt: false };
+        let opts = SynthesisOptions { collapse, fold, peephole };
         let b = bindings(slot, gauge, step);
 
         // Warm a cache, then take a hit from it.

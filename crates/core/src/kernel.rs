@@ -351,9 +351,6 @@ pub struct Kernel {
     sw_extents: BTreeMap<u32, u32>,
     next_tid: Tid,
     vbr_to_tid: HashMap<u32, Tid>,
-    /// Per-CPU installed address-map ids (the MMU is per CPU; switching
-    /// the active CPU swaps the installed map with it).
-    installed_map_ids: Vec<u32>,
     /// The shared work-stealing pool: tids in transit between CPUs,
     /// carried by the optimistic MP-MC queue from `synthesis_blocks`.
     steal_pool: synthesis_blocks::steal::WorkPool<Tid>,
@@ -361,7 +358,6 @@ pub struct Kernel {
     /// hold stale entries after a stop/destroy, so a steal only counts
     /// if the tid is still in this set.
     pooled: std::collections::HashSet<Tid>,
-    maps: HashMap<u32, AddressMap>,
     waiters: HashMap<WaitObject, Vec<Tid>>,
     sig_stash: HashMap<Tid, ([u32; 15], u32)>,
     alarm_pending: bool,
@@ -539,10 +535,8 @@ impl Kernel {
             },
             next_tid: 0,
             vbr_to_tid: HashMap::new(),
-            installed_map_ids: vec![u32::MAX; ncpus],
             steal_pool: synthesis_blocks::steal::WorkPool::new(64),
             pooled: std::collections::HashSet::new(),
-            maps: HashMap::new(),
             waiters: HashMap::new(),
             sig_stash: HashMap::new(),
             alarm_pending: false,
@@ -686,7 +680,6 @@ impl Kernel {
         self.m.mem.poke(tte + off::USP, Size::L, user_sp);
         self.m.mem.poke(tte + off::QUANTUM, Size::L, quantum);
 
-        self.maps.insert(map.id, map.clone());
         self.vbr_to_tid.insert(vt, tid);
         // CONTRACT: aux_code order is [trap-1 read dispatcher, trap-2
         // write dispatcher, error-trap handler]. The UNIX emulator binds
@@ -1022,7 +1015,7 @@ impl Kernel {
     fn entry_into(&self, from: Tid, to: Tid) -> u32 {
         let a = &self.threads[&from];
         let b = &self.threads[&to];
-        if a.map.id == b.map.id {
+        if a.map == b.map {
             b.sw_in
         } else {
             b.sw_in_mmu
@@ -1385,7 +1378,7 @@ impl Kernel {
     fn enter(&mut self, tid: Tid) {
         crate::trace!(self, tid, crate::trace::Kind::CtxSwitch, 1, 0);
         let t = &self.threads[&tid];
-        let need_map = t.map.id != self.installed_map_ids[self.m.active_cpu()];
+        let need_map = t.map != self.m.mem.map;
         self.m.cpu.pc = if need_map { t.sw_in_mmu } else { t.sw_in };
         // Supervisor mode (sw_in uses privileged instructions) with
         // interrupts masked: a pending interrupt accepted before sw_in's
@@ -2371,8 +2364,10 @@ impl Kernel {
             Some(self.sweep_count + (CPU_PROBATION_SWEEPS << (self.cpus[cpu].strikes - 1).min(16)))
         };
         self.recovery.cpus_quarantined.tick();
-        self.recovery_log
-            .push((idle, format!("cpu {cpu} quarantined: {reason}")));
+        self.recovery_log.push((
+            idle,
+            format!("cpu {cpu} quarantined: {reason} ({moved} threads evacuated)"),
+        ));
         crate::trace!(
             self,
             idle,
@@ -2473,10 +2468,7 @@ impl Kernel {
             kcalls::SET_MAP => {
                 let tid = self.m.cpu.d[0];
                 if let Some(t) = self.threads.get(&tid) {
-                    let map = t.map.clone();
-                    let cpu = self.m.active_cpu();
-                    self.installed_map_ids[cpu] = map.id;
-                    self.m.mem.map = map;
+                    self.m.mem.map = t.map.clone();
                 }
                 let c = charges::kcall_overhead(&self.m.cost);
                 self.m.charge(c);

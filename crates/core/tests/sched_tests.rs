@@ -415,3 +415,50 @@ fn short_run_budgets_make_progress_on_every_cpu() {
         }
     }
 }
+
+/// Two threads whose address maps differ only in their windows — a
+/// flat-space program and a user-window thread, both conventionally map
+/// id 1 — share one CPU. "Same address space" is decided by comparing
+/// the maps: keyed on the id alone, each switched into the other through
+/// `sw_in` and ran under the other's map.
+#[test]
+fn threads_with_equal_map_ids_still_switch_address_spaces() {
+    const COUNTERS: u32 = layout::USER_BASE + 0x2_9200;
+    let mut k = Kernel::boot(KernelConfig {
+        default_quantum_us: 100,
+        ..KernelConfig::default()
+    })
+    .unwrap();
+    let flat = AddressMap::single(1, 0, k.m.mem.size());
+    let mut tids = Vec::new();
+    for (i, map) in [flat, user_map()].into_iter().enumerate() {
+        let mut a = Asm::new("count");
+        let top = a.here();
+        a.add(L, Imm(1), Abs(COUNTERS + 4 * i as u32));
+        a.bcc(Cond::T, top);
+        let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
+        let tid = k
+            .create_thread(entry, USTACK + 0x1000 * i as u32, map)
+            .unwrap();
+        k.start(tid).unwrap();
+        tids.push(tid);
+    }
+    let mut seen = [0u32; 2];
+    for _ in 0..400 {
+        k.run(500);
+        // In user mode the dispatch is complete: the installed map must
+        // be the running thread's.
+        if k.m.cpu.supervisor() {
+            continue;
+        }
+        let tid = k.current_tid().expect("a thread owns the CPU");
+        assert_eq!(
+            k.m.mem.map, k.threads[&tid].map,
+            "thread {tid} runs under another thread's address map"
+        );
+        if let Some(i) = tids.iter().position(|&t| t == tid) {
+            seen[i] += 1;
+        }
+    }
+    assert!(seen[0] > 0 && seen[1] > 0, "both threads ran: {seen:?}");
+}

@@ -184,27 +184,6 @@ pub fn instr_cost(i: &Instr) -> (u64, u64) {
     }
 }
 
-/// Static cycle cost of a straight-line instruction sequence under a
-/// cost model: base cycles plus memory references at the model's bus
-/// rate. Branches are costed not-taken (add [`BRANCH_TAKEN_EXTRA`] per
-/// taken branch yourself); traps and kcalls cost what the table says
-/// (zero — the executor charges those), so this is only meaningful for
-/// sequences without them.
-///
-/// This is the scoring function of the cost-guided superoptimizer
-/// (`codegen::superopt`): candidates are compared by exactly the cycles
-/// the interpreter will charge when the sequence runs.
-#[must_use]
-pub fn sequence_cycles(instrs: &[Instr], cost: &CostModel) -> u64 {
-    instrs
-        .iter()
-        .map(|i| {
-            let (base, refs) = instr_cost(i);
-            base + refs * cost.bus_cycles()
-        })
-        .sum()
-}
-
 /// Extra cycles when a conditional branch is taken.
 pub const BRANCH_TAKEN_EXTRA: u64 = 2;
 

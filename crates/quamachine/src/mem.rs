@@ -41,8 +41,9 @@ impl Window {
 pub struct AddressMap {
     /// The accessible windows.
     pub windows: Vec<Window>,
-    /// An identifier so context-switch code can skip reinstalling the same
-    /// map (`sw_in` vs `sw_in_mmu`, paper Figure 3).
+    /// A label for the quaspace. Context-switch code skips reinstalling
+    /// an *equal* map (`sw_in` vs `sw_in_mmu`, paper Figure 3); equality
+    /// is of the whole map, so two maps may share a label.
     pub id: u32,
 }
 

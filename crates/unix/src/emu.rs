@@ -381,22 +381,11 @@ impl UnixEmulator {
             self.k.m.cpu.pc = trap_shim;
             return;
         };
-        // Steer the pre-install equivalence trials down *both* guarded
-        // paths: the 1-byte fast path (d1 = this fd, d2 = 1) and the
-        // inlined general body (same fd, a count small enough that a
-        // trial's copy finishes well inside the cycle budget).
-        let mut opts = self.k.opts;
-        opts.superopt = true;
-        self.k.creator.diff_presets = vec![
-            vec![(true, 1, fd), (true, 2, 1)],
-            vec![(true, 1, fd), (true, 2, 5)],
-        ];
-        let s = self
+        match self
             .k
             .creator
-            .synthesize_cached(&mut self.k.m, &name, &bindings, opts);
-        self.k.creator.diff_presets.clear();
-        match s {
+            .synthesize_cached(&mut self.k.m, &name, &bindings, self.k.opts)
+        {
             Ok(s) => {
                 let entry = s.base;
                 let _ = self.k.m.code.patch_jsr_target(site, entry);

@@ -1,8 +1,9 @@
 //! Fused vs layered pipe I/O is observationally equivalent.
 //!
-//! The tentpole's contract: collapsing the pipe path into the caller
-//! (trap-elided `jsr`-bound wrappers, superoptimized bodies) must not
-//! change anything a program can see — only how many cycles it costs.
+//! The contract of call-site fusion: collapsing the pipe path into the
+//! caller (trap-elided `jsr`-bound wrappers, the pipe body inlined
+//! behind them) must not change anything a program can see — only how
+//! many cycles it costs.
 //! This property test runs the same transfer program on two identically
 //! configured Synthesis kernels — once as a thread sharing the kernel's
 //! flat space (fused) and once under the user-window map, which the

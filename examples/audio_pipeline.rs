@@ -106,6 +106,10 @@ fn main() {
             std::thread::yield_now();
         }
     }
+    // The last chunk may have completed against a full queue.
+    while !p.flush() {
+        std::thread::yield_now();
+    }
     let (got, checksum) = consumer.join().unwrap();
     let dt = t0.elapsed();
     println!("\nreal buffered queue (this machine):");
