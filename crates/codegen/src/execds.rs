@@ -8,8 +8,17 @@
 //! queue. Inserting or removing a thread patches the `jmp` targets.
 //!
 //! [`JumpChain`] maintains such a circular chain of code nodes: each node
-//! exposes the address of its patchable `jmp` and its entry point, and the
-//! chain rewires targets through the machine's code-patching interface.
+//! exposes the address of its patchable `jmp`, and the chain rewires
+//! targets through the machine's code-patching interface.
+//!
+//! The chain owns *which* links a membership change disturbs and writes
+//! each of them exactly once; it does not know what a link should target.
+//! That is the embedder's decision, passed to every mutating call as a
+//! `target(from, to)` function from a pair of node ids to the address
+//! `from`'s `jmp` must hold for control to arrive in `to` (the kernel
+//! answers `sw_in` or `sw_in_mmu` depending on the two threads' address
+//! maps). No `jmp` is ever written first with a provisional target and
+//! then corrected.
 //!
 //! The chain is stored as a hash-linked circular list so that membership
 //! tests, neighbour lookups, insertion, and removal are all O(1) in the
@@ -29,8 +38,6 @@ use std::collections::HashMap;
 pub struct ChainNode {
     /// Stable identifier chosen by the embedder (e.g. thread id).
     pub id: u32,
-    /// Entry address control should arrive at (e.g. `sw_in`).
-    pub entry: u32,
     /// Address of this node's patchable `jmp (abs).l` instruction.
     pub jmp_at: u32,
 }
@@ -125,56 +132,14 @@ impl JumpChain {
         m.code.patch_jmp_target(jmp_at, target)
     }
 
-    /// Insert `node` after the node with id `after`, patching the
-    /// predecessor's `jmp` to enter it and its `jmp` to continue the
-    /// chain. O(1).
-    fn insert_after_id(
-        &mut self,
-        m: &mut Machine,
-        after: u32,
-        node: ChainNode,
-    ) -> Result<(), MachineError> {
-        debug_assert!(!self.contains(node.id), "duplicate chain id");
-        let next_id = self.links[&after].next;
-        let next_entry = self.links[&next_id].node.entry;
-        let pred_jmp = self.links[&after].node.jmp_at;
-        self.patch(m, node.jmp_at, next_entry)?;
-        self.patch(m, pred_jmp, node.entry)?;
-        self.links.insert(
-            node.id,
-            Link {
-                node,
-                prev: after,
-                next: next_id,
-            },
-        );
-        self.links.get_mut(&after).expect("pred exists").next = node.id;
-        self.links.get_mut(&next_id).expect("succ exists").prev = node.id;
-        Ok(())
-    }
-
-    /// Insert `node` as the chain's only member, chained to itself.
-    fn insert_sole(&mut self, m: &mut Machine, node: ChainNode) -> Result<(), MachineError> {
-        debug_assert!(self.links.is_empty());
-        self.patch(m, node.jmp_at, node.entry)?;
-        self.links.insert(
-            node.id,
-            Link {
-                node,
-                prev: node.id,
-                next: node.id,
-            },
-        );
-        self.head = Some(node.id);
-        Ok(())
-    }
-
     /// Insert `node` so it runs next after `after` — the Synthesis
     /// unblocking rule: "As an event unblocks a thread, its TTE is placed
     /// at the front of the ready queue, giving it immediate access to the
     /// CPU" (paper Section 4.4). With `after` absent (or not in the
     /// chain) the node goes right after the head; on an empty chain it
-    /// becomes the sole, self-chained node. O(1).
+    /// becomes the sole, self-chained node. Writes the two disturbed
+    /// links (one on an empty chain), each once, with the address
+    /// `target(from, to)` gives. O(1).
     ///
     /// # Errors
     ///
@@ -184,21 +149,51 @@ impl JumpChain {
         m: &mut Machine,
         after: Option<u32>,
         node: ChainNode,
+        target: impl Fn(u32, u32) -> u32,
     ) -> Result<(), MachineError> {
-        match (after.filter(|a| self.contains(*a)), self.head) {
-            (_, None) => self.insert_sole(m, node),
-            (Some(a), _) => self.insert_after_id(m, a, node),
-            (None, Some(h)) => self.insert_after_id(m, h, node),
-        }
+        debug_assert!(!self.contains(node.id), "duplicate chain id");
+        let Some(head) = self.head else {
+            self.patch(m, node.jmp_at, target(node.id, node.id))?;
+            self.links.insert(
+                node.id,
+                Link {
+                    node,
+                    prev: node.id,
+                    next: node.id,
+                },
+            );
+            self.head = Some(node.id);
+            return Ok(());
+        };
+        let after = after.filter(|a| self.contains(*a)).unwrap_or(head);
+        let pred = self.links[&after];
+        self.patch(m, node.jmp_at, target(node.id, pred.next))?;
+        self.patch(m, pred.node.jmp_at, target(after, node.id))?;
+        self.links.insert(
+            node.id,
+            Link {
+                node,
+                prev: after,
+                next: pred.next,
+            },
+        );
+        self.links.get_mut(&after).expect("pred exists").next = node.id;
+        self.links.get_mut(&pred.next).expect("succ exists").prev = node.id;
+        Ok(())
     }
 
-    /// Remove the node with `id`, patching its predecessor to skip it.
-    /// Returns the removed node. O(1).
+    /// Remove the node with `id`, writing its predecessor's `jmp` — the
+    /// one disturbed link — to skip it. Returns the removed node. O(1).
     ///
     /// # Errors
     ///
     /// Fails if a `jmp` address does not hold a patchable jump.
-    pub fn remove(&mut self, m: &mut Machine, id: u32) -> Result<Option<ChainNode>, MachineError> {
+    pub fn remove(
+        &mut self,
+        m: &mut Machine,
+        id: u32,
+        target: impl Fn(u32, u32) -> u32,
+    ) -> Result<Option<ChainNode>, MachineError> {
         let Some(link) = self.links.get(&id).copied() else {
             return Ok(None);
         };
@@ -207,9 +202,8 @@ impl JumpChain {
             self.head = None;
             return Ok(Some(link.node));
         }
-        let next_entry = self.links[&link.next].node.entry;
         let pred_jmp = self.links[&link.prev].node.jmp_at;
-        self.patch(m, pred_jmp, next_entry)?;
+        self.patch(m, pred_jmp, target(link.prev, link.next))?;
         self.links.get_mut(&link.prev).expect("pred exists").next = link.next;
         self.links.get_mut(&link.next).expect("succ exists").prev = link.prev;
         self.links.remove(&id);
@@ -218,105 +212,168 @@ impl JumpChain {
         }
         Ok(Some(link.node))
     }
+
+    /// Aim the `jmp` of `outsider` — a node that is executing but is not
+    /// (or no longer) a member — at the chain's head, so control leaving
+    /// it falls into the chain. No-op on an empty chain. O(1).
+    ///
+    /// # Errors
+    ///
+    /// Fails if the `jmp` address does not hold a patchable jump.
+    pub fn aim_at_head(
+        &mut self,
+        m: &mut Machine,
+        outsider: ChainNode,
+        target: impl Fn(u32, u32) -> u32,
+    ) -> Result<(), MachineError> {
+        debug_assert!(!self.contains(outsider.id), "a member's jmp is a link");
+        match self.head {
+            Some(head) => self.patch(m, outsider.jmp_at, target(outsider.id, head)),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use quamachine::asm::Asm;
-    use quamachine::isa::{Operand::*, Size::L};
+    use quamachine::isa::{Instr, Operand, Operand::*, Size::L};
     use quamachine::machine::{Machine, MachineConfig};
 
-    /// Build a node whose code is `move #id,d0 ; jmp <self>` — executing
-    /// the chain records each visited node in d0; we intercept with
-    /// breakpoints... simpler: each node increments d1 and moves its id to
-    /// d0, and node 0 halts when d1 gets large.
-    fn make_node(m: &mut Machine, base: u32, id: u32) -> ChainNode {
-        let mut a = Asm::new(format!("node{id}"));
-        a.move_i(L, id, Dr(0));
-        a.add(L, Imm(1), Dr(1));
-        let jmp_idx = a.len();
-        a.jmp(Abs(0)); // patched by the chain
-        let blk = a.assemble().unwrap();
-        let entry = m.load_block(base, blk).unwrap();
-        let jmp_at = m.code.addr_of(base, jmp_idx).unwrap();
-        ChainNode { id, entry, jmp_at }
+    /// A machine plus the entry address of every node built on it — the
+    /// embedder's side of the contract: the chain asks `target(from, to)`
+    /// and these tests answer `to`'s entry whatever `from` is.
+    struct Rig {
+        m: Machine,
+        entry: HashMap<u32, u32>,
     }
 
-    fn run_chain(m: &mut Machine, entry: u32, steps: u64) -> Vec<u32> {
-        // Execute the chain and record d0 at each node visit by stepping.
-        m.cpu.pc = entry;
-        m.cpu.a[7] = 0x8000;
-        let mut visits = Vec::new();
-        let mut budget = steps;
-        while budget > 0 {
-            let before = m.cpu.d[1];
-            match m.step() {
-                Ok(None) => {}
-                other => panic!("unexpected exit {other:?}"),
-            }
-            if m.cpu.d[1] != before {
-                visits.push(m.cpu.d[0]);
-                budget -= 1;
+    impl Rig {
+        fn new() -> Rig {
+            Rig {
+                m: Machine::new(MachineConfig::sun3_emulation()),
+                entry: HashMap::new(),
             }
         }
-        visits
+
+        /// Build a node whose code is `move #id,d0 ; add #1,d1 ; jmp <patched>`:
+        /// executing the chain leaves the visited node's id in d0 and bumps
+        /// d1 once per visit.
+        fn node(&mut self, base: u32, id: u32) -> ChainNode {
+            let mut a = Asm::new(format!("node{id}"));
+            a.move_i(L, id, Dr(0));
+            a.add(L, Imm(1), Dr(1));
+            let jmp_idx = a.len();
+            a.jmp(Abs(0)); // patched by the chain
+            let blk = a.assemble().unwrap();
+            let entry = self.m.load_block(base, blk).unwrap();
+            self.entry.insert(id, entry);
+            let jmp_at = self.m.code.addr_of(base, jmp_idx).unwrap();
+            ChainNode { id, jmp_at }
+        }
+
+        fn insert(&mut self, chain: &mut JumpChain, after: Option<u32>, node: ChainNode) {
+            let entry = &self.entry;
+            chain
+                .insert_next(&mut self.m, after, node, |_, to| entry[&to])
+                .unwrap();
+        }
+
+        fn remove(&mut self, chain: &mut JumpChain, id: u32) -> Option<ChainNode> {
+            let entry = &self.entry;
+            chain.remove(&mut self.m, id, |_, to| entry[&to]).unwrap()
+        }
+
+        /// The target installed in the `jmp` at `jmp_at`.
+        fn installed(&self, jmp_at: u32) -> u32 {
+            let loc = self.m.code.locate(jmp_at).unwrap();
+            match self.m.code.instr(loc) {
+                Some(Instr::Jmp(Operand::Abs(t))) => *t,
+                other => panic!("not a patched jmp: {other:?}"),
+            }
+        }
+
+        /// Execute the chain from node `id`, recording d0 at each visit.
+        fn run_from(&mut self, id: u32, steps: u64) -> Vec<u32> {
+            self.m.cpu.pc = self.entry[&id];
+            self.m.cpu.a[7] = 0x8000;
+            self.run_on(steps)
+        }
+
+        fn run_on(&mut self, steps: u64) -> Vec<u32> {
+            let mut visits = Vec::new();
+            let mut budget = steps;
+            while budget > 0 {
+                let before = self.m.cpu.d[1];
+                match self.m.step() {
+                    Ok(None) => {}
+                    other => panic!("unexpected exit {other:?}"),
+                }
+                if self.m.cpu.d[1] != before {
+                    visits.push(self.m.cpu.d[0]);
+                    budget -= 1;
+                }
+            }
+            visits
+        }
+    }
+
+    fn ids(chain: &JumpChain) -> Vec<u32> {
+        chain.nodes().iter().map(|n| n.id).collect()
     }
 
     #[test]
     fn single_node_chains_to_itself() {
-        let mut m = Machine::new(MachineConfig::sun3_emulation());
-        let n0 = make_node(&mut m, 0x1000, 10);
+        let mut r = Rig::new();
+        let n0 = r.node(0x1000, 10);
         let mut chain = JumpChain::new();
-        chain.insert_next(&mut m, None, n0).unwrap();
-        let visits = run_chain(&mut m, n0.entry, 3);
-        assert_eq!(visits, vec![10, 10, 10]);
+        r.insert(&mut chain, None, n0);
+        assert_eq!(r.run_from(10, 3), vec![10, 10, 10]);
     }
 
     #[test]
     fn insertion_and_traversal_order() {
-        let mut m = Machine::new(MachineConfig::sun3_emulation());
-        let n0 = make_node(&mut m, 0x1000, 10);
-        let n1 = make_node(&mut m, 0x1100, 11);
-        let n2 = make_node(&mut m, 0x1200, 12);
+        let mut r = Rig::new();
+        let n0 = r.node(0x1000, 10);
+        let n1 = r.node(0x1100, 11);
+        let n2 = r.node(0x1200, 12);
         let mut chain = JumpChain::new();
-        chain.insert_next(&mut m, None, n0).unwrap();
-        chain.insert_next(&mut m, Some(10), n1).unwrap();
-        chain.insert_next(&mut m, Some(11), n2).unwrap();
-        let visits = run_chain(&mut m, n0.entry, 6);
-        assert_eq!(visits, vec![10, 11, 12, 10, 11, 12]);
+        r.insert(&mut chain, None, n0);
+        r.insert(&mut chain, Some(10), n1);
+        r.insert(&mut chain, Some(11), n2);
+        assert_eq!(r.run_from(10, 6), vec![10, 11, 12, 10, 11, 12]);
     }
 
     #[test]
     fn removal_patches_predecessor() {
-        let mut m = Machine::new(MachineConfig::sun3_emulation());
-        let n0 = make_node(&mut m, 0x1000, 10);
-        let n1 = make_node(&mut m, 0x1100, 11);
-        let n2 = make_node(&mut m, 0x1200, 12);
+        let mut r = Rig::new();
+        let n0 = r.node(0x1000, 10);
+        let n1 = r.node(0x1100, 11);
+        let n2 = r.node(0x1200, 12);
         let mut chain = JumpChain::new();
-        chain.insert_next(&mut m, None, n0).unwrap();
-        chain.insert_next(&mut m, Some(10), n1).unwrap();
-        chain.insert_next(&mut m, Some(11), n2).unwrap();
-        chain.remove(&mut m, 11).unwrap().unwrap();
-        let visits = run_chain(&mut m, n0.entry, 4);
-        assert_eq!(visits, vec![10, 12, 10, 12]);
+        r.insert(&mut chain, None, n0);
+        r.insert(&mut chain, Some(10), n1);
+        r.insert(&mut chain, Some(11), n2);
+        r.remove(&mut chain, 11).unwrap();
+        assert_eq!(r.run_from(10, 4), vec![10, 12, 10, 12]);
         assert_eq!(chain.len(), 2);
     }
 
     #[test]
     fn remove_unknown_id_is_none() {
-        let mut m = Machine::new(MachineConfig::sun3_emulation());
+        let mut r = Rig::new();
         let mut chain = JumpChain::new();
-        assert_eq!(chain.remove(&mut m, 42).unwrap(), None);
+        assert_eq!(r.remove(&mut chain, 42), None);
     }
 
     #[test]
     fn removing_last_node_empties_chain() {
-        let mut m = Machine::new(MachineConfig::sun3_emulation());
-        let n0 = make_node(&mut m, 0x1000, 10);
+        let mut r = Rig::new();
+        let n0 = r.node(0x1000, 10);
         let mut chain = JumpChain::new();
-        chain.insert_next(&mut m, None, n0).unwrap();
-        let removed = chain.remove(&mut m, 10).unwrap().unwrap();
+        r.insert(&mut chain, None, n0);
+        let removed = r.remove(&mut chain, 10).unwrap();
         assert_eq!(removed.id, 10);
         assert!(chain.is_empty());
         assert_eq!(chain.head(), None);
@@ -326,62 +383,103 @@ mod tests {
     fn halted_machine_not_required_for_patching() {
         // Patching works while the "machine" is mid-run (between steps):
         // insert a node while executing and observe it on the next lap.
-        let mut m = Machine::new(MachineConfig::sun3_emulation());
-        let n0 = make_node(&mut m, 0x1000, 10);
-        let n1 = make_node(&mut m, 0x1100, 11);
+        let mut r = Rig::new();
+        let n0 = r.node(0x1000, 10);
+        let n1 = r.node(0x1100, 11);
         let mut chain = JumpChain::new();
-        chain.insert_next(&mut m, None, n0).unwrap();
-        m.cpu.pc = n0.entry;
-        m.cpu.a[7] = 0x8000;
+        r.insert(&mut chain, None, n0);
+        r.m.cpu.pc = r.entry[&10];
+        r.m.cpu.a[7] = 0x8000;
         // Take a lap, then splice in n1.
         for _ in 0..3 {
-            m.step().unwrap();
+            r.m.step().unwrap();
         }
-        chain.insert_next(&mut m, Some(10), n1).unwrap();
-        let pc = m.cpu.pc;
-        let visits = run_chain(&mut m, pc, 4);
+        r.insert(&mut chain, Some(10), n1);
+        let visits = r.run_on(4);
         assert!(visits.windows(2).any(|w| w == [10, 11] || w == [11, 10]));
     }
 
     #[test]
     fn patch_count_accumulates() {
-        let mut m = Machine::new(MachineConfig::sun3_emulation());
-        let n0 = make_node(&mut m, 0x1000, 1);
-        let n1 = make_node(&mut m, 0x1100, 2);
+        let mut r = Rig::new();
+        let n0 = r.node(0x1000, 1);
+        let n1 = r.node(0x1100, 2);
         let mut chain = JumpChain::new();
-        chain.insert_next(&mut m, None, n0).unwrap();
-        chain.insert_next(&mut m, Some(1), n1).unwrap();
-        chain.remove(&mut m, 2).unwrap();
+        r.insert(&mut chain, None, n0);
+        r.insert(&mut chain, Some(1), n1);
+        r.remove(&mut chain, 2);
         assert_eq!(chain.patch_count, 4); // 1 + 2 + 1
+    }
+
+    /// The chain never decides a target: every link it writes holds
+    /// exactly what `target(from, to)` answered for that pair, and each
+    /// disturbed link is written once.
+    #[test]
+    fn every_link_holds_what_the_target_function_answered() {
+        let mut r = Rig::new();
+        let nodes: Vec<ChainNode> = (0..4).map(|i| r.node(0x1000 + i * 0x100, i)).collect();
+        // A target that depends on *both* ends, like the kernel's
+        // same-map/other-map choice.
+        let target = |from: u32, to: u32| 0x1000 + to * 0x100 + 2 * ((from + to) % 2);
+        let mut chain = JumpChain::new();
+        let check = |chain: &JumpChain, r: &Rig| {
+            for n in chain.nodes() {
+                let next = chain.next_of_id(n.id).unwrap();
+                assert_eq!(r.installed(n.jmp_at), target(n.id, next.id));
+            }
+        };
+        for (i, n) in nodes.iter().enumerate() {
+            let before = chain.patch_count;
+            chain.insert_next(&mut r.m, Some(0), *n, target).unwrap();
+            assert_eq!(chain.patch_count - before, if i == 0 { 1 } else { 2 });
+            check(&chain, &r);
+        }
+        let before = chain.patch_count;
+        chain.remove(&mut r.m, 2, target).unwrap().unwrap();
+        assert_eq!(chain.patch_count - before, 1);
+        check(&chain, &r);
+        // The removed node is an outsider now; aiming it at the head is
+        // one more write and the same question.
+        chain.aim_at_head(&mut r.m, nodes[2], target).unwrap();
+        assert_eq!(chain.patch_count - before, 2);
+        assert_eq!(
+            r.installed(nodes[2].jmp_at),
+            target(2, chain.head().unwrap().id)
+        );
+    }
+
+    #[test]
+    fn aim_at_head_of_an_empty_chain_writes_nothing() {
+        let mut r = Rig::new();
+        let n0 = r.node(0x1000, 10);
+        let mut chain = JumpChain::new();
+        chain.aim_at_head(&mut r.m, n0, |_, _| 0).unwrap();
+        assert_eq!(chain.patch_count, 0);
     }
 
     #[test]
     fn insert_next_without_an_anchor_goes_after_the_head() {
-        let mut m = Machine::new(MachineConfig::sun3_emulation());
-        let n0 = make_node(&mut m, 0x1000, 10);
-        let n1 = make_node(&mut m, 0x1100, 11);
-        let n2 = make_node(&mut m, 0x1200, 12);
+        let mut r = Rig::new();
+        let n0 = r.node(0x1000, 10);
+        let n1 = r.node(0x1100, 11);
+        let n2 = r.node(0x1200, 12);
         let mut chain = JumpChain::new();
-        chain.insert_next(&mut m, None, n0).unwrap();
-        chain.insert_next(&mut m, None, n1).unwrap();
-        chain.insert_next(&mut m, Some(11), n2).unwrap();
-        assert_eq!(
-            chain.nodes().iter().map(|n| n.id).collect::<Vec<_>>(),
-            vec![10, 11, 12]
-        );
-        let visits = run_chain(&mut m, n0.entry, 6);
-        assert_eq!(visits, vec![10, 11, 12, 10, 11, 12]);
+        r.insert(&mut chain, None, n0);
+        r.insert(&mut chain, None, n1);
+        r.insert(&mut chain, Some(11), n2);
+        assert_eq!(ids(&chain), vec![10, 11, 12]);
+        assert_eq!(r.run_from(10, 6), vec![10, 11, 12, 10, 11, 12]);
     }
 
     #[test]
     fn neighbour_lookups_are_consistent_with_order() {
-        let mut m = Machine::new(MachineConfig::sun3_emulation());
+        let mut r = Rig::new();
         let mut chain = JumpChain::new();
         for i in 0..5u32 {
-            let n = make_node(&mut m, 0x1000 + i * 0x100, i);
-            chain.insert_next(&mut m, i.checked_sub(1), n).unwrap();
+            let n = r.node(0x1000 + i * 0x100, i);
+            r.insert(&mut chain, i.checked_sub(1), n);
         }
-        let order: Vec<u32> = chain.nodes().iter().map(|n| n.id).collect();
+        let order = ids(&chain);
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
         for (i, &id) in order.iter().enumerate() {
             assert!(chain.contains(id));
@@ -399,43 +497,39 @@ mod tests {
 
     #[test]
     fn head_advances_when_head_is_removed() {
-        let mut m = Machine::new(MachineConfig::sun3_emulation());
-        let n0 = make_node(&mut m, 0x1000, 10);
-        let n1 = make_node(&mut m, 0x1100, 11);
-        let n2 = make_node(&mut m, 0x1200, 12);
+        let mut r = Rig::new();
+        let n0 = r.node(0x1000, 10);
+        let n1 = r.node(0x1100, 11);
+        let n2 = r.node(0x1200, 12);
         let mut chain = JumpChain::new();
-        chain.insert_next(&mut m, None, n0).unwrap();
-        chain.insert_next(&mut m, Some(10), n1).unwrap();
-        chain.insert_next(&mut m, Some(11), n2).unwrap();
-        chain.remove(&mut m, 10).unwrap().unwrap();
+        r.insert(&mut chain, None, n0);
+        r.insert(&mut chain, Some(10), n1);
+        r.insert(&mut chain, Some(11), n2);
+        r.remove(&mut chain, 10).unwrap();
         assert_eq!(chain.head().unwrap().id, 11);
-        assert_eq!(
-            chain.nodes().iter().map(|n| n.id).collect::<Vec<_>>(),
-            vec![11, 12]
-        );
+        assert_eq!(ids(&chain), vec![11, 12]);
     }
 
     #[test]
     fn scale_membership_and_neighbours_without_walks() {
         // A large chain: every O(1) query agrees with the O(n) walk.
-        let mut m = Machine::new(MachineConfig::sun3_emulation());
+        let mut r = Rig::new();
         let mut chain = JumpChain::new();
         for i in 0..500u32 {
-            let n = make_node(&mut m, 0x1_0000 + i * 0x40, i);
-            let after = if i == 0 { None } else { Some(i - 1) };
-            chain.insert_next(&mut m, after, n).unwrap();
+            let n = r.node(0x1_0000 + i * 0x40, i);
+            r.insert(&mut chain, i.checked_sub(1), n);
         }
         assert_eq!(chain.len(), 500);
-        let order: Vec<u32> = chain.nodes().iter().map(|n| n.id).collect();
+        let order = ids(&chain);
         for w in order.windows(2) {
             assert_eq!(chain.next_of_id(w[0]).unwrap().id, w[1]);
             assert_eq!(chain.prev_of_id(w[1]).unwrap().id, w[0]);
         }
         // Remove every third node; the remaining order survives.
         for i in (0..500u32).step_by(3) {
-            chain.remove(&mut m, i).unwrap().unwrap();
+            r.remove(&mut chain, i).unwrap();
         }
-        let left: Vec<u32> = chain.nodes().iter().map(|n| n.id).collect();
+        let left = ids(&chain);
         assert_eq!(left.len(), chain.len());
         assert!(left.iter().all(|&i| i % 3 != 0));
     }

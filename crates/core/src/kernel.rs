@@ -6,6 +6,10 @@
 //! per-thread trap vectors (Section 5.3), and interrupt handlers feed
 //! kernel queues. Cold bookkeeping reaches the host through `kcall`
 //! hypercalls, each charging honest cycles (see [`crate::charges`]).
+//!
+//! Ready-chain membership — and with it blocking and waking — belongs
+//! to the `ready` submodule: everything here that makes a thread
+//! runnable or not does it through `enqueue`/`dequeue`.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -21,7 +25,7 @@ use quamachine::isa::{Instr, Operand, Size};
 use quamachine::machine::{Machine, MachineConfig, RunExit};
 use quamachine::mem::AddressMap;
 use synthesis_codegen::creator::{QuajectCreator, SynthError, SynthesisOptions, Synthesized};
-use synthesis_codegen::execds::{ChainNode, JumpChain};
+use synthesis_codegen::execds::JumpChain;
 use synthesis_codegen::template::Bindings;
 
 use synthesis_blocks::gauge::Gauge;
@@ -38,6 +42,8 @@ use crate::syscall::{errno, general, kcalls};
 use crate::templates;
 use crate::thread::tte::{off, FdObject};
 use crate::thread::{Thread, ThreadState, Tid, WaitObject};
+
+mod ready;
 
 /// Interrupt levels assigned to devices.
 pub mod irq_levels {
@@ -70,8 +76,7 @@ pub struct KernelConfig {
     /// Only consulted when the `trace` feature is on.
     pub trace_records: usize,
     /// Number of CPUs in the Quamachine (1..=8). The default reads the
-    /// `SYNTHESIS_CPUS` environment variable, falling back to 1; one CPU
-    /// reproduces the uniprocessor kernel byte for byte.
+    /// `SYNTHESIS_CPUS` environment variable, falling back to 1.
     pub cpus: usize,
     /// Quaspace partition. The default reproduces the 2.5 MB Quamachine
     /// constants exactly; the capacity harness boots with
@@ -107,20 +112,6 @@ impl Default for KernelConfig {
             trace_records: crate::trace::DEFAULT_RING_RECORDS,
             cpus: cpus_from_env(),
             layout: layout::MemLayout::default(),
-        }
-    }
-}
-
-impl KernelConfig {
-    /// Full-speed (50 MHz) configuration.
-    #[must_use]
-    pub fn full_speed() -> KernelConfig {
-        KernelConfig {
-            machine: MachineConfig {
-                mem_size: layout::MEM_SIZE,
-                ..MachineConfig::full_speed()
-            },
-            ..KernelConfig::default()
         }
     }
 }
@@ -325,9 +316,6 @@ pub struct Kernel {
     pub console: Vec<u8>,
     /// Threads that have exited.
     pub exited: std::collections::HashSet<Tid>,
-    /// CPU 0's idle thread id (the other CPUs' idles live in
-    /// [`Kernel::cpus`]; use [`Kernel::is_idle`] to test for any of them).
-    pub idle_tid: Tid,
     /// The kernel-owned disk scheduler: request queue, retry/backoff, and
     /// sector quarantine (Section 5.1's pipeline stage, made persistent).
     pub disk_sched: DiskScheduler,
@@ -358,6 +346,8 @@ pub struct Kernel {
     /// hold stale entries after a stop/destroy, so a steal only counts
     /// if the tid is still in this set.
     pooled: std::collections::HashSet<Tid>,
+    /// Threads blocked on each wait object, in blocking order. Read and
+    /// written only by the `ready` submodule.
     waiters: HashMap<WaitObject, Vec<Tid>>,
     sig_stash: HashMap<Tid, ([u32; 15], u32)>,
     alarm_pending: bool,
@@ -516,7 +506,6 @@ impl Kernel {
             default_quantum_us: cfg.default_quantum_us,
             console: Vec::new(),
             exited: std::collections::HashSet::new(),
-            idle_tid: 0,
             disk_sched: DiskScheduler::new(disk),
             recovery: RecoveryGauges::default(),
             recovery_log: Vec::new(),
@@ -559,23 +548,18 @@ impl Kernel {
             k.creator
                 .synthesize_template(&mut k.m, &t, &Bindings::new(), k.opts)?
         };
-        let idle = k.create_thread_inner(idle_code.base, 0, AddressMap::default(), 0x2000)?;
-        k.idle_tid = idle;
-        k.cpus[0].idle_tid = idle;
-        k.start(idle)?;
-        // Park the machine entering the idle thread.
-        let sw_in = k.threads[&idle].sw_in;
-        k.m.cpu.pc = sw_in;
-
-        // The remaining CPUs each get their own idle thread, parked at
-        // its switch-in exactly like CPU 0's.
-        for cpu in 1..k.m.num_cpus() {
+        // Every CPU gets its own, parked entering it: PC at its
+        // switch-in, VBR already naming it — a CPU's VBR always
+        // identifies the thread it is executing or about to execute.
+        for cpu in 0..ncpus {
             let it = k.create_thread_inner(idle_code.base, 0, AddressMap::default(), 0x2000)?;
             k.threads.get_mut(&it).expect("just created").cpu = cpu;
             k.cpus[cpu].idle_tid = it;
             k.start(it)?;
-            let sw_in = k.threads[&it].sw_in;
-            k.m.cpu_mut(cpu).pc = sw_in;
+            let (sw_in, vt) = (k.threads[&it].sw_in, k.threads[&it].vt);
+            let slot = k.m.cpu_mut(cpu);
+            slot.pc = sw_in;
+            slot.vbr = vt;
             // Starting the idle kicked its (empty-looking) CPU; the
             // parked idle needs no boot-time reschedule.
             k.m.irq.clear_on(cpu, irq_levels::IPI);
@@ -855,70 +839,20 @@ impl Kernel {
             // thief.
             return Ok(());
         }
-        let (mut home, sw_in, jmp_at) = (t.cpu, t.sw_in, t.jmp_at);
+        let mut home = t.cpu;
         // A thread homed on a quarantined CPU starts on a healthy one
         // instead — nothing dispatches a quarantined CPU's chain.
         if self.cpus[home].quarantined && !self.is_idle(tid) {
-            if let Some(h) = self.first_healthy_cpu() {
-                home = h;
-                self.threads.get_mut(&tid).expect("exists").cpu = h;
-            }
+            home = self.first_healthy_cpu().unwrap_or(home);
         }
         if self.cpus[home].ready.contains(tid) {
             return Ok(());
         }
-        let node = ChainNode {
-            id: tid,
-            entry: sw_in,
-            jmp_at,
-        };
-        let after = self
-            .current_tid_on(home)
-            .filter(|cur| self.cpus[home].ready.contains(*cur));
-        self.cpus[home]
-            .ready
-            .insert_next(&mut self.m, after, node)?;
-        self.threads.get_mut(&tid).expect("exists").state = ThreadState::Ready;
-        self.balance_idle_on(home)?;
-        self.fix_links_around(home, tid)?;
-        self.fix_offchain_current(home)?;
+        // Charged first: the kick arms the quantum timer relative to the
+        // clock the caller sees when `start` returns.
         let c = 2 * charges::code_patch(&self.m.cost) + charges::kcall_overhead(&self.m.cost);
         self.m.charge(c);
-        self.kick(home);
-        Ok(())
-    }
-
-    /// If the machine is currently in (or parked before) the idle thread,
-    /// cut the running quantum short so the newly runnable thread gets
-    /// the CPU immediately instead of waiting out idle's quantum —
-    /// Section 4.4's "minimize response time to events".
-    fn kick_idle(&mut self) {
-        let cur = self.current_tid();
-        if cur.is_none() || cur.is_some_and(|t| self.is_idle(t)) {
-            let qreg = dev_reg_addr(self.dev.timer, timer_regs::REG_QUANTUM_US);
-            self.m.host_reg_write(qreg, 1);
-        }
-    }
-
-    /// Kick whichever CPU `cpu` is: the active CPU gets its quantum cut
-    /// short ([`Kernel::kick_idle`]); a remote CPU sitting in its idle
-    /// thread gets an IPI, which vectors to the idle's switch-out and
-    /// rotates it onto the new arrival.
-    fn kick(&mut self, cpu: usize) {
-        if self.cpus[cpu].quarantined {
-            return;
-        }
-        if cpu == self.m.active_cpu() {
-            self.kick_idle();
-            return;
-        }
-        let cur = self.current_tid_on(cpu);
-        if cur.is_none() || cur.is_some_and(|t| self.is_idle(t)) {
-            // Through the machine's IPI seam, where the fault plan may
-            // lose or delay the interrupt; the run loop's timer-fallback
-            // rescheduling turns either into latency, never a hang.
-            self.m.send_ipi(cpu, irq_levels::IPI);
-        }
+        self.enqueue(home, tid)
     }
 
     /// Stop a thread: remove its TTE from the ready queue.
@@ -939,135 +873,12 @@ impl Kernel {
         if was_current {
             self.suspend_current_state();
         }
-        self.pooled.remove(&tid);
-        let home = self.home_cpu(tid);
-        let pred = self.cpus[home].ready.prev_of_id(tid).map(|p| p.id);
-        self.cpus[home].ready.remove(&mut self.m, tid)?;
-        self.threads.get_mut(&tid).expect("exists").state = ThreadState::Stopped;
-        self.balance_idle_on(home)?;
-        if let Some(pred) = pred.filter(|p| *p != tid) {
-            self.fix_link_from(home, pred)?;
-        }
-        self.fix_offchain_current(home)?;
+        self.dequeue(tid)?;
         let c = charges::code_patch(&self.m.cost) + charges::kcall_overhead(&self.m.cost);
         self.m.charge(c);
         if was_current {
             self.enter_next();
         }
-        Ok(())
-    }
-
-    /// Keep the idle thread out of the ready chain whenever real threads
-    /// are runnable: the idle thread otherwise consumes a full quantum
-    /// per rotation (it sleeps in `stop` until its own quantum expires),
-    /// which would tax every runnable thread by a whole idle quantum.
-    fn balance_idle_on(&mut self, cpu: usize) -> Result<(), KernelError> {
-        let idle = self.cpus[cpu].idle_tid;
-        let idle_in = self.cpus[cpu].ready.contains(idle);
-        let others = self.cpus[cpu].ready.len() > usize::from(idle_in);
-        if others && idle_in {
-            // If the machine is currently executing idle (or its switch
-            // code), leave it for now; the next quantum moves on anyway.
-            let pred = self.cpus[cpu].ready.prev_of_id(idle).map(|p| p.id);
-            self.cpus[cpu].ready.remove(&mut self.m, idle)?;
-            if let Some(pred) = pred.filter(|p| *p != idle) {
-                self.fix_link_from(cpu, pred)?;
-            }
-            // Idle's own jmp must keep pointing somewhere valid in case
-            // the machine is mid-idle right now: route it into the chain.
-            let first = self.cpus[cpu].ready.head().expect("others remain");
-            let entry = self.entry_into(idle, first.id);
-            let idle_t = &self.threads[&idle];
-            self.m.code.patch_jmp_target(idle_t.jmp_at, entry)?;
-            self.threads.get_mut(&idle).expect("idle exists").state = ThreadState::Stopped;
-        } else if !others && !idle_in {
-            let t = &self.threads[&idle];
-            let node = ChainNode {
-                id: idle,
-                entry: t.sw_in,
-                jmp_at: t.jmp_at,
-            };
-            self.cpus[cpu].ready.insert_next(&mut self.m, None, node)?;
-            self.threads.get_mut(&idle).expect("idle exists").state = ThreadState::Ready;
-        }
-        Ok(())
-    }
-
-    /// Re-point each chain node's jump at the successor's `sw_in` or
-    /// `sw_in_mmu` depending on whether the address space changes
-    /// (Figure 3's two entry points).
-    /// Bulk fallback for rare whole-chain events (CPU quarantine, FP
-    /// resynthesis); routine membership changes use the O(1)
-    /// [`Kernel::fix_links_around`] instead.
-    fn fix_chain_entries_on(&mut self, cpu: usize) -> Result<(), KernelError> {
-        let nodes: Vec<ChainNode> = self.cpus[cpu].ready.nodes();
-        for (i, node) in nodes.iter().enumerate() {
-            let next = &nodes[(i + 1) % nodes.len()];
-            let entry = self.entry_into(node.id, next.id);
-            self.m.code.patch_jmp_target(node.jmp_at, entry)?;
-        }
-        self.fix_offchain_current(cpu)
-    }
-
-    /// The chain entry `to` presents to `from`: `sw_in` when the address
-    /// map is unchanged, `sw_in_mmu` when the MMU must be switched
-    /// (Figure 3's two entry points).
-    fn entry_into(&self, from: Tid, to: Tid) -> u32 {
-        let a = &self.threads[&from];
-        let b = &self.threads[&to];
-        if a.map == b.map {
-            b.sw_in
-        } else {
-            b.sw_in_mmu
-        }
-    }
-
-    /// Re-point one chain node's jmp at its current successor's proper
-    /// entry. No-op when `from` is not in the chain. O(1): the entry
-    /// choice depends only on the `(node, successor)` pair, so a
-    /// membership change never needs the whole-chain repatch.
-    fn fix_link_from(&mut self, cpu: usize, from: Tid) -> Result<(), KernelError> {
-        let Some(next) = self.cpus[cpu].ready.next_of_id(from) else {
-            return Ok(());
-        };
-        let jmp_at = self.threads[&from].jmp_at;
-        let entry = self.entry_into(from, next.id);
-        self.m.code.patch_jmp_target(jmp_at, entry)?;
-        Ok(())
-    }
-
-    /// Fix the links a membership change around `tid` disturbed: the
-    /// predecessor's jmp into `tid`, and `tid`'s own jmp onward.
-    fn fix_links_around(&mut self, cpu: usize, tid: Tid) -> Result<(), KernelError> {
-        if let Some(prev) = self.cpus[cpu].ready.prev_of_id(tid) {
-            if prev.id != tid {
-                self.fix_link_from(cpu, prev.id)?;
-            }
-        }
-        self.fix_link_from(cpu, tid)
-    }
-
-    /// A thread this CPU is executing right now but that is no longer a
-    /// chain node (a parked-off idle, a blocked current, a victim whose
-    /// ready entry was just stolen) still exits through its own jmp. Keep
-    /// that jmp routed at the chain's head, or the CPU would follow a
-    /// stale pointer into a thread that now belongs to another CPU.
-    fn fix_offchain_current(&mut self, cpu: usize) -> Result<(), KernelError> {
-        let Some(cur) = self.current_tid_on(cpu) else {
-            return Ok(());
-        };
-        if self.cpus[cpu].ready.contains(cur) {
-            return Ok(());
-        }
-        let Some(head) = self.cpus[cpu].ready.head() else {
-            return Ok(());
-        };
-        if !self.threads.contains_key(&cur) {
-            return Ok(());
-        }
-        let jmp_at = self.threads[&cur].jmp_at;
-        let entry = self.entry_into(cur, head.id);
-        self.m.code.patch_jmp_target(jmp_at, entry)?;
         Ok(())
     }
 
@@ -1374,12 +1185,15 @@ impl Kernel {
     }
 
     /// Point the machine at `tid`'s switch-in (it must have a valid frame
-    /// and saved state).
+    /// and saved state). The VBR names `tid` from here on, not only once
+    /// the switch-in has loaded it, so chain surgery before the CPU next
+    /// runs knows whose `jmp` it will leave through.
     fn enter(&mut self, tid: Tid) {
         crate::trace!(self, tid, crate::trace::Kind::CtxSwitch, 1, 0);
         let t = &self.threads[&tid];
         let need_map = t.map != self.m.mem.map;
         self.m.cpu.pc = if need_map { t.sw_in_mmu } else { t.sw_in };
+        self.m.cpu.vbr = t.vt;
         // Supervisor mode (sw_in uses privileged instructions) with
         // interrupts masked: a pending interrupt accepted before sw_in's
         // first instruction would vector through the *previous* thread's
@@ -1405,17 +1219,7 @@ impl Kernel {
         // drain it after the reap).
         self.pump_trace();
         let was_current = self.current_tid() == Some(tid);
-        self.pooled.remove(&tid);
-        let home = self.home_cpu(tid);
-        if self.cpus[home].ready.contains(tid) {
-            let pred = self.cpus[home].ready.prev_of_id(tid).map(|p| p.id);
-            self.cpus[home].ready.remove(&mut self.m, tid)?;
-            self.balance_idle_on(home)?;
-            if let Some(pred) = pred.filter(|p| *p != tid) {
-                self.fix_link_from(home, pred)?;
-            }
-            self.fix_offchain_current(home)?;
-        }
+        self.dequeue(tid)?;
         let mut t = self
             .threads
             .remove(&tid)
@@ -1653,84 +1457,6 @@ impl Kernel {
         Ok(())
     }
 
-    // --- Blocking / waking -------------------------------------------------
-
-    /// Block the current thread on `wait` and switch away.
-    fn block_current(&mut self, wait: WaitObject) {
-        let Some(tid) = self.current_tid() else {
-            return;
-        };
-        if self.is_idle(tid) {
-            return; // the idle thread never blocks
-        }
-        // Raise the waiter flag the synthesized producers test.
-        if let Some(slot) = self.wait_flag_slot(wait) {
-            self.m.mem.poke(slot, Size::L, 1);
-        }
-        self.suspend_current_state();
-        let home = self.home_cpu(tid);
-        let pred = self.cpus[home].ready.prev_of_id(tid).map(|p| p.id);
-        let _ = self.cpus[home].ready.remove(&mut self.m, tid);
-        let _ = self.balance_idle_on(home);
-        if let Some(pred) = pred.filter(|p| *p != tid) {
-            let _ = self.fix_link_from(home, pred);
-        }
-        let _ = self.fix_offchain_current(home);
-        self.threads.get_mut(&tid).expect("current exists").state = ThreadState::Blocked(wait);
-        self.waiters.entry(wait).or_default().push(tid);
-        self.enter_next();
-    }
-
-    /// Wake every thread blocked on `wait` (front of the ready queue:
-    /// "giving it immediate access to the CPU").
-    fn wake(&mut self, wait: WaitObject) {
-        let Some(tids) = self.waiters.remove(&wait) else {
-            return;
-        };
-        if let Some(slot) = self.wait_flag_slot(wait) {
-            self.m.mem.poke(slot, Size::L, 0);
-        }
-        let mut homes: Vec<usize> = Vec::new();
-        let mut woken: Vec<(usize, Tid)> = Vec::new();
-        for tid in tids {
-            let t = self.threads.get_mut(&tid).expect("waiter exists");
-            t.state = ThreadState::Ready;
-            let home = t.cpu;
-            let node = ChainNode {
-                id: tid,
-                entry: t.sw_in,
-                jmp_at: t.jmp_at,
-            };
-            let after = self
-                .current_tid_on(home)
-                .filter(|cur| self.cpus[home].ready.contains(*cur));
-            let _ = self.cpus[home].ready.insert_next(&mut self.m, after, node);
-            homes.push(home);
-            woken.push((home, tid));
-        }
-        homes.sort_unstable();
-        homes.dedup();
-        for &home in &homes {
-            let _ = self.balance_idle_on(home);
-        }
-        for (home, tid) in woken {
-            let _ = self.fix_links_around(home, tid);
-        }
-        for home in homes {
-            let _ = self.fix_offchain_current(home);
-            self.kick(home);
-        }
-    }
-
-    fn wait_flag_slot(&self, wait: WaitObject) -> Option<u32> {
-        match wait {
-            WaitObject::TtyInput => Some(self.tty_srv.waiters_slot),
-            WaitObject::PipeData(p) => self.pipes.get(p as usize).map(|p| p.r_wait_slot),
-            WaitObject::PipeSpace(p) => self.pipes.get(p as usize).map(|p| p.w_wait_slot),
-            WaitObject::Alarm | WaitObject::Disk => None,
-        }
-    }
-
     // --- The run loop -------------------------------------------------------
 
     /// Run the kernel for up to `max_cycles`, servicing kernel calls.
@@ -1739,62 +1465,29 @@ impl Kernel {
     /// `kcall` the kernel does not own (so embedders like the UNIX
     /// emulator can extend the kernel and then call [`Kernel::run`]
     /// again).
+    ///
+    /// Each CPU gets `max_cycles` on its own virtual clock, executed in
+    /// watchdog-sized slices. One CPU is simulated at a time; the
+    /// scheduler always resumes the CPU whose clock is furthest behind,
+    /// so cross-CPU skew stays bounded by one slice and the interleaving
+    /// is deterministic. Between slices — every CPU parked at a safe
+    /// point, outside any context-switch code — the work-stealing
+    /// rebalancer, the watchdogs and the trace pump run. A uniprocessor
+    /// is the same loop with nobody to rotate to or steal from.
     pub fn run(&mut self, max_cycles: u64) -> RunExit {
-        if self.cpus.len() == 1 {
-            return self.run_uni(max_cycles);
+        // The watched thread may have exited host-side between runs (an
+        // embedder servicing its exit call). Surface that before anything
+        // executes, or the embedder would be handed a clock past the
+        // exit.
+        if let Some(w) = self.watched_exit() {
+            return RunExit::Breakpoint(w);
         }
-        self.run_smp(max_cycles)
-    }
-
-    /// The uniprocessor run loop — byte-for-byte the pre-SMP kernel's.
-    fn run_uni(&mut self, max_cycles: u64) -> RunExit {
-        let deadline = self.m.meter.cycles.saturating_add(max_cycles);
-        loop {
-            let now = self.m.meter.cycles;
-            if now >= deadline {
-                return RunExit::CycleLimit;
-            }
-            // Bounded slices so the fault-storm watchdog observes the
-            // per-thread fault counters even when the storming guest
-            // never traps out to the embedder on its own.
-            let slice = (deadline - now).min(WATCHDOG_SLICE);
-            match self.m.run(slice) {
-                RunExit::KCall(sel) => {
-                    if !self.handle_kcall(sel) {
-                        return RunExit::KCall(sel);
-                    }
-                }
-                RunExit::CycleLimit => self.watchdog_sweep(),
-                RunExit::Error(e) => {
-                    // Guest-attributable faults kill only the offending
-                    // thread; everything else is a kernel/embedder bug
-                    // and stays fatal.
-                    if let Err(exit) = self.recover_machine_error(e) {
-                        return exit;
-                    }
-                }
-                other => return other,
-            }
-            self.pump_trace();
-            if let Some(w) = self.watch_exit {
-                if self.exited.contains(&w) {
-                    return RunExit::Breakpoint(w);
-                }
-            }
-        }
-    }
-
-    /// The multiprocessor run loop: each CPU gets `max_cycles` on its own
-    /// virtual clock, executed in watchdog-sized slices. One CPU is
-    /// simulated at a time; the scheduler always resumes the CPU whose
-    /// clock is furthest behind, so cross-CPU skew stays bounded by one
-    /// slice and the interleaving is deterministic. Between slices the
-    /// work-stealing rebalancer runs at a safe point.
-    fn run_smp(&mut self, max_cycles: u64) -> RunExit {
         let n = self.cpus.len();
         // A CPU that halts (idle with nothing ever due) stays parked
         // until an IPI or device interrupt shows up for it.
         let mut halted = vec![false; n];
+        // The most recent halt: which CPU, and its clock at that point.
+        let mut last_halt: Option<(usize, u64)> = None;
         // The embedder may have parked the active CPU inside switch code
         // (host-side enter); step it out so the VBR names the incoming
         // thread before the rebalancer looks for stealable work.
@@ -1816,16 +1509,6 @@ impl Kernel {
             .map(|i| self.m.cpu_cycles(i).saturating_add(max_cycles))
             .collect();
         loop {
-            // The watched thread may have exited host-side between runs
-            // (an embedder servicing its exit call). Surface that before
-            // resuming anyone, or the rotation would run a most-behind
-            // idle slice first and hand the embedder a clock a full
-            // slice past the exit, on the wrong CPU.
-            if let Some(w) = self.watch_exit {
-                if self.exited.contains(&w) {
-                    return RunExit::Breakpoint(w);
-                }
-            }
             // Balance before picking a CPU, so a starved CPU steals work
             // instead of idling away its first slice.
             self.rebalance();
@@ -1856,6 +1539,14 @@ impl Kernel {
                     .filter(|&i| !self.cpus[i].quarantined)
                     .all(|i| halted[i])
                 {
+                    // Every CPU halted in this call and nothing revived
+                    // one, so the slice just run was the last CPU's halt:
+                    // with nobody left to keep pace with, report it at
+                    // the clock it happened, not the slice boundary.
+                    let active = self.m.active_cpu();
+                    if let Some((_, at)) = last_halt.filter(|&(cpu, _)| cpu == active) {
+                        self.m.meter.cycles = at;
+                    }
                     RunExit::Halted
                 } else {
                     RunExit::CycleLimit
@@ -1912,7 +1603,7 @@ impl Kernel {
                         // A watched exit ends the slice immediately so
                         // the embedder sees it without a slice-sized
                         // detection latency.
-                        if self.watch_exit.is_some_and(|w| self.exited.contains(&w)) {
+                        if self.watched_exit().is_some() {
                             break;
                         }
                     }
@@ -1923,6 +1614,7 @@ impl Kernel {
                         // rotation moves on.
                         halted[i] = true;
                         hit_halt = true;
+                        last_halt = Some((i, self.m.meter.cycles));
                         self.m.meter.cycles = slice_end;
                         break;
                     }
@@ -1963,12 +1655,15 @@ impl Kernel {
                 halted[c] = false;
             }
             self.pump_trace();
-            if let Some(w) = self.watch_exit {
-                if self.exited.contains(&w) {
-                    return RunExit::Breakpoint(w);
-                }
+            if let Some(w) = self.watched_exit() {
+                return RunExit::Breakpoint(w);
             }
         }
+    }
+
+    /// The watched thread, once it has exited.
+    fn watched_exit(&self) -> Option<Tid> {
+        self.watch_exit.filter(|w| self.exited.contains(w))
     }
 
     // --- Work stealing ------------------------------------------------------
@@ -2042,30 +1737,10 @@ impl Kernel {
             return false;
         };
         let tid = surplus[0];
-        let pred = self.cpus[victim].ready.prev_of_id(tid).map(|p| p.id);
-        if self.cpus[victim].ready.remove(&mut self.m, tid).is_err() {
+        // Offer first: a full pool leaves the thread where it is.
+        if self.steal_pool.offer(tid).is_err() || self.dequeue_into_pool(tid).is_err() {
             return false;
         }
-        let _ = self.balance_idle_on(victim);
-        if let Some(pred) = pred.filter(|p| *p != tid) {
-            let _ = self.fix_link_from(victim, pred);
-        }
-        let _ = self.fix_offchain_current(victim);
-        if self.steal_pool.offer(tid).is_err() {
-            // Pool full: put the thread back where it was.
-            let t = &self.threads[&tid];
-            let node = ChainNode {
-                id: tid,
-                entry: t.sw_in,
-                jmp_at: t.jmp_at,
-            };
-            let _ = self.cpus[victim].ready.insert_next(&mut self.m, None, node);
-            let _ = self.balance_idle_on(victim);
-            let _ = self.fix_links_around(victim, tid);
-            let _ = self.fix_offchain_current(victim);
-            return false;
-        }
-        self.pooled.insert(tid);
         self.cpus[victim].offloads += 1;
         true
     }
@@ -2083,22 +1758,13 @@ impl Kernel {
             if self.quarantined_tids.contains(&tid) {
                 continue;
             }
-            let Some(t) = self.threads.get_mut(&tid) else {
-                continue;
-            };
-            if !matches!(t.state, ThreadState::Ready) {
+            let ready = self
+                .threads
+                .get(&tid)
+                .is_some_and(|t| matches!(t.state, ThreadState::Ready));
+            if !ready || self.enqueue(thief, tid).is_err() {
                 continue;
             }
-            t.cpu = thief;
-            let node = ChainNode {
-                id: tid,
-                entry: t.sw_in,
-                jmp_at: t.jmp_at,
-            };
-            let _ = self.cpus[thief].ready.insert_next(&mut self.m, None, node);
-            let _ = self.balance_idle_on(thief);
-            let _ = self.fix_links_around(thief, tid);
-            let _ = self.fix_offchain_current(thief);
             self.cpus[thief].steals += 1;
             crate::trace!(
                 self,
@@ -2107,7 +1773,6 @@ impl Kernel {
                 u32::try_from(thief).unwrap_or(0),
                 0
             );
-            self.kick(thief);
             return;
         }
     }
@@ -2197,13 +1862,9 @@ impl Kernel {
                 && !self.is_idle(tid)
                 && !self.quarantined_tids.contains(&tid)
             {
-                self.quarantine_thread(tid, delta);
+                self.quarantine(tid, &format!("{delta} faults in one sweep"));
             }
         }
-    }
-
-    fn quarantine_thread(&mut self, tid: Tid, faults: u64) {
-        self.quarantine(tid, &format!("{faults} faults in one sweep"));
     }
 
     /// Quarantine `tid`: stopped now, refused by [`Kernel::start`]
@@ -2293,9 +1954,9 @@ impl Kernel {
         self.cpus[cpu].quarantined = true;
 
         // Evacuate the ready chain: each runnable thread moves onto a
-        // healthy CPU's chain through the same host-side surgery the
-        // work stealer uses. Quarantined *threads* stay put — their
-        // chain entry is removed but never re-inserted anywhere.
+        // healthy CPU's chain by the same dequeue/enqueue the work
+        // stealer uses. Quarantined *threads* stay put — their chain
+        // entry is removed but never re-inserted anywhere.
         let idle = self.cpus[cpu].idle_tid;
         let evacuees: Vec<Tid> = self.cpus[cpu]
             .ready
@@ -2306,34 +1967,13 @@ impl Kernel {
             .collect();
         let mut moved = 0u32;
         for (n, tid) in evacuees.into_iter().enumerate() {
-            if self.cpus[cpu].ready.remove(&mut self.m, tid).is_err() {
+            if self.dequeue(tid).is_err() || self.quarantined_tids.contains(&tid) {
                 continue;
             }
-            if self.quarantined_tids.contains(&tid) {
-                if let Some(t) = self.threads.get_mut(&tid) {
-                    t.state = ThreadState::Stopped;
-                }
-                continue;
+            if self.enqueue(healthy[n % healthy.len()], tid).is_ok() {
+                moved += 1;
+                self.recovery.threads_evacuated.tick();
             }
-            let to = healthy[n % healthy.len()];
-            self.threads.get_mut(&tid).expect("in chain").cpu = to;
-            let t = &self.threads[&tid];
-            let node = ChainNode {
-                id: tid,
-                entry: t.sw_in,
-                jmp_at: t.jmp_at,
-            };
-            let after = self
-                .current_tid_on(to)
-                .filter(|cur| self.cpus[to].ready.contains(*cur));
-            let _ = self.cpus[to].ready.insert_next(&mut self.m, after, node);
-            moved += 1;
-            self.recovery.threads_evacuated.tick();
-        }
-        let _ = self.fix_chain_entries_on(cpu);
-        for &h in &healthy {
-            let _ = self.balance_idle_on(h);
-            let _ = self.fix_chain_entries_on(h);
         }
         // Blocked, stopped, and pooled threads that called this CPU home
         // wake onto healthy chains instead.
@@ -3052,10 +2692,12 @@ impl Kernel {
             return;
         }
         let (tte, vt, quantum, old_sw) = (t.tte, t.vt, t.quantum_us, t.sw.clone());
+        // The chain node names the old code's jmp: leave the chain
+        // before that code goes, rejoin once the new code is in.
         let cpu = self.home_cpu(tid);
         let in_chain = self.cpus[cpu].ready.contains(tid);
         if in_chain {
-            let _ = self.cpus[cpu].ready.remove(&mut self.m, tid);
+            let _ = self.dequeue(tid);
         }
         self.sw_extents.remove(&old_sw.base);
         self.creator.destroy(&mut self.m, &old_sw);
@@ -3096,14 +2738,7 @@ impl Kernel {
                 .poke(vt + 4 * (24 + u32::from(irq_levels::IPI)), Size::L, ipi_in);
         }
         if in_chain {
-            let t = &self.threads[&tid];
-            let node = ChainNode {
-                id: tid,
-                entry: t.sw_in,
-                jmp_at: t.jmp_at,
-            };
-            let _ = self.cpus[cpu].ready.insert_next(&mut self.m, None, node);
-            let _ = self.fix_chain_entries_on(cpu);
+            let _ = self.enqueue(cpu, tid);
         }
         self.m.cpu.fpu_enabled = true;
     }

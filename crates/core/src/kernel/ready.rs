@@ -1,0 +1,265 @@
+//! The ready queue's one owner: membership changes, blocking and waking.
+//!
+//! Each CPU's ready queue is an executable data structure — every
+//! thread's switch-out ends in a `jmp` to the next thread's switch-in
+//! (Figure 3), so putting a thread on the queue or taking it off *is* one
+//! or two `jmp` patches. [`JumpChain`](synthesis_codegen::execds::JumpChain)
+//! knows which links a change disturbs and writes each once; this module
+//! knows everything else a membership change means, and is the only code
+//! that calls the chain's mutators:
+//!
+//! - **what a link targets** — [`link_target`] alone chooses between the
+//!   successor's `sw_in` and `sw_in_mmu` (same address map or not), and
+//!   is the function every chain write asks;
+//! - **where the thread goes** — next after the CPU's current thread
+//!   (Section 4.4's unblocking rule), or after the head when the current
+//!   thread is not itself a member;
+//! - **the idle thread** — a member exactly when no real thread is, so it
+//!   never taxes a runnable thread with an idle quantum, and the chain is
+//!   never empty;
+//! - **the off-chain current** — a thread still executing on the CPU
+//!   after leaving the chain exits through its own `jmp`, which is kept
+//!   aimed at the head;
+//! - **the bookkeeping** — `ThreadState`, the thread's home CPU, the
+//!   steal-pool membership set, the wait lists with the wait flags the
+//!   synthesized producers test, and the kick that gets an idling CPU to
+//!   notice the arrival.
+//!
+//! [`Kernel::enqueue`] and [`Kernel::dequeue`] do all of that as one
+//! unit. `start`, `stop`, `destroy`, blocking, waking, work stealing, CPU
+//! evacuation and FP resynthesis are calls to the pair; a whole-chain
+//! event is a per-thread dequeue and enqueue.
+
+use std::collections::BTreeMap;
+
+use quamachine::devices::{dev_reg_addr, timer as timer_regs};
+use quamachine::isa::Size;
+use synthesis_codegen::execds::ChainNode;
+
+use super::{irq_levels, Kernel, KernelError};
+use crate::thread::{Thread, ThreadState, Tid, WaitObject};
+
+/// The address `from`'s chain `jmp` must hold for control to arrive in
+/// `to`: `sw_in` when the address map is unchanged, `sw_in_mmu` when the
+/// MMU must be switched (Figure 3's two entry points).
+fn link_target(threads: &BTreeMap<Tid, Thread>) -> impl Fn(Tid, Tid) -> u32 + '_ {
+    |from, to| {
+        let (a, b) = (&threads[&from], &threads[&to]);
+        if a.map == b.map {
+            b.sw_in
+        } else {
+            b.sw_in_mmu
+        }
+    }
+}
+
+impl Kernel {
+    /// Make `tid` runnable on `cpu`: off its wait list, onto the chain
+    /// next after the current thread, `Ready`, homed on `cpu`, and the
+    /// CPU kicked if it is idling. The idle thread makes room first. The
+    /// caller guarantees `tid` is live and on no chain.
+    pub(super) fn enqueue(&mut self, cpu: usize, tid: Tid) -> Result<(), KernelError> {
+        self.leave_wait_list(tid);
+        let idle = self.cpus[cpu].idle_tid;
+        if self.cpus[cpu].ready.contains(idle) {
+            self.unlink(cpu, idle)?;
+        }
+        self.link(cpu, tid)?;
+        self.aim_current_at_head(cpu)?;
+        self.kick(cpu);
+        Ok(())
+    }
+
+    /// Make `tid` neither runnable nor waiting: out of the steal pool,
+    /// off its wait list, off its CPU's chain (the idle thread steps in
+    /// if that empties it), `Stopped`. Dequeuing a thread that is none of
+    /// those only marks it `Stopped`.
+    pub(super) fn dequeue(&mut self, tid: Tid) -> Result<(), KernelError> {
+        self.pooled.remove(&tid);
+        self.leave_wait_list(tid);
+        let cpu = self.home_cpu(tid);
+        if self.cpus[cpu].ready.contains(tid) {
+            self.unlink(cpu, tid)?;
+            if self.cpus[cpu].ready.is_empty() {
+                self.link(cpu, self.cpus[cpu].idle_tid)?;
+            }
+            self.aim_current_at_head(cpu)?;
+        } else if let Some(t) = self.threads.get_mut(&tid) {
+            t.state = ThreadState::Stopped;
+        }
+        Ok(())
+    }
+
+    /// Take the live thread `tid` off its chain to travel through the
+    /// steal pool: still `Ready`, on no chain until a thief enqueues it.
+    pub(super) fn dequeue_into_pool(&mut self, tid: Tid) -> Result<(), KernelError> {
+        self.dequeue(tid)?;
+        self.threads
+            .get_mut(&tid)
+            .expect("pooled thread is live")
+            .state = ThreadState::Ready;
+        self.pooled.insert(tid);
+        Ok(())
+    }
+
+    /// The live thread `tid` as the chain sees it: its id and the `jmp`
+    /// that ends its switch-out.
+    fn chain_node(&self, tid: Tid) -> ChainNode {
+        ChainNode {
+            id: tid,
+            jmp_at: self.threads[&tid].jmp_at,
+        }
+    }
+
+    /// Splice `tid` into `cpu`'s chain after the CPU's current thread
+    /// (after the head if that is not a member).
+    fn link(&mut self, cpu: usize, tid: Tid) -> Result<(), KernelError> {
+        let node = self.chain_node(tid);
+        let after = self.current_tid_on(cpu);
+        let target = link_target(&self.threads);
+        self.cpus[cpu]
+            .ready
+            .insert_next(&mut self.m, after, node, target)?;
+        let t = self.threads.get_mut(&tid).expect("linked thread exists");
+        t.state = ThreadState::Ready;
+        t.cpu = cpu;
+        Ok(())
+    }
+
+    /// Splice `tid` out of `cpu`'s chain.
+    fn unlink(&mut self, cpu: usize, tid: Tid) -> Result<(), KernelError> {
+        let target = link_target(&self.threads);
+        self.cpus[cpu].ready.remove(&mut self.m, tid, target)?;
+        self.threads
+            .get_mut(&tid)
+            .expect("unlinked thread exists")
+            .state = ThreadState::Stopped;
+        Ok(())
+    }
+
+    /// A thread `cpu` is executing right now but that is not a chain
+    /// node (a parked-off idle, a blocked current, a victim whose ready
+    /// entry was just stolen) still exits through its own jmp. Keep that
+    /// jmp aimed at the chain's head, or the CPU would follow a stale
+    /// pointer into a thread that now belongs to another CPU.
+    fn aim_current_at_head(&mut self, cpu: usize) -> Result<(), KernelError> {
+        let Some(cur) = self.current_tid_on(cpu) else {
+            return Ok(());
+        };
+        if !self.threads.contains_key(&cur) || self.cpus[cpu].ready.contains(cur) {
+            return Ok(());
+        }
+        let outsider = self.chain_node(cur);
+        let target = link_target(&self.threads);
+        self.cpus[cpu]
+            .ready
+            .aim_at_head(&mut self.m, outsider, target)?;
+        Ok(())
+    }
+
+    /// Kick whichever CPU `cpu` is, if it is idling: the active CPU gets
+    /// its running quantum cut short, so the newly runnable thread gets
+    /// the CPU immediately instead of waiting out idle's quantum
+    /// (Section 4.4's "minimize response time to events"); a remote CPU
+    /// gets an IPI, which vectors to the idle's switch-out and rotates it
+    /// onto the new arrival.
+    pub(super) fn kick(&mut self, cpu: usize) {
+        if self.cpus[cpu].quarantined {
+            return;
+        }
+        let cur = self.current_tid_on(cpu);
+        if cur.is_some_and(|t| !self.is_idle(t)) {
+            return;
+        }
+        if cpu == self.m.active_cpu() {
+            let qreg = dev_reg_addr(self.dev.timer, timer_regs::REG_QUANTUM_US);
+            self.m.host_reg_write(qreg, 1);
+        } else {
+            // Through the machine's IPI seam, where the fault plan may
+            // lose or delay the interrupt; the run loop's timer-fallback
+            // rescheduling turns either into latency, never a hang.
+            self.m.send_ipi(cpu, irq_levels::IPI);
+        }
+    }
+
+    // --- Blocking / waking -------------------------------------------------
+
+    /// Block the current thread on `wait` and switch away.
+    pub(super) fn block_current(&mut self, wait: WaitObject) {
+        let Some(tid) = self.current_tid() else {
+            return;
+        };
+        if self.is_idle(tid) {
+            return; // the idle thread never blocks
+        }
+        self.suspend_current_state();
+        let _ = self.dequeue(tid);
+        self.threads.get_mut(&tid).expect("current exists").state = ThreadState::Blocked(wait);
+        self.waiters.entry(wait).or_default().push(tid);
+        self.set_wait_flag(wait, true);
+        self.enter_next();
+    }
+
+    /// Wake every thread blocked on `wait` (front of the ready queue:
+    /// "giving it immediate access to the CPU").
+    pub(super) fn wake(&mut self, wait: WaitObject) {
+        let Some(tids) = self.waiters.remove(&wait) else {
+            return;
+        };
+        self.set_wait_flag(wait, false);
+        for tid in tids {
+            let blocked_here = self
+                .threads
+                .get(&tid)
+                .is_some_and(|t| t.state == ThreadState::Blocked(wait));
+            if blocked_here {
+                let _ = self.enqueue(self.home_cpu(tid), tid);
+            }
+        }
+    }
+
+    /// Take `tid` off the wait list its `Blocked` state names, lowering
+    /// the wait flag when the list empties.
+    fn leave_wait_list(&mut self, tid: Tid) {
+        let Some(&ThreadState::Blocked(wait)) = self.threads.get(&tid).map(|t| &t.state) else {
+            return;
+        };
+        let Some(list) = self.waiters.get_mut(&wait) else {
+            return;
+        };
+        list.retain(|&t| t != tid);
+        if list.is_empty() {
+            self.waiters.remove(&wait);
+            self.set_wait_flag(wait, false);
+        }
+    }
+
+    /// Raise or lower the waiter flag the synthesized producers test
+    /// before bothering the kernel with a wake (alarms and the disk have
+    /// none: their wakes come from interrupt handlers unconditionally).
+    fn set_wait_flag(&mut self, wait: WaitObject, up: bool) {
+        let slot = match wait {
+            WaitObject::TtyInput => Some(self.tty_srv.waiters_slot),
+            WaitObject::PipeData(p) => self.pipes.get(p as usize).map(|p| p.r_wait_slot),
+            WaitObject::PipeSpace(p) => self.pipes.get(p as usize).map(|p| p.w_wait_slot),
+            WaitObject::Alarm | WaitObject::Disk => None,
+        };
+        if let Some(slot) = slot {
+            self.m.mem.poke(slot, Size::L, u32::from(up));
+        }
+    }
+
+    /// The wait lists: each object with threads blocked on it, and those
+    /// threads in blocking order. Every entry is a live thread whose
+    /// state is `Blocked` on that object.
+    pub fn wait_lists(&self) -> impl Iterator<Item = (WaitObject, &[Tid])> {
+        self.waiters.iter().map(|(&w, l)| (w, l.as_slice()))
+    }
+
+    /// Whether `tid` is parked in the steal pool: runnable, on no chain,
+    /// awaiting a thief.
+    #[must_use]
+    pub fn is_pooled(&self, tid: Tid) -> bool {
+        self.pooled.contains(&tid)
+    }
+}

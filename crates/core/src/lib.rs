@@ -29,7 +29,10 @@
 //!   to nothing without the `trace` feature), and the
 //!   [`TraceQuery`](trace::TraceQuery) assertion API;
 //! - [`kernel`] — the [`Kernel`](kernel::Kernel) tying it all together:
-//!   boot, kernel-call dispatch, and the run loop.
+//!   boot, thread lifecycle, kernel-call dispatch, and the one run loop
+//!   (any CPU count); its `ready` submodule owns the executable ready
+//!   queues — every chain membership change is its `enqueue`/`dequeue`,
+//!   and it alone decides what a chain `jmp` targets.
 
 #![warn(missing_docs)]
 

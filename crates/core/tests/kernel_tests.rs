@@ -274,8 +274,10 @@ fn preemptive_switching_interleaves_two_threads() {
     assert_eq!(k.m.mem.peek(s2, L), 2000);
 }
 
-#[test]
-fn blocking_pipe_between_threads() {
+/// Boot a reader that blocks in an 8-byte pipe `read` and a writer that
+/// spins a while, then writes 8 bytes: `(kernel, reader, writer)`, both
+/// started.
+fn pipe_reader_and_writer() -> (Kernel, u32, u32) {
     let mut k = boot();
     // Reader thread: reads 8 bytes from the pipe (blocking), stores the
     // result, exits.
@@ -313,11 +315,59 @@ fn blocking_pipe_between_threads() {
     k.m.mem.poke_bytes(UBUF, b"pipedata");
     k.start(rt).unwrap();
     k.start(wt).unwrap();
+    (k, rt, wt)
+}
+
+/// Run until `tid` is blocked.
+fn run_until_blocked(k: &mut Kernel, tid: u32) {
+    for _ in 0..1000 {
+        if matches!(k.threads[&tid].state, ThreadState::Blocked(_)) {
+            return;
+        }
+        k.run(1_000);
+    }
+    panic!("thread {tid} never blocked");
+}
+
+#[test]
+fn blocking_pipe_between_threads() {
+    let (mut k, rt, _) = pipe_reader_and_writer();
     assert!(k.run_until_exit(rt, 500_000_000), "reader finished");
     assert_eq!(k.m.mem.peek(UBUF2, L), 8);
     assert_eq!(k.m.mem.peek_bytes(UBUF + 0x100, 8), b"pipedata");
     // The reader must have actually blocked (it was woken by the write).
     assert!(k.exited.contains(&rt));
+}
+
+/// A thread destroyed while blocked leaves its wait list with it: the
+/// write that would have woken it finds nobody, instead of taking the
+/// kernel down looking for the dead waiter.
+#[test]
+fn destroying_a_blocked_thread_takes_it_off_its_wait_list() {
+    let (mut k, rt, wt) = pipe_reader_and_writer();
+    run_until_blocked(&mut k, rt);
+    k.destroy(rt).unwrap();
+    assert_eq!(k.wait_lists().count(), 0, "the dead reader still waits");
+    assert!(k.run_until_exit(wt, 500_000_000), "writer finished");
+}
+
+/// A thread quarantined while blocked is not brought back by the wake
+/// of the object it was blocked on: "refused by `start` forever" holds
+/// for `wake` too.
+#[test]
+fn waking_does_not_revive_a_thread_quarantined_while_blocked() {
+    let (mut k, rt, wt) = pipe_reader_and_writer();
+    run_until_blocked(&mut k, rt);
+    k.quarantine(rt, "test");
+    assert_eq!(k.wait_lists().count(), 0, "the quarantined reader waits");
+    assert!(k.run_until_exit(wt, 500_000_000), "writer finished");
+    assert!(k.is_quarantined(rt));
+    assert_eq!(k.threads[&rt].state, ThreadState::Stopped);
+    assert!(
+        k.cpus.iter().all(|c| !c.ready.contains(rt)),
+        "a quarantined thread is back on a ready chain"
+    );
+    assert!(!k.exited.contains(&rt));
 }
 
 #[test]

@@ -420,12 +420,15 @@ fn short_run_budgets_make_progress_on_every_cpu() {
 /// flat-space program and a user-window thread, both conventionally map
 /// id 1 — share one CPU. "Same address space" is decided by comparing
 /// the maps: keyed on the id alone, each switched into the other through
-/// `sw_in` and ran under the other's map.
+/// `sw_in` and ran under the other's map. One CPU whatever
+/// `SYNTHESIS_CPUS` says: the subject is two threads sharing a chain,
+/// and with more CPUs the second is stolen onto its own.
 #[test]
 fn threads_with_equal_map_ids_still_switch_address_spaces() {
     const COUNTERS: u32 = layout::USER_BASE + 0x2_9200;
     let mut k = Kernel::boot(KernelConfig {
         default_quantum_us: 100,
+        cpus: 1,
         ..KernelConfig::default()
     })
     .unwrap();

@@ -107,3 +107,155 @@ pub fn trace_tail(k: &mut Kernel, n: usize) -> String {
     }
     out
 }
+
+/// The target installed in the `jmp` at `jmp_at`, decoded from code
+/// memory.
+pub fn installed_jmp(k: &Kernel, jmp_at: u32) -> u32 {
+    use quamachine::isa::{Instr, Operand};
+    let loc =
+        k.m.code
+            .locate(jmp_at)
+            .unwrap_or_else(|| panic!("chain jmp {jmp_at:#x} is not in loaded code"));
+    match k.m.code.instr(loc) {
+        Some(Instr::Jmp(Operand::Abs(t))) => *t,
+        other => panic!("chain jmp {jmp_at:#x} holds {other:?}"),
+    }
+}
+
+/// The ready queues' invariants, checked against code memory. Call it
+/// between host operations (every CPU parked at a safe point or at a
+/// switch-in the kernel pointed it at):
+///
+/// - every chain node is a live thread on its home CPU whose node names
+///   the thread's own `jmp`, and every link's *installed* target is the
+///   successor's `sw_in` when the two address maps are equal and its
+///   `sw_in_mmu` when they differ;
+/// - a healthy CPU's chain is never empty and holds its idle thread
+///   exactly when it holds no other; a quarantined CPU's holds nothing
+///   else; a thread a CPU is executing off-chain leaves through a `jmp`
+///   aimed at the head;
+/// - every `Ready` thread is on exactly one chain or in the steal pool,
+///   and no `Blocked`, `Stopped` or quarantined thread is on any;
+/// - the wait lists name exactly the live `Blocked` threads, each once
+///   under the object it is blocked on, and a pipe's or the tty's wait
+///   flag is up exactly when its list is non-empty.
+pub fn assert_chains_consistent(k: &Kernel) {
+    use quamachine::isa::Size;
+    use std::collections::BTreeMap;
+    use synthesis::kernel::thread::{ThreadState, WaitObject};
+
+    let target = |from: u32, to: u32| {
+        let (a, b) = (&k.threads[&from], &k.threads[&to]);
+        if a.map == b.map {
+            b.sw_in
+        } else {
+            b.sw_in_mmu
+        }
+    };
+    let mut on_chain: BTreeMap<u32, usize> = BTreeMap::new();
+    for (c, cpu) in k.cpus.iter().enumerate() {
+        let nodes = cpu.ready.nodes();
+        assert_eq!(
+            nodes.len(),
+            cpu.ready.len(),
+            "cpu {c}: walk and index agree"
+        );
+        let others = nodes.iter().filter(|n| n.id != cpu.idle_tid).count();
+        if cpu.quarantined {
+            assert_eq!(others, 0, "quarantined cpu {c} still holds real threads");
+        } else {
+            assert_eq!(
+                cpu.ready.contains(cpu.idle_tid),
+                others == 0,
+                "cpu {c}: idle is a member exactly when nothing else is ({others} others)"
+            );
+        }
+        for (i, n) in nodes.iter().enumerate() {
+            let t = k
+                .threads
+                .get(&n.id)
+                .unwrap_or_else(|| panic!("cpu {c}: dead tid {} on the chain", n.id));
+            assert_eq!(
+                t.cpu, c,
+                "tid {} is on cpu {c}'s chain but homed elsewhere",
+                n.id
+            );
+            assert_eq!(n.jmp_at, t.jmp_at, "tid {}: node names a stale jmp", n.id);
+            let next = nodes[(i + 1) % nodes.len()].id;
+            assert_eq!(
+                installed_jmp(k, n.jmp_at),
+                target(n.id, next),
+                "cpu {c}: link {} -> {next} holds the wrong entry",
+                n.id
+            );
+            *on_chain.entry(n.id).or_insert(0) += 1;
+        }
+        if let (Some(cur), Some(head)) = (k.current_tid_on(c), cpu.ready.head()) {
+            if !cpu.ready.contains(cur) {
+                assert_eq!(
+                    installed_jmp(k, k.threads[&cur].jmp_at),
+                    target(cur, head.id),
+                    "cpu {c}: off-chain current {cur} does not leave through the head"
+                );
+            }
+        }
+    }
+    for (&tid, t) in &k.threads {
+        let n = on_chain.get(&tid).copied().unwrap_or(0);
+        let runnable = t.state == ThreadState::Ready && !k.is_quarantined(tid);
+        let want = usize::from(runnable && !k.is_pooled(tid));
+        assert_eq!(
+            n,
+            want,
+            "tid {tid} ({:?}, pooled {}, quarantined {}) is on {n} chain(s)",
+            t.state,
+            k.is_pooled(tid),
+            k.is_quarantined(tid)
+        );
+    }
+
+    let mut waiting: BTreeMap<u32, usize> = BTreeMap::new();
+    for (wait, tids) in k.wait_lists() {
+        assert!(!tids.is_empty(), "{wait:?}: an empty wait list is kept");
+        for &tid in tids {
+            let state = k.threads.get(&tid).map(|t| &t.state);
+            assert_eq!(
+                state,
+                Some(&ThreadState::Blocked(wait)),
+                "{wait:?} lists tid {tid}, which is not blocked on it"
+            );
+            *waiting.entry(tid).or_insert(0) += 1;
+        }
+    }
+    for (&tid, t) in &k.threads {
+        let want = usize::from(matches!(t.state, ThreadState::Blocked(_)));
+        assert_eq!(
+            waiting.get(&tid).copied().unwrap_or(0),
+            want,
+            "tid {tid} ({:?}) appears on the wrong number of wait lists",
+            t.state
+        );
+    }
+    let listed = |w: WaitObject| k.wait_lists().any(|(o, _)| o == w);
+    let flag_up = |slot: u32| k.m.mem.peek(slot, Size::L) != 0;
+    assert_eq!(
+        flag_up(k.tty_srv.waiters_slot),
+        listed(WaitObject::TtyInput),
+        "tty wait flag"
+    );
+    for (p, pipe) in (0u32..).zip(&k.pipes) {
+        if pipe.readers == 0 && pipe.writers == 0 {
+            continue; // ring freed, slots with it
+        }
+        assert_eq!(
+            flag_up(pipe.r_wait_slot),
+            listed(WaitObject::PipeData(p)),
+            "pipe {p} reader wait flag"
+        );
+        assert_eq!(
+            flag_up(pipe.w_wait_slot),
+            listed(WaitObject::PipeSpace(p)),
+            "pipe {p} writer wait flag"
+        );
+    }
+}

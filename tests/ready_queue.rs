@@ -1,0 +1,231 @@
+//! The ready queue as one owned structure: what a membership change
+//! writes, and that no sequence of changes leaves a link wrong.
+//!
+//! - **Write counts.** A `start` or `stop` writes each disturbed `jmp`
+//!   link once — counted through `JumpChain::patch_count`, with the
+//!   links that actually changed read back from code memory.
+//! - **Churn.** A seeded random walk over everything that moves a
+//!   thread on or off a chain — start, stop, destroy, blocking on a pipe
+//!   and being woken through it, thread and CPU quarantine, work
+//!   stealing, a thread's first FP instruction — on 1, 2 and 4 CPUs with
+//!   threads under two address maps, holding
+//!   `common::assert_chains_consistent` after every step. Replays under
+//!   `SOAK_SEED` via the shared soak plumbing.
+
+mod common;
+
+use std::collections::BTreeMap;
+
+use quamachine::asm::Asm;
+use quamachine::isa::{Cond, Instr, Operand::*, Size::*};
+use quamachine::machine::RunExit;
+use quamachine::mem::AddressMap;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use synthesis::kernel::kernel::{Kernel, KernelConfig};
+use synthesis::kernel::layout;
+use synthesis::kernel::syscall::traps;
+use synthesis::kernel::thread::{ThreadState, Tid};
+
+const USTACK: u32 = layout::USER_BASE + 0x1_0000;
+const UBUF: u32 = layout::USER_BASE + 0x2_0000;
+
+/// The two address maps the threads run under: the user window, and a
+/// flat map over the whole quaspace. Links between threads of different
+/// maps go through `sw_in_mmu`.
+fn maps(k: &Kernel) -> [AddressMap; 2] {
+    [
+        AddressMap::single(1, layout::USER_BASE, layout::USER_LEN),
+        AddressMap::single(1, 0, k.m.mem.size()),
+    ]
+}
+
+/// The installed target of every live thread's chain `jmp`.
+fn installed_links(k: &Kernel) -> BTreeMap<Tid, u32> {
+    k.threads
+        .iter()
+        .map(|(&tid, t)| (tid, common::installed_jmp(k, t.jmp_at)))
+        .collect()
+}
+
+/// Run `op`, returning `(jmp writes it made, links whose target changed)`.
+/// Equal numbers mean every write landed on a different `jmp` and changed
+/// it: nothing was written twice, nothing provisionally.
+fn writes_and_changes(k: &mut Kernel, op: impl FnOnce(&mut Kernel)) -> (u64, usize) {
+    let count = |k: &Kernel| k.cpus.iter().map(|c| c.ready.patch_count).sum::<u64>();
+    let (writes0, links0) = (count(k), installed_links(k));
+    op(k);
+    let links1 = installed_links(k);
+    let changed = links1
+        .iter()
+        .filter(|(tid, target)| links0.get(tid) != Some(target))
+        .count();
+    common::assert_chains_consistent(k);
+    (count(k) - writes0, changed)
+}
+
+#[test]
+fn a_membership_change_writes_each_disturbed_link_once() {
+    let mut k = Kernel::boot(KernelConfig {
+        cpus: 1,
+        ..KernelConfig::default()
+    })
+    .unwrap();
+    let mut spin = Asm::new("spin");
+    let top = spin.here();
+    spin.bcc(Cond::T, top);
+    let entry = k.load_user_program(spin.assemble().unwrap()).unwrap();
+    let maps = maps(&k);
+    let tids: Vec<Tid> = (0..4u32)
+        .map(|i| {
+            k.create_thread(entry, USTACK + 0x100 * i, maps[i as usize % 2].clone())
+                .unwrap()
+        })
+        .collect();
+
+    // Into the idle-only chain, idle current: the newcomer's self-link
+    // and idle's exit, which now leaves the chain it used to be.
+    assert_eq!(
+        writes_and_changes(&mut k, |k| k.start(tids[0]).unwrap()),
+        (2, 2)
+    );
+    k.start(tids[1]).unwrap();
+    k.run(50_000);
+    let cur = k.current_tid().expect("a thread is running");
+    assert!(k.cpus[0].ready.contains(cur), "a real thread is current");
+    assert_eq!(k.cpus[0].ready.len(), 2);
+
+    // Steady state, into a 2-thread chain: the two disturbed links.
+    let (writes, changed) = writes_and_changes(&mut k, |k| k.start(tids[2]).unwrap());
+    assert!(writes <= 3, "start made {writes} jmp writes");
+    assert_eq!((writes, changed), (2, 2));
+    // ...and out of it again: the predecessor's link.
+    let (writes, changed) = writes_and_changes(&mut k, |k| k.stop(tids[2]).unwrap());
+    assert!(writes <= 2, "stop made {writes} jmp writes");
+    assert_eq!((writes, changed), (1, 1));
+    // Stopping the running thread also re-aims its own exit at the head.
+    let (writes, _) = writes_and_changes(&mut k, |k| k.stop(cur).unwrap());
+    assert!(writes <= 2, "stop made {writes} jmp writes");
+    // With the CPU idling off-chain, a start re-aims idle's exit too.
+    let other = if cur == tids[0] { tids[1] } else { tids[0] };
+    k.stop(other).unwrap();
+    k.start(tids[3]).unwrap();
+    let (writes, _) = writes_and_changes(&mut k, |k| k.start(cur).unwrap());
+    assert!(writes <= 3, "start made {writes} jmp writes");
+}
+
+/// The guest side of the churn: four programs over one pipe end each.
+/// Readers block when their pipe is empty and writers when it is full,
+/// and each wakes the other side through the pipe's wait flag; the FP
+/// variants take the lazy-FP trap on their first instruction and have
+/// their switch code resynthesized while on the chain.
+fn load_programs(k: &mut Kernel) -> Vec<u32> {
+    let mut entries = Vec::new();
+    for (write, fp) in [(false, false), (false, true), (true, false), (true, true)] {
+        let mut a = Asm::new("churn");
+        if fp {
+            a.emit(Instr::FAdd(0, 0));
+        }
+        let top = a.here();
+        a.move_i(L, u32::from(write), Dr(0)); // fd 0 reads, fd 1 writes
+        a.lea(Abs(UBUF), 0);
+        a.move_i(L, 1, Dr(1));
+        a.trap(if write { traps::WRITE } else { traps::READ });
+        a.bcc(Cond::T, top);
+        entries.push(k.load_user_program(a.assemble().unwrap()).unwrap());
+    }
+    entries
+}
+
+const PIPES: u32 = 3;
+const MAX_LIVE: usize = 10;
+const STEPS: usize = 400;
+
+fn churn(k: &mut Kernel, seed: u64) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let programs = load_programs(k);
+    let maps = maps(k);
+    // A never-started thread holds both ends of every pipe open, so the
+    // rings outlive whichever workers come and go.
+    let holder = k
+        .create_thread(programs[0], USTACK, maps[0].clone())
+        .unwrap();
+    for _ in 0..PIPES {
+        k.pipe_for(holder).unwrap();
+    }
+    let mut live: Vec<Tid> = Vec::new();
+    let mut spawned = 0u32;
+    let mut fp_resynthesized = false;
+    for step in 0..STEPS {
+        let pick = |rng: &mut SmallRng, live: &[Tid]| live[rng.random_range(0..live.len())];
+        let roll = rng.random_range(0..100u32);
+        match roll {
+            _ if live.is_empty() || (roll < 15 && live.len() < MAX_LIVE) => {
+                let program = programs[rng.random_range(0..programs.len())];
+                let map = maps[rng.random_range(0..maps.len())].clone();
+                spawned += 1;
+                let tid = k
+                    .create_thread(program, USTACK + 0x100 * spawned, map)
+                    .unwrap();
+                k.pipe_attach(tid, rng.random_range(0..PIPES)).unwrap();
+                k.start(tid).unwrap();
+                live.push(tid);
+            }
+            0..=54 => match k.run(rng.random_range(500..30_000u64)) {
+                RunExit::CycleLimit | RunExit::Halted => {}
+                other => panic!("step {step}: run returned {other:?}"),
+            },
+            55..=69 => {
+                // Whatever state it is in: stopped, blocked (it re-tests
+                // its pipe and blocks again), running, quarantined.
+                let tid = pick(&mut rng, &live);
+                let refused = k.start(tid).is_err();
+                assert_eq!(refused, k.is_quarantined(tid), "step {step}: start({tid})");
+            }
+            70..=81 => k.stop(pick(&mut rng, &live)).unwrap(),
+            82..=93 => {
+                let tid = live.swap_remove(rng.random_range(0..live.len()));
+                k.destroy(tid).unwrap();
+            }
+            94..=96 => k.quarantine(pick(&mut rng, &live), "churn"),
+            _ => {
+                let cpu = rng.random_range(0..k.cpus.len());
+                k.quarantine_cpu(cpu, "churn");
+            }
+        }
+        // Threads reaped by the kernel itself (none expected) would show
+        // up here rather than as a stale tid in a later step.
+        live.retain(|t| k.threads.contains_key(t));
+        fp_resynthesized |= live.iter().any(|t| k.threads[t].uses_fp);
+        common::assert_chains_consistent(k);
+    }
+    assert!(
+        fp_resynthesized,
+        "no FP thread ever ran its first instruction"
+    );
+    assert_eq!(k.threads[&holder].state, ThreadState::Stopped);
+}
+
+#[test]
+fn seeded_churn_keeps_every_chain_and_wait_list_consistent() {
+    for seed in common::soak_seeds(6) {
+        for cpus in [1usize, 2, 4] {
+            common::soak_case(
+                "ready_queue",
+                "seeded_churn_keeps_every_chain_and_wait_list_consistent",
+                seed,
+                |slot| {
+                    let k = slot.insert(
+                        Kernel::boot(KernelConfig {
+                            cpus,
+                            default_quantum_us: 100,
+                            ..KernelConfig::default()
+                        })
+                        .unwrap(),
+                    );
+                    churn(k, seed);
+                },
+            );
+        }
+    }
+}

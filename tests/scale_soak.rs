@@ -22,10 +22,7 @@
 
 mod common;
 
-use std::collections::BTreeMap;
-
-use synthesis::kernel::kernel::Kernel;
-use synthesis::kernel::thread::Tid;
+use synthesis::kernel::thread::ThreadState;
 use synthesis::kernel::trace::{Kind, TraceQuery};
 use synthesis_bench::capacity;
 
@@ -73,24 +70,11 @@ fn dispatch_is_o1_at_scale_smp() {
     assert_dispatch_o1(4);
 }
 
-/// Every non-idle tid on every healthy ready chain, with its chain
-/// membership count (a healthy scheduler has each exactly once).
-fn chain_census(k: &Kernel) -> BTreeMap<Tid, usize> {
-    let mut census = BTreeMap::new();
-    for (i, cpu) in k.cpus.iter().enumerate() {
-        for node in cpu.ready.nodes() {
-            if node.id != k.cpus[i].idle_tid {
-                *census.entry(node.id).or_insert(0) += 1;
-            }
-        }
-    }
-    census
-}
-
 /// Quarantining a CPU that carries the whole population evacuates the
 /// full chain — every TTE lands on a healthy chain exactly once, none
-/// lost, none duplicated — and the `CpuQuarantine` trace record counts
-/// exactly the evacuated threads.
+/// lost, none duplicated, every link rewritten for its new neighbours
+/// (`common::assert_chains_consistent`) — and the `CpuQuarantine` trace
+/// record counts exactly the evacuated threads.
 #[test]
 fn quarantine_at_scale_loses_no_thread() {
     let threads = capacity::default_threads();
@@ -120,11 +104,7 @@ fn quarantine_at_scale_loses_no_thread() {
                 // quarantine (work stealing may already have spread some
                 // threads off the victim — the census must survive that too).
                 k.run(50_000 * (seed % 4));
-                let before = chain_census(k);
-                assert!(
-                    before.values().all(|&n| n == 1),
-                    "pre-quarantine census already has duplicates"
-                );
+                common::assert_chains_consistent(k);
                 let on_victim = k.cpus[victim]
                     .ready
                     .nodes()
@@ -155,25 +135,16 @@ fn quarantine_at_scale_loses_no_thread() {
                     "recovery gauge matches the chain load"
                 );
 
-                // Not a single TTE lost or duplicated: same tids, each on
-                // exactly one healthy chain, victim chain emptied.
-                let after = chain_census(k);
-                assert_eq!(
-                    before.keys().collect::<Vec<_>>(),
-                    after.keys().collect::<Vec<_>>(),
-                    "evacuation preserved the exact set of ready tids"
-                );
+                // Not a single TTE lost or duplicated: every thread is
+                // still runnable, so the checker holds each to exactly
+                // one healthy chain (or the steal pool) and the victim's
+                // chain to nothing but its idle thread.
                 assert!(
-                    after.values().all(|&n| n == 1),
-                    "a TTE appears on more than one chain after evacuation"
+                    tids.iter()
+                        .all(|t| k.threads[t].state == ThreadState::Ready),
+                    "evacuation left a thread not runnable"
                 );
-                let victim_left = k.cpus[victim]
-                    .ready
-                    .nodes()
-                    .iter()
-                    .filter(|n| n.id != k.cpus[victim].idle_tid)
-                    .count();
-                assert_eq!(victim_left, 0, "victim chain fully evacuated");
+                common::assert_chains_consistent(k);
 
                 // And the evacuated population still runs: the spinner
                 // counter keeps advancing on the healthy CPUs.
