@@ -13,6 +13,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::cost::instr_cost;
 use crate::error::MachineError;
 use crate::isa::{encode, Instr, Operand};
 
@@ -65,10 +66,70 @@ pub struct CodeLoc {
     pub index: usize,
 }
 
+/// What the executor needs to know about an instruction before running
+/// it, and which changes only when the instruction itself does: its static
+/// cost and whether it still has a hole. Computed when [`CodeMem`] takes
+/// ownership of a block and refreshed by the patch methods, so a step
+/// reads three bytes instead of re-deriving them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct InstrFacts {
+    /// `instr_cost(i).0`: base cycles.
+    pub(crate) base: u8,
+    /// `instr_cost(i).1`: memory references.
+    pub(crate) refs: u8,
+    /// `i.has_hole()`.
+    pub(crate) hole: bool,
+}
+
+impl InstrFacts {
+    pub(crate) fn of(i: &Instr) -> InstrFacts {
+        let (base, refs) = instr_cost(i);
+        InstrFacts {
+            base: u8::try_from(base).expect("instr_cost base fits a byte"),
+            refs: u8::try_from(refs).expect("instr_cost refs fit a byte"),
+            hole: i.has_hole(),
+        }
+    }
+}
+
+/// A loaded block: the block, where it sits, and one [`InstrFacts`] per
+/// instruction.
+#[derive(Debug)]
+pub(crate) struct Resident {
+    pub(crate) base: u32,
+    pub(crate) block: CodeBlock,
+    pub(crate) facts: Vec<InstrFacts>,
+}
+
+impl Resident {
+    /// Replace instruction `i` and its facts together: the one place a
+    /// resident instruction changes.
+    fn set(&mut self, i: usize, new: Instr) {
+        self.block.instrs[i] = new;
+        self.facts[i] = InstrFacts::of(&new);
+    }
+}
+
+/// A position in the slab: which slot and which instruction. Valid only
+/// for the [`CodeMem::epoch`] it was obtained under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SlabLoc {
+    pub(crate) slot: u32,
+    pub(crate) index: u32,
+}
+
 /// The registry of code blocks.
+///
+/// Blocks live in a slab; the `BTreeMap` only maps a base address to its
+/// slot, so a holder of a [`SlabLoc`] reaches the block without searching.
 #[derive(Debug, Default)]
 pub struct CodeMem {
-    blocks: BTreeMap<u32, CodeBlock>,
+    index: BTreeMap<u32, u32>,
+    slab: Vec<Option<Resident>>,
+    free_slots: Vec<u32>,
+    /// Bumped by every `load` and `unload`: the only operations that can
+    /// change which `(slot, index)` an address resolves to.
+    epoch: u64,
     /// Total bytes ever loaded (for the Section 6.4 size accounting).
     pub bytes_loaded: u64,
     /// Total bytes freed.
@@ -92,28 +153,80 @@ impl CodeMem {
         let end = u64::from(base) + u64::from(size);
         // Check the previous block does not run into us, and we do not run
         // into the next block.
-        if let Some((pb, prev)) = self.blocks.range(..=base).next_back() {
+        if let Some((pb, ps)) = self.index.range(..=base).next_back() {
+            let prev = &self.resident(*ps).block;
             if u64::from(*pb) + u64::from(prev.size_bytes()) > u64::from(base) {
                 return Err(MachineError::CodeOverlap(base));
             }
         }
-        if let Some((nb, _)) = self.blocks.range(base..).next() {
+        if let Some((nb, _)) = self.index.range(base..).next() {
             if u64::from(*nb) < end {
                 return Err(MachineError::CodeOverlap(*nb));
             }
         }
         self.bytes_loaded += u64::from(size);
-        self.blocks.insert(base, block);
+        let resident = Some(Resident {
+            base,
+            facts: block.instrs.iter().map(InstrFacts::of).collect(),
+            block,
+        });
+        let slot = if let Some(slot) = self.free_slots.pop() {
+            self.slab[slot as usize] = resident;
+            slot
+        } else {
+            self.slab.push(resident);
+            u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 code blocks")
+        };
+        self.index.insert(base, slot);
+        self.epoch += 1;
         Ok(base)
     }
 
     /// Remove the block based at `base`, returning it.
     pub fn unload(&mut self, base: u32) -> Option<CodeBlock> {
-        let b = self.blocks.remove(&base);
-        if let Some(ref blk) = b {
-            self.bytes_freed += u64::from(blk.size_bytes());
+        let slot = self.index.remove(&base)?;
+        let r = self.slab[slot as usize]
+            .take()
+            .expect("an indexed slot is occupied");
+        self.free_slots.push(slot);
+        self.epoch += 1;
+        self.bytes_freed += u64::from(r.block.size_bytes());
+        Some(r.block)
+    }
+
+    /// The load/unload generation a [`SlabLoc`] must have been obtained
+    /// under to still be valid.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The block in `slot`.
+    pub(crate) fn resident(&self, slot: u32) -> &Resident {
+        self.slab[slot as usize]
+            .as_ref()
+            .expect("slot holds a loaded block")
+    }
+
+    /// Resolve an address to a slab position (the search the executor's
+    /// fetch memo exists to skip).
+    pub(crate) fn locate_slab(&self, addr: u32) -> Option<SlabLoc> {
+        let (base, &slot) = self.index.range(..=addr).next_back()?;
+        let block = &self.resident(slot).block;
+        let off = addr - base;
+        if off >= block.size_bytes() {
+            return None;
         }
-        b
+        let index = block.index_at(off)? as u32;
+        Some(SlabLoc { slot, index })
+    }
+
+    /// The block and instruction a patch at `addr` rewrites.
+    fn patch_site(&mut self, addr: u32) -> Result<(&mut Resident, usize), MachineError> {
+        let at = self.locate_slab(addr).ok_or(MachineError::BadPatch(addr))?;
+        let r = self.slab[at.slot as usize]
+            .as_mut()
+            .expect("slot holds a loaded block");
+        Ok((r, at.index as usize))
     }
 
     /// Bytes of code currently resident.
@@ -125,46 +238,43 @@ impl CodeMem {
     /// Number of resident blocks.
     #[must_use]
     pub fn block_count(&self) -> usize {
-        self.blocks.len()
+        self.index.len()
     }
 
     /// Resolve an address to a code location.
     #[must_use]
     pub fn locate(&self, addr: u32) -> Option<CodeLoc> {
-        let (base, block) = self.blocks.range(..=addr).next_back()?;
-        let off = addr - base;
-        if off >= block.size_bytes() {
-            return None;
-        }
-        let index = block.index_at(off)?;
+        let at = self.locate_slab(addr)?;
         Some(CodeLoc {
-            block_base: *base,
-            index,
+            block_base: self.resident(at.slot).base,
+            index: at.index as usize,
         })
     }
 
     /// The instruction at a location.
     #[must_use]
     pub fn instr(&self, loc: CodeLoc) -> Option<&Instr> {
-        self.blocks.get(&loc.block_base)?.instrs.get(loc.index)
+        self.block(loc.block_base)?.instrs.get(loc.index)
     }
 
     /// The block based at `base`.
     #[must_use]
     pub fn block(&self, base: u32) -> Option<&CodeBlock> {
-        self.blocks.get(&base)
+        self.index.get(&base).map(|&s| &self.resident(s).block)
     }
 
     /// The address of instruction `index` within the block at `base`.
     #[must_use]
     pub fn addr_of(&self, base: u32, index: usize) -> Option<u32> {
-        let b = self.blocks.get(&base)?;
+        let b = self.block(base)?;
         b.offsets.get(index).map(|o| base + o)
     }
 
     /// Iterate over `(base, block)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &CodeBlock)> {
-        self.blocks.iter().map(|(b, blk)| (*b, blk))
+        self.index
+            .iter()
+            .map(|(b, &s)| (*b, &self.resident(s).block))
     }
 
     /// Patch the instruction at `addr` in place.
@@ -177,17 +287,13 @@ impl CodeMem {
     ///
     /// Fails if no instruction starts at `addr` or the size would change.
     pub fn patch(&mut self, addr: u32, new: Instr) -> Result<(), MachineError> {
-        let loc = self.locate(addr).ok_or(MachineError::BadPatch(addr))?;
-        let block = self
-            .blocks
-            .get_mut(&loc.block_base)
-            .ok_or(MachineError::BadPatch(addr))?;
-        let old_size = encode::size_bytes(&block.instrs[loc.index]);
+        let (r, i) = self.patch_site(addr)?;
+        let old_size = encode::size_bytes(&r.block.instrs[i]);
         let new_size = encode::size_bytes(&new);
         if old_size != new_size {
             return Err(MachineError::BadPatch(addr));
         }
-        block.instrs[loc.index] = new;
+        r.set(i, new);
         Ok(())
     }
 
@@ -198,14 +304,10 @@ impl CodeMem {
     ///
     /// Fails if the instruction at `addr` is not `jmp (abs).l`.
     pub fn patch_jmp_target(&mut self, addr: u32, target: u32) -> Result<(), MachineError> {
-        let loc = self.locate(addr).ok_or(MachineError::BadPatch(addr))?;
-        let block = self
-            .blocks
-            .get_mut(&loc.block_base)
-            .ok_or(MachineError::BadPatch(addr))?;
-        match &mut block.instrs[loc.index] {
-            Instr::Jmp(op @ (Operand::Abs(_) | Operand::AbsHole(_))) => {
-                *op = Operand::Abs(target);
+        let (r, i) = self.patch_site(addr)?;
+        match r.block.instrs[i] {
+            Instr::Jmp(Operand::Abs(_) | Operand::AbsHole(_)) => {
+                r.set(i, Instr::Jmp(Operand::Abs(target)));
                 Ok(())
             }
             _ => Err(MachineError::BadPatch(addr)),
@@ -222,14 +324,10 @@ impl CodeMem {
     /// Fails if `addr` is not a loaded instruction or not an absolute
     /// `jsr`.
     pub fn patch_jsr_target(&mut self, addr: u32, target: u32) -> Result<(), MachineError> {
-        let loc = self.locate(addr).ok_or(MachineError::BadPatch(addr))?;
-        let block = self
-            .blocks
-            .get_mut(&loc.block_base)
-            .ok_or(MachineError::BadPatch(addr))?;
-        match &mut block.instrs[loc.index] {
-            Instr::Jsr(op @ (Operand::Abs(_) | Operand::AbsHole(_))) => {
-                *op = Operand::Abs(target);
+        let (r, i) = self.patch_site(addr)?;
+        match r.block.instrs[i] {
+            Instr::Jsr(Operand::Abs(_) | Operand::AbsHole(_)) => {
+                r.set(i, Instr::Jsr(Operand::Abs(target)));
                 Ok(())
             }
             _ => Err(MachineError::BadPatch(addr)),
@@ -287,6 +385,61 @@ mod tests {
         assert_eq!(cm.resident_bytes(), 0);
         assert!(cm.locate(0x1000).is_none());
         assert!(cm.load(0x1000, block3()).is_ok());
+    }
+
+    #[test]
+    fn slots_are_reused_and_iteration_stays_in_address_order() {
+        let mut cm = CodeMem::new();
+        for base in [0x3000, 0x1000, 0x2000] {
+            cm.load(base, block3()).unwrap();
+        }
+        let epoch = cm.epoch();
+        cm.unload(0x1000).unwrap();
+        cm.load(0x4000, block3()).unwrap();
+        assert_eq!(cm.epoch(), epoch + 2);
+        assert_eq!(cm.slab.len(), 3, "the freed slot was taken");
+        let bases: Vec<u32> = cm.iter().map(|(b, _)| b).collect();
+        assert_eq!(bases, [0x2000, 0x3000, 0x4000]);
+        assert_eq!(cm.block_count(), 3);
+        assert!(cm.block(0x1000).is_none());
+        assert_eq!(cm.locate(0x4002).map(|l| l.block_base), Some(0x4000));
+    }
+
+    #[test]
+    fn facts_follow_every_patch() {
+        let mut cm = CodeMem::new();
+        cm.load(
+            0x1000,
+            CodeBlock::new(
+                "holes",
+                vec![
+                    Instr::Jmp(AbsHole(0)),
+                    Instr::Jsr(AbsHole(1)),
+                    Instr::Move(Size::L, ImmHole(2), Dr(0)),
+                ],
+            ),
+        )
+        .unwrap();
+        let facts = |cm: &CodeMem| {
+            cm.resident(cm.locate_slab(0x1000).unwrap().slot)
+                .facts
+                .clone()
+        };
+        assert!(facts(&cm).iter().all(|f| f.hole));
+        cm.patch_jmp_target(0x1000, 0x2000).unwrap();
+        cm.patch_jsr_target(0x1006, 0x2000).unwrap();
+        cm.patch(0x100C, Instr::Move(Size::L, Dr(1), Abs(0x40)))
+            .unwrap();
+        let want: Vec<InstrFacts> = cm
+            .block(0x1000)
+            .unwrap()
+            .instrs
+            .iter()
+            .map(InstrFacts::of)
+            .collect();
+        assert_eq!(facts(&cm), want);
+        assert!(want.iter().all(|f| !f.hole));
+        assert_eq!((want[2].base, want[2].refs), (2, 1));
     }
 
     #[test]

@@ -251,12 +251,39 @@ pub enum Instr {
     KCall(u16),
 }
 
+/// The operands of one instruction, held inline: no instruction has more
+/// than two. Dereferences to a slice and iterates by value.
+#[derive(Debug, Clone, Copy)]
+pub struct Operands {
+    ops: [Operand; 2],
+    len: u8,
+}
+
+impl std::ops::Deref for Operands {
+    type Target = [Operand];
+
+    fn deref(&self) -> &[Operand] {
+        &self.ops[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for Operands {
+    type Item = Operand;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Operand, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.ops.into_iter().take(usize::from(self.len))
+    }
+}
+
 impl Instr {
     /// All operands of this instruction, in evaluation order.
     #[must_use]
-    pub fn operands(&self) -> Vec<Operand> {
+    pub fn operands(&self) -> Operands {
         use Instr::*;
-        match self {
+        // Slots past `len` are never exposed; any operand fills them.
+        const UNUSED: Operand = Operand::Dr(0);
+        let (ops, len) = match self {
             Move(_, s, d)
             | Add(_, s, d)
             | Sub(_, s, d)
@@ -264,7 +291,7 @@ impl Instr {
             | And(_, s, d)
             | Or(_, s, d)
             | Eor(_, s, d)
-            | Shift(_, _, s, d) => vec![*s, *d],
+            | Shift(_, _, s, d) => ([*s, *d], 2),
             Movem { ea, .. }
             | Pea(ea)
             | Tst(_, ea)
@@ -278,10 +305,13 @@ impl Instr {
             | MoveVbr { ea, .. }
             | Cas { ea, .. }
             | FMove { ea, .. }
-            | FMovem { ea, .. } => vec![*ea],
-            Lea(ea, _) | MulU(ea, _) | DivU(ea, _) => vec![*ea],
-            _ => vec![],
-        }
+            | FMovem { ea, .. }
+            | Lea(ea, _)
+            | MulU(ea, _)
+            | DivU(ea, _) => ([*ea, UNUSED], 1),
+            _ => ([UNUSED; 2], 0),
+        };
+        Operands { ops, len }
     }
 
     /// Whether any operand still contains an unfilled hole.
@@ -339,6 +369,21 @@ mod tests {
         assert!(i.has_hole());
         let j = Instr::Move(Size::L, Imm(1), Dr(0));
         assert!(!j.has_hole());
+    }
+
+    #[test]
+    fn operands_expose_exactly_the_instruction_s_own() {
+        let two = Instr::Add(Size::W, Imm(1), Disp(4, 2));
+        assert_eq!(&*two.operands(), &[Imm(1), Disp(4, 2)]);
+        assert_eq!(
+            two.operands().into_iter().collect::<Vec<_>>(),
+            vec![Imm(1), Disp(4, 2)]
+        );
+        let one = Instr::Lea(Abs(0x40), 3);
+        assert_eq!(&*one.operands(), &[Abs(0x40)]);
+        assert_eq!(one.operands().into_iter().count(), 1);
+        assert!(Instr::Rts.operands().is_empty());
+        assert_eq!(Instr::Swap(0).operands().into_iter().count(), 0);
     }
 
     #[test]

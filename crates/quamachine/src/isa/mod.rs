@@ -13,6 +13,6 @@ pub mod operand;
 pub mod reg;
 
 pub use cond::Cond;
-pub use instr::{BranchTarget, Instr, ShiftKind, Size};
+pub use instr::{BranchTarget, Instr, Operands, ShiftKind, Size};
 pub use operand::{HoleId, IndexSpec, Operand};
 pub use reg::{FpRegList, RegList, CTRL_VBR};

@@ -3,7 +3,7 @@
 
 use std::collections::HashSet;
 
-use crate::code::{CodeBlock, CodeMem};
+use crate::code::{CodeBlock, CodeMem, SlabLoc};
 use crate::cost::CostModel;
 use crate::cpu::Cpu;
 use crate::devices::{DevCtx, Device, DEV_BASE, DEV_WINDOW};
@@ -111,6 +111,17 @@ struct DelayedIpi {
     due: u64,
 }
 
+/// Where the instruction at `pc` lives, remembered by the step that
+/// computed `pc` as its fall-through or taken-branch target. It answers
+/// `code.locate(pc)` for that one address while `code.epoch()` is
+/// unchanged; whoever else moves `cpu.pc` just fails the comparison.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FetchMemo {
+    pub(crate) epoch: u64,
+    pub(crate) pc: u32,
+    pub(crate) at: SlabLoc,
+}
+
 /// The simulated machine.
 pub struct Machine {
     /// CPU registers.
@@ -146,6 +157,8 @@ pub struct Machine {
     /// IPIs the fault plan delayed in flight; delivered by the event
     /// pump once the target CPU's clock catches up.
     delayed_ipis: Vec<DelayedIpi>,
+    /// The next sequential fetch, if the last step could name it.
+    pub(crate) next_fetch: Option<FetchMemo>,
 }
 
 impl Machine {
@@ -176,6 +189,7 @@ impl Machine {
                 .collect(),
             active: 0,
             delayed_ipis: Vec::new(),
+            next_fetch: None,
         }
     }
 
@@ -495,6 +509,19 @@ impl Machine {
         let r = self.bus_read(addr, crate::isa::Size::L);
         self.cpu.sr = was;
         r.unwrap_or(0)
+    }
+
+    /// Whether [`Machine::process_events`] has anything to do right now:
+    /// a delayed IPI in flight, a fault plan to consult, or an event due
+    /// on the active CPU. The per-step guard around it.
+    #[inline]
+    pub(crate) fn events_due(&self) -> bool {
+        !self.delayed_ipis.is_empty()
+            || self.fault.is_active()
+            || self
+                .events
+                .next_due_for(self.active)
+                .is_some_and(|due| due <= self.meter.cycles)
     }
 
     /// Deliver all device events due on the active CPU at its current
