@@ -7,9 +7,7 @@
 //! I/O-bound writer, a CPU-bound spinner, and a pipe producer/consumer
 //! pair side by side, adapts quanta between windows, and reports
 //! [`monitor::trace_report`]'s per-thread I/O-rate table plus the final
-//! quanta. Built without the `trace` feature the same workload runs but
-//! every trace row is zero — the scheduler then falls back to the TTE
-//! gauges.
+//! quanta.
 
 use quamachine::asm::Asm;
 use quamachine::isa::{Cond, Operand::*, Size::*};
@@ -40,8 +38,7 @@ pub struct ProfiledThread {
 /// The profiler's output: the distilled trace plus scheduler outcomes.
 #[derive(Debug, Clone)]
 pub struct ProfileResult {
-    /// The per-thread trace report (all zeros without the `trace`
-    /// feature).
+    /// The per-thread trace report.
     pub report: TraceReport,
     /// The workload threads and their final quanta.
     pub threads: Vec<ProfiledThread>,

@@ -50,7 +50,6 @@ pub mod spsc;
 pub mod steal;
 pub mod switch;
 pub mod sync;
-pub mod tap;
 
 /// Result of a non-blocking queue insert: the queue was full and the item
 /// is handed back.

@@ -101,11 +101,6 @@ impl<T> Handle<T> {
                             (*slot.val.get()).write(data);
                         }
                         slot.seq.store(h + 1, Ordering::Release);
-                        crate::tap::record(
-                            crate::tap::OpKind::Put,
-                            std::sync::Arc::as_ptr(&self.q) as usize as u32,
-                            1,
-                        );
                         return Ok(());
                     }
                     Err(_) => {
@@ -188,11 +183,6 @@ impl<T> Handle<T> {
                         }
                         slot.seq.store(c + 1, Ordering::Release);
                     }
-                    crate::tap::record(
-                        crate::tap::OpKind::Put,
-                        std::sync::Arc::as_ptr(&self.q) as usize as u32,
-                        n as u32,
-                    );
                     return Ok(());
                 }
                 Err(_) => {
@@ -221,11 +211,6 @@ impl<T> Handle<T> {
                         // stamped filled gives exclusive read ownership.
                         let data = unsafe { (*slot.val.get()).assume_init_read() };
                         slot.seq.store(t + cap, Ordering::Release);
-                        crate::tap::record(
-                            crate::tap::OpKind::Get,
-                            std::sync::Arc::as_ptr(&self.q) as usize as u32,
-                            1,
-                        );
                         return Some(data);
                     }
                     Err(_) => {

@@ -159,11 +159,6 @@ impl<T> Producer<T> {
         match self.claim(1) {
             Some(c) => {
                 self.fill(c, data);
-                crate::tap::record(
-                    crate::tap::OpKind::Put,
-                    std::sync::Arc::as_ptr(&self.q) as usize as u32,
-                    1,
-                );
                 Ok(())
             }
             None => Err(Full(data)),
@@ -190,11 +185,6 @@ impl<T> Producer<T> {
                 for (i, item) in items.into_iter().enumerate() {
                     self.fill(start + i as u64, item);
                 }
-                crate::tap::record(
-                    crate::tap::OpKind::Put,
-                    std::sync::Arc::as_ptr(&self.q) as usize as u32,
-                    n as u32,
-                );
                 Ok(())
             }
             None => Err(BatchFull(items)),
@@ -233,11 +223,6 @@ impl<T> Consumer<T> {
         slot.full.store(false, Ordering::Release);
         self.tail += 1;
         self.q.tail.store(self.tail, Ordering::Release);
-        crate::tap::record(
-            crate::tap::OpKind::Get,
-            std::sync::Arc::as_ptr(&self.q) as usize as u32,
-            1,
-        );
         Some(data)
     }
 

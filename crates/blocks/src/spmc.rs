@@ -108,11 +108,6 @@ impl<T> Producer<T> {
         slot.seq.store(h + 1, Ordering::Release);
         self.head = h + 1;
         self.q.head.store(h + 1, Ordering::Release);
-        crate::tap::record(
-            crate::tap::OpKind::Put,
-            std::sync::Arc::as_ptr(&self.q) as usize as u32,
-            1,
-        );
         Ok(())
     }
 
@@ -161,11 +156,6 @@ impl<T> Producer<T> {
         }
         self.head = h + n;
         self.q.head.store(h + n, Ordering::Release);
-        crate::tap::record(
-            crate::tap::OpKind::Put,
-            std::sync::Arc::as_ptr(&self.q) as usize as u32,
-            n as u32,
-        );
         Ok(())
     }
 
@@ -208,11 +198,6 @@ impl<T> Consumer<T> {
                     let data = unsafe { (*slot.val.get()).assume_init_read() };
                     // Free the slot for the producer's next lap.
                     slot.seq.store(t + cap, Ordering::Release);
-                    crate::tap::record(
-                        crate::tap::OpKind::Get,
-                        std::sync::Arc::as_ptr(&self.q) as usize as u32,
-                        1,
-                    );
                     return Some(data);
                 }
                 Err(_) => {

@@ -127,11 +127,6 @@ impl<T> Producer<T> {
         // "We update Q_head at the last instruction during Q_put."
         self.q.head.store(nh, Ordering::Release);
         self.head = nh;
-        crate::tap::record(
-            crate::tap::OpKind::Put,
-            std::sync::Arc::as_ptr(&self.q) as usize as u32,
-            1,
-        );
         Ok(())
     }
 
@@ -170,11 +165,6 @@ impl<T> Producer<T> {
         }
         self.q.head.store(h, Ordering::Release);
         self.head = h;
-        crate::tap::record(
-            crate::tap::OpKind::Put,
-            std::sync::Arc::as_ptr(&self.q) as usize as u32,
-            n as u32,
-        );
         Ok(())
     }
 
@@ -207,11 +197,6 @@ impl<T> Consumer<T> {
         let data = unsafe { (*self.q.buf[t].get()).assume_init_read() };
         self.q.tail.store(self.q.next(t), Ordering::Release);
         self.tail = self.q.next(t);
-        crate::tap::record(
-            crate::tap::OpKind::Get,
-            std::sync::Arc::as_ptr(&self.q) as usize as u32,
-            1,
-        );
         Some(data)
     }
 

@@ -181,10 +181,10 @@ impl CreatorStats {
     }
 }
 
-/// One specialization-cache transition (feature `trace`): the creator
-/// does not know which thread asked, so it logs the raw event and the
-/// kernel drains [`QuajectCreator::cache_events`] right after each call,
-/// attributing the events to the requesting thread.
+/// One specialization-cache transition: the creator does not know which
+/// thread asked, so it logs the raw event and the kernel drains
+/// [`QuajectCreator::cache_events`] right after each call, attributing
+/// the events to the requesting thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheEvent {
     /// A cached block was handed out ([`QuajectCreator::synthesize_cached`]).
@@ -214,7 +214,6 @@ pub enum CacheEvent {
 
 /// Upper bound on buffered cache events between drains (a safety cap for
 /// embedders that never drain; the kernel drains after every call).
-#[cfg(feature = "trace")]
 const CACHE_EVENT_CAP: usize = 8192;
 
 /// The quaject creator.
@@ -231,8 +230,7 @@ pub struct QuajectCreator {
     pub cache: SpecCache,
     /// Statistics.
     pub stats: CreatorStats,
-    /// Undrained cache transitions (feature `trace`; always empty
-    /// otherwise).
+    /// Undrained cache transitions.
     pub cache_events: Vec<CacheEvent>,
 }
 
@@ -250,14 +248,10 @@ impl QuajectCreator {
         }
     }
 
-    /// Log a cache transition (feature `trace`; compiled out otherwise).
-    #[allow(unused_variables)]
+    /// Log a cache transition.
     fn cache_event(&mut self, ev: CacheEvent) {
-        #[cfg(feature = "trace")]
-        {
-            if self.cache_events.len() < CACHE_EVENT_CAP {
-                self.cache_events.push(ev);
-            }
+        if self.cache_events.len() < CACHE_EVENT_CAP {
+            self.cache_events.push(ev);
         }
     }
 

@@ -114,9 +114,10 @@ impl Kernel {
         }
 
         let b = stream_bindings(slots, buf, flags, size, flagged);
+        let tid = self.trace_tid();
         let rollback = |k: &mut Kernel, code: &[Synthesized], e| {
             for s in code {
-                k.creator.destroy(&mut k.m, s);
+                k.release_code_for(tid, s);
             }
             k.heap.free(slots, 8);
             k.heap.free(buf, size * 4);
@@ -125,22 +126,14 @@ impl Kernel {
             }
             KernelError::Synth(e)
         };
-        let put = match self
-            .creator
-            .synthesize_cached(&mut self.m, put_t, &b, self.opts)
-        {
+        let put = match self.synthesize_cached_for(tid, put_t, &b) {
             Ok(p) => p,
             Err(e) => return Err(rollback(self, &[], e)),
         };
-        let get = match self
-            .creator
-            .synthesize_cached(&mut self.m, get_t, &b, self.opts)
-        {
+        let get = match self.synthesize_cached_for(tid, get_t, &b) {
             Ok(g) => g,
             Err(e) => return Err(rollback(self, &[put], e)),
         };
-        let tid = self.trace_tid();
-        self.drain_cache_events(tid);
         Ok(StreamChannel {
             connector,
             put,
@@ -169,29 +162,21 @@ impl Kernel {
             _ => unreachable!("open_stream only builds queue connectors"),
         };
         let b = chan.bindings(matches!(chan.connector, Connector::MpscQueue));
-        let s = self
-            .creator
-            .synthesize_cached(&mut self.m, name, &b, self.opts)
-            .map_err(KernelError::Synth)?;
-        let tid = self.trace_tid();
-        self.drain_cache_events(tid);
-        Ok(s)
+        self.synthesize_cached_for(self.trace_tid(), name, &b)
+            .map_err(KernelError::Synth)
     }
 
     /// Release an endpoint obtained from [`Kernel::stream_attach_producer`].
     pub fn stream_release_endpoint(&mut self, s: &Synthesized) {
-        self.creator.destroy(&mut self.m, s);
-        let tid = self.trace_tid();
-        self.drain_cache_events(tid);
+        self.release_code_for(self.trace_tid(), s);
     }
 
     /// Tear the stream down: drop the endpoint references (the code
     /// unloads when the last ring's reference goes) and free the storage.
     pub fn close_stream(&mut self, chan: StreamChannel) {
-        self.creator.destroy(&mut self.m, &chan.put);
-        self.creator.destroy(&mut self.m, &chan.get);
         let tid = self.trace_tid();
-        self.drain_cache_events(tid);
+        self.release_code_for(tid, &chan.put);
+        self.release_code_for(tid, &chan.get);
         self.release_stream_storage(&chan);
     }
 

@@ -44,6 +44,7 @@ use crate::thread::tte::{off, FdObject};
 use crate::thread::{Thread, ThreadState, Tid, WaitObject};
 
 mod ready;
+mod tracepump;
 
 /// Interrupt levels assigned to devices.
 pub mod irq_levels {
@@ -73,7 +74,6 @@ pub struct KernelConfig {
     /// order of a few hundred microseconds", Section 4.4).
     pub default_quantum_us: u32,
     /// Per-thread trace-ring capacity in records (see [`crate::trace`]).
-    /// Only consulted when the `trace` feature is on.
     pub trace_records: usize,
     /// Number of CPUs in the Quamachine (1..=8). The default reads the
     /// `SYNTHESIS_CPUS` environment variable, falling back to 1.
@@ -324,10 +324,8 @@ pub struct Kernel {
     /// Recovery log: threads reaped or quarantined, with the reason.
     pub recovery_log: Vec<(Tid, String)>,
     /// Kernel event trace: per-thread rings of fixed-size records (see
-    /// [`crate::trace`]). Always present so the
-    /// [`TraceQuery`](crate::trace::TraceQuery) API and manual pushes
-    /// compile with the `trace` feature off; the kernel's own recording
-    /// paths are what the feature gates.
+    /// [`crate::trace`]), fed by [`Kernel::pump_trace`] and the
+    /// [`trace!`](crate::trace!) hook.
     pub trace: crate::trace::TraceSet,
     /// The quaspace partition this kernel booted with.
     pub layout: layout::MemLayout,
@@ -362,7 +360,7 @@ pub struct Kernel {
     /// CPUs.
     sweep_count: u64,
     /// How many of the fault plan's records have already been translated
-    /// into kernel trace events.
+    /// into kernel trace events (`tracepump`'s cursor).
     fault_cursor: usize,
     /// When set, [`Kernel::run`] returns `Breakpoint(tid)` as soon as
     /// this thread exits (instead of idling out the cycle budget).
@@ -922,176 +920,6 @@ impl Kernel {
         }
     }
 
-    /// The thread to charge an event to: the current thread, or the
-    /// active CPU's idle thread when the machine is between identities.
-    pub(crate) fn trace_tid(&self) -> Tid {
-        self.current_tid()
-            .unwrap_or(self.cpus[self.m.active_cpu()].idle_tid)
-    }
-
-    /// Drain the machine's hook log into the per-thread trace rings.
-    ///
-    /// The machine records what happened (traps, interrupt accepts,
-    /// `rte`s, VBR writes) without knowing whose events they are; this is
-    /// where the kernel attributes them, using the VBR each event was
-    /// accepted under — the same identity [`Kernel::current_tid`] uses.
-    /// Trap/`rte` pairs are matched through a per-thread frame stack so a
-    /// syscall's exit record carries its enter→exit cycle count; the
-    /// stack is per thread because the hardware frames live on the
-    /// thread's own kernel stack, so the pairing survives context
-    /// switches. Host-fabricated frames (block/resume) make an `rte`
-    /// occasionally pop a trap frame early, so `SyscallExit` can land at
-    /// a resume rather than the true return — a documented approximation,
-    /// bounded by the frame-stack depth cap.
-    ///
-    /// Compiled without the `trace` feature the hook log is always empty
-    /// and this is a no-op.
-    pub fn pump_trace(&mut self) {
-        use crate::trace::Kind;
-        use quamachine::trace::MachEvent;
-        self.pump_fault_trace();
-        self.trace.dropped = self.m.hooks.dropped;
-        if self.m.hooks.is_empty() {
-            return;
-        }
-        for ev in self.m.hooks.drain() {
-            match ev {
-                // Guest-side dispatch: sw_in installing the incoming
-                // thread's vector table IS the context switch.
-                MachEvent::VbrWrite { vbr, cycle, cpu } => {
-                    if let Some(&tid) = self.vbr_to_tid.get(&vbr) {
-                        self.trace.cpu = cpu as u16;
-                        self.trace.push(tid, cycle, Kind::CtxSwitch, 0, 0);
-                    }
-                }
-                MachEvent::Trap {
-                    vector,
-                    vbr,
-                    cycle,
-                    cpu,
-                } => {
-                    let tid = self
-                        .vbr_to_tid
-                        .get(&vbr)
-                        .copied()
-                        .unwrap_or(self.cpus[cpu].idle_tid);
-                    self.trace.cpu = cpu as u16;
-                    self.trace
-                        .push(tid, cycle, Kind::SyscallEnter, u32::from(vector), 0);
-                    self.trace.push_frame(tid, Some((vector, cycle)));
-                }
-                MachEvent::IrqAccept {
-                    level,
-                    vbr,
-                    cycle,
-                    cpu,
-                } => {
-                    let tid = self
-                        .vbr_to_tid
-                        .get(&vbr)
-                        .copied()
-                        .unwrap_or(self.cpus[cpu].idle_tid);
-                    self.trace.cpu = cpu as u16;
-                    self.trace.push(tid, cycle, Kind::Irq, u32::from(level), 0);
-                    self.trace.push_frame(tid, None);
-                }
-                MachEvent::Rte { vbr, cycle, cpu } => {
-                    let tid = self
-                        .vbr_to_tid
-                        .get(&vbr)
-                        .copied()
-                        .unwrap_or(self.cpus[cpu].idle_tid);
-                    if let Some(Some((vector, t0))) = self.trace.pop_frame(tid) {
-                        let dt = u32::try_from(cycle.saturating_sub(t0)).unwrap_or(u32::MAX);
-                        self.trace.cpu = cpu as u16;
-                        self.trace
-                            .push(tid, cycle, Kind::SyscallExit, u32::from(vector), dt);
-                    }
-                }
-            }
-        }
-        // Leave the attribution on the active CPU for subsequent manual
-        // pushes (kernel-side events belong to whoever is running now).
-        self.trace.cpu = self.m.active_cpu() as u16;
-    }
-
-    /// Translate the fault plan's new SMP-class records into kernel
-    /// trace events, attributed to the target CPU's idle thread — the
-    /// fault hit the CPU domain, not whichever thread happened to run.
-    /// `IpiDelayed` shares [`Kind::IpiLost`](crate::trace::Kind::IpiLost)
-    /// with `b` = the delay (0 means lost outright). Device-class fault
-    /// records stay out of the kernel trace, as before.
-    fn pump_fault_trace(&mut self) {
-        let recs = self.m.fault.trace();
-        let start = self.fault_cursor.min(recs.len());
-        self.fault_cursor = recs.len();
-        #[cfg(feature = "trace")]
-        {
-            use crate::trace::Kind;
-            use quamachine::fault::FaultRecord as FR;
-            let new: Vec<FR> = self.m.fault.trace()[start..].to_vec();
-            let prev_cpu = self.trace.cpu;
-            for r in new {
-                let (cpu, at, kind, a, b) = match r {
-                    FR::IpiLost { at, cpu } => (cpu, at, Kind::IpiLost, cpu as u32, 0),
-                    FR::IpiDelayed { at, cpu, delay } => (
-                        cpu,
-                        at,
-                        Kind::IpiLost,
-                        cpu as u32,
-                        u32::try_from(delay).unwrap_or(u32::MAX),
-                    ),
-                    FR::CpuStall { at, cpu, cycles } => (
-                        cpu,
-                        at,
-                        Kind::CpuStall,
-                        cpu as u32,
-                        u32::try_from(cycles).unwrap_or(u32::MAX),
-                    ),
-                    _ => continue,
-                };
-                if cpu < self.cpus.len() {
-                    self.trace.cpu = u16::try_from(cpu).unwrap_or(0);
-                    self.trace.push(self.cpus[cpu].idle_tid, at, kind, a, b);
-                }
-            }
-            self.trace.cpu = prev_cpu;
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = start;
-    }
-
-    /// Move the creator's pending specialization-cache events into
-    /// `tid`'s trace ring. Called at each synthesis/teardown site so the
-    /// events land on the thread that drove them; the buffer is always
-    /// empty without the `trace` feature.
-    pub(crate) fn drain_cache_events(&mut self, tid: Tid) {
-        use crate::trace::Kind;
-        use synthesis_codegen::creator::CacheEvent;
-        if self.creator.cache_events.is_empty() {
-            return;
-        }
-        let cycle = self.m.meter.cycles;
-        self.trace.cpu = self.m.active_cpu() as u16;
-        for ev in std::mem::take(&mut self.creator.cache_events) {
-            match ev {
-                CacheEvent::Hit { base, cross, .. } => {
-                    // `b` carries the cross-CPU flag: always 0 on a
-                    // uniprocessor, so single-CPU traces are unchanged.
-                    self.trace
-                        .push(tid, cycle, Kind::CacheHit, base, u32::from(cross));
-                }
-                CacheEvent::Miss { base, .. } => {
-                    self.trace.push(tid, cycle, Kind::CacheMiss, base, 0);
-                }
-                CacheEvent::Release { base, evicted } => {
-                    self.trace
-                        .push(tid, cycle, Kind::Destroy, base, u32::from(evicted));
-                }
-            }
-        }
-    }
-
     /// Whether `pc` is inside any thread's context-switch code — the
     /// window during which CPU contents and the VBR identity are
     /// transitional, so host-side surgery would corrupt thread state.
@@ -1238,6 +1066,7 @@ impl Kernel {
         self.heap.free(t.vt, layout::VECTOR_TABLE_LEN);
         self.heap.free(t.kstack, layout::KSTACK_LEN);
         self.vbr_to_tid.remove(&t.vt);
+        self.trace.forget_frames(tid);
         t.state = ThreadState::Dead;
         self.exited.insert(tid);
         let c = charges::kcall_overhead(&self.m.cost) + charges::alloc_op(&self.m.cost, 3) * 3;
@@ -1260,9 +1089,8 @@ impl Kernel {
     /// one unwind.
     fn release_channel(&mut self, tid: Tid, class: ChannelClass, code: &[Synthesized]) {
         for s in code {
-            self.creator.destroy(&mut self.m, s);
+            self.release_code_for(tid, s);
         }
-        self.drain_cache_events(tid);
         match class {
             ChannelClass::Null | ChannelClass::Tty { .. } => {}
             ChannelClass::File { fid, offset_slot } => {
@@ -2490,12 +2318,7 @@ impl Kernel {
         let mut entries = [ebadf, ebadf];
         for (i, end) in [&spec.read, &spec.write].into_iter().enumerate() {
             let Some(end) = end else { continue };
-            match self.creator.synthesize_cached(
-                &mut self.m,
-                end.template,
-                &end.bindings,
-                self.opts,
-            ) {
+            match self.synthesize_cached_for(tid, end.template, &end.bindings) {
                 Ok(s) => {
                     entries[i] = s.base;
                     code.push(s);
@@ -2503,7 +2326,6 @@ impl Kernel {
                 Err(_) => return Err(rollback(self, &code, errno::ENOMEM)),
             }
         }
-        self.drain_cache_events(tid);
         self.link_fd(tid, fd, entries[0], entries[1]);
         self.threads.get_mut(&tid).expect("exists").fds[fd as usize] = FdObject::Channel {
             class: spec.class,

@@ -25,8 +25,7 @@
 //! - [`monitor`] — the kernel monitor's measurement interface (Section
 //!   6.3's instruction-counting methodology);
 //! - [`trace`] — kernel-wide event tracing: per-thread ring buffers of
-//!   fixed-size binary records, the [`trace!`] recording hook (compiles
-//!   to nothing without the `trace` feature), and the
+//!   fixed-size binary records, the [`trace!`] recording hook, and the
 //!   [`TraceQuery`](trace::TraceQuery) assertion API;
 //! - [`kernel`] — the [`Kernel`](kernel::Kernel) tying it all together:
 //!   boot, thread lifecycle, kernel-call dispatch, and the one run loop

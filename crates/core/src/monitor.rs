@@ -372,8 +372,8 @@ pub struct CpuTrace {
     /// Slice cycles spent in the idle thread.
     pub idle_cycles: u64,
     /// [`crate::trace::Kind::Steal`] records naming this CPU as the
-    /// thief — the trace-side view of `steals`. They agree on traced
-    /// builds; without the `trace` feature this is 0.
+    /// thief — the trace-side view of `steals`. They agree while
+    /// tracing is enabled; disabled, this is 0.
     pub steal_records: u64,
     /// `busy / (busy + idle)`, 0 when the CPU never ran a slice.
     pub utilization: f64,
@@ -397,8 +397,8 @@ pub struct TraceReport {
 }
 
 /// Distill the kernel's trace rings into per-thread statistics without
-/// consuming them. With the `trace` feature off the rings are empty and
-/// every row is zero.
+/// consuming them. With tracing disabled the rings are empty and every
+/// row is zero.
 #[must_use]
 pub fn trace_report(k: &mut Kernel) -> TraceReport {
     use crate::trace::Kind;

@@ -16,9 +16,9 @@
 //!    wraparound. This sees *all* I/O, including flows that never touch
 //!    a TTE gauge.
 //! 2. **TTE gauges** (fallback): every synthesized I/O routine
-//!    increments its thread's gauge. With the `trace` feature off (or a
-//!    window with no traced I/O), the gauges alone drive adaptation, as
-//!    before.
+//!    increments its thread's gauge. With
+//!    [`TraceSet::enabled`](crate::trace::TraceSet::enabled) false, or in
+//!    a window with no traced I/O, the gauges alone drive adaptation.
 //!
 //! Each pass computes a thread's share of the window's I/O traffic and
 //! sets its quantum proportionally — patching the quantum immediate
@@ -80,8 +80,8 @@ impl FineGrain {
         let gauge_total: u64 = samples.iter().map(|&(_, _, dg)| dg).sum();
         for (tid, dtrace, dgauge) in samples {
             // Prefer the traced rate; a window with no traced I/O at all
-            // (feature off, or purely gauge-visible traffic) falls back
-            // to the gauges.
+            // (tracing disabled, or purely gauge-visible traffic) falls
+            // back to the gauges.
             let share = if trace_total > 0 {
                 dtrace as f64 / trace_total as f64
             } else if gauge_total > 0 {

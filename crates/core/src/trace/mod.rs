@@ -10,13 +10,11 @@
 //! threads are time-multiplexed on the host, so the single writer per
 //! ring holds by construction and no locking is ever needed.
 //!
-//! Recording is feature-gated: with the `trace` feature off, the
-//! [`trace!`](crate::trace!) hook expands to nothing and none of the
-//! collection paths (machine hook pump, cache-event drain) produce
-//! records, so tracing costs zero bytes and zero cycles. Tracing never
-//! charges *guest* cycles even when on — it is host-side observability,
-//! which is what keeps the benchmark tables identical with the feature
-//! on and off.
+//! Recording is always compiled in — like the Quamachine's own
+//! measurement hardware, there is no second kernel without it — and
+//! [`TraceSet::enabled`] is the one switch. Tracing never charges *guest*
+//! cycles — it is host-side observability, which is what keeps every
+//! guest-time measurement identical with the switch on and off.
 //!
 //! Rings are owned by the kernel and keyed by thread id, **not** stored
 //! in the `Thread`: a reaped thread's ring stays drainable after the
@@ -57,8 +55,8 @@ pub struct TraceSet {
     io_counts: BTreeMap<Tid, u64>,
     steal_counts: BTreeMap<u32, u64>,
     cap: usize,
-    /// Runtime switch (orthogonal to the compile-time feature): when
-    /// false, [`TraceSet::push`] drops everything. Lets one binary
+    /// The one tracing switch: when false, [`TraceSet::push`] drops
+    /// everything and no exception frames are tracked. Lets one binary
     /// compare traced and untraced runs of the same workload.
     pub enabled: bool,
     /// Machine hook events dropped before the kernel drained them
@@ -130,6 +128,9 @@ impl TraceSet {
     /// Track an opened exception frame for `tid` (trap: `Some((vector,
     /// cycle))`; interrupt: `None`).
     pub(crate) fn push_frame(&mut self, tid: Tid, frame: Frame) {
+        if !self.enabled {
+            return;
+        }
         let stack = self.frames.entry(tid).or_default();
         if stack.len() < FRAME_DEPTH {
             stack.push(frame);
@@ -138,7 +139,22 @@ impl TraceSet {
 
     /// Pop `tid`'s most recent exception frame, if any.
     pub(crate) fn pop_frame(&mut self, tid: Tid) -> Option<Frame> {
+        if !self.enabled {
+            return None;
+        }
         self.frames.get_mut(&tid).and_then(Vec::pop)
+    }
+
+    /// Forget `tid`'s open exception frames: the thread is gone and no
+    /// `rte` of its will ever match them. Its ring stays.
+    pub(crate) fn forget_frames(&mut self, tid: Tid) {
+        self.frames.remove(&tid);
+    }
+
+    /// Threads with a tracked exception-frame stack: live threads that
+    /// took a trap or interrupt while tracing was enabled.
+    pub fn frame_tids(&self) -> impl Iterator<Item = Tid> + '_ {
+        self.frames.keys().copied()
     }
 
     /// Cumulative I/O-classed events recorded for `tid` (monotonic; not
@@ -151,7 +167,7 @@ impl TraceSet {
 
     /// Cumulative [`Kind::Steal`] records naming `cpu` as the thief
     /// (monotonic; not subject to ring wraparound). Mirrors the
-    /// kernel's per-CPU `steals` counter on traced builds.
+    /// kernel's per-CPU `steals` counter while tracing is enabled.
     #[must_use]
     pub fn steal_events(&self, cpu: usize) -> u64 {
         let key = u32::try_from(cpu).unwrap_or(u32::MAX);
@@ -231,9 +247,7 @@ impl TraceSet {
 }
 
 /// Record one trace event: `trace!(kernel, tid, kind, a, b)`. The cycle
-/// stamp is read from the kernel's meter. Compiles to nothing when the
-/// `trace` feature is off — the arguments are not even evaluated.
-#[cfg(feature = "trace")]
+/// stamp is read from the kernel's meter.
 #[macro_export]
 macro_rules! trace {
     ($k:expr, $tid:expr, $kind:expr, $a:expr, $b:expr) => {{
@@ -241,13 +255,6 @@ macro_rules! trace {
         $k.trace.cpu = $k.m.active_cpu() as u16;
         $k.trace.push($tid, cycle, $kind, $a, $b);
     }};
-}
-
-/// Record one trace event (feature `trace` off: expands to nothing).
-#[cfg(not(feature = "trace"))]
-#[macro_export]
-macro_rules! trace {
-    ($k:expr, $tid:expr, $kind:expr, $a:expr, $b:expr) => {{}};
 }
 
 #[cfg(test)]
@@ -291,6 +298,25 @@ mod tests {
         push_n(&mut ts, 1, 3);
         assert!(ts.is_empty());
         assert_eq!(ts.io_events(1), 0);
+    }
+
+    #[test]
+    fn frame_stacks_die_with_their_thread_and_rings_do_not() {
+        let mut ts = TraceSet::new(4);
+        ts.push(1, 10, Kind::SyscallEnter, 3, 0);
+        ts.push_frame(1, Some((3, 10)));
+        ts.push_frame(2, None);
+        assert_eq!(ts.frame_tids().collect::<Vec<_>>(), vec![1, 2]);
+        ts.forget_frames(1);
+        assert_eq!(ts.frame_tids().collect::<Vec<_>>(), vec![2]);
+        assert_eq!(ts.pop_frame(1), None, "a dead thread's rte matches nothing");
+        assert_eq!(ts.snapshot(1).len(), 1, "the ring outlives the thread");
+
+        // Disabled, frames are neither tracked nor matched.
+        ts.enabled = false;
+        ts.push_frame(3, None);
+        assert_eq!(ts.pop_frame(2), None);
+        assert_eq!(ts.frame_tids().collect::<Vec<_>>(), vec![2]);
     }
 
     #[test]

@@ -232,7 +232,6 @@ fn adapt_rewards_io_bound_threads() {
 /// A quarantined thread leaves exactly one trace: the quarantine record
 /// itself. No dispatch (context-switch) or syscall records may follow
 /// it — the watchdog's promise, checked through the event trace.
-#[cfg(feature = "trace")]
 #[test]
 fn quarantined_threads_emit_no_dispatch_records() {
     use synthesis_core::trace::{Kind, TraceQuery, REC_QUARANTINE};
@@ -281,9 +280,7 @@ fn quarantined_threads_emit_no_dispatch_records() {
 }
 
 /// Feed `n` synthetic queue events into `tid`'s trace, stamped at the
-/// current cycle. `TraceSet::push` is compiled in both feature legs, so
-/// this drives the scheduler's traced path even in `--no-default-features`
-/// builds.
+/// current cycle.
 fn inject_io(k: &mut Kernel, tid: synthesis_core::thread::Tid, n: u64) {
     use synthesis_core::trace::{Kind, QCLASS_PIPE};
     let cycle = k.m.meter.cycles;

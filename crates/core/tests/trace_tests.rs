@@ -69,8 +69,6 @@ fn records_are_24_bytes_and_roundtrip() {
 
 #[test]
 fn rings_are_isolated_per_thread() {
-    // Synthetic pushes work in both feature legs: `TraceSet::push` is
-    // always compiled, only the kernel's recording hooks are gated.
     let mut k = Kernel::boot(KernelConfig::default()).expect("kernel boots");
     for i in 0..5u32 {
         k.trace.push(1, u64::from(i), Kind::QueuePut, 1, i);
@@ -95,7 +93,6 @@ fn rings_are_isolated_per_thread() {
     assert_eq!(k.trace.io_events(2), 3);
 }
 
-#[cfg(feature = "trace")]
 #[test]
 fn rings_wrap_keeping_the_newest_records() {
     // A deliberately tiny ring under a real workload: the ring must hold
@@ -127,7 +124,6 @@ fn rings_wrap_keeping_the_newest_records() {
     assert!(k.trace.io_events(tid) > 16);
 }
 
-#[cfg(feature = "trace")]
 #[test]
 fn reaped_threads_stay_drainable_post_mortem() {
     // A victim scribbles a wild address over its own trap vector; taking
@@ -165,42 +161,147 @@ fn reaped_threads_stay_drainable_post_mortem() {
     );
 }
 
-#[cfg(feature = "trace")]
+/// Everything guest-visible about a finished run.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    cycles: u64,
+    instrs: u64,
+    /// Tids in the order they exited (ties within one slice by tid).
+    exits: Vec<Tid>,
+}
+
+/// Run `slices` windows through `run`, noting the order threads exit
+/// in; returns the outcome and the number of trace records taken.
+fn drive<S>(
+    mut sys: S,
+    kernel: fn(&mut S) -> &mut Kernel,
+    run: fn(&mut S, u64),
+    workers: usize,
+    slices: usize,
+) -> (Outcome, usize) {
+    let mut exits: Vec<Tid> = Vec::new();
+    for _ in 0..slices {
+        run(&mut sys, 100_000);
+        let k = kernel(&mut sys);
+        let mut new: Vec<Tid> = k.exited.iter().copied().collect();
+        new.retain(|t| !exits.contains(t));
+        new.sort_unstable();
+        exits.extend(new);
+        if workers > 0 && exits.len() == workers {
+            break;
+        }
+    }
+    let k = kernel(&mut sys);
+    assert_eq!(exits.len(), workers, "every finite worker exited");
+    k.pump_trace();
+    let outcome = Outcome {
+        cycles: k.m.meter.cycles,
+        instrs: k.m.meter.instr_count,
+        exits,
+    };
+    (outcome, k.trace.len())
+}
+
+/// The endless `/dev/null` writer over native traps, three windows.
+fn native_writer(enabled: bool) -> (Outcome, usize) {
+    let (mut k, _) = boot_io_kernel(KernelConfig::default());
+    k.trace.enabled = enabled;
+    drive(
+        k,
+        |k| k,
+        |k, n| {
+            k.run(n);
+        },
+        0,
+        30,
+    )
+}
+
+/// A fused UNIX pipe program: traps elided, wrappers bound at first
+/// call and released at each round's `close`, run to its exit.
+fn fused_pipe(enabled: bool) -> (Outcome, usize) {
+    use synthesis_unix::emu::boot_with_program;
+    use synthesis_unix::programs::pipe_xfer;
+    let (mut emu, _) =
+        boot_with_program(KernelConfig::default(), pipe_xfer(64, 300, 2)).expect("boots");
+    emu.k.trace.enabled = enabled;
+    drive(
+        emu,
+        |e| &mut e.k,
+        |e, n| {
+            e.run(n);
+        },
+        1,
+        400,
+    )
+}
+
+/// Four CPUs, three counting spinners and two `/dev/null` writers, all
+/// started on CPU 0 so the others steal: every thread runs to its exit.
+fn smp_mix(enabled: bool) -> (Outcome, usize) {
+    let cfg = KernelConfig {
+        cpus: 4,
+        ..KernelConfig::default()
+    };
+    let mut k = Kernel::boot(cfg).expect("kernel boots");
+    k.trace.enabled = enabled;
+    k.m.mem.poke_bytes(UPATH, b"/dev/null\0");
+    for i in 0..5u32 {
+        let writer = i >= 3;
+        let mut a = Asm::new(if writer { "mix_io" } else { "mix_cnt" });
+        if writer {
+            a.move_i(L, general::OPEN, Dr(0));
+            a.lea(Abs(UPATH), 0);
+            a.trap(traps::GENERAL);
+            a.move_(L, Dr(0), Dr(5));
+        }
+        a.move_i(L, if writer { 1_500 } else { 40_000 + 1_000 * i }, Dr(7));
+        let top = a.here();
+        if writer {
+            a.move_(L, Dr(5), Dr(0));
+            a.lea(Abs(UBUF), 0);
+            a.move_i(L, 8, Dr(1));
+            a.trap(traps::WRITE);
+        }
+        a.sub(L, Imm(1), Dr(7));
+        a.bcc(Cond::Ne, top);
+        a.move_i(L, general::EXIT, Dr(0));
+        a.trap(traps::GENERAL);
+        let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
+        let tid = k
+            .create_thread(entry, USTACK + 0x1000 * i, user_map())
+            .unwrap();
+        k.start(tid).unwrap();
+    }
+    drive(
+        k,
+        |k| k,
+        |k, n| {
+            k.run(n);
+        },
+        5,
+        400,
+    )
+}
+
 #[test]
 fn runtime_disable_records_nothing_and_charges_no_cycles() {
     // Same workload, same windows; one kernel records, the other has the
-    // runtime switch off. Virtual time must be identical — tracing is
-    // host-side observability and never charges guest cycles — and the
-    // disabled kernel's rings must stay empty.
-    let (mut on, t_on) = boot_io_kernel(KernelConfig::default());
-    let (mut off, t_off) = boot_io_kernel(KernelConfig::default());
-    off.trace.enabled = false;
-
-    on.run(3_000_000);
-    off.run(3_000_000);
-    on.pump_trace();
-    off.pump_trace();
-
-    assert_eq!(
-        on.m.meter.cycles, off.m.meter.cycles,
-        "tracing must not perturb virtual time"
-    );
-    assert!(!on.trace.snapshot(t_on).is_empty());
-    assert!(off.trace.is_empty(), "disabled trace records nothing");
-    assert_eq!(off.trace.io_events(t_off), 0);
-}
-
-#[cfg(not(feature = "trace"))]
-#[test]
-fn disabled_build_records_nothing() {
-    // With the feature off the `trace!` hook compiles to nothing: a full
-    // workload leaves zero records, zero I/O counts, zero drops.
-    let (mut k, tid) = boot_io_kernel(KernelConfig::default());
-    k.run(3_000_000);
-    k.pump_trace();
-    assert!(k.trace.is_empty());
-    assert_eq!(k.trace.len(), 0);
-    assert_eq!(k.trace.io_events(tid), 0);
-    assert_eq!(k.trace.dropped, 0);
-    assert!(k.trace.tids().is_empty());
+    // runtime switch off. Virtual time, the instruction count and the
+    // order threads exit in must be identical — tracing is host-side
+    // observability and never charges guest cycles — and the disabled
+    // kernel's rings must stay empty.
+    type Input = fn(bool) -> (Outcome, usize);
+    let inputs: [(&str, Input); 3] = [
+        ("native writer", native_writer),
+        ("fused pipe", fused_pipe),
+        ("4-CPU mix", smp_mix),
+    ];
+    for (name, input) in inputs {
+        let (on, on_records) = input(true);
+        let (off, off_records) = input(false);
+        assert_eq!(on, off, "{name}: tracing must not perturb the guest");
+        assert!(on_records > 0, "{name}: the enabled trace recorded");
+        assert_eq!(off_records, 0, "{name}: disabled trace records nothing");
+    }
 }

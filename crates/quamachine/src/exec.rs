@@ -206,7 +206,6 @@ impl Machine {
         // interrupt acceptance is the I/O boundary, both stamped with the
         // VBR (= running thread) before any vectoring happens. Charges no
         // guest cycles.
-        #[cfg(feature = "trace")]
         match e {
             Exception::Trap(n) => {
                 let cpu = self.active_cpu();
@@ -650,7 +649,6 @@ impl Machine {
                 self.meter.cycles += RTE_BASE + RTE_REFS * self.cost.bus_cycles();
                 self.cpu.write_sr(sr as u16);
                 self.cpu.pc = pc;
-                #[cfg(feature = "trace")]
                 {
                     let cpu = self.active_cpu();
                     self.hooks.push(crate::trace::MachEvent::Rte {
@@ -723,7 +721,6 @@ impl Machine {
                 if to_vbr {
                     let v = self.read_src(ea, Size::L)?;
                     self.cpu.vbr = v;
-                    #[cfg(feature = "trace")]
                     {
                         let cpu = self.active_cpu();
                         self.hooks.push(crate::trace::MachEvent::VbrWrite {

@@ -138,9 +138,8 @@ pub struct Machine {
     pub devices: Vec<Box<dyn Device>>,
     /// Counters and trace.
     pub meter: Meter,
-    /// Hooked execution events (feature `trace`): exception entry/exit
-    /// and VBR installs for the embedder to attribute to threads. Always
-    /// present but only ever written when the feature is on.
+    /// Hooked execution events: exception entry/exit and VBR installs
+    /// for the embedder to attribute to threads.
     pub hooks: crate::trace::HookLog,
     /// The cost model.
     pub cost: CostModel,

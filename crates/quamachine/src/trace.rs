@@ -99,9 +99,9 @@ impl Meter {
     }
 }
 
-/// An execution event hooked out of the executor (feature `trace`):
-/// exception entry, exception return, and VBR installs, stamped with the
-/// cycle count and the VBR in effect. The VBR identifies the running
+/// An execution event hooked out of the executor: exception entry,
+/// exception return, and VBR installs, stamped with the cycle count and
+/// the VBR in effect. The VBR identifies the running
 /// thread (each Synthesis thread has its own vector table), so an
 /// embedder can attribute every event to a thread without the executor
 /// knowing anything about threads.

@@ -381,11 +381,7 @@ impl UnixEmulator {
             self.k.m.cpu.pc = trap_shim;
             return;
         };
-        match self
-            .k
-            .creator
-            .synthesize_cached(&mut self.k.m, &name, &bindings, self.k.opts)
-        {
+        match self.k.synthesize_cached_for(tid, &name, &bindings) {
             Ok(s) => {
                 let entry = s.base;
                 let _ = self.k.m.code.patch_jsr_target(site, entry);
@@ -421,7 +417,7 @@ impl UnixEmulator {
         for (site, write, s) in v {
             let bind = if write { bind_w } else { bind_r };
             let _ = self.k.m.code.patch_jsr_target(site, bind);
-            self.k.creator.destroy(&mut self.k.m, &s);
+            self.k.release_code_for(tid, &s);
         }
     }
 

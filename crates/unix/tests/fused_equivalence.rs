@@ -165,3 +165,83 @@ fn user_window_thread_never_fuses() {
     assert_eq!(layered.syscall_traps, 2 * iters as usize + 4);
     assert_eq!(run_one(true, 1, 64, iters, 7).syscall_traps, 0);
 }
+
+/// The `jsr` targets of the loaded program `name`, site by site.
+fn jsr_targets(k: &Kernel, name: &str) -> Vec<u32> {
+    use quamachine::isa::{Instr, Operand};
+    let (_, block) =
+        k.m.code
+            .iter()
+            .find(|(_, b)| b.name == name)
+            .expect("the program is loaded");
+    block
+        .instrs
+        .iter()
+        .filter_map(|i| match i {
+            Instr::Jsr(Operand::Abs(t)) => Some(*t),
+            _ => None,
+        })
+        .collect()
+}
+
+/// A fused bind is traced where it happens. `pipe_rw` opens its pipe,
+/// binds its `write` and `read` sites on their first execution, and
+/// never opens or closes anything again before `exit`: the two
+/// wrappers' `CacheMiss` records must be in the binding thread's ring
+/// stamped inside the window the bind ran in — not held back until the
+/// exit's teardown happens to drain them — and no event may be left
+/// waiting in the creator between calls.
+#[test]
+fn a_fused_bind_is_traced_in_the_call_that_made_it() {
+    use std::collections::BTreeMap;
+    use synthesis_unix::emu::boot_with_program;
+    use synthesis_unix::programs::pipe_rw;
+
+    let cfg = KernelConfig {
+        trace_records: 1 << 16,
+        ..KernelConfig::default()
+    };
+    let (mut emu, tid) = boot_with_program(cfg, pipe_rw(1, 2000)).expect("boots");
+    // Before the first instruction every site targets a static thunk.
+    let thunks = jsr_targets(&emu.k, "p2_pipe_1");
+    // Wrapper base -> the cycle window its site was first seen bound in.
+    let mut bound: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
+    while !emu.k.exited.contains(&tid) {
+        let before = emu.k.m.meter.cycles;
+        emu.run(500);
+        let after = emu.k.m.meter.cycles;
+        assert!(after < 50_000_000, "the program never exited");
+        assert_eq!(
+            emu.k.creator.cache_events,
+            [],
+            "cache events left waiting at cycle {after}"
+        );
+        if emu.k.exited.contains(&tid) {
+            break; // the exit re-armed the sites and unloaded the program
+        }
+        for t in jsr_targets(&emu.k, "p2_pipe_1") {
+            if !thunks.contains(&t) {
+                bound.entry(t).or_insert((before, after));
+            }
+        }
+    }
+    assert_eq!(bound.len(), 2, "a write wrapper and a read wrapper bound");
+    let last_bind = bound.values().map(|w| w.1).max().unwrap();
+    let exit = emu.k.m.meter.cycles;
+    assert!(
+        exit > last_bind + 100_000,
+        "the exit ({exit}) is nowhere near the binds ({last_bind})"
+    );
+
+    let q = TraceQuery::drain(&mut emu.k)
+        .thread(tid)
+        .kind(Kind::CacheMiss);
+    for (base, (before, after)) in bound {
+        assert_eq!(
+            q.count(|r| r.a == base && (before..=after).contains(&r.cycle)),
+            1,
+            "wrapper {base:#x} bound in cycles {before}..={after}; the thread's misses: {:?}",
+            q.records()
+        );
+    }
+}

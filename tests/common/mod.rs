@@ -103,7 +103,7 @@ pub fn trace_tail(k: &mut Kernel, n: usize) -> String {
         }
     }
     if out.is_empty() {
-        out.push_str("  (no trace records; build with the `trace` feature for post-mortems)\n");
+        out.push_str("  (no trace records; was `trace.enabled` switched off?)\n");
     }
     out
 }
@@ -138,7 +138,9 @@ pub fn installed_jmp(k: &Kernel, jmp_at: u32) -> u32 {
 ///   and no `Blocked`, `Stopped` or quarantined thread is on any;
 /// - the wait lists name exactly the live `Blocked` threads, each once
 ///   under the object it is blocked on, and a pipe's or the tty's wait
-///   flag is up exactly when its list is non-empty.
+///   flag is up exactly when its list is non-empty;
+/// - no specialization-cache event is waiting for a thread to be
+///   charged to: whoever called the creator attributed them on the spot.
 pub fn assert_chains_consistent(k: &Kernel) {
     use quamachine::isa::Size;
     use std::collections::BTreeMap;
@@ -152,6 +154,11 @@ pub fn assert_chains_consistent(k: &Kernel) {
             b.sw_in_mmu
         }
     };
+    assert_eq!(
+        k.creator.cache_events,
+        [],
+        "cache events left for a later caller to be stamped with"
+    );
     let mut on_chain: BTreeMap<u32, usize> = BTreeMap::new();
     for (c, cpu) in k.cpus.iter().enumerate() {
         let nodes = cpu.ready.nodes();

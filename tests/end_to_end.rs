@@ -81,7 +81,6 @@ fn full_stack_file_roundtrip() {
 /// The same roundtrip seen through the event trace: the thread is
 /// dispatched before its first syscall, syscalls enter and exit with
 /// measured latencies, and the channel's synthesis precedes its destroy.
-#[cfg(feature = "trace")]
 #[test]
 fn full_stack_roundtrip_tells_a_coherent_trace_story() {
     use synthesis::kernel::trace::{Kind, TraceQuery};

@@ -680,10 +680,18 @@ fn fused_chaos_scenario(seed: u64, cpus: usize) -> Vec<FaultRecord> {
     };
     let x = Xfer::for_seed(seed, 1);
     let (mut emu, tid, data) = fused_boot(x, seed, cpus, faults);
-    assert!(
-        emu.run_until_exit(tid, 2_000_000_000),
-        "seed {seed} at {cpus} CPUs: the fused transfer finishes under chaos"
-    );
+    // In slices, so the whole-state checker sees the kernel between the
+    // binds, unbinds and recoveries rather than only after the last.
+    let mut slices = 0;
+    while !emu.run_until_exit(tid, 100_000) {
+        slices += 1;
+        assert!(
+            slices < 20_000,
+            "seed {seed} at {cpus} CPUs: the fused transfer finishes under chaos"
+        );
+        common::assert_chains_consistent(&emu.k);
+    }
+    common::assert_chains_consistent(&emu.k);
     fused_check(&emu, x, seed, &data);
     emu.k.m.fault.trace().to_vec()
 }

@@ -161,7 +161,6 @@ fn ten_thousand_open_close_cycles_leak_nothing() {
 /// emits one synthesis event (cache hit or miss) per cached block it
 /// opens and exactly one destroy event per block it releases, with the
 /// first synthesis strictly before the first destroy.
-#[cfg(feature = "trace")]
 #[test]
 fn every_device_class_balances_synthesize_and_destroy_events() {
     use synthesis::kernel::trace::{Kind, TraceQuery};

@@ -204,6 +204,10 @@ fn churn(k: &mut Kernel, seed: u64) {
         "no FP thread ever ran its first instruction"
     );
     assert_eq!(k.threads[&holder].state, ThreadState::Stopped);
+    assert!(
+        k.trace.frame_tids().all(|t| k.threads.contains_key(&t)),
+        "a destroyed thread's exception-frame stack is still tracked"
+    );
 }
 
 #[test]
