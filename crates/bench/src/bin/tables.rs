@@ -18,7 +18,8 @@ const USAGE: &str = "usage: tables [--table 1-5] [--iters N] [--kernel-size] [--
 /// What `--help` prints under the synopsis.
 const HELP: &str = "  tables                      all tables
   tables --table 3            one table
-  tables --kernel-size        the Section 6.4 size figures only
+  tables --kernel-size [--json SIZE.json]
+                              the Section 6.4 size figures + kept plans
   tables --iters 100          Table 1 iteration count (default 40)
   tables --json BENCH_4.json  tables 1-3 + cache figures, as JSON
   tables --trace-report [--json BENCH_5.json]
@@ -504,7 +505,7 @@ fn table1_gate(new_path: &str, base_path: &str) {
     );
 }
 
-fn kernel_size() -> Vec<Row> {
+fn kernel_size() -> (Vec<Row>, synthesis_core::monitor::SizeReport) {
     // Section 6.4: the whole kernel assembles to 64 KB; with 3 processes
     // running the resident kernel is 32 KB, growing with threads and
     // open files.
@@ -543,7 +544,7 @@ fn kernel_size() -> Vec<Row> {
     }
     let ten_files = synthesis_core::monitor::size_report(&k);
 
-    vec![
+    let rows = vec![
         Row::new(
             "static kernel code at boot [KB]",
             Some(32.0),
@@ -574,7 +575,8 @@ fn kernel_size() -> Vec<Row> {
             ten_files.code_blocks as f64,
             "blocks",
         ),
-    ]
+    ];
+    (rows, ten_files)
 }
 
 fn main() {
@@ -729,6 +731,23 @@ fn main() {
         return;
     }
 
+    if size_only {
+        let (rows, report) = kernel_size();
+        if let Some(path) = get("--json") {
+            if let Err(e) = std::fs::write(&path, report.to_json()) {
+                eprintln!("error: cannot write {path}: {e}");
+                std::process::exit(1);
+            }
+            println!("wrote {path}");
+        } else {
+            println!("Synthesis kernel reproduction — paper (SOSP '89) vs measured");
+            println!("machine: 16 MHz + 1 wait state (SUN 3/160 emulation mode)");
+            print!("{}", render("Kernel size (Section 6.4)", &rows));
+            print!("\n{}", report.render());
+        }
+        return;
+    }
+
     if let Some(path) = get("--json") {
         emit_json(&path, iters);
         return;
@@ -736,11 +755,6 @@ fn main() {
 
     println!("Synthesis kernel reproduction — paper (SOSP '89) vs measured");
     println!("machine: 16 MHz + 1 wait state (SUN 3/160 emulation mode)");
-
-    if size_only {
-        print!("{}", render("Kernel size (Section 6.4)", &kernel_size()));
-        return;
-    }
 
     if only.is_none() || only == Some(1) {
         println!("\n[table 1: running the seven programs on both kernels ({iters} iterations)...]");
@@ -778,6 +792,6 @@ fn main() {
         );
     }
     if only.is_none() {
-        print!("{}", render("Kernel size (Section 6.4)", &kernel_size()));
+        print!("{}", render("Kernel size (Section 6.4)", &kernel_size().0));
     }
 }

@@ -16,6 +16,7 @@ use std::collections::HashMap;
 
 use quamachine::isa::{BranchTarget, Cond, Instr, Operand};
 
+use crate::rewrite;
 use crate::template::{Template, TemplateLib};
 
 /// Collapsing errors.
@@ -84,7 +85,7 @@ fn inline_site(caller: &Template, site: usize, callee: &Template) -> Template {
             ins.set_branch_target(BranchTarget::Idx(splice_base + t));
         }
         // Remap holes.
-        ins = remap_instr_ops(ins, &remap_callee_op);
+        ins = rewrite::map_operands(ins, &remap_callee_op);
         // Returns become exits from the spliced body.
         if matches!(ins, Instr::Rts) {
             if j + 1 == callee.instrs.len() {
@@ -143,55 +144,6 @@ fn inline_site(caller: &Template, site: usize, callee: &Template) -> Template {
         instrs: out_instrs,
         holes,
         marks,
-    }
-}
-
-fn remap_instr_ops(ins: Instr, f: &dyn Fn(Operand) -> Operand) -> Instr {
-    use Instr::*;
-    match ins {
-        Move(s, a, b) => Move(s, f(a), f(b)),
-        Movem { to_mem, regs, ea } => Movem {
-            to_mem,
-            regs,
-            ea: f(ea),
-        },
-        Lea(ea, n) => Lea(f(ea), n),
-        Pea(ea) => Pea(f(ea)),
-        Add(s, a, b) => Add(s, f(a), f(b)),
-        Sub(s, a, b) => Sub(s, f(a), f(b)),
-        Cmp(s, a, b) => Cmp(s, f(a), f(b)),
-        Tst(s, ea) => Tst(s, f(ea)),
-        And(s, a, b) => And(s, f(a), f(b)),
-        Or(s, a, b) => Or(s, f(a), f(b)),
-        Eor(s, a, b) => Eor(s, f(a), f(b)),
-        Not(s, ea) => Not(s, f(ea)),
-        Neg(s, ea) => Neg(s, f(ea)),
-        MulU(ea, n) => MulU(f(ea), n),
-        DivU(ea, n) => DivU(f(ea), n),
-        Shift(k, s, c, d) => Shift(k, s, f(c), f(d)),
-        Scc(c, ea) => Scc(c, f(ea)),
-        Jmp(ea) => Jmp(f(ea)),
-        Jsr(ea) => Jsr(f(ea)),
-        Cas { size, dc, du, ea } => Cas {
-            size,
-            dc,
-            du,
-            ea: f(ea),
-        },
-        Tas(ea) => Tas(f(ea)),
-        MoveSr { to_sr, ea } => MoveSr { to_sr, ea: f(ea) },
-        MoveVbr { to_vbr, ea } => MoveVbr { to_vbr, ea: f(ea) },
-        FMove { to_mem, fp, ea } => FMove {
-            to_mem,
-            fp,
-            ea: f(ea),
-        },
-        FMovem { to_mem, regs, ea } => FMovem {
-            to_mem,
-            regs,
-            ea: f(ea),
-        },
-        other => other,
     }
 }
 

@@ -6,6 +6,12 @@
 //! charges a modelled cycle cost to the machine, calibrated so that the
 //! code-synthesis share of `open(/dev/null)` lands near the paper's 40% of
 //! 49 µs (Section 6.3).
+//!
+//! Factorize and optimize run once per template, holes in place, into a
+//! [`Plan`]; a request whose bindings agree with a kept plan's read log
+//! only fills holes (see [`crate::plan`]). The modelled cycle cost is the
+//! same either way: the guest pays for synthesis, the host skips the
+//! repeat.
 
 use std::collections::HashMap;
 
@@ -13,9 +19,9 @@ use quamachine::code::CodeBlock;
 use quamachine::machine::Machine;
 
 use crate::codebuf::{CodeBuf, CodeBufFull};
-use crate::collapse::{self, CollapseError};
-use crate::factor::{self, FactorError};
-use crate::peephole;
+use crate::collapse::CollapseError;
+use crate::factor::FactorError;
+use crate::plan::Plan;
 use crate::speccache::{Release, SpecCache, SpecKey};
 use crate::template::{Bindings, Template, TemplateLib};
 use crate::verify::{self, VerifyReport};
@@ -166,6 +172,11 @@ pub struct CreatorStats {
     pub cache_hits_cross: u64,
     /// The subset of `bytes_shared` handed out across CPUs.
     pub bytes_shared_cross: u64,
+    /// Times the pipeline ran: no kept [`Plan`] agreed with the request's
+    /// bindings (or the template is not in the library).
+    pub plans_compiled: u64,
+    /// Syntheses that only filled the holes of a kept plan.
+    pub plan_hits: u64,
 }
 
 impl CreatorStats {
@@ -216,9 +227,112 @@ pub enum CacheEvent {
 /// embedders that never drain; the kernel drains after every call).
 const CACHE_EVENT_CAP: usize = 8192;
 
+/// Hole name → value for one request. With collapse off a `call:NAME`
+/// hole takes `NAME`'s [linked](QuajectCreator::link) address, ahead of
+/// any binding of that name.
+fn hole_values<'a>(
+    bindings: &'a Bindings,
+    linked: &'a HashMap<String, u32>,
+    opts: SynthesisOptions,
+) -> impl Fn(&str) -> Option<u32> + 'a {
+    move |name| {
+        let callee = name.strip_prefix("call:").filter(|_| !opts.collapse);
+        callee
+            .and_then(|c| linked.get(c).copied())
+            .or_else(|| bindings.get(name))
+    }
+}
+
+/// Fill `plan`'s holes, verify, allocate, load, and charge the modelled
+/// synthesis cost.
+fn install(
+    codebuf: &mut CodeBuf,
+    stats: &mut CreatorStats,
+    m: &mut Machine,
+    plan: &Plan,
+    value_of: &impl Fn(&str) -> Option<u32>,
+) -> Result<Synthesized, SynthError> {
+    let table = plan.table(value_of).map_err(SynthError::Factor)?;
+    let instrs = plan.instantiate(&table);
+    verify::verify_reported(&plan.name, &instrs, plan.marks()).map_err(SynthError::Verify)?;
+
+    let offsets = plan.offsets();
+    let instrs_in = plan.instrs_in;
+    let instrs_out = instrs.len();
+    let size = offsets[instrs_out];
+    let base = codebuf.alloc(size).map_err(SynthError::CodeBuf)?;
+    let block = CodeBlock {
+        name: plan.name.clone(),
+        instrs,
+        offsets: offsets.to_vec(),
+    };
+    m.load_block(base, block).map_err(SynthError::Install)?;
+    let entries = plan
+        .marks()
+        .map(|(mark, idx)| (mark.to_string(), base + offsets[idx]))
+        .collect();
+
+    // Charge the modelled synthesis cost.
+    let processed = instrs_in.max(instrs_out) as u64;
+    let synth_cycles = SYNTH_BASE_CYCLES + SYNTH_CYCLES_PER_INSTR * processed;
+    m.charge(synth_cycles);
+
+    stats.synthesized += 1;
+    stats.cycles += synth_cycles;
+    stats.bytes_installed += u64::from(size);
+    stats.instrs_eliminated += instrs_in.saturating_sub(instrs_out) as u64;
+
+    Ok(Synthesized {
+        base,
+        size,
+        entries,
+        instrs_in,
+        instrs_out,
+        synth_cycles,
+    })
+}
+
+/// The read-log argument, checked: a kept plan the request agrees with
+/// must instantiate to exactly what the pipeline makes of that request
+/// from scratch. A failure means a pass learned a binding some other way
+/// than [`Resolver::read`](crate::plan::Resolver::read).
+#[cfg(debug_assertions)]
+fn assert_plan_is_the_pipeline(
+    kept: &Plan,
+    t: &Template,
+    lib: &TemplateLib,
+    value_of: &impl Fn(&str) -> Option<u32>,
+) {
+    // An unbound hole is install's error to report.
+    let (Ok(table), Ok(fresh)) = (
+        kept.table(value_of),
+        Plan::compile(t, lib, kept.opts, value_of),
+    ) else {
+        return;
+    };
+    debug_assert_eq!(
+        kept.instantiate(&table),
+        fresh.instantiate(&table),
+        "{}: kept plan (log {:?}) differs from the pipeline",
+        kept.name,
+        kept.logged().collect::<Vec<_>>()
+    );
+    debug_assert!(
+        kept.marks().eq(fresh.marks()),
+        "{}: marks differ",
+        kept.name
+    );
+    debug_assert_eq!(
+        kept.offsets(),
+        fresh.offsets(),
+        "{}: sizes differ",
+        kept.name
+    );
+}
+
 /// The quaject creator.
 pub struct QuajectCreator {
-    /// The template library.
+    /// The template library, with the plans compiled from each template.
     pub lib: TemplateLib,
     /// Code-space allocator.
     pub codebuf: CodeBuf,
@@ -260,8 +374,9 @@ impl QuajectCreator {
         self.linked.insert(name.into(), addr);
     }
 
-    /// Run the synthesis pipeline on `template_name` with `bindings` and
-    /// install the result.
+    /// Specialize `template_name` for `bindings` and install the result:
+    /// fill the holes of a kept [`Plan`] whose read log the bindings
+    /// agree with, or run the pipeline to compile (and keep) one.
     ///
     /// # Errors
     ///
@@ -276,12 +391,31 @@ impl QuajectCreator {
         let t = self
             .lib
             .get(template_name)
-            .ok_or_else(|| SynthError::UnknownTemplate(template_name.to_string()))?
-            .clone();
-        self.synthesize_template(m, &t, bindings, opts)
+            .ok_or_else(|| SynthError::UnknownTemplate(template_name.to_string()))?;
+        let value_of = hole_values(bindings, &self.linked, opts);
+        let kept = self
+            .lib
+            .plans(template_name)
+            .iter()
+            .find(|p| p.opts == opts && p.agrees(&value_of));
+        let plan = match kept {
+            Some(plan) => {
+                self.stats.plan_hits += 1;
+                #[cfg(debug_assertions)]
+                assert_plan_is_the_pipeline(plan, t, &self.lib, &value_of);
+                plan
+            }
+            None => {
+                let plan = Plan::compile(t, &self.lib, opts, &value_of)?;
+                self.stats.plans_compiled += 1;
+                self.lib.remember(template_name, plan)
+            }
+        };
+        install(&mut self.codebuf, &mut self.stats, m, plan, &value_of)
     }
 
-    /// Synthesize a template object directly (not via the library).
+    /// Synthesize a template object directly (not via the library): the
+    /// pipeline runs and its plan is used once.
     ///
     /// # Errors
     ///
@@ -293,83 +427,10 @@ impl QuajectCreator {
         bindings: &Bindings,
         opts: SynthesisOptions,
     ) -> Result<Synthesized, SynthError> {
-        let instrs_in = t.instrs.len();
-
-        // Stage 0 (combination support): Collapsing Layers, or layered
-        // linkage of call sites.
-        let mut work: Template = if opts.collapse && !t.call_sites().is_empty() {
-            collapse::collapse(t, &self.lib).map_err(SynthError::Collapse)?
-        } else {
-            t.clone()
-        };
-        let mut b = bindings.clone();
-        if !opts.collapse {
-            for (_, callee) in work.call_sites() {
-                if let Some(&addr) = self.linked.get(&callee) {
-                    b.bind(Template::call_hole_name(&callee), addr);
-                }
-            }
-        }
-
-        // Stage 1: factorization (substitution always; folding optional).
-        work = if opts.fold {
-            factor::factor(&work, &b).map_err(SynthError::Factor)?
-        } else {
-            let instrs = factor::substitute(&work, &b).map_err(SynthError::Factor)?;
-            Template {
-                name: work.name.clone(),
-                instrs,
-                holes: Vec::new(),
-                marks: work.marks,
-            }
-        };
-
-        // Stage 2: optimization.
-        if opts.peephole {
-            let mut marks = work.marks.clone();
-            let instrs = peephole::optimize(work.instrs, &mut marks);
-            work = Template {
-                name: work.name,
-                instrs,
-                holes: Vec::new(),
-                marks,
-            };
-        }
-
-        verify::verify_reported(&work).map_err(SynthError::Verify)?;
-
-        // Stage 3: allocation + install.
-        let instrs_out = work.instrs.len();
-        let size = work.size_bytes();
-        let base = self.codebuf.alloc(size).map_err(SynthError::CodeBuf)?;
-        let block = CodeBlock::new(work.name.clone(), work.instrs);
-        m.load_block(base, block).map_err(SynthError::Install)?;
-
-        let mut entries = HashMap::new();
-        for (mark, &idx) in &work.marks {
-            if let Some(addr) = m.code.addr_of(base, idx) {
-                entries.insert(mark.clone(), addr);
-            }
-        }
-
-        // Charge the modelled synthesis cost.
-        let processed = instrs_in.max(instrs_out) as u64;
-        let synth_cycles = SYNTH_BASE_CYCLES + SYNTH_CYCLES_PER_INSTR * processed;
-        m.charge(synth_cycles);
-
-        self.stats.synthesized += 1;
-        self.stats.cycles += synth_cycles;
-        self.stats.bytes_installed += u64::from(size);
-        self.stats.instrs_eliminated += instrs_in.saturating_sub(instrs_out) as u64;
-
-        Ok(Synthesized {
-            base,
-            size,
-            entries,
-            instrs_in,
-            instrs_out,
-            synth_cycles,
-        })
+        let value_of = hole_values(bindings, &self.linked, opts);
+        let plan = Plan::compile(t, &self.lib, opts, &value_of)?;
+        self.stats.plans_compiled += 1;
+        install(&mut self.codebuf, &mut self.stats, m, &plan, &value_of)
     }
 
     /// Synthesize through the specialization cache: if a block with the
@@ -397,7 +458,11 @@ impl QuajectCreator {
         bindings: &Bindings,
         opts: SynthesisOptions,
     ) -> Result<Synthesized, SynthError> {
-        let key = SpecKey::new(template_name, bindings, opts);
+        let t = self
+            .lib
+            .get(template_name)
+            .ok_or_else(|| SynthError::UnknownTemplate(template_name.to_string()))?;
+        let key = SpecKey::of(t, bindings, opts);
         let cpu = m.active_cpu();
         if let Some((mut s, cross)) = self.cache.acquire_on(&key, cpu) {
             m.charge(CACHE_HIT_CYCLES);

@@ -16,11 +16,18 @@
 //! a handful of instructions: the device pointer, buffering mode, and
 //! debug flags are invariants of the open file, so every test on them
 //! folds away.
+//!
+//! Steps 2–4 are [`fold`], which also runs on a stream whose holes are
+//! still in place: a hole's value is then *carried* (a register holding
+//! it is rewritten to the hole, not to a number) and is read — through
+//! the [`Resolver`], which logs it — only where the fold computes with
+//! it. [`factor`] is step 1 followed by [`fold`] with no holes left.
 
 use std::collections::HashMap;
 
-use quamachine::isa::{Cond, Instr, Operand, Size};
+use quamachine::isa::{Cond, HoleId, Instr, Operand, Size};
 
+use crate::plan::Resolver;
 use crate::rewrite;
 use crate::template::{Bindings, Template};
 
@@ -47,82 +54,63 @@ impl std::error::Error for FactorError {}
 ///
 /// Fails if an instruction uses a hole with no binding.
 pub fn substitute(t: &Template, b: &Bindings) -> Result<Vec<Instr>, FactorError> {
-    let value_of = |h: u16| -> Result<u32, FactorError> {
-        let name = &t.holes[h as usize];
-        b.get(name)
-            .ok_or_else(|| FactorError::MissingBinding(name.clone()))
-    };
-    let subst_op = |op: Operand| -> Result<Operand, FactorError> {
-        Ok(match op {
-            Operand::ImmHole(h) => Operand::Imm(value_of(h)?),
-            Operand::AbsHole(h) => Operand::Abs(value_of(h)?),
-            other => other,
-        })
-    };
-    t.instrs
+    let mut missing = None;
+    let instrs = t
+        .instrs
         .iter()
-        .map(|i| {
-            use Instr::*;
-            Ok(match *i {
-                Move(s, a, b2) => Move(s, subst_op(a)?, subst_op(b2)?),
-                Movem { to_mem, regs, ea } => Movem {
-                    to_mem,
-                    regs,
-                    ea: subst_op(ea)?,
-                },
-                Lea(ea, n) => Lea(subst_op(ea)?, n),
-                Pea(ea) => Pea(subst_op(ea)?),
-                Add(s, a, b2) => Add(s, subst_op(a)?, subst_op(b2)?),
-                Sub(s, a, b2) => Sub(s, subst_op(a)?, subst_op(b2)?),
-                Cmp(s, a, b2) => Cmp(s, subst_op(a)?, subst_op(b2)?),
-                Tst(s, ea) => Tst(s, subst_op(ea)?),
-                And(s, a, b2) => And(s, subst_op(a)?, subst_op(b2)?),
-                Or(s, a, b2) => Or(s, subst_op(a)?, subst_op(b2)?),
-                Eor(s, a, b2) => Eor(s, subst_op(a)?, subst_op(b2)?),
-                Not(s, ea) => Not(s, subst_op(ea)?),
-                Neg(s, ea) => Neg(s, subst_op(ea)?),
-                MulU(ea, n) => MulU(subst_op(ea)?, n),
-                DivU(ea, n) => DivU(subst_op(ea)?, n),
-                Shift(k, s, c, d) => Shift(k, s, subst_op(c)?, subst_op(d)?),
-                Scc(c, ea) => Scc(c, subst_op(ea)?),
-                Jmp(ea) => Jmp(subst_op(ea)?),
-                Jsr(ea) => Jsr(subst_op(ea)?),
-                Cas { size, dc, du, ea } => Cas {
-                    size,
-                    dc,
-                    du,
-                    ea: subst_op(ea)?,
-                },
-                Tas(ea) => Tas(subst_op(ea)?),
-                MoveSr { to_sr, ea } => MoveSr {
-                    to_sr,
-                    ea: subst_op(ea)?,
-                },
-                MoveVbr { to_vbr, ea } => MoveVbr {
-                    to_vbr,
-                    ea: subst_op(ea)?,
-                },
-                FMove { to_mem, fp, ea } => FMove {
-                    to_mem,
-                    fp,
-                    ea: subst_op(ea)?,
-                },
-                FMovem { to_mem, regs, ea } => FMovem {
-                    to_mem,
-                    regs,
-                    ea: subst_op(ea)?,
-                },
-                other => other,
+        .map(|&i| {
+            rewrite::map_operands(i, |op| {
+                let Some(h) = op.hole() else { return op };
+                let name = &t.holes[h as usize];
+                match (b.get(name), op) {
+                    (Some(v), Operand::ImmHole(_)) => Operand::Imm(v),
+                    (Some(v), _) => Operand::Abs(v),
+                    (None, _) => {
+                        missing.get_or_insert_with(|| name.clone());
+                        op
+                    }
+                }
             })
         })
-        .collect()
+        .collect();
+    match missing {
+        Some(name) => Err(FactorError::MissingBinding(name)),
+        None => Ok(instrs),
+    }
+}
+
+/// What the fold knows a register or immediate to hold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Val {
+    /// This number.
+    Const(u32),
+    /// Whatever this hole is bound to — carried, not looked at.
+    Hole(HoleId),
+}
+
+impl Val {
+    /// The number: a hole's value is read (and logged) only here.
+    fn read(self, r: &mut Resolver<'_>) -> u32 {
+        match self {
+            Val::Const(v) => v,
+            Val::Hole(h) => r.read(h),
+        }
+    }
+
+    /// The immediate operand that denotes this value.
+    fn operand(self) -> Operand {
+        match self {
+            Val::Const(v) => Operand::Imm(v),
+            Val::Hole(h) => Operand::ImmHole(h),
+        }
+    }
 }
 
 /// A register-constant lattice: `Some(v)` = known value, `None` = unknown.
 #[derive(Debug, Clone, Default)]
 struct Consts {
-    d: [Option<u32>; 8],
-    a: [Option<u32>; 8],
+    d: [Option<Val>; 8],
+    a: [Option<Val>; 8],
 }
 
 impl Consts {
@@ -130,17 +118,18 @@ impl Consts {
         *self = Consts::default();
     }
 
-    fn get(&self, op: &Operand) -> Option<u32> {
+    fn get(&self, op: &Operand) -> Option<Val> {
         match *op {
             Operand::Dr(n) => self.d[n as usize],
             Operand::Ar(n) => self.a[n as usize],
-            Operand::Imm(v) => Some(v),
+            Operand::Imm(v) => Some(Val::Const(v)),
+            Operand::ImmHole(h) => Some(Val::Hole(h)),
             _ => None,
         }
     }
 
     /// Record the effect of a write to a register.
-    fn set_reg(&mut self, op: &Operand, size: Size, v: Option<u32>) {
+    fn set_reg(&mut self, op: &Operand, size: Size, v: Option<Val>, r: &mut Resolver<'_>) {
         match *op {
             Operand::Dr(n) => {
                 // Sub-long writes merge into unknown upper bits.
@@ -150,7 +139,12 @@ impl Consts {
                 };
             }
             Operand::Ar(n) => {
-                self.a[n as usize] = v.map(|x| size.sext(x));
+                // A sub-long write sign-extends: that computes with the
+                // value, so a carried hole is read.
+                self.a[n as usize] = match size {
+                    Size::L => v,
+                    _ => v.map(|x| Val::Const(size.sext(x.read(r)))),
+                };
             }
             _ => {}
         }
@@ -171,6 +165,31 @@ struct KnownFlags {
     z: bool,
     v: bool,
     c: bool,
+}
+
+/// What the fold knows about the condition codes. The flags a `move`,
+/// `tst` or `cmp` sets are kept as their recipe and worked out only when
+/// a `Bcc` consumes them, so a hole that merely passes through a
+/// flag-setting instruction is never read.
+#[derive(Debug, Clone, Copy)]
+enum Flags {
+    Unknown,
+    Known(KnownFlags),
+    /// Those of this value at this size (`move`, `tst`).
+    OfValue(Size, Val),
+    /// Those of `dst - src` (`cmp`): `(size, dst, src)`.
+    OfSub(Size, Val, Val),
+}
+
+impl Flags {
+    fn force(self, r: &mut Resolver<'_>) -> Option<KnownFlags> {
+        match self {
+            Flags::Unknown => None,
+            Flags::Known(f) => Some(f),
+            Flags::OfValue(size, v) => Some(flags_of_value(size, v.read(r))),
+            Flags::OfSub(size, d, s) => Some(flags_of_sub(size, d.read(r), s.read(r))),
+        }
+    }
 }
 
 fn flags_of_value(size: Size, v: u32) -> KnownFlags {
@@ -211,7 +230,7 @@ fn flags_of_add(size: Size, a: u32, b: u32) -> KnownFlags {
 fn rewrite_src(op: &mut Operand, consts: &Consts, changed: &mut bool) {
     if matches!(op, Operand::Dr(_)) {
         if let Some(v) = consts.get(op) {
-            *op = Operand::Imm(v);
+            *op = v.operand();
             *changed = true;
         }
     }
@@ -220,19 +239,19 @@ fn rewrite_src(op: &mut Operand, consts: &Consts, changed: &mut bool) {
 /// One forward pass of constant propagation and branch resolution over a
 /// linear instruction stream. Returns `(instrs, keep, changed)`.
 #[allow(clippy::too_many_lines)]
-fn propagate(mut instrs: Vec<Instr>) -> (Vec<Instr>, Vec<bool>, bool) {
+fn propagate(mut instrs: Vec<Instr>, r: &mut Resolver<'_>) -> (Vec<Instr>, Vec<bool>, bool) {
     let targets = rewrite::branch_target_flags(&instrs);
     let mut keep = vec![true; instrs.len()];
     let mut changed = false;
 
     let mut consts = Consts::default();
-    let mut flags: Option<KnownFlags> = None;
+    let mut flags = Flags::Unknown;
 
     for i in 0..instrs.len() {
         if targets[i] {
             // Control can arrive here from elsewhere: forget everything.
             consts.clear();
-            flags = None;
+            flags = Flags::Unknown;
         }
 
         // Work on a copy (Instr is Copy); write it back at the end.
@@ -245,9 +264,9 @@ fn propagate(mut instrs: Vec<Instr>) -> (Vec<Instr>, Vec<bool>, bool) {
                 consts.clobber_ea(dst);
                 let v = consts.get(src);
                 let sz = *size;
-                consts.set_reg(dst, sz, v);
+                consts.set_reg(dst, sz, v, r);
                 if !matches!(dst, Operand::Ar(_)) {
-                    flags = v.map(|x| flags_of_value(sz, x));
+                    flags = v.map_or(Flags::Unknown, |x| Flags::OfValue(sz, x));
                 }
             }
             Add(size, src, dst) | Sub(size, src, dst) => {
@@ -257,17 +276,23 @@ fn propagate(mut instrs: Vec<Instr>) -> (Vec<Instr>, Vec<bool>, bool) {
                 consts.clobber_ea(dst);
                 let sz = *size;
                 let (nv, kf) = match (consts.get(src), consts.get(dst)) {
-                    (Some(s), Some(d)) if is_add => (
-                        Some(d.wrapping_add(s) & sz.mask()),
-                        Some(flags_of_add(sz, d, s)),
-                    ),
-                    (Some(s), Some(d)) => (
-                        Some(d.wrapping_sub(s) & sz.mask()),
-                        Some(flags_of_sub(sz, d, s)),
-                    ),
-                    _ => (None, None),
+                    (Some(s), Some(d)) => {
+                        let (s, d) = (s.read(r), d.read(r));
+                        if is_add {
+                            (
+                                Some(Val::Const(d.wrapping_add(s) & sz.mask())),
+                                Flags::Known(flags_of_add(sz, d, s)),
+                            )
+                        } else {
+                            (
+                                Some(Val::Const(d.wrapping_sub(s) & sz.mask())),
+                                Flags::Known(flags_of_sub(sz, d, s)),
+                            )
+                        }
+                    }
+                    _ => (None, Flags::Unknown),
                 };
-                consts.set_reg(dst, sz, nv);
+                consts.set_reg(dst, sz, nv, r);
                 if !matches!(dst, Operand::Ar(_)) {
                     // ADDA/SUBA (address destination) do not touch flags.
                     flags = kf;
@@ -278,13 +303,15 @@ fn propagate(mut instrs: Vec<Instr>) -> (Vec<Instr>, Vec<bool>, bool) {
                 consts.clobber_ea(src);
                 consts.clobber_ea(dst);
                 flags = match (consts.get(src), consts.get(dst)) {
-                    (Some(s), Some(d)) => Some(flags_of_sub(*size, d, s)),
-                    _ => None,
+                    (Some(s), Some(d)) => Flags::OfSub(*size, d, s),
+                    _ => Flags::Unknown,
                 };
             }
             Tst(size, ea) => {
                 consts.clobber_ea(ea);
-                flags = consts.get(ea).map(|v| flags_of_value(*size, v));
+                flags = consts
+                    .get(ea)
+                    .map_or(Flags::Unknown, |v| Flags::OfValue(*size, v));
             }
             And(size, src, dst) | Or(size, src, dst) | Eor(size, src, dst) => {
                 let kind = match instrs[i] {
@@ -297,20 +324,24 @@ fn propagate(mut instrs: Vec<Instr>) -> (Vec<Instr>, Vec<bool>, bool) {
                 consts.clobber_ea(dst);
                 let sz = *size;
                 let nv = match (consts.get(src), consts.get(dst)) {
-                    (Some(s), Some(d)) => Some(
-                        match kind {
-                            0 => d & s,
-                            1 => d | s,
-                            _ => d ^ s,
-                        } & sz.mask(),
-                    ),
+                    (Some(s), Some(d)) => {
+                        let (s, d) = (s.read(r), d.read(r));
+                        Some(
+                            match kind {
+                                0 => d & s,
+                                1 => d | s,
+                                _ => d ^ s,
+                            } & sz.mask(),
+                        )
+                    }
                     _ => None,
                 };
-                consts.set_reg(dst, sz, nv);
-                flags = nv.map(|v| flags_of_value(sz, v));
+                consts.set_reg(dst, sz, nv.map(Val::Const), r);
+                flags = nv.map_or(Flags::Unknown, |v| Flags::Known(flags_of_value(sz, v)));
             }
             Bcc(cond, _) => {
-                if let Some(f) = flags {
+                if let Some(f) = flags.force(r) {
+                    flags = Flags::Known(f);
                     let taken = cond.eval(f.n, f.z, f.v, f.c);
                     if taken {
                         if *cond != Cond::T {
@@ -327,19 +358,20 @@ fn propagate(mut instrs: Vec<Instr>) -> (Vec<Instr>, Vec<bool>, bool) {
             Lea(ea, n) => {
                 consts.clobber_ea(ea);
                 consts.a[*n as usize] = match *ea {
-                    Operand::Abs(a) => Some(a),
+                    Operand::Abs(a) => Some(Val::Const(a)),
+                    Operand::AbsHole(h) => Some(Val::Hole(h)),
                     _ => None,
                 };
             }
             Jsr(_) | Trap(_) | KCall(_) => {
                 // Unknown callee: forget registers and flags.
                 consts.clear();
-                flags = None;
+                flags = Flags::Unknown;
             }
             Jmp(_) | Rts | Rte | Halt | Stop(_) => {
                 // Path ends; state resets at the next reachable point.
                 consts.clear();
-                flags = None;
+                flags = Flags::Unknown;
             }
             other => {
                 // Conservative default: invalidate anything the
@@ -350,7 +382,7 @@ fn propagate(mut instrs: Vec<Instr>) -> (Vec<Instr>, Vec<bool>, bool) {
                 match other {
                     Not(_, d) | Neg(_, d) | Scc(_, d) | Shift(_, _, _, d) => {
                         let d = *d;
-                        consts.set_reg(&d, Size::L, None);
+                        consts.set_reg(&d, Size::L, None, r);
                     }
                     MulU(_, n) | DivU(_, n) | Swap(n) | Ext(_, n) | Dbf(n, _) => {
                         consts.d[*n as usize] = None;
@@ -360,11 +392,11 @@ fn propagate(mut instrs: Vec<Instr>) -> (Vec<Instr>, Vec<bool>, bool) {
                         regs,
                         ..
                     } => {
-                        for (is_a, r) in regs.iter() {
+                        for (is_a, reg) in regs.iter() {
                             if is_a {
-                                consts.a[r as usize] = None;
+                                consts.a[reg as usize] = None;
                             } else {
-                                consts.d[r as usize] = None;
+                                consts.d[reg as usize] = None;
                             }
                         }
                     }
@@ -380,11 +412,11 @@ fn propagate(mut instrs: Vec<Instr>) -> (Vec<Instr>, Vec<bool>, bool) {
                     } => consts.a[*areg as usize] = None,
                     MoveVbr { to_vbr: false, ea } => {
                         let ea = *ea;
-                        consts.set_reg(&ea, Size::L, None);
+                        consts.set_reg(&ea, Size::L, None, r);
                     }
                     _ => {}
                 }
-                flags = None;
+                flags = Flags::Unknown;
             }
         }
         instrs[i] = ins;
@@ -414,35 +446,45 @@ fn drop_branches_to_next(instrs: &[Instr], keep: &mut [bool]) -> bool {
     changed
 }
 
-/// The full Factoring Invariants pipeline: substitute, propagate, resolve,
-/// prune. Entry points listed in the template's marks (plus index 0) stay
-/// reachable.
-///
-/// # Errors
-///
-/// Fails if a used hole has no binding.
-pub fn factor(t: &Template, b: &Bindings) -> Result<Template, FactorError> {
-    let mut instrs = substitute(t, b)?;
-    let mut marks: HashMap<String, usize> = t.marks.clone();
+/// Propagate, resolve, prune — to a fixpoint, on a stream that may still
+/// contain holes (see the module docs). Entry points listed in `marks`
+/// (plus index 0) stay reachable; `marks` is remapped.
+#[must_use]
+pub fn fold(
+    mut instrs: Vec<Instr>,
+    marks: &mut HashMap<String, usize>,
+    r: &mut Resolver<'_>,
+) -> Vec<Instr> {
     // Iterate to a fixpoint (bounded: each round deletes or rewrites).
     for _ in 0..8 {
-        let (new_instrs, mut keep, mut changed) = propagate(instrs);
+        let (new_instrs, mut keep, mut changed) = propagate(instrs, r);
         instrs = new_instrs;
         changed |= drop_branches_to_next(&instrs, &mut keep);
         // Apply branch-removals first so reachability sees the pruned CFG,
         // then eliminate code unreachable from any entry point.
-        instrs = rewrite::compact(instrs, &keep, &mut marks);
+        instrs = rewrite::compact(instrs, &keep, marks);
         let mut entries: Vec<usize> = vec![0];
         entries.extend(marks.values().copied());
         let reach = rewrite::reachable(&instrs, &entries);
-        if reach.iter().any(|r| !r) {
+        if reach.iter().any(|kept| !kept) {
             changed = true;
-            instrs = rewrite::compact(instrs, &reach, &mut marks);
+            instrs = rewrite::compact(instrs, &reach, marks);
         }
         if !changed {
             break;
         }
     }
+    instrs
+}
+
+/// The full Factoring Invariants pipeline: substitute, then [`fold`].
+///
+/// # Errors
+///
+/// Fails if a used hole has no binding.
+pub fn factor(t: &Template, b: &Bindings) -> Result<Template, FactorError> {
+    let mut marks = t.marks.clone();
+    let instrs = fold(substitute(t, b)?, &mut marks, &mut Resolver::none());
     Ok(Template {
         name: t.name.clone(),
         instrs,

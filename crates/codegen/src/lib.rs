@@ -22,7 +22,9 @@
 //! installed by the [`creator`] (quaject creator: allocate → factorize →
 //! optimize) and wired to its neighbours by the [`interfacer`] (quaject
 //! interfacer: combine → factorize → optimize → dynamic link), per the
-//! paper's Section 2.3.
+//! paper's Section 2.3. The creator runs the stages once per template
+//! with the holes still in place and keeps the result as a [`plan`];
+//! each later request fills the holes.
 //!
 //! # Example: factoring invariants
 //!
@@ -63,6 +65,7 @@ pub mod execds;
 pub mod factor;
 pub mod interfacer;
 pub mod peephole;
+pub mod plan;
 pub mod rewrite;
 pub mod speccache;
 pub mod template;

@@ -24,13 +24,37 @@
 //!   `move Dn,Abs` → deleted (the store already set the same flags from
 //!   the same value, so no gate is needed — but device registers are
 //!   volatile and are never touched).
+//!
+//! The passes also run on a stream whose holes are still in place. Four
+//! tests look at a number — `#0`, `#2ᵏ`, "same address" and "below
+//! `DEV_BASE`" — and on a hole each reads it through the [`Resolver`]
+//! (which logs it), after every test that needs no value has passed.
 
 use std::collections::HashMap;
 
 use quamachine::devices::DEV_BASE;
 use quamachine::isa::{BranchTarget, Cond, Instr, Operand, ShiftKind, Size};
 
+use crate::plan::Resolver;
 use crate::rewrite;
+
+/// The value of an immediate operand; `None` for anything else.
+fn imm_value(op: Operand, r: &mut Resolver<'_>) -> Option<u32> {
+    match op {
+        Operand::Imm(v) => Some(v),
+        Operand::ImmHole(h) => Some(r.read(h)),
+        _ => None,
+    }
+}
+
+/// The address of an absolute operand; `None` for anything else.
+fn abs_value(op: Operand, r: &mut Resolver<'_>) -> Option<u32> {
+    match op {
+        Operand::Abs(a) => Some(a),
+        Operand::AbsHole(h) => Some(r.read(h)),
+        _ => None,
+    }
+}
 
 /// Whether the condition codes produced by instruction `i` are dead — i.e.
 /// every path from `i+1` reaches a flag-*writing* instruction before any
@@ -152,11 +176,11 @@ fn overwrites_dreg_long(instr: &Instr, n: u8) -> bool {
 }
 
 /// `cmp #0,x` → `tst x`. Flag-equivalent, always safe.
-fn pass_cmp0_to_tst(instrs: &mut [Instr]) -> bool {
+fn pass_cmp0_to_tst(instrs: &mut [Instr], r: &mut Resolver<'_>) -> bool {
     let mut changed = false;
     for ins in instrs.iter_mut() {
-        if let Instr::Cmp(size, Operand::Imm(0), dst) = *ins {
-            if !matches!(dst, Operand::Ar(_)) {
+        if let Instr::Cmp(size, src, dst) = *ins {
+            if !matches!(dst, Operand::Ar(_)) && imm_value(src, r) == Some(0) {
                 *ins = Instr::Tst(size, dst);
                 changed = true;
             }
@@ -166,31 +190,46 @@ fn pass_cmp0_to_tst(instrs: &mut [Instr]) -> bool {
 }
 
 /// Delete arithmetic identities whose flag effects are dead.
-fn pass_identities(instrs: &[Instr], keep: &mut [bool], targets: &[bool]) -> bool {
+fn pass_identities(
+    instrs: &[Instr],
+    keep: &mut [bool],
+    targets: &[bool],
+    r: &mut Resolver<'_>,
+) -> bool {
     let mut changed = false;
     for (i, ins) in instrs.iter().enumerate() {
         if !keep[i] {
             continue;
         }
-        let identity = match *ins {
-            Instr::Add(_, Operand::Imm(0), d) | Instr::Sub(_, Operand::Imm(0), d) => {
-                // add #0 to memory still performs the read/write cycle but
-                // has no effect; deleting it is safe when flags are dead
-                // and the EA has no side effects.
-                !matches!(d, Operand::PostInc(_) | Operand::PreDec(_))
+        // `(deletable if flags allow, the hole that must read 0 for it)`.
+        let (identity, zero_hole) = match *ins {
+            // add #0 to memory still performs the read/write cycle but
+            // has no effect; deleting it is safe when flags are dead
+            // and the EA has no side effects.
+            Instr::Add(_, s, d)
+            | Instr::Sub(_, s, d)
+            | Instr::Or(_, s, d)
+            | Instr::Eor(_, s, d)
+                if !matches!(d, Operand::PostInc(_) | Operand::PreDec(_)) =>
+            {
+                match s {
+                    Operand::Imm(v) => (v == 0, None),
+                    Operand::ImmHole(h) => (true, Some(h)),
+                    _ => (false, None),
+                }
             }
-            Instr::Or(_, Operand::Imm(0), d) | Instr::Eor(_, Operand::Imm(0), d) => {
-                !matches!(d, Operand::PostInc(_) | Operand::PreDec(_))
-            }
-            Instr::Move(_, s, d) => s == d && s.is_register(),
-            _ => false,
+            Instr::Move(_, s, d) => (s == d && s.is_register(), None),
+            _ => (false, None),
         };
-        if identity {
-            let flags_matter = !matches!(*ins, Instr::Move(_, _, Operand::Ar(_)));
-            if !flags_matter || flags_dead_after(instrs, i, targets) {
-                keep[i] = false;
-                changed = true;
-            }
+        if !identity {
+            continue;
+        }
+        let flags_matter = !matches!(*ins, Instr::Move(_, _, Operand::Ar(_)));
+        if (!flags_matter || flags_dead_after(instrs, i, targets))
+            && zero_hole.is_none_or(|h| r.read(h) == 0)
+        {
+            keep[i] = false;
+            changed = true;
         }
     }
     changed
@@ -244,21 +283,35 @@ fn pass_dead_stores(instrs: &[Instr], keep: &mut [bool], targets: &[bool]) -> bo
 /// when k = 0). The replacement's N/Z/V/C match mulu's, but `lsl`
 /// writes X and mulu does not, so the rewrite applies only when flags
 /// are provably dead. Grows the stream, hence [`rewrite::splice`].
-fn pass_strength_reduce(instrs: &mut Vec<Instr>, marks: &mut HashMap<String, usize>) -> bool {
+fn pass_strength_reduce(
+    instrs: &mut Vec<Instr>,
+    marks: &mut HashMap<String, usize>,
+    r: &mut Resolver<'_>,
+) -> bool {
+    let reducible = |v: u32| v.is_power_of_two() && v <= 0x8000;
     let mut changed = false;
     let mut i = instrs.len();
     while i > 0 {
         i -= 1;
-        let Instr::MulU(Operand::Imm(v), d) = instrs[i] else {
+        let Instr::MulU(src, d) = instrs[i] else {
             continue;
         };
-        if !v.is_power_of_two() || v > 0x8000 {
+        // A number is tested now, a hole only once the flags are known dead.
+        let candidate = match src {
+            Operand::Imm(v) => reducible(v),
+            Operand::ImmHole(_) => true,
+            _ => false,
+        };
+        if !candidate {
             continue;
         }
         let targets = rewrite::branch_target_flags(instrs);
         if !flags_dead_after(instrs, i, &targets) {
             continue;
         }
+        let Some(v) = imm_value(src, r).filter(|&v| reducible(v)) else {
+            continue;
+        };
         let k = v.trailing_zeros();
         let mut repl = vec![Instr::And(Size::L, Operand::Imm(0xFFFF), Operand::Dr(d))];
         if k > 0 {
@@ -279,20 +332,31 @@ fn pass_strength_reduce(instrs: &mut Vec<Instr>, marks: &mut HashMap<String, usi
 /// register, same address). The reload's flags equal the store's — both
 /// derive from the same value — so no flags-dead gate is required.
 /// Device registers are volatile: never elide a read from one.
-fn pass_store_reload(instrs: &[Instr], keep: &mut [bool], targets: &[bool]) -> bool {
+fn pass_store_reload(
+    instrs: &[Instr],
+    keep: &mut [bool],
+    targets: &[bool],
+    r: &mut Resolver<'_>,
+) -> bool {
     let mut changed = false;
     for i in 0..instrs.len().saturating_sub(1) {
         if !keep[i] || !keep[i + 1] || targets[i + 1] {
             continue;
         }
         let (
-            Instr::Move(s1, Operand::Dr(n1), Operand::Abs(a1)),
-            Instr::Move(s2, Operand::Abs(a2), Operand::Dr(n2)),
+            Instr::Move(s1, Operand::Dr(n1), to @ (Operand::Abs(_) | Operand::AbsHole(_))),
+            Instr::Move(s2, from @ (Operand::Abs(_) | Operand::AbsHole(_)), Operand::Dr(n2)),
         ) = (instrs[i], instrs[i + 1])
         else {
             continue;
         };
-        if s1 == s2 && n1 == n2 && a1 == a2 && a1 < DEV_BASE {
+        if s1 != s2 || n1 != n2 {
+            continue;
+        }
+        let (Some(a1), Some(a2)) = (abs_value(to, r), abs_value(from, r)) else {
+            continue;
+        };
+        if a1 == a2 && a1 < DEV_BASE {
             keep[i + 1] = false;
             changed = true;
         }
@@ -356,19 +420,30 @@ fn pass_invert_skip(instrs: &mut [Instr], keep: &mut [bool]) -> bool {
     changed
 }
 
-/// Run all peephole passes to a fixpoint; returns the optimized stream
-/// with `marks` remapped.
+/// Run all peephole passes to a fixpoint on a hole-free stream; returns
+/// the optimized stream with `marks` remapped.
 #[must_use]
-pub fn optimize(mut instrs: Vec<Instr>, marks: &mut HashMap<String, usize>) -> Vec<Instr> {
+pub fn optimize(instrs: Vec<Instr>, marks: &mut HashMap<String, usize>) -> Vec<Instr> {
+    optimize_holed(instrs, marks, &mut Resolver::none())
+}
+
+/// [`optimize`] on a stream that may still contain holes (see the module
+/// docs).
+#[must_use]
+pub fn optimize_holed(
+    mut instrs: Vec<Instr>,
+    marks: &mut HashMap<String, usize>,
+    r: &mut Resolver<'_>,
+) -> Vec<Instr> {
     for _ in 0..8 {
-        let mut changed = pass_cmp0_to_tst(&mut instrs);
+        let mut changed = pass_cmp0_to_tst(&mut instrs, r);
         changed |= pass_branch_threading(&mut instrs);
-        changed |= pass_strength_reduce(&mut instrs, marks);
+        changed |= pass_strength_reduce(&mut instrs, marks, r);
         let targets = rewrite::branch_target_flags(&instrs);
         let mut keep = vec![true; instrs.len()];
-        changed |= pass_identities(&instrs, &mut keep, &targets);
+        changed |= pass_identities(&instrs, &mut keep, &targets, r);
         changed |= pass_dead_stores(&instrs, &mut keep, &targets);
-        changed |= pass_store_reload(&instrs, &mut keep, &targets);
+        changed |= pass_store_reload(&instrs, &mut keep, &targets, r);
         changed |= pass_invert_skip(&mut instrs, &mut keep);
         instrs = rewrite::compact(instrs, &keep, marks);
         if !changed {

@@ -3,7 +3,58 @@
 
 use std::collections::HashMap;
 
-use quamachine::isa::{BranchTarget, Instr};
+use quamachine::isa::{BranchTarget, Instr, Operand};
+
+/// `ins` with every operand replaced by `f(operand)`.
+#[must_use]
+pub fn map_operands(ins: Instr, mut f: impl FnMut(Operand) -> Operand) -> Instr {
+    use Instr::*;
+    match ins {
+        Move(s, a, b) => Move(s, f(a), f(b)),
+        Movem { to_mem, regs, ea } => Movem {
+            to_mem,
+            regs,
+            ea: f(ea),
+        },
+        Lea(ea, n) => Lea(f(ea), n),
+        Pea(ea) => Pea(f(ea)),
+        Add(s, a, b) => Add(s, f(a), f(b)),
+        Sub(s, a, b) => Sub(s, f(a), f(b)),
+        Cmp(s, a, b) => Cmp(s, f(a), f(b)),
+        Tst(s, ea) => Tst(s, f(ea)),
+        And(s, a, b) => And(s, f(a), f(b)),
+        Or(s, a, b) => Or(s, f(a), f(b)),
+        Eor(s, a, b) => Eor(s, f(a), f(b)),
+        Not(s, ea) => Not(s, f(ea)),
+        Neg(s, ea) => Neg(s, f(ea)),
+        MulU(ea, n) => MulU(f(ea), n),
+        DivU(ea, n) => DivU(f(ea), n),
+        Shift(k, s, c, d) => Shift(k, s, f(c), f(d)),
+        Scc(c, ea) => Scc(c, f(ea)),
+        Jmp(ea) => Jmp(f(ea)),
+        Jsr(ea) => Jsr(f(ea)),
+        Cas { size, dc, du, ea } => Cas {
+            size,
+            dc,
+            du,
+            ea: f(ea),
+        },
+        Tas(ea) => Tas(f(ea)),
+        MoveSr { to_sr, ea } => MoveSr { to_sr, ea: f(ea) },
+        MoveVbr { to_vbr, ea } => MoveVbr { to_vbr, ea: f(ea) },
+        FMove { to_mem, fp, ea } => FMove {
+            to_mem,
+            fp,
+            ea: f(ea),
+        },
+        FMovem { to_mem, regs, ea } => FMovem {
+            to_mem,
+            regs,
+            ea: f(ea),
+        },
+        other => other,
+    }
+}
 
 /// Which instruction indices are the target of some intra-block branch.
 #[must_use]

@@ -26,18 +26,24 @@
 use std::collections::{BTreeMap, HashMap};
 
 use crate::creator::{SynthesisOptions, Synthesized};
-use crate::template::Bindings;
+use crate::template::{Bindings, Template};
 
 /// The cache key: one distinct specialization.
 ///
-/// The key is exact (the full sorted binding list, not a lossy hash), so
-/// two different specializations can never collide into one cache entry.
+/// The key is exact (every binding's value, not a lossy hash), so two
+/// different specializations can never collide into one cache entry.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SpecKey {
     /// Template name.
     pub template: String,
-    /// The bindings, sorted by hole name — the specialization's
-    /// invariants, i.e. its fingerprint.
+    /// The values bound to the template's own holes, in declaration
+    /// order (`None` = unbound) — the specialization's invariants, with
+    /// no name cloned. Empty when the key was built from names alone
+    /// ([`SpecKey::new`]).
+    holes: Vec<Option<u32>>,
+    /// The remaining bindings, sorted by hole name: all of them for
+    /// [`SpecKey::new`], those naming no hole of the template (a
+    /// collapsed callee's, usually none) for [`SpecKey::of`].
     pub bindings: Vec<(String, u32)>,
     /// The synthesis switchboard in effect (different ablation settings
     /// produce different code from the same template and bindings).
@@ -46,12 +52,33 @@ pub struct SpecKey {
 
 impl SpecKey {
     /// Build the key for `template` specialized with `bindings` under
-    /// `opts`.
+    /// `opts`, from names alone.
     #[must_use]
     pub fn new(template: &str, bindings: &Bindings, opts: SynthesisOptions) -> SpecKey {
         SpecKey {
             template: template.to_string(),
+            holes: Vec::new(),
             bindings: bindings.sorted_pairs(),
+            opts,
+        }
+    }
+
+    /// The key for template `t` specialized with `bindings` under `opts`:
+    /// two such keys are equal exactly when the [`SpecKey::new`] keys of
+    /// the same requests are, but building one clones a name only for a
+    /// binding that names no hole of `t`.
+    #[must_use]
+    pub fn of(t: &Template, bindings: &Bindings, opts: SynthesisOptions) -> SpecKey {
+        let holes: Vec<Option<u32>> = t.holes.iter().map(|h| bindings.get(h)).collect();
+        let mut rest = Vec::new();
+        if holes.iter().flatten().count() != bindings.len() {
+            rest = bindings.sorted_pairs();
+            rest.retain(|(name, _)| !t.holes.contains(name));
+        }
+        SpecKey {
+            template: t.name.clone(),
+            holes,
+            bindings: rest,
             opts,
         }
     }
@@ -72,6 +99,10 @@ impl SpecKey {
         };
         eat(self.template.as_bytes());
         eat(&[0]);
+        for val in &self.holes {
+            eat(&[u8::from(val.is_some())]);
+            eat(&val.unwrap_or(0).to_le_bytes());
+        }
         for (name, val) in &self.bindings {
             eat(name.as_bytes());
             eat(&val.to_le_bytes());

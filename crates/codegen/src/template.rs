@@ -10,6 +10,8 @@ use std::collections::HashMap;
 use quamachine::asm::{Asm, AsmError};
 use quamachine::isa::{encode, HoleId, Instr, Operand};
 
+use crate::plan::Plan;
+
 /// A named, parameterized code fragment.
 #[derive(Debug, Clone)]
 pub struct Template {
@@ -128,9 +130,13 @@ impl Template {
 }
 
 /// Values for a template's holes, by name.
+///
+/// A template has a handful of holes, so the pairs sit in a vector and a
+/// lookup compares names: cheaper to build and to search than a hash
+/// table at this size.
 #[derive(Debug, Clone, Default)]
 pub struct Bindings {
-    map: HashMap<String, u32>,
+    pairs: Vec<(String, u32)>,
 }
 
 impl Bindings {
@@ -142,7 +148,11 @@ impl Bindings {
 
     /// Bind `name` to `value` (replacing any previous binding).
     pub fn bind(&mut self, name: impl Into<String>, value: u32) -> &mut Self {
-        self.map.insert(name.into(), value);
+        let name = name.into();
+        match self.pairs.iter_mut().find(|(n, _)| *n == name) {
+            Some(pair) => pair.1 = value,
+            None => self.pairs.push((name, value)),
+        }
         self
     }
 
@@ -156,36 +166,51 @@ impl Bindings {
     /// Look up a binding.
     #[must_use]
     pub fn get(&self, name: &str) -> Option<u32> {
-        self.map.get(name).copied()
+        self.pairs.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 
     /// Number of bindings.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.pairs.len()
     }
 
     /// Whether there are no bindings.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.pairs.is_empty()
     }
 
     /// The bindings as `(name, value)` pairs sorted by name — the
     /// canonical form used by the specialization cache key.
     #[must_use]
     pub fn sorted_pairs(&self) -> Vec<(String, u32)> {
-        let mut v: Vec<(String, u32)> = self.map.iter().map(|(k, &x)| (k.clone(), x)).collect();
+        let mut v = self.pairs.clone();
         v.sort();
         v
     }
 }
 
+/// Most plans kept per template, across all
+/// [`SynthesisOptions`](crate::creator::SynthesisOptions). Two cover the kernel's templates
+/// (a decision hole is rare, and those there are take a handful of
+/// values); the cap bounds what a decision hole with unbounded values
+/// can hold on to.
+pub const PLAN_CAP: usize = 8;
+
+/// A template and what has been compiled from it.
+#[derive(Debug)]
+struct Entry {
+    template: Template,
+    /// Oldest first; at most [`PLAN_CAP`].
+    plans: Vec<Plan>,
+}
+
 /// A library of templates, keyed by name (used by Collapsing Layers to
-/// find callees).
+/// find callees), each with its compiled [`Plan`]s.
 #[derive(Debug, Default)]
 pub struct TemplateLib {
-    map: HashMap<String, Template>,
+    map: HashMap<String, Entry>,
 }
 
 impl TemplateLib {
@@ -196,14 +221,64 @@ impl TemplateLib {
     }
 
     /// Add a template (replacing any previous one of the same name).
+    /// Drops every plan in the library: any of them may have inlined the
+    /// template this one replaces.
     pub fn add(&mut self, t: Template) {
-        self.map.insert(t.name.clone(), t);
+        for e in self.map.values_mut() {
+            e.plans.clear();
+        }
+        self.map.insert(
+            t.name.clone(),
+            Entry {
+                template: t,
+                plans: Vec::new(),
+            },
+        );
     }
 
     /// Look up a template.
     #[must_use]
     pub fn get(&self, name: &str) -> Option<&Template> {
-        self.map.get(name)
+        self.map.get(name).map(|e| &e.template)
+    }
+
+    /// Every template, in no particular order.
+    pub fn templates(&self) -> impl Iterator<Item = &Template> + '_ {
+        self.map.values().map(|e| &e.template)
+    }
+
+    /// The plans compiled from template `name`, oldest first.
+    #[must_use]
+    pub fn plans(&self, name: &str) -> &[Plan] {
+        self.map.get(name).map_or(&[], |e| &e.plans)
+    }
+
+    /// Every template that has plans, with them, sorted by name.
+    #[must_use]
+    pub fn planned(&self) -> Vec<(&str, &[Plan])> {
+        let mut v: Vec<(&str, &[Plan])> = self
+            .map
+            .iter()
+            .filter(|(_, e)| !e.plans.is_empty())
+            .map(|(name, e)| (name.as_str(), e.plans.as_slice()))
+            .collect();
+        v.sort_by_key(|&(name, _)| name);
+        v
+    }
+
+    /// Keep `plan` beside template `name` (which must be in the
+    /// library), pushing out the oldest plan past [`PLAN_CAP`].
+    pub(crate) fn remember(&mut self, name: &str, plan: Plan) -> &Plan {
+        let plans = &mut self
+            .map
+            .get_mut(name)
+            .expect("plans are compiled from library templates")
+            .plans;
+        if plans.len() == PLAN_CAP {
+            plans.remove(0);
+        }
+        plans.push(plan);
+        plans.last().expect("just pushed")
     }
 
     /// Number of templates.

@@ -115,16 +115,21 @@ fn disasm_window(name: &str, instrs: &[Instr], at: Option<usize>) -> String {
     out
 }
 
-/// Verify a template, annotating any failure with the template name
-/// and a disassembly of the failing window.
+/// Verify a stream about to be installed as `name` — no hole may be left
+/// — annotating any failure with the name and a disassembly of the
+/// failing window.
 ///
 /// # Errors
 ///
 /// Returns the first problem found, as a [`VerifyReport`].
-pub fn verify_reported(t: &Template) -> Result<(), VerifyReport> {
-    verify(t).map_err(|error| VerifyReport {
-        template: t.name.clone(),
-        window: disasm_window(&t.name, &t.instrs, error.instr_index()),
+pub fn verify_reported<'a>(
+    name: &str,
+    instrs: &[Instr],
+    marks: impl Iterator<Item = (&'a str, usize)>,
+) -> Result<(), VerifyReport> {
+    verify_parts(instrs, 0, marks).map_err(|error| VerifyReport {
+        template: name.to_string(),
+        window: disasm_window(name, instrs, error.instr_index()),
         error,
     })
 }
@@ -135,13 +140,23 @@ pub fn verify_reported(t: &Template) -> Result<(), VerifyReport> {
 ///
 /// Returns the first problem found.
 pub fn verify(t: &Template) -> Result<(), VerifyError> {
-    if t.instrs.is_empty() {
+    let marks = t.marks.iter().map(|(mark, &idx)| (mark.as_str(), idx));
+    verify_parts(&t.instrs, t.holes.len(), marks)
+}
+
+/// [`verify`] on a stream, the size of its hole table and its marks.
+fn verify_parts<'a>(
+    instrs: &[Instr],
+    holes: usize,
+    marks: impl Iterator<Item = (&'a str, usize)>,
+) -> Result<(), VerifyError> {
+    if instrs.is_empty() {
         return Err(VerifyError::Empty);
     }
-    for (i, instr) in t.instrs.iter().enumerate() {
+    for (i, instr) in instrs.iter().enumerate() {
         match instr.branch_target() {
             Some(BranchTarget::Label(_)) => return Err(VerifyError::UnresolvedLabel { instr: i }),
-            Some(BranchTarget::Idx(x)) if x as usize >= t.instrs.len() => {
+            Some(BranchTarget::Idx(x)) if x as usize >= instrs.len() => {
                 return Err(VerifyError::BranchOutOfRange {
                     instr: i,
                     target: x,
@@ -151,16 +166,16 @@ pub fn verify(t: &Template) -> Result<(), VerifyError> {
         }
         for op in instr.operands() {
             if let Some(h) = op.hole() {
-                if usize::from(h) >= t.holes.len() {
+                if usize::from(h) >= holes {
                     return Err(VerifyError::BadHoleId { instr: i, hole: h });
                 }
             }
         }
     }
-    for (mark, &idx) in &t.marks {
-        if idx >= t.instrs.len() {
+    for (mark, idx) in marks {
+        if idx >= instrs.len() {
             return Err(VerifyError::MarkOutOfRange {
-                mark: mark.clone(),
+                mark: mark.to_string(),
                 index: idx,
             });
         }
@@ -168,26 +183,20 @@ pub fn verify(t: &Template) -> Result<(), VerifyError> {
     // The final instruction must not fall through (jmp/rts/rte/halt/bra/
     // stop all qualify). A trailing dbf/bcc falls through by design, so
     // only the *last* instruction is checked.
-    let last = t.instrs.last().expect("non-empty");
+    let last = instrs.last().expect("non-empty");
     if !last.is_terminator() {
         return Err(VerifyError::FallsOffEnd);
     }
     Ok(())
 }
 
-/// Verify a bare instruction stream (no holes, no marks).
+/// Verify a bare instruction stream (no marks; holes up to id 63 pass).
 ///
 /// # Errors
 ///
 /// Returns the first problem found.
 pub fn verify_instrs(instrs: &[Instr]) -> Result<(), VerifyError> {
-    let t = Template {
-        name: String::new(),
-        instrs: instrs.to_vec(),
-        holes: vec![String::new(); 64], // permissive hole table
-        marks: std::collections::HashMap::new(),
-    };
-    verify(&t)
+    verify_parts(instrs, 64, std::iter::empty())
 }
 
 #[cfg(test)]
@@ -270,7 +279,7 @@ mod tests {
             holes: vec![],
             marks: std::collections::HashMap::new(),
         };
-        let r = verify_reported(&t).unwrap_err();
+        let r = verify_reported(&t.name, &t.instrs, std::iter::empty()).unwrap_err();
         assert_eq!(r.template, "pipe_write");
         assert!(matches!(r.error, VerifyError::BranchOutOfRange { .. }));
         // The snippet marks the offending branch and shows neighbours.
@@ -286,7 +295,7 @@ mod tests {
         a.move_i(L, 1, Dr(1));
         a.move_i(L, 2, Dr(2));
         let t = Template::from_asm(a).unwrap();
-        let r = verify_reported(&t).unwrap_err();
+        let r = verify_reported(&t.name, &t.instrs, std::iter::empty()).unwrap_err();
         assert_eq!(r.error, VerifyError::FallsOffEnd);
         assert!(r.window.contains("drain+1"), "{}", r.window);
     }

@@ -45,8 +45,21 @@ pub fn delta(k: &Kernel, before: MeterSnapshot, after: MeterSnapshot) -> Measure
     }
 }
 
+/// What the creator keeps compiled for one template.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TemplatePlans {
+    /// The template.
+    pub template: String,
+    /// Plans kept for it.
+    pub plans: usize,
+    /// The holes those plans' read logs name — the bindings the pipeline
+    /// computed with, so the ones whose change compiles another plan.
+    /// Empty: one plan serves every request.
+    pub logged: Vec<String>,
+}
+
 /// The Section 6.4 kernel-size report.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct SizeReport {
     /// Bytes of synthesized code currently resident.
     pub code_resident: u64,
@@ -71,6 +84,94 @@ pub struct SizeReport {
     pub cache_hits: u64,
     /// Specialization-cache misses since boot.
     pub cache_misses: u64,
+    /// Times the synthesis pipeline ran since boot.
+    pub plans_compiled: u64,
+    /// Syntheses since boot that only filled a kept plan's holes.
+    pub plan_hits: u64,
+    /// Every template with kept plans, sorted by name.
+    pub plans: Vec<TemplatePlans>,
+}
+
+impl SizeReport {
+    /// Render the report as text: the size figures, then one line per
+    /// template with kept plans.
+    #[must_use]
+    pub fn render(&self) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "kernel size: code {} B resident ({} B ever) in {} blocks, {} B shared, {} B private",
+            self.code_resident,
+            self.code_total,
+            self.code_blocks,
+            self.code_shared_bytes,
+            self.code_private_bytes
+        );
+        let _ = writeln!(
+            out,
+            "  heap {} B in use (high water {} B), {} threads",
+            self.heap_in_use, self.heap_high_water, self.threads
+        );
+        let _ = writeln!(
+            out,
+            "  cache: {} hits, {} misses; plans: {} compiled, {} hits",
+            self.cache_hits, self.cache_misses, self.plans_compiled, self.plan_hits
+        );
+        for p in &self.plans {
+            let _ = writeln!(
+                out,
+                "  plan {:<20} x{}  logged: {}",
+                p.template,
+                p.plans,
+                if p.logged.is_empty() {
+                    "-".to_string()
+                } else {
+                    p.logged.join(" ")
+                }
+            );
+        }
+        out
+    }
+
+    /// Serialize the report as JSON — the same content as
+    /// [`render`](SizeReport::render).
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        let plans: Vec<String> = self
+            .plans
+            .iter()
+            .map(|p| {
+                let logged: Vec<String> = p.logged.iter().map(|h| format!("{h:?}")).collect();
+                format!(
+                    "    {{\"template\": {:?}, \"plans\": {}, \"logged\": [{}]}}",
+                    p.template,
+                    p.plans,
+                    logged.join(", ")
+                )
+            })
+            .collect();
+        format!(
+            "{{\n  \"code_resident\": {},\n  \"code_total\": {},\n  \"code_blocks\": {},\n  \
+             \"code_shared_bytes\": {},\n  \"code_private_bytes\": {},\n  \
+             \"heap_in_use\": {},\n  \"heap_high_water\": {},\n  \"threads\": {},\n  \
+             \"cache_hits\": {},\n  \"cache_misses\": {},\n  \
+             \"plans_compiled\": {},\n  \"plan_hits\": {},\n  \"plans\": [\n{}\n  ]\n}}\n",
+            self.code_resident,
+            self.code_total,
+            self.code_blocks,
+            self.code_shared_bytes,
+            self.code_private_bytes,
+            self.heap_in_use,
+            self.heap_high_water,
+            self.threads,
+            self.cache_hits,
+            self.cache_misses,
+            self.plans_compiled,
+            self.plan_hits,
+            plans.join(",\n")
+        )
+    }
 }
 
 /// Snapshot the kernel's space consumption.
@@ -89,6 +190,28 @@ pub fn size_report(k: &Kernel) -> SizeReport {
         code_private_bytes: resident.saturating_sub(cache.multi_ref_bytes()),
         cache_hits: k.creator.stats.cache_hits,
         cache_misses: k.creator.stats.cache_misses,
+        plans_compiled: k.creator.stats.plans_compiled,
+        plan_hits: k.creator.stats.plan_hits,
+        plans: k
+            .creator
+            .lib
+            .planned()
+            .into_iter()
+            .map(|(template, plans)| {
+                let mut logged: Vec<String> = plans
+                    .iter()
+                    .flat_map(|p| p.logged())
+                    .map(|(hole, _)| hole.to_string())
+                    .collect();
+                logged.sort();
+                logged.dedup();
+                TemplatePlans {
+                    template: template.to_string(),
+                    plans: plans.len(),
+                    logged,
+                }
+            })
+            .collect(),
     }
 }
 
@@ -327,7 +450,9 @@ pub const LATENCY_BUCKETS: [u32; 6] = [100, 300, 1_000, 3_000, 10_000, u32::MAX]
 pub struct ThreadTrace {
     /// The thread.
     pub tid: crate::thread::Tid,
-    /// Dispatches (guest `sw_in` VBR installs + host enters).
+    /// Dispatches: guest `sw_in` VBR installs (`CtxSwitch` records with
+    /// `a = 0`). A host-side `enter` (`a = 1`) only aims the CPU at a
+    /// `sw_in`, which records the dispatch itself when it runs.
     pub ctx_switches: u64,
     /// Syscall entries.
     pub syscalls: u64,
@@ -429,7 +554,8 @@ pub fn trace_report(k: &mut Kernel) -> TraceReport {
         };
         for r in k.trace.snapshot(tid) {
             match r.kind {
-                Kind::CtxSwitch => row.ctx_switches += 1,
+                Kind::CtxSwitch if r.a == 0 => row.ctx_switches += 1,
+                Kind::CtxSwitch => {}
                 Kind::SyscallEnter => row.syscalls += 1,
                 Kind::SyscallExit => {
                     let slot = LATENCY_BUCKETS

@@ -316,3 +316,48 @@ fn spsc_stream_round_trips_data_through_synthesized_code() {
     assert_eq!(k.m.cpu.d[0], 0xBEEF, "the item round-tripped");
     k.close_stream(chan);
 }
+
+#[test]
+fn size_report_names_kept_plans_in_text_and_json_alike() {
+    let (mut k, tid) = boot_with_thread();
+    k.fs.create(&mut k.m, &mut k.heap, "/tmp/f", 4096).unwrap();
+    k.open_for(tid, "/tmp/f").unwrap();
+    let report = monitor::size_report(&k);
+
+    // Every synthesis either compiled a plan or filled a kept one. The
+    // thread's switch and dispatchers reuse the plans the per-CPU idle
+    // thread compiled at boot.
+    let stats = k.creator.stats;
+    assert_eq!(stats.plans_compiled + stats.plan_hits, stats.synthesized);
+    assert_eq!(
+        (report.plans_compiled, report.plan_hits),
+        (stats.plans_compiled, stats.plan_hits)
+    );
+    assert!(report.plan_hits >= 4, "{report:?}");
+    let names: Vec<&str> = report.plans.iter().map(|p| p.template.as_str()).collect();
+    for want in ["sw_basic", "dispatch_trap1", "read_file", "write_file"] {
+        assert!(names.contains(&want), "{names:?}");
+    }
+    // None of these looked at a binding: one plan serves every thread
+    // and every open.
+    assert!(report
+        .plans
+        .iter()
+        .all(|p| p.plans == 1 && p.logged.is_empty()));
+
+    // Text and JSON carry the same rows.
+    let (text, json) = (report.render(), report.to_json());
+    assert!(text.contains(&format!(
+        "plans: {} compiled, {} hits",
+        stats.plans_compiled, stats.plan_hits
+    )));
+    assert!(json.contains(&format!("\"plans_compiled\": {}", stats.plans_compiled)));
+    assert!(json.contains(&format!("\"plan_hits\": {}", stats.plan_hits)));
+    for p in &report.plans {
+        assert!(text.contains(&format!("plan {:<20} x1  logged: -", p.template)));
+        assert!(json.contains(&format!(
+            "{{\"template\": {:?}, \"plans\": 1, \"logged\": []}}",
+            p.template
+        )));
+    }
+}

@@ -305,3 +305,74 @@ fn runtime_disable_records_nothing_and_charges_no_cycles() {
         assert_eq!(off_records, 0, "{name}: disabled trace records nothing");
     }
 }
+
+/// Total dispatches `monitor::trace_report` counts for a two-thread
+/// 1-byte ping-pong of `trips` round trips over two shared (non-solo)
+/// pipes on one CPU, both threads run to exit.
+fn pingpong_dispatches(trips: u32) -> u64 {
+    const TOTAL: u32 = layout::USER_BASE + 0x2_9000;
+    let mut k = Kernel::boot(KernelConfig {
+        // No quantum expires during the run: every dispatch is a block,
+        // a wake-up or an exit.
+        default_quantum_us: 10_000_000,
+        cpus: 1,
+        ..KernelConfig::default()
+    })
+    .expect("kernel boots");
+    k.trace.enabled = true;
+    let io = |a: &mut Asm, trap: u8, fd: u32| {
+        a.move_i(L, fd, Dr(0));
+        a.lea(Abs(UBUF), 0);
+        a.move_i(L, 1, Dr(1));
+        a.trap(trap);
+        a.add(L, Dr(0), Abs(TOTAL));
+    };
+    // The initiator writes pipe 0 (fd 1) then reads pipe 1 (fd 2); the
+    // echo reads pipe 0 (fd 0) then writes pipe 1 (fd 3).
+    let mut tids = Vec::new();
+    for (first, second) in [
+        ((traps::WRITE, 1), (traps::READ, 2)),
+        ((traps::READ, 0), (traps::WRITE, 3)),
+    ] {
+        let mut a = Asm::new("pingpong");
+        a.move_i(L, trips, Dr(7));
+        let top = a.here();
+        io(&mut a, first.0, first.1);
+        io(&mut a, second.0, second.1);
+        a.sub(L, Imm(1), Dr(7));
+        a.bcc(Cond::Ne, top);
+        a.move_i(L, general::EXIT, Dr(0));
+        a.trap(traps::GENERAL);
+        let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
+        let stack = USTACK + 0x1000 * tids.len() as u32;
+        tids.push(k.create_thread(entry, stack, user_map()).unwrap());
+    }
+    let (ta, tb) = (tids[0], tids[1]);
+    // Both threads hold both ends of both pipes, so neither is solo.
+    assert_eq!(k.pipe_for(ta), Ok((0, 1)));
+    assert_eq!(k.pipe_attach(tb, 0), Ok((0, 1)));
+    assert_eq!(k.pipe_for(tb), Ok((2, 3)));
+    assert_eq!(k.pipe_attach(ta, 1), Ok((2, 3)));
+    k.start(ta).unwrap();
+    k.start(tb).unwrap();
+    assert!(k.run_until_exit(ta, 1_000_000_000) && k.run_until_exit(tb, 1_000_000_000));
+    assert_eq!(k.m.mem.peek(TOTAL, L), 4 * trips, "every byte moved");
+    let report = synthesis_core::monitor::trace_report(&mut k);
+    assert_eq!(k.trace.dropped, 0);
+    report
+        .threads
+        .iter()
+        .filter(|t| t.tid == ta || t.tid == tb)
+        .map(|t| t.ctx_switches)
+        .sum()
+}
+
+#[test]
+fn a_blocking_round_trip_is_two_dispatches() {
+    // Each read blocks and is woken by the peer's write: initiator →
+    // echo → initiator. The host's `enter` and the `sw_in` it aims the
+    // CPU at are one dispatch, not two. Start-up and exit cost the same
+    // at either length, so the difference is the steady state.
+    let (short, long) = (pingpong_dispatches(10), pingpong_dispatches(30));
+    assert_eq!(long - short, 2 * 20, "short {short}, long {long}");
+}
