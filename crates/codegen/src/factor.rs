@@ -114,10 +114,6 @@ struct Consts {
 }
 
 impl Consts {
-    fn clear(&mut self) {
-        *self = Consts::default();
-    }
-
     fn get(&self, op: &Operand) -> Option<Val> {
         match *op {
             Operand::Dr(n) => self.d[n as usize],
@@ -147,13 +143,6 @@ impl Consts {
                 };
             }
             _ => {}
-        }
-    }
-
-    /// Invalidate registers modified through addressing side effects.
-    fn clobber_ea(&mut self, op: &Operand) {
-        if let Operand::PostInc(n) | Operand::PreDec(n) = *op {
-            self.a[n as usize] = None;
         }
     }
 }
@@ -238,7 +227,14 @@ fn rewrite_src(op: &mut Operand, consts: &Consts, changed: &mut bool) {
 
 /// One forward pass of constant propagation and branch resolution over a
 /// linear instruction stream. Returns `(instrs, keep, changed)`.
-#[allow(clippy::too_many_lines)]
+///
+/// The arms below only *compute*: the value an instruction leaves in a
+/// register and the flags it sets, where the fold can know them. What an
+/// instruction invalidates is not theirs to know — after the arm, every
+/// register in [`Instr::effects`]' `writes` is forgotten unless the arm
+/// just gave its value, and the flags are whatever the arm worked out
+/// (nothing, by default) if `writes_flags`. An instruction that leaves the
+/// block writes everything, so nothing is known after it.
 fn propagate(mut instrs: Vec<Instr>, r: &mut Resolver<'_>) -> (Vec<Instr>, Vec<bool>, bool) {
     let targets = rewrite::branch_target_flags(&instrs);
     let mut keep = vec![true; instrs.len()];
@@ -250,94 +246,60 @@ fn propagate(mut instrs: Vec<Instr>, r: &mut Resolver<'_>) -> (Vec<Instr>, Vec<b
     for i in 0..instrs.len() {
         if targets[i] {
             // Control can arrive here from elsewhere: forget everything.
-            consts.clear();
+            consts = Consts::default();
             flags = Flags::Unknown;
         }
 
         // Work on a copy (Instr is Copy); write it back at the end.
         let mut ins = instrs[i];
+        let fx = ins.effects();
+        // The register write whose value the arm knows (`None` = unknown
+        // value), and the flags if the instruction sets them.
+        let mut sets: Option<(Operand, Size, Option<Val>)> = None;
+        let mut new_flags = Flags::Unknown;
         use Instr::*;
         match &mut ins {
             Move(size, src, dst) => {
                 rewrite_src(src, &consts, &mut changed);
-                consts.clobber_ea(src);
-                consts.clobber_ea(dst);
                 let v = consts.get(src);
-                let sz = *size;
-                consts.set_reg(dst, sz, v, r);
-                if !matches!(dst, Operand::Ar(_)) {
-                    flags = v.map_or(Flags::Unknown, |x| Flags::OfValue(sz, x));
-                }
+                sets = Some((*dst, *size, v));
+                new_flags = v.map_or(Flags::Unknown, |x| Flags::OfValue(*size, x));
             }
-            Add(size, src, dst) | Sub(size, src, dst) => {
-                let is_add = matches!(instrs[i], Add(..));
+            Add(size, src, dst)
+            | Sub(size, src, dst)
+            | And(size, src, dst)
+            | Or(size, src, dst)
+            | Eor(size, src, dst) => {
                 rewrite_src(src, &consts, &mut changed);
-                consts.clobber_ea(src);
-                consts.clobber_ea(dst);
-                let sz = *size;
-                let (nv, kf) = match (consts.get(src), consts.get(dst)) {
-                    (Some(s), Some(d)) => {
-                        let (s, d) = (s.read(r), d.read(r));
-                        if is_add {
-                            (
-                                Some(Val::Const(d.wrapping_add(s) & sz.mask())),
-                                Flags::Known(flags_of_add(sz, d, s)),
-                            )
-                        } else {
-                            (
-                                Some(Val::Const(d.wrapping_sub(s) & sz.mask())),
-                                Flags::Known(flags_of_sub(sz, d, s)),
-                            )
-                        }
-                    }
-                    _ => (None, Flags::Unknown),
-                };
-                consts.set_reg(dst, sz, nv, r);
-                if !matches!(dst, Operand::Ar(_)) {
-                    // ADDA/SUBA (address destination) do not touch flags.
-                    flags = kf;
+                if let (Some(s), Some(d)) = (consts.get(src), consts.get(dst)) {
+                    let (s, d) = (s.read(r), d.read(r));
+                    // ADDA/SUBA sign-extend the source and use all of An.
+                    let (sz, s) = match (instrs[i], *dst) {
+                        (Add(..) | Sub(..), Operand::Ar(_)) => (Size::L, size.sext(s)),
+                        _ => (*size, s),
+                    };
+                    let logic = |v: u32| (v, flags_of_value(sz, v));
+                    let (v, f) = match instrs[i] {
+                        Add(..) => (d.wrapping_add(s), flags_of_add(sz, d, s)),
+                        Sub(..) => (d.wrapping_sub(s), flags_of_sub(sz, d, s)),
+                        And(..) => logic(d & s),
+                        Or(..) => logic(d | s),
+                        _ => logic(d ^ s),
+                    };
+                    sets = Some((*dst, sz, Some(Val::Const(v & sz.mask()))));
+                    new_flags = Flags::Known(f);
                 }
             }
             Cmp(size, src, dst) => {
                 rewrite_src(src, &consts, &mut changed);
-                consts.clobber_ea(src);
-                consts.clobber_ea(dst);
-                flags = match (consts.get(src), consts.get(dst)) {
-                    (Some(s), Some(d)) => Flags::OfSub(*size, d, s),
-                    _ => Flags::Unknown,
-                };
+                if let (Some(s), Some(d)) = (consts.get(src), consts.get(dst)) {
+                    new_flags = Flags::OfSub(*size, d, s);
+                }
             }
             Tst(size, ea) => {
-                consts.clobber_ea(ea);
-                flags = consts
-                    .get(ea)
-                    .map_or(Flags::Unknown, |v| Flags::OfValue(*size, v));
-            }
-            And(size, src, dst) | Or(size, src, dst) | Eor(size, src, dst) => {
-                let kind = match instrs[i] {
-                    And(..) => 0u8,
-                    Or(..) => 1,
-                    _ => 2,
-                };
-                rewrite_src(src, &consts, &mut changed);
-                consts.clobber_ea(src);
-                consts.clobber_ea(dst);
-                let sz = *size;
-                let nv = match (consts.get(src), consts.get(dst)) {
-                    (Some(s), Some(d)) => {
-                        let (s, d) = (s.read(r), d.read(r));
-                        Some(
-                            match kind {
-                                0 => d & s,
-                                1 => d | s,
-                                _ => d ^ s,
-                            } & sz.mask(),
-                        )
-                    }
-                    _ => None,
-                };
-                consts.set_reg(dst, sz, nv.map(Val::Const), r);
-                flags = nv.map_or(Flags::Unknown, |v| Flags::Known(flags_of_value(sz, v)));
+                if let Some(v) = consts.get(ea) {
+                    new_flags = Flags::OfValue(*size, v);
+                }
             }
             Bcc(cond, _) => {
                 if let Some(f) = flags.force(r) {
@@ -353,71 +315,26 @@ fn propagate(mut instrs: Vec<Instr>, r: &mut Resolver<'_>) -> (Vec<Instr>, Vec<b
                         changed = true;
                     }
                 }
-                // Flags persist across a branch.
             }
             Lea(ea, n) => {
-                consts.clobber_ea(ea);
-                consts.a[*n as usize] = match *ea {
+                let v = match *ea {
                     Operand::Abs(a) => Some(Val::Const(a)),
                     Operand::AbsHole(h) => Some(Val::Hole(h)),
                     _ => None,
                 };
+                sets = Some((Operand::Ar(*n), Size::L, v));
             }
-            Jsr(_) | Trap(_) | KCall(_) => {
-                // Unknown callee: forget registers and flags.
-                consts.clear();
-                flags = Flags::Unknown;
-            }
-            Jmp(_) | Rts | Rte | Halt | Stop(_) => {
-                // Path ends; state resets at the next reachable point.
-                consts.clear();
-                flags = Flags::Unknown;
-            }
-            other => {
-                // Conservative default: invalidate anything the
-                // instruction could write, plus addressing side effects.
-                for op in other.operands() {
-                    consts.clobber_ea(&op);
-                }
-                match other {
-                    Not(_, d) | Neg(_, d) | Scc(_, d) | Shift(_, _, _, d) => {
-                        let d = *d;
-                        consts.set_reg(&d, Size::L, None, r);
-                    }
-                    MulU(_, n) | DivU(_, n) | Swap(n) | Ext(_, n) | Dbf(n, _) => {
-                        consts.d[*n as usize] = None;
-                    }
-                    Movem {
-                        to_mem: false,
-                        regs,
-                        ..
-                    } => {
-                        for (is_a, reg) in regs.iter() {
-                            if is_a {
-                                consts.a[reg as usize] = None;
-                            } else {
-                                consts.d[reg as usize] = None;
-                            }
-                        }
-                    }
-                    Cas { dc, .. } => consts.d[*dc as usize] = None,
-                    Link(n, _) | Unlk(n) => {
-                        consts.a[*n as usize] = None;
-                        consts.a[7] = None;
-                    }
-                    Pea(_) => consts.a[7] = None,
-                    MoveUsp {
-                        to_usp: false,
-                        areg,
-                    } => consts.a[*areg as usize] = None,
-                    MoveVbr { to_vbr: false, ea } => {
-                        let ea = *ea;
-                        consts.set_reg(&ea, Size::L, None, r);
-                    }
-                    _ => {}
-                }
-                flags = Flags::Unknown;
-            }
+            _ => {}
+        }
+        for (is_a, n) in fx.writes.iter() {
+            let known = if is_a { &mut consts.a } else { &mut consts.d };
+            known[n as usize] = None;
+        }
+        if fx.writes_flags {
+            flags = new_flags;
+        }
+        if let Some((dst, size, v)) = sets {
+            consts.set_reg(&dst, size, v, r);
         }
         instrs[i] = ins;
     }
@@ -595,6 +512,55 @@ mod tests {
         let t = Template::from_asm(a).unwrap();
         let out = factor(&t, &Bindings::new().with("x", 7)).unwrap();
         assert!(out.instrs.contains(&Instr::Move(L, Imm(7), Abs(0x2000))));
+    }
+
+    /// `original` folded with nothing bound, and checked against the
+    /// differential oracle.
+    fn folded(original: &[Instr]) -> Vec<Instr> {
+        let t = Template {
+            name: "t".to_string(),
+            instrs: original.to_vec(),
+            holes: Vec::new(),
+            marks: HashMap::new(),
+        };
+        let out = factor(&t, &Bindings::new()).unwrap().instrs;
+        crate::equiv::diff_check(original, &out, &crate::equiv::DiffConfig::default())
+            .expect("equivalent");
+        out
+    }
+
+    #[test]
+    fn a_register_written_by_any_instruction_is_no_longer_constant() {
+        // `move.l #5,d0 ; <writes d0> ; move.l d0,$2000`: the store must
+        // still read the register.
+        let store = Instr::Move(L, Dr(0), Abs(0x2000));
+        for writer in [
+            Instr::MoveSr {
+                to_sr: false,
+                ea: Dr(0),
+            },
+            Instr::Tas(Dr(0)),
+            Instr::Scc(quamachine::isa::Cond::T, Dr(0)),
+            Instr::Not(L, Dr(0)),
+            Instr::Neg(L, Dr(0)),
+        ] {
+            let out = folded(&[Instr::Move(L, Imm(5), Dr(0)), writer, store, Instr::Rts]);
+            assert_eq!(out[2], store, "folded through `{writer}`");
+        }
+    }
+
+    #[test]
+    fn adda_w_folds_on_the_whole_register() {
+        // `adda.w`/`suba.w` sign-extend the source and work on all 32 bits
+        // of An; folded at word width this stored 0xFFFF_8004.
+        let out = folded(&[
+            Instr::Lea(Abs(0x0001_8000), 0),
+            Instr::Add(quamachine::isa::Size::W, Imm(4), Ar(0)),
+            Instr::Move(L, Ar(0), Dr(0)),
+            Instr::Move(L, Dr(0), Abs(0x2000)),
+            Instr::Rts,
+        ]);
+        assert_eq!(out[3], Instr::Move(L, Imm(0x0001_8004), Abs(0x2000)));
     }
 
     #[test]

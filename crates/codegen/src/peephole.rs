@@ -12,8 +12,8 @@
 //! - `add/sub #0,Dn`, `or/eor #0,Dn`, `and #-1,Dn` → deleted when flags
 //!   are dead;
 //! - `move x,x` (same register) → deleted when flags are dead;
-//! - a dead store `move _,Dn` overwritten by another `move _,Dn` with no
-//!   intervening read, branch target, or control transfer → deleted;
+//! - a dead store `move _,Dn` whose register is overwritten whole with no
+//!   intervening read, branch target, branch or control transfer → deleted;
 //! - `bcc` over a single `bra` (inverted-branch threading);
 //! - `bra`-to-`bra` chains are threaded to the final target;
 //! - `mulu #2ᵏ,Dn` → `and.l #0xFFFF,Dn ; lsl.l #k,Dn` when flags are
@@ -33,7 +33,7 @@
 use std::collections::HashMap;
 
 use quamachine::devices::DEV_BASE;
-use quamachine::isa::{BranchTarget, Cond, Instr, Operand, ShiftKind, Size};
+use quamachine::isa::{BranchTarget, Cond, Control, Effects, Instr, Operand, ShiftKind, Size};
 
 use crate::plan::Resolver;
 use crate::rewrite;
@@ -56,123 +56,37 @@ fn abs_value(op: Operand, r: &mut Resolver<'_>) -> Option<u32> {
     }
 }
 
-/// Whether the condition codes produced by instruction `i` are dead — i.e.
-/// every path from `i+1` reaches a flag-*writing* instruction before any
-/// flag-*reading* instruction, without leaving the block.
+/// Whether something instruction `i` leaves behind is dead: the
+/// straight-line run after it reaches an instruction that overwrites it
+/// before one that reads it.
 ///
-/// Conservative: branch targets, block exits, and unknown instructions
-/// count as reads.
-fn flags_dead_after(instrs: &[Instr], i: usize, targets: &[bool]) -> bool {
-    let mut j = i + 1;
-    while j < instrs.len() {
-        if targets[j] {
-            // Someone may jump here with our flags? No — they'd bring
-            // their own. But *we* fall into a merge point whose consumers
-            // were analyzed along another path; stay conservative.
+/// The walk trusts only what [`Instr::effects`] promises, and gives up —
+/// "live" — at anything that is not [`Control::Fall`] (the other path, the
+/// callee or the handler was not looked at), at a branch target (a merge
+/// point: this walk covers one path into it, and a rewrite licensed here
+/// must hold on all of them) and at the end of the block.
+fn dead_after(
+    instrs: &[Instr],
+    i: usize,
+    targets: &[bool],
+    read_overwritten: impl Fn(&Effects) -> (bool, bool),
+) -> bool {
+    for j in i + 1..instrs.len() {
+        let fx = instrs[j].effects();
+        let (read, overwritten) = read_overwritten(&fx);
+        if targets[j] || fx.control != Control::Fall || read {
             return false;
         }
-        match &instrs[j] {
-            // Flag readers.
-            Instr::Bcc(_, _) | Instr::Scc(_, _) => return false,
-            // Control leaves the block with flags live (the caller or
-            // handler might inspect them — conservative).
-            Instr::Jmp(_)
-            | Instr::Jsr(_)
-            | Instr::Rts
-            | Instr::Rte
-            | Instr::Trap(_)
-            | Instr::Halt
-            | Instr::KCall(_)
-            | Instr::Stop(_)
-            | Instr::Dbf(_, _) => return false,
-            // Flag writers (NZVC all written).
-            Instr::Move(_, _, dst) => {
-                if !matches!(dst, Operand::Ar(_)) {
-                    return true;
-                }
-                // MOVEA writes no flags: keep scanning.
-            }
-            Instr::Add(_, _, dst) | Instr::Sub(_, _, dst) => {
-                if !matches!(dst, Operand::Ar(_)) {
-                    return true;
-                }
-            }
-            Instr::Cmp(_, _, _)
-            | Instr::Tst(_, _)
-            | Instr::And(_, _, _)
-            | Instr::Or(_, _, _)
-            | Instr::Eor(_, _, _)
-            | Instr::Not(_, _)
-            | Instr::Neg(_, _)
-            | Instr::MulU(_, _)
-            | Instr::DivU(_, _)
-            | Instr::Shift(_, _, _, _)
-            | Instr::Swap(_)
-            | Instr::Ext(_, _)
-            | Instr::Cas { .. }
-            | Instr::Tas(_) => return true,
-            // Flag-neutral instructions: keep scanning.
-            Instr::Movem { .. }
-            | Instr::Lea(_, _)
-            | Instr::Pea(_)
-            | Instr::Link(_, _)
-            | Instr::Unlk(_)
-            | Instr::MoveUsp { .. }
-            | Instr::MoveVbr { .. }
-            | Instr::Nop
-            | Instr::FMove { .. }
-            | Instr::FMovem { .. }
-            | Instr::FAdd(_, _)
-            | Instr::FSub(_, _)
-            | Instr::FMul(_, _) => {}
-            Instr::MoveSr { .. } => return false,
+        if overwritten {
+            return true;
         }
-        j += 1;
     }
     false
 }
 
-/// Whether `instrs[j]` reads data register `n` (conservatively true for
-/// anything unclear).
-fn reads_dreg(instr: &Instr, n: u8) -> bool {
-    let uses_op = |op: &Operand| -> bool {
-        match *op {
-            Operand::Dr(d) => d == n,
-            Operand::Idx(_, _, ix) => !ix.addr && ix.reg == n,
-            _ => false,
-        }
-    };
-    use Instr::*;
-    match instr {
-        Move(_, s, d) => uses_op(s) || (uses_op(d) && !matches!(d, Operand::Dr(x) if *x == n)),
-        Add(_, s, d) | Sub(_, s, d) | Cmp(_, s, d) | And(_, s, d) | Or(_, s, d) | Eor(_, s, d) => {
-            uses_op(s) || uses_op(d)
-        }
-        Shift(_, _, c, d) => uses_op(c) || uses_op(d),
-        Tst(_, ea)
-        | Not(_, ea)
-        | Neg(_, ea)
-        | Scc(_, ea)
-        | Pea(ea)
-        | Jmp(ea)
-        | Jsr(ea)
-        | Tas(ea) => uses_op(ea),
-        Lea(ea, _) => uses_op(ea),
-        MulU(ea, d) | DivU(ea, d) => uses_op(ea) || *d == n,
-        Movem { to_mem, regs, ea } => (*to_mem && regs.has_d(n)) || uses_op(ea),
-        Cas { dc, du, ea, .. } => *dc == n || *du == n || uses_op(ea),
-        Swap(d) | Ext(_, d) | Dbf(d, _) => *d == n,
-        MoveSr { to_sr: true, ea } | MoveVbr { to_vbr: true, ea } => uses_op(ea),
-        FMove { ea, .. } | FMovem { ea, .. } => uses_op(ea),
-        // Anything that leaves the block may read everything.
-        Trap(_) | KCall(_) | Rts | Rte | Halt | Stop(_) => true,
-        _ => false,
-    }
-}
-
-/// Whether `instr` writes data register `n` long-sized (fully overwrites).
-fn overwrites_dreg_long(instr: &Instr, n: u8) -> bool {
-    matches!(instr, Instr::Move(Size::L, _, Operand::Dr(d)) if *d == n)
+/// Whether the condition codes produced by instruction `i` are dead.
+fn flags_dead_after(instrs: &[Instr], i: usize, targets: &[bool]) -> bool {
+    dead_after(instrs, i, targets, |fx| (fx.reads_flags, fx.writes_flags))
 }
 
 /// `cmp #0,x` → `tst x`. Flag-equivalent, always safe.
@@ -224,8 +138,7 @@ fn pass_identities(
         if !identity {
             continue;
         }
-        let flags_matter = !matches!(*ins, Instr::Move(_, _, Operand::Ar(_)));
-        if (!flags_matter || flags_dead_after(instrs, i, targets))
+        if (!ins.effects().writes_flags || flags_dead_after(instrs, i, targets))
             && zero_hole.is_none_or(|h| r.read(h) == 0)
         {
             keep[i] = false;
@@ -235,45 +148,25 @@ fn pass_identities(
     changed
 }
 
-/// Delete `move _,Dn` whose value is overwritten before any read.
+/// Delete `move _,Dn` whose flags are dead and whose value is overwritten
+/// whole before any read.
 fn pass_dead_stores(instrs: &[Instr], keep: &mut [bool], targets: &[bool]) -> bool {
     let mut changed = false;
-    'outer: for i in 0..instrs.len() {
-        if !keep[i] {
-            continue;
-        }
-        // Only pure register stores with side-effect-free sources.
+    for i in 0..instrs.len() {
+        // Only pure register stores; a memory read may fault or touch a
+        // device.
         let Instr::Move(_, src, Operand::Dr(n)) = instrs[i] else {
             continue;
         };
-        if matches!(src, Operand::PostInc(_) | Operand::PreDec(_)) || src.is_memory() {
-            // A memory read may fault or touch a device: keep it.
-            continue;
-        }
-        if !flags_dead_after(instrs, i, targets) {
-            continue;
-        }
-        let mut j = i + 1;
-        while j < instrs.len() {
-            if targets[j] {
-                continue 'outer; // unknown path may read Dn
-            }
-            if !keep[j] {
-                j += 1;
-                continue;
-            }
-            if reads_dreg(&instrs[j], n) {
-                continue 'outer;
-            }
-            if overwrites_dreg_long(&instrs[j], n) {
-                keep[i] = false;
-                changed = true;
-                continue 'outer;
-            }
-            if instrs[j].is_terminator() {
-                continue 'outer;
-            }
-            j += 1;
+        if keep[i]
+            && !src.is_memory()
+            && flags_dead_after(instrs, i, targets)
+            && dead_after(instrs, i, targets, |fx| {
+                (fx.reads.has_d(n), fx.kills.has_d(n))
+            })
+        {
+            keep[i] = false;
+            changed = true;
         }
     }
     changed
@@ -515,6 +408,52 @@ mod tests {
         ]);
         assert_eq!(out.len(), 3);
         assert_eq!(out[0], Instr::Move(L, Imm(2), Dr(1)));
+    }
+
+    #[test]
+    fn store_kept_when_control_can_leave_before_the_overwrite() {
+        // `move.l #1,d0` is overwritten on the fall-through path only: the
+        // branch target, or the callee, reads it.
+        let store = Instr::Move(L, Imm(1), Dr(0));
+        let overwrite = Instr::Move(L, Imm(2), Dr(0));
+        let reader = Instr::Move(L, Dr(0), Abs(0x2000));
+        let rows = [
+            vec![
+                store,
+                Instr::Tst(L, Dr(1)),
+                Instr::Bcc(Cond::Eq, BranchTarget::Idx(5)),
+                overwrite,
+                Instr::Rts,
+                reader,
+                Instr::Rts,
+            ],
+            vec![
+                store,
+                Instr::Move(L, Imm(3), Dr(2)), // the store's flags are dead
+                Instr::Dbf(1, BranchTarget::Idx(5)),
+                overwrite,
+                Instr::Rts,
+                reader,
+                Instr::Rts,
+            ],
+            vec![
+                store,
+                Instr::Move(L, Imm(3), Dr(2)),
+                Instr::Jsr(Abs(0x3000)),
+                overwrite,
+                Instr::Rts,
+            ],
+        ];
+        // d1 = 0 takes the `beq` and falls out of the `dbf`; d1 = 5 the reverse.
+        let cfg = crate::equiv::DiffConfig {
+            preset_sets: vec![vec![(true, 1, 0)], vec![(true, 1, 5)]],
+            ..Default::default()
+        };
+        for original in rows {
+            let out = opt(original.clone());
+            assert_eq!(out[0], store, "store lost from {original:?}");
+            crate::equiv::diff_check(&original, &out, &cfg).expect("equivalent");
+        }
     }
 
     #[test]

@@ -16,6 +16,8 @@ pub mod sr_bits {
     pub const V: u16 = 1 << 1;
     /// Carry flag.
     pub const C: u16 = 1 << 0;
+    /// The condition-code register: all five flags.
+    pub const CCR: u16 = X | N | Z | V | C;
 }
 
 /// The processor registers.

@@ -163,8 +163,17 @@ impl Machine {
         self.meter.cycles += u64::from(facts.base) + u64::from(facts.refs) * self.cost.bus_cycles();
         self.cpu.pc = next_pc;
 
+        #[cfg(debug_assertions)]
+        let entry = (self.cpu.d, self.cpu.a, self.cpu.sr);
+
         match self.exec_instr(&instr, at.slot) {
-            Ok(exit) => Ok(exit),
+            Ok(exit) => {
+                #[cfg(debug_assertions)]
+                if exit.is_none() {
+                    self.assert_writes_declared(&instr, entry);
+                }
+                Ok(exit)
+            }
             Err(Fault::Fatal(e)) => Err(e),
             Err(Fault::Exc(e)) => {
                 // Faults re-point at the faulting instruction so handlers
@@ -192,6 +201,28 @@ impl Machine {
                 Ok(None)
             }
         }
+    }
+
+    /// Wherever debug assertions are on, every instruction that retires
+    /// without an exception is a trial of the write side of
+    /// [`Instr::effects`]: nothing it does not list may differ from `entry`.
+    /// A failure here means the table is wrong for `instr`.
+    #[cfg(debug_assertions)]
+    fn assert_writes_declared(&self, instr: &Instr, (d, a, sr): ([u32; 8], [u32; 8], u16)) {
+        let fx = instr.effects();
+        let changed = |was: [u32; 8], now: [u32; 8]| {
+            (0..8).fold(0u16, |m, i| m | u16::from(was[i] != now[i]) << i)
+        };
+        let regs = changed(d, self.cpu.d) | changed(a, self.cpu.a) << 8;
+        debug_assert!(
+            regs & !fx.writes.0 == 0,
+            "`{instr}` changed registers {regs:#06x}; its effects() writes {:#06x}",
+            fx.writes.0
+        );
+        debug_assert!(
+            fx.writes_flags || (self.cpu.sr ^ sr) & crate::cpu::sr_bits::CCR == 0,
+            "`{instr}` changed the flags; its effects() says it leaves them alone"
+        );
     }
 
     /// Vector an exception: push PC and SR on the supervisor stack, switch

@@ -324,6 +324,12 @@ impl Instr {
     /// (so the next instruction is unreachable by fallthrough). `Stop` is
     /// NOT a terminator: execution resumes at the next instruction after
     /// the interrupt that wakes the CPU returns.
+    ///
+    /// That is reachability. Whether a rewriter may reason straight through
+    /// an instruction is [`Instr::effects`]' `control`: `stop`, `jsr`, `trap`
+    /// and `kcall` are not terminators yet are `Control::Leave`, a
+    /// conditional `bcc` or `dbf` is not one yet is `Control::Branch`, and
+    /// `bra` is a terminator that is only a `Branch`.
     #[must_use]
     pub fn is_terminator(&self) -> bool {
         use Instr::*;

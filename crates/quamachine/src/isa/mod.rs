@@ -7,12 +7,14 @@
 
 pub mod cond;
 pub mod disasm;
+pub mod effects;
 pub mod encode;
 pub mod instr;
 pub mod operand;
 pub mod reg;
 
 pub use cond::Cond;
+pub use effects::{Control, Effects};
 pub use instr::{BranchTarget, Instr, Operands, ShiftKind, Size};
 pub use operand::{HoleId, IndexSpec, Operand};
 pub use reg::{FpRegList, RegList, CTRL_VBR};

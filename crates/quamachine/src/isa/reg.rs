@@ -10,7 +10,7 @@ pub const CTRL_VBR: u16 = 0x801;
 
 /// A `MOVEM`-style register list: bits 0–7 select `D0`–`D7`, bits 8–15
 /// select `A0`–`A7`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct RegList(pub u16);
 
 impl RegList {

@@ -16,10 +16,11 @@
 use std::collections::HashMap;
 
 use quamachine::asm::Asm;
-use quamachine::isa::{BranchTarget, Cond, Instr, Operand, Operand::*, Size, Size::*};
+use quamachine::isa::{Cond, Control, Instr, Operand, Operand::*, Size, Size::*};
 use quamachine::machine::RunExit;
 use quamachine::mem::AddressMap;
 use synthesis_codegen::creator::Synthesized;
+use synthesis_codegen::rewrite;
 use synthesis_codegen::template::{Bindings, Template};
 use synthesis_core::kernel::{Kernel, KernelError};
 use synthesis_core::syscall::errno;
@@ -90,52 +91,12 @@ pub struct UnixEmulator {
     fusion: Option<Fusion>,
 }
 
-/// Instruction indices that are branch targets of `instrs`.
-fn branch_targets(instrs: &[Instr]) -> Vec<bool> {
-    let mut t = vec![false; instrs.len()];
-    for i in instrs {
-        if let Instr::Bcc(_, BranchTarget::Idx(x)) | Instr::Dbf(_, BranchTarget::Idx(x)) = i {
-            if let Some(f) = t.get_mut(*x as usize) {
-                *f = true;
-            }
-        }
-    }
-    t
-}
-
-/// Whether the backward sysno scan may step over `i`: it neither writes
-/// `d0` nor transfers control. Conservative — anything unrecognized
-/// stops the scan and the trap is left alone.
-fn scan_safe(i: &Instr) -> bool {
-    let dst_safe = |dst: &Operand| !matches!(dst, Operand::Dr(0));
-    match i {
-        Instr::Move(_, _, dst)
-        | Instr::Add(_, _, dst)
-        | Instr::Sub(_, _, dst)
-        | Instr::And(_, _, dst)
-        | Instr::Or(_, _, dst)
-        | Instr::Eor(_, _, dst)
-        | Instr::Shift(_, _, _, dst) => dst_safe(dst),
-        Instr::Lea(_, _) | Instr::Cmp(_, _, _) | Instr::Tst(_, _) | Instr::Nop => true,
-        _ => false,
-    }
-}
-
-/// Whether `i` may read `d0` — conservative: any operand that mentions
-/// data register 0 (directly or as an index) counts as a read, even in
-/// destination position.
-fn reads_d0(i: &Instr) -> bool {
-    i.operands().iter().any(|o| match o {
-        Operand::Dr(0) => true,
-        Operand::Idx(_, _, spec) => !spec.addr && spec.reg == 0,
-        _ => false,
-    })
-}
-
 /// The syscall number a fall-through execution of `instrs[trap_at]`
-/// carries in `d0`: the nearest preceding `move.l #n,d0` with no
-/// intervening branch target or unrecognized instruction. Returns the
-/// number and the index of the `move` that loads it.
+/// carries in `d0`: the nearest preceding `move.l #n,d0`, when every
+/// instruction between the two falls through ([`Control::Fall`]), does not
+/// list `d0` among the registers it writes, and is not a branch target —
+/// so the only way to the trap is through the `move`, with `d0` intact.
+/// Returns the number and the index of the `move` that loads it.
 fn sysno_before(instrs: &[Instr], targets: &[bool], trap_at: usize) -> Option<(u32, usize)> {
     if targets[trap_at] {
         return None; // jumpers may arrive with a different d0
@@ -146,7 +107,8 @@ fn sysno_before(instrs: &[Instr], targets: &[bool], trap_at: usize) -> Option<(u
         if let Instr::Move(Size::L, Operand::Imm(n), Operand::Dr(0)) = instrs[j] {
             return Some((n, j)); // found — even if `j` is itself a target
         }
-        if !scan_safe(&instrs[j]) || targets[j] {
+        let fx = instrs[j].effects();
+        if fx.control != Control::Fall || fx.writes.has_d(0) || targets[j] {
             return None;
         }
     }
@@ -170,11 +132,11 @@ fn sysno_before(instrs: &[Instr], targets: &[bool], trap_at: usize) -> Option<(u
 /// every path that still needs the number (bind thunk, layered shim,
 /// the wrapper's foreign-fd fallback) re-materializes `d0` itself. The
 /// nop is legal because the backward scan already proved straight-line
-/// flow from the move to the trap with no intervening entry point, and
-/// we check no instruction in between *reads* `d0` (`scan_safe` only
-/// rules out writes).
+/// flow from the move to the trap with no intervening entry point or
+/// write to `d0`, and no instruction in between lists `d0` among the
+/// registers it reads: the value the `move` loaded has no consumer.
 fn elide_traps(instrs: &mut [Instr], unix_thunk: u32, bind_r: u32, bind_w: u32) -> u32 {
-    let targets = branch_targets(instrs);
+    let targets = rewrite::branch_target_flags(instrs);
     let mut rewritten = 0;
     for i in 0..instrs.len() {
         if !matches!(instrs[i], Instr::Trap(abi::UNIX_TRAP)) {
@@ -188,7 +150,8 @@ fn elide_traps(instrs: &mut [Instr], unix_thunk: u32, bind_r: u32, bind_w: u32) 
             abi::SYS_WRITE => bind_w,
             _ => unix_thunk,
         };
-        if thunk != unix_thunk && !instrs[mv + 1..i].iter().any(reads_d0) {
+        let d0_read = |x: &Instr| x.effects().reads.has_d(0);
+        if thunk != unix_thunk && !instrs[mv + 1..i].iter().any(d0_read) {
             instrs[mv] = Instr::Nop;
         }
         instrs[i] = Instr::Jsr(Operand::Abs(thunk));
@@ -540,4 +503,118 @@ pub fn boot_with_program(
     let flat = AddressMap::single(1, 0, emu.k.m.mem.size());
     let tid = emu.spawn(program, flat)?;
     Ok((emu, tid))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use quamachine::isa::{BranchTarget, IndexSpec, RegList};
+
+    /// `move.l #SYS_WRITE,d0 ; between… ; trap #3 ; bne @target ; rts`
+    /// through [`elide_traps`]: whether the trap became the bind thunk's
+    /// `jsr`, and whether the `move` became a `nop`.
+    fn elide(between: &[Instr], target: usize) -> (bool, bool) {
+        let mut instrs = vec![Instr::Move(L, Imm(abi::SYS_WRITE), Dr(0))];
+        instrs.extend_from_slice(between);
+        let trap_at = instrs.len();
+        instrs.extend([
+            Instr::Trap(abi::UNIX_TRAP),
+            Instr::Bcc(Cond::Ne, BranchTarget::Idx(target as u32)),
+            Instr::Rts,
+        ]);
+        let rewritten = elide_traps(&mut instrs, 0x9000, 0x9100, 0x9200);
+        assert_eq!(
+            instrs[trap_at] == Instr::Jsr(Abs(0x9200)),
+            rewritten == 1,
+            "{between:?}"
+        );
+        (rewritten == 1, instrs[0] == Instr::Nop)
+    }
+
+    #[test]
+    fn a_trap_is_elided_only_when_the_table_shows_d0_intact_and_unread() {
+        let args = [
+            Instr::Move(L, Imm(1), Dr(1)),
+            Instr::Lea(Abs(0x4000), 0),
+            Instr::Move(L, Imm(4), Dr(2)),
+        ];
+        let (kept, elided, elided_move_kept) = ((false, false), (true, true), (true, false));
+        // The branch after the trap aims at the `rts` unless a row says otherwise.
+        let rows = vec![
+            (args.to_vec(), None, elided),
+            (vec![Instr::Pea(Abs(0x4000)), Instr::Nop], None, elided),
+            // d0 writers.
+            (
+                vec![Instr::Movem {
+                    to_mem: false,
+                    regs: RegList(0b11),
+                    ea: Ind(0),
+                }],
+                None,
+                kept,
+            ),
+            (vec![Instr::MulU(Imm(3), 0)], None, kept),
+            (vec![Instr::Swap(0)], None, kept),
+            (vec![Instr::Ext(L, 0)], None, kept),
+            (vec![Instr::Scc(Cond::Eq, Dr(0))], None, kept),
+            (
+                vec![Instr::MoveSr {
+                    to_sr: false,
+                    ea: Dr(0),
+                }],
+                None,
+                kept,
+            ),
+            (vec![Instr::Tas(Dr(0))], None, kept),
+            (
+                vec![Instr::Cas {
+                    size: L,
+                    dc: 0,
+                    du: 1,
+                    ea: Ind(0),
+                }],
+                None,
+                kept,
+            ),
+            // d0 readers: the trap goes, the `move` stays.
+            (
+                vec![Instr::Move(L, Idx(0, 0, IndexSpec::d(0, 1)), Dr(1))],
+                None,
+                elided_move_kept,
+            ),
+            (
+                vec![Instr::Movem {
+                    to_mem: true,
+                    regs: RegList::d(0),
+                    ea: PreDec(7),
+                }],
+                None,
+                elided_move_kept,
+            ),
+            (vec![Instr::Cmp(L, Imm(4), Dr(0))], None, elided_move_kept),
+            // Other ways in, and ways out.
+            (args.to_vec(), Some(2), kept), // a target between the two
+            (args.to_vec(), Some(4), kept), // the trap is a target
+            (args.to_vec(), Some(0), elided), // the `move` is: every way in loads d0
+            (vec![Instr::Bcc(Cond::Eq, BranchTarget::Idx(0))], None, kept),
+            (vec![Instr::Dbf(1, BranchTarget::Idx(0))], None, kept),
+            (vec![Instr::Jsr(Abs(0x5000))], None, kept),
+        ];
+        for (between, target, want) in rows {
+            let target = target.unwrap_or(between.len() + 3);
+            assert_eq!(elide(&between, target), want, "{between:?} @{target}");
+        }
+    }
+
+    #[test]
+    fn other_syscalls_keep_their_number_for_the_kcall_thunk() {
+        let mut instrs = vec![
+            Instr::Move(L, Imm(abi::SYS_GETPID), Dr(0)),
+            Instr::Trap(abi::UNIX_TRAP),
+            Instr::Rts,
+        ];
+        assert_eq!(elide_traps(&mut instrs, 0x9000, 0x9100, 0x9200), 1);
+        assert_eq!(instrs[0], Instr::Move(L, Imm(abi::SYS_GETPID), Dr(0)));
+        assert_eq!(instrs[1], Instr::Jsr(Abs(0x9000)));
+    }
 }
