@@ -10,6 +10,7 @@ use quamachine::machine::Machine;
 
 use crate::alloc::fastfit::OutOfMemory;
 use crate::alloc::FastFit;
+use crate::thread::Tid;
 
 /// Default pipe capacity in bytes (a power of two; comfortably above the
 /// 4 KB chunks of Table 1's program 4).
@@ -37,6 +38,11 @@ pub struct Pipe {
     pub readers: u32,
     /// Open write-end fds.
     pub writers: u32,
+    /// The last thread to bind a call site to one of this pipe's fused
+    /// wrappers — the only one that can hold live ones, since they bind
+    /// only while it owns every open end. Set by the kernel's `chan`
+    /// module; `pipe_attach` retires the sites through it and clears it.
+    pub fused_by: Option<Tid>,
 }
 
 impl Pipe {
@@ -67,6 +73,7 @@ impl Pipe {
             size,
             readers: 0,
             writers: 0,
+            fused_by: None,
         })
     }
 

@@ -31,11 +31,11 @@ use synthesis_codegen::template::Bindings;
 use synthesis_blocks::gauge::Gauge;
 
 use crate::alloc::FastFit;
-use crate::channel::{ChannelClass, ChannelSpec, FileChan};
+use crate::channel::FileChan;
 use crate::charges;
 use crate::fs::Fs;
 use crate::io::disk::{DiskOutcome, DiskRequest, DiskScheduler};
-use crate::io::pipe::{Pipe, DEFAULT_PIPE_SIZE};
+use crate::io::pipe::Pipe;
 use crate::io::tty::TtyServer;
 use crate::layout;
 use crate::syscall::{errno, general, kcalls};
@@ -43,6 +43,7 @@ use crate::templates;
 use crate::thread::tte::{off, FdObject};
 use crate::thread::{Thread, ThreadState, Tid, WaitObject};
 
+mod chan;
 mod ready;
 mod tracepump;
 
@@ -595,63 +596,31 @@ impl Kernel {
         let tid = self.next_tid;
         self.next_tid += 1;
 
-        // Allocation stage: TTE, vector table, kernel stack.
-        let tte = self.heap.alloc(layout::TTE_LEN)?;
-        self.charge_alloc();
-        let vt = self.heap.alloc(layout::VECTOR_TABLE_LEN)?;
-        self.charge_alloc();
-        let kstack = self.heap.alloc(layout::KSTACK_LEN)?;
-        self.charge_alloc();
-
-        // TTE fill (the paper's ~100 µs for ~1 KB).
-        for a in (tte..tte + layout::TTE_LEN).step_by(4) {
-            self.m.mem.poke(a, Size::L, 0);
+        // Everything that can fail comes first and is recorded as it is
+        // taken; a failure anywhere gives all of it back here.
+        let (mut blocks, mut code) = (Vec::with_capacity(3), Vec::with_capacity(4));
+        if let Err(e) = self.take_thread_parts(tid, &mut blocks, &mut code) {
+            for s in &code {
+                self.creator.destroy(&mut self.m, s);
+            }
+            for (addr, len) in blocks.into_iter().zip(THREAD_BLOCKS) {
+                self.heap.free(addr, len);
+            }
+            return Err(e);
         }
-        let c = charges::mem_init(&self.m.cost, layout::TTE_LEN);
-        self.m.charge(c);
-
-        // Factorization + optimization: the per-thread switch code.
-        let quantum = self.default_quantum_us;
-        let sw = self.synth_switch(tid, tte, vt, quantum, false)?;
+        let [tte, vt, kstack]: [u32; 3] = blocks.try_into().expect("three blocks");
+        let [sw, trap_read, trap_write, trap_error]: [Synthesized; 4] =
+            code.try_into().expect("four blocks");
         self.sw_extents.insert(sw.base, sw.base + sw.size);
         let (sw_out, ipi_in, sw_in, sw_in_mmu, jmp_at) = Kernel::switch_entries(&self.m, &sw);
 
-        // Per-thread trap dispatchers and error handler.
-        let d1 = self.creator.synthesize(
-            &mut self.m,
-            "dispatch_trap1",
-            Bindings::new().bind("fdtable", tte + off::FD_TABLE),
-            self.opts,
-        )?;
-        let d2 = self.creator.synthesize(
-            &mut self.m,
-            "dispatch_trap2",
-            Bindings::new().bind("fdtable", tte + off::FD_TABLE),
-            self.opts,
-        )?;
-        let errh = self.creator.synthesize(
-            &mut self.m,
-            "trap_error",
-            Bindings::new()
-                .bind("err_pc_slot", tte + off::ERR_PC)
-                .bind("handler", self.shared.user_exit_stub),
-            self.opts,
-        )?;
-
         // Vector table: errors, FP, interrupts, traps.
-        self.fill_vector_table(vt, sw_out, ipi_in, d1.base, d2.base, errh.base);
+        let (d1, d2, errh) = (trap_read.base, trap_write.base, trap_error.base);
+        self.fill_vector_table(vt, sw_out, ipi_in, d1, d2, errh);
         let c = charges::mem_init(&self.m.cost, layout::VECTOR_TABLE_LEN);
         self.m.charge(c);
 
-        // fd table: every slot EBADF.
-        for fd in 0..crate::thread::tte::FD_MAX {
-            self.m
-                .mem
-                .poke(tte + off::FD_TABLE + fd * 8, Size::L, self.shared.ebadf);
-            self.m
-                .mem
-                .poke(tte + off::FD_TABLE + fd * 8 + 4, Size::L, self.shared.ebadf);
-        }
+        self.clear_fd_table(tte);
 
         // Fabricate the initial exception frame on the kernel stack so
         // sw_in's rte drops into `entry`.
@@ -660,12 +629,10 @@ impl Kernel {
         self.m.mem.poke(frame + 2, Size::L, entry);
         self.m.mem.poke(tte + off::SSP, Size::L, frame);
         self.m.mem.poke(tte + off::USP, Size::L, user_sp);
+        let quantum = self.default_quantum_us;
         self.m.mem.poke(tte + off::QUANTUM, Size::L, quantum);
 
         self.vbr_to_tid.insert(vt, tid);
-        // CONTRACT: aux_code order is [trap-1 read dispatcher, trap-2
-        // write dispatcher, error-trap handler]. The UNIX emulator binds
-        // its dispatcher to aux_code[0]/aux_code[1] by position.
         let thread = Thread {
             tid,
             tte,
@@ -676,7 +643,10 @@ impl Kernel {
             sw_in,
             sw_in_mmu,
             jmp_at,
-            aux_code: vec![d1, d2, errh],
+            trap_read,
+            trap_write,
+            trap_error,
+            adopted: Vec::new(),
             uses_fp: false,
             quantum_us: quantum,
             state: ThreadState::Stopped,
@@ -690,6 +660,62 @@ impl Kernel {
         };
         self.threads.insert(tid, thread);
         Ok(tid)
+    }
+
+    /// The fallible half of thread creation: the [`THREAD_BLOCKS`] heap
+    /// blocks, pushed to `blocks`, then the four private code blocks
+    /// (switch, `trap #1`/`#2` dispatchers, error handler), pushed to
+    /// `code`.
+    fn take_thread_parts(
+        &mut self,
+        tid: Tid,
+        blocks: &mut Vec<u32>,
+        code: &mut Vec<Synthesized>,
+    ) -> Result<(), KernelError> {
+        for len in THREAD_BLOCKS {
+            blocks.push(self.heap.alloc(len)?);
+            self.charge_alloc();
+        }
+        let (tte, vt) = (blocks[0], blocks[1]);
+
+        // TTE fill (the paper's ~100 µs for ~1 KB).
+        for a in (tte..tte + layout::TTE_LEN).step_by(4) {
+            self.m.mem.poke(a, Size::L, 0);
+        }
+        let c = charges::mem_init(&self.m.cost, layout::TTE_LEN);
+        self.m.charge(c);
+
+        // Factorization + optimization: the per-thread switch code, then
+        // the trap dispatchers and the error handler.
+        let quantum = self.default_quantum_us;
+        code.push(self.synth_switch(tid, tte, vt, quantum, false)?);
+        let fdtable = Bindings::new().with("fdtable", tte + off::FD_TABLE);
+        let error = Bindings::new()
+            .with("err_pc_slot", tte + off::ERR_PC)
+            .with("handler", self.shared.user_exit_stub);
+        for (name, b) in [
+            ("dispatch_trap1", &fdtable),
+            ("dispatch_trap2", &fdtable),
+            ("trap_error", &error),
+        ] {
+            code.push(self.creator.synthesize(&mut self.m, name, b, self.opts)?);
+        }
+        Ok(())
+    }
+
+    /// Hand `tid` a block of private (uncached) code synthesized for it
+    /// — an embedder's trap dispatcher, say — to be freed with the thread.
+    ///
+    /// # Errors
+    ///
+    /// Fails for unknown threads (the block stays the caller's).
+    pub fn adopt_code(&mut self, tid: Tid, s: Synthesized) -> Result<(), KernelError> {
+        let t = self
+            .threads
+            .get_mut(&tid)
+            .ok_or(KernelError::NoThread(tid))?;
+        t.adopted.push(s);
+        Ok(())
     }
 
     /// Synthesize (or resynthesize) a thread's context-switch code.
@@ -937,8 +963,14 @@ impl Kernel {
     /// operations (stop, signal, step, destroy) see consistent state.
     /// Kernel calls encountered on the way are serviced.
     pub fn ensure_safe_point(&mut self) {
+        self.step_while(Kernel::in_switch_code);
+    }
+
+    /// Step the active CPU for as long as `inside(self, pc)` holds (up to
+    /// a bound), servicing the kernel calls it meets.
+    fn step_while(&mut self, inside: impl Fn(&Kernel, u32) -> bool) {
         for _ in 0..10_000 {
-            if !self.in_switch_code(self.m.cpu.pc) {
+            if !inside(self, self.m.cpu.pc) {
                 return;
             }
             match self.m.step() {
@@ -1054,17 +1086,16 @@ impl Kernel {
             .ok_or(KernelError::NoThread(tid))?;
         self.sw_extents.remove(&t.sw.base);
         // Close fds.
-        for fd in 0..t.fds.len() {
-            let obj = std::mem::replace(&mut t.fds[fd], FdObject::Free);
+        for obj in std::mem::take(&mut t.fds) {
             self.release_fd_object(tid, obj);
         }
-        self.creator.destroy(&mut self.m, &t.sw);
-        for s in &t.aux_code {
+        let own = [&t.sw, &t.trap_read, &t.trap_write, &t.trap_error];
+        for s in own.into_iter().chain(&t.adopted) {
             self.creator.destroy(&mut self.m, s);
         }
-        self.heap.free(t.tte, layout::TTE_LEN);
-        self.heap.free(t.vt, layout::VECTOR_TABLE_LEN);
-        self.heap.free(t.kstack, layout::KSTACK_LEN);
+        for (addr, len) in [t.tte, t.vt, t.kstack].into_iter().zip(THREAD_BLOCKS) {
+            self.heap.free(addr, len);
+        }
         self.vbr_to_tid.remove(&t.vt);
         self.trace.forget_frames(tid);
         t.state = ThreadState::Dead;
@@ -1075,58 +1106,6 @@ impl Kernel {
             self.enter_next();
         }
         Ok(())
-    }
-
-    fn release_fd_object(&mut self, tid: Tid, obj: FdObject) {
-        if let FdObject::Channel { class, code } = obj {
-            self.release_channel(tid, class, &code);
-        }
-    }
-
-    /// THE teardown path: destroy the endpoint code (dropping cache
-    /// references) and release the class state. Used by `close`, thread
-    /// destruction, and the open pipeline's rollback — there is exactly
-    /// one unwind.
-    fn release_channel(&mut self, tid: Tid, class: ChannelClass, code: &[Synthesized]) {
-        for s in code {
-            self.release_code_for(tid, s);
-        }
-        match class {
-            ChannelClass::Null | ChannelClass::Tty { .. } => {}
-            ChannelClass::File { fid, offset_slot } => {
-                let gone = {
-                    let chan = self
-                        .file_chans
-                        .get_mut(&(tid, fid))
-                        .expect("file channel state exists while referenced");
-                    chan.refs -= 1;
-                    chan.refs == 0
-                };
-                if gone {
-                    self.file_chans.remove(&(tid, fid));
-                    self.heap.free(offset_slot, 4);
-                }
-                if let Some(f) = self.fs.file_mut(fid) {
-                    f.opens = f.opens.saturating_sub(1);
-                }
-            }
-            ChannelClass::Pipe { pid, read_end } => {
-                let Some(p) = self.pipes.get_mut(pid as usize) else {
-                    return;
-                };
-                if read_end {
-                    p.readers = p.readers.saturating_sub(1);
-                } else {
-                    p.writers = p.writers.saturating_sub(1);
-                }
-                if p.readers == 0 && p.writers == 0 {
-                    // Free the ring; keep the table slot (ids are stable).
-                    let (hs, buf, sz) = (p.head_slot, p.buf, p.size);
-                    self.heap.free(hs, 16);
-                    self.heap.free(buf, sz);
-                }
-            }
-        }
     }
 
     /// `step`: make a stopped thread execute one instruction (Table 3:
@@ -2061,6 +2040,8 @@ impl Kernel {
         let a0 = self.m.cpu.a[0];
         let c = charges::kcall_overhead(&self.m.cost);
         self.m.charge(c);
+        let status = |r: Result<(), KernelError>| r.map_or(-i64::from(errno::EINVAL), |()| 0);
+        let neg = |e: u32| -i64::from(e);
         let result: i64 = match call {
             general::EXIT => {
                 if let Some(tid) = self.current_tid() {
@@ -2078,33 +2059,15 @@ impl Kernel {
                     Err(_) => -i64::from(errno::ENOMEM),
                 }
             }
-            general::THREAD_START => match self.start(d1) {
-                Ok(()) => 0,
-                Err(_) => -i64::from(errno::EINVAL),
-            },
-            general::THREAD_STOP => match self.stop(d1) {
-                Ok(()) => 0,
-                Err(_) => -i64::from(errno::EINVAL),
-            },
-            general::THREAD_DESTROY => match self.destroy(d1) {
-                Ok(()) => 0,
-                Err(_) => -i64::from(errno::EINVAL),
-            },
-            general::SIGNAL => match self.signal_from_kcall(d1, d2) {
-                Ok(()) => 0,
-                Err(_) => -i64::from(errno::EINVAL),
-            },
+            general::THREAD_START => status(self.start(d1)),
+            general::THREAD_STOP => status(self.stop(d1)),
+            general::THREAD_DESTROY => status(self.destroy(d1)),
+            general::SIGNAL => status(self.signal_from_kcall(d1, d2)),
             general::OPEN => match self.read_user_string(a0) {
-                Ok(path) => match self.open(&path) {
-                    Ok(fd) => i64::from(fd),
-                    Err(e) => -i64::from(e),
-                },
+                Ok(path) => self.open(&path).map_or_else(neg, i64::from),
                 Err(e) => -i64::from(e),
             },
-            general::CLOSE => match self.close(d1) {
-                Ok(()) => 0,
-                Err(e) => -i64::from(e),
-            },
+            general::CLOSE => self.close(d1).map_or_else(neg, |()| 0),
             general::YIELD => {
                 self.yield_current();
                 0
@@ -2141,10 +2104,9 @@ impl Kernel {
                 }
                 return; // d0 intentionally preserved from the stash
             }
-            general::PIPE => match self.pipe() {
-                Ok((rfd, wfd)) => i64::from((rfd << 8) | wfd),
-                Err(e) => -i64::from(e),
-            },
+            general::PIPE => self
+                .pipe()
+                .map_or_else(neg, |(rfd, wfd)| i64::from((rfd << 8) | wfd)),
             general::SET_ALARM => {
                 self.set_alarm(d1);
                 0
@@ -2186,318 +2148,6 @@ impl Kernel {
         self.m.host_reg_write(addr, us);
         let c = charges::kcall_overhead(&self.m.cost);
         self.m.charge(c);
-    }
-
-    fn seek(&mut self, fd: u32, pos: u32) -> i64 {
-        let Some(tid) = self.current_tid() else {
-            return -i64::from(errno::EBADF);
-        };
-        let t = &self.threads[&tid];
-        match t.fds.get(fd as usize) {
-            Some(FdObject::Channel {
-                class: ChannelClass::File { offset_slot, .. },
-                ..
-            }) => {
-                let slot = *offset_slot;
-                self.m.mem.poke(slot, Size::L, pos);
-                i64::from(pos)
-            }
-            _ => -i64::from(errno::EBADF),
-        }
-    }
-
-    /// Maximum path length accepted by [`Kernel::read_user_string`]
-    /// (bytes, excluding the terminating NUL).
-    pub const PATH_MAX: u32 = 255;
-
-    /// Read a NUL-terminated string from the caller's space.
-    ///
-    /// # Errors
-    ///
-    /// `ENAMETOOLONG` when no NUL appears within [`Kernel::PATH_MAX`]
-    /// bytes — a longer buffer must not be silently truncated into a
-    /// valid-looking path.
-    pub fn read_user_string(&self, addr: u32) -> Result<String, i32> {
-        let mut s = Vec::new();
-        for i in 0..=Kernel::PATH_MAX {
-            let b = self.m.mem.peek(addr + i, Size::B) as u8;
-            if b == 0 {
-                return Ok(String::from_utf8_lossy(&s).into_owned());
-            }
-            s.push(b);
-        }
-        Err(errno::ENAMETOOLONG)
-    }
-
-    // --- open / close / pipe ------------------------------------------------
-
-    /// Open `path` for the current thread: find the object, synthesize
-    /// its `read`/`write`, dynamic-link them into the fd table.
-    ///
-    /// # Errors
-    ///
-    /// Returns an errno.
-    pub fn open(&mut self, path: &str) -> Result<u32, u32> {
-        let tid = self.current_tid().ok_or(errno::EINVAL as u32)?;
-        self.open_for(tid, path)
-    }
-
-    /// Open on behalf of a specific thread (host API).
-    ///
-    /// # Errors
-    ///
-    /// Returns an errno.
-    pub fn open_for(&mut self, tid: Tid, path: &str) -> Result<u32, u32> {
-        let spec = self.lookup_channel(tid, path)?;
-        self.open_channel(tid, spec)
-    }
-
-    /// The name-lookup stage of `open`: map a path to its [`ChannelSpec`]
-    /// and acquire the class state (file offset slot, open counts).
-    fn lookup_channel(&mut self, tid: Tid, path: &str) -> Result<ChannelSpec, u32> {
-        let t = self.threads.get(&tid).ok_or(errno::EINVAL as u32)?;
-        let gauge = t.tte + off::GAUGE;
-        match path {
-            "/dev/null" => Ok(ChannelSpec::null(gauge)),
-            "/dev/tty" | "/dev/tty-raw" => {
-                Ok(ChannelSpec::tty(&self.tty_srv, path == "/dev/tty", gauge))
-            }
-            _ => {
-                // The name lookup: charge per character actually scanned
-                // (Section 6.3: ~60% of open's cost).
-                let (found, scanned) = self.fs.lookup(path);
-                let c = charges::name_scan(&self.m.cost, scanned as u32);
-                self.m.charge(c);
-                let fid = found.ok_or(errno::ENOENT as u32)?;
-                // One offset slot per (thread, file): every open of the
-                // same file in the same thread shares it, so the bindings
-                // — and therefore the synthesized code — are identical
-                // and the specialization cache hits.
-                let offset_slot = match self.file_chans.get_mut(&(tid, fid)) {
-                    Some(chan) => {
-                        chan.refs += 1;
-                        chan.offset_slot
-                    }
-                    None => {
-                        let slot = self.heap.alloc(4).map_err(|_| errno::ENOMEM as u32)?;
-                        self.m.mem.poke(slot, Size::L, 0);
-                        self.file_chans.insert(
-                            (tid, fid),
-                            FileChan {
-                                offset_slot: slot,
-                                refs: 1,
-                            },
-                        );
-                        slot
-                    }
-                };
-                self.fs.file_mut(fid).expect("fid valid").opens += 1;
-                let f = self.fs.file(fid).expect("fid valid");
-                Ok(ChannelSpec::file(f, offset_slot, gauge))
-            }
-        }
-    }
-
-    /// The generic open pipeline: allocate an fd, specialize each
-    /// endpoint through the creator's cache, dynamic-link the entries
-    /// into the fd table. All failures funnel through the one
-    /// `release_channel` rollback — the same teardown `close` uses.
-    fn open_channel(&mut self, tid: Tid, spec: ChannelSpec) -> Result<u32, u32> {
-        let rollback = |k: &mut Kernel, code: &[Synthesized], e: i32| -> u32 {
-            k.release_channel(tid, spec.class, code);
-            e as u32
-        };
-        let Some(t) = self.threads.get(&tid) else {
-            return Err(rollback(self, &[], errno::EINVAL));
-        };
-        let Some(fd) = t.free_fd() else {
-            return Err(rollback(self, &[], errno::EMFILE));
-        };
-        let ebadf = self.shared.ebadf;
-        let mut code: Vec<Synthesized> = Vec::with_capacity(2);
-        let mut entries = [ebadf, ebadf];
-        for (i, end) in [&spec.read, &spec.write].into_iter().enumerate() {
-            let Some(end) = end else { continue };
-            match self.synthesize_cached_for(tid, end.template, &end.bindings) {
-                Ok(s) => {
-                    entries[i] = s.base;
-                    code.push(s);
-                }
-                Err(_) => return Err(rollback(self, &code, errno::ENOMEM)),
-            }
-        }
-        self.link_fd(tid, fd, entries[0], entries[1]);
-        self.threads.get_mut(&tid).expect("exists").fds[fd as usize] = FdObject::Channel {
-            class: spec.class,
-            code,
-        };
-        Ok(fd)
-    }
-
-    /// Whether a caller running under `map` can be fused with the
-    /// kernel: its map covers the kernel's whole flat space — so the
-    /// trap protects nothing a `jsr` would expose — and the collapse
-    /// stage, which inlines the fused wrappers' bodies, is on.
-    #[must_use]
-    pub fn fusable(&self, map: &AddressMap) -> bool {
-        self.opts.collapse && map.allows(0, self.m.mem.size(), true)
-    }
-
-    /// The fused (trap-elided) wrapper spec for `(tid, fd)`, if the
-    /// caller is [`fusable`](Kernel::fusable) and the channel end has a
-    /// fused form: the template name plus complete bindings, ready for
-    /// [`QuajectCreator::synthesize_cached`]. `write` selects the end
-    /// (the fd class alone decides for pipe ends, which only have one).
-    ///
-    /// `None` when the thread's map does not cover kernel space, the fd
-    /// is not an open channel, the end has no fused template, or — for
-    /// pipes — the pipe is not *solo* (exactly one reader and one
-    /// writer). Solo is what lets the fused fast path elide the
-    /// peer-wake check: both ends belong to the calling thread, and a
-    /// thread cannot be blocked on the pipe it is currently calling
-    /// into.
-    #[must_use]
-    pub fn fused_rw_spec(&self, tid: Tid, fd: u32, write: bool) -> Option<(String, Bindings)> {
-        let t = self.threads.get(&tid)?;
-        if !self.fusable(&t.map) {
-            return None;
-        }
-        let FdObject::Channel { class, .. } = t.fds.get(fd as usize)? else {
-            return None;
-        };
-        let gauge = t.tte + off::GAUGE;
-        // Reconstruct the open-time spec read-only (no refcounts move;
-        // the fd already holds them).
-        let spec = match *class {
-            ChannelClass::Null => ChannelSpec::null(gauge),
-            ChannelClass::Tty { cooked } => ChannelSpec::tty(&self.tty_srv, cooked, gauge),
-            ChannelClass::File { fid, offset_slot } => {
-                ChannelSpec::file(self.fs.file(fid)?, offset_slot, gauge)
-            }
-            ChannelClass::Pipe { pid, read_end } => {
-                if read_end == write {
-                    return None; // wrong direction for this end
-                }
-                let p = self.pipes.get(pid as usize)?;
-                if p.readers != 1 || p.writers != 1 {
-                    return None; // only solo pipes fuse
-                }
-                ChannelSpec::pipe(p, read_end, gauge)
-            }
-        };
-        spec.fused_end(!write, fd)
-    }
-
-    /// The dynamic-link stage: store the synthesized entry points into
-    /// the thread's fd table.
-    fn link_fd(&mut self, tid: Tid, fd: u32, read_entry: u32, write_entry: u32) {
-        let t = &self.threads[&tid];
-        let (rs, ws) = (t.fd_read_slot(fd), t.fd_write_slot(fd));
-        self.m.mem.poke(rs, Size::L, read_entry);
-        self.m.mem.poke(ws, Size::L, write_entry);
-        let c = 2 * charges::code_patch(&self.m.cost);
-        self.m.charge(c);
-    }
-
-    /// Close fd `fd` of the current thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns an errno.
-    pub fn close(&mut self, fd: u32) -> Result<(), u32> {
-        let tid = self.current_tid().ok_or(errno::EINVAL as u32)?;
-        self.close_for(tid, fd)
-    }
-
-    /// Close on behalf of a thread (host API).
-    ///
-    /// # Errors
-    ///
-    /// Returns an errno.
-    pub fn close_for(&mut self, tid: Tid, fd: u32) -> Result<(), u32> {
-        let t = self.threads.get_mut(&tid).ok_or(errno::EINVAL as u32)?;
-        let slot = t.fds.get_mut(fd as usize).ok_or(errno::EBADF as u32)?;
-        if matches!(slot, FdObject::Free) {
-            return Err(errno::EBADF as u32);
-        }
-        let obj = std::mem::replace(slot, FdObject::Free);
-        let ebadf = self.shared.ebadf;
-        self.link_fd(tid, fd, ebadf, ebadf);
-        self.release_fd_object(tid, obj);
-        Ok(())
-    }
-
-    /// Create a pipe for the current thread; returns `(read_fd, write_fd)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an errno.
-    pub fn pipe(&mut self) -> Result<(u32, u32), u32> {
-        let tid = self.current_tid().ok_or(errno::EINVAL as u32)?;
-        self.pipe_for(tid)
-    }
-
-    /// Create a pipe on behalf of a thread (host API).
-    ///
-    /// # Errors
-    ///
-    /// Returns an errno.
-    pub fn pipe_for(&mut self, tid: Tid) -> Result<(u32, u32), u32> {
-        let pid = self.pipes.len() as u32;
-        let p = Pipe::allocate(&mut self.m, &mut self.heap, pid, DEFAULT_PIPE_SIZE)
-            .map_err(|_| errno::ENOMEM as u32)?;
-        // Register before attaching so the endpoints go through the
-        // ordinary registry path; the end refcounts start at zero and
-        // count attached fds.
-        self.pipes.push(p);
-        match self.pipe_attach_inner(tid, pid) {
-            Ok(fds) => Ok(fds),
-            Err(e) => {
-                // The endpoint rollback already released the fds and —
-                // with both refcounts back at zero — the ring; drop the
-                // never-exposed table slot.
-                self.pipes.pop();
-                Err(e)
-            }
-        }
-    }
-
-    /// Attach an existing pipe to another thread (cross-thread pipes);
-    /// returns `(read_fd, write_fd)` in that thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns an errno.
-    pub fn pipe_attach(&mut self, tid: Tid, pid: u32) -> Result<(u32, u32), u32> {
-        if self.pipes.get(pid as usize).is_none() {
-            return Err(errno::EINVAL as u32);
-        }
-        self.pipe_attach_inner(tid, pid)
-    }
-
-    /// Open both ends of pipe `pid` in `tid` through the channel
-    /// registry. Each end holds one reference on the ring; a write-end
-    /// failure closes the read end through the normal `close` teardown.
-    fn pipe_attach_inner(&mut self, tid: Tid, pid: u32) -> Result<(u32, u32), u32> {
-        let t = self.threads.get(&tid).ok_or(errno::EINVAL as u32)?;
-        let gauge = t.tte + off::GAUGE;
-        let (rspec, wspec) = {
-            let p = &self.pipes[pid as usize];
-            (
-                ChannelSpec::pipe(p, true, gauge),
-                ChannelSpec::pipe(p, false, gauge),
-            )
-        };
-        self.pipes[pid as usize].readers += 1;
-        let rfd = self.open_channel(tid, rspec)?;
-        self.pipes[pid as usize].writers += 1;
-        match self.open_channel(tid, wspec) {
-            Ok(wfd) => Ok((rfd, wfd)),
-            Err(e) => {
-                let _ = self.close_for(tid, rfd);
-                Err(e)
-            }
-        }
     }
 
     // --- Lazy FP -------------------------------------------------------------
@@ -2725,6 +2375,14 @@ impl Kernel {
         self.m.charge(c);
     }
 }
+
+/// The heap blocks a thread owns, in the order they are taken: TTE,
+/// vector table, kernel stack.
+const THREAD_BLOCKS: [u32; 3] = [
+    layout::TTE_LEN,
+    layout::VECTOR_TABLE_LEN,
+    layout::KSTACK_LEN,
+];
 
 /// Top of a kernel stack (stacks grow down).
 fn tte_frame_top(kstack: u32) -> u32 {

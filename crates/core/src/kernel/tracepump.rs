@@ -17,9 +17,9 @@
 //!   as one unit, so no caller drains anything and
 //!   `creator.cache_events` is empty whenever a `Kernel` method returns.
 //!
-//! `open`, `close`, thread destruction, the stream endpoints and the UNIX
-//! emulator's fused binds are calls to the pair. None of this charges a
-//! guest cycle.
+//! `open`, `close`, thread destruction, the stream endpoints and the
+//! fused binds of the `chan` submodule are calls to the pair. None of this
+//! charges a guest cycle.
 
 use quamachine::fault::FaultRecord;
 use quamachine::trace::MachEvent;

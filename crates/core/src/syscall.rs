@@ -62,6 +62,9 @@ pub mod general {
 pub mod errno {
     /// Bad file descriptor.
     pub const EBADF: i32 = 9;
+    /// Try again (`pipe_attach` while the pipe's fused holder is parked
+    /// on the fast path of one of its wrappers).
+    pub const EAGAIN: i32 = 11;
     /// No such file.
     pub const ENOENT: i32 = 2;
     /// Out of some resource.

@@ -10,8 +10,8 @@
 //! When the caller and the quaject share the flat address space there is
 //! no protection boundary for the trap to cross, so the trap itself is
 //! overhead. The `fused_*` templates here are the specialized entries
-//! the UNIX emulator binds *directly into the call site* as a `jsr`
-//! target: an fd guard, then the synthesized body collapsed inline
+//! the kernel binds *directly into the call site* as a `jsr` target
+//! ([`Kernel::bind_site`](crate::kernel::Kernel::bind_site)): an fd guard, then the synthesized body collapsed inline
 //! (its `rte`s rewritten to `rts` — see
 //! [`Template::returning_variant`]), ending in a plain `rts`. Foreign
 //! fds fall back to the original `trap`, so the layered path remains
@@ -129,7 +129,9 @@ pub fn fused_rw_template(callee: &str) -> Template {
 /// Only synthesized for solo pipes (one reader, one writer, both ends
 /// owned by the calling thread), which is what lets the fast path elide
 /// the reader-wake check: a thread cannot be blocked reading the pipe
-/// it is currently writing.
+/// it is currently writing. `pipe_attach` ends solo, and finds what
+/// relies on it by layout: entry through the first store to `head_slot`
+/// — so the fast path stays ahead of the general body.
 ///
 /// Holes: `fd`, `head_slot`, `tail_slot`, `buf`, `size`, `mask`,
 /// `gauge`, plus the callee's namespaced holes.

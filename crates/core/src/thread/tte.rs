@@ -95,7 +95,27 @@ pub enum FdObject {
         /// The synthesized endpoint code (shared via the specialization
         /// cache; destroying drops references).
         code: Vec<Synthesized>,
+        /// The call sites patched to enter this fd's fused wrappers
+        /// directly. Written only by the kernel's `chan` module, whose
+        /// teardown re-arms the sites and releases the wrappers.
+        bound: Vec<Bound>,
     },
+}
+
+/// One call site bound to a fused wrapper of an fd: an absolute `jsr` in
+/// the caller's image, patched to enter `wrapper`.
+#[derive(Debug)]
+pub struct Bound {
+    /// Address of the patched `jsr`.
+    pub site: u32,
+    /// What the `jsr` targets when not bound: the caller's bind thunk,
+    /// which leads back to `Kernel::bind_site`.
+    pub rearm: u32,
+    /// The cache reference pinning the wrapper.
+    pub wrapper: Synthesized,
+    /// The site has been re-armed ahead of the fd's teardown (its pipe
+    /// stopped being solo); only the reference is still held.
+    pub retired: bool,
 }
 
 /// Host-side thread bookkeeping.
@@ -119,9 +139,15 @@ pub struct Thread {
     pub sw_in_mmu: u32,
     /// Address of the patchable `jmp` inside `sw_out`.
     pub jmp_at: u32,
-    /// The per-thread trap dispatchers and error handler (freed on
-    /// destroy).
-    pub aux_code: Vec<Synthesized>,
+    /// The `trap #1` (read) dispatcher through the fd table.
+    pub trap_read: Synthesized,
+    /// The `trap #2` (write) dispatcher through the fd table.
+    pub trap_write: Synthesized,
+    /// The error-trap handler.
+    pub trap_error: Synthesized,
+    /// Private code an embedder synthesized for this thread and handed
+    /// over with `Kernel::adopt_code`; freed with the thread.
+    pub adopted: Vec<Synthesized>,
     /// Whether this thread's switch includes the FP registers.
     pub uses_fp: bool,
     /// Current CPU quantum in µs.
@@ -185,24 +211,28 @@ mod tests {
 
     #[test]
     fn fd_slot_addresses() {
+        let none = || synthesis_codegen::creator::Synthesized {
+            base: 0,
+            size: 0,
+            entries: std::collections::HashMap::new(),
+            instrs_in: 0,
+            instrs_out: 0,
+            synth_cycles: 0,
+        };
         let t = Thread {
             tid: 1,
             tte: 0x4000,
             vt: 0,
             kstack: 0,
-            sw: synthesis_codegen::creator::Synthesized {
-                base: 0,
-                size: 0,
-                entries: std::collections::HashMap::new(),
-                instrs_in: 0,
-                instrs_out: 0,
-                synth_cycles: 0,
-            },
+            sw: none(),
             sw_out: 0,
             sw_in: 0,
             sw_in_mmu: 0,
             jmp_at: 0,
-            aux_code: Vec::new(),
+            trap_read: none(),
+            trap_write: none(),
+            trap_error: none(),
+            adopted: Vec::new(),
             uses_fp: false,
             quantum_us: 200,
             state: ThreadState::Stopped,

@@ -546,3 +546,52 @@ fn pipe_with_one_free_fd_fails_cleanly_and_unwinds() {
     assert_eq!(k.heap.in_use, before_heap, "no pipe memory leaked");
     assert!(k.pipes.is_empty(), "failed pipe never registered");
 }
+
+/// Take everything `alloc` will still give, largest pieces first.
+fn exhaust(mut alloc: impl FnMut(u32) -> bool) {
+    for shift in (2..24).rev() {
+        while alloc(1 << shift) {}
+    }
+}
+
+/// A kernel with one loaded program nobody runs; its entry.
+fn boot_with_entry() -> (Kernel, u32) {
+    let mut k = boot();
+    let mut a = Asm::new("never_run");
+    emit_exit(&mut a);
+    let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
+    (k, entry)
+}
+
+#[test]
+fn create_thread_out_of_heap_gives_back_what_it_took() {
+    let (mut k, entry) = boot_with_entry();
+    // Exactly one TTE is left: the second allocation fails.
+    let tte = k.heap.alloc(synthesis_core::layout::TTE_LEN).unwrap();
+    exhaust(|n| k.heap.alloc(n).is_ok());
+    k.heap.free(tte, synthesis_core::layout::TTE_LEN);
+    let before = (k.heap.in_use, k.creator.codebuf.in_use);
+    assert!(k.create_thread(entry, USTACK, user_map()).is_err());
+    assert_eq!((k.heap.in_use, k.creator.codebuf.in_use), before);
+}
+
+#[test]
+fn create_thread_out_of_code_space_gives_back_what_it_took() {
+    let (mut k, entry) = boot_with_entry();
+    let threads = k.threads.len();
+    // A switch block is as big as the idle thread's.
+    let sw_size = k.threads.values().next().expect("idle").sw.size;
+    let hold = k.creator.codebuf.alloc(sw_size).unwrap();
+    exhaust(|n| k.creator.codebuf.alloc(n).is_ok());
+    // No room for the switch block...
+    let before = (k.heap.in_use, k.creator.codebuf.in_use);
+    assert!(k.create_thread(entry, USTACK, user_map()).is_err());
+    assert_eq!((k.heap.in_use, k.creator.codebuf.in_use), before);
+    // ...then room for exactly that: the first dispatcher fails.
+    k.creator.codebuf.free(hold, sw_size);
+    let before = (k.heap.in_use, k.creator.codebuf.in_use);
+    assert!(k.create_thread(entry, USTACK, user_map()).is_err());
+    assert_eq!((k.heap.in_use, k.creator.codebuf.in_use), before);
+    assert_eq!(k.threads.len(), threads);
+    assert_eq!(k.run(50_000), RunExit::CycleLimit, "the kernel runs on");
+}

@@ -13,13 +13,10 @@
 //! the host through a `kcall` and maps onto the same kernel services the
 //! native interface uses.
 
-use std::collections::HashMap;
-
 use quamachine::asm::Asm;
 use quamachine::isa::{Cond, Control, Instr, Operand, Operand::*, Size, Size::*};
 use quamachine::machine::RunExit;
 use quamachine::mem::AddressMap;
-use synthesis_codegen::creator::Synthesized;
 use synthesis_codegen::rewrite;
 use synthesis_codegen::template::{Bindings, Template};
 use synthesis_core::kernel::{Kernel, KernelError};
@@ -57,20 +54,19 @@ pub fn unix_dispatch_template() -> Template {
     Template::from_asm(a).expect("assembles")
 }
 
-/// Trap-elision state: the static thunks rewritten call sites enter,
-/// and the live fused bindings (for invalidation at `close`/`exit`).
-/// One patched call site: its address, its direction (`true` = write),
-/// and the cache reference pinning the fused wrapper it jumps to.
-type BoundSite = (u32, bool, Synthesized);
-
+/// Trap-elision state: the static thunks rewritten call sites enter.
+/// Which site is bound to which wrapper is the kernel's business (see
+/// [`Kernel::bind_site`]); these are only the UNIX-ABI ends it patches
+/// sites back and forth between.
 struct Fusion {
     /// `[kcall KCALL_UNIX; rts]` — the slow calls, minus the trap.
     unix_thunk: u32,
     /// `[move #sysno,d0; kcall KCALL_RW_BIND; rts]`, one per direction —
-    /// first execution of a `read`/`write` site lands here; the emulator
-    /// binds the fused wrapper. The thunk re-materializes `d0` itself
-    /// because elision deletes the caller's `move #sysno,d0` (the bound
-    /// wrapper never reads it).
+    /// first execution of a `read`/`write` site lands here, and so does
+    /// the first after the kernel re-armed it; the kernel binds the fused
+    /// wrapper. The thunk re-materializes `d0` itself because elision
+    /// deletes the caller's `move #sysno,d0` (the bound wrapper never
+    /// reads it).
     bind_r: u32,
     /// See [`Fusion::bind_r`].
     bind_w: u32,
@@ -79,15 +75,12 @@ struct Fusion {
     shim_r: u32,
     /// See [`Fusion::shim_r`].
     shim_w: u32,
-    /// `(tid, fd)` → the call sites patched to that fd's fused wrapper.
-    sites: HashMap<(Tid, u32), Vec<BoundSite>>,
 }
 
 /// The UNIX emulator: wraps a booted Synthesis kernel.
 pub struct UnixEmulator {
     /// The underlying Synthesis kernel.
     pub k: Kernel,
-    dispatchers: HashMap<Tid, Synthesized>,
     fusion: Option<Fusion>,
 }
 
@@ -168,11 +161,7 @@ impl UnixEmulator {
     /// Wrap a kernel (installs the dispatcher template).
     #[must_use]
     pub fn new(k: Kernel) -> UnixEmulator {
-        let mut e = UnixEmulator {
-            k,
-            dispatchers: HashMap::new(),
-            fusion: None,
-        };
+        let mut e = UnixEmulator { k, fusion: None };
         e.k.creator.lib.add(unix_dispatch_template());
         e
     }
@@ -224,7 +213,6 @@ impl UnixEmulator {
             bind_w,
             shim_r,
             shim_w,
-            sites: HashMap::new(),
         });
         Ok(())
     }
@@ -260,18 +248,15 @@ impl UnixEmulator {
     }
 
     /// Install the UNIX personality on a thread: synthesize its
-    /// dispatcher and point `trap #3` at it.
+    /// dispatcher, point `trap #3` at it, and hand it to the thread,
+    /// which frees it when it dies.
     ///
     /// # Errors
     ///
     /// Fails on synthesis or unknown-thread errors.
     pub fn install(&mut self, tid: Tid) -> Result<(), KernelError> {
         let t = self.k.threads.get(&tid).ok_or(KernelError::NoThread(tid))?;
-        // The thread's trap-1/2 dispatchers are its first two aux blocks
-        // (a documented contract of Kernel::create_thread_inner; see the
-        // CONTRACT comment at the Thread construction site).
-        let dr = t.aux_code[0].base;
-        let dw = t.aux_code[1].base;
+        let (dr, dw) = (t.trap_read.base, t.trap_write.base);
         let code = self.k.creator.synthesize(
             &mut self.k.m,
             "unix_dispatch",
@@ -282,8 +267,7 @@ impl UnixEmulator {
         )?;
         self.k
             .set_vector(tid, 32 + u32::from(abi::UNIX_TRAP), code.base)?;
-        self.dispatchers.insert(tid, code);
-        Ok(())
+        self.k.adopt_code(tid, code)
     }
 
     /// Run the emulated system, servicing the emulator's kernel calls.
@@ -319,85 +303,27 @@ impl UnixEmulator {
     }
 
     /// Service the fused-path bind `kcall`: a rewritten `read`/`write`
-    /// site is executing the bind thunk for the first time (or after an
-    /// unfuse). Synthesize the fd's fused wrapper, patch the site's
-    /// `jsr` to enter it directly, and redirect the current call into
-    /// the fresh wrapper. Unfusable fds divert the site to the layered
-    /// trap shim instead.
+    /// site is executing the bind thunk — for the first time, or for the
+    /// first time since the kernel re-armed it. The return address its
+    /// `jsr` pushed locates the site; the kernel binds it to the fd's
+    /// fused wrapper, or to the layered trap shim when the fd cannot be
+    /// served fused, and says where this call continues (the thunk's
+    /// return frame is still on the stack either way).
     fn rw_bind(&mut self) {
-        let sysno = self.k.m.cpu.d[0];
+        let write = self.k.m.cpu.d[0] == abi::SYS_WRITE;
         let fd = self.k.m.cpu.d[1];
-        // The return address the site's jsr pushed locates the site.
         let ret = self.k.m.mem.peek(self.k.m.cpu.a[7], Size::L);
         let site = ret.wrapping_sub(JSR_ABS_BYTES);
-        let write = sysno == abi::SYS_WRITE;
         let f = self.fusion.as_ref().expect("bind kcall ⇒ elided caller");
-        let trap_shim = if write { f.shim_w } else { f.shim_r };
-        let spec = self
-            .k
-            .current_tid()
-            .and_then(|tid| self.k.fused_rw_spec(tid, fd, write).map(|s| (tid, s)));
-        let Some((tid, (name, bindings))) = spec else {
-            // Not fusable (foreign class, shared pipe, …): the site goes
-            // layered for good (an unfuse re-arms it).
-            let _ = self.k.m.code.patch_jsr_target(site, trap_shim);
-            self.k.m.cpu.pc = trap_shim;
-            return;
+        let (rearm, layered) = if write {
+            (f.bind_w, f.shim_w)
+        } else {
+            (f.bind_r, f.shim_r)
         };
-        match self.k.synthesize_cached_for(tid, &name, &bindings) {
-            Ok(s) => {
-                let entry = s.base;
-                let _ = self.k.m.code.patch_jsr_target(site, entry);
-                self.fusion
-                    .as_mut()
-                    .expect("checked above")
-                    .sites
-                    .entry((tid, fd))
-                    .or_default()
-                    .push((site, write, s));
-                // This call still has the thunk's return frame on the
-                // stack; run it through the wrapper now.
-                self.k.m.cpu.pc = entry;
-            }
-            Err(_) => {
-                // Synthesis failed (code space): fall back layered.
-                let _ = self.k.m.code.patch_jsr_target(site, trap_shim);
-                self.k.m.cpu.pc = trap_shim;
-            }
-        }
-    }
-
-    /// Drop every fused binding for `(tid, fd)`: re-arm the sites to the
-    /// bind thunk and release the wrappers' cache references.
-    fn unfuse(&mut self, tid: Tid, fd: u32) {
-        let Some(f) = self.fusion.as_mut() else {
-            return;
+        self.k.m.cpu.pc = match self.k.current_tid() {
+            Some(tid) => self.k.bind_site(tid, fd, write, site, rearm, layered),
+            None => layered,
         };
-        let Some(v) = f.sites.remove(&(tid, fd)) else {
-            return;
-        };
-        let (bind_r, bind_w) = (f.bind_r, f.bind_w);
-        for (site, write, s) in v {
-            let bind = if write { bind_w } else { bind_r };
-            let _ = self.k.m.code.patch_jsr_target(site, bind);
-            self.k.release_code_for(tid, &s);
-        }
-    }
-
-    /// Drop every fused binding `tid` holds (thread exit).
-    fn unfuse_all(&mut self, tid: Tid) {
-        let Some(f) = self.fusion.as_ref() else {
-            return;
-        };
-        let fds: Vec<u32> = f
-            .sites
-            .keys()
-            .filter(|(t, _)| *t == tid)
-            .map(|&(_, fd)| fd)
-            .collect();
-        for fd in fds {
-            self.unfuse(tid, fd);
-        }
     }
 
     /// Service one non-hot UNIX call (the `kcall` slow path).
@@ -408,7 +334,6 @@ impl UnixEmulator {
         let result: i64 = match sysno {
             abi::SYS_EXIT => {
                 if let Some(tid) = self.k.current_tid() {
-                    self.unfuse_all(tid);
                     let _ = self.k.destroy(tid);
                 }
                 0
@@ -439,23 +364,12 @@ impl UnixEmulator {
                     Err(e) => -i64::from(e),
                 }
             }
-            abi::SYS_CLOSE => {
-                // The fd's fused call sites must not outlive the
-                // channel: re-arm them and drop the cache references
-                // before the close releases the endpoint code.
-                if let Some(tid) = self.k.current_tid() {
-                    self.unfuse(tid, d1);
-                }
-                match self.k.close(d1) {
-                    Ok(()) => 0,
-                    Err(e) => -i64::from(e),
-                }
-            }
-            abi::SYS_LSEEK => {
-                // Whence is always 0 (absolute) in the benchmarks.
-                let off = self.k.m.cpu.d[2];
-                self.k_seek(d1, off)
-            }
+            abi::SYS_CLOSE => match self.k.close(d1) {
+                Ok(()) => 0,
+                Err(e) => -i64::from(e),
+            },
+            // Whence is always 0 (absolute) in the benchmarks.
+            abi::SYS_LSEEK => self.k.seek(d1, self.k.m.cpu.d[2]),
             abi::SYS_GETPID => i64::from(self.k.current_tid().unwrap_or(0)),
             abi::SYS_PIPE => match self.k.pipe() {
                 Ok((rfd, wfd)) => i64::from((rfd << 8) | wfd),
@@ -464,26 +378,6 @@ impl UnixEmulator {
             _ => -i64::from(errno::EINVAL),
         };
         self.k.m.cpu.d[0] = result as u32;
-    }
-
-    fn k_seek(&mut self, fd: u32, pos: u32) -> i64 {
-        use synthesis_core::channel::ChannelClass;
-        use synthesis_core::thread::FdObject;
-        let Some(tid) = self.k.current_tid() else {
-            return -i64::from(errno::EBADF);
-        };
-        let t = &self.k.threads[&tid];
-        match t.fds.get(fd as usize) {
-            Some(FdObject::Channel {
-                class: ChannelClass::File { offset_slot, .. },
-                ..
-            }) => {
-                let slot = *offset_slot;
-                self.k.m.mem.poke(slot, quamachine::isa::Size::L, pos);
-                i64::from(pos)
-            }
-            _ => -i64::from(errno::EBADF),
-        }
     }
 }
 

@@ -245,3 +245,344 @@ fn a_fused_bind_is_traced_in_the_call_that_made_it() {
         );
     }
 }
+
+// --- One owner for the code behind a (tid, fd) ---------------------------
+//
+// A flat-map UNIX writer whose pipe stops being solo under it: a native
+// reader is attached to the pipe from the host, blocks on the empty ring,
+// and must be woken by the writer's next 1-byte write — through whatever
+// its call site is bound to by then.
+
+mod attach {
+    use quamachine::asm::Asm;
+    use quamachine::isa::{Cond, Operand::*, ShiftKind, Size::*};
+    use quamachine::machine::RunExit;
+    use quamachine::mem::AddressMap;
+    use synthesis_core::io::pipe::DEFAULT_PIPE_SIZE;
+    use synthesis_core::kernel::{Kernel, KernelConfig};
+    use synthesis_core::layout;
+    use synthesis_core::syscall::{general, traps};
+    use synthesis_core::thread::{ThreadState, Tid, WaitObject};
+    use synthesis_unix::abi;
+    use synthesis_unix::emu::{boot_with_program, UnixEmulator};
+    use synthesis_unix::programs::addrs;
+
+    /// A `kcall` neither the kernel nor the emulator owns: `run` hands
+    /// control to the host at exactly this instruction boundary.
+    pub const MARK: u16 = 0x60;
+    /// Where the reader leaves its `read`'s return value.
+    const READER_RESULT: u32 = addrs::RESULT + 0x10;
+
+    fn unix_rw(a: &mut Asm, sysno: u32, fd_from_d5: impl FnOnce(&mut Asm)) {
+        a.move_i(L, sysno, Dr(0));
+        a.move_(L, Dr(5), Dr(1));
+        fd_from_d5(a);
+        a.lea(Abs(addrs::BUF), 0);
+        a.move_i(L, 1, Dr(2));
+        a.trap(abi::UNIX_TRAP);
+    }
+
+    fn exit(a: &mut Asm) {
+        a.move_i(L, abi::SYS_EXIT, Dr(0));
+        a.trap(abi::UNIX_TRAP);
+        let dead = a.here();
+        a.bcc(Cond::T, dead);
+    }
+
+    /// Spin well past one 200 µs quantum, so a freshly started thread
+    /// gets the CPU (and blocks) before the writer goes on.
+    fn spin(a: &mut Asm) {
+        a.move_i(L, 20_000, Dr(6));
+        let top = a.here();
+        a.sub(L, Imm(1), Dr(6));
+        a.bcc(Cond::Ne, top);
+    }
+
+    /// `pipe`; write 1 B and read it back (binding both sites); mark;
+    /// spin; mark; write 1 B *through the same site*; mark; exit.
+    pub fn binder_then_writer() -> Asm {
+        let mut a = Asm::new("binder_then_writer");
+        a.move_i(L, abi::SYS_PIPE, Dr(0));
+        a.trap(abi::UNIX_TRAP);
+        a.move_(L, Dr(0), Dr(5)); // (rfd << 8) | wfd
+        a.move_i(L, 2, Dr(7));
+        let done = a.label();
+        let top = a.here();
+        unix_rw(&mut a, abi::SYS_WRITE, |a| a.and(L, Imm(0xFF), Dr(1)));
+        a.sub(L, Imm(1), Dr(7));
+        a.bcc(Cond::Eq, done);
+        unix_rw(&mut a, abi::SYS_READ, |a| {
+            a.shift(ShiftKind::Lsr, L, Imm(8), Dr(1));
+        });
+        a.kcall(MARK);
+        spin(&mut a);
+        a.kcall(MARK);
+        a.bcc(Cond::T, top);
+        a.bind(done);
+        a.kcall(MARK);
+        exit(&mut a);
+        a
+    }
+
+    /// Spin; mark; write 1 B to fd 1; mark; exit. The host opens the
+    /// pipe for it before it first runs.
+    pub fn late_writer() -> Asm {
+        let mut a = Asm::new("late_writer");
+        spin(&mut a);
+        a.kcall(MARK);
+        a.move_i(L, 1, Dr(5));
+        unix_rw(&mut a, abi::SYS_WRITE, |_| {});
+        a.kcall(MARK);
+        exit(&mut a);
+        a
+    }
+
+    pub fn boot(program: Asm) -> (UnixEmulator, Tid) {
+        let (mut emu, tid) = boot_with_program(KernelConfig::default(), program).expect("boots");
+        emu.k.m.mem.poke(addrs::BUF, B, 0x5A);
+        (emu, tid)
+    }
+
+    pub fn run_to_mark(emu: &mut UnixEmulator) {
+        assert_eq!(emu.run(50_000_000), RunExit::KCall(MARK));
+    }
+
+    /// A native thread under the user-window map: `read(fd 0, 1 byte)`
+    /// through `trap #1`, leave the return value in memory, exit. Created
+    /// stopped, with no fds.
+    pub fn native_reader(k: &mut Kernel) -> Tid {
+        native_peer(k, false)
+    }
+
+    /// The same around one byte at [`addrs::XFER_DST`], read from fd 0 or
+    /// written to fd 1.
+    pub fn native_peer(k: &mut Kernel, write: bool) -> Tid {
+        let mut a = Asm::new("native_peer");
+        a.move_i(L, u32::from(write), Dr(0));
+        a.lea(Abs(addrs::XFER_DST), 0);
+        a.move_i(L, 1, Dr(1));
+        a.trap(if write { traps::WRITE } else { traps::READ });
+        a.move_(L, Dr(0), Abs(READER_RESULT));
+        a.move_i(L, general::EXIT, Dr(0));
+        a.trap(traps::GENERAL);
+        let dead = a.here();
+        a.bcc(Cond::T, dead);
+        let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
+        k.m.mem.poke(READER_RESULT, L, 0);
+        let window = AddressMap::single(1, layout::USER_BASE, layout::USER_LEN);
+        k.create_thread(entry, addrs::USTACK + 0x1000, window)
+            .unwrap()
+    }
+
+    /// `pipe`, then 1-byte calls on it until one blocks: the first `read`
+    /// (empty ring), or the `write` after the ring's worth. Each call's
+    /// return value goes to [`addrs::RESULT`]; then mark and exit.
+    pub fn blocks_on_its_own_pipe(write: bool) -> Asm {
+        let mut a = Asm::new("blocks_on_its_own_pipe");
+        a.move_i(L, abi::SYS_PIPE, Dr(0));
+        a.trap(abi::UNIX_TRAP);
+        a.move_(L, Dr(0), Dr(5)); // (rfd << 8) | wfd
+        a.move_i(L, if write { DEFAULT_PIPE_SIZE + 1 } else { 1 }, Dr(7));
+        let top = a.here();
+        if write {
+            unix_rw(&mut a, abi::SYS_WRITE, |a| a.and(L, Imm(0xFF), Dr(1)));
+        } else {
+            unix_rw(&mut a, abi::SYS_READ, |a| {
+                a.shift(ShiftKind::Lsr, L, Imm(8), Dr(1));
+            });
+        }
+        a.move_(L, Dr(0), Abs(addrs::RESULT));
+        a.sub(L, Imm(1), Dr(7));
+        a.bcc(Cond::Ne, top);
+        a.kcall(MARK);
+        exit(&mut a);
+        a
+    }
+
+    pub fn assert_blocked_on_pipe(k: &Kernel, reader: Tid, pid: u32) {
+        assert_eq!(
+            k.threads[&reader].state,
+            ThreadState::Blocked(WaitObject::PipeData(pid)),
+            "the reader ran into the empty ring"
+        );
+    }
+
+    /// The reader got its byte and exited; `false` if it is still there.
+    pub fn reader_finishes(emu: &mut UnixEmulator, reader: Tid) -> bool {
+        // The writer may still have marks to pass on its way out.
+        for _ in 0..4 {
+            if emu.run_until_exit(reader, 5_000_000) {
+                break;
+            }
+        }
+        emu.k.exited.contains(&reader)
+            && emu.k.m.mem.peek(READER_RESULT, L) == 1
+            && emu.k.m.mem.peek(addrs::XFER_DST, B) == 0x5A
+    }
+}
+
+/// (a) Attach after bind: the writer's site was bound while its pipe was
+/// solo; a reader attached since then is blocked on the ring when the
+/// writer calls through that site again.
+#[test]
+fn a_reader_attached_after_the_bind_is_woken_by_the_next_write() {
+    let (mut emu, _writer) = attach::boot(attach::binder_then_writer());
+    attach::run_to_mark(&mut emu); // both sites bound
+    let reader = attach::native_reader(&mut emu.k);
+    assert_eq!(emu.k.pipe_attach(reader, 0), Ok((0, 1)));
+    emu.k.start(reader).unwrap();
+    attach::run_to_mark(&mut emu); // the writer spun; the reader ran
+    attach::assert_blocked_on_pipe(&emu.k, reader, 0);
+    attach::run_to_mark(&mut emu); // 1 byte through the same site
+    assert!(
+        attach::reader_finishes(&mut emu, reader),
+        "the byte is in the ring and the reader is {:?}",
+        emu.k.threads.get(&reader).map(|t| &t.state)
+    );
+}
+
+/// (b) One reader and one writer is not solo when they are two threads.
+#[test]
+fn one_reader_and_one_writer_in_two_threads_is_not_solo() {
+    let (mut emu, writer) = attach::boot(attach::late_writer());
+    assert_eq!(emu.k.pipe_for(writer), Ok((0, 1)));
+    let reader = attach::native_reader(&mut emu.k);
+    assert_eq!(emu.k.pipe_attach(reader, 0), Ok((0, 1)));
+    emu.k.close_for(writer, 0).unwrap();
+    emu.k.close_for(reader, 1).unwrap();
+    let p = &emu.k.pipes[0];
+    assert_eq!((p.readers, p.writers), (1, 1), "solo by count alone");
+    assert!(
+        emu.k.fused_rw_spec(writer, 1, true).is_none(),
+        "the read end is another thread's"
+    );
+    emu.k.start(reader).unwrap();
+    attach::run_to_mark(&mut emu);
+    attach::assert_blocked_on_pipe(&emu.k, reader, 0);
+    attach::run_to_mark(&mut emu);
+    assert!(
+        attach::reader_finishes(&mut emu, reader),
+        "the byte is in the ring and the reader is {:?}",
+        emu.k.threads.get(&reader).map(|t| &t.state)
+    );
+}
+
+/// (d) The holder is on the wrapper's fast path, past its guard, when the
+/// attach comes. Running: it is stepped past the publish first, so the
+/// publish it was about to make lands before a reader can be waiting.
+/// Parked there: the attach answers `EAGAIN`, changes nothing, and goes
+/// through once the holder has run on.
+#[test]
+fn an_attach_never_leaves_the_holder_inside_a_solo_wrapper() {
+    use quamachine::isa::{Instr, Operand, Size};
+    use quamachine::machine::RunExit;
+    use synthesis_core::syscall::errno;
+    use synthesis_core::thread::FdObject;
+
+    for park in [false, true] {
+        let (mut emu, writer) = attach::boot(attach::binder_then_writer());
+        attach::run_to_mark(&mut emu);
+        // The write wrapper's fast-path publish: its first store to head.
+        let FdObject::Channel { bound, .. } = &emu.k.threads[&writer].fds[1] else {
+            panic!("fd 1 is the pipe's write end");
+        };
+        let [site] = &bound[..] else {
+            panic!("one write site, bound: {bound:?}");
+        };
+        let (site_at, wrapper) = (site.site, site.wrapper.base);
+        let head_slot = emu.k.pipes[0].head_slot;
+        let block = emu.k.m.code.block(wrapper).expect("resident");
+        let store = block
+            .instrs
+            .iter()
+            .position(|i| matches!(i, Instr::Move(_, _, Operand::Abs(a)) if *a == head_slot))
+            .expect("the wrapper publishes head");
+        let publish = emu.k.m.code.addr_of(wrapper, store).unwrap();
+        // What relies on solo: entry through the publish. What follows
+        // it wakes nobody because nobody can be waiting yet.
+        let inside = wrapper..=publish;
+        emu.k.m.breakpoints.insert(publish);
+        attach::run_to_mark(&mut emu); // past the spin
+        assert_eq!(emu.run(1_000_000), RunExit::Breakpoint(publish));
+        emu.k.m.breakpoints.clear();
+        let head = |emu: &UnixEmulator| emu.k.m.mem.peek(head_slot, Size::L);
+        let before = head(&emu);
+
+        let reader = attach::native_reader(&mut emu.k);
+        if park {
+            emu.k.stop(writer).unwrap();
+            assert_eq!(emu.k.pipe_attach(reader, 0), Err(errno::EAGAIN as u32));
+            let p = &emu.k.pipes[0];
+            assert_eq!((p.readers, p.writers, p.fused_by), (1, 1, Some(writer)));
+            assert_eq!(jsr_targets(&emu.k, "binder_then_writer")[1], wrapper);
+            assert_eq!(head(&emu), before, "nothing ran");
+            emu.k.start(writer).unwrap();
+            attach::run_to_mark(&mut emu); // one more slice: out of the wrapper
+        }
+        assert_eq!(emu.k.pipe_attach(reader, 0), Ok((0, 1)));
+        assert_eq!(head(&emu), before + 1, "the publish came first");
+        for cpu in 0..emu.k.cpus.len() {
+            assert!(!inside.contains(&emu.k.m.cpu_ref(cpu).pc), "cpu {cpu}");
+        }
+        let loc = emu.k.m.code.locate(site_at).unwrap();
+        assert_ne!(
+            emu.k.m.code.instr(loc),
+            Some(&Instr::Jsr(Operand::Abs(wrapper))),
+            "the site no longer leads into the wrapper"
+        );
+        assert!(emu.k.m.code.block(wrapper).is_some(), "still referenced");
+        emu.k.start(reader).unwrap();
+        assert!(attach::reader_finishes(&mut emu, reader), "park: {park}");
+    }
+}
+
+/// (e) The holder is blocked on its own solo pipe — in the general body
+/// its wrapper falls back to, so with a resume frame inside the wrapper —
+/// and the attach is the only thing that can bring the peer that wakes
+/// it: it goes through, and the peer's one byte lets the holder's call
+/// return.
+#[test]
+fn an_attach_reaches_a_holder_blocked_on_its_own_pipe() {
+    use quamachine::isa::Size;
+    use quamachine::machine::RunExit;
+    use synthesis_core::thread::{FdObject, ThreadState, WaitObject};
+
+    for write in [false, true] {
+        let (mut emu, holder) = attach::boot(attach::blocks_on_its_own_pipe(write));
+        let idle = emu.run(20_000_000);
+        assert!(matches!(idle, RunExit::Halted | RunExit::CycleLimit));
+        let t = &emu.k.threads[&holder];
+        let (fd, wait) = if write {
+            (1, WaitObject::PipeSpace(0))
+        } else {
+            (0, WaitObject::PipeData(0))
+        };
+        assert_eq!(t.state, ThreadState::Blocked(wait), "write: {write}");
+        let FdObject::Channel { bound, .. } = &t.fds[fd] else {
+            panic!("fd {fd} is the pipe's");
+        };
+        let [site] = &bound[..] else {
+            panic!("one site, bound: {bound:?}");
+        };
+        // It blocked in the wrapper itself, not in a layered routine.
+        let wrapper = site.wrapper.base..site.wrapper.base + site.wrapper.size;
+        let stack = t.kstack..t.kstack + layout::KSTACK_LEN - 3;
+        assert!(
+            stack
+                .step_by(2)
+                .any(|a| wrapper.contains(&emu.k.m.mem.peek(a, Size::L))),
+            "write: {write}: no frame returns into the wrapper"
+        );
+
+        let peer = attach::native_peer(&mut emu.k, !write);
+        emu.k.m.mem.poke(addrs::XFER_DST, Size::B, 0xA5);
+        assert_eq!(emu.k.pipe_attach(peer, 0), Ok((0, 1)), "write: {write}");
+        emu.k.start(peer).unwrap();
+        attach::run_to_mark(&mut emu); // the holder's call came back
+        assert_eq!(emu.k.m.mem.peek(addrs::RESULT, Size::L), 1);
+        let byte = if write { addrs::XFER_DST } else { addrs::BUF };
+        let sent = if write { 0x5A } else { 0xA5 };
+        assert_eq!(emu.k.m.mem.peek(byte, Size::B), sent, "write: {write}");
+        assert!(emu.run_until_exit(holder, 5_000_000));
+    }
+}

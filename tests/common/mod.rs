@@ -266,3 +266,147 @@ pub fn assert_chains_consistent(k: &Kernel) {
         );
     }
 }
+
+/// The channel table's invariants, checked against guest and code
+/// memory — the sibling of [`assert_chains_consistent`], callable at the
+/// same points. Every fd table is walked once and everything else is
+/// recomputed from that walk:
+///
+/// - each fd's slot pair in guest memory names the shared `ebadf`
+///   routine or one of the fd's own `code` entries, and each `code` entry
+///   is named by a slot;
+/// - every `code` and `bound` wrapper base is a resident block;
+/// - a live bound site's installed `jsr` operand is its wrapper's base,
+///   a retired one's is not;
+/// - a cached block's reference count is the number of fd `code` and
+///   `bound` entries naming it, and the bytes of all such blocks are
+///   exactly the cache's referenced (resident minus warm) bytes — so no
+///   reference lives anywhere else. (A kernel with an open stream
+///   channel holds references outside the fd tables; do not call this
+///   on one.)
+/// - `File::opens`, `FileChan::refs` and `Pipe::readers`/`writers` equal
+///   the counts of fds naming them;
+/// - a pipe with a live bound wrapper names its holder in `fused_by`,
+///   and every open end of it is the holder's.
+pub fn assert_code_consistent(k: &Kernel) {
+    use quamachine::isa::{Instr, Operand, Size};
+    use std::collections::BTreeMap;
+    use synthesis::kernel::channel::ChannelClass;
+    use synthesis::kernel::thread::FdObject;
+
+    let (ebadf, _) =
+        k.m.code
+            .iter()
+            .find(|(_, b)| b.name == "ebadf")
+            .expect("the shared ebadf routine is resident");
+    let jsr_operand = |site: u32| {
+        let loc = k.m.code.locate(site)?;
+        match k.m.code.instr(loc)? {
+            Instr::Jsr(Operand::Abs(t)) => Some(*t),
+            _ => None,
+        }
+    };
+    // base -> (references counted, block size)
+    let mut refs: BTreeMap<u32, (u32, u32)> = BTreeMap::new();
+    let mut opens: BTreeMap<u32, u32> = BTreeMap::new();
+    let mut chan_refs: BTreeMap<(u32, u32), u32> = BTreeMap::new();
+    // (pid, read_end) -> owning tids, one entry per fd
+    let mut ends: BTreeMap<(u32, bool), Vec<u32>> = BTreeMap::new();
+    let mut fused: Vec<(u32, u32)> = Vec::new(); // (pid, holder)
+    for (&tid, t) in &k.threads {
+        for (fd, obj) in (0u32..).zip(&t.fds) {
+            let slots = [t.fd_read_slot(fd), t.fd_write_slot(fd)].map(|s| k.m.mem.peek(s, Size::L));
+            let FdObject::Channel { class, code, bound } = obj else {
+                assert_eq!(slots, [ebadf; 2], "tid {tid} fd {fd}: a free slot");
+                continue;
+            };
+            let at = format!("tid {tid} fd {fd} ({class:?})");
+            for s in slots {
+                assert!(
+                    s == ebadf || code.iter().any(|c| c.base == s),
+                    "{at}: slot names {s:#x}, not its code"
+                );
+            }
+            let mut hold = |s: &synthesis::codegen::creator::Synthesized, what: &str| {
+                assert!(
+                    k.m.code.block(s.base).is_some(),
+                    "{at}: {what} {:#x} is not resident",
+                    s.base
+                );
+                refs.entry(s.base).or_insert((0, s.size)).0 += 1;
+            };
+            for c in code {
+                assert!(slots.contains(&c.base), "{at}: {:#x} is not linked", c.base);
+                hold(c, "code");
+            }
+            for b in bound {
+                hold(&b.wrapper, "wrapper");
+                assert_eq!(
+                    jsr_operand(b.site) == Some(b.wrapper.base),
+                    !b.retired,
+                    "{at}: site {:#x} (retired: {}) holds {:x?}, wrapper at {:#x}",
+                    b.site,
+                    b.retired,
+                    jsr_operand(b.site),
+                    b.wrapper.base
+                );
+            }
+            match *class {
+                ChannelClass::Null | ChannelClass::Tty { .. } => {}
+                ChannelClass::File { fid, .. } => {
+                    *opens.entry(fid).or_insert(0) += 1;
+                    *chan_refs.entry((tid, fid)).or_insert(0) += 1;
+                }
+                ChannelClass::Pipe { pid, read_end } => {
+                    ends.entry((pid, read_end)).or_default().push(tid);
+                    if bound.iter().any(|b| !b.retired) {
+                        fused.push((pid, tid));
+                    }
+                }
+            }
+        }
+    }
+
+    let cache = &k.creator.cache;
+    for (&base, &(n, _)) in &refs {
+        assert_eq!(cache.refs(base), Some(n), "references on block {base:#x}");
+    }
+    assert_eq!(
+        cache.resident_bytes() - cache.warm_bytes(),
+        refs.values().map(|&(_, size)| u64::from(size)).sum::<u64>(),
+        "a cache reference is held by something other than an fd"
+    );
+
+    for fid in 0..k.fs.len() as u32 {
+        let want = opens.get(&fid).copied().unwrap_or(0);
+        assert_eq!(
+            k.fs.file(fid).map(|f| f.opens),
+            Some(want),
+            "file {fid} opens"
+        );
+    }
+    let held: BTreeMap<(u32, u32), u32> = k.file_chans.iter().map(|(&k, c)| (k, c.refs)).collect();
+    assert_eq!(held, chan_refs, "(tid, fid) offset-slot references");
+    for (pid, p) in (0u32..).zip(&k.pipes) {
+        let count = |read_end| ends.get(&(pid, read_end)).map_or(0, Vec::len) as u32;
+        assert_eq!(
+            (p.readers, p.writers),
+            (count(true), count(false)),
+            "pipe {pid} end counts"
+        );
+    }
+    for (pid, holder) in fused {
+        assert_eq!(
+            k.pipes[pid as usize].fused_by,
+            Some(holder),
+            "pipe {pid} has live bound sites in tid {holder}"
+        );
+        for read_end in [true, false] {
+            let owners = ends.get(&(pid, read_end)).map_or(&[][..], Vec::as_slice);
+            assert!(
+                owners.iter().all(|&t| t == holder),
+                "pipe {pid} is fused by tid {holder} but tids {owners:?} hold an end"
+            );
+        }
+    }
+}

@@ -690,8 +690,10 @@ fn fused_chaos_scenario(seed: u64, cpus: usize) -> Vec<FaultRecord> {
             "seed {seed} at {cpus} CPUs: the fused transfer finishes under chaos"
         );
         common::assert_chains_consistent(&emu.k);
+        common::assert_code_consistent(&emu.k);
     }
     common::assert_chains_consistent(&emu.k);
+    common::assert_code_consistent(&emu.k);
     fused_check(&emu, x, seed, &data);
     emu.k.m.fault.trace().to_vec()
 }

@@ -21,19 +21,23 @@ use synthesis::kernel::thread::Tid;
 
 const CYCLES: usize = 10_000;
 
-fn boot_with_thread() -> (Kernel, Tid) {
-    let mut k = Kernel::boot(KernelConfig::default()).expect("kernel boots");
+/// A thread that would exit at once, created and never started.
+fn parked_thread(k: &mut Kernel) -> Tid {
     let mut a = Asm::new("parked");
     a.move_i(L, general::EXIT, Dr(0));
     a.trap(traps::GENERAL);
     let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
-    let tid = k
-        .create_thread(
-            entry,
-            layout::USER_BASE + 0x1_0000,
-            AddressMap::single(1, layout::USER_BASE, layout::USER_LEN),
-        )
-        .unwrap();
+    k.create_thread(
+        entry,
+        layout::USER_BASE + 0x1_0000,
+        AddressMap::single(1, layout::USER_BASE, layout::USER_LEN),
+    )
+    .unwrap()
+}
+
+fn boot_with_thread() -> (Kernel, Tid) {
+    let mut k = Kernel::boot(KernelConfig::default()).expect("kernel boots");
+    let tid = parked_thread(&mut k);
     (k, tid)
 }
 
@@ -338,6 +342,7 @@ fn fused_open_write_close_churn_leaks_nothing() {
         } else if let Some(b) = &b {
             assert_quiescent(&emu.k, b, "fused churn", round);
         }
+        common::assert_code_consistent(&emu.k);
     }
     assert_eq!(
         emu.k.m.mem.peek(addrs::RESULT, L),
@@ -354,4 +359,147 @@ fn fused_open_write_close_churn_leaks_nothing() {
         ROUNDS,
     );
     assert!(emu.k.threads.contains_key(&tid), "still parked at its mark");
+}
+
+/// `pipe`; write 1 byte and read it back, binding both call sites; hand
+/// control to the host; exit.
+fn pipe_binder() -> Asm {
+    use synthesis::unix::abi;
+    use synthesis::unix::programs::addrs;
+
+    let mut a = Asm::new("pipe_binder");
+    a.move_i(L, abi::SYS_PIPE, Dr(0));
+    a.trap(abi::UNIX_TRAP);
+    a.move_(L, Dr(0), Dr(5)); // (rfd << 8) | wfd: (0, 1) in a fresh thread
+    for (sysno, fd) in [(abi::SYS_WRITE, 1), (abi::SYS_READ, 0)] {
+        a.move_i(L, sysno, Dr(0));
+        a.move_i(L, fd, Dr(1));
+        a.lea(Abs(addrs::BUF), 0);
+        a.move_i(L, 1, Dr(2));
+        a.trap(abi::UNIX_TRAP);
+    }
+    a.kcall(0x60);
+    a.move_i(L, abi::SYS_EXIT, Dr(0));
+    a.trap(abi::UNIX_TRAP);
+    a
+}
+
+/// (c) However a thread with bound call sites dies, its wrappers go with
+/// it: the host's `destroy` — the path the fault reaper and the watchdog
+/// take — leaves exactly what the thread's own `exit` leaves.
+#[test]
+fn destroying_a_thread_with_bound_sites_releases_what_its_exit_would() {
+    use quamachine::machine::RunExit;
+    use synthesis::unix::emu::boot_with_program;
+
+    let left_after = |reap: bool| {
+        let (mut emu, tid) = boot_with_program(KernelConfig::default(), pipe_binder()).unwrap();
+        assert_eq!(emu.run(10_000_000), RunExit::KCall(0x60));
+        common::assert_code_consistent(&emu.k);
+        if reap {
+            emu.k.destroy(tid).unwrap();
+        } else {
+            assert!(emu.run_until_exit(tid, 10_000_000));
+        }
+        common::assert_code_consistent(&emu.k);
+        emu.k.creator.flush_cache(&mut emu.k.m);
+        (
+            emu.k.creator.cache.resident_bytes(),
+            emu.k.creator.codebuf.in_use,
+        )
+    };
+    let exited = left_after(false);
+    assert_eq!(exited.0, 0, "an exit leaves no referenced block");
+    assert_eq!(left_after(true), exited);
+}
+
+/// A UNIX thread's `trap #3` dispatcher is the thread's: fifty threads
+/// through one loaded program leave the code space where two did.
+#[test]
+fn a_unix_thread_takes_its_dispatcher_with_it() {
+    use synthesis::unix::emu::UnixEmulator;
+
+    let mut emu = UnixEmulator::new(Kernel::boot(KernelConfig::default()).unwrap());
+    let mut a = Asm::new("exits");
+    a.move_i(L, general::EXIT, Dr(0));
+    a.trap(traps::GENERAL);
+    let entry = emu.k.load_user_program(a.assemble().unwrap()).unwrap();
+    let window = AddressMap::single(1, layout::USER_BASE, layout::USER_LEN);
+    let mut after = Vec::new();
+    for _ in 0..50 {
+        let tid = emu
+            .k
+            .create_thread(entry, layout::USER_BASE + 0x1_0000, window.clone())
+            .unwrap();
+        emu.install(tid).unwrap();
+        emu.k.start(tid).unwrap();
+        assert!(emu.run_until_exit(tid, 1_000_000));
+        after.push(emu.k.creator.codebuf.in_use);
+    }
+    assert_eq!(
+        after[49], after[1],
+        "code bytes in use after each exit: {after:?}"
+    );
+}
+
+/// An attach that fails half way leaves the pipe as it found it: the end
+/// counts, and the holder whose bound sites it would have retired.
+#[test]
+fn a_failed_attach_leaves_the_pipe_and_its_bound_sites_alone() {
+    use quamachine::machine::RunExit;
+    use synthesis::unix::emu::boot_with_program;
+
+    let (mut emu, binder) = boot_with_program(KernelConfig::default(), pipe_binder()).unwrap();
+    assert_eq!(emu.run(10_000_000), RunExit::KCall(0x60));
+    let k = &mut emu.k;
+    let other = parked_thread(k);
+    // One free fd: the read end opens, the write end does not.
+    for _ in 0..15 {
+        k.open_for(other, "/dev/null").unwrap();
+    }
+    let found = |k: &Kernel| (k.pipes[0].readers, k.pipes[0].writers, k.pipes[0].fused_by);
+    let before = found(k);
+    assert_eq!(before, (1, 1, Some(binder)));
+    assert_eq!(k.pipe_attach(other, 0), Err(24), "EMFILE");
+    assert_eq!(found(k), before);
+    common::assert_code_consistent(k);
+    assert!(k.fused_rw_spec(binder, 1, true).is_some(), "still solo");
+    // With room, it goes through and the sites are retired.
+    k.close_for(other, 0).unwrap();
+    assert_eq!(k.pipe_attach(other, 0), Ok((0, 15)));
+    assert_eq!(found(k), (2, 2, None));
+    common::assert_code_consistent(k);
+    assert!(k.fused_rw_spec(binder, 1, true).is_none());
+}
+
+/// A site an attach retired is refused for good — even when the peer has
+/// gone and the pipe is solo again by the site's next call — so the fd
+/// never holds two entries for one site.
+#[test]
+fn a_retired_site_stays_layered_when_its_pipe_is_solo_again() {
+    use quamachine::machine::RunExit;
+    use synthesis::kernel::thread::FdObject;
+    use synthesis::unix::emu::boot_with_program;
+
+    let (mut emu, binder) = boot_with_program(KernelConfig::default(), pipe_binder()).unwrap();
+    assert_eq!(emu.run(10_000_000), RunExit::KCall(0x60));
+    let k = &mut emu.k;
+    let other = parked_thread(k);
+    let (rfd, wfd) = k.pipe_attach(other, 0).unwrap();
+    k.close_for(other, rfd).unwrap();
+    k.close_for(other, wfd).unwrap();
+    assert!(k.fused_rw_spec(binder, 1, true).is_some(), "solo again");
+    let sites = |k: &Kernel| match &k.threads[&binder].fds[1] {
+        FdObject::Channel { bound, .. } => {
+            bound.iter().map(|b| (b.site, b.rearm, b.retired)).collect()
+        }
+        FdObject::Free => vec![],
+    };
+    let [(site, rearm, true)] = sites(k)[..] else {
+        panic!("one write site, retired: {:x?}", sites(k));
+    };
+    // The site's next call: its thunk asks again.
+    assert_eq!(k.bind_site(binder, 1, true, site, rearm, rearm), rearm);
+    assert_eq!(sites(k), [(site, rearm, true)]);
+    common::assert_code_consistent(k);
 }

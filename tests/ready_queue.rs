@@ -9,8 +9,10 @@
 //!   and being woken through it, thread and CPU quarantine, work
 //!   stealing, a thread's first FP instruction — on 1, 2 and 4 CPUs with
 //!   threads under two address maps, holding
-//!   `common::assert_chains_consistent` after every step. Replays under
-//!   `SOAK_SEED` via the shared soak plumbing.
+//!   `common::assert_chains_consistent` after every step. The same walk
+//!   opens, closes, pipes, attaches and binds call sites on fds the
+//!   guest programs never use, holding `common::assert_code_consistent`
+//!   beside it. Replays under `SOAK_SEED` via the shared soak plumbing.
 
 mod common;
 
@@ -141,9 +143,70 @@ const PIPES: u32 = 3;
 const MAX_LIVE: usize = 10;
 const STEPS: usize = 400;
 
-fn churn(k: &mut Kernel, seed: u64) {
+/// Call sites for the churn to bind: a block of `jsr thunk` nobody
+/// executes. Returns the thunk (every site's re-arm and layered target)
+/// and the sites, each handed out once.
+fn load_sites(k: &mut Kernel) -> (u32, Vec<u32>) {
+    let mut thunk = Asm::new("thunk");
+    thunk.rts();
+    let thunk = k.load_user_program(thunk.assemble().unwrap()).unwrap();
+    let mut a = Asm::new("sites");
+    for _ in 0..STEPS {
+        a.jsr(Abs(thunk));
+    }
+    let base = k.load_user_program(a.assemble().unwrap()).unwrap();
+    let sites = (0..STEPS).map(|i| k.m.code.addr_of(base, i).unwrap());
+    (thunk, sites.collect())
+}
+
+/// One random change to the channel table of `tid`, on fds past the two
+/// its program reads and writes: open, close, a pipe of its own, one more
+/// attach to a live pipe, or a call site bound to one of its fds.
+fn channel_op(k: &mut Kernel, rng: &mut SmallRng, tid: Tid, thunk: u32, sites: &mut Vec<u32>) {
+    use synthesis::kernel::thread::FdObject;
+    let spare: Vec<u32> = (2u32..)
+        .zip(&k.threads[&tid].fds[2..])
+        .filter(|(_, f)| !matches!(f, FdObject::Free))
+        .map(|(fd, _)| fd)
+        .collect();
+    let some_fd = |rng: &mut SmallRng| spare.get(rng.random_range(0..spare.len().max(1)));
+    // Out of fds (EMFILE) is a legal answer to the three that open.
+    match rng.random_range(0..6u32) {
+        0 => {
+            let paths = ["/dev/null", "/dev/tty", "/dev/tty-raw"];
+            let _ = k.open_for(tid, paths[rng.random_range(0..paths.len())]);
+        }
+        1 => {
+            if let Some(&fd) = some_fd(rng) {
+                k.close_for(tid, fd).unwrap();
+            }
+        }
+        2 => {
+            let _ = k.pipe_for(tid);
+        }
+        3 => {
+            // A pipe some thread has fused, when there is one.
+            let alive = |p: &&synthesis::kernel::io::pipe::Pipe| p.readers + p.writers > 0;
+            let fused = k.pipes.iter().filter(alive).find(|p| p.fused_by.is_some());
+            let pid = fused.map_or(rng.random_range(0..PIPES), |p| p.pid);
+            let _ = k.pipe_attach(tid, pid);
+        }
+        _ => {
+            if let (Some(&fd), Some(site)) = (some_fd(rng), sites.pop()) {
+                let write = rng.random::<bool>();
+                let at = k.bind_site(tid, fd, write, site, thunk, thunk);
+                let bound = k.fused_rw_spec(tid, fd, write).is_some();
+                assert_eq!(at != thunk, bound, "tid {tid} fd {fd} write {write}");
+            }
+        }
+    }
+}
+
+/// Returns whether the walk ever had a call site bound, and one retired.
+fn churn(k: &mut Kernel, seed: u64) -> (bool, bool) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let programs = load_programs(k);
+    let (thunk, mut sites) = load_sites(k);
     let maps = maps(k);
     // A never-started thread holds both ends of every pipe open, so the
     // rings outlive whichever workers come and go.
@@ -156,6 +219,7 @@ fn churn(k: &mut Kernel, seed: u64) {
     let mut live: Vec<Tid> = Vec::new();
     let mut spawned = 0u32;
     let mut fp_resynthesized = false;
+    let mut sites_seen = (false, false);
     for step in 0..STEPS {
         let pick = |rng: &mut SmallRng, live: &[Tid]| live[rng.random_range(0..live.len())];
         let roll = rng.random_range(0..100u32);
@@ -171,10 +235,14 @@ fn churn(k: &mut Kernel, seed: u64) {
                 k.start(tid).unwrap();
                 live.push(tid);
             }
-            0..=54 => match k.run(rng.random_range(500..30_000u64)) {
+            0..=39 => match k.run(rng.random_range(500..30_000u64)) {
                 RunExit::CycleLimit | RunExit::Halted => {}
                 other => panic!("step {step}: run returned {other:?}"),
             },
+            40..=54 => {
+                let tid = pick(&mut rng, &live);
+                channel_op(k, &mut rng, tid, thunk, &mut sites);
+            }
             55..=69 => {
                 // Whatever state it is in: stopped, blocked (it re-tests
                 // its pipe and blocks again), running, quarantined.
@@ -198,6 +266,13 @@ fn churn(k: &mut Kernel, seed: u64) {
         live.retain(|t| k.threads.contains_key(t));
         fp_resynthesized |= live.iter().any(|t| k.threads[t].uses_fp);
         common::assert_chains_consistent(k);
+        common::assert_code_consistent(k);
+        for f in k.threads.values().flat_map(|t| &t.fds) {
+            if let synthesis::kernel::thread::FdObject::Channel { bound, .. } = f {
+                sites_seen.0 |= bound.iter().any(|b| !b.retired);
+                sites_seen.1 |= bound.iter().any(|b| b.retired);
+            }
+        }
     }
     assert!(
         fp_resynthesized,
@@ -208,10 +283,12 @@ fn churn(k: &mut Kernel, seed: u64) {
         k.trace.frame_tids().all(|t| k.threads.contains_key(&t)),
         "a destroyed thread's exception-frame stack is still tracked"
     );
+    sites_seen
 }
 
 #[test]
 fn seeded_churn_keeps_every_chain_and_wait_list_consistent() {
+    let mut sites_seen = (false, false);
     for seed in common::soak_seeds(6) {
         for cpus in [1usize, 2, 4] {
             common::soak_case(
@@ -227,9 +304,15 @@ fn seeded_churn_keeps_every_chain_and_wait_list_consistent() {
                         })
                         .unwrap(),
                     );
-                    churn(k, seed);
+                    let seen = churn(k, seed);
+                    sites_seen = (sites_seen.0 | seen.0, sites_seen.1 | seen.1);
                 },
             );
         }
     }
+    assert_eq!(
+        sites_seen,
+        (true, true),
+        "the walks bound a call site, and retired one"
+    );
 }
