@@ -134,31 +134,18 @@ impl Cpu {
     }
 
     /// Set the NZVC flags (leaving X).
+    #[inline]
     pub fn set_nzvc(&mut self, n: bool, z: bool, v: bool, c: bool) {
-        let mut sr = self.sr & !(sr_bits::N | sr_bits::Z | sr_bits::V | sr_bits::C);
-        if n {
-            sr |= sr_bits::N;
-        }
-        if z {
-            sr |= sr_bits::Z;
-        }
-        if v {
-            sr |= sr_bits::V;
-        }
-        if c {
-            sr |= sr_bits::C;
-        }
-        self.sr = sr;
+        use sr_bits::{C, N, V, Z};
+        let bit = |on: bool, flag: u16| u16::from(on) * flag;
+        self.sr = (self.sr & !(N | Z | V | C)) | bit(n, N) | bit(z, Z) | bit(v, V) | bit(c, C);
     }
 
     /// Set NZVC and copy C into X (for add/sub/shift).
+    #[inline]
     pub fn set_nzvc_x(&mut self, n: bool, z: bool, v: bool, c: bool) {
         self.set_nzvc(n, z, v, c);
-        if c {
-            self.sr |= sr_bits::X;
-        } else {
-            self.sr &= !sr_bits::X;
-        }
+        self.sr = (self.sr & !sr_bits::X) | (u16::from(c) * sr_bits::X);
     }
 
     /// The user stack pointer, regardless of current mode.

@@ -15,6 +15,7 @@ use crate::error::{Exception, MachineError};
 use crate::isa::{BranchTarget, Instr, Operand, ShiftKind, Size};
 use crate::machine::{FetchMemo, Machine, RunExit};
 use crate::trace::TraceRecord;
+use std::ops::ControlFlow;
 
 /// A non-fatal or fatal execution fault.
 enum Fault {
@@ -51,6 +52,11 @@ impl Machine {
     /// Execute instructions until `max_cycles` more cycles have elapsed, a
     /// `halt`/`kcall` executes, a breakpoint is hit, or a fatal error
     /// occurs.
+    ///
+    /// The loop is `step`'s two halves with the first hoisted: after one
+    /// [`head`](Machine::head) the instructions of a *quiet stretch* run
+    /// back to back, until the clock reaches the next point the head could
+    /// answer differently or an instruction disturbs the machine.
     pub fn run(&mut self, max_cycles: u64) -> RunExit {
         let limit = self.meter.cycles.saturating_add(max_cycles);
         let mut first = true;
@@ -59,9 +65,28 @@ impl Machine {
                 return RunExit::Breakpoint(self.cpu.pc);
             }
             first = false;
-            match self.step() {
-                Ok(None) => {}
-                Ok(Some(exit)) => return exit,
+            match self.head() {
+                Ok(ControlFlow::Continue(())) => {
+                    let horizon = self.quiet_horizon(limit);
+                    self.disturbed = false;
+                    loop {
+                        match self.fetch_exec() {
+                            Ok(None) => {}
+                            Ok(Some(exit)) => return exit,
+                            Err(e) => return RunExit::Error(e),
+                        }
+                        if self.meter.cycles >= horizon || self.disturbed {
+                            break;
+                        }
+                        debug_assert!(
+                            self.head_is_quiet(),
+                            "quiet stretch: the head would act at pc={:#x}",
+                            self.cpu.pc
+                        );
+                    }
+                }
+                Ok(ControlFlow::Break(None)) => {}
+                Ok(ControlFlow::Break(Some(exit))) => return exit,
                 Err(e) => return RunExit::Error(e),
             }
             if self.meter.cycles >= limit {
@@ -79,6 +104,16 @@ impl Machine {
     /// Returns a [`MachineError`] on fatal simulation problems (bad PC,
     /// unfilled hole, double fault).
     pub fn step(&mut self) -> Result<Option<RunExit>, MachineError> {
+        match self.head()? {
+            ControlFlow::Continue(()) => self.fetch_exec(),
+            ControlFlow::Break(exit) => Ok(exit),
+        }
+    }
+
+    /// What comes before every instruction: deliver due events, accept an
+    /// interrupt, sleep while stopped. `Break` means the step is spent
+    /// (or the run is over) without fetching.
+    fn head(&mut self) -> Result<ControlFlow<Option<RunExit>>, MachineError> {
         if self.events_due() {
             self.process_events();
         }
@@ -91,22 +126,51 @@ impl Machine {
             self.cpu.stopped = false;
             self.meter.cycles += IACK_BASE;
             self.take_exception(Exception::Interrupt(level), self.cpu.pc)?;
-            return Ok(None);
+            return Ok(ControlFlow::Break(None));
         }
 
         // STOP state: sleep until the next device event on this CPU's
         // timeline can raise an IRQ.
         if self.cpu.stopped {
-            return match self.events.next_due_for(active) {
+            return Ok(ControlFlow::Break(match self.events.next_due_for(active) {
                 Some(next) => {
                     self.meter.cycles = self.meter.cycles.max(next);
-                    Ok(None)
+                    None
                 }
                 // Stopped forever: nothing will ever wake us.
-                None => Ok(Some(RunExit::Halted)),
-            };
+                None => Some(RunExit::Halted),
+            }));
         }
+        Ok(ControlFlow::Continue(()))
+    }
 
+    /// Whether [`head`](Machine::head) would fall straight through.
+    fn head_is_quiet(&self) -> bool {
+        !self.events_due()
+            && !self.cpu.stopped
+            && self
+                .irq
+                .acceptable_on(self.active_cpu(), self.cpu.int_mask())
+                .is_none()
+    }
+
+    /// The clock below which a quiet head stays quiet, provided no
+    /// instruction sets `disturbed`: the next event due on this CPU, capped
+    /// by `limit`. Zero — a stretch of one instruction — while the head has
+    /// work on every step (a fault plan to consult, a delayed IPI to time)
+    /// or `run` has breakpoints to probe.
+    fn quiet_horizon(&self, limit: u64) -> u64 {
+        if self.events_due() || !self.breakpoints.is_empty() {
+            return 0;
+        }
+        let next = self.events.next_due_for(self.active_cpu());
+        next.map_or(limit, |due| due.min(limit))
+    }
+
+    /// Fetch and execute the instruction at `pc`, vectoring any exception
+    /// it raises: the second half of a step.
+    #[inline(always)]
+    fn fetch_exec(&mut self) -> Result<Option<RunExit>, MachineError> {
         // Fetch. Where `pc` lives is remembered from the step that set it
         // (sequential flow and in-block branches); any other way `pc`
         // moved, or any load/unload since, misses and searches. The
@@ -233,6 +297,8 @@ impl Machine {
     /// A fault during exception processing (unreadable or null vector) is
     /// a double fault, which is fatal.
     pub fn take_exception(&mut self, e: Exception, push_pc: u32) -> Result<(), MachineError> {
+        // Entry rewrites `sr` (S, and the mask for an interrupt).
+        self.disturbed = true;
         // Exception-entry hook: traps are the syscall boundary and
         // interrupt acceptance is the I/O boundary, both stamped with the
         // VBR (= running thread) before any vectoring happens. Charges no
@@ -293,7 +359,10 @@ impl Machine {
     // --- Operand plumbing -------------------------------------------------
 
     /// Compute the effective address of a memory operand, applying
-    /// post-increment / pre-decrement side effects exactly once.
+    /// post-increment / pre-decrement side effects exactly once. The one
+    /// out-of-line call a memory operand makes: inlined, this `match`
+    /// lands in every arm of `exec_instr` that takes an operand.
+    #[inline(never)]
     fn ea_addr(&mut self, op: &Operand, size: Size) -> u32 {
         // Byte operations on A7 move it by 2 to keep the stack even.
         let step = |n: u8, size: Size| -> u32 {
@@ -337,6 +406,7 @@ impl Machine {
     }
 
     /// Resolve an operand to a place (applying address side effects once).
+    #[inline(always)]
     fn resolve(&mut self, op: &Operand, size: Size) -> Place {
         match *op {
             Operand::Dr(n) => Place::D(n as usize),
@@ -346,6 +416,7 @@ impl Machine {
     }
 
     /// Load from a place.
+    #[inline(always)]
     fn load(&mut self, p: Place, size: Size) -> Result<u32, Fault> {
         match p {
             Place::D(n) => Ok(self.cpu.d[n] & size.mask()),
@@ -357,6 +428,7 @@ impl Machine {
     /// Store to a place. Register stores merge into the low bits (68000
     /// semantics), except address registers, which always receive a full
     /// sign-extended 32-bit value.
+    #[inline(always)]
     fn store(&mut self, p: Place, size: Size, v: u32) -> Result<(), Fault> {
         match p {
             Place::D(n) => {
@@ -372,6 +444,7 @@ impl Machine {
     }
 
     /// Read a source operand (immediates included).
+    #[inline(always)]
     fn read_src(&mut self, op: &Operand, size: Size) -> Result<u32, Fault> {
         match *op {
             Operand::Imm(v) => Ok(v & size.mask()),
@@ -400,6 +473,7 @@ impl Machine {
 
     /// Resolve a control-flow target effective address (no memory read:
     /// `jmp (a0)` jumps to the address *in* `a0`).
+    #[inline(always)]
     fn control_target(&mut self, op: &Operand) -> u32 {
         match *op {
             Operand::Ar(n) => self.cpu.a[n as usize],
@@ -435,7 +509,17 @@ impl Machine {
         }
     }
 
+    /// An instruction writes the whole `sr`. The mask feeds the step head
+    /// (and `stop`, the other thing it watches, comes with an `sr` write),
+    /// so this ends `run`'s quiet stretch.
+    #[inline(always)]
+    fn write_sr(&mut self, v: u16) {
+        self.cpu.write_sr(v);
+        self.disturbed = true;
+    }
+
     /// Require supervisor mode.
+    #[inline(always)]
     fn privileged(&self) -> Result<(), Fault> {
         if self.cpu.supervisor() {
             Ok(())
@@ -446,12 +530,14 @@ impl Machine {
 
     // --- Flag arithmetic ---------------------------------------------------
 
+    #[inline(always)]
     fn flags_move(&mut self, size: Size, v: u32) {
         let v = v & size.mask();
         self.cpu
             .set_nzvc(v & size.sign_bit() != 0, v == 0, false, false);
     }
 
+    #[inline(always)]
     fn add_flags(&mut self, size: Size, a: u32, b: u32) -> u32 {
         let (a, b) = (a & size.mask(), b & size.mask());
         let r = a.wrapping_add(b) & size.mask();
@@ -462,6 +548,7 @@ impl Machine {
         r
     }
 
+    #[inline(always)]
     fn sub_flags(&mut self, size: Size, dst: u32, src: u32, set_x: bool) -> u32 {
         let (dst, src) = (dst & size.mask(), src & size.mask());
         let r = dst.wrapping_sub(src) & size.mask();
@@ -476,6 +563,7 @@ impl Machine {
         r
     }
 
+    #[inline(always)]
     fn flags_logic(&mut self, size: Size, r: u32) {
         self.cpu
             .set_nzvc(r & size.sign_bit() != 0, r & size.mask() == 0, false, false);
@@ -484,6 +572,7 @@ impl Machine {
     // --- The instruction dispatch -------------------------------------------
 
     #[allow(clippy::too_many_lines)]
+    #[inline(always)]
     fn exec_instr(&mut self, i: &Instr, slot: u32) -> Result<Option<RunExit>, Fault> {
         use Instr::*;
         match *i {
@@ -678,7 +767,7 @@ impl Machine {
                 let pc = self.bus_read(sp.wrapping_add(2), Size::L)?;
                 self.cpu.a[7] = sp.wrapping_add(6);
                 self.meter.cycles += RTE_BASE + RTE_REFS * self.cost.bus_cycles();
-                self.cpu.write_sr(sr as u16);
+                self.write_sr(sr as u16);
                 self.cpu.pc = pc;
                 {
                     let cpu = self.active_cpu();
@@ -731,7 +820,7 @@ impl Machine {
                 if to_sr {
                     self.privileged()?;
                     let v = self.read_src(ea, Size::W)?;
-                    self.cpu.write_sr(v as u16);
+                    self.write_sr(v as u16);
                 } else {
                     let sr = u32::from(self.cpu.sr);
                     let p = self.resolve(ea, Size::W);
@@ -768,7 +857,7 @@ impl Machine {
             }
             Stop(sr) => {
                 self.privileged()?;
-                self.cpu.write_sr(sr);
+                self.write_sr(sr);
                 self.cpu.stopped = true;
             }
             Nop => {}
@@ -842,9 +931,8 @@ impl Machine {
         match (*ea, to_mem) {
             (Operand::PreDec(n), true) => {
                 // Store descending: highest register at the highest address.
-                let list: Vec<(bool, u8)> = regs.iter().collect();
                 let mut addr = self.cpu.a[n as usize];
-                for &(is_a, r) in list.iter().rev() {
+                for (is_a, r) in regs.iter().rev() {
                     addr = addr.wrapping_sub(4);
                     let v = if is_a {
                         self.cpu.a[r as usize]
@@ -962,5 +1050,69 @@ impl Machine {
             _ => self.cpu.set_nzvc_x(n, z, false, carry),
         }
         r
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::code::CodeBlock;
+    use crate::isa::{Instr, Operand, RegList, Size};
+    use crate::machine::{Machine, MachineConfig};
+
+    /// `movem.l d0-d7/a0-a6,-(a7)` then `movem.l (a7)+,d0-d7/a0-a6` against
+    /// a hand-written memory image: `d0` at the lowest address, `a6` at the
+    /// highest, `a7` written once per instruction.
+    #[test]
+    fn movem_predecrement_store_and_postincrement_load_order() {
+        const TOP: u32 = 0x2000;
+        let regs = RegList::ALL_BUT_SP;
+        let mut m = Machine::new(MachineConfig::sun3_emulation());
+        let save = Instr::Movem {
+            to_mem: true,
+            regs,
+            ea: Operand::PreDec(7),
+        };
+        let load = Instr::Movem {
+            to_mem: false,
+            regs,
+            ea: Operand::PostInc(7),
+        };
+        m.load_block(0x1000, CodeBlock::new("movem", vec![save, load]))
+            .unwrap();
+        m.cpu.pc = 0x1000;
+        m.cpu.a[7] = TOP;
+        for n in 0..8 {
+            m.cpu.d[n] = 0xD0 + n as u32;
+        }
+        for n in 0..7 {
+            m.cpu.a[n] = 0xA0 + n as u32;
+        }
+
+        assert_eq!(m.step(), Ok(None));
+        assert_eq!(m.cpu.a[7], TOP - 60);
+        let image: Vec<u32> = (0..15)
+            .map(|i| m.mem.peek(TOP - 60 + 4 * i, Size::L))
+            .collect();
+        let hand_written = [
+            0xD0, 0xD1, 0xD2, 0xD3, 0xD4, 0xD5, 0xD6, 0xD7, // d0..d7, lowest first
+            0xA0, 0xA1, 0xA2, 0xA3, 0xA4, 0xA5, 0xA6, // a0..a6, highest last
+        ];
+        assert_eq!(image, hand_written);
+        assert_eq!(m.mem.peek(TOP - 64, Size::L), 0, "nothing below d0");
+
+        // The load walks the same image upwards.
+        for (i, v) in (0x100..0x10F).enumerate() {
+            m.mem.poke(TOP - 60 + 4 * i as u32, Size::L, v);
+        }
+        assert_eq!(m.step(), Ok(None));
+        assert_eq!(m.cpu.a[7], TOP);
+        assert_eq!(
+            m.cpu.d,
+            [0x100, 0x101, 0x102, 0x103, 0x104, 0x105, 0x106, 0x107]
+        );
+        assert_eq!(
+            m.cpu.a[..7],
+            [0x108, 0x109, 0x10A, 0x10B, 0x10C, 0x10D, 0x10E]
+        );
     }
 }

@@ -65,7 +65,7 @@ impl RegList {
 
     /// Iterate over selected registers in transfer order (`D0`..`D7`,
     /// then `A0`..`A7`), yielding `(is_addr, index)`.
-    pub fn iter(self) -> impl Iterator<Item = (bool, u8)> {
+    pub fn iter(self) -> impl DoubleEndedIterator<Item = (bool, u8)> {
         (0u8..16).filter_map(move |i| {
             if self.0 & (1 << i) != 0 {
                 Some((i >= 8, i % 8))

@@ -158,6 +158,10 @@ pub struct Machine {
     delayed_ipis: Vec<DelayedIpi>,
     /// The next sequential fetch, if the last step could name it.
     pub(crate) next_fetch: Option<FetchMemo>,
+    /// Set by everything an instruction can do that may change what the
+    /// step head answers next: taking an exception, writing `sr`, touching
+    /// a device register. `run` clears it and ends its quiet stretch on it.
+    pub(crate) disturbed: bool,
 }
 
 impl Machine {
@@ -189,6 +193,7 @@ impl Machine {
             active: 0,
             delayed_ipis: Vec::new(),
             next_fetch: None,
+            disturbed: false,
         }
     }
 
@@ -407,45 +412,17 @@ impl Machine {
     }
 
     /// Route a data read, to memory or a device window.
+    #[inline(always)]
     pub(crate) fn bus_read(&mut self, addr: u32, size: crate::isa::Size) -> Result<u32, Exception> {
         if addr >= DEV_BASE {
-            if !self.cpu.supervisor() {
-                return Err(Exception::BusError);
-            }
-            let dev = ((addr - DEV_BASE) / DEV_WINDOW) as usize;
-            let off = (addr - DEV_BASE) % DEV_WINDOW;
-            if dev >= self.devices.len() {
-                return Err(Exception::BusError);
-            }
-            self.mem.ref_count += 1;
-            let Machine {
-                devices,
-                mem,
-                irq,
-                events,
-                meter,
-                cost,
-                fault,
-                active,
-                ..
-            } = self;
-            let mut ctx = DevCtx {
-                irq,
-                events,
-                mem,
-                fault,
-                now: meter.cycles,
-                dev_index: dev,
-                clock_hz: cost.clock_hz,
-                cpu: *active,
-            };
-            Ok(devices[dev].read_reg(off, &mut ctx))
+            self.dev_access(addr, None)
         } else {
             self.mem.read(addr, size, self.cpu.supervisor())
         }
     }
 
     /// Route a data write, to memory or a device window.
+    #[inline(always)]
     pub(crate) fn bus_write(
         &mut self,
         addr: u32,
@@ -453,41 +430,56 @@ impl Machine {
         val: u32,
     ) -> Result<(), Exception> {
         if addr >= DEV_BASE {
-            if !self.cpu.supervisor() {
-                return Err(Exception::BusError);
-            }
-            let dev = ((addr - DEV_BASE) / DEV_WINDOW) as usize;
-            let off = (addr - DEV_BASE) % DEV_WINDOW;
-            if dev >= self.devices.len() {
-                return Err(Exception::BusError);
-            }
-            self.mem.ref_count += 1;
-            let Machine {
-                devices,
-                mem,
-                irq,
-                events,
-                meter,
-                cost,
-                fault,
-                active,
-                ..
-            } = self;
-            let mut ctx = DevCtx {
-                irq,
-                events,
-                mem,
-                fault,
-                now: meter.cycles,
-                dev_index: dev,
-                clock_hz: cost.clock_hz,
-                cpu: *active,
-            };
-            devices[dev].write_reg(off, val, &mut ctx);
-            Ok(())
+            self.dev_access(addr, Some(val)).map(drop)
         } else {
             self.mem.write(addr, size, val, self.cpu.supervisor())
         }
+    }
+
+    /// A device-register access: write `val`, or read when there is none.
+    /// The only [`DevCtx`] the guest can reach, hence the only way an
+    /// instruction raises an IRQ or schedules an event.
+    #[cold]
+    #[inline(never)]
+    fn dev_access(&mut self, addr: u32, val: Option<u32>) -> Result<u32, Exception> {
+        if !self.cpu.supervisor() {
+            return Err(Exception::BusError);
+        }
+        let dev = ((addr - DEV_BASE) / DEV_WINDOW) as usize;
+        let off = (addr - DEV_BASE) % DEV_WINDOW;
+        if dev >= self.devices.len() {
+            return Err(Exception::BusError);
+        }
+        self.mem.ref_count += 1;
+        self.disturbed = true;
+        let Machine {
+            devices,
+            mem,
+            irq,
+            events,
+            meter,
+            cost,
+            fault,
+            active,
+            ..
+        } = self;
+        let mut ctx = DevCtx {
+            irq,
+            events,
+            mem,
+            fault,
+            now: meter.cycles,
+            dev_index: dev,
+            clock_hz: cost.clock_hz,
+            cpu: *active,
+        };
+        Ok(match val {
+            Some(v) => {
+                devices[dev].write_reg(off, v, &mut ctx);
+                0
+            }
+            None => devices[dev].read_reg(off, &mut ctx),
+        })
     }
 
     /// Host-side device register write: bypasses the privilege check and

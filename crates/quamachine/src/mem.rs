@@ -27,6 +27,7 @@ pub struct Window {
 impl Window {
     /// Whether `[addr, addr+size)` lies entirely inside this window.
     #[must_use]
+    #[inline]
     pub fn contains(&self, addr: u32, size: u32) -> bool {
         addr >= self.base
             && u64::from(addr) + u64::from(size) <= u64::from(self.base) + u64::from(self.len)
@@ -63,6 +64,7 @@ impl AddressMap {
 
     /// Whether a user-mode access is allowed.
     #[must_use]
+    #[inline]
     pub fn allows(&self, addr: u32, size: u32, write: bool) -> bool {
         self.windows
             .iter()
@@ -99,6 +101,7 @@ impl Memory {
         self.bytes.len() as u32
     }
 
+    #[inline]
     fn check(&self, addr: u32, size: u32, write: bool, supervisor: bool) -> Result<(), Exception> {
         if u64::from(addr) + u64::from(size) > u64::from(self.size()) {
             return Err(Exception::BusError);
@@ -110,6 +113,7 @@ impl Memory {
     }
 
     /// Read a value. Counts one memory reference.
+    #[inline(always)]
     pub fn read(&mut self, addr: u32, size: Size, supervisor: bool) -> Result<u32, Exception> {
         self.check(addr, size.bytes(), false, supervisor)?;
         self.ref_count += 1;
@@ -117,6 +121,7 @@ impl Memory {
     }
 
     /// Write a value. Counts one memory reference.
+    #[inline(always)]
     pub fn write(
         &mut self,
         addr: u32,
@@ -133,21 +138,21 @@ impl Memory {
     /// Read without permission checks or reference counting (for the
     /// embedder, DMA, and test assertions).
     #[must_use]
+    #[inline]
     pub fn peek(&self, addr: u32, size: Size) -> u32 {
         let a = addr as usize;
+        // One slice per access: one bounds check, one (byte-swapped) load.
         match size {
             Size::B => u32::from(self.bytes[a]),
-            Size::W => u32::from(u16::from_be_bytes([self.bytes[a], self.bytes[a + 1]])),
-            Size::L => u32::from_be_bytes([
-                self.bytes[a],
-                self.bytes[a + 1],
-                self.bytes[a + 2],
-                self.bytes[a + 3],
-            ]),
+            Size::W => u32::from(u16::from_be_bytes(
+                self.bytes[a..a + 2].try_into().expect("a 2-byte slice"),
+            )),
+            Size::L => u32::from_be_bytes(self.bytes[a..a + 4].try_into().expect("a 4-byte slice")),
         }
     }
 
     /// Write without permission checks or reference counting.
+    #[inline]
     pub fn poke(&mut self, addr: u32, size: Size, val: u32) {
         let a = addr as usize;
         match size {

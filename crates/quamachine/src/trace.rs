@@ -69,7 +69,10 @@ impl Meter {
             self.ring.push(rec);
         } else {
             self.ring[self.head] = rec;
-            self.head = (self.head + 1) % self.cap;
+            self.head += 1;
+            if self.head == self.cap {
+                self.head = 0;
+            }
         }
     }
 
