@@ -33,13 +33,6 @@ pub fn irq_entry_us(cost: &CostModel) -> f64 {
     cost.cycles_to_us(IACK_BASE + EXCEPTION_BASE + EXCEPTION_REFS * cost.bus_cycles())
 }
 
-/// The cost of trap entry (exception processing without the acknowledge),
-/// in µs.
-#[must_use]
-pub fn trap_entry_us(cost: &CostModel) -> f64 {
-    cost.cycles_to_us(EXCEPTION_BASE + EXCEPTION_REFS * cost.bus_cycles())
-}
-
 /// Indices of `kcall`-related instructions in a block (the wake-check
 /// branches that do not execute on the fast path).
 #[must_use]

@@ -168,12 +168,6 @@ impl<T> Producer<T> {
         Ok(())
     }
 
-    /// Whether the queue looked full at the last interaction.
-    #[must_use]
-    pub fn is_full_hint(&self) -> bool {
-        self.q.next(self.head) == self.q.tail.load(Ordering::Relaxed)
-    }
-
     /// The queue's capacity.
     #[must_use]
     pub fn capacity(&self) -> usize {

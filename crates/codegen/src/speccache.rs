@@ -302,12 +302,6 @@ impl SpecCache {
             .map(|base| &self.entries[&self.by_base[base]].code)
     }
 
-    /// Number of warm (refcount-zero) entries.
-    #[must_use]
-    pub fn warm_len(&self) -> usize {
-        self.warm.len()
-    }
-
     /// Evict every warm entry regardless of budget; the caller must
     /// unload the returned blocks. Referenced entries stay.
     pub fn flush(&mut self) -> Vec<Synthesized> {

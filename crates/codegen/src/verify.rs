@@ -190,15 +190,6 @@ fn verify_parts<'a>(
     Ok(())
 }
 
-/// Verify a bare instruction stream (no marks; holes up to id 63 pass).
-///
-/// # Errors
-///
-/// Returns the first problem found.
-pub fn verify_instrs(instrs: &[Instr]) -> Result<(), VerifyError> {
-    verify_parts(instrs, 64, std::iter::empty())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,12 +18,9 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use quamachine::devices::dev_reg_addr;
 use quamachine::devices::disk::{
     CMD_READ, CMD_WRITE, ERR_BAD_SECTOR, ERR_NONE, ERR_TRANSIENT, REG_ADDR, REG_CMD, REG_COUNT,
-    REG_ERROR, REG_EXTRA_DELAY, REG_SECTOR, SECTOR_SIZE,
+    REG_ERROR, REG_EXTRA_DELAY, REG_SECTOR,
 };
 use quamachine::machine::Machine;
-
-use crate::alloc::fastfit::OutOfMemory;
-use crate::alloc::FastFit;
 
 /// A queued disk request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -322,15 +319,6 @@ impl BufferCache {
         self.map.insert(sector, addr);
         self.lru.push_back(sector);
         evicted
-    }
-
-    /// Allocate a sector buffer from the heap.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the heap is exhausted.
-    pub fn alloc_buffer(heap: &mut FastFit) -> Result<u32, OutOfMemory> {
-        heap.alloc(SECTOR_SIZE)
     }
 
     /// Number of cached sectors.

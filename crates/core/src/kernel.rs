@@ -7,9 +7,16 @@
 //! kernel queues. Cold bookkeeping reaches the host through `kcall`
 //! hypercalls, each charging honest cycles (see [`crate::charges`]).
 //!
-//! Ready-chain membership — and with it blocking and waking — belongs
-//! to the `ready` submodule: everything here that makes a thread
-//! runnable or not does it through `enqueue`/`dequeue`.
+//! This file is boot, the thread lifecycle and the run loop. Everything
+//! the kernel knows about a thread is in its [`Thread`] (or indexed by
+//! its `vt`/`sw` and dropped in [`Kernel::destroy`]), so removing it from
+//! `threads` is the end of it. The rest has one owner each, a submodule
+//! that opens with the invariant it keeps: `ready` (chain membership,
+//! blocking and waking — everything here that makes a thread runnable or
+//! not does it through `enqueue`/`dequeue`), `smp` (balancing between
+//! CPUs), `recovery` (reaping, thread and CPU quarantine), `kcall`
+//! (kernel-call dispatch and signals), `chan` (the code behind a
+//! `(tid, fd)`), `tracepump` (whose ring an event lands in).
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -20,15 +27,12 @@ use quamachine::devices::null::NullDev;
 use quamachine::devices::timer::Timer;
 use quamachine::devices::tty::Tty;
 use quamachine::devices::{dev_reg_addr, timer as timer_regs, tty as tty_regs};
-use quamachine::error::Exception;
 use quamachine::isa::{Instr, Operand, Size};
 use quamachine::machine::{Machine, MachineConfig, RunExit};
 use quamachine::mem::AddressMap;
 use synthesis_codegen::creator::{QuajectCreator, SynthError, SynthesisOptions, Synthesized};
 use synthesis_codegen::execds::JumpChain;
 use synthesis_codegen::template::Bindings;
-
-use synthesis_blocks::gauge::Gauge;
 
 use crate::alloc::FastFit;
 use crate::channel::FileChan;
@@ -44,8 +48,14 @@ use crate::thread::tte::{off, FdObject};
 use crate::thread::{Thread, ThreadState, Tid, WaitObject};
 
 mod chan;
+mod kcall;
 mod ready;
+mod recovery;
+mod smp;
 mod tracepump;
+
+pub use recovery::RecoveryGauges;
+use recovery::WATCHDOG_SLICE;
 
 /// Interrupt levels assigned to devices.
 pub mod irq_levels {
@@ -200,68 +210,22 @@ impl std::fmt::Display for KernelError {
 
 impl std::error::Error for KernelError {}
 
-/// Gauges counting recovery events ([Section 2.3's gauges][Gauge] feeding
-/// the monitor's recovery report).
-#[derive(Debug, Default)]
-pub struct RecoveryGauges {
-    /// Threads killed by run-loop recovery after a fatal guest fault.
-    pub reaped: Gauge,
-    /// Threads quarantined by the fault-storm watchdog.
-    pub quarantined: Gauge,
-    /// Disk I/O errors surfaced to requesters (retries exhausted or
-    /// quarantined sectors).
-    pub io_errors: Gauge,
-    /// CPUs quarantined by the cross-CPU watchdog.
-    pub cpus_quarantined: Gauge,
-    /// Quarantined CPUs re-admitted after probation.
-    pub cpus_resumed: Gauge,
-    /// Threads migrated off a quarantined CPU's ready chain.
-    pub threads_evacuated: Gauge,
-    /// Parked CPUs revived by the timer-fallback path after a reschedule
-    /// IPI went missing (work waiting in the chain with no interrupt
-    /// pending).
-    pub ipi_fallbacks: Gauge,
-}
-
-/// Cycles between watchdog sweeps of the per-thread fault counters (the
-/// run loop slices its budget so a storming guest that never traps out
-/// still gets observed).
-const WATCHDOG_SLICE: u64 = 100_000;
-/// Guest error-faults within one sweep that mark a thread as storming
-/// (a thread that faults once and exits never comes close).
-const WATCHDOG_FAULT_LIMIT: u64 = 64;
-/// CPU-domain guest faults (faults landing in a CPU's idle context,
-/// which only the kernel and the hardware write) a CPU may absorb before
-/// the cross-CPU watchdog quarantines it. One stray fault is survivable;
-/// a CPU that keeps corrupting contexts on dispatch is sick.
-const CPU_FAULT_LIMIT: u64 = 3;
-/// Consecutive slices a CPU may lose wholesale (its clock jumping a full
-/// watchdog slice with no instruction executed) before it counts as
-/// having stopped heartbeating.
-const CPU_SILENT_LIMIT: u32 = 3;
-/// Watchdog sweeps a quarantined CPU sits out before its first
-/// probation re-admission; each further strike doubles the wait.
-const CPU_PROBATION_SWEEPS: u64 = 32;
-/// Quarantine strikes after which a CPU is out for good: probation
-/// re-admission stops being offered.
-const CPU_MAX_STRIKES: u32 = 3;
-
 /// One kernel CPU: its executable ready queue, its idle thread, and its
 /// scheduling counters.
 ///
 /// Each CPU's ready queue stays an *executable data structure* — the
 /// circular chain of `jmp` instructions threaded through the TTEs
 /// (Figure 3) — exactly as on the uniprocessor; only the *balancing*
-/// between CPUs goes through the shared work-stealing pool.
+/// between CPUs crosses chains (the `smp` submodule).
 #[derive(Debug)]
 pub struct KCpu {
     /// This CPU's executable ready queue (TTE `jmp` chain).
     pub ready: JumpChain,
     /// This CPU's idle thread.
     pub idle_tid: Tid,
-    /// Threads this CPU pulled out of the shared steal pool.
+    /// Threads this CPU stole from another CPU's chain.
     pub steals: u64,
-    /// Threads this CPU offered into the shared steal pool.
+    /// Threads stolen from this CPU's chain.
     pub offloads: u64,
     /// Slice cycles spent in the idle thread (run-loop attribution).
     pub idle_cycles: u64,
@@ -338,25 +302,13 @@ pub struct Kernel {
     sw_extents: BTreeMap<u32, u32>,
     next_tid: Tid,
     vbr_to_tid: HashMap<u32, Tid>,
-    /// The shared work-stealing pool: tids in transit between CPUs,
-    /// carried by the optimistic MP-MC queue from `synthesis_blocks`.
-    steal_pool: synthesis_blocks::steal::WorkPool<Tid>,
-    /// Authoritative membership for `steal_pool`: the queue itself may
-    /// hold stale entries after a stop/destroy, so a steal only counts
-    /// if the tid is still in this set.
-    pooled: std::collections::HashSet<Tid>,
     /// Threads blocked on each wait object, in blocking order. Read and
     /// written only by the `ready` submodule.
     waiters: HashMap<WaitObject, Vec<Tid>>,
-    sig_stash: HashMap<Tid, ([u32; 15], u32)>,
     alarm_pending: bool,
     /// Completed disk outcomes by request cookie: `Ok(req)` or
     /// `Err(-errno)` once the scheduler gives up.
     disk_results: HashMap<u32, Result<DiskRequest, i32>>,
-    /// Threads the watchdog quarantined; they refuse to start again.
-    quarantined_tids: std::collections::HashSet<Tid>,
-    /// Per-thread fault-count baselines for the watchdog sweep.
-    watchdog_marks: HashMap<Tid, u64>,
     /// Watchdog sweeps since boot — the probation clock for quarantined
     /// CPUs.
     sweep_count: u64,
@@ -523,14 +475,9 @@ impl Kernel {
             },
             next_tid: 0,
             vbr_to_tid: HashMap::new(),
-            steal_pool: synthesis_blocks::steal::WorkPool::new(64),
-            pooled: std::collections::HashSet::new(),
             waiters: HashMap::new(),
-            sig_stash: HashMap::new(),
             alarm_pending: false,
             disk_results: HashMap::new(),
-            quarantined_tids: std::collections::HashSet::new(),
-            watchdog_marks: HashMap::new(),
             sweep_count: 0,
             fault_cursor: 0,
             watch_exit: None,
@@ -633,6 +580,14 @@ impl Kernel {
         self.m.mem.poke(tte + off::QUANTUM, Size::L, quantum);
 
         self.vbr_to_tid.insert(vt, tid);
+        // Homed where it was created — unless that CPU is out of service
+        // (a host-side create after quarantining the active CPU).
+        let here = self.m.active_cpu();
+        let home = if self.cpus[here].quarantined {
+            self.healthy_cpus().next().unwrap_or(here)
+        } else {
+            here
+        };
         let thread = Thread {
             tid,
             tte,
@@ -654,9 +609,12 @@ impl Kernel {
             fds: (0..crate::thread::tte::FD_MAX)
                 .map(|_| FdObject::Free)
                 .collect(),
-            cpu: self.m.active_cpu(),
+            cpu: home,
             last_gauge: 0,
             last_io: 0,
+            sig_saved: None,
+            fault_mark: 0,
+            quarantined: false,
         };
         self.threads.insert(tid, thread);
         Ok(tid)
@@ -855,20 +813,10 @@ impl Kernel {
         if matches!(t.state, ThreadState::Dead) {
             return Err(KernelError::Invalid("starting a dead thread"));
         }
-        if self.quarantined_tids.contains(&tid) {
+        if t.quarantined {
             return Err(KernelError::Invalid("starting a quarantined thread"));
         }
-        if self.pooled.contains(&tid) {
-            // Already runnable: parked in the steal pool awaiting a
-            // thief.
-            return Ok(());
-        }
-        let mut home = t.cpu;
-        // A thread homed on a quarantined CPU starts on a healthy one
-        // instead — nothing dispatches a quarantined CPU's chain.
-        if self.cpus[home].quarantined && !self.is_idle(tid) {
-            home = self.first_healthy_cpu().unwrap_or(home);
-        }
+        let home = t.cpu;
         if self.cpus[home].ready.contains(tid) {
             return Ok(());
         }
@@ -917,6 +865,18 @@ impl Kernel {
     #[must_use]
     pub fn current_tid_on(&self, cpu: usize) -> Option<Tid> {
         self.vbr_to_tid.get(&self.m.cpu_ref(cpu).vbr).copied()
+    }
+
+    /// The VBR index behind [`Kernel::current_tid`]: each live thread's
+    /// vector-table address and its tid, nothing else.
+    pub fn vbr_index(&self) -> impl Iterator<Item = (u32, Tid)> + '_ {
+        self.vbr_to_tid.iter().map(|(&vt, &tid)| (vt, tid))
+    }
+
+    /// The extent index behind the safe-point test: `(base, end)` of each
+    /// live thread's switch quaject, nothing else.
+    pub fn switch_extents(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.sw_extents.iter().map(|(&base, &end)| (base, end))
     }
 
     /// Whether `tid` is one of the per-CPU idle threads.
@@ -1000,37 +960,8 @@ impl Kernel {
         let Some(tid) = self.current_tid_on(cpu) else {
             return;
         };
-        let t = &self.threads[&tid];
-        let tte = t.tte;
-        let uses_fp = t.uses_fp;
         let c = self.m.cpu_ref(cpu).clone();
-        for i in 0..8 {
-            self.m
-                .mem
-                .poke(tte + off::REGS + 4 * i as u32, Size::L, c.d[i]);
-        }
-        for i in 0..7 {
-            self.m
-                .mem
-                .poke(tte + off::REGS + 32 + 4 * i as u32, Size::L, c.a[i]);
-        }
-        self.m.mem.poke(tte + off::USP, Size::L, c.usp());
-        // Fabricate the resume frame below the current SSP.
-        let frame = c.ssp().wrapping_sub(6);
-        self.m.mem.poke(frame, Size::W, u32::from(c.sr));
-        self.m.mem.poke(frame + 2, Size::L, c.pc);
-        self.m.mem.poke(tte + off::SSP, Size::L, frame);
-        if uses_fp {
-            for i in 0..8u32 {
-                let bits = c.fp[i as usize].to_bits();
-                self.m
-                    .mem
-                    .poke(tte + off::FP + 8 * i, Size::L, (bits >> 32) as u32);
-                self.m
-                    .mem
-                    .poke(tte + off::FP + 8 * i + 4, Size::L, bits as u32);
-            }
-        }
+        self.threads[&tid].save_context(&mut self.m.mem, &c);
         let ch = charges::mem_copy(&self.m.cost, 74);
         self.m.charge(ch);
     }
@@ -1096,7 +1027,11 @@ impl Kernel {
         for (addr, len) in [t.tte, t.vt, t.kstack].into_iter().zip(THREAD_BLOCKS) {
             self.heap.free(addr, len);
         }
+        // What the kernel and the machine keep by the thread's addresses
+        // goes with it: the next thread to be handed this `vt` starts with
+        // no fault history.
         self.vbr_to_tid.remove(&t.vt);
+        self.m.meter.error_faults.remove(&t.vt);
         self.trace.forget_frames(tid);
         t.state = ThreadState::Dead;
         self.exited.insert(tid);
@@ -1119,147 +1054,23 @@ impl Kernel {
         if !matches!(t.state, ThreadState::Stopped) {
             return Err(KernelError::Invalid("step requires a stopped thread"));
         }
-        let (tte, vt) = (t.tte, t.vt);
         // Host-side sw_in: load the thread's state into the CPU,
         // including its address map (one user-mode instruction is about
         // to run under it).
         let saved_cpu = self.m.cpu.clone();
         let saved_map = std::mem::replace(&mut self.m.mem.map, t.map.clone());
-        let frame = self.m.mem.peek(tte + off::SSP, Size::L);
-        let sr = self.m.mem.peek(frame, Size::W) as u16;
-        let pc = self.m.mem.peek(frame + 2, Size::L);
-        for i in 0..8 {
-            self.m.cpu.d[i] = self.m.mem.peek(tte + off::REGS + 4 * i as u32, Size::L);
-        }
-        for i in 0..7 {
-            self.m.cpu.a[i] = self
-                .m
-                .mem
-                .peek(tte + off::REGS + 32 + 4 * i as u32, Size::L);
-        }
-        self.m.cpu.vbr = vt;
-        self.m.cpu.pc = pc;
-        // Build the mode: supervisor bit per the frame, but with
-        // interrupts masked so the single step executes the thread's
-        // instruction rather than accepting a pending interrupt.
-        let masked = (sr & !0x0700) | 0x0700;
-        self.m.cpu.write_sr(masked | quamachine::cpu::sr_bits::S); // temporarily super
-        self.m.cpu.a[7] = frame + 6;
-        let usp = self.m.mem.peek(tte + off::USP, Size::L);
-        self.m.cpu.set_usp(usp);
-        self.m.cpu.write_sr(masked);
-        if !self.m.cpu.supervisor() {
-            self.m.cpu.a[7] = usp;
-        }
+        t.load_context(&self.m.mem, &mut self.m.cpu);
+        // Interrupts masked, so the single step executes the thread's
+        // instruction rather than accepting a pending interrupt; the
+        // thread's real mask goes back into what is saved.
+        let mask = self.m.cpu.sr & 0x0700;
+        self.m.cpu.sr |= 0x0700;
         let _ = self.m.step();
-        // Save back (restoring the thread's real interrupt mask) and
-        // refabricate the frame.
-        let npc = self.m.cpu.pc;
-        let nsr = (self.m.cpu.sr & !0x0700) | (sr & 0x0700);
-        for i in 0..8 {
-            let v = self.m.cpu.d[i];
-            self.m.mem.poke(tte + off::REGS + 4 * i as u32, Size::L, v);
-        }
-        for i in 0..7 {
-            let v = self.m.cpu.a[i];
-            self.m
-                .mem
-                .poke(tte + off::REGS + 32 + 4 * i as u32, Size::L, v);
-        }
-        let nusp = self.m.cpu.usp();
-        let nframe = self.m.cpu.ssp() - 6;
-        self.m.mem.poke(nframe, Size::W, u32::from(nsr));
-        self.m.mem.poke(nframe + 2, Size::L, npc);
-        self.m.mem.poke(tte + off::SSP, Size::L, nframe);
-        self.m.mem.poke(tte + off::USP, Size::L, nusp);
+        self.m.cpu.sr = (self.m.cpu.sr & !0x0700) | mask;
+        self.threads[&tid].save_context(&mut self.m.mem, &self.m.cpu);
         self.m.cpu = saved_cpu;
         self.m.mem.map = saved_map;
         let c = 2 * charges::mem_copy(&self.m.cost, 68) + charges::kcall_overhead(&self.m.cost);
-        self.m.charge(c);
-        Ok(())
-    }
-
-    /// Send a signal: the target will run its signal handler the next
-    /// time it is activated (Section 4.3). Host API: callable between
-    /// [`Kernel::run`] slices.
-    ///
-    /// # Errors
-    ///
-    /// The target must exist and have a handler installed.
-    pub fn signal(&mut self, target: Tid, sig: u32) -> Result<(), KernelError> {
-        self.ensure_safe_point();
-        self.activate_owner(target);
-        if self.current_tid() == Some(target) {
-            // The target's live state is on the CPU (the machine is
-            // parked between instructions): park it properly first, then
-            // deliver as to a parked thread, and resume it through its
-            // switch-in so the fabricated frames unwind in order.
-            self.suspend_current_state();
-            self.signal_parked(target, sig)?;
-            self.enter(target);
-            return Ok(());
-        }
-        self.signal_parked(target, sig)
-    }
-
-    /// Deliver a signal to a thread whose state is in its TTE (or to the
-    /// calling thread from inside its own kernel call).
-    pub(crate) fn signal_from_kcall(&mut self, target: Tid, sig: u32) -> Result<(), KernelError> {
-        let t = self
-            .threads
-            .get(&target)
-            .ok_or(KernelError::NoThread(target))?;
-        let tte = t.tte;
-        let handler = self.m.mem.peek(tte + off::SIG_HANDLER, Size::L);
-        if handler == 0 {
-            return Err(KernelError::Invalid("no signal handler installed"));
-        }
-        if self.current_tid() == Some(target) {
-            // Running target: rewrite the active trap frame (we are in a
-            // kernel call from it). Park the old PC and swap in the
-            // handler.
-            let sp = self.m.cpu.a[7];
-            let old_pc = self.m.mem.peek(sp + 2, Size::L);
-            self.m.mem.poke(tte + off::SIG_PC, Size::L, old_pc);
-            self.m.mem.poke(sp + 2, Size::L, handler);
-            // Stash registers for SIG_RETURN.
-            let mut regs = [0u32; 15];
-            regs[..8].copy_from_slice(&self.m.cpu.d);
-            regs[8..].copy_from_slice(&self.m.cpu.a[..7]);
-            self.sig_stash.insert(target, (regs, self.m.cpu.usp()));
-        } else {
-            return self.signal_parked(target, sig);
-        }
-        let c = charges::kcall_overhead(&self.m.cost) + 3 * charges::code_patch(&self.m.cost);
-        self.m.charge(c);
-        Ok(())
-    }
-
-    /// Deliver to a thread whose state lives in its TTE: push a
-    /// fabricated frame so its next `rte` runs the handler; `SIG_RETURN`
-    /// then falls back to the real frame.
-    fn signal_parked(&mut self, target: Tid, _sig: u32) -> Result<(), KernelError> {
-        let t = self
-            .threads
-            .get(&target)
-            .ok_or(KernelError::NoThread(target))?;
-        let tte = t.tte;
-        let handler = self.m.mem.peek(tte + off::SIG_HANDLER, Size::L);
-        if handler == 0 {
-            return Err(KernelError::Invalid("no signal handler installed"));
-        }
-        let ssp = self.m.mem.peek(tte + off::SSP, Size::L);
-        let fake = ssp - 6;
-        self.m.mem.poke(fake, Size::W, 0); // user mode
-        self.m.mem.poke(fake + 2, Size::L, handler);
-        self.m.mem.poke(tte + off::SSP, Size::L, fake);
-        let mut regs = [0u32; 15];
-        for i in 0..15u32 {
-            regs[i as usize] = self.m.mem.peek(tte + off::REGS + 4 * i, Size::L);
-        }
-        let usp = self.m.mem.peek(tte + off::USP, Size::L);
-        self.sig_stash.insert(target, (regs, usp));
-        let c = charges::kcall_overhead(&self.m.cost) + 3 * charges::code_patch(&self.m.cost);
         self.m.charge(c);
         Ok(())
     }
@@ -1319,12 +1130,12 @@ impl Kernel {
             // Balance before picking a CPU, so a starved CPU steals work
             // instead of idling away its first slice.
             self.rebalance();
-            for (i, h) in halted.iter_mut().enumerate() {
-                if !*h || self.cpus[i].quarantined {
+            for i in self.healthy_cpus() {
+                if !halted[i] {
                     continue;
                 }
                 if self.m.irq.any_pending_on(i) {
-                    *h = false;
+                    halted[i] = false;
                 } else if self.m.delayed_ipi_pending(i) || !self.cpu_starved(i) {
                     // Timer-fallback rescheduling: the IPI that should
                     // have woken this CPU was lost or is still in
@@ -1332,20 +1143,16 @@ impl Kernel {
                     // delayed interrupt needs the CPU running to land).
                     // Revive it — a dropped IPI costs one rotation of
                     // latency, never a hang.
-                    *h = false;
+                    halted[i] = false;
                     self.recovery.ipi_fallbacks.tick();
                 }
             }
-            let Some(i) = (0..n)
-                .filter(|&i| {
-                    !halted[i] && !self.cpus[i].quarantined && self.m.cpu_cycles(i) < deadlines[i]
-                })
+            let Some(i) = self
+                .healthy_cpus()
+                .filter(|&i| !halted[i] && self.m.cpu_cycles(i) < deadlines[i])
                 .min_by_key(|&i| (self.m.cpu_cycles(i), i))
             else {
-                return if (0..n)
-                    .filter(|&i| !self.cpus[i].quarantined)
-                    .all(|i| halted[i])
-                {
+                return if self.healthy_cpus().all(|i| halted[i]) {
                     // Every CPU halted in this call and nothing revived
                     // one, so the slice just run was the last CPU's halt:
                     // with nobody left to keep pace with, report it at
@@ -1369,27 +1176,8 @@ impl Kernel {
             if jump > 0 {
                 self.cpus[i].stall_cycles += jump;
             }
-            // Dispatch-time context check: a sick CPU corrupts the
-            // context it loads. Every CPU parks at a safe point, so the
-            // parked PC was good — a loaded PC outside any code block is
-            // the CPU's corruption, not the thread's. Repair the loaded
-            // copy from the parked value, charge the CPU's own fault
-            // budget, and quarantine it once the budget runs out. The
-            // resident thread keeps its state and never sees the fault.
-            if self.m.cpu.pc != parked_pc && self.m.code.locate(self.m.cpu.pc).is_none() {
-                let wild = self.m.cpu.pc;
-                self.m.cpu.pc = parked_pc;
-                self.cpus[i].fault_events += 1;
-                let idle = self.cpus[i].idle_tid;
-                self.recovery_log.push((
-                    idle,
-                    format!("cpu {i} dispatch corruption: wild pc {wild:#x}"),
-                ));
-                if self.cpus[i].fault_events > CPU_FAULT_LIMIT
-                    && self.quarantine_cpu(i, "fault budget exceeded")
-                {
-                    continue;
-                }
+            if !self.check_dispatch(i, parked_pc) {
+                continue;
             }
             let slice_end = self
                 .m
@@ -1442,21 +1230,12 @@ impl Kernel {
             } else {
                 self.cpus[i].busy_cycles += delta;
             }
-            // Cross-CPU heartbeat: a clock that advances a whole slice
-            // without one instruction executing (and without an honest
-            // halt) is a CPU losing time, not spending it.
+            // A slice is silent when the clock advanced a whole slice on
+            // dispatch, or advanced at all without one instruction
+            // executing or an honest halt.
             let silent = jump >= WATCHDOG_SLICE
                 || (delta > 0 && self.m.meter.instr_count == instr_before && !hit_halt);
-            if !self.cpus[i].quarantined {
-                if silent {
-                    self.cpus[i].silent_slices += 1;
-                    if self.cpus[i].silent_slices >= CPU_SILENT_LIMIT {
-                        self.quarantine_cpu(i, "stopped heartbeating");
-                    }
-                } else {
-                    self.cpus[i].silent_slices = 0;
-                }
-            }
+            self.heartbeat(i, silent);
             self.watchdog_sweep();
             for c in self.cpu_probation_tick() {
                 halted[c] = false;
@@ -1471,414 +1250,6 @@ impl Kernel {
     /// The watched thread, once it has exited.
     fn watched_exit(&self) -> Option<Tid> {
         self.watch_exit.filter(|w| self.exited.contains(w))
-    }
-
-    // --- Work stealing ------------------------------------------------------
-
-    /// Move ready threads from overloaded CPUs to starved ones through
-    /// the shared steal pool. Runs between slices, with every CPU parked
-    /// at a safe point, so the chain surgery is host-side; the transfer
-    /// medium is the optimistic MP-MC queue (Section 3's claim that the
-    /// single-CPU lock-free queues carry to multiprocessors unchanged).
-    fn rebalance(&mut self) {
-        if self.cpus.len() == 1 {
-            return;
-        }
-        for thief in 0..self.cpus.len() {
-            if self.cpus[thief].quarantined || !self.cpu_starved(thief) {
-                continue;
-            }
-            if self.steal_pool.len_hint() == 0 && !self.offload_from_victim(thief) {
-                continue;
-            }
-            self.steal_for(thief);
-        }
-    }
-
-    /// Whether CPU `cpu` has nothing real to run: no non-idle thread in
-    /// its chain and no real thread current on it.
-    fn cpu_starved(&self, cpu: usize) -> bool {
-        let idle = self.cpus[cpu].idle_tid;
-        let len = self.cpus[cpu].ready.len();
-        let chain_empty = len == 0 || (len == 1 && self.cpus[cpu].ready.contains(idle));
-        let cur_idle = self.current_tid_on(cpu).is_none_or(|t| self.is_idle(t));
-        chain_empty && cur_idle
-    }
-
-    /// Ready, non-current, non-idle, non-quarantined threads in `cpu`'s
-    /// chain — the ones another CPU could run right now.
-    fn surplus_tids(&self, cpu: usize) -> Vec<Tid> {
-        let cur = self.current_tid_on(cpu);
-        self.cpus[cpu]
-            .ready
-            .nodes()
-            .iter()
-            .map(|n| n.id)
-            .filter(|&id| {
-                Some(id) != cur
-                    && !self.is_idle(id)
-                    && !self.quarantined_tids.contains(&id)
-                    && self
-                        .threads
-                        .get(&id)
-                        .is_some_and(|t| matches!(t.state, ThreadState::Ready))
-            })
-            .collect()
-    }
-
-    /// Detach one surplus ready thread from the most loaded CPU and
-    /// offer it into the steal pool. Returns whether anything was
-    /// offered.
-    fn offload_from_victim(&mut self, thief: usize) -> bool {
-        let mut best: Option<(Vec<Tid>, usize)> = None; // (surplus, cpu)
-        for v in 0..self.cpus.len() {
-            if v == thief || self.cpus[v].quarantined {
-                continue;
-            }
-            let surplus = self.surplus_tids(v);
-            if !surplus.is_empty() && best.as_ref().is_none_or(|(s, _)| surplus.len() > s.len()) {
-                best = Some((surplus, v));
-            }
-        }
-        let Some((surplus, victim)) = best else {
-            return false;
-        };
-        let tid = surplus[0];
-        // Offer first: a full pool leaves the thread where it is.
-        if self.steal_pool.offer(tid).is_err() || self.dequeue_into_pool(tid).is_err() {
-            return false;
-        }
-        self.cpus[victim].offloads += 1;
-        true
-    }
-
-    /// Pull one pooled thread onto `thief`'s ready chain.
-    fn steal_for(&mut self, thief: usize) {
-        while let Some(tid) = self.steal_pool.steal() {
-            // The pool may hold stale hints (stopped or destroyed after
-            // being offered); membership in `pooled` is authoritative.
-            if !self.pooled.remove(&tid) {
-                continue;
-            }
-            // A quarantined thread must never land on another CPU's
-            // chain, even if it was pooled before the watchdog acted.
-            if self.quarantined_tids.contains(&tid) {
-                continue;
-            }
-            let ready = self
-                .threads
-                .get(&tid)
-                .is_some_and(|t| matches!(t.state, ThreadState::Ready));
-            if !ready || self.enqueue(thief, tid).is_err() {
-                continue;
-            }
-            self.cpus[thief].steals += 1;
-            crate::trace!(
-                self,
-                tid,
-                crate::trace::Kind::Steal,
-                u32::try_from(thief).unwrap_or(0),
-                0
-            );
-            return;
-        }
-    }
-
-    /// Try to recover from a fatal machine error by reaping the thread
-    /// that caused it: a double fault (the thread corrupted its own
-    /// vector table or stack) or a wild jump out of code space is the
-    /// thread's doing, so the kernel destroys it, resplices the ready
-    /// chain, and keeps running. Errors the kernel cannot pin on the
-    /// current thread — or that hit the idle thread, whose state only the
-    /// kernel writes — are returned as fatal.
-    fn recover_machine_error(&mut self, e: quamachine::error::MachineError) -> Result<(), RunExit> {
-        use quamachine::error::MachineError;
-        let guest_attributable = matches!(
-            e,
-            MachineError::DoubleFault(..) | MachineError::BadCodeAddress(_)
-        );
-        if !guest_attributable {
-            return Err(RunExit::Error(e));
-        }
-        let idle_context = self.current_tid().is_none_or(|t| self.is_idle(t));
-        if idle_context && self.cpus.len() > 1 {
-            // An idle-context fault on a multiprocessor is the CPU
-            // domain's doing: only the kernel and the dispatch hardware
-            // write the idle thread's state, so a corrupted idle means a
-            // corrupted dispatch (the fault plan's sick-CPU class, or
-            // real hardware rot). Charge the CPU's fault budget, re-arm
-            // its idle context, and keep the other CPUs running; past
-            // the budget, quarantine the CPU. On the last healthy CPU
-            // the quarantine is refused and the error stays fatal, as on
-            // a uniprocessor.
-            let cpu = self.m.active_cpu();
-            self.cpus[cpu].fault_events += 1;
-            self.recovery_log.push((
-                self.cpus[cpu].idle_tid,
-                format!("cpu {cpu} dispatch fault: {e}"),
-            ));
-            if self.cpus[cpu].fault_events > CPU_FAULT_LIMIT {
-                if self.quarantine_cpu(cpu, "fault budget exceeded") {
-                    return Ok(());
-                }
-                return Err(RunExit::Error(e));
-            }
-            let idle = self.cpus[cpu].idle_tid;
-            self.enter(idle);
-            return Ok(());
-        }
-        let Some(tid) = self.current_tid() else {
-            return Err(RunExit::Error(e));
-        };
-        if self.is_idle(tid) {
-            return Err(RunExit::Error(e));
-        }
-        self.recovery_log.push((tid, format!("reaped: {e}")));
-        self.recovery.reaped.tick();
-        self.pump_trace();
-        crate::trace!(
-            self,
-            tid,
-            crate::trace::Kind::Recovery,
-            crate::trace::REC_REAP,
-            0
-        );
-        if self.destroy(tid).is_err() {
-            return Err(RunExit::Error(e));
-        }
-        Ok(())
-    }
-
-    /// Compare each thread's error-fault count against its last-sweep
-    /// baseline; a thread that burned through more than
-    /// [`WATCHDOG_FAULT_LIMIT`] faults in one sweep is stuck re-faulting
-    /// (its handler retries without fixing the cause) and gets
-    /// quarantined: stopped now, and refused by [`Kernel::start`] forever.
-    fn watchdog_sweep(&mut self) {
-        let counts: Vec<(Tid, u64)> = self
-            .m
-            .meter
-            .error_faults
-            .iter()
-            .filter_map(|(vbr, &n)| self.vbr_to_tid.get(vbr).map(|&tid| (tid, n)))
-            .collect();
-        for (tid, n) in counts {
-            let base = self.watchdog_marks.insert(tid, n).unwrap_or(0);
-            let delta = n.saturating_sub(base);
-            if delta > WATCHDOG_FAULT_LIMIT
-                && !self.is_idle(tid)
-                && !self.quarantined_tids.contains(&tid)
-            {
-                self.quarantine(tid, &format!("{delta} faults in one sweep"));
-            }
-        }
-    }
-
-    /// Quarantine `tid`: stopped now, refused by [`Kernel::start`]
-    /// forever, and skipped by the fine-grain scheduler's adaptation.
-    /// This is the watchdog's action made available to supervisors that
-    /// learn of a misbehaving thread through some other channel.
-    /// Quarantining an already-quarantined thread is a no-op.
-    pub fn quarantine(&mut self, tid: Tid, reason: &str) {
-        if !self.quarantined_tids.insert(tid) {
-            return;
-        }
-        self.recovery.quarantined.tick();
-        self.recovery_log
-            .push((tid, format!("quarantined: {reason}")));
-        crate::trace!(
-            self,
-            tid,
-            crate::trace::Kind::Recovery,
-            crate::trace::REC_QUARANTINE,
-            0
-        );
-        // A storming thread is runnable by definition; if stop fails the
-        // thread is already off the ready chain and the quarantine flag
-        // alone keeps it from coming back.
-        let _ = self.stop(tid);
-    }
-
-    /// Whether the watchdog has quarantined `tid`.
-    #[must_use]
-    pub fn is_quarantined(&self, tid: Tid) -> bool {
-        self.quarantined_tids.contains(&tid)
-    }
-
-    // --- CPU quarantine -----------------------------------------------------
-
-    /// Whether the cross-CPU watchdog has quarantined CPU `cpu`.
-    #[must_use]
-    pub fn is_cpu_quarantined(&self, cpu: usize) -> bool {
-        self.cpus.get(cpu).is_some_and(|c| c.quarantined)
-    }
-
-    /// The lowest-numbered CPU still in service, if any.
-    fn first_healthy_cpu(&self) -> Option<usize> {
-        (0..self.cpus.len()).find(|&i| !self.cpus[i].quarantined)
-    }
-
-    /// Checkpoint whatever is current on `cpu` and park the CPU's
-    /// context so nothing identifies a thread as current there any more.
-    /// A context the dispatch fault already corrupted (its PC sitting at
-    /// the wild-jump sentinel) is *not* saved — the thread's TTE keeps
-    /// its last good switch-out state, which is what a healthy CPU will
-    /// resume from.
-    fn park_cpu_context(&mut self, cpu: usize) {
-        let cur = self.current_tid_on(cpu);
-        if cur.is_some_and(|t| !self.is_idle(t))
-            && self.m.cpu_ref(cpu).pc != quamachine::machine::SICK_WILD_PC
-        {
-            if self.m.active_cpu() == cpu {
-                self.ensure_safe_point();
-            }
-            self.suspend_state_of(cpu);
-        }
-        let slot = self.m.cpu_mut(cpu);
-        slot.vbr = 0; // no thread is current here any more
-        slot.pc = 0; // never fetched while the CPU is out of service
-    }
-
-    /// Quarantine CPU `cpu`: evacuate its ready chain onto the healthy
-    /// CPUs, re-home every thread that called it home, re-route device
-    /// interrupts and pending event timelines off it, and stop
-    /// dispatching it. Probation re-admits it after a widening number of
-    /// watchdog sweeps until [`CPU_MAX_STRIKES`] strikes put it out for
-    /// good. Returns `false` — and does nothing — for an unknown or
-    /// already-quarantined CPU, or when `cpu` is the last healthy CPU
-    /// (the kernel never quarantines itself out of existence).
-    pub fn quarantine_cpu(&mut self, cpu: usize, reason: &str) -> bool {
-        if cpu >= self.cpus.len() || self.cpus[cpu].quarantined {
-            return false;
-        }
-        let healthy: Vec<usize> = (0..self.cpus.len())
-            .filter(|&i| i != cpu && !self.cpus[i].quarantined)
-            .collect();
-        let Some(&target) = healthy.first() else {
-            return false;
-        };
-        self.park_cpu_context(cpu);
-        self.cpus[cpu].quarantined = true;
-
-        // Evacuate the ready chain: each runnable thread moves onto a
-        // healthy CPU's chain by the same dequeue/enqueue the work
-        // stealer uses. Quarantined *threads* stay put — their chain
-        // entry is removed but never re-inserted anywhere.
-        let idle = self.cpus[cpu].idle_tid;
-        let evacuees: Vec<Tid> = self.cpus[cpu]
-            .ready
-            .nodes()
-            .iter()
-            .map(|n| n.id)
-            .filter(|&t| t != idle)
-            .collect();
-        let mut moved = 0u32;
-        for (n, tid) in evacuees.into_iter().enumerate() {
-            if self.dequeue(tid).is_err() || self.quarantined_tids.contains(&tid) {
-                continue;
-            }
-            if self.enqueue(healthy[n % healthy.len()], tid).is_ok() {
-                moved += 1;
-                self.recovery.threads_evacuated.tick();
-            }
-        }
-        // Blocked, stopped, and pooled threads that called this CPU home
-        // wake onto healthy chains instead.
-        let rehome: Vec<Tid> = self
-            .threads
-            .iter()
-            .filter(|(&t, th)| {
-                th.cpu == cpu && !self.is_idle(t) && !self.quarantined_tids.contains(&t)
-            })
-            .map(|(&t, _)| t)
-            .collect();
-        for (n, tid) in rehome.into_iter().enumerate() {
-            self.threads.get_mut(&tid).expect("exists").cpu = healthy[n % healthy.len()];
-        }
-        // Device interrupts and pending event timelines must not target
-        // a CPU that will never run again.
-        if self.m.irq.route() == cpu {
-            self.m.irq.reroute_devices(target);
-        }
-        let from_now = self.m.cpu_cycles(cpu);
-        let to_now = self.m.cpu_cycles(target);
-        self.m.events.migrate_cpu(cpu, target, from_now, to_now);
-
-        self.cpus[cpu].strikes += 1;
-        self.cpus[cpu].probation_at = if self.cpus[cpu].strikes > CPU_MAX_STRIKES {
-            None
-        } else {
-            Some(self.sweep_count + (CPU_PROBATION_SWEEPS << (self.cpus[cpu].strikes - 1).min(16)))
-        };
-        self.recovery.cpus_quarantined.tick();
-        self.recovery_log.push((
-            idle,
-            format!("cpu {cpu} quarantined: {reason} ({moved} threads evacuated)"),
-        ));
-        crate::trace!(
-            self,
-            idle,
-            crate::trace::Kind::CpuQuarantine,
-            u32::try_from(cpu).unwrap_or(0),
-            moved
-        );
-        self.kick(target);
-        true
-    }
-
-    /// Re-admit a quarantined CPU: clear its fault accounting, raise its
-    /// frozen clock to the healthy CPUs' so it does not monopolize the
-    /// most-behind rotation, and point its context back at its idle
-    /// thread. A CPU that is still sick will fail its fault budget again
-    /// and be re-quarantined with a longer probation.
-    fn resume_cpu(&mut self, cpu: usize) {
-        if cpu >= self.cpus.len() || !self.cpus[cpu].quarantined {
-            return;
-        }
-        self.cpus[cpu].quarantined = false;
-        self.cpus[cpu].fault_events = 0;
-        self.cpus[cpu].silent_slices = 0;
-        self.cpus[cpu].probation_at = None;
-        let clock = (0..self.cpus.len())
-            .filter(|&i| i != cpu && !self.cpus[i].quarantined)
-            .map(|i| self.m.cpu_cycles(i))
-            .max();
-        if self.m.active_cpu() != cpu {
-            self.m.switch_cpu(cpu);
-        }
-        if let Some(cl) = clock {
-            self.m.meter.cycles = self.m.meter.cycles.max(cl);
-        }
-        let idle = self.cpus[cpu].idle_tid;
-        self.enter(idle);
-        self.recovery.cpus_resumed.tick();
-        self.recovery_log
-            .push((idle, format!("cpu {cpu} resumed from probation")));
-        crate::trace!(
-            self,
-            idle,
-            crate::trace::Kind::CpuResume,
-            u32::try_from(cpu).unwrap_or(0),
-            self.cpus[cpu].strikes
-        );
-    }
-
-    /// Advance the probation clock one sweep and re-admit any quarantined
-    /// CPU whose wait is up. Returns the CPUs resumed this sweep.
-    fn cpu_probation_tick(&mut self) -> Vec<usize> {
-        self.sweep_count += 1;
-        let due: Vec<usize> = (0..self.cpus.len())
-            .filter(|&c| {
-                self.cpus[c].quarantined
-                    && self.cpus[c]
-                        .probation_at
-                        .is_some_and(|d| self.sweep_count >= d)
-            })
-            .collect();
-        for &c in &due {
-            self.resume_cpu(c);
-        }
-        due
     }
 
     /// Run until thread `tid` exits (or the cycle budget is spent).
@@ -1902,252 +1273,6 @@ impl Kernel {
         }
         self.watch_exit = prev_watch;
         self.exited.contains(&tid)
-    }
-
-    /// Service one kernel call; `false` means the selector is not ours.
-    #[allow(clippy::too_many_lines)]
-    fn handle_kcall(&mut self, sel: u16) -> bool {
-        match sel {
-            kcalls::GENERAL => {
-                let call = self.m.cpu.d[0];
-                self.general_call(call);
-            }
-            kcalls::SET_MAP => {
-                let tid = self.m.cpu.d[0];
-                if let Some(t) = self.threads.get(&tid) {
-                    self.m.mem.map = t.map.clone();
-                }
-                let c = charges::kcall_overhead(&self.m.cost);
-                self.m.charge(c);
-            }
-            kcalls::FP_RESYNTH => {
-                self.fp_resynthesize();
-            }
-            kcalls::ALARM => {
-                self.alarm_pending = false;
-                self.wake(WaitObject::Alarm);
-            }
-            kcalls::AD_ADVANCE => {
-                // Device servers built on the specialized A/D handlers
-                // register themselves via the audio-server module; the
-                // default kernel just acknowledges.
-                let c = charges::kcall_overhead(&self.m.cost);
-                self.m.charge(c);
-            }
-            kcalls::DISK_DONE => {
-                let addr = dev_reg_addr(self.dev.disk, quamachine::devices::disk::REG_STATUS);
-                let _ = self.m.host_reg_read(addr); // acknowledge
-                match self.disk_sched.on_complete(&mut self.m) {
-                    Some(DiskOutcome::Done(req)) => {
-                        crate::trace!(
-                            self,
-                            self.trace_tid(),
-                            crate::trace::Kind::QueueGet,
-                            crate::trace::QCLASS_DISK,
-                            req.sector
-                        );
-                        self.disk_results.insert(req.cookie, Ok(req));
-                        self.wake(WaitObject::Disk);
-                    }
-                    // Re-issued with backoff; waiters stay asleep until
-                    // the retry completes one way or the other.
-                    Some(DiskOutcome::Retrying { .. }) => {}
-                    Some(DiskOutcome::Failed(req)) => {
-                        crate::trace!(
-                            self,
-                            self.trace_tid(),
-                            crate::trace::Kind::Recovery,
-                            crate::trace::REC_IO_ERROR,
-                            req.sector
-                        );
-                        self.disk_results.insert(req.cookie, Err(errno::EIO));
-                        self.recovery.io_errors.tick();
-                        self.wake(WaitObject::Disk);
-                    }
-                    // A completion with nothing in flight (e.g. a raw
-                    // device user bypassing the scheduler): just wake.
-                    None => self.wake(WaitObject::Disk),
-                }
-            }
-            kcalls::WAIT_TTY => {
-                // Re-check under the "lock" (host atomicity) to avoid a
-                // lost wakeup between the guest's test and the kcall.
-                if self.tty_srv.available(&self.m) == 0 {
-                    self.block_current(WaitObject::TtyInput);
-                }
-            }
-            kcalls::WAIT_PIPE_DATA => {
-                let pid = self.m.cpu.d[2];
-                let empty = self
-                    .pipes
-                    .get(pid as usize)
-                    .is_some_and(|p| p.available(&self.m) == 0);
-                if empty {
-                    self.block_current(WaitObject::PipeData(pid));
-                }
-            }
-            kcalls::WAIT_PIPE_SPACE => {
-                let pid = self.m.cpu.d[2];
-                let full = self
-                    .pipes
-                    .get(pid as usize)
-                    .is_some_and(|p| p.space(&self.m) == 0);
-                if full {
-                    self.block_current(WaitObject::PipeSpace(pid));
-                }
-            }
-            kcalls::WAKE_TTY => {
-                crate::trace!(
-                    self,
-                    self.trace_tid(),
-                    crate::trace::Kind::QueuePut,
-                    crate::trace::QCLASS_TTY,
-                    0
-                );
-                self.wake(WaitObject::TtyInput);
-            }
-            kcalls::WAKE_PIPE_DATA => {
-                let pid = self.m.cpu.d[2];
-                crate::trace!(
-                    self,
-                    self.trace_tid(),
-                    crate::trace::Kind::QueuePut,
-                    crate::trace::QCLASS_PIPE,
-                    pid
-                );
-                self.wake(WaitObject::PipeData(pid));
-            }
-            kcalls::WAKE_PIPE_SPACE => {
-                let pid = self.m.cpu.d[2];
-                crate::trace!(
-                    self,
-                    self.trace_tid(),
-                    crate::trace::Kind::QueueGet,
-                    crate::trace::QCLASS_PIPE,
-                    pid
-                );
-                self.wake(WaitObject::PipeSpace(pid));
-            }
-            _ => return false,
-        }
-        true
-    }
-
-    /// The general kernel call (trap #0).
-    fn general_call(&mut self, call: u32) {
-        let d1 = self.m.cpu.d[1];
-        let d2 = self.m.cpu.d[2];
-        let a0 = self.m.cpu.a[0];
-        let c = charges::kcall_overhead(&self.m.cost);
-        self.m.charge(c);
-        let status = |r: Result<(), KernelError>| r.map_or(-i64::from(errno::EINVAL), |()| 0);
-        let neg = |e: u32| -i64::from(e);
-        let result: i64 = match call {
-            general::EXIT => {
-                if let Some(tid) = self.current_tid() {
-                    let _ = self.destroy(tid);
-                }
-                0
-            }
-            general::THREAD_CREATE => {
-                let map = self
-                    .current_tid()
-                    .map(|t| self.threads[&t].map.clone())
-                    .unwrap_or_default();
-                match self.create_thread(d1, d2, map) {
-                    Ok(tid) => i64::from(tid),
-                    Err(_) => -i64::from(errno::ENOMEM),
-                }
-            }
-            general::THREAD_START => status(self.start(d1)),
-            general::THREAD_STOP => status(self.stop(d1)),
-            general::THREAD_DESTROY => status(self.destroy(d1)),
-            general::SIGNAL => status(self.signal_from_kcall(d1, d2)),
-            general::OPEN => match self.read_user_string(a0) {
-                Ok(path) => self.open(&path).map_or_else(neg, i64::from),
-                Err(e) => -i64::from(e),
-            },
-            general::CLOSE => self.close(d1).map_or_else(neg, |()| 0),
-            general::YIELD => {
-                self.yield_current();
-                0
-            }
-            general::GETTID => i64::from(self.current_tid().unwrap_or(0)),
-            general::SET_SIG_HANDLER => {
-                if let Some(tid) = self.current_tid() {
-                    let tte = self.threads[&tid].tte;
-                    self.m.mem.poke(tte + off::SIG_HANDLER, Size::L, d1);
-                }
-                0
-            }
-            general::SIG_RETURN => {
-                if let Some(tid) = self.current_tid() {
-                    if let Some((regs, usp)) = self.sig_stash.remove(&tid) {
-                        self.m.cpu.d.copy_from_slice(&regs[..8]);
-                        self.m.cpu.a[..7].copy_from_slice(&regs[8..]);
-                        self.m.cpu.set_usp(usp);
-                    }
-                    // Drop the handler's trap frame; the original frame
-                    // (or the parked PC) sits right above it.
-                    let sp = self.m.cpu.a[7];
-                    let tte = self.threads[&tid].tte;
-                    let parked = self.m.mem.peek(tte + off::SIG_PC, Size::L);
-                    if parked != 0 {
-                        // Signal was delivered to a running thread: reuse
-                        // this frame, restoring the parked PC.
-                        self.m.mem.poke(sp + 2, Size::L, parked);
-                        self.m.mem.poke(tte + off::SIG_PC, Size::L, 0);
-                    } else {
-                        // Parked-thread delivery: discard this frame.
-                        self.m.cpu.a[7] = sp + 6;
-                    }
-                }
-                return; // d0 intentionally preserved from the stash
-            }
-            general::PIPE => self
-                .pipe()
-                .map_or_else(neg, |(rfd, wfd)| i64::from((rfd << 8) | wfd)),
-            general::SET_ALARM => {
-                self.set_alarm(d1);
-                0
-            }
-            general::WAIT_ALARM => {
-                if self.alarm_pending {
-                    self.block_current(WaitObject::Alarm);
-                }
-                0
-            }
-            general::PUTC => {
-                self.console.push(d1 as u8);
-                0
-            }
-            general::SEEK => self.seek(d1, d2),
-            _ => -i64::from(errno::EINVAL),
-        };
-        self.m.cpu.d[0] = result as u32;
-    }
-
-    fn yield_current(&mut self) {
-        let Some(tid) = self.current_tid() else {
-            return;
-        };
-        self.suspend_current_state();
-        // Enter the next thread in this CPU's chain after us.
-        let cpu = self.home_cpu(tid);
-        if let Some(next) = self.cpus[cpu].ready.next_of_id(tid) {
-            if next.id != tid {
-                self.enter(next.id);
-            }
-        }
-    }
-
-    /// Program a one-shot alarm `us` µs from now (Table 5: set alarm).
-    pub fn set_alarm(&mut self, us: u32) {
-        self.alarm_pending = true;
-        let addr = dev_reg_addr(self.dev.alarm, timer_regs::REG_ALARM_US);
-        self.m.host_reg_write(addr, us);
-        let c = charges::kcall_overhead(&self.m.cost);
-        self.m.charge(c);
     }
 
     // --- Lazy FP -------------------------------------------------------------
@@ -2180,10 +1305,7 @@ impl Kernel {
                 // cannot have. Reap it instead of taking the kernel down
                 // — its old switch code is already destroyed, so it
                 // cannot be resumed either.
-                self.recovery_log
-                    .push((tid, "reaped: FP resynthesis failed".to_string()));
-                self.recovery.reaped.tick();
-                let _ = self.destroy(tid);
+                let _ = self.reap(tid, "FP resynthesis failed");
                 return;
             }
         };
@@ -2234,18 +1356,6 @@ impl Kernel {
             .map_err(SynthError::CodeBuf)?;
         self.m.load_block(base, block)?;
         Ok(base)
-    }
-
-    /// Raise a guest-visible exception on the current thread (testing and
-    /// emulation support).
-    ///
-    /// # Errors
-    ///
-    /// Propagates double faults.
-    pub fn inject_exception(&mut self, e: Exception) -> Result<(), KernelError> {
-        let pc = self.m.cpu.pc;
-        self.m.take_exception(e, pc)?;
-        Ok(())
     }
 
     /// Create a file whose contents are loaded from the disk through the

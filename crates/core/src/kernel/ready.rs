@@ -21,9 +21,8 @@
 //!   after leaving the chain exits through its own `jmp`, which is kept
 //!   aimed at the head;
 //! - **the bookkeeping** — `ThreadState`, the thread's home CPU, the
-//!   steal-pool membership set, the wait lists with the wait flags the
-//!   synthesized producers test, and the kick that gets an idling CPU to
-//!   notice the arrival.
+//!   wait lists with the wait flags the synthesized producers test, and
+//!   the kick that gets an idling CPU to notice the arrival.
 //!
 //! [`Kernel::enqueue`] and [`Kernel::dequeue`] do all of that as one
 //! unit. `start`, `stop`, `destroy`, blocking, waking, work stealing, CPU
@@ -70,12 +69,11 @@ impl Kernel {
         Ok(())
     }
 
-    /// Make `tid` neither runnable nor waiting: out of the steal pool,
-    /// off its wait list, off its CPU's chain (the idle thread steps in
-    /// if that empties it), `Stopped`. Dequeuing a thread that is none of
-    /// those only marks it `Stopped`.
+    /// Make `tid` neither runnable nor waiting: off its wait list, off
+    /// its CPU's chain (the idle thread steps in if that empties it),
+    /// `Stopped`. Dequeuing a thread that is neither only marks it
+    /// `Stopped`.
     pub(super) fn dequeue(&mut self, tid: Tid) -> Result<(), KernelError> {
-        self.pooled.remove(&tid);
         self.leave_wait_list(tid);
         let cpu = self.home_cpu(tid);
         if self.cpus[cpu].ready.contains(tid) {
@@ -87,18 +85,6 @@ impl Kernel {
         } else if let Some(t) = self.threads.get_mut(&tid) {
             t.state = ThreadState::Stopped;
         }
-        Ok(())
-    }
-
-    /// Take the live thread `tid` off its chain to travel through the
-    /// steal pool: still `Ready`, on no chain until a thief enqueues it.
-    pub(super) fn dequeue_into_pool(&mut self, tid: Tid) -> Result<(), KernelError> {
-        self.dequeue(tid)?;
-        self.threads
-            .get_mut(&tid)
-            .expect("pooled thread is live")
-            .state = ThreadState::Ready;
-        self.pooled.insert(tid);
         Ok(())
     }
 
@@ -254,12 +240,5 @@ impl Kernel {
     /// state is `Blocked` on that object.
     pub fn wait_lists(&self) -> impl Iterator<Item = (WaitObject, &[Tid])> {
         self.waiters.iter().map(|(&w, l)| (w, l.as_slice()))
-    }
-
-    /// Whether `tid` is parked in the steal pool: runnable, on no chain,
-    /// awaiting a thief.
-    #[must_use]
-    pub fn is_pooled(&self, tid: Tid) -> bool {
-        self.pooled.contains(&tid)
     }
 }

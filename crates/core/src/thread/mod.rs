@@ -2,4 +2,4 @@
 
 pub mod tte;
 
-pub use tte::{Bound, FdObject, Thread, ThreadState, Tid, WaitObject};
+pub use tte::{Bound, FdObject, SavedRegs, Thread, ThreadState, Tid, WaitObject};

@@ -428,6 +428,78 @@ fn lazy_fp_resynthesis_on_first_fp_instruction() {
     assert!((v - 84.0).abs() < 1e-12, "FP math ran: {v}");
 }
 
+/// A double read from a `uses_fp` thread's FP save area in its TTE.
+fn parked_fp(k: &Kernel, tid: u32, reg: u32) -> f64 {
+    let at = k.threads[&tid].tte + synthesis_core::thread::tte::off::FP + 8 * reg;
+    let (hi, lo) = (k.m.mem.peek(at, L), k.m.mem.peek(at + 4, L));
+    f64::from_bits((u64::from(hi) << 32) | u64::from(lo))
+}
+
+/// Regression: `step` used to load and save the integer registers only,
+/// so an FP instruction stepped over ran on whatever the CPU's FP
+/// registers last held and its result was thrown away.
+#[test]
+fn stepping_a_stopped_fp_thread_runs_on_its_own_fp_registers() {
+    let mut k = boot();
+    // fp0 = 1.0, then count in fp1 forever.
+    let mut a = Asm::new("fpcounter");
+    a.fmove_load(Abs(UBUF), 0);
+    let top = a.here();
+    a.emit(quamachine::isa::Instr::FAdd(0, 1));
+    a.bcc(Cond::T, top);
+    let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
+    let bits = 1.0f64.to_bits();
+    k.m.mem.poke(UBUF, L, (bits >> 32) as u32);
+    k.m.mem.poke(UBUF + 4, L, bits as u32);
+    let tid = k.create_thread(entry, USTACK, user_map()).unwrap();
+    k.start(tid).unwrap();
+    k.run(2_000_000);
+    k.stop(tid).unwrap();
+    assert!(k.threads[&tid].uses_fp, "the first FP instruction ran");
+    let count = parked_fp(&k, tid, 1);
+    assert!(count > 0.0, "the thread counted before it was stopped");
+    // Another context's FP registers are on the CPU by now.
+    k.m.cpu.fp = [1e9; 8];
+    // One `fadd` and one branch, in whichever order the stop fell.
+    k.step_thread(tid).unwrap();
+    k.step_thread(tid).unwrap();
+    assert_eq!(parked_fp(&k, tid, 1), count + 1.0, "the sum is in the TTE");
+    assert_eq!(parked_fp(&k, tid, 0), 1.0, "the addend is untouched");
+    assert_eq!(k.m.cpu.fp, [1e9; 8], "the CPU's own context is restored");
+}
+
+/// Regression: the out-of-code-space reap in FP resynthesis left a log
+/// line and a gauge tick but, unlike every other reap, no trace record.
+#[test]
+fn fp_resynthesis_out_of_code_space_reaps_on_the_record() {
+    use synthesis_core::trace::{Kind, REC_REAP};
+    let mut k = boot();
+    let mut a = Asm::new("fpuser");
+    a.emit(quamachine::isa::Instr::FAdd(0, 0));
+    emit_exit(&mut a);
+    let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
+    let tid = k.create_thread(entry, USTACK, user_map()).unwrap();
+    k.start(tid).unwrap();
+    // No room left for the (larger) FP switch block.
+    exhaust(|n| k.creator.codebuf.alloc(n).is_ok());
+    assert_eq!(k.run(2_000_000), RunExit::CycleLimit, "the kernel runs on");
+    assert!(!k.threads.contains_key(&tid), "the thread was reaped");
+    assert_eq!(k.recovery.reaped.read(), 1);
+    assert!(
+        k.recovery_log
+            .iter()
+            .any(|(t, why)| *t == tid && why.starts_with("reaped")),
+        "the reap is in the recovery log"
+    );
+    assert!(
+        k.trace
+            .drain(tid)
+            .iter()
+            .any(|r| r.kind == Kind::Recovery && r.a == REC_REAP),
+        "the reap is in the thread's trace ring"
+    );
+}
+
 #[test]
 fn error_trap_default_handler_exits_thread() {
     let mut k = boot();

@@ -319,19 +319,9 @@ impl Asm {
         self.emit(Instr::MoveSr { to_sr: true, ea });
     }
 
-    /// `move sr,ea`.
-    pub fn move_from_sr(&mut self, ea: Operand) {
-        self.emit(Instr::MoveSr { to_sr: false, ea });
-    }
-
     /// `movec ea,vbr` (privileged).
     pub fn move_to_vbr(&mut self, ea: Operand) {
         self.emit(Instr::MoveVbr { to_vbr: true, ea });
-    }
-
-    /// `movec vbr,ea`.
-    pub fn move_from_vbr(&mut self, ea: Operand) {
-        self.emit(Instr::MoveVbr { to_vbr: false, ea });
     }
 
     /// `fmove.d ea,fpn` (load).

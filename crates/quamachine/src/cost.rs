@@ -75,12 +75,6 @@ impl CostModel {
     pub fn us_to_cycles(&self, us: f64) -> u64 {
         (us * self.clock_hz as f64 / 1_000_000.0).round() as u64
     }
-
-    /// Cycles in one simulated second.
-    #[must_use]
-    pub fn cycles_per_second(&self) -> u64 {
-        self.clock_hz
-    }
 }
 
 impl Default for CostModel {

@@ -153,13 +153,6 @@ impl Disk {
         self.data[off..off + bytes.len()].copy_from_slice(bytes);
     }
 
-    /// Host: read bytes directly from the platter.
-    #[must_use]
-    pub fn peek_image(&self, sector: u32, len: u32) -> Vec<u8> {
-        let off = (sector * SECTOR_SIZE) as usize;
-        self.data[off..off + len as usize].to_vec()
-    }
-
     fn latency_us(&self, target_sector: u32, count: u32) -> u64 {
         let target_track = target_sector / SECTORS_PER_TRACK;
         let delta = target_track.abs_diff(self.head_track);

@@ -409,12 +409,6 @@ impl FaultPlan {
         self.sick_cpus.insert(cpu);
     }
 
-    /// Host-side: heal a sick CPU (probation tests model a transient
-    /// hardware fault that clears before re-admission).
-    pub fn heal_cpu(&mut self, cpu: usize) {
-        self.sick_cpus.remove(&cpu);
-    }
-
     /// Whether `cpu` is currently sick.
     #[must_use]
     pub fn is_sick_cpu(&self, cpu: usize) -> bool {

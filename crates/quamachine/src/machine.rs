@@ -40,17 +40,6 @@ impl MachineConfig {
             cpus: 1,
         }
     }
-
-    /// Full-speed Quamachine: 50 MHz, no wait states, 2.5 MB.
-    #[must_use]
-    pub fn full_speed() -> MachineConfig {
-        MachineConfig {
-            mem_size: 2_621_440,
-            cost: CostModel::quamachine_full_speed(),
-            trace_capacity: 4096,
-            cpus: 1,
-        }
-    }
 }
 
 impl Default for MachineConfig {

@@ -134,8 +134,15 @@ pub fn installed_jmp(k: &Kernel, jmp_at: u32) -> u32 {
 ///   exactly when it holds no other; a quarantined CPU's holds nothing
 ///   else; a thread a CPU is executing off-chain leaves through a `jmp`
 ///   aimed at the head;
-/// - every `Ready` thread is on exactly one chain or in the steal pool,
-///   and no `Blocked`, `Stopped` or quarantined thread is on any;
+/// - every `Ready` thread is on exactly one chain, and no `Blocked` or
+///   `Stopped` thread is on any;
+/// - a quarantined thread is `Stopped`; a quarantined CPU's context names
+///   no thread (`vbr == 0`), no thread but its idle is homed on it, and
+///   device interrupts are not routed to it;
+/// - nothing outlives a thread: the VBR index and the switch-code extent
+///   index have exactly one entry per live thread, naming its `vt` and
+///   its `sw` block; every fault counter the machine keeps is keyed by a
+///   live thread's `vt`, and every `(tid, file)` channel by a live tid;
 /// - the wait lists name exactly the live `Blocked` threads, each once
 ///   under the object it is blocked on, and a pipe's or the tty's wait
 ///   flag is up exactly when its list is non-empty;
@@ -209,15 +216,53 @@ pub fn assert_chains_consistent(k: &Kernel) {
     }
     for (&tid, t) in &k.threads {
         let n = on_chain.get(&tid).copied().unwrap_or(0);
-        let runnable = t.state == ThreadState::Ready && !k.is_quarantined(tid);
-        let want = usize::from(runnable && !k.is_pooled(tid));
+        let want = usize::from(t.state == ThreadState::Ready);
+        assert_eq!(n, want, "tid {tid} ({:?}) is on {n} chain(s)", t.state);
+        if k.is_quarantined(tid) {
+            assert_eq!(
+                t.state,
+                ThreadState::Stopped,
+                "quarantined tid {tid} is not stopped"
+            );
+        }
+    }
+    for (c, cpu) in k.cpus.iter().enumerate().filter(|(_, cpu)| cpu.quarantined) {
+        let vbr = k.m.cpu_ref(c).vbr;
+        assert_eq!(vbr, 0, "quarantined cpu {c}'s context names a thread");
+        let homed = k.threads.values().filter(|t| t.cpu == c).map(|t| t.tid);
         assert_eq!(
-            n,
-            want,
-            "tid {tid} ({:?}, pooled {}, quarantined {}) is on {n} chain(s)",
-            t.state,
-            k.is_pooled(tid),
-            k.is_quarantined(tid)
+            homed.collect::<Vec<_>>(),
+            [cpu.idle_tid],
+            "threads homed on quarantined cpu {c}"
+        );
+        assert_ne!(k.m.irq.route(), c, "devices interrupt quarantined cpu {c}");
+    }
+
+    let by_vt: BTreeMap<u32, u32> = k.threads.values().map(|t| (t.vt, t.tid)).collect();
+    assert_eq!(
+        k.vbr_index().collect::<BTreeMap<_, _>>(),
+        by_vt,
+        "the VBR index and the live threads' vector tables"
+    );
+    let extents = k
+        .threads
+        .values()
+        .map(|t| (t.sw.base, t.sw.base + t.sw.size));
+    assert_eq!(
+        k.switch_extents().collect::<BTreeMap<_, _>>(),
+        extents.collect(),
+        "the switch-code extents and the live threads' switch blocks"
+    );
+    for vt in k.m.meter.error_faults.keys() {
+        assert!(
+            by_vt.contains_key(vt),
+            "fault count kept for dead vt {vt:#x}"
+        );
+    }
+    for (tid, fid) in k.file_chans.keys() {
+        assert!(
+            k.threads.contains_key(tid),
+            "file {fid}'s channel outlives tid {tid}"
         );
     }
 

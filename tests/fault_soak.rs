@@ -313,6 +313,16 @@ fn irq_chaos() -> FaultConfig {
 /// soaks: build a reader and a writer, wire a kernel pipe between them,
 /// run to the reader's exit, and check the payload arrived intact.
 fn pipe_run(k: &mut Kernel, seed: u64) {
+    pipe_run_sliced(k, seed, PIPE_RUN_CYCLES);
+}
+
+/// Cycle budget for the reader of [`pipe_run`] to exit in.
+const PIPE_RUN_CYCLES: u64 = 500_000_000;
+
+/// [`pipe_run`], `slice` cycles at a time, with the whole-state checkers
+/// between slices — so they see the kernel after every quarantine and
+/// resume, not only at the end.
+fn pipe_run_sliced(k: &mut Kernel, seed: u64, slice: u64) {
     let mut reader = Asm::new("reader");
     reader.move_i(L, 0, Dr(0)); // rfd = fd 0 in the reader thread
     reader.lea(Abs(UBUF + 0x100), 0);
@@ -340,10 +350,18 @@ fn pipe_run(k: &mut Kernel, seed: u64) {
     k.m.mem.poke_bytes(UBUF, b"pipesoak");
     k.start(rt).unwrap();
     k.start(wt).unwrap();
-    assert!(
-        k.run_until_exit(rt, 500_000_000),
-        "seed {seed}: the reader finishes under interrupt chaos"
-    );
+    let mut slices = PIPE_RUN_CYCLES / slice;
+    while !k.run_until_exit(rt, slice) {
+        slices -= 1;
+        assert!(
+            slices > 0,
+            "seed {seed}: the reader finishes under interrupt chaos"
+        );
+        common::assert_chains_consistent(k);
+        common::assert_code_consistent(k);
+    }
+    common::assert_chains_consistent(k);
+    common::assert_code_consistent(k);
     assert_eq!(k.m.mem.peek(UBUF2, Size::L), 8, "seed {seed}");
     assert_eq!(
         k.m.mem.peek_bytes(UBUF + 0x100, 8),
@@ -378,7 +396,7 @@ fn boot_smp(cpus: usize) -> Kernel {
 fn smp_chaos_scenario(slot: &mut Option<Kernel>, seed: u64, cpus: usize) -> Vec<FaultRecord> {
     let k = slot.insert(boot_smp(cpus));
     k.m.fault = FaultPlan::seeded(seed, FaultConfig::soak_smp(cpus));
-    pipe_run(k, seed);
+    pipe_run_sliced(k, seed, 100_000);
     k.m.fault.trace().to_vec()
 }
 
@@ -496,8 +514,10 @@ fn sick_cpu_is_quarantined_and_workload_completes() {
     for &t in &tids {
         k.start(t).unwrap();
     }
-    for _ in 0..40 {
-        k.run(5_000_000);
+    for _ in 0..400 {
+        k.run(500_000);
+        common::assert_chains_consistent(&k);
+        common::assert_code_consistent(&k);
         if tids.iter().all(|t| k.exited.contains(t)) {
             break;
         }
@@ -548,10 +568,12 @@ fn quarantined_thread_is_not_evacuated_onto_healthy_cpus() {
 
     k.quarantine(victim, "test: supervisor flagged it");
     assert!(k.is_quarantined(victim));
+    common::assert_chains_consistent(&k);
     assert!(
         k.quarantine_cpu(1, "test: evacuation drill"),
         "CPU 1 can be quarantined while CPU 0 is healthy"
     );
+    common::assert_chains_consistent(&k);
 
     // The innocent spinner moved to CPU 0; the quarantined one is on no
     // chain at all and stays that way.
@@ -796,10 +818,17 @@ fn sick_cpu_under_a_fused_program_finishes_on_the_survivors() {
     assert!(!emu.k.exited.contains(&tid), "sickened mid-transfer");
     assert_eq!(emu.k.threads[&tid].cpu, home, "nothing to steal it for");
     emu.k.m.fault.sicken_cpu(home);
-    assert!(
-        emu.run_until_exit(tid, 2_000_000_000),
-        "the fused transfer finishes on the healthy CPUs"
-    );
+    let mut slices = 0;
+    while !emu.run_until_exit(tid, 1_000_000) {
+        slices += 1;
+        assert!(
+            slices < 2_000,
+            "the fused transfer finishes on the healthy CPUs"
+        );
+        common::assert_chains_consistent(&emu.k);
+        common::assert_code_consistent(&emu.k);
+    }
+    common::assert_chains_consistent(&emu.k);
     fused_check(&emu, x, 0, &data);
     assert!(
         emu.k.is_cpu_quarantined(home),
@@ -867,11 +896,9 @@ fn wild_jump_scenario(slot: &mut Option<Kernel>, seed: u64) {
     }
 }
 
-/// A thread stuck re-faulting through its own (sabotaged) error handler
-/// is quarantined by the watchdog instead of monopolizing the CPU.
-#[test]
-fn fault_storm_thread_is_quarantined() {
-    let mut k = boot();
+/// Start a thread stuck re-faulting through its own (sabotaged) error
+/// handler.
+fn start_storm(k: &mut Kernel) -> u32 {
     let mut a = Asm::new("storm");
     a.move_(L, Abs(0x10), Dr(0)); // bus error, forever
     a.rte(); // "handler": return straight into the fault
@@ -883,6 +910,15 @@ fn fault_storm_thread_is_quarantined() {
     // default exit handler: fault -> rte -> fault, stack-neutral.
     k.set_vector(tid, 2, entry + stub).unwrap();
     k.start(tid).unwrap();
+    tid
+}
+
+/// A storming thread is quarantined by the watchdog instead of
+/// monopolizing the CPU.
+#[test]
+fn fault_storm_thread_is_quarantined() {
+    let mut k = boot();
+    let tid = start_storm(&mut k);
 
     assert_eq!(k.run(5_000_000), RunExit::CycleLimit);
     assert!(k.is_quarantined(tid), "the storm thread is quarantined");
@@ -899,4 +935,33 @@ fn fault_storm_thread_is_quarantined() {
     let t0 = k.m.now_us();
     assert_eq!(k.run(200_000), RunExit::CycleLimit);
     assert!(k.m.now_us() > t0, "the kernel survived the storm");
+}
+
+/// Regression: a thread's fault history ends with it. The machine counts
+/// error faults per vector-table address and the heap hands a destroyed
+/// thread's vector table to the next thread created, which used to be
+/// quarantined at its first sweep for the faults of its predecessor.
+#[test]
+fn a_recycled_vector_table_inherits_no_fault_count() {
+    let mut k = boot();
+    let storm = start_storm(&mut k);
+    assert_eq!(k.run(5_000_000), RunExit::CycleLimit);
+    assert!(k.is_quarantined(storm));
+    let vt = k.threads[&storm].vt;
+    k.destroy(storm).unwrap();
+
+    let mut a = Asm::new("innocent");
+    let top = a.here();
+    a.bcc(synthesis::machine::isa::Cond::T, top);
+    let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
+    let tid = k.create_thread(entry, USTACK, user_map()).unwrap();
+    k.start(tid).unwrap();
+    assert_eq!(
+        k.threads[&tid].vt, vt,
+        "premise: the vector table is reused"
+    );
+    assert_eq!(k.run(1_000_000), RunExit::CycleLimit);
+    assert!(!k.is_quarantined(tid), "{:?}", k.recovery_log);
+    assert_eq!(k.recovery_log.len(), 1, "{:?}", k.recovery_log);
+    common::assert_chains_consistent(&k);
 }

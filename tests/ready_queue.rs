@@ -5,9 +5,10 @@
 //!   link once — counted through `JumpChain::patch_count`, with the
 //!   links that actually changed read back from code memory.
 //! - **Churn.** A seeded random walk over everything that moves a
-//!   thread on or off a chain — start, stop, destroy, blocking on a pipe
-//!   and being woken through it, thread and CPU quarantine, work
-//!   stealing, a thread's first FP instruction — on 1, 2 and 4 CPUs with
+//!   thread on or off a chain — start, stop, destroy (half of them with
+//!   a signal just delivered), blocking on a pipe and being woken
+//!   through it, thread and CPU quarantine, work stealing, a thread's
+//!   first FP instruction — on 1, 2 and 4 CPUs with
 //!   threads under two address maps, holding
 //!   `common::assert_chains_consistent` after every step. The same walk
 //!   opens, closes, pipes, attaches and binds call sites on fds the
@@ -27,6 +28,7 @@ use rand::{Rng, SeedableRng};
 use synthesis::kernel::kernel::{Kernel, KernelConfig};
 use synthesis::kernel::layout;
 use synthesis::kernel::syscall::traps;
+use synthesis::kernel::thread::tte::off;
 use synthesis::kernel::thread::{ThreadState, Tid};
 
 const USTACK: u32 = layout::USER_BASE + 0x1_0000;
@@ -253,6 +255,14 @@ fn churn(k: &mut Kernel, seed: u64) -> (bool, bool) {
             70..=81 => k.stop(pick(&mut rng, &live)).unwrap(),
             82..=93 => {
                 let tid = live.swap_remove(rng.random_range(0..live.len()));
+                if roll >= 88 {
+                    // Destroyed with a delivered signal's saved registers
+                    // still waiting for a `SIG_RETURN`.
+                    let handler = k.threads[&tid].tte + off::SIG_HANDLER;
+                    k.m.mem.poke(handler, L, programs[0]);
+                    k.signal(tid, 1).unwrap();
+                    common::assert_chains_consistent(k);
+                }
                 k.destroy(tid).unwrap();
             }
             94..=96 => k.quarantine(pick(&mut rng, &live), "churn"),
