@@ -102,7 +102,7 @@ fn read_cycles(n: u32, generic: bool) -> u64 {
                 SynthesisOptions::full(),
             )
             .unwrap();
-        (s.entries["read"], s)
+        (s.entry("read").expect("rw_generic marks read"), s)
     } else {
         let s = c
             .synthesize(

@@ -14,23 +14,24 @@ use synthesis_core::monitor;
 use crate::static_cost;
 use crate::Row;
 
+/// Instruction indices of a thread's `sw_in_mmu` prologue, which the
+/// switch between two threads of one address map skips.
+fn mmu_prologue(k: &synthesis_core::Kernel, tid: u32) -> std::ops::Range<usize> {
+    let sw = &k.threads[&tid].sw;
+    let block = k.m.code.block(sw.base).expect("switch installed");
+    let idx_of = |mark| {
+        let addr = sw.entry(mark).expect("a switch entry");
+        block.index_at(addr - sw.base).expect("entry aligns")
+    };
+    idx_of("sw_in_mmu")..idx_of("sw_in")
+}
+
 /// Static µs of a thread's installed switch path (skipping the
 /// `sw_in_mmu` prologue), plus interrupt entry.
 fn switch_us(k: &synthesis_core::Kernel, tid: u32) -> f64 {
-    let t = &k.threads[&tid];
-    let block = k.m.code.block(t.sw.base).expect("switch installed");
-    let mmu_lo = t.sw.entries["sw_in_mmu"];
-    let mmu_hi = t.sw.entries["sw_in"];
-    // Convert entry addresses back to instruction indices.
-    let idx_of = |addr: u32| {
-        block
-            .offsets
-            .iter()
-            .position(|&o| t.sw.base + o == addr)
-            .expect("entry aligns")
-    };
-    let skip: Vec<usize> = (idx_of(mmu_lo)..idx_of(mmu_hi)).collect();
-    static_cost::block_us(&k.m, t.sw.base, &skip) + static_cost::irq_entry_us(&k.m.cost)
+    let skip: Vec<usize> = mmu_prologue(k, tid).collect();
+    static_cost::block_us(&k.m, k.threads[&tid].sw.base, &skip)
+        + static_cost::irq_entry_us(&k.m.cost)
 }
 
 /// Regenerate Table 4.
@@ -76,16 +77,7 @@ pub fn run() -> Vec<Row> {
         .filter(|(_, i)| matches!(i, quamachine::isa::Instr::Movem { .. }))
         .map(|(i, _)| i)
         .collect();
-    let mmu_lo = t.sw.entries["sw_in_mmu"];
-    let mmu_hi = t.sw.entries["sw_in"];
-    let idx_of = |addr: u32| {
-        block
-            .offsets
-            .iter()
-            .position(|&o| t.sw.base + o == addr)
-            .expect("aligned")
-    };
-    let mut skip: Vec<usize> = (idx_of(mmu_lo)..idx_of(mmu_hi)).collect();
+    let mut skip: Vec<usize> = mmu_prologue(&k, plain).collect();
     skip.extend(movem_idx);
     let partial = static_cost::block_us(&k.m, t.sw.base, &skip);
 

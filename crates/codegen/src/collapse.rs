@@ -162,7 +162,7 @@ fn collapse_depth(
     depth: usize,
 ) -> Result<Template, CollapseError> {
     if depth > 16 {
-        return Err(CollapseError::TooDeep(t.name.clone()));
+        return Err(CollapseError::TooDeep(t.name.to_string()));
     }
     let mut cur = t.clone();
     loop {

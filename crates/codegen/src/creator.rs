@@ -14,6 +14,7 @@
 //! repeat.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use quamachine::code::CodeBlock;
 use quamachine::machine::Machine;
@@ -23,7 +24,7 @@ use crate::collapse::CollapseError;
 use crate::factor::FactorError;
 use crate::plan::Plan;
 use crate::speccache::{Release, SpecCache, SpecKey};
-use crate::template::{Bindings, Template, TemplateLib};
+use crate::template::{Bindings, Slot, Template, TemplateLib};
 use crate::verify::{self, VerifyReport};
 
 /// Base cycles charged per synthesis (pipeline setup).
@@ -112,15 +113,19 @@ impl std::fmt::Display for SynthError {
 impl std::error::Error for SynthError {}
 
 /// A successfully synthesized, installed code object.
+///
+/// It owns only what varies per instantiation — where it sits and what
+/// it was charged; its entry table is the [`Plan`]'s, shared. Cloning one
+/// (a cache hit) or dropping one only adjusts a reference count.
 #[derive(Debug, Clone)]
 pub struct Synthesized {
     /// Base (and first-entry) address.
     pub base: u32,
     /// Encoded size in bytes.
     pub size: u32,
-    /// Entry-point addresses by mark name (the base is always entry
-    /// `""`... the base address itself; named marks resolve within).
-    pub entries: HashMap<String, u32>,
+    /// Entry points as `(mark, byte offset from base)`, sorted by mark;
+    /// read through [`Synthesized::entry`].
+    pub entries: Arc<[(String, u32)]>,
     /// Template instructions before optimization.
     pub instrs_in: usize,
     /// Instructions actually installed.
@@ -134,10 +139,13 @@ impl Synthesized {
     #[must_use]
     pub fn entry(&self, mark: &str) -> Option<u32> {
         if mark.is_empty() {
-            Some(self.base)
-        } else {
-            self.entries.get(mark).copied()
+            return Some(self.base);
         }
+        let i = self
+            .entries
+            .binary_search_by(|(m, _)| m.as_str().cmp(mark))
+            .ok()?;
+        Some(self.base + self.entries[i].1)
     }
 }
 
@@ -262,15 +270,11 @@ fn install(
     let size = offsets[instrs_out];
     let base = codebuf.alloc(size).map_err(SynthError::CodeBuf)?;
     let block = CodeBlock {
-        name: plan.name.clone(),
+        name: Arc::clone(&plan.name),
         instrs,
-        offsets: offsets.to_vec(),
+        offsets: Arc::clone(offsets),
     };
     m.load_block(base, block).map_err(SynthError::Install)?;
-    let entries = plan
-        .marks()
-        .map(|(mark, idx)| (mark.to_string(), base + offsets[idx]))
-        .collect();
 
     // Charge the modelled synthesis cost.
     let processed = instrs_in.max(instrs_out) as u64;
@@ -285,7 +289,7 @@ fn install(
     Ok(Synthesized {
         base,
         size,
-        entries,
+        entries: Arc::clone(plan.entries()),
         instrs_in,
         instrs_out,
         synth_cycles,
@@ -388,27 +392,43 @@ impl QuajectCreator {
         bindings: &Bindings,
         opts: SynthesisOptions,
     ) -> Result<Synthesized, SynthError> {
-        let t = self
-            .lib
-            .get(template_name)
-            .ok_or_else(|| SynthError::UnknownTemplate(template_name.to_string()))?;
+        let slot = self.slot(template_name)?;
+        self.synthesize_at(m, slot, bindings, opts)
+    }
+
+    /// The library slot of `template_name`.
+    fn slot(&self, template_name: &str) -> Result<Slot, SynthError> {
+        self.lib
+            .slot(template_name)
+            .ok_or_else(|| SynthError::UnknownTemplate(template_name.to_string()))
+    }
+
+    /// [`synthesize`](QuajectCreator::synthesize) with the template
+    /// already looked up.
+    fn synthesize_at(
+        &mut self,
+        m: &mut Machine,
+        slot: Slot,
+        bindings: &Bindings,
+        opts: SynthesisOptions,
+    ) -> Result<Synthesized, SynthError> {
         let value_of = hole_values(bindings, &self.linked, opts);
         let kept = self
             .lib
-            .plans(template_name)
+            .plans_at(slot)
             .iter()
             .find(|p| p.opts == opts && p.agrees(&value_of));
         let plan = match kept {
             Some(plan) => {
                 self.stats.plan_hits += 1;
                 #[cfg(debug_assertions)]
-                assert_plan_is_the_pipeline(plan, t, &self.lib, &value_of);
+                assert_plan_is_the_pipeline(plan, self.lib.template(slot), &self.lib, &value_of);
                 plan
             }
             None => {
-                let plan = Plan::compile(t, &self.lib, opts, &value_of)?;
+                let plan = Plan::compile(self.lib.template(slot), &self.lib, opts, &value_of)?;
                 self.stats.plans_compiled += 1;
-                self.lib.remember(template_name, plan)
+                self.lib.remember(slot, plan)
             }
         };
         install(&mut self.codebuf, &mut self.stats, m, plan, &value_of)
@@ -458,11 +478,8 @@ impl QuajectCreator {
         bindings: &Bindings,
         opts: SynthesisOptions,
     ) -> Result<Synthesized, SynthError> {
-        let t = self
-            .lib
-            .get(template_name)
-            .ok_or_else(|| SynthError::UnknownTemplate(template_name.to_string()))?;
-        let key = SpecKey::of(t, bindings, opts);
+        let slot = self.slot(template_name)?;
+        let key = SpecKey::of(self.lib.template(slot), bindings, opts);
         let cpu = m.active_cpu();
         if let Some((mut s, cross)) = self.cache.acquire_on(&key, cpu) {
             m.charge(CACHE_HIT_CYCLES);
@@ -483,7 +500,7 @@ impl QuajectCreator {
             });
             return Ok(s);
         }
-        let s = self.synthesize(m, template_name, bindings, opts)?;
+        let s = self.synthesize_at(m, slot, bindings, opts)?;
         self.stats.cache_misses += 1;
         self.cache.insert_on(key, s.clone(), cpu);
         self.cache_event(CacheEvent::Miss {

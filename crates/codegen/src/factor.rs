@@ -518,7 +518,7 @@ mod tests {
     /// differential oracle.
     fn folded(original: &[Instr]) -> Vec<Instr> {
         let t = Template {
-            name: "t".to_string(),
+            name: "t".into(),
             instrs: original.to_vec(),
             holes: Vec::new(),
             marks: HashMap::new(),

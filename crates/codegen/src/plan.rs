@@ -9,10 +9,18 @@
 //! [`Plan`] is that output (holes carried, marks, sizes) beside the log
 //! that justifies reusing it; [`Plan::instantiate`] fills the holes.
 //!
+//! What a plan computes once is shared, not copied, by everything made
+//! from it: an installed block's name and offsets and a [`Synthesized`]'s
+//! entry table are the plan's own `Arc`s (DESIGN.md §10).
+//!
 //! Plans live beside their template in the [`TemplateLib`], which drops
 //! all of them whenever a template is added (any plan may have inlined
 //! it), and are chosen in
 //! [`QuajectCreator::synthesize`](crate::creator::QuajectCreator::synthesize).
+//!
+//! [`Synthesized`]: crate::creator::Synthesized
+
+use std::sync::Arc;
 
 use quamachine::isa::{encode, HoleId, Instr, Operand};
 
@@ -89,7 +97,7 @@ fn resolve(
 #[derive(Debug, Clone)]
 pub struct Plan {
     /// The template's name.
-    pub name: String,
+    pub name: Arc<str>,
     /// The stages that produced it.
     pub opts: SynthesisOptions,
     /// Template instructions before optimization.
@@ -102,9 +110,11 @@ pub struct Plan {
     /// The optimized stream, carried holes still in place.
     instrs: Vec<Instr>,
     /// Byte offset of each instruction, plus the total size.
-    offsets: Vec<u32>,
+    offsets: Arc<[u32]>,
     /// Entry points: name → instruction index, sorted by name.
     marks: Vec<(String, usize)>,
+    /// The same entry points as byte offsets, sorted by name.
+    entries: Arc<[(String, u32)]>,
     /// Every `(hole, value)` a pass computed with.
     log: Vec<(HoleId, u32)>,
 }
@@ -151,15 +161,22 @@ impl Plan {
         }
         let mut marks: Vec<(String, usize)> = marks.into_iter().collect();
         marks.sort();
+        let offsets: Arc<[u32]> = encode::offsets(&instrs).into();
+        // A mark past the end has no offset; verify reports it at install.
+        let entries = marks
+            .iter()
+            .filter_map(|(mark, idx)| Some((mark.clone(), *offsets.get(*idx)?)))
+            .collect();
         Ok(Plan {
             name: t.name.clone(),
             opts,
             instrs_in: t.instrs.len(),
             holes: work.holes.clone(),
             used,
-            offsets: encode::offsets(&instrs),
+            offsets,
             instrs,
             marks,
+            entries,
             log: r.into_log(),
         })
     }
@@ -201,8 +218,14 @@ impl Plan {
 
     /// Byte offset of each instruction, plus the total size at the end.
     #[must_use]
-    pub fn offsets(&self) -> &[u32] {
+    pub fn offsets(&self) -> &Arc<[u32]> {
         &self.offsets
+    }
+
+    /// Entry points as `(name, byte offset)`, sorted by name.
+    #[must_use]
+    pub fn entries(&self) -> &Arc<[(String, u32)]> {
+        &self.entries
     }
 
     /// Entry points as `(name, instruction index)`, sorted by name.

@@ -23,7 +23,9 @@
 //! longest. Referenced entries are never trimmed — the budget governs
 //! only refcount-zero residue.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use crate::creator::{SynthesisOptions, Synthesized};
 use crate::template::{Bindings, Template};
@@ -34,85 +36,40 @@ use crate::template::{Bindings, Template};
 /// different specializations can never collide into one cache entry.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SpecKey {
-    /// Template name.
-    pub template: String,
+    /// The template, by its shared name.
+    pub template: Arc<str>,
     /// The values bound to the template's own holes, in declaration
     /// order (`None` = unbound) — the specialization's invariants, with
-    /// no name cloned. Empty when the key was built from names alone
-    /// ([`SpecKey::new`]).
+    /// no name cloned.
     holes: Vec<Option<u32>>,
-    /// The remaining bindings, sorted by hole name: all of them for
-    /// [`SpecKey::new`], those naming no hole of the template (a
-    /// collapsed callee's, usually none) for [`SpecKey::of`].
-    pub bindings: Vec<(String, u32)>,
+    /// The bindings naming no hole of the template (a collapsed
+    /// callee's, usually none), sorted by name.
+    pub bindings: Vec<(Cow<'static, str>, u32)>,
     /// The synthesis switchboard in effect (different ablation settings
     /// produce different code from the same template and bindings).
     pub opts: SynthesisOptions,
 }
 
 impl SpecKey {
-    /// Build the key for `template` specialized with `bindings` under
-    /// `opts`, from names alone.
-    #[must_use]
-    pub fn new(template: &str, bindings: &Bindings, opts: SynthesisOptions) -> SpecKey {
-        SpecKey {
-            template: template.to_string(),
-            holes: Vec::new(),
-            bindings: bindings.sorted_pairs(),
-            opts,
-        }
-    }
-
-    /// The key for template `t` specialized with `bindings` under `opts`:
-    /// two such keys are equal exactly when the [`SpecKey::new`] keys of
-    /// the same requests are, but building one clones a name only for a
-    /// binding that names no hole of `t`.
+    /// The key for template `t` specialized with `bindings` under `opts`.
+    /// Two keys are equal exactly when their requests bind the same names
+    /// to the same values under the same options, in whatever order they
+    /// were bound; building one copies a name only for a binding that
+    /// names no hole of `t` and was not a literal.
     #[must_use]
     pub fn of(t: &Template, bindings: &Bindings, opts: SynthesisOptions) -> SpecKey {
         let holes: Vec<Option<u32>> = t.holes.iter().map(|h| bindings.get(h)).collect();
         let mut rest = Vec::new();
         if holes.iter().flatten().count() != bindings.len() {
             rest = bindings.sorted_pairs();
-            rest.retain(|(name, _)| !t.holes.contains(name));
+            rest.retain(|(name, _)| !t.holes.iter().any(|h| h == name));
         }
         SpecKey {
-            template: t.name.clone(),
+            template: Arc::clone(&t.name),
             holes,
             bindings: rest,
             opts,
         }
-    }
-
-    /// A stable 64-bit fingerprint of the key (FNV-1a over the fields) —
-    /// for diagnostics and size reports; equality always uses the full
-    /// key.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        eat(self.template.as_bytes());
-        eat(&[0]);
-        for val in &self.holes {
-            eat(&[u8::from(val.is_some())]);
-            eat(&val.unwrap_or(0).to_le_bytes());
-        }
-        for (name, val) in &self.bindings {
-            eat(name.as_bytes());
-            eat(&val.to_le_bytes());
-        }
-        eat(&[
-            u8::from(self.opts.collapse),
-            u8::from(self.opts.fold),
-            u8::from(self.opts.peephole),
-        ]);
-        h
     }
 }
 
@@ -168,8 +125,9 @@ pub struct SpecCache {
     budget: u32,
     /// Bytes currently held by warm entries.
     warm_bytes: u64,
-    /// LRU order over warm entries: release stamp → installed base.
-    warm: BTreeMap<u64, u32>,
+    /// LRU order over warm entries: release stamp → (installed base,
+    /// `synth_cycles`) — everything the trim window reads.
+    warm: BTreeMap<u64, (u32, u64)>,
     /// Monotonic release stamp source.
     tick: u64,
 }
@@ -241,7 +199,7 @@ impl SpecCache {
         let stamp = self.tick;
         e.stamp = stamp;
         let size = e.code.size;
-        self.warm.insert(stamp, base);
+        self.warm.insert(stamp, (base, e.code.synth_cycles));
         self.warm_bytes += u64::from(size);
         Release::Retained {
             trimmed: self.trim_to_budget(),
@@ -250,8 +208,8 @@ impl SpecCache {
 
     /// Evict warm entries until `warm_bytes <= budget`, cost-aware LRU:
     /// among the [`TRIM_WINDOW`] oldest warm entries, the one cheapest to
-    /// resynthesize goes first (ties fall to the oldest). Returns the
-    /// evicted blocks for the caller to unload.
+    /// resynthesize goes first (ties fall to the oldest). Only the victim
+    /// is looked up. Returns the evicted blocks for the caller to unload.
     fn trim_to_budget(&mut self) -> Vec<Synthesized> {
         let mut out = Vec::new();
         while self.warm_bytes > u64::from(self.budget) {
@@ -259,11 +217,8 @@ impl SpecCache {
                 .warm
                 .iter()
                 .take(TRIM_WINDOW)
-                .min_by_key(|(stamp, base)| {
-                    let key = &self.by_base[base];
-                    (self.entries[key].code.synth_cycles, **stamp)
-                })
-                .map(|(stamp, base)| (*stamp, *base));
+                .min_by_key(|&(&stamp, &(_, cycles))| (cycles, stamp))
+                .map(|(&stamp, &(base, _))| (stamp, base));
             let Some((stamp, base)) = victim else {
                 break;
             };
@@ -299,7 +254,7 @@ impl SpecCache {
     pub fn warm_blocks(&self) -> impl Iterator<Item = &Synthesized> + '_ {
         self.warm
             .values()
-            .map(|base| &self.entries[&self.by_base[base]].code)
+            .map(|(base, _)| &self.entries[&self.by_base[base]].code)
     }
 
     /// Evict every warm entry regardless of budget; the caller must
@@ -308,7 +263,7 @@ impl SpecCache {
         let mut out = Vec::new();
         let stamps: Vec<u64> = self.warm.keys().copied().collect();
         for stamp in stamps {
-            let base = self.warm.remove(&stamp).expect("listed");
+            let (base, _) = self.warm.remove(&stamp).expect("listed");
             let key = self.by_base.remove(&base).expect("warm entry indexed");
             let e = self.entries.remove(&key).expect("warm entry present");
             self.warm_bytes -= u64::from(e.code.size);
@@ -393,23 +348,33 @@ impl SpecCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap as Map;
+    use quamachine::asm::Asm;
+    use quamachine::isa::Size::L;
 
-    fn synth(base: u32, size: u32) -> Synthesized {
+    fn synth(base: u32, size: u32, synth_cycles: u64) -> Synthesized {
         Synthesized {
             base,
             size,
-            entries: Map::new(),
+            entries: Arc::default(),
             instrs_in: 1,
             instrs_out: 1,
-            synth_cycles: 0,
+            synth_cycles,
         }
     }
 
-    fn key(template: &str, v: u32) -> SpecKey {
-        SpecKey::new(
-            template,
-            &Bindings::new().with("x", v),
+    /// A template with two holes, `a` and `b`.
+    fn two_holes() -> Template {
+        let mut asm = Asm::new("t");
+        let (a, b) = (asm.imm_hole("a"), asm.abs_hole("b"));
+        asm.move_(L, a, b);
+        asm.rts();
+        Template::from_asm(asm).unwrap()
+    }
+
+    fn key(v: u32) -> SpecKey {
+        SpecKey::of(
+            &two_holes(),
+            &Bindings::new().with("a", v).with("b", 0x100),
             SynthesisOptions::full(),
         )
     }
@@ -417,9 +382,9 @@ mod tests {
     #[test]
     fn acquire_release_lifecycle() {
         let mut c = SpecCache::new();
-        assert!(c.acquire(&key("t", 1)).is_none());
-        c.insert(key("t", 1), synth(0x100, 8));
-        let hit = c.acquire(&key("t", 1)).expect("hit");
+        assert!(c.acquire(&key(1)).is_none());
+        c.insert(key(1), synth(0x100, 8, 0));
+        let hit = c.acquire(&key(1)).expect("hit");
         assert_eq!(hit.base, 0x100);
         assert_eq!(c.refs(0x100), Some(2));
         assert_eq!(c.shared_bytes(), 8);
@@ -441,18 +406,18 @@ mod tests {
     #[test]
     fn cross_cpu_hits_promote_to_the_shared_tier() {
         let mut c = SpecCache::new();
-        c.insert_on(key("t", 1), synth(0x100, 8), 0);
-        c.insert_on(key("t", 2), synth(0x200, 16), 1);
+        c.insert_on(key(1), synth(0x100, 8, 0), 0);
+        c.insert_on(key(2), synth(0x200, 16, 0), 1);
         // All entries start in their home CPU's local tier.
         assert_eq!(c.shared_tier_bytes(), 0);
         assert_eq!(c.local_tier_bytes(0), 8);
         assert_eq!(c.local_tier_bytes(1), 16);
         // A same-CPU hit is not cross and changes no tier.
-        let (_, cross) = c.acquire_on(&key("t", 1), 0).expect("hit");
+        let (_, cross) = c.acquire_on(&key(1), 0).expect("hit");
         assert!(!cross);
         assert_eq!(c.shared_tier_bytes(), 0);
         // A hit from another CPU is cross and promotes the entry.
-        let (_, cross) = c.acquire_on(&key("t", 1), 1).expect("hit");
+        let (_, cross) = c.acquire_on(&key(1), 1).expect("hit");
         assert!(cross);
         assert_eq!(c.shared_tier_bytes(), 8);
         assert_eq!(c.local_tier_bytes(0), 0);
@@ -462,33 +427,74 @@ mod tests {
     #[test]
     fn distinct_bindings_are_distinct_entries() {
         let mut c = SpecCache::new();
-        c.insert(key("t", 1), synth(0x100, 8));
-        c.insert(key("t", 2), synth(0x200, 8));
+        c.insert(key(1), synth(0x100, 8, 0));
+        c.insert(key(2), synth(0x200, 8, 0));
         assert_eq!(c.len(), 2);
-        assert!(c.acquire(&key("t", 3)).is_none());
-        assert_ne!(key("t", 1).fingerprint(), key("t", 2).fingerprint());
+        assert!(c.acquire(&key(3)).is_none());
+        // An unbound hole is a value of its own.
+        let unbound = SpecKey::of(
+            &two_holes(),
+            &Bindings::new().with("a", 1),
+            SynthesisOptions::full(),
+        );
+        assert!(c.acquire(&unbound).is_none());
     }
 
     #[test]
     fn key_is_binding_order_independent() {
-        let a = SpecKey::new(
-            "t",
-            &Bindings::new().with("a", 1).with("b", 2),
+        // `c` names no hole of the template: it is kept by name.
+        let a = SpecKey::of(
+            &two_holes(),
+            &Bindings::new().with("a", 1).with("b", 2).with("c", 3),
             SynthesisOptions::full(),
         );
-        let b = SpecKey::new(
-            "t",
-            &Bindings::new().with("b", 2).with("a", 1),
+        let b = SpecKey::of(
+            &two_holes(),
+            &Bindings::new().with("c", 3).with("b", 2).with("a", 1),
             SynthesisOptions::full(),
         );
         assert_eq!(a, b);
-        assert_eq!(a.fingerprint(), b.fingerprint());
+        let without_c = SpecKey::of(
+            &two_holes(),
+            &Bindings::new().with("a", 1).with("b", 2),
+            SynthesisOptions::full(),
+        );
+        assert_ne!(a, without_c, "the extra binding is part of the key");
     }
 
     #[test]
     fn options_are_part_of_the_key() {
-        let full = SpecKey::new("t", &Bindings::new(), SynthesisOptions::full());
-        let none = SpecKey::new("t", &Bindings::new(), SynthesisOptions::none());
+        let b = Bindings::new().with("a", 1).with("b", 2);
+        let full = SpecKey::of(&two_holes(), &b, SynthesisOptions::full());
+        let none = SpecKey::of(&two_holes(), &b, SynthesisOptions::none());
         assert_ne!(full, none);
+    }
+
+    #[test]
+    fn the_trim_takes_the_cheapest_of_the_oldest_window() {
+        // Released oldest first; the first eight are the window. Two of
+        // them tie at the cheapest, and the ninth and tenth are cheaper
+        // still.
+        let cycles = [50, 30, 40, 30, 60, 70, 80, 90, 10, 5];
+        let mut c = SpecCache::new();
+        assert!(c.set_budget(u32::MAX).is_empty());
+        for (i, &cy) in (0u32..).zip(&cycles) {
+            c.insert(key(i), synth(0x100 * (i + 1), 8, cy));
+        }
+        for i in 0..10 {
+            assert!(matches!(
+                c.release(0x100 * (i + 1)),
+                Release::Retained { trimmed } if trimmed.is_empty()
+            ));
+        }
+        let bases = |v: Vec<Synthesized>| v.iter().map(|s| s.base).collect::<Vec<_>>();
+        // One block over: the older of the two 30s, not the 10 or the 5.
+        assert_eq!(bases(c.set_budget(8 * 9)), [0x200]);
+        // The window slides one entry per eviction: the 10, then the 5,
+        // then the other 30.
+        assert_eq!(bases(c.set_budget(8 * 8)), [0x900]);
+        assert_eq!(bases(c.set_budget(8 * 7)), [0xA00]);
+        assert_eq!(bases(c.set_budget(8 * 6)), [0x400]);
+        assert_eq!(c.warm_bytes(), 8 * 6);
     }
 }

@@ -5,7 +5,9 @@
 //! "1000 lines for the templates used in code synthesis (e.g., queues,
 //! threads, files)" (Section 6.4).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use quamachine::asm::{Asm, AsmError};
 use quamachine::isa::{encode, HoleId, Instr, Operand};
@@ -15,8 +17,9 @@ use crate::plan::Plan;
 /// A named, parameterized code fragment.
 #[derive(Debug, Clone)]
 pub struct Template {
-    /// Template name (diagnostics, and the key in a [`TemplateLib`]).
-    pub name: String,
+    /// Template name (diagnostics, and the key in a [`TemplateLib`]),
+    /// shared with every plan, key and block made from the template.
+    pub name: Arc<str>,
     /// The instructions, with intra-block branches resolved to indices.
     pub instrs: Vec<Instr>,
     /// Hole names, indexed by [`HoleId`].
@@ -107,7 +110,7 @@ impl Template {
     #[must_use]
     pub fn returning_variant(&self) -> Template {
         let mut t = self.clone();
-        t.name = format!("{}~rts", self.name);
+        t.name = format!("{}~rts", self.name).into();
         for i in &mut t.instrs {
             if matches!(i, Instr::Rte) {
                 *i = Instr::Rts;
@@ -133,10 +136,11 @@ impl Template {
 ///
 /// A template has a handful of holes, so the pairs sit in a vector and a
 /// lookup compares names: cheaper to build and to search than a hash
-/// table at this size.
+/// table at this size. A name written as a literal is borrowed, not
+/// copied, so binding one allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct Bindings {
-    pairs: Vec<(String, u32)>,
+    pairs: Vec<(Cow<'static, str>, u32)>,
 }
 
 impl Bindings {
@@ -147,7 +151,7 @@ impl Bindings {
     }
 
     /// Bind `name` to `value` (replacing any previous binding).
-    pub fn bind(&mut self, name: impl Into<String>, value: u32) -> &mut Self {
+    pub fn bind(&mut self, name: impl Into<Cow<'static, str>>, value: u32) -> &mut Self {
         let name = name.into();
         match self.pairs.iter_mut().find(|(n, _)| *n == name) {
             Some(pair) => pair.1 = value,
@@ -158,7 +162,7 @@ impl Bindings {
 
     /// Builder-style bind.
     #[must_use]
-    pub fn with(mut self, name: impl Into<String>, value: u32) -> Self {
+    pub fn with(mut self, name: impl Into<Cow<'static, str>>, value: u32) -> Self {
         self.bind(name, value);
         self
     }
@@ -184,10 +188,24 @@ impl Bindings {
     /// The bindings as `(name, value)` pairs sorted by name — the
     /// canonical form used by the specialization cache key.
     #[must_use]
-    pub fn sorted_pairs(&self) -> Vec<(String, u32)> {
+    pub fn sorted_pairs(&self) -> Vec<(Cow<'static, str>, u32)> {
         let mut v = self.pairs.clone();
         v.sort();
         v
+    }
+}
+
+/// Bind each pair in turn; the vector is sized once from the iterator.
+impl<N: Into<Cow<'static, str>>> FromIterator<(N, u32)> for Bindings {
+    fn from_iter<I: IntoIterator<Item = (N, u32)>>(pairs: I) -> Bindings {
+        let pairs = pairs.into_iter();
+        let mut b = Bindings {
+            pairs: Vec::with_capacity(pairs.size_hint().0),
+        };
+        for (name, value) in pairs {
+            b.bind(name, value);
+        }
+        b
     }
 }
 
@@ -206,11 +224,19 @@ struct Entry {
     plans: Vec<Plan>,
 }
 
+/// Where a template sits in its [`TemplateLib`]: found by one name
+/// lookup, then good for the template and its plans without another.
+/// Stable for the life of the library (replacing a template keeps its
+/// slot).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Slot(usize);
+
 /// A library of templates, keyed by name (used by Collapsing Layers to
 /// find callees), each with its compiled [`Plan`]s.
 #[derive(Debug, Default)]
 pub struct TemplateLib {
-    map: HashMap<String, Entry>,
+    slots: HashMap<Arc<str>, Slot>,
+    entries: Vec<Entry>,
 }
 
 impl TemplateLib {
@@ -224,56 +250,76 @@ impl TemplateLib {
     /// Drops every plan in the library: any of them may have inlined the
     /// template this one replaces.
     pub fn add(&mut self, t: Template) {
-        for e in self.map.values_mut() {
+        for e in &mut self.entries {
             e.plans.clear();
         }
-        self.map.insert(
-            t.name.clone(),
-            Entry {
-                template: t,
-                plans: Vec::new(),
-            },
-        );
+        let entry = Entry {
+            template: t,
+            plans: Vec::new(),
+        };
+        match self.slots.get(&entry.template.name) {
+            Some(&Slot(i)) => self.entries[i] = entry,
+            None => {
+                let slot = Slot(self.entries.len());
+                self.slots.insert(entry.template.name.clone(), slot);
+                self.entries.push(entry);
+            }
+        }
+    }
+
+    /// The slot of template `name`: the one hash lookup a synthesis
+    /// makes.
+    #[must_use]
+    pub(crate) fn slot(&self, name: &str) -> Option<Slot> {
+        self.slots.get(name).copied()
+    }
+
+    /// The template in `slot`.
+    #[must_use]
+    pub(crate) fn template(&self, slot: Slot) -> &Template {
+        &self.entries[slot.0].template
     }
 
     /// Look up a template.
     #[must_use]
     pub fn get(&self, name: &str) -> Option<&Template> {
-        self.map.get(name).map(|e| &e.template)
+        self.slot(name).map(|s| self.template(s))
     }
 
     /// Every template, in no particular order.
     pub fn templates(&self) -> impl Iterator<Item = &Template> + '_ {
-        self.map.values().map(|e| &e.template)
+        self.entries.iter().map(|e| &e.template)
     }
 
     /// The plans compiled from template `name`, oldest first.
     #[must_use]
     pub fn plans(&self, name: &str) -> &[Plan] {
-        self.map.get(name).map_or(&[], |e| &e.plans)
+        self.slot(name).map_or(&[], |s| self.plans_at(s))
+    }
+
+    /// The plans compiled from the template in `slot`, oldest first.
+    #[must_use]
+    pub(crate) fn plans_at(&self, slot: Slot) -> &[Plan] {
+        &self.entries[slot.0].plans
     }
 
     /// Every template that has plans, with them, sorted by name.
     #[must_use]
     pub fn planned(&self) -> Vec<(&str, &[Plan])> {
         let mut v: Vec<(&str, &[Plan])> = self
-            .map
+            .entries
             .iter()
-            .filter(|(_, e)| !e.plans.is_empty())
-            .map(|(name, e)| (name.as_str(), e.plans.as_slice()))
+            .filter(|e| !e.plans.is_empty())
+            .map(|e| (&*e.template.name, e.plans.as_slice()))
             .collect();
         v.sort_by_key(|&(name, _)| name);
         v
     }
 
-    /// Keep `plan` beside template `name` (which must be in the
-    /// library), pushing out the oldest plan past [`PLAN_CAP`].
-    pub(crate) fn remember(&mut self, name: &str, plan: Plan) -> &Plan {
-        let plans = &mut self
-            .map
-            .get_mut(name)
-            .expect("plans are compiled from library templates")
-            .plans;
+    /// Keep `plan` beside the template in `slot`, pushing out the oldest
+    /// plan past [`PLAN_CAP`].
+    pub(crate) fn remember(&mut self, slot: Slot, plan: Plan) -> &Plan {
+        let plans = &mut self.entries[slot.0].plans;
         if plans.len() == PLAN_CAP {
             plans.remove(0);
         }
@@ -284,13 +330,13 @@ impl TemplateLib {
     /// Number of templates.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.entries.len()
     }
 
     /// Whether the library is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.entries.is_empty()
     }
 }
 
@@ -307,7 +353,7 @@ mod tests {
         a.move_(L, h, Dr(0));
         a.rts();
         let t = Template::from_asm(a).unwrap();
-        assert_eq!(t.name, "t");
+        assert_eq!(&*t.name, "t");
         assert_eq!(t.holes, vec!["x"]);
         assert_eq!(t.marks["start"], 0);
         assert_eq!(t.hole_id("x"), Some(0));
@@ -329,7 +375,7 @@ mod tests {
             marks: std::collections::HashMap::from([("mid".into(), 1)]),
         };
         let v = t.returning_variant();
-        assert_eq!(v.name, "body~rts");
+        assert_eq!(&*v.name, "body~rts");
         assert_eq!(v.instrs[1], Instr::Rts);
         assert_eq!(v.instrs[2], Instr::Rts);
         assert_eq!(v.instrs[0], t.instrs[0], "branches untouched");

@@ -10,6 +10,7 @@
 //! produces through the public stage functions.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use quamachine::asm::Asm;
 use quamachine::devices::DEV_BASE;
@@ -60,7 +61,8 @@ fn substitute_first(
 
 /// Synthesize through the creator and require the installed block to be
 /// the reference's, instruction for instruction, with the same entries
-/// and size; then free it.
+/// and size — its name, offsets and entry table shared with a kept plan,
+/// not copied; then free it.
 fn assert_installs_the_reference(
     c: &mut QuajectCreator,
     m: &mut Machine,
@@ -72,15 +74,28 @@ fn assert_installs_the_reference(
     let s = c
         .synthesize(m, name, b, opts)
         .unwrap_or_else(|e| panic!("{name} {opts:?} {b:?}: {e}"));
-    let got = &m.code.block(s.base).unwrap().instrs;
-    assert_eq!(got, &want, "{name} {opts:?} {b:?}");
+    let block = m.code.block(s.base).unwrap();
+    assert_eq!(block.instrs, want, "{name} {opts:?} {b:?}");
     let offsets = encode::offsets(&want);
     assert_eq!(s.size, offsets[want.len()], "{name}: size");
-    let entries: HashMap<String, u32> = marks
+    let mut entries: Vec<(String, u32)> = marks
         .into_iter()
-        .map(|(mark, idx)| (mark, s.base + offsets[idx]))
+        .map(|(mark, idx)| (mark, offsets[idx]))
         .collect();
-    assert_eq!(s.entries, entries, "{name}: entries");
+    entries.sort();
+    assert_eq!(*s.entries, *entries, "{name}: entries");
+    for (mark, off) in &entries {
+        assert_eq!(s.entry(mark), Some(s.base + off), "{name}: entry {mark}");
+    }
+    assert!(
+        c.lib
+            .plans(name)
+            .iter()
+            .any(|p| Arc::ptr_eq(&p.name, &block.name)
+                && Arc::ptr_eq(p.offsets(), &block.offsets)
+                && Arc::ptr_eq(p.entries(), &s.entries)),
+        "{name}: the block shares its plan's name, offsets and entries"
+    );
     c.destroy(m, &s);
 }
 
@@ -114,7 +129,7 @@ fn every_kernel_template_installs_what_substitute_first_produces() {
     let mut m = machine();
     let mut c = creator();
     synthesis_core::templates::install_all(&mut c.lib);
-    let mut names: Vec<String> = c.lib.templates().map(|t| t.name.clone()).collect();
+    let mut names: Vec<String> = c.lib.templates().map(|t| t.name.to_string()).collect();
     names.sort();
     assert!(names.len() >= 41);
     let switches = [false, true];

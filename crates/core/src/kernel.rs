@@ -45,7 +45,7 @@ use crate::layout;
 use crate::syscall::{errno, general, kcalls};
 use crate::templates;
 use crate::thread::tte::{off, FdObject};
-use crate::thread::{Thread, ThreadState, Tid, WaitObject};
+use crate::thread::{Thread, ThreadState, Tid, TidSet, WaitObject};
 
 mod chan;
 mod kcall;
@@ -280,7 +280,7 @@ pub struct Kernel {
     /// Console output collected from `PUTC`.
     pub console: Vec<u8>,
     /// Threads that have exited.
-    pub exited: std::collections::HashSet<Tid>,
+    pub exited: TidSet,
     /// The kernel-owned disk scheduler: request queue, retry/backoff, and
     /// sector quarantine (Section 5.1's pipeline stage, made persistent).
     pub disk_sched: DiskScheduler,
@@ -456,7 +456,7 @@ impl Kernel {
             opts,
             default_quantum_us: cfg.default_quantum_us,
             console: Vec::new(),
-            exited: std::collections::HashSet::new(),
+            exited: TidSet::new(),
             disk_sched: DiskScheduler::new(disk),
             recovery: RecoveryGauges::default(),
             recovery_log: Vec::new(),
@@ -637,9 +637,7 @@ impl Kernel {
         let (tte, vt) = (blocks[0], blocks[1]);
 
         // TTE fill (the paper's ~100 µs for ~1 KB).
-        for a in (tte..tte + layout::TTE_LEN).step_by(4) {
-            self.m.mem.poke(a, Size::L, 0);
-        }
+        self.m.mem.fill(tte, layout::TTE_LEN, 0);
         let c = charges::mem_init(&self.m.cost, layout::TTE_LEN);
         self.m.charge(c);
 
@@ -647,10 +645,11 @@ impl Kernel {
         // the trap dispatchers and the error handler.
         let quantum = self.default_quantum_us;
         code.push(self.synth_switch(tid, tte, vt, quantum, false)?);
-        let fdtable = Bindings::new().with("fdtable", tte + off::FD_TABLE);
-        let error = Bindings::new()
-            .with("err_pc_slot", tte + off::ERR_PC)
-            .with("handler", self.shared.user_exit_stub);
+        let fdtable = Bindings::from_iter([("fdtable", tte + off::FD_TABLE)]);
+        let error = Bindings::from_iter([
+            ("err_pc_slot", tte + off::ERR_PC),
+            ("handler", self.shared.user_exit_stub),
+        ]);
         for (name, b) in [
             ("dispatch_trap1", &fdtable),
             ("dispatch_trap2", &fdtable),
@@ -685,43 +684,47 @@ impl Kernel {
         quantum: u32,
         fp: bool,
     ) -> Result<Synthesized, KernelError> {
-        let mut b = Bindings::new();
-        b.bind("save", tte + off::REGS)
-            .bind("usp_slot", tte + off::USP)
-            .bind("ssp_slot", tte + off::SSP)
-            .bind("vt", vt)
-            .bind("quantum", quantum)
-            .bind(
+        let timer = self.dev.timer;
+        let b: Bindings = [
+            ("save", tte + off::REGS),
+            ("usp_slot", tte + off::USP),
+            ("ssp_slot", tte + off::SSP),
+            ("vt", vt),
+            ("quantum", quantum),
+            (
                 "timer_qreg",
-                dev_reg_addr(self.dev.timer, timer_regs::REG_QUANTUM_US),
-            )
-            .bind(
-                "timer_ack",
-                dev_reg_addr(self.dev.timer, timer_regs::REG_ACK),
-            )
-            .bind("tid", tid)
-            .bind("next", 0);
-        if fp {
-            b.bind("fp_save", tte + off::FP);
-        }
+                dev_reg_addr(timer, timer_regs::REG_QUANTUM_US),
+            ),
+            ("timer_ack", dev_reg_addr(timer, timer_regs::REG_ACK)),
+            ("tid", tid),
+            ("next", 0),
+        ]
+        .into_iter()
+        .chain(fp.then_some(("fp_save", tte + off::FP)))
+        .collect();
         let name = if fp { "sw_fp" } else { "sw_basic" };
         Ok(self.creator.synthesize(&mut self.m, name, &b, self.opts)?)
     }
 
-    /// Locate the switch code's entries and its patchable jump.
+    /// The switch code's entries and its patchable jump, all marks of
+    /// the switch templates: `(sw_out, ipi_in, sw_in, sw_in_mmu, chain)`.
     fn switch_entries(m: &Machine, sw: &Synthesized) -> (u32, u32, u32, u32, u32) {
-        let sw_out = sw.entries.get("sw_out").copied().unwrap_or(sw.base);
-        let ipi_in = sw.entries.get("ipi_in").copied().unwrap_or(sw_out);
-        let sw_in = sw.entries["sw_in"];
-        let sw_in_mmu = sw.entries["sw_in_mmu"];
-        let block = m.code.block(sw.base).expect("installed");
-        let jmp_idx = block
-            .instrs
-            .iter()
-            .position(|i| matches!(i, Instr::Jmp(Operand::Abs(_))))
-            .expect("switch code contains the chain jmp");
-        let jmp_at = m.code.addr_of(sw.base, jmp_idx).expect("in range");
-        (sw_out, ipi_in, sw_in, sw_in_mmu, jmp_at)
+        let at = |mark| sw.entry(mark).expect("the switch templates mark it");
+        let jmp_at = at("chain");
+        debug_assert!(
+            matches!(
+                m.code.locate(jmp_at).and_then(|l| m.code.instr(l)),
+                Some(Instr::Jmp(Operand::Abs(_)))
+            ),
+            "the `chain` mark names the switch's `jmp (abs).l`"
+        );
+        (
+            at("sw_out"),
+            at("ipi_in"),
+            at("sw_in"),
+            at("sw_in_mmu"),
+            jmp_at,
+        )
     }
 
     fn fill_vector_table(

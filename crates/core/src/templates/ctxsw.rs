@@ -6,7 +6,8 @@
 //!
 //! - `sw_out` — the timer-interrupt vector target: acknowledge the timer,
 //!   save the registers being used, and `jmp` to the *next* thread's
-//!   `sw_in` (the jump target is patched by the executable ready queue);
+//!   `sw_in` (the jump target is patched by the executable ready queue,
+//!   which finds the `jmp` by its mark, `chain`);
 //! - `sw_in_mmu` — entered when an address-space change is required:
 //!   installs the thread's address map, then falls into `sw_in`;
 //! - `sw_in` — load the kernel stack, the VBR (per-thread vector table),
@@ -79,7 +80,9 @@ pub fn switch_template(fp: bool) -> Template {
     }
     a.move_(L, Ar(7), ssp_slot);
     // "A jmp instruction ... points to the context-switch-in procedure of
-    // the following thread." Patched by the ready queue.
+    // the following thread." Patched by the ready queue, which finds it
+    // by its mark.
+    a.mark("chain");
     a.jmp(next);
 
     // --- sw_in_mmu ------------------------------------------------------
@@ -140,6 +143,12 @@ mod tests {
             assert!(t.marks.contains_key("sw_out"));
             assert!(t.marks.contains_key("sw_in"));
             assert!(t.marks.contains_key("sw_in_mmu"));
+            let chain = t.marks["chain"];
+            assert!(matches!(
+                t.instrs[chain],
+                quamachine::isa::Instr::Jmp(AbsHole(_))
+            ));
+            assert_eq!(chain + 1, t.marks["sw_in_mmu"]);
             // The masked IPI entry leads the block and falls into sw_out.
             assert_eq!(t.marks["ipi_in"], 0);
             assert_eq!(t.marks["sw_out"], 1);

@@ -288,7 +288,7 @@ mod tests {
         let none = || synthesis_codegen::creator::Synthesized {
             base: 0,
             size: 0,
-            entries: std::collections::HashMap::new(),
+            entries: std::sync::Arc::default(),
             instrs_in: 0,
             instrs_out: 0,
             synth_cycles: 0,

@@ -667,3 +667,42 @@ fn create_thread_out_of_code_space_gives_back_what_it_took() {
     assert_eq!(k.threads.len(), threads);
     assert_eq!(k.run(50_000), RunExit::CycleLimit, "the kernel runs on");
 }
+
+#[test]
+fn a_tid_consumed_by_a_failed_create_is_not_reported_exited() {
+    let (mut k, entry) = boot_with_entry();
+    let first = k.create_thread(entry, USTACK, user_map()).unwrap();
+    let mut held = Vec::new();
+    exhaust(|n| {
+        k.creator
+            .codebuf
+            .alloc(n)
+            .map(|a| held.push((a, n)))
+            .is_ok()
+    });
+    assert!(k.create_thread(entry, USTACK, user_map()).is_err());
+    for (a, n) in held {
+        k.creator.codebuf.free(a, n);
+    }
+    let third = k.create_thread(entry, USTACK, user_map()).unwrap();
+    assert_eq!(third, first + 2, "the failed create consumed a tid");
+    k.destroy(third).unwrap();
+    assert!(!k.exited.contains(&(first + 1)));
+    assert_eq!(k.exited.iter().collect::<Vec<_>>(), [third]);
+}
+
+#[test]
+fn exited_yields_destroyed_tids_in_ascending_order() {
+    let (mut k, entry) = boot_with_entry();
+    let tids: Vec<u32> = (0..4)
+        .map(|_| k.create_thread(entry, USTACK, user_map()).unwrap())
+        .collect();
+    for i in [2, 0, 3] {
+        k.destroy(tids[i]).unwrap();
+    }
+    assert_eq!(
+        k.exited.iter().collect::<Vec<_>>(),
+        [tids[0], tids[2], tids[3]]
+    );
+    assert!(!k.exited.contains(&tids[1]), "still alive");
+}

@@ -183,9 +183,7 @@ fn drive<S>(
     for _ in 0..slices {
         run(&mut sys, 100_000);
         let k = kernel(&mut sys);
-        let mut new: Vec<Tid> = k.exited.iter().copied().collect();
-        new.retain(|t| !exits.contains(t));
-        new.sort_unstable();
+        let new: Vec<Tid> = k.exited.iter().filter(|t| !exits.contains(t)).collect();
         exits.extend(new);
         if workers > 0 && exits.len() == workers {
             break;

@@ -12,27 +12,32 @@
 //! (paper Figure 3).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::cost::instr_cost;
 use crate::error::MachineError;
 use crate::isa::{encode, Instr, Operand};
 
 /// An assembled block of code, positioned at a base address.
+///
+/// Only `instrs` belongs to the block: the name and the offsets never
+/// change after it is built (a patch keeps every size), so blocks
+/// instantiated from one synthesis plan share the plan's copies.
 #[derive(Debug, Clone)]
 pub struct CodeBlock {
     /// Name, for the monitor and disassembly listings.
-    pub name: String,
+    pub name: Arc<str>,
     /// Instructions.
     pub instrs: Vec<Instr>,
     /// Byte offset of each instruction, plus the total size at the end.
-    pub offsets: Vec<u32>,
+    pub offsets: Arc<[u32]>,
 }
 
 impl CodeBlock {
     /// Build a block from instructions, computing offsets.
     #[must_use]
-    pub fn new(name: impl Into<String>, instrs: Vec<Instr>) -> CodeBlock {
-        let offsets = encode::offsets(&instrs);
+    pub fn new(name: impl Into<Arc<str>>, instrs: Vec<Instr>) -> CodeBlock {
+        let offsets = encode::offsets(&instrs).into();
         CodeBlock {
             name: name.into(),
             instrs,

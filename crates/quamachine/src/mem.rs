@@ -168,6 +168,12 @@ impl Memory {
         self.bytes[a..a + data.len()].copy_from_slice(data);
     }
 
+    /// Bulk store: set `len` bytes from `addr` to `byte`.
+    pub fn fill(&mut self, addr: u32, len: u32, byte: u8) {
+        let a = addr as usize;
+        self.bytes[a..a + len as usize].fill(byte);
+    }
+
     /// Bulk read memory into a host buffer.
     #[must_use]
     pub fn peek_bytes(&self, addr: u32, len: u32) -> Vec<u8> {

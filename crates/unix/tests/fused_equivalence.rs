@@ -172,7 +172,7 @@ fn jsr_targets(k: &Kernel, name: &str) -> Vec<u32> {
     let (_, block) =
         k.m.code
             .iter()
-            .find(|(_, b)| b.name == name)
+            .find(|(_, b)| &*b.name == name)
             .expect("the program is loaded");
     block
         .instrs

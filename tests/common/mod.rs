@@ -342,7 +342,7 @@ pub fn assert_code_consistent(k: &Kernel) {
     let (ebadf, _) =
         k.m.code
             .iter()
-            .find(|(_, b)| b.name == "ebadf")
+            .find(|(_, b)| &*b.name == "ebadf")
             .expect("the shared ebadf routine is resident");
     let jsr_operand = |site: u32| {
         let loc = k.m.code.locate(site)?;

@@ -670,7 +670,7 @@ fn fused_check(emu: &UnixEmulator, x: Xfer, seed: u64, data: &[u8]) {
         .code
         .iter()
         .map(|(_, b)| b)
-        .find(|b| b.name == "pipe_xfer")
+        .find(|b| &*b.name == "pipe_xfer")
         .expect("the program stays loaded");
     let mut sites = 0;
     for i in &program.instrs {
