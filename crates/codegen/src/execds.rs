@@ -31,7 +31,8 @@
 
 use quamachine::error::MachineError;
 use quamachine::machine::Machine;
-use std::collections::HashMap;
+
+use crate::hash::FoldMap;
 
 /// One node of an executable chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +54,7 @@ struct Link {
 /// A circular chain of code nodes traversed by executing it.
 #[derive(Debug, Default)]
 pub struct JumpChain {
-    links: HashMap<u32, Link>,
+    links: FoldMap<u32, Link>,
     head: Option<u32>,
     /// Patches applied over the chain's lifetime (for the monitor).
     pub patch_count: u64,
@@ -240,6 +241,7 @@ mod tests {
     use quamachine::asm::Asm;
     use quamachine::isa::{Instr, Operand, Operand::*, Size::L};
     use quamachine::machine::{Machine, MachineConfig};
+    use std::collections::HashMap;
 
     /// A machine plus the entry address of every node built on it — the
     /// embedder's side of the contract: the chain asks `target(from, to)`

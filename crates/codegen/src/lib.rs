@@ -64,6 +64,7 @@ pub mod creator;
 pub mod equiv;
 pub mod execds;
 pub mod factor;
+pub mod hash;
 pub mod interfacer;
 pub mod peephole;
 pub mod plan;

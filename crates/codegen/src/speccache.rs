@@ -24,10 +24,11 @@
 //! only refcount-zero residue.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::creator::{SynthesisOptions, Synthesized};
+use crate::hash::FoldMap;
 use crate::template::{Bindings, Template};
 
 /// The cache key: one distinct specialization.
@@ -117,10 +118,10 @@ const TRIM_WINDOW: usize = 8;
 /// The reference-counted specialization cache.
 #[derive(Debug, Default)]
 pub struct SpecCache {
-    entries: HashMap<SpecKey, SpecEntry>,
+    entries: FoldMap<SpecKey, SpecEntry>,
     /// Reverse index: installed base address → key (for `release`, which
     /// only has the `Synthesized` in hand).
-    by_base: HashMap<u32, SpecKey>,
+    by_base: FoldMap<u32, SpecKey>,
     /// Byte budget for warm (refcount-zero) entries.
     budget: u32,
     /// Bytes currently held by warm entries.

@@ -12,6 +12,7 @@ use std::sync::Arc;
 use quamachine::asm::{Asm, AsmError};
 use quamachine::isa::{encode, HoleId, Instr, Operand};
 
+use crate::hash::FoldMap;
 use crate::plan::Plan;
 
 /// A named, parameterized code fragment.
@@ -235,7 +236,7 @@ pub(crate) struct Slot(usize);
 /// find callees), each with its compiled [`Plan`]s.
 #[derive(Debug, Default)]
 pub struct TemplateLib {
-    slots: HashMap<Arc<str>, Slot>,
+    slots: FoldMap<Arc<str>, Slot>,
     entries: Vec<Entry>,
 }
 

@@ -32,6 +32,7 @@ use quamachine::machine::{Machine, MachineConfig, RunExit};
 use quamachine::mem::AddressMap;
 use synthesis_codegen::creator::{QuajectCreator, SynthError, SynthesisOptions, Synthesized};
 use synthesis_codegen::execds::JumpChain;
+use synthesis_codegen::hash::FoldMap;
 use synthesis_codegen::template::Bindings;
 
 use crate::alloc::FastFit;
@@ -101,12 +102,15 @@ pub struct KernelConfig {
 /// [`set_cache_budget`](QuajectCreator::set_cache_budget) after boot.
 pub const CACHE_BUDGET: u32 = 128 * 1024;
 
+/// The most CPUs a kernel boots with.
+const MAX_CPUS: usize = 8;
+
 /// CPU count from `SYNTHESIS_CPUS`, clamped to 1..=8; 1 if unset/garbage.
 fn cpus_from_env() -> usize {
     std::env::var("SYNTHESIS_CPUS")
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
-        .map_or(1, |n| n.clamp(1, 8))
+        .map_or(1, |n| n.clamp(1, MAX_CPUS))
 }
 
 impl Default for KernelConfig {
@@ -299,10 +303,10 @@ pub struct Kernel {
     /// over all threads would make every safe-point step O(n)).
     sw_extents: BTreeMap<u32, u32>,
     next_tid: Tid,
-    vbr_to_tid: HashMap<u32, Tid>,
+    vbr_to_tid: FoldMap<u32, Tid>,
     /// Threads blocked on each wait object, in blocking order. Read and
     /// written only by the `ready` submodule.
-    waiters: HashMap<WaitObject, Vec<Tid>>,
+    waiters: FoldMap<WaitObject, Vec<Tid>>,
     alarm_pending: bool,
     /// Completed disk outcomes by request cookie: `Ok(req)` or
     /// `Err(-errno)` once the scheduler gives up.
@@ -330,7 +334,7 @@ impl Kernel {
     /// condition).
     pub fn boot(cfg: KernelConfig) -> Result<Kernel, KernelError> {
         let ncpus = cfg.cpus;
-        if !(1..=8).contains(&ncpus) {
+        if !(1..=MAX_CPUS).contains(&ncpus) {
             return Err(KernelError::Invalid("cpus must be 1..=8"));
         }
         let mut machine_cfg = cfg.machine;
@@ -476,8 +480,8 @@ impl Kernel {
                 user_exit_stub,
             },
             next_tid: 0,
-            vbr_to_tid: HashMap::new(),
-            waiters: HashMap::new(),
+            vbr_to_tid: FoldMap::default(),
+            waiters: FoldMap::default(),
             alarm_pending: false,
             disk_results: HashMap::new(),
             sweep_count: 0,
@@ -1105,10 +1109,9 @@ impl Kernel {
         if let Some(w) = self.watched_exit() {
             return RunExit::Breakpoint(w);
         }
-        let n = self.cpus.len();
         // A CPU that halts (idle with nothing ever due) stays parked
         // until an IPI or device interrupt shows up for it.
-        let mut halted = vec![false; n];
+        let mut halted = [false; MAX_CPUS];
         // The most recent halt: which CPU, and its clock at that point.
         let mut last_halt: Option<(usize, u64)> = None;
         // The embedder may have parked the active CPU inside switch code
@@ -1128,9 +1131,10 @@ impl Kernel {
         // to its next timer event raises every parked CPU with it, and a
         // deadline measured from the stale clocks would already be past
         // for all of them — only the leaper would ever run.
-        let deadlines: Vec<u64> = (0..n)
-            .map(|i| self.m.cpu_cycles(i).saturating_add(max_cycles))
-            .collect();
+        let mut deadlines = [0u64; MAX_CPUS];
+        for (i, d) in deadlines.iter_mut().enumerate().take(self.cpus.len()) {
+            *d = self.m.cpu_cycles(i).saturating_add(max_cycles);
+        }
         loop {
             // Balance before picking a CPU, so a starved CPU steals work
             // instead of idling away its first slice.

@@ -502,6 +502,7 @@ impl Kernel {
                 if p.readers == 0 && p.writers == 0 {
                     // Free the ring; keep the table slot (ids are stable).
                     p.release(&mut self.heap);
+                    self.forget_pipe_waits(pid);
                 }
             }
         }

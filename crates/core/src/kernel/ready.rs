@@ -187,13 +187,16 @@ impl Kernel {
     }
 
     /// Wake every thread blocked on `wait` (front of the ready queue:
-    /// "giving it immediate access to the CPU").
+    /// "giving it immediate access to the CPU"). The emptied list stays
+    /// in the map with its capacity, so the next block on `wait` does not
+    /// allocate.
     pub(super) fn wake(&mut self, wait: WaitObject) {
-        let Some(tids) = self.waiters.remove(&wait) else {
+        let Some(list) = self.waiters.get_mut(&wait).filter(|l| !l.is_empty()) else {
             return;
         };
+        let mut tids = std::mem::take(list);
         self.set_wait_flag(wait, false);
-        for tid in tids {
+        for &tid in &tids {
             let blocked_here = self
                 .threads
                 .get(&tid)
@@ -202,10 +205,13 @@ impl Kernel {
                 let _ = self.enqueue(self.home_cpu(tid), tid);
             }
         }
+        debug_assert!(self.waiters[&wait].is_empty(), "a wake blocked a thread");
+        tids.clear();
+        self.waiters.insert(wait, tids);
     }
 
     /// Take `tid` off the wait list its `Blocked` state names, lowering
-    /// the wait flag when the list empties.
+    /// the wait flag when that empties the list.
     fn leave_wait_list(&mut self, tid: Tid) {
         let Some(&ThreadState::Blocked(wait)) = self.threads.get(&tid).map(|t| &t.state) else {
             return;
@@ -213,10 +219,21 @@ impl Kernel {
         let Some(list) = self.waiters.get_mut(&wait) else {
             return;
         };
+        let before = list.len();
         list.retain(|&t| t != tid);
-        if list.is_empty() {
-            self.waiters.remove(&wait);
+        if before > 0 && list.is_empty() {
             self.set_wait_flag(wait, false);
+        }
+    }
+
+    /// Drop pipe `pid`'s two wait lists, once its ring is freed and its
+    /// ids can name no waiter again. Lists with a thread still on them
+    /// stay: that thread is `Blocked` on the pipe and must stay listed.
+    pub(super) fn forget_pipe_waits(&mut self, pid: u32) {
+        for wait in [WaitObject::PipeData(pid), WaitObject::PipeSpace(pid)] {
+            if self.waiters.get(&wait).is_some_and(Vec::is_empty) {
+                self.waiters.remove(&wait);
+            }
         }
     }
 
@@ -237,8 +254,12 @@ impl Kernel {
 
     /// The wait lists: each object with threads blocked on it, and those
     /// threads in blocking order. Every entry is a live thread whose
-    /// state is `Blocked` on that object.
+    /// state is `Blocked` on that object; an object nobody waits on is
+    /// not listed.
     pub fn wait_lists(&self) -> impl Iterator<Item = (WaitObject, &[Tid])> {
-        self.waiters.iter().map(|(&w, l)| (w, l.as_slice()))
+        self.waiters
+            .iter()
+            .filter(|(_, l)| !l.is_empty())
+            .map(|(&w, l)| (w, l.as_slice()))
     }
 }

@@ -108,7 +108,7 @@ impl Kernel {
         if self.m.hooks.is_empty() {
             return;
         }
-        for ev in self.m.hooks.drain() {
+        while let Some(ev) = self.m.hooks.pop() {
             match ev {
                 // Guest-side dispatch: sw_in installing the incoming
                 // thread's vector table IS the context switch.

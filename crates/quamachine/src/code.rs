@@ -11,7 +11,9 @@
 //! thread's context-switch-out code when threads enter or leave the queue
 //! (paper Figure 3).
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
 
 use crate::cost::instr_cost;
@@ -123,6 +125,48 @@ pub(crate) struct SlabLoc {
     pub(crate) index: u32,
 }
 
+/// Lines in [`CodeMem`]'s table of recent answers.
+const LINES: usize = 512;
+
+/// One remembered answer: `addr` resolved to `at` under `epoch`.
+#[derive(Debug, Clone, Copy)]
+struct Line {
+    epoch: u64,
+    addr: u32,
+    at: SlabLoc,
+}
+
+/// A direct-mapped table of recent [`CodeMem::locate_slab`] answers,
+/// indexed by `(addr >> 1) % LINES` (instructions start on even
+/// addresses). A line is good only while its epoch is current: a patch
+/// never moves an instruction boundary, so only `load` and `unload` can
+/// change an answer, and both bump the epoch.
+struct Lines(Box<[Cell<Line>]>);
+
+impl Lines {
+    fn line(&self, addr: u32) -> &Cell<Line> {
+        &self.0[(addr >> 1) as usize % LINES]
+    }
+}
+
+impl Default for Lines {
+    fn default() -> Lines {
+        // No epoch is ever `u64::MAX`, so an unused line never answers.
+        let empty = Line {
+            epoch: u64::MAX,
+            addr: 0,
+            at: SlabLoc { slot: 0, index: 0 },
+        };
+        Lines(vec![Cell::new(empty); LINES].into_boxed_slice())
+    }
+}
+
+impl fmt::Debug for Lines {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Lines({LINES})")
+    }
+}
+
 /// The registry of code blocks.
 ///
 /// Blocks live in a slab; the `BTreeMap` only maps a base address to its
@@ -135,6 +179,8 @@ pub struct CodeMem {
     /// Bumped by every `load` and `unload`: the only operations that can
     /// change which `(slot, index)` an address resolves to.
     epoch: u64,
+    /// Recent answers of `locate_slab`, valid under `epoch`.
+    lines: Lines,
     /// Total bytes ever loaded (for the Section 6.4 size accounting).
     pub bytes_loaded: u64,
     /// Total bytes freed.
@@ -212,9 +258,28 @@ impl CodeMem {
             .expect("slot holds a loaded block")
     }
 
-    /// Resolve an address to a slab position (the search the executor's
-    /// fetch memo exists to skip).
+    /// Resolve an address to a slab position: the remembered answer if
+    /// its line holds one for this address and epoch, else the search
+    /// (whose answer the line then keeps). The executor's fetch memo asks
+    /// this only for a `pc` it could not name itself.
     pub(crate) fn locate_slab(&self, addr: u32) -> Option<SlabLoc> {
+        let line = self.lines.line(addr);
+        let l = line.get();
+        if l.epoch == self.epoch && l.addr == addr {
+            return Some(l.at);
+        }
+        let at = self.search(addr)?;
+        line.set(Line {
+            epoch: self.epoch,
+            addr,
+            at,
+        });
+        Some(at)
+    }
+
+    /// Resolve an address to a slab position by searching, remembering
+    /// nothing: the oracle the remembered answers are checked against.
+    pub(crate) fn search(&self, addr: u32) -> Option<SlabLoc> {
         let (base, &slot) = self.index.range(..=addr).next_back()?;
         let block = &self.resident(slot).block;
         let off = addr - base;
@@ -228,6 +293,7 @@ impl CodeMem {
     /// The block and instruction a patch at `addr` rewrites.
     fn patch_site(&mut self, addr: u32) -> Result<(&mut Resident, usize), MachineError> {
         let at = self.locate_slab(addr).ok_or(MachineError::BadPatch(addr))?;
+        debug_assert_eq!(Some(at), self.search(addr), "a stale line at {addr:#x}");
         let r = self.slab[at.slot as usize]
             .as_mut()
             .expect("slot holds a loaded block");

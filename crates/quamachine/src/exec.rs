@@ -7,7 +7,7 @@
 //! procedure chaining (return-address rewriting), and synthesized handlers
 //! all behave as on the real machine.
 
-use crate::code::{CodeLoc, InstrFacts, SlabLoc};
+use crate::code::{InstrFacts, SlabLoc};
 use crate::cost::{
     BRANCH_TAKEN_EXTRA, EXCEPTION_BASE, EXCEPTION_REFS, IACK_BASE, RTE_BASE, RTE_REFS,
 };
@@ -173,9 +173,10 @@ impl Machine {
     fn fetch_exec(&mut self) -> Result<Option<RunExit>, MachineError> {
         // Fetch. Where `pc` lives is remembered from the step that set it
         // (sequential flow and in-block branches); any other way `pc`
-        // moved, or any load/unload since, misses and searches. The
-        // instruction and its facts are read from the block every time,
-        // so a patch is seen by the very next step.
+        // moved, or any load/unload since, misses and asks `CodeMem`,
+        // which answers from its line table or searches. The instruction
+        // and its facts are read from the block every time, so a patch is
+        // seen by the very next step.
         let pc = self.cpu.pc;
         let epoch = self.code.epoch();
         let at = match self.next_fetch {
@@ -188,15 +189,10 @@ impl Machine {
         let r = self.code.resident(at.slot);
         let index = at.index as usize;
         let (instr, facts) = (r.block.instrs[index], r.facts[index]);
-        // Every step cross-checks the memo and the load-time facts against
-        // the searched, recomputed answer wherever debug assertions are on.
-        debug_assert_eq!(
-            self.code.locate(pc),
-            Some(CodeLoc {
-                block_base: r.base,
-                index
-            })
-        );
+        // Every step cross-checks the memo or line and the load-time facts
+        // against the searched, recomputed answer wherever debug
+        // assertions are on.
+        debug_assert_eq!(self.code.search(pc), Some(at), "a stale fetch memo or line");
         debug_assert_eq!(facts, InstrFacts::of(&instr));
         if facts.hole {
             return Err(MachineError::UnfilledHole(pc));

@@ -177,9 +177,10 @@ impl HookLog {
         self.buf.push_back(ev);
     }
 
-    /// Take every buffered event, oldest first.
-    pub fn drain(&mut self) -> Vec<MachEvent> {
-        self.buf.drain(..).collect()
+    /// Take the oldest buffered event. Draining one at a time keeps the
+    /// log's capacity and allocates nothing.
+    pub fn pop(&mut self) -> Option<MachEvent> {
+        self.buf.pop_front()
     }
 
     /// Buffered events.

@@ -1,11 +1,13 @@
 //! The fetch path of `Machine::step`.
 //!
 //! A step remembers where its fall-through or taken-branch target lives so
-//! the next step need not search for it. Each test here is one way that
-//! memory could go stale — a patch, a reload, a host write to the PC, a CPU
-//! switch, an exception — and asserts the very next step sees the machine
-//! as it is, not as it was. The first two pin what happens at a block's
-//! end, where there is no next instruction to remember.
+//! the next step need not search for it, and code memory remembers its
+//! recent answers for every other address in a table of lines. Each test
+//! here is one way either memory could go stale — a patch, a reload, a host
+//! write to the PC, a CPU switch, an exception, two addresses sharing a
+//! line — and asserts the very next step sees the machine as it is, not as
+//! it was. The first two pin what happens at a block's end, where there is
+//! no next instruction to remember.
 
 use quamachine::code::CodeBlock;
 use quamachine::error::MachineError;
@@ -284,6 +286,123 @@ fn switch_cpu_resumes_each_cpu_where_it_was_parked() {
         [m.cpu_ref(0).pc, m.cpu_ref(1).pc, m.cpu_ref(2).pc],
         [0x100C, 0x1018, 0x200C]
     );
+}
+
+// --- The line table -------------------------------------------------------------
+
+/// Addresses this far apart share a line of the table.
+const LINE_STRIDE: u32 = 1024;
+
+#[test]
+fn two_hot_addresses_on_one_line_alternate_through_jsr_and_rts() {
+    let (a, b) = (0x2000, 0x2000 + LINE_STRIDE);
+    let mut m = machine();
+    load(
+        &mut m,
+        BASE,
+        vec![
+            Instr::Jsr(Abs(a)),                  // 0x1000
+            Instr::Jsr(Abs(b)),                  // 0x1006
+            Instr::Dbf(0, BranchTarget::Idx(0)), // 0x100C
+            Instr::Halt,
+        ],
+    );
+    load(&mut m, a, vec![Instr::Add(L, Imm(1), Dr(1)), Instr::Rts]);
+    load(&mut m, b, vec![Instr::Add(L, Imm(100), Dr(2)), Instr::Rts]);
+    // A block that never runs, whose instructions share lines with the
+    // caller's: warm its lines, so each return has to evict one.
+    let shadow = BASE + LINE_STRIDE;
+    load(
+        &mut m,
+        shadow,
+        vec![
+            Instr::Add(L, Imm(1), Dr(3)),
+            Instr::Add(L, Imm(1), Dr(3)),
+            Instr::Add(L, Imm(1), Dr(3)),
+            Instr::Halt,
+        ],
+    );
+    for off in [0, 6, 12] {
+        assert_eq!(m.code.locate(shadow + off).unwrap().block_base, shadow);
+    }
+    m.cpu.d[0] = 9; // ten passes
+    m.cpu.pc = BASE;
+    assert_eq!(m.run(100_000), RunExit::Halted);
+    assert_eq!((m.cpu.d[1], m.cpu.d[2], m.cpu.d[3]), (10, 1000, 0));
+    assert_eq!(m.meter.instr_count, 10 * 7 + 1);
+    // And the host's view of both, asked alternately.
+    for _ in 0..3 {
+        assert_eq!(m.code.locate(a).unwrap().block_base, a);
+        assert_eq!(m.code.locate(b).unwrap().block_base, b);
+        assert_eq!(m.code.locate(b + 6).unwrap().index, 1);
+        assert_eq!(m.code.locate(a + 6).unwrap().block_base, a);
+    }
+}
+
+#[test]
+fn a_different_block_loaded_under_a_warm_line_is_what_runs() {
+    let sub = 0x2000;
+    let mut m = machine();
+    load(
+        &mut m,
+        BASE,
+        vec![Instr::Jsr(Abs(sub + 2)), Instr::Halt], // 0x1000, 0x1006
+    );
+    // 0x2000 nop | 0x2002 set d3 | 0x2008 rts
+    load(&mut m, sub, vec![Instr::Nop, set(3, 1), Instr::Rts]);
+    m.cpu.pc = BASE;
+    assert_eq!(m.run(1000), RunExit::Halted);
+    assert_eq!(m.cpu.d[3], 1, "0x2002's line is warm");
+
+    // Same base, a layout where 0x2002 is mid-instruction.
+    m.code.unload(sub).unwrap();
+    load(&mut m, sub, vec![set(3, 2), Instr::Rts]);
+    m.cpu.pc = BASE;
+    step(&mut m);
+    assert_eq!(m.step(), Err(MachineError::BadCodeAddress(sub + 2)));
+    assert_eq!(m.cpu.d[3], 1);
+
+    // Another base whose block covers 0x2002 at a boundary again.
+    m.code.unload(sub).unwrap();
+    load(&mut m, sub + 2, vec![set(3, 3), Instr::Rts]);
+    m.cpu.pc = BASE;
+    assert_eq!(m.run(1000), RunExit::Halted);
+    assert_eq!(m.cpu.d[3], 3);
+}
+
+#[test]
+fn a_jmp_patched_through_a_warm_line_is_seen_on_the_next_step() {
+    let link = 0x3000;
+    let mut m = machine();
+    load(&mut m, BASE, vec![Instr::Jmp(Abs(link))]);
+    load(&mut m, link, vec![Instr::Jmp(Abs(0x4000))]);
+    load(&mut m, 0x4000, vec![set(7, 0xBAD), Instr::Halt]);
+    load(&mut m, 0x5000, vec![set(7, 0x600D), Instr::Halt]);
+    m.cpu.pc = BASE;
+    assert_eq!(m.run(1000), RunExit::Halted);
+    assert_eq!(m.cpu.d[7], 0xBAD, "the link's line is warm");
+
+    m.cpu.pc = BASE;
+    step(&mut m);
+    assert_eq!(m.cpu.pc, link);
+    m.code.patch_jmp_target(link, 0x5000).unwrap();
+    step(&mut m);
+    assert_eq!(m.cpu.pc, 0x5000);
+    assert_eq!(m.run(1000), RunExit::Halted);
+    assert_eq!(m.cpu.d[7], 0x600D);
+}
+
+#[test]
+fn locate_of_an_unloaded_address_with_a_warm_line_is_none() {
+    let mut m = machine();
+    load(&mut m, 0x2000, vec![Instr::Nop, set(3, 1), Instr::Rts]);
+    assert_eq!(m.code.locate(0x2002).unwrap().index, 1);
+    m.code.unload(0x2000).unwrap();
+    assert_eq!(m.code.locate(0x2002), None);
+    // Nor after an unrelated load elsewhere.
+    load(&mut m, 0x2000 + LINE_STRIDE, vec![Instr::Nop, Instr::Rts]);
+    assert_eq!(m.code.locate(0x2002), None);
+    assert!(m.code.patch_jmp_target(0x2002, 0).is_err());
 }
 
 // --- Breakpoints -------------------------------------------------------------

@@ -184,7 +184,7 @@ fn snapshot(m: &mut Machine, exit: RunExit) -> Snapshot {
         exceptions: m.meter.exception_count,
         refs: m.mem.ref_count,
         error_faults,
-        hooks: m.hooks.drain(),
+        hooks: std::iter::from_fn(|| m.hooks.pop()).collect(),
         trace: m
             .meter
             .trace()
