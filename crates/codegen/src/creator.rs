@@ -559,7 +559,6 @@ mod tests {
     use quamachine::asm::Asm;
     use quamachine::isa::{Cond, Instr, Operand::*, Size::L};
     use quamachine::machine::{MachineConfig, RunExit};
-    use std::collections::HashMap;
 
     fn creator() -> QuajectCreator {
         QuajectCreator::new(0x10_0000, 0x1_0000)
@@ -745,31 +744,6 @@ mod tests {
         assert!(
             collapsed < layered,
             "collapsed {collapsed} cycles must beat layered {layered}"
-        );
-    }
-
-    #[test]
-    fn peephole_stage_strength_reduces_installed_code() {
-        let mut m = machine();
-        let mut c = creator();
-        let t = Template {
-            name: "hot".into(),
-            instrs: vec![
-                Instr::MulU(Imm(8), 0),
-                Instr::Move(L, Dr(0), Abs(0x2000)),
-                Instr::Rts,
-            ],
-            holes: vec![],
-            marks: HashMap::new(),
-        };
-        let s = c
-            .synthesize_template(&mut m, &t, &Bindings::new(), SynthesisOptions::full())
-            .unwrap();
-        let block = m.code.block(s.base).unwrap();
-        assert!(
-            !block.instrs.iter().any(|i| matches!(i, Instr::MulU(..))),
-            "installed code should be strength-reduced: {:?}",
-            block.instrs
         );
     }
 

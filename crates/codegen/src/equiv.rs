@@ -7,9 +7,9 @@
 //! memory states. It is not a stage of the synthesis pipeline — agreeing
 //! on N random states is evidence, not proof, so nothing is installed on
 //! its say-so. Tests use it to check what the pipeline's rewrites
-//! (collapse, factor, peephole) did to real templates: the peephole
-//! unit tests here, and `crates/core/tests/fused_oracle.rs` for every
-//! fused `read`/`write` wrapper.
+//! (collapse, factor, peephole) did to real templates:
+//! `crates/core/tests/fused_oracle.rs` for every fused `read`/`write`
+//! wrapper.
 //!
 //! # What is compared
 //!

@@ -157,7 +157,7 @@ impl Plan {
             instrs = factor::fold(instrs, &mut marks, &mut r);
         }
         if opts.peephole {
-            instrs = peephole::optimize_holed(instrs, &mut marks, &mut r);
+            instrs = peephole::optimize_holed(instrs, &mut r);
         }
         let mut marks: Vec<(String, usize)> = marks.into_iter().collect();
         marks.sort();

@@ -115,36 +115,6 @@ pub fn compact(
     out
 }
 
-/// Replace `instrs[s..e]` with `repl`, shifting branch targets and
-/// `marks` at or past `e` by the length delta. Targets strictly inside
-/// `(s, e)` must not exist (callers splice only regions they proved
-/// nobody jumps into); targets at `s` keep pointing at the replacement's
-/// first instruction.
-pub fn splice(
-    instrs: &mut Vec<Instr>,
-    marks: &mut HashMap<String, usize>,
-    s: usize,
-    e: usize,
-    repl: Vec<Instr>,
-) {
-    let delta = repl.len() as isize - (e - s) as isize;
-    if delta != 0 {
-        for i in instrs.iter_mut() {
-            if let Some(BranchTarget::Idx(t)) = i.branch_target() {
-                if t as usize >= e {
-                    i.set_branch_target(BranchTarget::Idx((t as isize + delta) as u32));
-                }
-            }
-        }
-        for v in marks.values_mut() {
-            if *v >= e {
-                *v = (*v as isize + delta) as usize;
-            }
-        }
-    }
-    instrs.splice(s..e, repl);
-}
-
 /// Indices reachable from the given entry points by fallthrough and
 /// intra-block branches. `Jmp`, `Rts`, `Rte`, `Halt`, and unconditional
 /// branches end a path; everything else (including `Jsr`, `Trap`,

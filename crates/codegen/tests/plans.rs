@@ -164,21 +164,16 @@ fn every_kernel_template_installs_what_substitute_first_produces() {
 #[test]
 fn every_test_that_reads_a_hole_matches_the_reference() {
     // One of each: a folded add and a sign-extending `movea.w` (fold), and
-    // the peephole's `#0`, `#2ᵏ`, same-address and `DEV_BASE` tests.
+    // the peephole's `#0` test.
     let mut a = Asm::new("reads");
     let (k, z, w) = (a.imm_hole("k"), a.imm_hole("z"), a.imm_hole("w"));
-    let (p, q, out) = (a.abs_hole("p"), a.abs_hole("q"), a.abs_hole("out"));
+    let out = a.abs_hole("out");
     a.move_i(L, 3, Dr(0));
     a.add(L, k, Dr(0)); // both sides known: folded, `k` read
     a.move_(L, Dr(0), out);
     a.move_(quamachine::isa::Size::W, w, Ar(2)); // sign-extends `w`
     a.move_(L, Ar(2), Dr(5));
-    a.mulu(k, 1); // 2ᵏ?
-    a.move_(L, Dr(1), out);
-    a.add(L, z, Dr(2)); // #0?
     a.cmp(L, z, Dr(2)); // #0 → tst
-    a.move_(L, Dr(3), p); // same address, below DEV_BASE?
-    a.move_(L, q, Dr(3));
     a.halt();
     let mut m = machine();
     let mut c = creator();
@@ -186,16 +181,10 @@ fn every_test_that_reads_a_hole_matches_the_reference() {
     let values = [0, 1, 8, 6, 0x9000, 0x2000, DEV_BASE + 4];
     for (i, &k) in values.iter().enumerate() {
         for (j, &z) in values.iter().enumerate() {
-            let (p, q) = (
-                values[(i + j) % values.len()],
-                values[(2 * i + j) % values.len()],
-            );
             let b = Bindings::new()
                 .with("k", k)
                 .with("z", z)
                 .with("w", values[(i + 3 * j) % values.len()])
-                .with("p", p)
-                .with("q", q)
                 .with("out", 0x4000);
             for opts in [SynthesisOptions::full(), SynthesisOptions::none()] {
                 assert_installs_the_reference(&mut c, &mut m, "reads", &b, opts);
@@ -211,7 +200,7 @@ fn every_test_that_reads_a_hole_matches_the_reference() {
         .collect();
     logged.sort_unstable();
     logged.dedup();
-    assert_eq!(logged, ["k", "p", "q", "w", "z"], "`out` is only carried");
+    assert_eq!(logged, ["k", "w", "z"], "`out` is only carried");
     assert!(c.stats.plan_hits > 0);
 }
 

@@ -78,8 +78,6 @@ pub mod irq_levels {
 /// Kernel construction parameters.
 #[derive(Debug, Clone)]
 pub struct KernelConfig {
-    /// The machine configuration (clock, wait states).
-    pub machine: MachineConfig,
     /// Initial per-thread CPU quantum in µs ("a typical quantum is on the
     /// order of a few hundred microseconds", Section 4.4).
     pub default_quantum_us: u32,
@@ -116,10 +114,6 @@ fn cpus_from_env() -> usize {
 impl Default for KernelConfig {
     fn default() -> Self {
         KernelConfig {
-            machine: MachineConfig {
-                mem_size: layout::MEM_SIZE,
-                ..MachineConfig::sun3_emulation()
-            },
             default_quantum_us: 200,
             trace_records: crate::trace::DEFAULT_RING_RECORDS,
             cpus: cpus_from_env(),
@@ -337,11 +331,12 @@ impl Kernel {
         if !(1..=MAX_CPUS).contains(&ncpus) {
             return Err(KernelError::Invalid("cpus must be 1..=8"));
         }
-        let mut machine_cfg = cfg.machine;
-        machine_cfg.cpus = ncpus;
         // A scaled layout needs the physical memory to hold it.
-        machine_cfg.mem_size = machine_cfg.mem_size.max(cfg.layout.mem_size);
-        let mut m = Machine::new(machine_cfg);
+        let mut m = Machine::new(MachineConfig {
+            mem_size: cfg.layout.mem_size.max(layout::MEM_SIZE),
+            cpus: ncpus,
+            ..MachineConfig::sun3_emulation()
+        });
         let timer = m.attach_device(Box::new(Timer::new(irq_levels::QUANTUM)));
         let alarm = m.attach_device(Box::new(Timer::new(irq_levels::ALARM)));
         let tty = m.attach_device(Box::new(Tty::new(irq_levels::TTY)));

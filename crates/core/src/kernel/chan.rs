@@ -605,23 +605,27 @@ impl Kernel {
     // --- seek ---------------------------------------------------------------
 
     /// Set the seek offset of the current thread's file fd `fd` to `pos`
-    /// (absolute); returns `pos`, or `-EBADF` for anything but an open
-    /// file.
+    /// (absolute); returns `pos`, `-EBADF` for anything but an open file,
+    /// or `-EINVAL` — offset unchanged — for a `pos` past the file's
+    /// current length: the synthesized `read`/`write` compute `len −
+    /// offset` and `cap − offset` unsigned, and there are no file holes.
     pub fn seek(&mut self, fd: u32, pos: u32) -> i64 {
         let Some(tid) = self.current_tid() else {
             return -i64::from(errno::EBADF);
         };
         let t = &self.threads[&tid];
-        match t.fds.get(fd as usize) {
-            Some(FdObject::Channel {
-                class: ChannelClass::File { offset_slot, .. },
-                ..
-            }) => {
-                let slot = *offset_slot;
-                self.m.mem.poke(slot, Size::L, pos);
-                i64::from(pos)
-            }
-            _ => -i64::from(errno::EBADF),
+        let Some(&FdObject::Channel {
+            class: ChannelClass::File { fid, offset_slot },
+            ..
+        }) = t.fds.get(fd as usize)
+        else {
+            return -i64::from(errno::EBADF);
+        };
+        let f = self.fs.file(fid).expect("files are never removed");
+        if pos > self.m.mem.peek(f.len_slot, Size::L) {
+            return -i64::from(errno::EINVAL);
         }
+        self.m.mem.poke(offset_slot, Size::L, pos);
+        i64::from(pos)
     }
 }

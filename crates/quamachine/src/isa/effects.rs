@@ -1,12 +1,12 @@
 //! What an instruction reads, writes and does to control flow: the one
-//! table the run-time rewriters (`codegen::peephole`, `codegen::factor`,
-//! `unix::emu`'s trap elision) consult (DESIGN.md §10).
+//! table the run-time rewriters (`codegen::factor`, `unix::emu`'s trap
+//! elision) consult (DESIGN.md §10).
 //!
 //! `exec.rs` is the ground truth; `tests/effects.rs` checks this table
 //! against it form by form, and `Machine::step` on every instruction a
 //! debug build retires. The table over-approximates: rely only on a
-//! register's *absence* from `reads`/`writes`, its *presence* in `kills`,
-//! and a flag field being `false`.
+//! register's *absence* from `reads`/`writes` and on `writes_flags`
+//! being `false`.
 #![deny(clippy::wildcard_enum_match_arm)]
 
 use super::instr::{Instr, Size};
@@ -23,7 +23,7 @@ pub enum Control {
     Branch,
     /// Out of the block's straight-line flow (`jmp jsr rts rte trap kcall
     /// halt stop`). Whoever gets control may read and write anything, so
-    /// these read and write every register and the flags.
+    /// these read and write every register and write the flags.
     Leave,
 }
 
@@ -38,11 +38,6 @@ pub struct Effects {
     pub reads: RegList,
     /// Registers whose value can change, `(An)+`/`-(An)` updates included.
     pub writes: RegList,
-    /// Registers overwritten whatever they held: written and not read.
-    pub kills: RegList,
-    /// The entry flags can matter to something other than their own
-    /// unchanged bits.
-    pub reads_flags: bool,
     /// A flag can change — and then, unless the instruction is a
     /// [`Leave`](Control::Leave), all of `N`/`Z`/`V`/`C` are overwritten.
     pub writes_flags: bool,
@@ -73,11 +68,6 @@ impl Effects {
 
     fn sets_flags(mut self, sets: bool) -> Effects {
         self.writes_flags = sets;
-        self
-    }
-
-    fn tests_flags(mut self) -> Effects {
-        self.reads_flags = true;
         self
     }
 
@@ -125,7 +115,7 @@ impl Instr {
         const SP: Operand = Ar(7);
         let is_areg = |op| matches!(op, Ar(_));
         let fx = Effects::default();
-        let fx = match *self {
+        match *self {
             // `movea`, `adda` and `suba` leave the flags alone.
             Move(size, s, d) => fx.uses(s).sets(d, size).sets_flags(!is_areg(d)),
             Add(_, s, d) | Sub(_, s, d) => fx.uses(s).updates(d).sets_flags(!is_areg(d)),
@@ -141,13 +131,12 @@ impl Instr {
             Not(_, ea) | Neg(_, ea) | Tas(ea) => fx.updates(ea).sets_flags(true),
             MulU(s, n) | DivU(s, n) => fx.uses(s).updates(Dr(n)).sets_flags(true),
             Swap(n) | Ext(_, n) => fx.updates(Dr(n)).sets_flags(true),
-            Bcc(..) => fx.tests_flags().goes(Control::Branch),
+            Bcc(..) => fx.goes(Control::Branch),
             Dbf(n, _) => fx.updates(Dr(n)).goes(Control::Branch),
-            Scc(_, ea) => fx.sets(ea, Size::B).tests_flags(),
+            Scc(_, ea) => fx.sets(ea, Size::B),
             Jmp(_) | Jsr(_) | Rts | Rte | Trap(_) | Stop(_) | Halt | KCall(_) => fx
                 .reads(RegList::ALL)
                 .writes(RegList::ALL)
-                .tests_flags()
                 .sets_flags(true)
                 .goes(Control::Leave),
             // `dc` is written only on a mismatch, so it is also read.
@@ -157,17 +146,13 @@ impl Instr {
             Unlk(n) => fx.updates(Ar(n)).writes(RegList::a(7)),
             // Writing the S bit swaps `a7` with the parked stack pointer.
             MoveSr { to_sr: true, ea } => fx.uses(ea).updates(SP).sets_flags(true),
-            MoveSr { to_sr: false, ea } => fx.sets(ea, Size::W).tests_flags(),
+            MoveSr { to_sr: false, ea } => fx.sets(ea, Size::W),
             MoveUsp { to_usp: true, areg } => fx.uses(Ar(areg)),
             MoveUsp { areg, .. } => fx.sets(Ar(areg), Size::L),
             MoveVbr { to_vbr: true, ea } => fx.uses(ea),
             MoveVbr { to_vbr: false, ea } => fx.sets(ea, Size::L),
             FMove { ea, .. } | FMovem { ea, .. } => fx.uses(ea),
             Nop | FAdd(..) | FSub(..) | FMul(..) => fx,
-        };
-        Effects {
-            kills: RegList(fx.writes.0 & !fx.reads.0),
-            ..fx
         }
     }
 }

@@ -123,6 +123,121 @@ fn full_stack_roundtrip_tells_a_coherent_trace_story() {
     );
 }
 
+/// One call [`file_calls`] makes on its open file.
+#[derive(Clone, Copy)]
+enum Call {
+    Write(u32, u32),
+    Read(u32, u32),
+    Seek(u32),
+}
+
+/// Where [`file_calls`] stores each call's result, one long apiece.
+const RESULTS: u32 = UBUF + 0x800;
+
+/// open(`UPATH`) → d5, then `calls` on that fd, through the native traps
+/// or (`unix`) the UNIX emulator's; then exit.
+fn file_calls(unix: bool, calls: &[Call]) -> Asm {
+    use synthesis::unix::abi;
+    let trap = if unix { abi::UNIX_TRAP } else { traps::GENERAL };
+    let mut a = Asm::new("file_calls");
+    a.move_i(L, if unix { abi::SYS_OPEN } else { general::OPEN }, Dr(0));
+    a.move_i(L, 2, Dr(1)); // O_RDWR
+    a.lea(Abs(UPATH), 0);
+    a.trap(trap);
+    a.move_(L, Dr(0), Dr(5));
+    for (i, &call) in calls.iter().enumerate() {
+        match call {
+            Call::Seek(pos) => {
+                a.move_i(L, if unix { abi::SYS_LSEEK } else { general::SEEK }, Dr(0));
+                a.move_(L, Dr(5), Dr(1));
+                a.move_i(L, pos, Dr(2));
+                a.trap(trap);
+            }
+            Call::Write(buf, n) | Call::Read(buf, n) => {
+                let write = matches!(call, Call::Write(..));
+                if unix {
+                    a.move_i(L, if write { abi::SYS_WRITE } else { abi::SYS_READ }, Dr(0));
+                    a.move_(L, Dr(5), Dr(1));
+                    a.move_i(L, n, Dr(2));
+                } else {
+                    a.move_(L, Dr(5), Dr(0));
+                    a.move_i(L, n, Dr(1));
+                }
+                a.lea(Abs(buf), 0);
+                a.trap(match (unix, write) {
+                    (true, _) => abi::UNIX_TRAP,
+                    (false, true) => traps::WRITE,
+                    (false, false) => traps::READ,
+                });
+            }
+        }
+        a.move_(L, Dr(0), Abs(RESULTS + 4 * i as u32));
+    }
+    a.move_i(L, if unix { abi::SYS_EXIT } else { general::EXIT }, Dr(0));
+    a.move_i(L, 0, Dr(1));
+    a.trap(trap);
+    let dead = a.here();
+    a.bcc(Cond::T, dead);
+    a
+}
+
+/// A seek past the end of a file is refused (`-EINVAL`) and moves
+/// nothing: a read there finds no bytes instead of the memory past the
+/// file's length, and a write cannot land past the file's buffer. Both
+/// the native `SEEK` and the emulator's `lseek` go through `Kernel::seek`.
+#[test]
+fn a_seek_past_the_end_is_refused() {
+    const CAP: u32 = 4096;
+    let calls = [
+        Call::Write(UBUF, 8),
+        Call::Seek(1000),
+        Call::Read(UBUF + 0x100, 16),
+        Call::Seek(CAP + 0x40),
+        Call::Write(UBUF + 0x200, 16),
+        Call::Seek(24), // the end itself is allowed
+        Call::Seek(0),
+        Call::Read(UBUF + 0x300, 32),
+    ];
+    let setup = |k: &mut Kernel| {
+        k.m.mem.poke_bytes(UPATH, b"/notes\0");
+        k.m.mem.poke_bytes(UBUF, b"quaject!");
+        k.m.mem.poke_bytes(UBUF + 0x200, &[b'X'; 16]);
+        k.fs.create(&mut k.m, &mut k.heap, "/notes", CAP).unwrap()
+    };
+    let check = |k: &Kernel, fid: u32, via: &str| {
+        let results: Vec<i32> = (0..calls.len() as u32)
+            .map(|i| k.m.mem.peek(RESULTS + 4 * i, L) as i32)
+            .collect();
+        assert_eq!(results, [8, -22, 0, -22, 16, 24, 0, 24], "{via}");
+        let want = b"quaject!XXXXXXXXXXXXXXXX";
+        assert_eq!(k.m.mem.peek_bytes(UBUF + 0x300, 24), want, "{via}");
+        assert_eq!(k.fs.read_contents(&k.m, fid), want, "{via}");
+        let f = k.fs.file(fid).unwrap();
+        assert_ne!(
+            k.m.mem.peek_bytes(f.buf + CAP + 0x40, 16),
+            [b'X'; 16],
+            "{via}"
+        );
+    };
+
+    let mut k = Kernel::boot(KernelConfig::default()).unwrap();
+    let fid = setup(&mut k);
+    let entry = k
+        .load_user_program(file_calls(false, &calls).assemble().unwrap())
+        .unwrap();
+    let tid = k.create_thread(entry, USTACK, user_map()).unwrap();
+    k.start(tid).unwrap();
+    assert!(k.run_until_exit(tid, 2_000_000_000));
+    check(&k, fid, "native SEEK");
+
+    let (mut emu, tid) =
+        synthesis::unix::emu::boot_with_program(KernelConfig::default(), file_calls(true, &calls))
+            .unwrap();
+    let fid = setup(&mut emu.k);
+    assert!(emu.run_until_exit(tid, 2_000_000_000));
+    check(&emu.k, fid, "emulated lseek");
+}
+
 /// The same binary produces the same observable bytes under the
 /// Synthesis UNIX emulator and under the baseline kernel.
 #[test]

@@ -1,8 +1,10 @@
 #!/bin/sh
-# The line counts ROADMAP.md tracks, from one place: CHANGES.md entries and
-# re-anchors quote this output instead of ad-hoc `wc` runs. Counts are of
-# tracked `*.rs` files (`git ls-files`), whole lines, in-module tests and
-# comments included — the same thing `git diff --stat` moves.
+# The line counts ROADMAP.md tracks and the knob counts CHANGES.md quotes,
+# from one place: entries and re-anchors quote this output instead of
+# ad-hoc `wc` runs. Counts are of tracked `*.rs` files (`git ls-files`),
+# whole lines, in-module tests and comments included — the same thing
+# `git diff --stat` moves; "non-test" stops each file at its first
+# top-level `#[cfg(test)]`.
 #
 #   tools/loc.sh            # from the repository root
 set -eu
@@ -13,7 +15,25 @@ lines() {
     git ls-files -z -- "$@" | xargs -0 cat 2>/dev/null | wc -l | tr -d ' '
 }
 
+# The same, each file cut at its first top-level `#[cfg(test)]`.
+nontest_lines() {
+    git ls-files -z -- "$@" |
+        xargs -0 awk 'FNR == 1 { on = 1 } /^#\[cfg\(test\)\]/ { on = 0 } on { n++ } END { print n + 0 }'
+}
+
+# `pub` fields of struct `$1` in file `$2`.
+fields() {
+    awk -v head="pub struct $1 {" '$0 == head { on = 1; next } on && /^}/ { exit } on && /^    pub / { n++ } END { print n + 0 }' "$2"
+}
+
+# Entries of the `[features]` tables in the workspace's manifests.
+features() {
+    git ls-files -z -- Cargo.toml 'crates/*/Cargo.toml' |
+        xargs -0 awk '/^\[/ { on = ($0 == "[features]"); next } on && /^[A-Za-z0-9_-]+ *=/ { n++ } END { print n + 0 }'
+}
+
 printf '%-34s %7s\n' "crates/*/src" "$(lines 'crates/*/src/*.rs')"
+printf '  %-32s %7s\n' "non-test" "$(nontest_lines 'crates/*/src/*.rs')"
 for c in crates/*/; do
     printf '  %-32s %7s\n' "${c}src" "$(lines "${c}src/*.rs")"
 done
@@ -25,3 +45,6 @@ printf '%-34s %7s\n' "tests/ + crates/*/tests" "$(lines 'tests/*.rs' 'crates/*/t
 printf '%-34s %7s\n' "crates/*/benches" "$(lines 'crates/*/benches/*.rs')"
 printf '%-34s %7s\n' "benchmark/" "$(lines 'benchmark/*.rs')"
 printf '%-34s %7s\n' "vendor/" "$(lines 'vendor/*.rs')"
+printf '%-34s %7s\n' "KernelConfig fields" "$(fields KernelConfig crates/core/src/kernel.rs)"
+printf '%-34s %7s\n' "SynthesisOptions fields" "$(fields SynthesisOptions crates/codegen/src/creator.rs)"
+printf '%-34s %7s\n' "cargo features" "$(features)"
