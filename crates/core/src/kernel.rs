@@ -354,6 +354,8 @@ impl Kernel {
             null,
         };
 
+        // Every data path's bulk copy calls these; shared, never unloaded.
+        templates::copy::load_routines(&mut m)?;
         let mut creator = QuajectCreator::new(cfg.layout.code_base, cfg.layout.code_len);
         templates::install_all(&mut creator.lib);
         creator.lib.add(crate::io::tty::cooked_read_template());

@@ -107,14 +107,16 @@ impl Kernel {
                 // Re-check under the "lock" (host atomicity) to avoid a
                 // lost wakeup between the guest's test and the kcall.
                 let (wait, ..) = self.wait_selector(sel);
-                let pipe = |pid: u32| self.pipes.get(pid as usize);
-                let nothing_yet = match wait {
+                let must_wait = match wait {
                     WaitObject::TtyInput => self.tty_srv.available(&self.m) == 0,
-                    WaitObject::PipeData(p) => pipe(p).is_some_and(|p| p.available(&self.m) == 0),
-                    WaitObject::PipeSpace(p) => pipe(p).is_some_and(|p| p.space(&self.m) == 0),
+                    WaitObject::PipeData(p) => self
+                        .pipes
+                        .get(p as usize)
+                        .is_some_and(|p| p.available(&self.m) == 0),
+                    WaitObject::PipeSpace(p) => self.pipe_write_must_wait(p),
                     WaitObject::Alarm | WaitObject::Disk => unreachable!("no WAIT_* names it"),
                 };
-                if nothing_yet {
+                if must_wait {
                     self.block_current(wait);
                 }
             }
@@ -126,6 +128,21 @@ impl Kernel {
             _ => return false,
         }
         true
+    }
+
+    /// `WAIT_PIPE_SPACE` from a writer of `d1` bytes to pipe `pid`: it
+    /// waits until the whole write fits, since a write up to the ring size
+    /// is atomic. A write larger than the ring could never fit, so its
+    /// count is cut to the ring size first and the writer's retry
+    /// completes as a short write.
+    fn pipe_write_must_wait(&mut self, pid: u32) -> bool {
+        let Some(p) = self.pipes.get(pid as usize) else {
+            return false;
+        };
+        let (size, space) = (p.size, p.space(&self.m));
+        let count = self.m.cpu.d[1].min(size);
+        self.m.cpu.d[1] = count;
+        space < count
     }
 
     /// The general kernel call (trap #0).

@@ -11,10 +11,19 @@ pub const MEM_SIZE: u32 = 2_621_440;
 /// Boot/default vector table (also thread 0's until it gets its own).
 pub const BOOT_VECTORS: u32 = 0x0000_0000;
 
-/// Kernel static data: shared handlers' state, device-server queues.
+/// Kernel static region: what the kernel places at fixed addresses — the
+/// resident copy routines below; everything else is heap-allocated.
 pub const KERNEL_DATA_BASE: u32 = 0x0000_0400;
 /// Size of the kernel static-data region.
 pub const KERNEL_DATA_LEN: u32 = 0x0003_FC00; // up to 0x40000
+
+/// The kernel-resident bulk copy `(a0)+ → (a1)+` (see
+/// [`crate::templates::copy`]): loaded once by `Kernel::boot` at the
+/// bottom of the kernel static-data region, called by every write path.
+pub const COPY_WRITE: u32 = KERNEL_DATA_BASE;
+/// The kernel-resident bulk copy `(a1)+ → (a0)+`, called by every read
+/// path; 256 bytes above [`COPY_WRITE`].
+pub const COPY_READ: u32 = KERNEL_DATA_BASE + 0x100;
 
 /// Kernel dynamic data: TTEs, vector tables, queues, file buffers
 /// (managed by the fast-fit allocator).
@@ -128,6 +137,8 @@ mod tests {
     #[allow(clippy::assertions_on_constants)] // the point IS the constants
     fn regions_are_disjoint_and_ordered() {
         assert!(BOOT_VECTORS < KERNEL_DATA_BASE);
+        assert!(KERNEL_DATA_BASE <= COPY_WRITE && COPY_WRITE < COPY_READ);
+        assert!(COPY_READ < KERNEL_HEAP_BASE);
         assert_eq!(KERNEL_DATA_BASE + KERNEL_DATA_LEN, KERNEL_HEAP_BASE);
         assert_eq!(KERNEL_HEAP_BASE + KERNEL_HEAP_LEN, CODE_BASE);
         assert_eq!(CODE_BASE + CODE_LEN, USER_BASE);

@@ -17,6 +17,16 @@
 //! | `#1` | `read`  | `d0` fd, `a0` buffer, `d1` count | `d0` bytes |
 //! | `#2` | `write` | `d0` fd, `a0` buffer, `d1` count | `d0` bytes |
 //! | `#3` | UNIX emulator call | `d0` UNIX syscall #, rest per call | `d0` |
+//!
+//! Kernel code also calls two kernel-resident routines with `jsr`, loaded
+//! once at boot and named by templates as constant operands (no hole):
+//!
+//! | address | routine | arguments | result | clobbers |
+//! |---|---|---|---|---|
+//! | [`layout::COPY_WRITE`](crate::layout::COPY_WRITE) | copy `(a0)+ → (a1)+` | `d3` = bytes >> 4 (≥ 1) | `a0`, `a1` advanced by 16 · `d3` | `d3`, CCR |
+//! | [`layout::COPY_READ`](crate::layout::COPY_READ) | copy `(a1)+ → (a0)+` | `d3` = bytes >> 4 (≥ 1) | `a1`, `a0` advanced by 16 · `d3` | `d3`, CCR |
+//!
+//! [`copy::emit_copy`] is the call sequence (the byte tail stays inline).
 
 use synthesis_codegen::template::TemplateLib;
 

@@ -4,7 +4,8 @@
 //! the writer alone advances `head`, the reader alone advances `tail`,
 //! and `head` is published only after the data is in place). The ring
 //! address, size, and mask are folded into the code at open time; the
-//! copy core is the unrolled long-word loop of Section 6.2.
+//! bulk of each copy is a call to the kernel-resident unrolled long-word
+//! loop of Section 6.2 (see [`super::copy`]).
 //!
 //! Table 1's programs 2–4 (pipe read/write at 1 B / 1 KB / 4 KB) run on
 //! exactly this code.
@@ -13,7 +14,7 @@ use quamachine::asm::Asm;
 use quamachine::isa::{Cond, Operand::*, Size::*};
 use synthesis_codegen::template::Template;
 
-use super::copy::emit_copy;
+use super::copy::{emit_copy, Dir};
 
 /// `kcall`: writer found the pipe full; block until space.
 pub const KCALL_WAIT_PIPE_SPACE: u16 = 0x21;
@@ -22,7 +23,9 @@ pub const KCALL_WAIT_PIPE_DATA: u16 = 0x22;
 
 /// `write(pipe)`: copy `d1` bytes from `(a0)` into the ring; block while
 /// there is not enough space for the whole write (writes up to the ring
-/// size are atomic, like `PIPE_BUF`).
+/// size are atomic, like `PIPE_BUF`). A larger write has its count cut
+/// to the ring size by the `WAIT_PIPE_SPACE` kernel call and returns
+/// short.
 ///
 /// Holes: `head_slot`, `tail_slot`, `buf`, `size`, `mask`, `gauge`.
 #[must_use]
@@ -67,17 +70,17 @@ pub fn pipe_write_template() -> Template {
     a.bcc(Cond::Hi, wrap);
     // Contiguous fast path.
     a.move_(L, Dr(1), Dr(2));
-    emit_copy(&mut a, 0, 1, 2, 3);
+    emit_copy(&mut a, Dir::Write, 2);
     a.bra(publish);
     // Wrapping path: two copies.
     a.bind(wrap);
     a.move_(L, Dr(1), PreDec(7)); // second-segment length on the stack
     a.sub(L, Dr(0), Ind(7));
     a.move_(L, Dr(0), Dr(2));
-    emit_copy(&mut a, 0, 1, 2, 3);
+    emit_copy(&mut a, Dir::Write, 2);
     a.move_(L, buf, Ar(1));
     a.move_(L, PostInc(7), Dr(2));
-    emit_copy(&mut a, 0, 1, 2, 3);
+    emit_copy(&mut a, Dir::Write, 2);
 
     a.bind(publish);
     // "We update Q_head at the last instruction during Q_put."
@@ -140,16 +143,16 @@ pub fn pipe_read_template() -> Template {
     a.cmp(L, Dr(0), Dr(1));
     a.bcc(Cond::Hi, wrap);
     a.move_(L, Dr(1), Dr(2));
-    emit_copy(&mut a, 1, 0, 2, 3);
+    emit_copy(&mut a, Dir::Read, 2);
     a.bra(publish);
     a.bind(wrap);
     a.move_(L, Dr(1), PreDec(7));
     a.sub(L, Dr(0), Ind(7));
     a.move_(L, Dr(0), Dr(2));
-    emit_copy(&mut a, 1, 0, 2, 3);
+    emit_copy(&mut a, Dir::Read, 2);
     a.move_(L, buf, Ar(1));
     a.move_(L, PostInc(7), Dr(2));
-    emit_copy(&mut a, 1, 0, 2, 3);
+    emit_copy(&mut a, Dir::Read, 2);
 
     a.bind(publish);
     a.move_(L, Ar(2), Dr(0));

@@ -23,7 +23,7 @@ use quamachine::asm::Asm;
 use quamachine::isa::{Cond, IndexSpec, Operand::*, Size::*};
 use synthesis_codegen::template::Template;
 
-use super::copy::emit_copy;
+use super::copy::{emit_copy, Dir};
 
 /// `kcall`: block the current thread until tty input is available.
 pub const KCALL_WAIT_TTY: u16 = 0x20;
@@ -139,7 +139,7 @@ pub fn read_file_template() -> Template {
     a.add(L, Dr(0), Dr(2));
     a.move_(L, Dr(2), offset_slot); // offset += n
     a.add(L, Imm(1), gauge);
-    emit_copy(&mut a, 1, 0, 1, 3);
+    emit_copy(&mut a, Dir::Read, 1);
     a.rte();
     Template::from_asm(a).expect("assembles")
 }
@@ -176,7 +176,7 @@ pub fn write_file_template() -> Template {
     a.move_(L, Dr(2), len_slot);
     a.bind(noext);
     a.add(L, Imm(1), gauge);
-    emit_copy(&mut a, 0, 1, 1, 3);
+    emit_copy(&mut a, Dir::Write, 1);
     a.rte();
     Template::from_asm(a).expect("assembles")
 }
@@ -241,7 +241,7 @@ pub fn rw_generic_template() -> Template {
         a.move_(L, Dr(1), Dr(0));
         a.add(L, Dr(0), Dr(2));
         a.move_(L, Dr(2), Disp(4, 2));
-        emit_copy(&mut a, 1, 0, 1, 3);
+        emit_copy(&mut a, Dir::Read, 1);
         a.bind(done);
         a.add(L, Imm(1), Disp(gauge_indirect, 2));
         a.rte();
@@ -296,7 +296,7 @@ pub fn rw_generic_template() -> Template {
         a.bcc(Cond::Cc, noext);
         a.move_(L, Dr(2), Disp(8, 2));
         a.bind(noext);
-        emit_copy(&mut a, 0, 1, 1, 3);
+        emit_copy(&mut a, Dir::Write, 1);
         a.bind(done);
         a.add(L, Imm(1), Disp(gauge_indirect, 2));
         a.rte();
@@ -314,9 +314,11 @@ mod tests {
 
     /// Cycles for one `n`-byte read of a 64 KB file through the
     /// specialized `read_file` or through `rw_generic`'s `read` entry,
-    /// which re-derives everything from a descriptor at run time.
+    /// which re-derives everything from a descriptor at run time. Both
+    /// move the bytes through the same resident copy routine.
     fn read_cycles(n: u32, generic: bool) -> u64 {
         let mut m = Machine::new(MachineConfig::sun3_emulation());
+        super::super::copy::load_routines(&mut m).unwrap();
         let mut c = QuajectCreator::new(0x10_0000, 0x2_0000);
         c.lib.add(read_file_template());
         c.lib.add(rw_generic_template());

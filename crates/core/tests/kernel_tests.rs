@@ -387,6 +387,110 @@ fn waking_does_not_revive_a_thread_quarantined_while_blocked() {
     assert!(!k.exited.contains(&rt));
 }
 
+/// A writer and a reader on one pipe (read end fd 0, write end fd 1 in
+/// both), created but not started: `(kernel, writer, reader)`. `UBUF`
+/// holds 12,000 bytes of a counting pattern.
+fn pipe_pair(writer: Asm, reader: Asm) -> (Kernel, u32, u32) {
+    let mut k = boot();
+    let we = k.load_user_program(writer.assemble().unwrap()).unwrap();
+    let re = k.load_user_program(reader.assemble().unwrap()).unwrap();
+    let wt = k.create_thread(we, USTACK, user_map()).unwrap();
+    let rt = k.create_thread(re, USTACK + 0x1000, user_map()).unwrap();
+    assert_eq!(k.pipe_for(wt).unwrap(), (0, 1));
+    assert_eq!(k.pipe_attach(rt, 0).unwrap(), (0, 1));
+    k.m.mem.poke_bytes(UBUF, &pattern(12_000));
+    (k, wt, rt)
+}
+
+fn pattern(n: usize) -> Vec<u8> {
+    (0..n).map(|i| (i * 7 + 3) as u8).collect()
+}
+
+/// Emit `write(1, buf, n)`, storing the result at `result`.
+fn emit_pipe_write(a: &mut Asm, buf: u32, n: u32, result: u32) {
+    a.move_i(L, 1, Dr(0));
+    a.lea(Abs(buf), 0);
+    a.move_i(L, n, Dr(1));
+    a.trap(traps::WRITE);
+    a.move_(L, Dr(0), Abs(result));
+}
+
+/// A write larger than the ring can never fit, so it must not wait for
+/// room: its count is cut to the ring size and it returns short.
+#[test]
+fn a_write_larger_than_the_pipe_returns_short() {
+    let mut writer = Asm::new("writer");
+    emit_pipe_write(&mut writer, UBUF, 9_000, UBUF2);
+    emit_exit(&mut writer);
+    let mut reader = Asm::new("reader");
+    reader.move_i(L, 0, Dr(0));
+    reader.lea(Abs(UBUF + 0x4000), 0);
+    reader.move_i(L, 9_000, Dr(1));
+    reader.trap(traps::READ);
+    reader.move_(L, Dr(0), Abs(UBUF2 + 4));
+    emit_exit(&mut reader);
+    let (mut k, wt, rt) = pipe_pair(writer, reader);
+    let size = synthesis_core::io::pipe::DEFAULT_PIPE_SIZE;
+
+    k.start(wt).unwrap();
+    assert!(k.run_until_exit(wt, 50_000_000), "the writer returned");
+    assert_eq!(
+        k.m.mem.peek(UBUF2, L),
+        size,
+        "a short write of the ring size"
+    );
+    k.start(rt).unwrap();
+    assert!(k.run_until_exit(rt, 50_000_000), "the reader returned");
+    assert_eq!(k.m.mem.peek(UBUF2 + 4, L), size);
+    assert_eq!(
+        k.m.mem.peek_bytes(UBUF + 0x4000, size),
+        pattern(size as usize)
+    );
+}
+
+/// A write that fits the ring but not its free space blocks — it does not
+/// spin, `Ready`, through its quantum — until the reader has made room for
+/// all of it.
+#[test]
+fn a_write_that_does_not_fit_blocks_until_the_reader_makes_room() {
+    let mut writer = Asm::new("writer");
+    emit_pipe_write(&mut writer, UBUF, 6_000, UBUF2);
+    emit_pipe_write(&mut writer, UBUF + 6_000, 6_000, UBUF2 + 4);
+    emit_exit(&mut writer);
+    // Read until all 12,000 bytes have arrived; d4 counts, a3 walks.
+    let mut reader = Asm::new("reader");
+    reader.move_i(L, 0, Dr(4));
+    reader.lea(Abs(UBUF + 0x8000), 3);
+    let top = reader.here();
+    reader.move_i(L, 0, Dr(0));
+    reader.move_(L, Ar(3), Ar(0));
+    reader.move_i(L, 12_000, Dr(1));
+    reader.sub(L, Dr(4), Dr(1));
+    reader.trap(traps::READ);
+    reader.add(L, Dr(0), Dr(4));
+    reader.add(L, Dr(0), Ar(3));
+    reader.cmp(L, Imm(12_000), Dr(4));
+    reader.bcc(Cond::Ne, top);
+    reader.move_(L, Dr(4), Abs(UBUF2 + 8));
+    emit_exit(&mut reader);
+    let (mut k, wt, rt) = pipe_pair(writer, reader);
+
+    // 6,000 bytes in, 2,192 free: the second write blocks.
+    k.start(wt).unwrap();
+    run_until_blocked(&mut k, wt);
+    assert_eq!(k.m.mem.peek(UBUF2, L), 6_000);
+    assert_eq!(k.m.mem.peek(UBUF2 + 4, L), 0, "the second write is waiting");
+    k.start(rt).unwrap();
+    assert!(
+        k.run_until_exit(rt, 100_000_000),
+        "the reader got everything"
+    );
+    assert!(k.run_until_exit(wt, 100_000_000), "the writer finished");
+    assert_eq!(k.m.mem.peek(UBUF2 + 4, L), 6_000);
+    assert_eq!(k.m.mem.peek(UBUF2 + 8, L), 12_000);
+    assert_eq!(k.m.mem.peek_bytes(UBUF + 0x8000, 12_000), pattern(12_000));
+}
+
 #[test]
 fn tty_read_blocks_until_typed_input() {
     let mut k = boot();

@@ -137,15 +137,18 @@ struct Line {
 }
 
 /// A direct-mapped table of recent [`CodeMem::locate_slab`] answers,
-/// indexed by `(addr >> 1) % LINES` (instructions start on even
-/// addresses). A line is good only while its epoch is current: a patch
-/// never moves an instruction boundary, so only `load` and `unload` can
-/// change an answer, and both bump the epoch.
+/// indexed by `((addr >> 1) ^ (addr >> 10)) % LINES`: instructions start
+/// on even addresses, and folding in the bits above the first KB keeps
+/// the same instruction of blocks 1, 2 or 4 KB apart (two threads'
+/// copies of one template, say) on different lines. A line is good only
+/// while its epoch is current: a patch never moves an instruction
+/// boundary, so only `load` and `unload` can change an answer, and both
+/// bump the epoch.
 struct Lines(Box<[Cell<Line>]>);
 
 impl Lines {
     fn line(&self, addr: u32) -> &Cell<Line> {
-        &self.0[(addr >> 1) as usize % LINES]
+        &self.0[((addr >> 1) ^ (addr >> 10)) as usize % LINES]
     }
 }
 
@@ -181,6 +184,8 @@ pub struct CodeMem {
     epoch: u64,
     /// Recent answers of `locate_slab`, valid under `epoch`.
     lines: Lines,
+    /// How many `locate_slab` calls no line could answer.
+    searches: Cell<u64>,
     /// Total bytes ever loaded (for the Section 6.4 size accounting).
     pub bytes_loaded: u64,
     /// Total bytes freed.
@@ -268,6 +273,7 @@ impl CodeMem {
         if l.epoch == self.epoch && l.addr == addr {
             return Some(l.at);
         }
+        self.searches.set(self.searches.get() + 1);
         let at = self.search(addr)?;
         line.set(Line {
             epoch: self.epoch,
@@ -275,6 +281,14 @@ impl CodeMem {
             at,
         });
         Some(at)
+    }
+
+    /// How many times resolving an address (a fetch the memo could not
+    /// name, a patch, a host `locate`) found no line to answer it and
+    /// searched.
+    #[must_use]
+    pub fn searches(&self) -> u64 {
+        self.searches.get()
     }
 
     /// Resolve an address to a slab position by searching, remembering

@@ -290,8 +290,9 @@ fn switch_cpu_resumes_each_cpu_where_it_was_parked() {
 
 // --- The line table -------------------------------------------------------------
 
-/// Addresses this far apart share a line of the table.
-const LINE_STRIDE: u32 = 1024;
+/// Addresses this far apart share a line of the table: 512 KB moves
+/// neither `addr >> 1` nor `addr >> 10` in the nine bits that pick it.
+const LINE_STRIDE: u32 = 0x8_0000;
 
 #[test]
 fn two_hot_addresses_on_one_line_alternate_through_jsr_and_rts() {
@@ -327,9 +328,14 @@ fn two_hot_addresses_on_one_line_alternate_through_jsr_and_rts() {
     }
     m.cpu.d[0] = 9; // ten passes
     m.cpu.pc = BASE;
+    let before = m.code.searches();
     assert_eq!(m.run(100_000), RunExit::Halted);
     assert_eq!((m.cpu.d[1], m.cpu.d[2], m.cpu.d[3]), (10, 1000, 0));
     assert_eq!(m.meter.instr_count, 10 * 7 + 1);
+    assert!(
+        m.code.searches() - before >= 2 * 10,
+        "a and b evict each other on every pass"
+    );
     // And the host's view of both, asked alternately.
     for _ in 0..3 {
         assert_eq!(m.code.locate(a).unwrap().block_base, a);
@@ -337,6 +343,32 @@ fn two_hot_addresses_on_one_line_alternate_through_jsr_and_rts() {
         assert_eq!(m.code.locate(b + 6).unwrap().index, 1);
         assert_eq!(m.code.locate(a + 6).unwrap().block_base, a);
     }
+}
+
+#[test]
+fn blocks_1_2_and_4_kb_apart_stop_searching_once_warm() {
+    // Four subroutines at 0x4000 + 0, 1, 2 and 4 KB — where two threads'
+    // copies of one template land — each a `jsr` target whose `rts`
+    // returns to a different caller address. An index of `addr >> 1`
+    // alone put all four entries on one line.
+    let subs = [0x4000, 0x4400, 0x4800, 0x5000];
+    let mut m = machine();
+    let mut main: Vec<Instr> = subs.iter().map(|&s| Instr::Jsr(Abs(s))).collect();
+    main.push(Instr::Dbf(0, BranchTarget::Idx(0)));
+    main.push(Instr::Halt);
+    load(&mut m, BASE, main);
+    for (n, &s) in (1..).zip(&subs) {
+        load(&mut m, s, vec![Instr::Add(L, Imm(1), Dr(n)), Instr::Rts]);
+    }
+    m.cpu.pc = BASE;
+    assert_eq!(m.run(100_000), RunExit::Halted);
+    // The start, four entries and four returns, once each.
+    assert_eq!(m.code.searches(), 9);
+    m.cpu.d[0] = 9; // ten more passes
+    m.cpu.pc = BASE;
+    assert_eq!(m.run(100_000), RunExit::Halted);
+    assert_eq!(m.cpu.d[1..5], [11; 4]);
+    assert_eq!(m.code.searches(), 9, "a warm line was evicted");
 }
 
 #[test]

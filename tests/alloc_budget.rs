@@ -7,7 +7,8 @@
 //! are its plan's, shared, and the kernel binds its holes by literal
 //! names (DESIGN.md §10). A blocking pipe round trip synthesizes nothing
 //! and allocates nothing: the wait lists keep their capacity across a
-//! wake and `Kernel::run` keeps its per-CPU state in fixed arrays. This
+//! wake and `Kernel::run` keeps its per-CPU state in fixed arrays; once
+//! warm it does not search code memory either. This
 //! binary's allocator counts the calling thread's allocations and holds
 //! each path to its budget: a copy of something shared, or a per-block
 //! allocation, crept back in if one fails.
@@ -198,9 +199,11 @@ fn a_blocking_pipe_round_trip_allocates_nothing() {
     let trips = 4_000;
     k.m.mem.poke(COUNT, L, trips);
     let moved = k.m.meter.instr_count;
+    let searched = k.m.code.searches();
     let before = ALLOCS.with(Cell::get);
     run_to_mark(&mut k);
     let allocs = ALLOCS.with(Cell::get) - before;
+    let searches = k.m.code.searches() - searched;
     assert!(
         k.m.meter.instr_count - moved > 200 * u64::from(trips),
         "the round trips ran"
@@ -208,5 +211,12 @@ fn a_blocking_pipe_round_trip_allocates_nothing() {
     assert_eq!(
         allocs, 0,
         "{allocs} heap allocations in {trips} blocking round trips"
+    );
+    // Nor any search: every trap, `rte`, `jsr`/`rts`, chain `jmp` and
+    // chain patch finds its address in a warm line, the two threads'
+    // switch blocks 1 KB apart included.
+    assert_eq!(
+        searches, 0,
+        "{searches} code-memory searches in {trips} blocking round trips"
     );
 }
