@@ -562,7 +562,8 @@ impl Kernel {
         let [sw, trap_read, trap_write, trap_error]: [Synthesized; 4] =
             code.try_into().expect("four blocks");
         self.sw_extents.insert(sw.base, sw.base + sw.size);
-        let (sw_out, ipi_in, sw_in, sw_in_mmu, jmp_at) = Kernel::switch_entries(&self.m, &sw);
+        let (sw_out, sw_save, ipi_in, sw_in, sw_in_mmu, jmp_at) =
+            Kernel::switch_entries(&self.m, &sw);
 
         // Vector table: errors, FP, interrupts, traps.
         let (d1, d2, errh) = (trap_read.base, trap_write.base, trap_error.base);
@@ -598,6 +599,7 @@ impl Kernel {
             kstack,
             sw,
             sw_out,
+            sw_save,
             sw_in,
             sw_in_mmu,
             jmp_at,
@@ -710,8 +712,9 @@ impl Kernel {
     }
 
     /// The switch code's entries and its patchable jump, all marks of
-    /// the switch templates: `(sw_out, ipi_in, sw_in, sw_in_mmu, chain)`.
-    fn switch_entries(m: &Machine, sw: &Synthesized) -> (u32, u32, u32, u32, u32) {
+    /// the switch templates:
+    /// `(sw_out, sw_save, ipi_in, sw_in, sw_in_mmu, chain)`.
+    fn switch_entries(m: &Machine, sw: &Synthesized) -> (u32, u32, u32, u32, u32, u32) {
         let at = |mark| sw.entry(mark).expect("the switch templates mark it");
         let jmp_at = at("chain");
         debug_assert!(
@@ -723,6 +726,7 @@ impl Kernel {
         );
         (
             at("sw_out"),
+            at("sw_save"),
             at("ipi_in"),
             at("sw_in"),
             at("sw_in_mmu"),
@@ -951,10 +955,13 @@ impl Kernel {
 
     /// Save the machine's register state into the current thread's TTE
     /// and fabricate a resume frame on its kernel stack — the host-side
-    /// mirror of `sw_out`, used when the kernel switches away inside a
-    /// kernel call. The fabricated frame makes the later `sw_in`'s `rte`
-    /// resume exactly where the `kcall` left off (mid-routine, in
-    /// supervisor mode), so the synthesized routine finishes normally.
+    /// mirror of `sw_out`, for the host APIs that take a running thread
+    /// off its CPU between slices (`stop`, `signal`) and must find its
+    /// state parked before they return. The fabricated frame makes the
+    /// later `sw_in`'s `rte` resume exactly where the thread stood. A
+    /// kernel call that blocks, yields or stops its own thread does not
+    /// come here: the thread leaves through its own switch code
+    /// (`kernel/ready.rs`).
     fn suspend_current_state(&mut self) {
         self.suspend_state_of(self.m.active_cpu());
     }
@@ -1315,12 +1322,14 @@ impl Kernel {
                 return;
             }
         };
-        let (sw_out, ipi_in, sw_in, sw_in_mmu, jmp_at) = Kernel::switch_entries(&self.m, &sw);
+        let (sw_out, sw_save, ipi_in, sw_in, sw_in_mmu, jmp_at) =
+            Kernel::switch_entries(&self.m, &sw);
         self.sw_extents.insert(sw.base, sw.base + sw.size);
         {
             let t = self.threads.get_mut(&tid).expect("exists");
             t.sw = sw;
             t.sw_out = sw_out;
+            t.sw_save = sw_save;
             t.sw_in = sw_in;
             t.sw_in_mmu = sw_in_mmu;
             t.jmp_at = jmp_at;

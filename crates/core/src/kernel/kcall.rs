@@ -172,6 +172,7 @@ impl Kernel {
                 }
             }
             general::THREAD_START => status(self.start(d1)),
+            general::THREAD_STOP if self.current_tid() == Some(d1) => status(self.stop_self(d1)),
             general::THREAD_STOP => status(self.stop(d1)),
             general::THREAD_DESTROY => status(self.destroy(d1)),
             general::SIGNAL => status(self.signal_from_kcall(d1)),
@@ -216,20 +217,37 @@ impl Kernel {
             general::SEEK => self.seek(d1, d2),
             _ => -i64::from(errno::EINVAL),
         };
+        // A call that blocked, yielded or stopped its caller has not saved
+        // it yet — its switch code runs after this returns — so the result
+        // is in what the thread resumes with.
         self.m.cpu.d[0] = result as u32;
     }
 
+    /// `THREAD_STOP` of the calling thread itself: what
+    /// [`Kernel::stop`] does, but the thread leaves through its own switch
+    /// code, as a block does, instead of being parked by the host.
+    fn stop_self(&mut self, tid: Tid) -> Result<(), KernelError> {
+        if self.is_idle(tid) {
+            return Err(KernelError::Invalid("stopping the idle thread"));
+        }
+        self.dequeue(tid)?;
+        let c = charges::code_patch(&self.m.cost) + charges::kcall_overhead(&self.m.cost);
+        self.m.charge(c);
+        self.switch_out(tid);
+        Ok(())
+    }
+
+    /// Give the CPU to the next thread in this CPU's chain after us — the
+    /// one our own chain `jmp` names — or, with no other ready thread,
+    /// return at once.
     fn yield_current(&mut self) {
         let Some(tid) = self.current_tid() else {
             return;
         };
-        self.suspend_current_state();
-        // Enter the next thread in this CPU's chain after us.
         let cpu = self.home_cpu(tid);
-        if let Some(next) = self.cpus[cpu].ready.next_of_id(tid) {
-            if next.id != tid {
-                self.enter(next.id);
-            }
+        let next = self.cpus[cpu].ready.next_of_id(tid);
+        if next.is_some_and(|n| n.id != tid) {
+            self.switch_out(tid);
         }
     }
 

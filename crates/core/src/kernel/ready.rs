@@ -28,6 +28,25 @@
 //! unit. `start`, `stop`, `destroy`, blocking, waking, work stealing, CPU
 //! evacuation and FP resynthesis are calls to the pair; a whole-chain
 //! event is a per-thread dequeue and enqueue.
+//!
+//! **Blocking and yielding switch in guest code.** A kernel call that
+//! blocks (`WAIT_*`), yields, or stops its own thread does only the
+//! bookkeeping above on the host; the thread then leaves the way a
+//! quantum expiry makes it leave, through its own switch code
+//! ([`Kernel::switch_out`]): the machine pushes an exception frame with
+//! interrupts masked and enters the thread's `sw_save`, which stores the
+//! registers, USP and SSP into its TTE and takes its chain `jmp`. Nothing is parked until that code has
+//! run, which is safe because of where the window sits. From the `kcall`
+//! to the incoming thread's `move to VBR`, the VBR still names the leaving
+//! thread and the PC is inside switch code, so any host surgery first
+//! goes through `ensure_safe_point`, which runs the switch to its end.
+//! Interrupts are masked for the whole window, and the only kernel call
+//! in it is `sw_in_mmu`'s, which wakes nobody. Other CPUs run only at
+//! slice boundaries, where every CPU is outside switch code, so no wake
+//! from another CPU can race the save. The host's own copy
+//! (`suspend_current_state`) is left to the host APIs that take a
+//! running thread off its CPU between slices and must find its state
+//! parked before they return.
 
 use std::collections::BTreeMap;
 
@@ -170,7 +189,8 @@ impl Kernel {
 
     // --- Blocking / waking -------------------------------------------------
 
-    /// Block the current thread on `wait` and switch away.
+    /// Block the current thread on `wait` and switch away: the queue
+    /// bookkeeping here, the switch in the thread's own code.
     pub(super) fn block_current(&mut self, wait: WaitObject) {
         let Some(tid) = self.current_tid() else {
             return;
@@ -178,12 +198,29 @@ impl Kernel {
         if self.is_idle(tid) {
             return; // the idle thread never blocks
         }
-        self.suspend_current_state();
         let _ = self.dequeue(tid);
         self.threads.get_mut(&tid).expect("current exists").state = ThreadState::Blocked(wait);
         self.waiters.entry(wait).or_default().push(tid);
         self.set_wait_flag(wait, true);
-        self.enter_next();
+        self.switch_out(tid);
+    }
+
+    /// Leave the current thread `tid` from inside its kernel call: a frame
+    /// (SR, the PC after the `kcall`) on its supervisor stack, then its
+    /// `sw_save`, which saves what the thread uses and takes its chain
+    /// `jmp` — to its successor while it is on the chain, to the head once
+    /// `dequeue` has taken it off. A stack that cannot take the frame is
+    /// the thread's double fault.
+    pub(super) fn switch_out(&mut self, tid: Tid) {
+        debug_assert_eq!(
+            self.home_cpu(tid),
+            self.m.active_cpu(),
+            "a running thread's jmp is on its own CPU's chain"
+        );
+        let entry = self.threads[&tid].sw_save;
+        if let Err(e) = self.m.exception_to(entry) {
+            let _ = self.recover_machine_error(e);
+        }
     }
 
     /// Wake every thread blocked on `wait` (front of the ready queue:

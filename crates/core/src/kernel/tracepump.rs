@@ -98,10 +98,11 @@ impl Kernel {
     /// syscall's exit record carries its enter→exit cycle count; the
     /// stack is per thread because the hardware frames live on the
     /// thread's own kernel stack, so the pairing survives context
-    /// switches. Host-fabricated frames (block/resume) make an `rte`
-    /// occasionally pop a trap frame early, so `SyscallExit` can land at
-    /// a resume rather than the true return — a documented approximation,
-    /// bounded by the frame-stack depth cap.
+    /// switches. Frames no trap pushed (a blocking call's switch-out
+    /// frame, the host's resume frames) make an `rte` occasionally pop a
+    /// trap frame early, so `SyscallExit` can land at a resume rather than
+    /// the true return — a documented approximation, bounded by the
+    /// frame-stack depth cap.
     pub fn pump_trace(&mut self) {
         self.pump_fault_trace();
         self.trace.dropped = self.m.hooks.dropped;

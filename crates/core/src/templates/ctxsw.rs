@@ -2,12 +2,17 @@
 //!
 //! Each thread gets its own specialized switch code: the TTE field
 //! addresses, vector-table address, and CPU quantum are folded in as
-//! constants. The block has three entries:
+//! constants. The block's entries:
 //!
 //! - `sw_out` — the timer-interrupt vector target: acknowledge the timer,
 //!   save the registers being used, and `jmp` to the *next* thread's
 //!   `sw_in` (the jump target is patched by the executable ready queue,
 //!   which finds the `jmp` by its mark, `chain`);
+//! - `sw_save` — `sw_out` past the timer acknowledge: where a kernel call
+//!   that blocks, yields or stops its caller leaves the thread
+//!   (`kernel/ready.rs`);
+//! - `ipi_in` — the reschedule IPI's target: mask interrupts, then
+//!   `sw_out`;
 //! - `sw_in_mmu` — entered when an address-space change is required:
 //!   installs the thread's address map, then falls into `sw_in`;
 //! - `sw_in` — load the kernel stack, the VBR (per-thread vector table),
@@ -68,6 +73,11 @@ pub fn switch_template(fp: bool) -> Template {
     a.mark("sw_out");
     // Acknowledge the quantum interrupt so it does not immediately recur.
     a.move_i(L, 0, timer_ack);
+    // --- sw_save --------------------------------------------------------
+    // A kernel call that blocks, yields or stops its caller enters here,
+    // behind a frame the kernel pushed with interrupts masked: no timer to
+    // acknowledge.
+    a.mark("sw_save");
     // "We switch only the part of the context being used, not all of it."
     a.movem_save(RegList::ALL_BUT_SP, save);
     a.emit(quamachine::isa::Instr::MoveUsp {
@@ -152,6 +162,8 @@ mod tests {
             // The masked IPI entry leads the block and falls into sw_out.
             assert_eq!(t.marks["ipi_in"], 0);
             assert_eq!(t.marks["sw_out"], 1);
+            // The kernel-call entry skips only the timer acknowledge.
+            assert_eq!(t.marks["sw_save"], 2);
             assert!(t.marks["sw_in_mmu"] < t.marks["sw_in"]);
         }
     }

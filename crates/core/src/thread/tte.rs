@@ -135,6 +135,10 @@ pub struct Thread {
     pub sw: Synthesized,
     /// `sw_out` entry (the timer vector target and ready-chain jmp owner).
     pub sw_out: u32,
+    /// `sw_save` entry: `sw_out` without the timer acknowledge, where a
+    /// kernel call that blocks, yields or stops its caller leaves the
+    /// thread.
+    pub sw_save: u32,
     /// `sw_in` entry.
     pub sw_in: u32,
     /// `sw_in_mmu` entry.
@@ -300,6 +304,7 @@ mod tests {
             kstack: 0,
             sw: none(),
             sw_out: 0,
+            sw_save: 0,
             sw_in: 0,
             sw_in_mmu: 0,
             jmp_at: 0,

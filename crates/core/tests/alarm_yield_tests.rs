@@ -49,6 +49,30 @@ fn alarm_wakes_a_waiting_thread() {
     assert!(dt < 5_000.0, "woke promptly after the alarm: {dt:.0} µs");
 }
 
+/// Regression: a `WAIT_ALARM` that blocked came back with its own call
+/// number (15) in `d0` — the thread was parked before the call's result
+/// was written.
+#[test]
+fn a_wait_alarm_that_blocks_returns_zero() {
+    let mut k = boot();
+    let mut a = Asm::new("alarmresult");
+    a.move_i(L, general::SET_ALARM, Dr(0));
+    a.move_i(L, 300, Dr(1));
+    a.trap(traps::GENERAL);
+    a.move_i(L, general::WAIT_ALARM, Dr(0));
+    a.trap(traps::GENERAL);
+    a.move_(L, Dr(0), Abs(UBUF));
+    emit_exit(&mut a);
+    let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
+    k.m.mem.poke(UBUF, Size::L, 0xFFFF_FFFF);
+    let tid = k.create_thread(entry, USTACK, user_map()).unwrap();
+    k.start(tid).unwrap();
+    let t0 = k.m.now_us();
+    assert!(k.run_until_exit(tid, 2_000_000_000));
+    assert!(k.m.now_us() - t0 >= 290.0, "the wait blocked");
+    assert_eq!(k.m.mem.peek(UBUF, Size::L), 0, "WAIT_ALARM's result");
+}
+
 #[test]
 fn yield_rotates_between_threads() {
     // Pinned to one CPU: the alternation this test asserts is a

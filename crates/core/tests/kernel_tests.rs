@@ -549,6 +549,54 @@ fn lazy_fp_resynthesis_on_first_fp_instruction() {
     assert!((v - 84.0).abs() < 1e-12, "FP math ran: {v}");
 }
 
+/// Regression: the FPU stayed enabled after an FP thread switched out, so
+/// a thread that had never used FP ran its first `fmove` without the
+/// lazy-FP trap, never got the FP switch, and lost its FP registers to
+/// the FP thread's next switch-in.
+#[test]
+fn a_thread_after_an_fp_thread_takes_its_own_lazy_fp_trap() {
+    let mut k = Kernel::boot(KernelConfig {
+        cpus: 1,
+        ..KernelConfig::default()
+    })
+    .unwrap();
+    let emit_yield = |a: &mut Asm| {
+        a.move_i(L, general::YIELD, Dr(0));
+        a.trap(traps::GENERAL);
+    };
+    // A: fp0 = 1.0, then yield forever.
+    let mut a = Asm::new("fp_a");
+    a.fmove_load(Abs(UBUF), 0);
+    let top = a.here();
+    emit_yield(&mut a);
+    a.bcc(Cond::T, top);
+    // B: fp0 = 2.0, yield (A runs), store fp0, then yield forever.
+    let mut b = Asm::new("fp_b");
+    b.fmove_load(Abs(UBUF + 8), 0);
+    emit_yield(&mut b);
+    b.fmove_store(0, Abs(UBUF + 16));
+    let top = b.here();
+    emit_yield(&mut b);
+    b.bcc(Cond::T, top);
+    for (at, v) in [(UBUF, 1.0f64), (UBUF + 8, 2.0), (UBUF + 16, -1.0)] {
+        k.m.mem.poke(at, L, (v.to_bits() >> 32) as u32);
+        k.m.mem.poke(at + 4, L, v.to_bits() as u32);
+    }
+    let ea = k.load_user_program(a.assemble().unwrap()).unwrap();
+    let eb = k.load_user_program(b.assemble().unwrap()).unwrap();
+    let ta = k.create_thread(ea, USTACK, user_map()).unwrap();
+    k.start(ta).unwrap();
+    k.run(200_000);
+    assert!(k.threads[&ta].uses_fp, "A is on the FP switch");
+    let tb = k.create_thread(eb, USTACK + 0x1000, user_map()).unwrap();
+    k.start(tb).unwrap();
+    k.run(2_000_000);
+    assert!(k.threads[&tb].uses_fp, "B's first fmove trapped");
+    let (hi, lo) = (k.m.mem.peek(UBUF + 16, L), k.m.mem.peek(UBUF + 20, L));
+    let v = f64::from_bits((u64::from(hi) << 32) | u64::from(lo));
+    assert_eq!(v, 2.0, "B's fp0 survived a switch through A");
+}
+
 /// A double read from a `uses_fp` thread's FP save area in its TTE.
 fn parked_fp(k: &Kernel, tid: u32, reg: u32) -> f64 {
     let at = k.threads[&tid].tte + synthesis_core::thread::tte::off::FP + 8 * reg;

@@ -1,0 +1,344 @@
+//! Blocking through the switch-out: a kernel call that blocks leaves the
+//! thread through its own synthesized `sw_save`, which parks exactly what
+//! the thread had at the `kcall` — from a layered routine in supervisor
+//! state and from a fused wrapper in its user-mode caller, FP registers
+//! included — at a fixed cost per blocking round trip.
+
+use quamachine::asm::Asm;
+use quamachine::cpu::{sr_bits, Cpu};
+use quamachine::isa::{Cond, FpRegList, Instr, Operand::*, Size::*};
+use quamachine::machine::RunExit;
+use quamachine::mem::AddressMap;
+use synthesis_codegen::creator::Synthesized;
+use synthesis_core::kernel::{Kernel, KernelConfig};
+use synthesis_core::layout;
+use synthesis_core::syscall::{general, kcalls, traps};
+use synthesis_core::thread::tte::off;
+use synthesis_core::thread::{FdObject, ThreadState, Tid, WaitObject};
+
+const USTACK: u32 = layout::USER_BASE + 0x1_0000;
+const UBUF: u32 = layout::USER_BASE + 0x2_0000;
+const UBUF2: u32 = layout::USER_BASE + 0x3_0000;
+
+fn user_map() -> AddressMap {
+    AddressMap::single(1, layout::USER_BASE, layout::USER_LEN)
+}
+
+fn boot() -> Kernel {
+    Kernel::boot(KernelConfig::default()).expect("boots")
+}
+
+fn emit_exit(a: &mut Asm) {
+    a.move_i(L, general::EXIT, Dr(0));
+    a.trap(traps::GENERAL);
+}
+
+/// `fd` of `count` bytes at `buf` through the native trap `trap`.
+fn emit_io(a: &mut Asm, trap: u8, fd: u32, buf: u32, count: u32) {
+    a.move_i(L, fd, Dr(0));
+    a.lea(Abs(buf), 0);
+    a.move_i(L, count, Dr(1));
+    a.trap(trap);
+}
+
+/// Distinct values in the registers a read leaves alone.
+fn emit_marked_registers(a: &mut Asm) {
+    for r in 3..8u8 {
+        a.move_i(L, 0xD0D0_0000 | u32::from(r), Dr(r));
+    }
+    for r in 1..7u8 {
+        a.move_(L, Imm(0xA0A0_0000 | u32::from(r)), Ar(r));
+    }
+}
+
+/// The address of the `kcall #sel` in the first of `code` that has one.
+fn kcall_in(k: &Kernel, code: &[Synthesized], sel: u16) -> u32 {
+    code.iter()
+        .find_map(|s| {
+            let block = k.m.code.block(s.base)?;
+            let is_it = |i: &Instr| matches!(i, Instr::KCall(n) if *n == sel);
+            let i = block.instrs.iter().position(is_it)?;
+            k.m.code.addr_of(s.base, i)
+        })
+        .expect("the routine blocks through this kernel call")
+}
+
+/// The code serving `tid`'s `fd`.
+fn fd_code(k: &Kernel, tid: Tid, fd: usize) -> &[Synthesized] {
+    let FdObject::Channel { code, .. } = &k.threads[&tid].fds[fd] else {
+        panic!("fd {fd} is open");
+    };
+    code
+}
+
+/// Run until a CPU is about to execute the instruction at `at`; its
+/// registers there.
+fn cpu_at(k: &mut Kernel, at: u32) -> Cpu {
+    k.m.breakpoints.insert(at);
+    let exit = k.run(50_000_000);
+    k.m.breakpoints.remove(&at);
+    assert_eq!(exit, RunExit::Breakpoint(at));
+    k.m.cpu.clone()
+}
+
+/// `tid` is blocked on `wait`, and its TTE and kernel stack hold what the
+/// CPU held at the `kcall` at `kcall`: the save area the registers, the
+/// USP slot the USP, and the SSP slot one frame below the SSP — a frame
+/// of that SR and the PC after the `kcall`.
+fn assert_parked_as(k: &Kernel, tid: Tid, wait: WaitObject, at: &Cpu, kcall: u32) {
+    let t = &k.threads[&tid];
+    assert_eq!(t.state, ThreadState::Blocked(wait));
+    let (regs, usp) = t.parked_regs(&k.m.mem);
+    let want: Vec<u32> = at.d.iter().chain(&at.a[..7]).copied().collect();
+    assert_eq!(regs.to_vec(), want, "d0-d7/a0-a6");
+    assert_eq!(usp, at.usp(), "USP");
+    let frame = k.m.mem.peek(t.tte + off::SSP, L);
+    assert_eq!(frame, at.ssp() - 6, "one frame on the kernel stack");
+    assert_eq!(k.m.mem.peek(frame, W), u32::from(at.sr), "SR");
+    assert_eq!(k.m.mem.peek(frame + 2, L), kcall + 2, "PC after the kcall");
+}
+
+#[test]
+fn a_block_parks_what_the_thread_had_at_its_kernel_call() {
+    let mut k = boot();
+    // Read one byte of an empty pipe through the layered trap path.
+    let mut a = Asm::new("reader");
+    emit_marked_registers(&mut a);
+    emit_io(&mut a, traps::READ, 0, UBUF, 1);
+    emit_exit(&mut a);
+    let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
+    let tid = k.create_thread(entry, USTACK, user_map()).unwrap();
+    assert_eq!(k.pipe_for(tid), Ok((0, 1)));
+    let kcall = kcall_in(&k, fd_code(&k, tid, 0), kcalls::WAIT_PIPE_DATA);
+    k.start(tid).unwrap();
+    let at = cpu_at(&mut k, kcall);
+    assert!(
+        at.supervisor(),
+        "a layered routine runs in supervisor state"
+    );
+    k.run(100_000);
+    assert_parked_as(&k, tid, WaitObject::PipeData(0), &at, kcall);
+    assert_eq!(at.d[5], 0xD0D0_0005);
+    assert_eq!(at.a[6], 0xA0A0_0006);
+}
+
+/// `THREAD_STOP` of the caller itself leaves like a block, so the call's
+/// result is what the thread resumes with when it is started again.
+#[test]
+fn a_thread_that_stops_itself_resumes_with_the_calls_result() {
+    let mut k = boot();
+    let mut a = Asm::new("self_stop");
+    a.move_i(L, general::GETTID, Dr(0));
+    a.trap(traps::GENERAL);
+    a.move_(L, Dr(0), Dr(1));
+    a.move_i(L, general::THREAD_STOP, Dr(0));
+    a.trap(traps::GENERAL);
+    a.move_(L, Dr(0), Abs(UBUF));
+    emit_exit(&mut a);
+    let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
+    k.m.mem.poke(UBUF, L, 0xFFFF_FFFF);
+    let tid = k.create_thread(entry, USTACK, user_map()).unwrap();
+    k.start(tid).unwrap();
+    k.run(1_000_000);
+    assert_eq!(k.threads[&tid].state, ThreadState::Stopped);
+    assert_eq!(k.m.mem.peek(UBUF, L), 0xFFFF_FFFF, "stopped in its call");
+    k.start(tid).unwrap();
+    assert!(k.run_until_exit(tid, 10_000_000));
+    assert_eq!(k.m.mem.peek(UBUF, L), 0, "THREAD_STOP's result");
+}
+
+/// Eight distinct doubles at `at`.
+fn poke_doubles(k: &mut Kernel, at: u32, first: f64) {
+    for i in 0..8u32 {
+        let bits = (first + f64::from(i)).to_bits();
+        k.m.mem.poke(at + 8 * i, L, (bits >> 32) as u32);
+        k.m.mem.poke(at + 8 * i + 4, L, bits as u32);
+    }
+}
+
+fn peek_double(k: &Kernel, at: u32) -> f64 {
+    let (hi, lo) = (k.m.mem.peek(at, L), k.m.mem.peek(at + 4, L));
+    f64::from_bits((u64::from(hi) << 32) | u64::from(lo))
+}
+
+/// Load `fp0`–`fp7` from `at` one `fmove` at a time (the first takes the
+/// lazy-FP trap).
+fn emit_fp_loads(a: &mut Asm, at: u32) {
+    for i in 0..8u8 {
+        a.fmove_load(Abs(at + 8 * u32::from(i)), i);
+    }
+}
+
+#[test]
+fn an_fp_thread_blocked_on_a_pipe_resumes_with_its_fp_registers() {
+    let mut k = boot();
+    // The reader fills its FP registers, blocks on an empty pipe, and on
+    // waking stores them.
+    let mut r = Asm::new("fp_reader");
+    emit_fp_loads(&mut r, UBUF);
+    emit_io(&mut r, traps::READ, 0, UBUF + 0x100, 1);
+    r.fmovem_save(FpRegList::ALL, Abs(UBUF2));
+    emit_exit(&mut r);
+    // The writer fills the CPU's FP registers with its own, then writes.
+    let mut w = Asm::new("fp_writer");
+    emit_fp_loads(&mut w, UBUF + 0x200);
+    emit_io(&mut w, traps::WRITE, 1, UBUF + 0x300, 1);
+    emit_exit(&mut w);
+    poke_doubles(&mut k, UBUF, 1.5);
+    poke_doubles(&mut k, UBUF + 0x200, -100.0);
+    let re = k.load_user_program(r.assemble().unwrap()).unwrap();
+    let we = k.load_user_program(w.assemble().unwrap()).unwrap();
+    let reader = k.create_thread(re, USTACK, user_map()).unwrap();
+    let writer = k.create_thread(we, USTACK + 0x1000, user_map()).unwrap();
+    assert_eq!(k.pipe_for(reader), Ok((0, 1)));
+    assert_eq!(k.pipe_attach(writer, 0), Ok((0, 1)));
+    k.start(reader).unwrap();
+    while k.threads[&reader].state != ThreadState::Blocked(WaitObject::PipeData(0)) {
+        k.run(50_000);
+    }
+    assert!(k.threads[&reader].uses_fp, "blocked on the FP switch");
+    k.start(writer).unwrap();
+    assert!(k.run_until_exit(reader, 50_000_000));
+    for i in 0..8u32 {
+        let v = peek_double(&k, UBUF2 + 8 * i);
+        assert_eq!(v, 1.5 + f64::from(i), "fp{i} after the block");
+    }
+}
+
+#[test]
+fn a_user_mode_caller_of_a_fused_wrapper_blocks_and_resumes() {
+    const WRAPPER: u32 = UBUF + 0x400;
+    const RESULT: u32 = UBUF + 0x404;
+    let mut k = boot();
+    // The UNIX ABI of a fused read: fd in d1, count in d2, buffer in a0;
+    // the wrapper runs in its caller's (user) mode.
+    let mut a = Asm::new("fused_caller");
+    emit_marked_registers(&mut a);
+    a.move_i(L, 0, Dr(1));
+    a.move_i(L, 1, Dr(2));
+    a.lea(Abs(UBUF), 0);
+    a.move_(L, Abs(WRAPPER), Ar(1));
+    a.jsr(Ind(1));
+    a.move_(L, Dr(0), Abs(RESULT));
+    emit_exit(&mut a);
+    let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
+    let flat = AddressMap::single(1, 0, k.m.mem.size());
+    let holder = k.create_thread(entry, USTACK, flat).unwrap();
+    assert_eq!(k.pipe_for(holder), Ok((0, 1)));
+    let (name, bindings) = k.fused_rw_spec(holder, 0, false).expect("a solo pipe");
+    let wrapper = k.synthesize_cached_for(holder, &name, &bindings).unwrap();
+    k.m.mem.poke(WRAPPER, L, wrapper.base);
+    let kcall = kcall_in(&k, std::slice::from_ref(&wrapper), kcalls::WAIT_PIPE_DATA);
+    k.start(holder).unwrap();
+    let at = cpu_at(&mut k, kcall);
+    assert_eq!(at.sr & sr_bits::S, 0, "the wrapper runs in user mode");
+    k.run(100_000);
+    assert_parked_as(&k, holder, WaitObject::PipeData(0), &at, kcall);
+
+    // A peer attaches and writes; the holder's call comes back with it.
+    let mut p = Asm::new("peer");
+    emit_io(&mut p, traps::WRITE, 1, UBUF2, 1);
+    emit_exit(&mut p);
+    let pe = k.load_user_program(p.assemble().unwrap()).unwrap();
+    let peer = k.create_thread(pe, USTACK + 0x1000, user_map()).unwrap();
+    assert_eq!(k.pipe_attach(peer, 0), Ok((0, 1)));
+    k.m.mem.poke(UBUF2, B, 0x5A);
+    k.start(peer).unwrap();
+    assert!(k.run_until_exit(holder, 50_000_000));
+    assert_eq!(k.m.mem.peek(RESULT, L), 1, "one byte read");
+    assert_eq!(k.m.mem.peek(UBUF, B), 0x5A);
+    k.release_code_for(holder, &wrapper);
+}
+
+/// The kernel call the round-trip initiator makes after each pass.
+const MARK: u16 = 0x60;
+const COUNT: u32 = UBUF + 0x9008;
+const TOTAL: u32 = UBUF + 0x9000;
+
+/// Run until the initiator's mark.
+fn run_to_mark(k: &mut Kernel) {
+    loop {
+        match k.run(50_000) {
+            RunExit::KCall(MARK) => return,
+            RunExit::CycleLimit => {}
+            other => panic!("stopped before the mark: {other:?}"),
+        }
+    }
+}
+
+/// `pipe_pingpong`'s round trip, exactly: the initiator writes a byte on
+/// pipe 0 and reads the echo on pipe 1, the echo reads pipe 0 and writes
+/// pipe 1, both through the native traps, one CPU, neither pipe solo —
+/// so each trip blocks twice, once per reader.
+///
+/// Itemized (sun3 emulation, a bus reference is 4 cycles), the trip was
+/// 1,620 cycles when a blocking kernel call saved the thread on the host:
+/// two host saves charged as a 74-byte copy (2 × 190 = 380), the two
+/// switch-ins (2 × 134 = 268), four trap entries (4 × 32 = 128), four
+/// trap dispatches (4 × 16 = 64), six `rte`s (4 returns and 2 switch-in
+/// exits, 6 × 24 = 144), the pipe bodies — guards, ring arithmetic,
+/// copies, the failed attempt of each woken reader, the wake tests — and
+/// the two `WAKE_*` kernel calls, which cost nothing. Blocking through the
+/// switch-out replaces each 190 by an exception frame (32) and `sw_save`
+/// (`movem` 68, `move usp` 4, two stores 12, `jmp` 4 = 88): 1,480.
+#[test]
+fn a_blocking_pipe_round_trip_costs_1480_cycles() {
+    let mut k = Kernel::boot(KernelConfig {
+        cpus: 1,
+        default_quantum_us: 50_000,
+        ..KernelConfig::default()
+    })
+    .expect("boots");
+    // Each call's result is added to a running total, as the benchmark's
+    // programs do.
+    let io = |a: &mut Asm, trap: u8, fd: u32, buf: u32, total: u32| {
+        emit_io(a, trap, fd, buf, 1);
+        a.add(L, Dr(0), Abs(total));
+    };
+    let mut a = Asm::new("initiator");
+    let pass = a.here();
+    a.move_(L, Abs(COUNT), Dr(7));
+    let top = a.here();
+    io(&mut a, traps::WRITE, 1, UBUF, TOTAL);
+    io(&mut a, traps::READ, 2, UBUF + 0x100, TOTAL);
+    a.sub(L, Imm(1), Dr(7));
+    a.bcc(Cond::Ne, top);
+    a.kcall(MARK);
+    a.bcc(Cond::T, pass);
+    let mut b = Asm::new("echo");
+    b.move_i(L, 1_000_000, Dr(7));
+    let top = b.here();
+    io(&mut b, traps::READ, 0, UBUF + 0x200, TOTAL + 4);
+    io(&mut b, traps::WRITE, 3, UBUF + 0x200, TOTAL + 4);
+    b.sub(L, Imm(1), Dr(7));
+    b.bcc(Cond::Ne, top);
+    emit_exit(&mut b);
+    let ea = k.load_user_program(a.assemble().unwrap()).unwrap();
+    let eb = k.load_user_program(b.assemble().unwrap()).unwrap();
+    let ta = k.create_thread(ea, USTACK, user_map()).unwrap();
+    let tb = k.create_thread(eb, USTACK + 0x1000, user_map()).unwrap();
+    let fds = [
+        k.pipe_for(ta),
+        k.pipe_attach(tb, 0),
+        k.pipe_for(tb),
+        k.pipe_attach(ta, 1),
+    ];
+    assert_eq!(fds, [Ok((0, 1)), Ok((0, 1)), Ok((2, 3)), Ok((2, 3))]);
+    k.m.mem.poke(COUNT, L, 10);
+    k.start(ta).unwrap();
+    k.start(tb).unwrap();
+    run_to_mark(&mut k);
+
+    // Two passes differ only in their number of trips.
+    let mut pass_cycles = |trips: u32| {
+        k.m.mem.poke(COUNT, L, trips);
+        let (c0, e0) = (k.m.meter.cycles, k.m.meter.exception_count);
+        run_to_mark(&mut k);
+        (k.m.meter.cycles - c0, k.m.meter.exception_count - e0)
+    };
+    let (c100, e100) = pass_cycles(100);
+    let (c200, e200) = pass_cycles(200);
+    assert_eq!(c200 - c100, 100 * 1_480, "cycles per round trip × 100");
+    // Four traps and two switch-out frames per trip.
+    assert_eq!(e200 - e100, 100 * 6, "exceptions per round trip × 100");
+}

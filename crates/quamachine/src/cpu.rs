@@ -47,7 +47,10 @@ pub struct Cpu {
     /// threads that have never executed an FP instruction so their
     /// context switch can skip the FP registers; the first FP instruction
     /// raises [`crate::error::Exception::FpUnavailable`] and the kernel
-    /// resynthesizes the switch code (paper Section 4.2).
+    /// resynthesizes the switch code (paper Section 4.2). A `movec` to the
+    /// VBR (a switch-in) disables it and an `fmovem` load (an FP
+    /// switch-in's restore) enables it, so it follows the thread on the
+    /// CPU.
     pub fpu_enabled: bool,
     /// `STOP` state: halted until an interrupt.
     pub stopped: bool,

@@ -320,25 +320,12 @@ impl Machine {
             }
             _ => {}
         }
-        self.meter.exception_count += 1;
-        self.meter.cycles += EXCEPTION_BASE + EXCEPTION_REFS * self.cost.bus_cycles();
-
-        let old_sr = self.cpu.sr;
-        if !self.cpu.supervisor() {
-            self.cpu.write_sr(old_sr | crate::cpu::sr_bits::S);
-        }
-        if let Exception::Interrupt(level) = e {
-            self.cpu.set_int_mask(level);
-        }
-
-        // Frame: PC at SP+2, SR at SP (68000 layout).
-        let sp = self.cpu.a[7].wrapping_sub(6);
-        self.cpu.a[7] = sp;
-        let w1 = self.mem.write(sp.wrapping_add(2), Size::L, push_pc, true);
-        let w2 = self.mem.write(sp, Size::W, u32::from(old_sr), true);
-        if w1.is_err() || w2.is_err() {
-            return Err(MachineError::DoubleFault(e, Exception::BusError));
-        }
+        let mask = match e {
+            Exception::Interrupt(level) => Some(level),
+            _ => None,
+        };
+        self.push_frame(mask, push_pc)
+            .map_err(|e2| MachineError::DoubleFault(e, e2))?;
 
         let vec_addr = self.cpu.vbr.wrapping_add(4 * e.vector());
         let handler = match self.mem.read(vec_addr, Size::L, true) {
@@ -349,6 +336,53 @@ impl Machine {
             return Err(MachineError::DoubleFault(e, Exception::BusError));
         }
         self.cpu.pc = handler;
+        Ok(())
+    }
+
+    /// Enter `handler` the way an exception enters its handler, with every
+    /// interrupt masked: the frame (the current SR, and the current PC to
+    /// resume at) on the supervisor stack, in supervisor state from either
+    /// mode, at the cost of exception processing — everything
+    /// [`take_exception`](Machine::take_exception) does but the vector read
+    /// and the entry hooks. The mask is the one an IPI's `ipi_in` raises,
+    /// for the same reason: nothing may nest into a context being saved.
+    ///
+    /// # Errors
+    ///
+    /// A stack that cannot take the frame is a bus error during exception
+    /// processing, a double fault.
+    pub fn exception_to(&mut self, handler: u32) -> Result<(), MachineError> {
+        self.disturbed = true;
+        let pc = self.cpu.pc;
+        self.push_frame(Some(7), pc)
+            .map_err(|e| MachineError::DoubleFault(e, e))?;
+        self.cpu.pc = handler;
+        Ok(())
+    }
+
+    /// The half of exception entry every entry shares: count and charge
+    /// it, enter supervisor state (with interrupt mask `mask`, when
+    /// given), and push the frame — PC at SP+2, SR at SP (68000 layout) —
+    /// on the supervisor stack. A frame that does not fit is a bus error.
+    fn push_frame(&mut self, mask: Option<u8>, push_pc: u32) -> Result<(), Exception> {
+        self.meter.exception_count += 1;
+        self.meter.cycles += EXCEPTION_BASE + EXCEPTION_REFS * self.cost.bus_cycles();
+
+        let old_sr = self.cpu.sr;
+        if !self.cpu.supervisor() {
+            self.cpu.write_sr(old_sr | crate::cpu::sr_bits::S);
+        }
+        if let Some(level) = mask {
+            self.cpu.set_int_mask(level);
+        }
+
+        let sp = self.cpu.a[7].wrapping_sub(6);
+        self.cpu.a[7] = sp;
+        let w1 = self.mem.write(sp.wrapping_add(2), Size::L, push_pc, true);
+        let w2 = self.mem.write(sp, Size::W, u32::from(old_sr), true);
+        if w1.is_err() || w2.is_err() {
+            return Err(Exception::BusError);
+        }
         Ok(())
     }
 
@@ -837,6 +871,10 @@ impl Machine {
                 if to_vbr {
                     let v = self.read_src(ea, Size::L)?;
                     self.cpu.vbr = v;
+                    // A new thread is on the CPU: it has the FPU only if
+                    // its switch-in restores an FP context (`fmovem`), so
+                    // one that never used FP takes its lazy-FP trap.
+                    self.cpu.fpu_enabled = false;
                     {
                         let cpu = self.active_cpu();
                         self.hooks.push(crate::trace::MachEvent::VbrWrite {
@@ -876,7 +914,12 @@ impl Machine {
                 regs,
                 ref ea,
             } => {
-                self.check_fpu()?;
+                // The switch code's own save and restore of the FP file:
+                // allowed in supervisor state whatever the FPU state, and a
+                // restore hands the FPU to the context it loaded.
+                if !self.cpu.supervisor() {
+                    self.check_fpu()?;
+                }
                 let mut addr = self.ea_addr(ea, Size::L);
                 for r in regs.iter() {
                     if to_mem {
@@ -891,6 +934,7 @@ impl Machine {
                     }
                     addr = addr.wrapping_add(8);
                 }
+                self.cpu.fpu_enabled |= !to_mem;
             }
             FAdd(m, n) => {
                 self.check_fpu()?;

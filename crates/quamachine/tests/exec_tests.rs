@@ -2,11 +2,12 @@
 //! through the fetch/execute loop, exceptions, interrupts, and devices.
 
 use quamachine::asm::Asm;
+use quamachine::cost::{EXCEPTION_BASE, EXCEPTION_REFS};
 use quamachine::devices::timer::{Timer, REG_ALARM_US, REG_QUANTUM_US};
 use quamachine::devices::tty::{Tty, CTRL_RX_IRQ, REG_CTRL, REG_DATA};
 use quamachine::devices::{dev_reg_addr, DevCtx};
 use quamachine::error::{Exception, MachineError};
-use quamachine::isa::{Cond, IndexSpec, Operand::*, RegList, ShiftKind, Size::*};
+use quamachine::isa::{Cond, FpRegList, IndexSpec, Operand::*, RegList, ShiftKind, Size::*};
 use quamachine::machine::{Machine, MachineConfig, RunExit};
 
 fn machine() -> Machine {
@@ -244,6 +245,53 @@ fn fp_unavailable_trap_enables_lazy_fpu() {
     // Resume: rte re-executes the fmove, which now succeeds.
     assert_eq!(m.run(100_000), RunExit::Halted);
     assert!((m.cpu.fp[0] - 42.0).abs() < 1e-12);
+}
+
+/// The FPU bit follows the thread: a `movec` to the VBR takes it away, a
+/// supervisor `fmovem` runs without it, and an `fmovem` load gives it back.
+#[test]
+fn a_vbr_write_disables_the_fpu_and_an_fmovem_load_enables_it() {
+    let mut m = machine();
+    m.cpu.fpu_enabled = true;
+    let mut a = Asm::new("switch_in");
+    a.move_to_vbr(Imm(0x100));
+    a.halt();
+    assert_eq!(run_program(&mut m, a), RunExit::Halted);
+    assert!(!m.cpu.fpu_enabled, "movec to the VBR");
+
+    let mut m = machine();
+    m.mem.poke(0x2000, L, 0x4045_0000); // 42.0
+    let mut a = Asm::new("fp_switch_in");
+    a.fmovem_save(FpRegList::ALL, Abs(0x3000));
+    a.fmovem_load(Abs(0x2000), FpRegList(1));
+    a.halt();
+    assert_eq!(run_program(&mut m, a), RunExit::Halted);
+    assert!(m.cpu.fpu_enabled, "fmovem load");
+    assert_eq!(m.cpu.fp[0], 42.0);
+}
+
+/// `exception_to` enters a handler as an exception would, from user mode
+/// too: the frame goes on the supervisor stack, S is set, every interrupt
+/// is masked, and it costs exception processing.
+#[test]
+fn exception_to_pushes_a_masked_frame_on_the_supervisor_stack() {
+    let mut m = machine();
+    m.cpu.a[7] = 0x8000; // SSP
+    m.cpu.write_sr(0x0004); // user mode, mask 0, Z
+    m.cpu.a[7] = 0x6000; // USP
+    m.cpu.pc = 0x1234;
+    let (c0, e0) = (m.meter.cycles, m.meter.exception_count);
+    m.exception_to(0x4000).unwrap();
+    assert_eq!(m.cpu.pc, 0x4000);
+    assert!(m.cpu.supervisor());
+    assert_eq!(m.cpu.int_mask(), 7);
+    assert_eq!(m.cpu.a[7], 0x8000 - 6, "on the supervisor stack");
+    assert_eq!(m.cpu.usp(), 0x6000, "the user stack untouched");
+    assert_eq!(m.mem.peek(0x8000 - 6, W), 0x0004, "the old SR");
+    assert_eq!(m.mem.peek(0x8000 - 4, L), 0x1234, "the PC to resume at");
+    let bus = m.cost.bus_cycles();
+    assert_eq!(m.meter.cycles - c0, EXCEPTION_BASE + EXCEPTION_REFS * bus);
+    assert_eq!(m.meter.exception_count - e0, 1);
 }
 
 #[test]
