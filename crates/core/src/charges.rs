@@ -9,6 +9,9 @@
 //! perform**, not back-fitted to the paper's numbers. EXPERIMENTS.md
 //! reports where the results land.
 //!
+//! A thread's context is never saved or restored by formula: that is
+//! always its own synthesized `sw_save` and `sw_in`, run and counted.
+//!
 //! All formulas are in CPU cycles at the machine's configured bus cost.
 
 use quamachine::cost::CostModel;
@@ -19,13 +22,6 @@ use quamachine::cost::CostModel;
 pub fn mem_init(cost: &CostModel, bytes: u32) -> u64 {
     let longs = u64::from(bytes.div_ceil(4));
     longs * (2 + cost.bus_cycles())
-}
-
-/// Cycles to copy `bytes` between kernel buffers (read + write per long).
-#[must_use]
-pub fn mem_copy(cost: &CostModel, bytes: u32) -> u64 {
-    let longs = u64::from(bytes.div_ceil(4));
-    longs * (2 + 2 * cost.bus_cycles())
 }
 
 /// Cycles to patch one `jmp` target in code memory (read the instruction
@@ -76,11 +72,5 @@ mod tests {
         let cost = CostModel::sun3_emulation();
         let us = cost.cycles_to_us(code_patch(&cost));
         assert!(us < 2.0, "one patch = {us:.2} µs");
-    }
-
-    #[test]
-    fn copy_costs_more_than_init() {
-        let cost = CostModel::sun3_emulation();
-        assert!(mem_copy(&cost, 4096) > mem_init(&cost, 4096));
     }
 }

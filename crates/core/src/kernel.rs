@@ -837,29 +837,34 @@ impl Kernel {
         self.enqueue(home, tid)
     }
 
-    /// Stop a thread: remove its TTE from the ready queue.
+    /// Stop a thread: remove its TTE from the ready queue. A running
+    /// thread leaves through its own switch code, on its own CPU, before
+    /// this returns.
     ///
     /// # Errors
     ///
     /// Fails for unknown threads or the idle thread.
     pub fn stop(&mut self, tid: Tid) -> Result<(), KernelError> {
+        self.on_owner(tid, |k| k.stop_here(tid).map(|()| k.ensure_safe_point()))
+    }
+
+    /// [`Kernel::stop`] on the CPU where `tid` is current, if anywhere. A
+    /// thread current here leaves through its own switch code, as a block
+    /// does, and the `jmp` `dequeue` aimed at the head carries the CPU on.
+    /// A `THREAD_STOP` of the caller itself is this alone: its kernel call
+    /// returns before that code runs.
+    fn stop_here(&mut self, tid: Tid) -> Result<(), KernelError> {
         if self.is_idle(tid) {
             return Err(KernelError::Invalid("stopping the idle thread"));
         }
-        self.ensure_safe_point();
         if !self.threads.contains_key(&tid) {
             return Err(KernelError::NoThread(tid));
-        }
-        self.activate_owner(tid);
-        let was_current = self.current_tid() == Some(tid);
-        if was_current {
-            self.suspend_current_state();
         }
         self.dequeue(tid)?;
         let c = charges::code_patch(&self.m.cost) + charges::kcall_overhead(&self.m.cost);
         self.m.charge(c);
-        if was_current {
-            self.enter_next();
+        if self.current_tid() == Some(tid) {
+            self.switch_out(tid);
         }
         Ok(())
     }
@@ -901,21 +906,6 @@ impl Kernel {
         self.threads.get(&tid).map_or(0, |t| t.cpu)
     }
 
-    /// Switch the machine to the CPU where `tid` is currently executing,
-    /// if any, and step that CPU to a safe point. Host-side surgery on a
-    /// thread that is current *somewhere* must happen with that CPU's
-    /// context loaded: the parked registers hold state its TTE lacks.
-    fn activate_owner(&mut self, tid: Tid) {
-        if self.current_tid() == Some(tid) {
-            return;
-        }
-        let owner = (0..self.cpus.len()).find(|&c| self.current_tid_on(c) == Some(tid));
-        if let Some(c) = owner {
-            self.m.switch_cpu(c);
-            self.ensure_safe_point();
-        }
-    }
-
     /// Whether `pc` is inside any thread's context-switch code — the
     /// window during which CPU contents and the VBR identity are
     /// transitional, so host-side surgery would corrupt thread state.
@@ -953,34 +943,9 @@ impl Kernel {
         }
     }
 
-    /// Save the machine's register state into the current thread's TTE
-    /// and fabricate a resume frame on its kernel stack — the host-side
-    /// mirror of `sw_out`, for the host APIs that take a running thread
-    /// off its CPU between slices (`stop`, `signal`) and must find its
-    /// state parked before they return. The fabricated frame makes the
-    /// later `sw_in`'s `rte` resume exactly where the thread stood. A
-    /// kernel call that blocks, yields or stops its own thread does not
-    /// come here: the thread leaves through its own switch code
-    /// (`kernel/ready.rs`).
-    fn suspend_current_state(&mut self) {
-        self.suspend_state_of(self.m.active_cpu());
-    }
-
-    /// [`Kernel::suspend_current_state`] generalized to any CPU's
-    /// context, active or parked — the CPU-quarantine path checkpoints a
-    /// thread resident on a parked CPU without dispatching that CPU.
-    fn suspend_state_of(&mut self, cpu: usize) {
-        let Some(tid) = self.current_tid_on(cpu) else {
-            return;
-        };
-        let c = self.m.cpu_ref(cpu).clone();
-        self.threads[&tid].save_context(&mut self.m.mem, &c);
-        let ch = charges::mem_copy(&self.m.cost, 74);
-        self.m.charge(ch);
-    }
-
     /// Point the machine at the active CPU's next ready thread's
-    /// switch-in.
+    /// switch-in (a thread destroyed while current leaves no code to
+    /// `jmp` from).
     fn enter_next(&mut self) {
         let cpu = self.m.active_cpu();
         if let Some(node) = self.cpus[cpu].ready.head() {
@@ -1016,8 +981,13 @@ impl Kernel {
         if self.is_idle(tid) {
             return Err(KernelError::Invalid("destroying the idle thread"));
         }
-        self.ensure_safe_point();
-        self.activate_owner(tid);
+        self.on_owner(tid, |k| k.destroy_here(tid))
+    }
+
+    /// [`Kernel::destroy`] on the CPU where `tid` is current, if anywhere.
+    /// A thread destroyed while current is not parked — its code is about
+    /// to go — and the CPU is pointed at its chain's head instead.
+    fn destroy_here(&mut self, tid: Tid) -> Result<(), KernelError> {
         // Attribute pending machine events while the VBR mapping still
         // exists; the thread's ring itself outlives it (post-mortems
         // drain it after the reap).
@@ -1045,7 +1015,7 @@ impl Kernel {
         // no fault history.
         self.vbr_to_tid.remove(&t.vt);
         self.m.meter.error_faults.remove(&t.vt);
-        self.trace.forget_frames(tid);
+        self.trace.forget(tid);
         t.state = ThreadState::Dead;
         self.exited.insert(tid);
         let c = charges::kcall_overhead(&self.m.cost) + charges::alloc_op(&self.m.cost, 3) * 3;
@@ -1057,22 +1027,31 @@ impl Kernel {
     }
 
     /// `step`: make a stopped thread execute one instruction (Table 3:
-    /// the debugger primitive).
+    /// the debugger primitive), on the active CPU and through the switch
+    /// code, as any run of the thread goes: the CPU's current thread is
+    /// parked, the stopped one switched in (its address map and FP
+    /// registers with it), its instruction executed, the thread parked
+    /// again, and the first one switched back in — whose quantum
+    /// restarts, as after any switch.
     ///
     /// # Errors
     ///
-    /// The thread must exist and be stopped.
+    /// The thread must exist and be stopped, and the active CPU must be
+    /// in service.
     pub fn step_thread(&mut self, tid: Tid) -> Result<(), KernelError> {
+        self.ensure_safe_point();
         let t = self.threads.get(&tid).ok_or(KernelError::NoThread(tid))?;
         if !matches!(t.state, ThreadState::Stopped) {
             return Err(KernelError::Invalid("step requires a stopped thread"));
         }
-        // Host-side sw_in: load the thread's state into the CPU,
-        // including its address map (one user-mode instruction is about
-        // to run under it).
-        let saved_cpu = self.m.cpu.clone();
-        let saved_map = std::mem::replace(&mut self.m.mem.map, t.map.clone());
-        t.load_context(&self.m.mem, &mut self.m.cpu);
+        let Some(cur) = self.current_tid() else {
+            return Err(KernelError::Invalid("the active CPU is out of service"));
+        };
+        if !self.park(cur) {
+            return Err(KernelError::Invalid("could not park the active thread"));
+        }
+        self.enter(tid);
+        self.ensure_safe_point();
         // Interrupts masked, so the single step executes the thread's
         // instruction rather than accepting a pending interrupt; the
         // thread's real mask goes back into what is saved.
@@ -1080,10 +1059,10 @@ impl Kernel {
         self.m.cpu.sr |= 0x0700;
         let _ = self.m.step();
         self.m.cpu.sr = (self.m.cpu.sr & !0x0700) | mask;
-        self.threads[&tid].save_context(&mut self.m.mem, &self.m.cpu);
-        self.m.cpu = saved_cpu;
-        self.m.mem.map = saved_map;
-        let c = 2 * charges::mem_copy(&self.m.cost, 68) + charges::kcall_overhead(&self.m.cost);
+        self.park(tid);
+        self.enter(cur);
+        self.ensure_safe_point();
+        let c = charges::kcall_overhead(&self.m.cost);
         self.m.charge(c);
         Ok(())
     }

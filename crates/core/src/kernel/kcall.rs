@@ -172,7 +172,7 @@ impl Kernel {
                 }
             }
             general::THREAD_START => status(self.start(d1)),
-            general::THREAD_STOP if self.current_tid() == Some(d1) => status(self.stop_self(d1)),
+            general::THREAD_STOP if self.current_tid() == Some(d1) => status(self.stop_here(d1)),
             general::THREAD_STOP => status(self.stop(d1)),
             general::THREAD_DESTROY => status(self.destroy(d1)),
             general::SIGNAL => status(self.signal_from_kcall(d1)),
@@ -219,22 +219,9 @@ impl Kernel {
         };
         // A call that blocked, yielded or stopped its caller has not saved
         // it yet — its switch code runs after this returns — so the result
-        // is in what the thread resumes with.
+        // is in what the thread resumes with. A call about a thread current
+        // on another CPU came back to this one before returning here.
         self.m.cpu.d[0] = result as u32;
-    }
-
-    /// `THREAD_STOP` of the calling thread itself: what
-    /// [`Kernel::stop`] does, but the thread leaves through its own switch
-    /// code, as a block does, instead of being parked by the host.
-    fn stop_self(&mut self, tid: Tid) -> Result<(), KernelError> {
-        if self.is_idle(tid) {
-            return Err(KernelError::Invalid("stopping the idle thread"));
-        }
-        self.dequeue(tid)?;
-        let c = charges::code_patch(&self.m.cost) + charges::kcall_overhead(&self.m.cost);
-        self.m.charge(c);
-        self.switch_out(tid);
-        Ok(())
     }
 
     /// Give the CPU to the next thread in this CPU's chain after us — the
@@ -263,26 +250,32 @@ impl Kernel {
     // --- Signals ------------------------------------------------------------
 
     /// Send a signal: the target will run its signal handler the next
-    /// time it is activated (Section 4.3). Host API: callable between
-    /// [`Kernel::run`] slices.
+    /// time it is activated (Section 4.3) — a running target on its own
+    /// CPU before this returns. Host API: callable between [`Kernel::run`]
+    /// slices.
     ///
     /// # Errors
     ///
     /// The target must exist and have a handler installed.
     pub fn signal(&mut self, target: Tid, _sig: u32) -> Result<(), KernelError> {
-        self.ensure_safe_point();
-        self.activate_owner(target);
-        if self.current_tid() == Some(target) {
-            // The target's live state is on the CPU (the machine is
-            // parked between instructions): park it properly first, then
-            // deliver as to a parked thread, and resume it through its
-            // switch-in so the fabricated frames unwind in order.
-            self.suspend_current_state();
-            self.signal_parked(target)?;
-            self.enter(target);
-            return Ok(());
+        self.on_owner(target, |k| k.signal_here(target))
+    }
+
+    /// [`Kernel::signal`] on the CPU where `target` is current, if
+    /// anywhere. A running target is parked by its own switch code,
+    /// handed the frame a parked thread gets, and resumed through its
+    /// switch-in, so the fabricated frame unwinds first.
+    fn signal_here(&mut self, target: Tid) -> Result<(), KernelError> {
+        if self.current_tid() != Some(target) {
+            return self.signal_parked(target);
         }
-        self.signal_parked(target)
+        if !self.park(target) {
+            return Err(KernelError::Invalid("the target could not be parked"));
+        }
+        let delivered = self.signal_parked(target);
+        self.enter(target);
+        self.ensure_safe_point();
+        delivered
     }
 
     /// `target`'s TTE and installed signal handler.
@@ -308,11 +301,12 @@ impl Kernel {
         self.m.charge(c);
     }
 
-    /// The `SIGNAL` call: deliver to a thread whose state is in its TTE,
-    /// or to the calling thread from inside its own kernel call.
+    /// The `SIGNAL` call: to another thread as [`Kernel::signal`]
+    /// delivers, on whichever CPU it is current; to the calling thread
+    /// from inside its own kernel call.
     fn signal_from_kcall(&mut self, target: Tid) -> Result<(), KernelError> {
         if self.current_tid() != Some(target) {
-            return self.signal_parked(target);
+            return self.signal(target, 0);
         }
         let (tte, handler) = self.signal_handler_of(target)?;
         // Running target: rewrite the active trap frame (we are in a

@@ -43,10 +43,18 @@
 //! Interrupts are masked for the whole window, and the only kernel call
 //! in it is `sw_in_mmu`'s, which wakes nobody. Other CPUs run only at
 //! slice boundaries, where every CPU is outside switch code, so no wake
-//! from another CPU can race the save. The host's own copy
-//! (`suspend_current_state`) is left to the host APIs that take a
-//! running thread off its CPU between slices and must find its state
-//! parked before they return.
+//! from another CPU can race the save.
+//!
+//! **A thread's `sw_save` is the only writer of its parked context**, so
+//! only the switch template knows the save area, frame and FP slot
+//! layout. Host `stop` and `signal` of a running thread, `step_thread`
+//! and CPU quarantine run it through [`Kernel::park`]; a thread current on
+//! another CPU is reached through [`Kernel::on_owner`], which runs the
+//! work and the switch it starts there, to a safe point, and comes back.
+//! So **no save is ever owed**: a thread is either current on a CPU at a
+//! safe point or parked with its save run, and `destroy` (which frees the
+//! switch code), `signal` and `step` (which read the TTE) and a steal
+//! never ask whether some CPU still has to save it.
 
 use std::collections::BTreeMap;
 
@@ -209,18 +217,67 @@ impl Kernel {
     /// (SR, the PC after the `kcall`) on its supervisor stack, then its
     /// `sw_save`, which saves what the thread uses and takes its chain
     /// `jmp` — to its successor while it is on the chain, to the head once
-    /// `dequeue` has taken it off. A stack that cannot take the frame is
-    /// the thread's double fault.
+    /// `dequeue` has taken it off.
     pub(super) fn switch_out(&mut self, tid: Tid) {
         debug_assert_eq!(
             self.home_cpu(tid),
             self.m.active_cpu(),
             "a running thread's jmp is on its own CPU's chain"
         );
-        let entry = self.threads[&tid].sw_save;
-        if let Err(e) = self.m.exception_to(entry) {
-            let _ = self.recover_machine_error(e);
+        self.enter_save(tid);
+    }
+
+    /// Park `tid`, the thread current on the active CPU: its switch-out
+    /// run up to the chain `jmp` and no further, so the caller decides
+    /// where the CPU goes next (`step` parks a thread homed elsewhere).
+    /// Every cycle is counted: the frame and four instructions (five with
+    /// `sw_fp`).
+    pub(super) fn park(&mut self, tid: Tid) -> bool {
+        let jmp_at = self.threads[&tid].jmp_at;
+        let parked = self.enter_save(tid);
+        if parked {
+            self.step_while(|_, pc| pc != jmp_at);
         }
+        parked
+    }
+
+    /// Push the masked frame and enter `tid`'s `sw_save`. A stack that
+    /// cannot take the frame is the thread's double fault: `false`, and
+    /// recovery has dealt with it.
+    fn enter_save(&mut self, tid: Tid) -> bool {
+        let entry = self.threads[&tid].sw_save;
+        match self.m.exception_to(entry) {
+            Ok(()) => true,
+            Err(e) => {
+                let _ = self.recover_machine_error(e);
+                false
+            }
+        }
+    }
+
+    /// Run `f` on the CPU where `tid` is current, and come back: every
+    /// host API on a possibly running thread goes through here. That CPU
+    /// is dispatched as the run loop dispatches it (`check_dispatch`),
+    /// `f` runs there, the CPU is stepped to a safe point, and the
+    /// caller's CPU is active again with the PC it left with — never
+    /// charged, since the caller may be inside a kernel call. When `tid`
+    /// is current on the active CPU, or nowhere, `f` just runs.
+    pub(super) fn on_owner<R>(&mut self, tid: Tid, f: impl FnOnce(&mut Kernel) -> R) -> R {
+        self.ensure_safe_point();
+        let home = self.m.active_cpu();
+        let away = (0..self.cpus.len()).find(|&c| c != home && self.current_tid_on(c) == Some(tid));
+        let Some(owner) = away else {
+            return f(self);
+        };
+        let parked_pc = self.m.cpu_ref(owner).pc;
+        self.m.switch_cpu(owner);
+        self.check_dispatch(owner, parked_pc);
+        let r = f(self);
+        self.ensure_safe_point();
+        let pc = self.m.cpu_ref(home).pc;
+        self.m.switch_cpu(home);
+        self.m.cpu.pc = pc;
+        r
     }
 
     /// Wake every thread blocked on `wait` (front of the ready queue:

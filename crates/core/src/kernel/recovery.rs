@@ -237,14 +237,19 @@ impl Kernel {
     /// point, so the parked PC was good — a loaded PC outside any code
     /// block is the CPU's corruption, not the thread's. Repair the loaded
     /// copy from the parked value and charge the CPU's own fault budget;
-    /// the resident thread keeps its state and never sees the fault.
-    /// Returns whether the CPU is still in service.
+    /// the resident thread keeps its state and never sees the fault. A
+    /// CPU already out of service — dispatched by its own quarantine, to
+    /// park its thread — is repaired but not charged again. Returns
+    /// whether the CPU is still in service.
     pub(super) fn check_dispatch(&mut self, cpu: usize, parked_pc: u32) -> bool {
         let wild = self.m.cpu.pc;
         if wild == parked_pc || self.m.code.locate(wild).is_some() {
             return true;
         }
         self.m.cpu.pc = parked_pc;
+        if self.cpus[cpu].quarantined {
+            return false;
+        }
         let fault = self.charge_cpu_fault(cpu, format!("dispatch corruption: wild pc {wild:#x}"));
         !matches!(fault, CpuFault::Quarantined)
     }
@@ -264,23 +269,24 @@ impl Kernel {
         }
     }
 
-    /// Checkpoint whatever is current on `cpu` and park the CPU's
-    /// context so nothing identifies a thread as current there any more.
-    /// A context the dispatch fault already corrupted (its PC sitting at
+    /// Park whatever is current on `cpu`, on `cpu`, through its own
+    /// switch code, and leave the CPU's context naming no thread. A
+    /// context the dispatch fault already corrupted (its PC sitting at
     /// the wild-jump sentinel) is *not* saved — the thread's TTE keeps
     /// its last good switch-out state, which is what a healthy CPU will
     /// resume from.
     fn park_cpu_context(&mut self, cpu: usize) {
+        // Naming no thread, and never fetching: the parked thread's chain
+        // `jmp` is not taken.
+        let out_of_service = |c: &mut quamachine::cpu::Cpu| (c.vbr, c.pc) = (0, 0);
         let cur = self.current_tid_on(cpu);
-        if cur.is_some_and(|t| !self.is_idle(t)) && self.m.cpu_ref(cpu).pc != SICK_WILD_PC {
-            if self.m.active_cpu() == cpu {
-                self.ensure_safe_point();
-            }
-            self.suspend_state_of(cpu);
+        match cur.filter(|&t| !self.is_idle(t) && self.m.cpu_ref(cpu).pc != SICK_WILD_PC) {
+            Some(tid) => self.on_owner(tid, |k| {
+                k.park(tid);
+                out_of_service(&mut k.m.cpu);
+            }),
+            None => out_of_service(self.m.cpu_mut(cpu)),
         }
-        let slot = self.m.cpu_mut(cpu);
-        slot.vbr = 0; // no thread is current here any more
-        slot.pc = 0; // never fetched while the CPU is out of service
     }
 
     /// Quarantine CPU `cpu`: evacuate its ready chain onto the healthy
@@ -299,8 +305,10 @@ impl Kernel {
         let Some(&target) = healthy.first() else {
             return false;
         };
-        self.park_cpu_context(cpu);
+        // Out of service first: the park's own dispatch onto `cpu` must
+        // not charge its fault budget again.
         self.cpus[cpu].quarantined = true;
+        self.park_cpu_context(cpu);
 
         // Evacuate the ready chain: each runnable thread migrates onto a
         // healthy CPU's chain, as a stolen one does. Quarantined

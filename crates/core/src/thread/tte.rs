@@ -12,7 +12,6 @@
 //! Therefore, we can synthesize short code to manipulate the TTE without
 //! synchronization" (Section 3.1).
 
-use quamachine::cpu::Cpu;
 use quamachine::isa::Size;
 use quamachine::mem::{AddressMap, Memory};
 use synthesis_codegen::creator::Synthesized;
@@ -188,64 +187,12 @@ pub struct Thread {
 pub type SavedRegs = ([u32; 15], u32);
 
 impl Thread {
-    /// Park `c` as this thread's context — the host-side `sw_out`:
-    /// registers and USP into the TTE, a resume frame (`sr`, `pc`)
-    /// fabricated below the SSP so the next `sw_in`'s `rte` resumes
-    /// exactly where `c` stands, and `fp0`–`fp7` when the thread's
-    /// switch code carries them.
-    pub fn save_context(&self, mem: &mut Memory, c: &Cpu) {
-        for (slot, &v) in (0u32..).zip(c.d.iter().chain(&c.a[..7])) {
-            mem.poke(self.tte + off::REGS + 4 * slot, Size::L, v);
-        }
-        mem.poke(self.tte + off::USP, Size::L, c.usp());
-        let frame = c.ssp().wrapping_sub(6);
-        mem.poke(frame, Size::W, u32::from(c.sr));
-        mem.poke(frame + 2, Size::L, c.pc);
-        mem.poke(self.tte + off::SSP, Size::L, frame);
-        if self.uses_fp {
-            for (slot, v) in (0u32..).zip(c.fp) {
-                let bits = v.to_bits();
-                mem.poke(self.tte + off::FP + 8 * slot, Size::L, (bits >> 32) as u32);
-                mem.poke(self.tte + off::FP + 8 * slot + 4, Size::L, bits as u32);
-            }
-        }
-    }
-
-    /// The registers and USP of the parked context.
+    /// The registers and USP of the parked context, as the thread's own
+    /// `sw_save` left them (read for signal delivery).
     #[must_use]
     pub fn parked_regs(&self, mem: &Memory) -> SavedRegs {
         let regs = std::array::from_fn(|i| mem.peek(self.tte + off::REGS + 4 * i as u32, Size::L));
         (regs, mem.peek(self.tte + off::USP, Size::L))
-    }
-
-    /// Load the parked context into `c` — the host-side `sw_in` and its
-    /// `rte`: what [`Thread::save_context`] wrote, with the resume frame
-    /// popped, the VBR naming this thread, the FPU enabled exactly when
-    /// the thread's switch code carries the FP registers, and the CPU
-    /// executing (a `stop` it sat in belonged to whoever it ran before).
-    pub fn load_context(&self, mem: &Memory, c: &mut Cpu) {
-        let (regs, usp) = self.parked_regs(mem);
-        c.d.copy_from_slice(&regs[..8]);
-        c.a[..7].copy_from_slice(&regs[8..]);
-        let frame = mem.peek(self.tte + off::SSP, Size::L);
-        c.sr = mem.peek(frame, Size::W) as u16;
-        c.pc = mem.peek(frame + 2, Size::L);
-        c.vbr = self.vt;
-        let ssp = frame + 6;
-        (c.a[7], c.other_sp) = if c.supervisor() {
-            (ssp, usp)
-        } else {
-            (usp, ssp)
-        };
-        c.stopped = false;
-        c.fpu_enabled = self.uses_fp;
-        if self.uses_fp {
-            for (slot, v) in (0u32..).zip(&mut c.fp) {
-                let hi = mem.peek(self.tte + off::FP + 8 * slot, Size::L);
-                let lo = mem.peek(self.tte + off::FP + 8 * slot + 4, Size::L);
-                *v = f64::from_bits((u64::from(hi) << 32) | u64::from(lo));
-            }
-        }
     }
 
     /// Address of a TTE field.

@@ -18,7 +18,8 @@
 //!
 //! Rings are owned by the kernel and keyed by thread id, **not** stored
 //! in the `Thread`: a reaped thread's ring stays drainable after the
-//! thread is destroyed, which is exactly when a post-mortem wants it.
+//! thread is destroyed, which is exactly when a post-mortem wants it,
+//! and goes once a drain has emptied it.
 
 pub mod query;
 pub mod record;
@@ -31,7 +32,7 @@ pub use record::{
 };
 pub use ring::Ring;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::thread::Tid;
 
@@ -51,6 +52,8 @@ const FRAME_DEPTH: usize = 64;
 #[derive(Debug)]
 pub struct TraceSet {
     rings: BTreeMap<Tid, Ring>,
+    /// Destroyed threads whose rings still hold records for a drain.
+    dead: BTreeSet<Tid>,
     frames: BTreeMap<Tid, Vec<Frame>>,
     io_counts: BTreeMap<Tid, u64>,
     steal_counts: BTreeMap<u32, u64>,
@@ -75,6 +78,7 @@ impl TraceSet {
     pub fn new(cap: usize) -> TraceSet {
         TraceSet {
             rings: BTreeMap::new(),
+            dead: BTreeSet::new(),
             frames: BTreeMap::new(),
             io_counts: BTreeMap::new(),
             steal_counts: BTreeMap::new(),
@@ -145,10 +149,17 @@ impl TraceSet {
         self.frames.get_mut(&tid).and_then(Vec::pop)
     }
 
-    /// Forget `tid`'s open exception frames: the thread is gone and no
-    /// `rte` of its will ever match them. Its ring stays.
-    pub(crate) fn forget_frames(&mut self, tid: Tid) {
+    /// Forget the destroyed thread `tid`: its open exception frames (no
+    /// `rte` of its will ever match them) and its I/O count go now, its
+    /// ring once a drain has emptied it.
+    pub(crate) fn forget(&mut self, tid: Tid) {
         self.frames.remove(&tid);
+        self.io_counts.remove(&tid);
+        if self.rings.get(&tid).is_some_and(|r| !r.is_empty()) {
+            self.dead.insert(tid);
+        } else {
+            self.rings.remove(&tid);
+        }
     }
 
     /// Threads with a tracked exception-frame stack: live threads that
@@ -174,7 +185,8 @@ impl TraceSet {
         self.steal_counts.get(&key).copied().unwrap_or(0)
     }
 
-    /// Threads that have a ring (including reaped threads).
+    /// Threads that have a ring (including destroyed threads whose ring
+    /// no drain has emptied yet).
     #[must_use]
     pub fn tids(&self) -> Vec<Tid> {
         self.rings.keys().copied().collect()
@@ -196,12 +208,14 @@ impl TraceSet {
         v
     }
 
-    /// Take `tid`'s ring contents, oldest first.
+    /// Take `tid`'s ring contents, oldest first; a destroyed thread's
+    /// ring goes with them.
     pub fn drain(&mut self, tid: Tid) -> Vec<TraceRecord> {
-        self.rings
-            .get_mut(&tid)
-            .map(Ring::drain)
-            .unwrap_or_default()
+        let recs = self.rings.get_mut(&tid).map(Ring::drain);
+        if self.dead.remove(&tid) {
+            self.rings.remove(&tid);
+        }
+        recs.unwrap_or_default()
     }
 
     /// Copy every ring, merged by cycle (ties keep thread order).
@@ -212,16 +226,13 @@ impl TraceSet {
         v
     }
 
-    /// Take every ring's contents, merged by cycle.
+    /// Take every ring's contents, merged by cycle; destroyed threads'
+    /// rings go with them.
     pub fn drain_all(&mut self) -> Vec<TraceRecord> {
-        let mut v: Vec<TraceRecord> =
-            self.rings
-                .values_mut()
-                .map(Ring::drain)
-                .fold(Vec::new(), |mut acc, mut part| {
-                    acc.append(&mut part);
-                    acc
-                });
+        let mut v: Vec<TraceRecord> = self.rings.values_mut().flat_map(Ring::drain).collect();
+        for tid in std::mem::take(&mut self.dead) {
+            self.rings.remove(&tid);
+        }
         v.sort_by_key(|r| r.cycle);
         v
     }
@@ -241,6 +252,7 @@ impl TraceSet {
     /// Drop all records, frames, and I/O counts.
     pub fn clear(&mut self) {
         self.rings.clear();
+        self.dead.clear();
         self.frames.clear();
         self.io_counts.clear();
     }
@@ -307,10 +319,19 @@ mod tests {
         ts.push_frame(1, Some((3, 10)));
         ts.push_frame(2, None);
         assert_eq!(ts.frame_tids().collect::<Vec<_>>(), vec![1, 2]);
-        ts.forget_frames(1);
+        ts.forget(1);
         assert_eq!(ts.frame_tids().collect::<Vec<_>>(), vec![2]);
         assert_eq!(ts.pop_frame(1), None, "a dead thread's rte matches nothing");
+        assert_eq!(ts.io_events(1), 0, "a dead thread's I/O count goes");
         assert_eq!(ts.snapshot(1).len(), 1, "the ring outlives the thread");
+        assert_eq!(ts.drain(1).len(), 1, "a post-mortem drain sees it all");
+        assert!(ts.tids().is_empty(), "the emptied ring goes");
+        ts.push(3, 11, Kind::CtxSwitch, 0, 0);
+        ts.forget(3);
+        ts.forget(4);
+        assert_eq!(ts.tids(), vec![3], "a thread without records gets no ring");
+        assert_eq!(ts.drain_all().len(), 1);
+        assert!(ts.tids().is_empty());
 
         // Disabled, frames are neither tracked nor matched.
         ts.enabled = false;

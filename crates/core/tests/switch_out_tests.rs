@@ -3,6 +3,11 @@
 //! the thread had at the `kcall` — from a layered routine in supervisor
 //! state and from a fused wrapper in its user-mode caller, FP registers
 //! included — at a fixed cost per blocking round trip.
+//!
+//! Parking on the host goes the same way: a host `stop` or `signal` of a
+//! running thread parks it through its own `sw_save`, on its own CPU, and
+//! a kernel call about a thread current on another CPU comes back to its
+//! caller's CPU with its result.
 
 use quamachine::asm::Asm;
 use quamachine::cpu::{sr_bits, Cpu};
@@ -82,12 +87,17 @@ fn cpu_at(k: &mut Kernel, at: u32) -> Cpu {
 }
 
 /// `tid` is blocked on `wait`, and its TTE and kernel stack hold what the
-/// CPU held at the `kcall` at `kcall`: the save area the registers, the
-/// USP slot the USP, and the SSP slot one frame below the SSP — a frame
-/// of that SR and the PC after the `kcall`.
+/// CPU held at the `kcall` at `kcall`, resuming after it.
 fn assert_parked_as(k: &Kernel, tid: Tid, wait: WaitObject, at: &Cpu, kcall: u32) {
+    assert_eq!(k.threads[&tid].state, ThreadState::Blocked(wait));
+    assert_resumes_at(k, tid, at, kcall + 2);
+}
+
+/// `tid`'s TTE and kernel stack hold the context `at` with its PC at
+/// `pc`: the save area the registers, the USP slot the USP, and the SSP
+/// slot one frame below the SSP — a frame of that SR and `pc`.
+fn assert_resumes_at(k: &Kernel, tid: Tid, at: &Cpu, pc: u32) {
     let t = &k.threads[&tid];
-    assert_eq!(t.state, ThreadState::Blocked(wait));
     let (regs, usp) = t.parked_regs(&k.m.mem);
     let want: Vec<u32> = at.d.iter().chain(&at.a[..7]).copied().collect();
     assert_eq!(regs.to_vec(), want, "d0-d7/a0-a6");
@@ -95,7 +105,7 @@ fn assert_parked_as(k: &Kernel, tid: Tid, wait: WaitObject, at: &Cpu, kcall: u32
     let frame = k.m.mem.peek(t.tte + off::SSP, L);
     assert_eq!(frame, at.ssp() - 6, "one frame on the kernel stack");
     assert_eq!(k.m.mem.peek(frame, W), u32::from(at.sr), "SR");
-    assert_eq!(k.m.mem.peek(frame + 2, L), kcall + 2, "PC after the kcall");
+    assert_eq!(k.m.mem.peek(frame + 2, L), pc, "resume PC");
 }
 
 #[test]
@@ -341,4 +351,319 @@ fn a_blocking_pipe_round_trip_costs_1480_cycles() {
     assert_eq!(c200 - c100, 100 * 1_480, "cycles per round trip × 100");
     // Four traps and two switch-out frames per trip.
     assert_eq!(e200 - e100, 100 * 6, "exceptions per round trip × 100");
+}
+
+// --- Parking on the host ----------------------------------------------------
+
+/// Raised by a thread once it is running; the other threads wait on it.
+const FLAG: u32 = UBUF + 0xA000;
+/// The tid a caller's general call names.
+const TARGET: u32 = UBUF + 0xA004;
+/// Where a caller stores its call's result.
+const RESULT: u32 = UBUF + 0xA008;
+/// Bumped by the signal handler.
+const HITS: u32 = UBUF + 0xA00C;
+/// Bumped by a counting loop.
+const TICKS: u32 = UBUF + 0xA010;
+
+fn boot_cpus(cpus: usize) -> Kernel {
+    Kernel::boot(KernelConfig {
+        cpus,
+        ..KernelConfig::default()
+    })
+    .expect("boots")
+}
+
+fn load(k: &mut Kernel, a: Asm) -> u32 {
+    k.load_user_program(a.assemble().unwrap()).unwrap()
+}
+
+/// A thread at `entry`, homed on `cpu`, started.
+fn start_on(k: &mut Kernel, cpu: usize, entry: u32, stack: u32) -> Tid {
+    let tid = k.create_thread(entry, stack, user_map()).unwrap();
+    k.threads.get_mut(&tid).unwrap().cpu = cpu;
+    k.start(tid).unwrap();
+    tid
+}
+
+/// The CPU `tid` is current on, and that CPU's context.
+fn running(k: &Kernel, tid: Tid) -> (usize, Cpu) {
+    let cpu = (0..k.cpus.len())
+        .find(|&c| k.current_tid_on(c) == Some(tid))
+        .expect("the thread is running");
+    (cpu, k.m.cpu_ref(cpu).clone())
+}
+
+/// Marked registers, `FLAG` raised, then one `bra` to itself forever: the
+/// thread's context is the same at every safe point. Returns the entry
+/// and the `bra`'s address.
+fn spinner(k: &mut Kernel, prologue: impl FnOnce(&mut Asm)) -> (u32, u32) {
+    let mut a = Asm::new("spinner");
+    prologue(&mut a);
+    emit_marked_registers(&mut a);
+    a.move_i(L, 1, Abs(FLAG));
+    let at = a.len();
+    let top = a.here();
+    a.bra(top);
+    let entry = load(k, a);
+    (entry, k.m.code.addr_of(entry, at).unwrap())
+}
+
+/// Once `FLAG` is up, general call `call` on the tid at `TARGET`, the
+/// result to `RESULT`, then spin. Returns the entry, the `trap`'s address
+/// and the next instruction's.
+fn caller(k: &mut Kernel, call: u32) -> (u32, u32, u32) {
+    let mut a = Asm::new("caller");
+    let wait = a.here();
+    a.tst(L, Abs(FLAG));
+    a.bcc(Cond::Eq, wait);
+    a.move_i(L, call, Dr(0));
+    a.move_(L, Abs(TARGET), Dr(1));
+    let trap = a.len();
+    a.trap(traps::GENERAL);
+    a.move_(L, Dr(0), Abs(RESULT));
+    let spin = a.here();
+    a.bra(spin);
+    let entry = load(k, a);
+    let at = |i| k.m.code.addr_of(entry, i).unwrap();
+    (entry, at(trap), at(trap + 1))
+}
+
+/// Two CPUs: a caller on CPU 0 makes general call `call` on `target`,
+/// running on CPU 1 from `target_entry`. Returns the kernel as the caller
+/// resumes after its `trap`, the caller, the target and CPU 1's context
+/// at the call.
+fn cross_cpu_call(
+    call: u32,
+    target_entry: impl FnOnce(&mut Kernel) -> u32,
+) -> (Kernel, Tid, Tid, Cpu) {
+    let mut k = boot_cpus(2);
+    let te = target_entry(&mut k);
+    let (ce, trap, after) = caller(&mut k, call);
+    let a = start_on(&mut k, 0, ce, USTACK);
+    let b = start_on(&mut k, 1, te, USTACK + 0x1000);
+    k.m.mem.poke(TARGET, L, b);
+    cpu_at(&mut k, trap);
+    assert_eq!(k.current_tid_on(1), Some(b), "the target runs on CPU 1");
+    let at = k.m.cpu_ref(1).clone();
+    let resumed = cpu_at(&mut k, after);
+    assert_eq!(k.m.active_cpu(), 0, "the caller's CPU is the active one");
+    assert_eq!(k.current_tid(), Some(a));
+    assert_eq!(resumed.d[0], 0, "the caller resumes with the call's result");
+    (k, a, b, at)
+}
+
+/// Regression: a `THREAD_STOP` of a thread running on another CPU left
+/// the machine on that CPU; the caller kept `d0 = 4` and the run loop
+/// went on executing the other CPU inside the caller's slice.
+#[test]
+fn a_cross_cpu_thread_stop_returns_to_its_caller() {
+    let mut spin_pc = 0;
+    let (k, _, b, at) = cross_cpu_call(general::THREAD_STOP, |k| {
+        let (entry, pc) = spinner(k, |_| {});
+        spin_pc = pc;
+        entry
+    });
+    assert_eq!(at.pc, spin_pc);
+    assert_eq!(k.threads[&b].state, ThreadState::Stopped);
+    assert_resumes_at(&k, b, &at, at.pc);
+    assert_ne!(k.current_tid_on(1), Some(b), "the target left CPU 1");
+}
+
+#[test]
+fn a_cross_cpu_thread_destroy_returns_to_its_caller() {
+    let (mut k, _, b, _) = cross_cpu_call(general::THREAD_DESTROY, |k| spinner(k, |_| {}).0);
+    assert!(!k.threads.contains_key(&b));
+    let head = k.cpus[1].ready.head().map(|n| n.id);
+    assert_eq!(
+        k.current_tid_on(1),
+        head,
+        "CPU 1 went on to its chain's head"
+    );
+    assert_eq!(k.run(1_000_000), RunExit::CycleLimit);
+}
+
+/// A handler that bumps `HITS`, clobbers `d3` and `a2`, and returns.
+fn counting_handler(k: &mut Kernel) -> u32 {
+    let mut h = Asm::new("handler");
+    h.add(L, Imm(1), Abs(HITS));
+    h.move_i(L, 0xBAD, Dr(3));
+    h.move_(L, Imm(0xBAD), Ar(2));
+    h.move_i(L, general::SIG_RETURN, Dr(0));
+    h.trap(traps::GENERAL);
+    let dead = h.here();
+    h.bra(dead);
+    load(k, h)
+}
+
+/// Install `handler` as the thread's signal handler.
+fn emit_set_handler(a: &mut Asm, handler: u32) {
+    a.move_i(L, general::SET_SIG_HANDLER, Dr(0));
+    a.move_i(L, handler, Dr(1));
+    a.trap(traps::GENERAL);
+}
+
+/// Regression: a `SIGNAL` of a thread running on another CPU wrote its
+/// frame under the stale SSP in the target's TTE, which that CPU's next
+/// switch-out overwrote — the handler never ran.
+#[test]
+fn a_cross_cpu_signal_is_delivered_once() {
+    let (mut k, ..) = cross_cpu_call(general::SIGNAL, |k| {
+        let handler = counting_handler(k);
+        let mut t = Asm::new("counter");
+        emit_set_handler(&mut t, handler);
+        t.move_i(L, 1, Abs(FLAG));
+        let top = t.here();
+        t.add(L, Imm(1), Abs(TICKS));
+        t.bra(top);
+        load(k, t)
+    });
+    k.run(2_000_000);
+    let ticks = k.m.mem.peek(TICKS, L);
+    k.run(2_000_000);
+    assert_eq!(k.m.mem.peek(HITS, L), 1, "the handler ran exactly once");
+    assert!(
+        k.m.mem.peek(TICKS, L) > ticks,
+        "the target's loop kept counting"
+    );
+}
+
+/// Boot at `cpus`, start a thread from `entry` on the last CPU, run it a
+/// while, and make CPU 0 the active one — so at 2 CPUs the thread runs on
+/// a CPU the host does not have active.
+fn running_thread(cpus: usize, entry: impl FnOnce(&mut Kernel) -> u32) -> (Kernel, Tid) {
+    let mut k = boot_cpus(cpus);
+    let entry = entry(&mut k);
+    let tid = start_on(&mut k, cpus - 1, entry, USTACK);
+    k.run(2_000_000);
+    k.m.switch_cpu(0);
+    (k, tid)
+}
+
+/// Host `stop` of `tid`, running: it is parked with exactly its CPU's
+/// context, on that CPU, and the host's CPU is still the active one.
+/// Returns that context.
+fn stop_running(k: &mut Kernel, tid: Tid) -> Cpu {
+    let (_, at) = running(k, tid);
+    let active = k.m.active_cpu();
+    k.stop(tid).unwrap();
+    assert_eq!(k.m.active_cpu(), active, "the host's CPU is active again");
+    assert_eq!(k.threads[&tid].state, ThreadState::Stopped);
+    assert!((0..k.cpus.len()).all(|c| k.current_tid_on(c) != Some(tid)));
+    assert_resumes_at(k, tid, &at, at.pc);
+    at
+}
+
+/// Stop, restart, run and stop again: the second park finds what the
+/// first left, so the thread resumed exactly where it was stopped.
+fn stop_resume_stop(k: &mut Kernel, tid: Tid) -> Cpu {
+    let at = stop_running(k, tid);
+    k.start(tid).unwrap();
+    k.run(2_000_000);
+    let again = stop_running(k, tid);
+    assert_eq!(
+        (again.d, again.a, again.usp(), again.sr, again.pc),
+        (at.d, at.a, at.usp(), at.sr, at.pc)
+    );
+    at
+}
+
+#[test]
+fn a_host_stop_parks_a_running_thread_through_its_own_switch() {
+    for cpus in [1, 2] {
+        let mut spin_pc = 0;
+        let (mut k, tid) = running_thread(cpus, |k| {
+            let (entry, pc) = spinner(k, |_| {});
+            spin_pc = pc;
+            entry
+        });
+        let at = stop_resume_stop(&mut k, tid);
+        assert_eq!(at.pc, spin_pc, "{cpus} cpus: stopped in user code");
+        assert_eq!(at.d[5], 0xD0D0_0005);
+    }
+}
+
+#[test]
+fn a_host_stop_inside_a_trap_handler_parks_above_the_trap_frame() {
+    const VECTOR: u8 = 5;
+    for cpus in [1, 2] {
+        let mut k = boot_cpus(cpus);
+        let mut h = Asm::new("spinning_handler");
+        h.move_i(L, 0x5EED, Dr(2));
+        let top = h.here();
+        h.bra(top);
+        let handler = load(&mut k, h);
+        let (entry, _) = spinner(&mut k, |a| a.trap(VECTOR));
+        let tid = start_on(&mut k, cpus - 1, entry, USTACK);
+        k.set_vector(tid, 32 + u32::from(VECTOR), handler).unwrap();
+        k.run(2_000_000);
+        k.m.switch_cpu(0);
+        let at = stop_resume_stop(&mut k, tid);
+        assert!(at.supervisor(), "{cpus} cpus: stopped in the handler");
+        assert_eq!(at.d[2], 0x5EED);
+        let after_trap = k.m.code.addr_of(entry, 1).unwrap();
+        assert_eq!(
+            k.m.mem.peek(at.ssp() + 2, L),
+            after_trap,
+            "the trap's frame is under the park's"
+        );
+    }
+}
+
+#[test]
+fn a_host_signal_of_a_running_thread_returns_to_the_exact_interrupted_state() {
+    for cpus in [1, 2] {
+        let (mut k, tid) = running_thread(cpus, |k| {
+            let handler = counting_handler(k);
+            spinner(k, |a| emit_set_handler(a, handler)).0
+        });
+        let (_, at) = running(&k, tid);
+        let active = k.m.active_cpu();
+        k.signal(tid, 1).unwrap();
+        assert_eq!(k.m.active_cpu(), active, "the host's CPU is active again");
+        k.run(2_000_000);
+        assert_eq!(
+            k.m.mem.peek(HITS, L),
+            1,
+            "{cpus} cpus: the handler ran once"
+        );
+        k.m.mem.poke(HITS, L, 0);
+        // The handler's clobbers are gone: what is parked now is what the
+        // signal interrupted.
+        let now = stop_running(&mut k, tid);
+        assert_eq!(
+            (now.d, now.a, now.usp(), now.sr, now.pc),
+            (at.d, at.a, at.usp(), at.sr, at.pc),
+            "{cpus} cpus"
+        );
+    }
+}
+
+#[test]
+fn a_host_stop_of_an_fp_thread_keeps_its_fp_registers() {
+    for cpus in [1, 2] {
+        let (mut k, tid) = running_thread(cpus, |k| {
+            poke_doubles(k, UBUF, 1.5);
+            spinner(k, |a| emit_fp_loads(a, UBUF)).0
+        });
+        assert!(k.threads[&tid].uses_fp, "on the FP switch");
+        let at = stop_running(&mut k, tid);
+        let fp_slot = |k: &Kernel, i: u32| peek_double(k, k.threads[&tid].tte + off::FP + 8 * i);
+        for i in 0..8u32 {
+            assert_eq!(
+                fp_slot(&k, i),
+                1.5 + f64::from(i),
+                "{cpus} cpus: fp{i} parked"
+            );
+            assert_eq!(at.fp[i as usize], 1.5 + f64::from(i));
+        }
+        // Whatever the CPUs hold meanwhile is not the thread's.
+        for c in 0..cpus {
+            k.m.cpu_mut(c).fp = [1e9; 8];
+        }
+        k.start(tid).unwrap();
+        k.run(2_000_000);
+        let again = stop_running(&mut k, tid);
+        assert_eq!(again.fp, at.fp, "{cpus} cpus: fp0-fp7 came back");
+    }
 }

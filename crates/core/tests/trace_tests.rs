@@ -161,6 +161,44 @@ fn reaped_threads_stay_drainable_post_mortem() {
     );
 }
 
+/// Regression: a destroyed thread's ring stayed registered forever, one
+/// per lifecycle. It now goes with the first drain after the thread, so
+/// a churn drained every 100 lifecycles holds no more rings than live
+/// threads.
+#[test]
+fn a_thread_churn_keeps_no_ring_per_lifecycle() {
+    use synthesis_core::trace::TraceQuery;
+
+    let mut k = Kernel::boot(KernelConfig {
+        cpus: 1,
+        ..KernelConfig::default()
+    })
+    .expect("kernel boots");
+    let mut a = Asm::new("spin");
+    let top = a.here();
+    a.bcc(Cond::T, top);
+    let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
+    for i in 0..1000 {
+        let tid = k.create_thread(entry, USTACK, user_map()).unwrap();
+        k.start(tid).unwrap();
+        k.run(5_000);
+        k.destroy(tid).unwrap();
+        if i % 100 == 99 {
+            let q = TraceQuery::drain(&mut k);
+            assert!(
+                q.thread(tid).count_kind(Kind::CtxSwitch) > 0,
+                "the last thread's dispatch was drained"
+            );
+            assert!(
+                k.trace.tids().len() <= k.threads.len(),
+                "lifecycle {i}: {} rings for {} live threads",
+                k.trace.tids().len(),
+                k.threads.len()
+            );
+        }
+    }
+}
+
 /// Everything guest-visible about a finished run.
 #[derive(Debug, PartialEq)]
 struct Outcome {

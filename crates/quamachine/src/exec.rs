@@ -346,6 +346,8 @@ impl Machine {
     /// [`take_exception`](Machine::take_exception) does but the vector read
     /// and the entry hooks. The mask is the one an IPI's `ipi_in` raises,
     /// for the same reason: nothing may nest into a context being saved.
+    /// Like an accepted interrupt, it ends a `stop`: the frame resumes
+    /// after it.
     ///
     /// # Errors
     ///
@@ -353,6 +355,7 @@ impl Machine {
     /// processing, a double fault.
     pub fn exception_to(&mut self, handler: u32) -> Result<(), MachineError> {
         self.disturbed = true;
+        self.cpu.stopped = false;
         let pc = self.cpu.pc;
         self.push_frame(Some(7), pc)
             .map_err(|e| MachineError::DoubleFault(e, e))?;

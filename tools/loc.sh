@@ -15,10 +15,10 @@ lines() {
     git ls-files -z -- "$@" | xargs -0 cat 2>/dev/null | wc -l | tr -d ' '
 }
 
-# The same, each file cut at its first top-level `#[cfg(test)]`.
-nontest_lines() {
+# The text of the same files, each cut at its first top-level `#[cfg(test)]`.
+nontest() {
     git ls-files -z -- "$@" |
-        xargs -0 awk 'FNR == 1 { on = 1 } /^#\[cfg\(test\)\]/ { on = 0 } on { n++ } END { print n + 0 }'
+        xargs -0 awk 'FNR == 1 { on = 1 } /^#\[cfg\(test\)\]/ { on = 0 } on'
 }
 
 # `pub` fields of struct `$1` in file `$2`.
@@ -33,7 +33,7 @@ features() {
 }
 
 printf '%-34s %7s\n' "crates/*/src" "$(lines 'crates/*/src/*.rs')"
-printf '  %-32s %7s\n' "non-test" "$(nontest_lines 'crates/*/src/*.rs')"
+printf '  %-32s %7s\n' "non-test" "$(nontest 'crates/*/src/*.rs' | wc -l | tr -d ' ')"
 for c in crates/*/; do
     printf '  %-32s %7s\n' "${c}src" "$(lines "${c}src/*.rs")"
 done
@@ -48,3 +48,7 @@ printf '%-34s %7s\n' "vendor/" "$(lines 'vendor/*.rs')"
 printf '%-34s %7s\n' "KernelConfig fields" "$(fields KernelConfig crates/core/src/kernel.rs)"
 printf '%-34s %7s\n' "SynthesisOptions fields" "$(fields SynthesisOptions crates/codegen/src/creator.rs)"
 printf '%-34s %7s\n' "cargo features" "$(features)"
+# Host work still charged by formula instead of executed as guest code:
+# each non-test `charges::f(` is one site.
+printf '%-34s %7s\n' "charges:: call sites" \
+    "$(nontest 'crates/*/src/*.rs' | grep -o 'charges::[a-z_]*(' | wc -l | tr -d ' ')"
