@@ -14,7 +14,7 @@ use synthesis_core::templates::copy;
 /// The one-line synopsis, printed with every argument error.
 const USAGE: &str = "usage: tables [--table 1-5] [--iters N] [--kernel-size] [--json FILE] \
 [--cpus 1-8] [--trace-report] [--recovery-report [--seed N]] [--capacity [--threads N]] \
-[--capacity-gate NEW BASE] [--table1-gate NEW BASE] [--help]";
+[--help]";
 
 /// What `--help` prints under the synopsis.
 const HELP: &str = "  tables                      all tables
@@ -24,16 +24,13 @@ const HELP: &str = "  tables                      all tables
   tables --iters 100          Table 1 iteration count (default 40)
   tables --json BENCH_4.json  tables 1-3 + cache figures, as JSON
   tables --trace-report [--json BENCH_5.json]
-                              profiler: per-thread I/O rates + quanta
+                              profiler: per-thread events, gauges + quanta
   tables --cpus 4 [--json BENCH_6.json]
                               SMP scaling table at 1, 2, and 4 CPUs
   tables --recovery-report --cpus 4 --seed 7 [--json RECOVERY.json]
                               chaos-soak scoreboard
   tables --capacity [--threads 2000] [--json BENCH_8.json]
-                              10k-thread capacity soak
-  tables --capacity-gate NEW.json BASELINE.json
-  tables --table1-gate NEW.json BASELINE.json
-                              CI regression gates";
+                              10k-thread capacity soak";
 
 /// Every flag `tables` accepts, with the number of values it takes.
 const FLAGS: &[(&str, usize)] = &[
@@ -47,8 +44,6 @@ const FLAGS: &[(&str, usize)] = &[
     ("--seed", 1),
     ("--capacity", 0),
     ("--threads", 1),
-    ("--capacity-gate", 2),
-    ("--table1-gate", 2),
     ("--help", 0),
 ];
 
@@ -202,26 +197,27 @@ fn emit_smp_json(path: &str, points: &[smp::ScalingPoint], cache: &smp::CacheSmp
     println!("wrote {path}");
 }
 
-/// Serialize the profiler's result (the per-thread I/O-rate table and
-/// scheduler outcomes) as JSON.
+/// Serialize the profiler's result (the per-thread event table, gauges
+/// and scheduler outcomes) as JSON.
 fn trace_report_json(p: &profile::ProfileResult) -> String {
-    let quanta: std::collections::HashMap<u32, (&str, u32)> = p
-        .threads
-        .iter()
-        .map(|t| (t.tid, (t.role, t.quantum_us)))
-        .collect();
+    let profiled: std::collections::HashMap<u32, &profile::ProfiledThread> =
+        p.threads.iter().map(|t| (t.tid, t)).collect();
     let rows: Vec<String> = p
         .report
         .threads
         .iter()
         .map(|t| {
-            let (role, q) = quanta.get(&t.tid).copied().unwrap_or(("kernel/idle", 0));
+            let (role, gauge, rate, q) = profiled
+                .get(&t.tid)
+                .map_or(("kernel/idle", 0, 0.0, 0), |p| {
+                    (p.role, p.gauge, p.gauge_per_ms, p.quantum_us)
+                });
             let latency: Vec<String> = t.latency.iter().map(u64::to_string).collect();
             format!(
                 "    {{\"tid\": {}, \"role\": {}, \"ctx_switches\": {}, \"syscalls\": {}, \
                  \"irqs\": {}, \"queue_puts\": {}, \"queue_gets\": {}, \"cache_hits\": {}, \
-                 \"cache_misses\": {}, \"recoveries\": {}, \"io_events\": {}, \
-                 \"io_per_ms\": {:.3}, \"quantum_us\": {}, \"latency\": [{}]}}",
+                 \"cache_misses\": {}, \"recoveries\": {}, \"gauge\": {}, \
+                 \"gauge_per_ms\": {:.3}, \"quantum_us\": {}, \"latency\": [{}]}}",
                 t.tid,
                 json_str(role),
                 t.ctx_switches,
@@ -232,8 +228,8 @@ fn trace_report_json(p: &profile::ProfileResult) -> String {
                 t.cache_hits,
                 t.cache_misses,
                 t.recoveries,
-                t.io_events,
-                t.io_per_ms,
+                gauge,
+                rate,
                 q,
                 latency.join(", ")
             )
@@ -252,15 +248,8 @@ fn trace_report_json(p: &profile::ProfileResult) -> String {
             .map(|c| {
                 format!(
                     "    {{\"cpu\": {}, \"utilization\": {:.4}, \"steals\": {}, \
-                     \"steal_records\": {}, \"offloads\": {}, \"busy_cycles\": {}, \
-                     \"idle_cycles\": {}}}",
-                    c.cpu,
-                    c.utilization,
-                    c.steals,
-                    c.steal_records,
-                    c.offloads,
-                    c.busy_cycles,
-                    c.idle_cycles
+                     \"offloads\": {}, \"busy_cycles\": {}, \"idle_cycles\": {}}}",
+                    c.cpu, c.utilization, c.steals, c.offloads, c.busy_cycles, c.idle_cycles
                 )
             })
             .collect();
@@ -362,148 +351,6 @@ fn capacity_json(r: &capacity::CapacityReport) -> String {
         l.heap_fragments,
         l.heap_largest_free
     )
-}
-
-/// First numeric value following `"key":` in a JSON document (enough
-/// for the gate's two scalar reads — no dependency needed).
-fn json_num(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start();
-    let end = rest
-        .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Compare a fresh BENCH_8 against the checked-in baseline: spawn p99
-/// may grow at most 10%, ops/ms may drop at most 10%. Exits non-zero on
-/// a regression so CI fails the job.
-fn capacity_gate(new_path: &str, base_path: &str) {
-    let read = |p: &str| {
-        std::fs::read_to_string(p).unwrap_or_else(|e| {
-            eprintln!("error: cannot read {p}: {e}");
-            std::process::exit(1);
-        })
-    };
-    let (new, base) = (read(new_path), read(base_path));
-    let need = |doc: &str, path: &str, key: &str| {
-        json_num(doc, key).unwrap_or_else(|| {
-            eprintln!("error: {path} has no {key:?}");
-            std::process::exit(1);
-        })
-    };
-    let (new_p99, base_p99) = (
-        need(&new, new_path, "spawn_p99_us"),
-        need(&base, base_path, "spawn_p99_us"),
-    );
-    let (new_ops, base_ops) = (
-        need(&new, new_path, "ops_per_ms"),
-        need(&base, base_path, "ops_per_ms"),
-    );
-    let mut failed = false;
-    if new_p99 > base_p99 * 1.10 {
-        eprintln!("GATE FAIL: spawn p99 {new_p99:.3} µs > baseline {base_p99:.3} µs + 10%");
-        failed = true;
-    }
-    if new_ops < base_ops * 0.90 {
-        eprintln!(
-            "GATE FAIL: throughput {new_ops:.3} ops/ms < baseline {base_ops:.3} ops/ms - 10%"
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!(
-        "capacity gate ok: p99 {new_p99:.3} µs (baseline {base_p99:.3}), \
-         {new_ops:.3} ops/ms (baseline {base_ops:.3})"
-    );
-}
-
-/// Extract the `(what, measured)` pairs of the `"table1"` array from a
-/// BENCH-shape JSON document. The writer is [`emit_json`], so the
-/// layout is known: one row object per line inside the array.
-fn table1_rows(doc: &str, path: &str) -> Vec<(String, f64)> {
-    let Some(start) = doc.find("\"table1\": [") else {
-        eprintln!("error: {path} has no \"table1\" array");
-        std::process::exit(1);
-    };
-    let body = &doc[start..];
-    // The array closer sits alone on its own line ("\n  ]"); a bare ']'
-    // would stop at the "[speedup]" inside the first row label.
-    let end = body.find("\n  ]").unwrap_or(body.len());
-    let mut rows = Vec::new();
-    for line in body[..end].lines() {
-        let Some(w) = line.find("\"what\": \"") else {
-            continue;
-        };
-        let rest = &line[w + 9..];
-        let Some(q) = rest.find('"') else { continue };
-        let Some(m) = json_num(line, "measured") else {
-            continue;
-        };
-        rows.push((rest[..q].to_string(), m));
-    }
-    if rows.is_empty() {
-        eprintln!("error: {path} has an empty \"table1\" array");
-        std::process::exit(1);
-    }
-    rows
-}
-
-/// Compare a fresh Table 1 against the checked-in baseline: no row may
-/// lose more than 5% of its speedup ratio (the simulation is
-/// deterministic, so real drift means a real code change), and the
-/// fused-pipe acceptance floors are absolute — pipe-1B ≥ 20×, open/
-/// close `/dev/null` ≥ 15×, `/dev/tty` ≥ 8×. Exits non-zero on any
-/// failure so CI fails the job.
-fn table1_gate(new_path: &str, base_path: &str) {
-    let read = |p: &str| {
-        std::fs::read_to_string(p).unwrap_or_else(|e| {
-            eprintln!("error: cannot read {p}: {e}");
-            std::process::exit(1);
-        })
-    };
-    let (new, base) = (read(new_path), read(base_path));
-    let new_rows = table1_rows(&new, new_path);
-    let base_rows = table1_rows(&base, base_path);
-    let mut failed = false;
-    for (what, base_m) in &base_rows {
-        let Some((_, new_m)) = new_rows.iter().find(|(w, _)| w == what) else {
-            eprintln!("GATE FAIL: row {what:?} missing from {new_path}");
-            failed = true;
-            continue;
-        };
-        if *new_m < base_m * 0.95 {
-            eprintln!("GATE FAIL: {what}: {new_m:.2}x < baseline {base_m:.2}x - 5%");
-            failed = true;
-        }
-    }
-    for (needle, floor) in [
-        ("pipe, 1 byte", 20.0),
-        ("/dev/null", 15.0),
-        ("/dev/tty", 8.0),
-    ] {
-        match new_rows.iter().find(|(w, _)| w.contains(needle)) {
-            Some((what, m)) if *m >= floor => println!("  {what}: {m:.1}x >= {floor}x"),
-            Some((what, m)) => {
-                eprintln!("GATE FAIL: {what}: {m:.2}x < absolute floor {floor}x");
-                failed = true;
-            }
-            None => {
-                eprintln!("GATE FAIL: no Table 1 row matching {needle:?} in {new_path}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!(
-        "table1 gate ok: {} rows held against {base_path}",
-        base_rows.len()
-    );
 }
 
 fn kernel_size() -> (Vec<Row>, synthesis_core::monitor::SizeReport) {
@@ -635,16 +482,6 @@ fn main() {
         None => 1,
     };
     let size_only = args.iter().any(|a| a == "--kernel-size");
-
-    if let Some(i) = args.iter().position(|a| a == "--capacity-gate") {
-        capacity_gate(&args[i + 1], &args[i + 2]);
-        return;
-    }
-
-    if let Some(i) = args.iter().position(|a| a == "--table1-gate") {
-        table1_gate(&args[i + 1], &args[i + 2]);
-        return;
-    }
 
     if args.iter().any(|a| a == "--capacity") {
         let threads: usize = match get("--threads") {

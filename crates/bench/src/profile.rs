@@ -6,8 +6,9 @@
 //! fine-grain scheduler do about it. It boots a kernel, runs an
 //! I/O-bound writer, a CPU-bound spinner, and a pipe producer/consumer
 //! pair side by side, adapts quanta between windows, and reports
-//! [`monitor::trace_report`]'s per-thread I/O-rate table plus the final
-//! quanta.
+//! [`monitor::trace_report`]'s per-thread event table plus, per thread,
+//! the meter the scheduler read — its TTE gauge, and that count's rate
+//! over the run — beside the quantum it set.
 
 use quamachine::asm::Asm;
 use quamachine::isa::{Cond, Operand::*, Size::*};
@@ -17,20 +18,26 @@ use synthesis_core::layout;
 use synthesis_core::monitor::{self, TraceReport};
 use synthesis_core::sched::FineGrain;
 use synthesis_core::syscall::{general, traps};
+use synthesis_core::thread::tte::off;
 use synthesis_core::thread::Tid;
 
 const USTACK: u32 = layout::USER_BASE + 0x1_0000;
 const UBUF: u32 = layout::USER_BASE + 0x2_0000;
 const UPATH: u32 = layout::USER_BASE + 0x2_8000;
 
-/// One profiled thread: its role in the workload and where the
-/// scheduler left its quantum.
+/// One profiled thread: its role in the workload, the gauge the
+/// scheduler read, and where the scheduler left its quantum.
 #[derive(Debug, Clone)]
 pub struct ProfiledThread {
     /// The thread.
     pub tid: Tid,
     /// Workload role label.
     pub role: &'static str,
+    /// The thread's TTE gauge at the end of the run: one count per call
+    /// into its synthesized I/O code.
+    pub gauge: u32,
+    /// `gauge` per millisecond of the run's virtual time.
+    pub gauge_per_ms: f64,
     /// CPU quantum after the last adaptation pass, in µs.
     pub quantum_us: u32,
 }
@@ -141,18 +148,26 @@ pub fn run_on(cpus: usize, windows: u32, window_cycles: u64) -> ProfileResult {
     }
 
     let mut policy = FineGrain::new();
+    let t0 = k.m.meter.cycles;
     for _ in 0..windows {
         k.run(window_cycles);
         policy.adapt(&mut k);
     }
+    let run_ms = k.m.cost.cycles_to_us(k.m.meter.cycles - t0) / 1_000.0;
 
     let report = monitor::trace_report(&mut k);
     let threads = roles
         .iter()
-        .map(|&(tid, role)| ProfiledThread {
-            tid,
-            role,
-            quantum_us: k.threads[&tid].quantum_us,
+        .map(|&(tid, role)| {
+            let t = &k.threads[&tid];
+            let gauge = k.m.mem.peek(t.tte + off::GAUGE, L);
+            ProfiledThread {
+                tid,
+                role,
+                gauge,
+                gauge_per_ms: f64::from(gauge) / run_ms,
+                quantum_us: t.quantum_us,
+            }
         })
         .collect();
     ProfileResult {
@@ -178,8 +193,8 @@ impl ProfileResult {
         for t in &self.threads {
             let _ = writeln!(
                 out,
-                "  tid {:>2} {:<24} quantum {:>4} µs",
-                t.tid, t.role, t.quantum_us
+                "  tid {:>2} {:<24} gauge {:>7} ({:>8.3}/ms)  quantum {:>4} µs",
+                t.tid, t.role, t.gauge, t.gauge_per_ms, t.quantum_us
             );
         }
         out

@@ -20,13 +20,13 @@ fn help_prints_usage_and_bad_arguments_exit_2() {
     let (code, stdout, _) = tables(&["--help"]);
     assert_eq!(code, Some(0));
     assert!(stdout.starts_with("usage: tables"), "{stdout}");
-    assert!(stdout.contains("--capacity-gate NEW.json BASELINE.json"));
+    assert!(stdout.contains("--trace-report [--json BENCH_5.json]"));
 
     for bad in [
         &["--bogus"][..],
         &["--table", "3", "-h"],
         &["--iters"],
-        &["--table1-gate", "NEW.json"],
+        &["--trace-report", "--json"],
     ] {
         let (code, stdout, stderr) = tables(bad);
         assert_eq!(code, Some(2), "{bad:?}");

@@ -580,8 +580,6 @@ impl Kernel {
         self.m.mem.poke(frame + 2, Size::L, entry);
         self.m.mem.poke(tte + off::SSP, Size::L, frame);
         self.m.mem.poke(tte + off::USP, Size::L, user_sp);
-        let quantum = self.default_quantum_us;
-        self.m.mem.poke(tte + off::QUANTUM, Size::L, quantum);
 
         self.vbr_to_tid.insert(vt, tid);
         // Homed where it was created — unless that CPU is out of service
@@ -608,7 +606,7 @@ impl Kernel {
             trap_error,
             adopted: Vec::new(),
             uses_fp: false,
-            quantum_us: quantum,
+            quantum_us: self.default_quantum_us,
             state: ThreadState::Stopped,
             map,
             fds: (0..crate::thread::tte::FD_MAX)
@@ -616,7 +614,6 @@ impl Kernel {
                 .collect(),
             cpu: home,
             last_gauge: 0,
-            last_io: 0,
             sig_saved: None,
             fault_mark: 0,
             quarantined: false,
@@ -734,6 +731,21 @@ impl Kernel {
         )
     }
 
+    /// Point the vector table `vt` at its thread's switch code. The timer
+    /// vector enters `sw_out` — Figure 3's "the interrupt is vectored to
+    /// thread-0's context-switch-out procedure". On a multiprocessor the
+    /// IPI vector enters `ipi_in`: an inter-processor interrupt is exactly
+    /// a reschedule request, handled like a quantum expiry — but the IPI
+    /// arrives at level 1, so the entry first raises the mask to keep
+    /// device interrupts from nesting mid-switch.
+    fn aim_switch_vectors(&mut self, vt: u32, sw_out: u32, ipi_in: u32) {
+        let irq = |level: u8| vt + 4 * (24 + u32::from(level));
+        self.m.mem.poke(irq(irq_levels::QUANTUM), Size::L, sw_out);
+        if self.m.num_cpus() > 1 {
+            self.m.mem.poke(irq(irq_levels::IPI), Size::L, ipi_in);
+        }
+    }
+
     fn fill_vector_table(
         &mut self,
         vt: u32,
@@ -777,18 +789,7 @@ impl Kernel {
             24 + u32::from(irq_levels::AUDIO),
             self.shared.spurious,
         );
-        // The timer vector points straight at THIS thread's sw_out —
-        // Figure 3's "the interrupt is vectored to thread-0's
-        // context-switch-out procedure".
-        poke(&mut self.m, 24 + u32::from(irq_levels::QUANTUM), sw_out);
-        // On a multiprocessor the IPI vector points at THIS thread's
-        // ipi_in: an inter-processor interrupt is exactly a reschedule
-        // request, handled like a quantum expiry — but the IPI arrives at
-        // level 1, so the entry first raises the mask to keep device
-        // interrupts from nesting mid-switch.
-        if self.m.num_cpus() > 1 {
-            poke(&mut self.m, 24 + u32::from(irq_levels::IPI), ipi_in);
-        }
+        self.aim_switch_vectors(vt, sw_out, ipi_in);
         // Traps.
         for t in 0..16u32 {
             poke(&mut self.m, 32 + t, self.shared.trampoline);
@@ -1314,17 +1315,7 @@ impl Kernel {
             t.jmp_at = jmp_at;
             t.uses_fp = true;
         }
-        // The timer vector must point at the NEW sw_out.
-        self.m.mem.poke(
-            vt + 4 * (24 + u32::from(irq_levels::QUANTUM)),
-            Size::L,
-            sw_out,
-        );
-        if self.m.num_cpus() > 1 {
-            self.m
-                .mem
-                .poke(vt + 4 * (24 + u32::from(irq_levels::IPI)), Size::L, ipi_in);
-        }
+        self.aim_switch_vectors(vt, sw_out, ipi_in);
         if in_chain {
             let _ = self.enqueue(cpu, tid);
         }

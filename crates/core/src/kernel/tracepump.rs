@@ -78,8 +78,7 @@ impl Kernel {
         if self.creator.cache_events.is_empty() {
             return;
         }
-        let cycle = self.m.meter.cycles;
-        self.trace.cpu = self.m.active_cpu() as u16;
+        let (cpu, cycle) = (self.m.active_cpu() as u16, self.m.meter.cycles);
         for ev in self.creator.cache_events.drain(..) {
             let (kind, a, b) = match ev {
                 // `b` carries the cross-CPU flag: always 0 on a
@@ -88,7 +87,7 @@ impl Kernel {
                 CacheEvent::Miss { base, .. } => (Kind::CacheMiss, base, 0),
                 CacheEvent::Release { base, evicted } => (Kind::Destroy, base, u32::from(evicted)),
             };
-            self.trace.push(tid, cycle, kind, a, b);
+            self.trace.push(tid, cpu, cycle, kind, a, b);
         }
     }
 
@@ -115,8 +114,8 @@ impl Kernel {
                 // thread's vector table IS the context switch.
                 MachEvent::VbrWrite { vbr, cycle, cpu } => {
                     if let Some(&tid) = self.vbr_to_tid.get(&vbr) {
-                        self.trace.cpu = cpu as u16;
-                        self.trace.push(tid, cycle, Kind::CtxSwitch, 0, 0);
+                        self.trace
+                            .push(tid, cpu as u16, cycle, Kind::CtxSwitch, 0, 0);
                     }
                 }
                 MachEvent::Trap {
@@ -126,9 +125,9 @@ impl Kernel {
                     cpu,
                 } => {
                     let tid = self.tid_under(vbr, cpu);
-                    self.trace.cpu = cpu as u16;
+                    let v = u32::from(vector);
                     self.trace
-                        .push(tid, cycle, Kind::SyscallEnter, u32::from(vector), 0);
+                        .push(tid, cpu as u16, cycle, Kind::SyscallEnter, v, 0);
                     self.trace.push_frame(tid, Some((vector, cycle)));
                 }
                 MachEvent::IrqAccept {
@@ -138,24 +137,21 @@ impl Kernel {
                     cpu,
                 } => {
                     let tid = self.tid_under(vbr, cpu);
-                    self.trace.cpu = cpu as u16;
-                    self.trace.push(tid, cycle, Kind::Irq, u32::from(level), 0);
+                    let l = u32::from(level);
+                    self.trace.push(tid, cpu as u16, cycle, Kind::Irq, l, 0);
                     self.trace.push_frame(tid, None);
                 }
                 MachEvent::Rte { vbr, cycle, cpu } => {
                     let tid = self.tid_under(vbr, cpu);
                     if let Some(Some((vector, t0))) = self.trace.pop_frame(tid) {
                         let dt = u32::try_from(cycle.saturating_sub(t0)).unwrap_or(u32::MAX);
-                        self.trace.cpu = cpu as u16;
+                        let v = u32::from(vector);
                         self.trace
-                            .push(tid, cycle, Kind::SyscallExit, u32::from(vector), dt);
+                            .push(tid, cpu as u16, cycle, Kind::SyscallExit, v, dt);
                     }
                 }
             }
         }
-        // Leave the attribution on the active CPU for subsequent manual
-        // pushes (kernel-side events belong to whoever is running now).
-        self.trace.cpu = self.m.active_cpu() as u16;
     }
 
     /// Translate the fault plan's new SMP-class records into kernel
@@ -168,7 +164,6 @@ impl Kernel {
         let recs = self.m.fault.trace();
         let start = self.fault_cursor.min(recs.len());
         self.fault_cursor = recs.len();
-        let prev_cpu = self.trace.cpu;
         for r in &recs[start..] {
             let (cpu, at, kind, b) = match *r {
                 FaultRecord::IpiLost { at, cpu } => (cpu, at, Kind::IpiLost, 0),
@@ -177,9 +172,9 @@ impl Kernel {
                 _ => continue,
             };
             if let Some(c) = self.cpus.get(cpu) {
-                self.trace.cpu = u16::try_from(cpu).unwrap_or(0);
                 self.trace.push(
                     c.idle_tid,
+                    cpu as u16,
                     at,
                     kind,
                     cpu as u32,
@@ -187,6 +182,5 @@ impl Kernel {
                 );
             }
         }
-        self.trace.cpu = prev_cpu;
     }
 }

@@ -470,11 +470,6 @@ pub struct ThreadTrace {
     pub destroys: u64,
     /// Recovery actions charged to the thread (reap/quarantine/IO error).
     pub recoveries: u64,
-    /// Cumulative I/O-classed events (monotonic; survives wraparound).
-    pub io_events: u64,
-    /// I/O-classed events per millisecond of virtual time over the
-    /// report window (the paper's Table-5-style I/O rate).
-    pub io_per_ms: f64,
     /// Syscall-latency histogram: completed syscalls whose enter→exit
     /// cycle count fell in each [`LATENCY_BUCKETS`] bucket.
     pub latency: [u64; LATENCY_BUCKETS.len()],
@@ -488,18 +483,14 @@ pub struct ThreadTrace {
 pub struct CpuTrace {
     /// The CPU.
     pub cpu: usize,
-    /// Threads this CPU pulled out of the shared steal pool.
+    /// Threads this CPU stole from another's chain (`KCpu::steals`).
     pub steals: u64,
-    /// Threads this CPU offered into the pool.
+    /// Threads other CPUs stole from this one's chain.
     pub offloads: u64,
     /// Slice cycles spent running real threads.
     pub busy_cycles: u64,
     /// Slice cycles spent in the idle thread.
     pub idle_cycles: u64,
-    /// [`crate::trace::Kind::Steal`] records naming this CPU as the
-    /// thief — the trace-side view of `steals`. They agree while
-    /// tracing is enabled; disabled, this is 0.
-    pub steal_records: u64,
     /// `busy / (busy + idle)`, 0 when the CPU never ran a slice.
     pub utilization: f64,
 }
@@ -531,10 +522,6 @@ pub fn trace_report(k: &mut Kernel) -> TraceReport {
     let merged = k.trace.snapshot_all();
     let window_start = merged.first().map_or(0, |r| r.cycle);
     let window_end = merged.last().map_or(0, |r| r.cycle);
-    let window_ms =
-        k.m.cost
-            .cycles_to_us(window_end.saturating_sub(window_start))
-            / 1_000.0;
     let mut threads = Vec::new();
     for tid in k.trace.tids() {
         let mut row = ThreadTrace {
@@ -548,8 +535,6 @@ pub fn trace_report(k: &mut Kernel) -> TraceReport {
             cache_misses: 0,
             destroys: 0,
             recoveries: 0,
-            io_events: k.trace.io_events(tid),
-            io_per_ms: 0.0,
             latency: [0; LATENCY_BUCKETS.len()],
         };
         for r in k.trace.snapshot(tid) {
@@ -581,9 +566,6 @@ pub fn trace_report(k: &mut Kernel) -> TraceReport {
                 | Kind::CpuResume => {}
             }
         }
-        if window_ms > 0.0 {
-            row.io_per_ms = row.io_events as f64 / window_ms;
-        }
         threads.push(row);
     }
     let cpus = if k.m.num_cpus() > 1 {
@@ -597,7 +579,6 @@ pub fn trace_report(k: &mut Kernel) -> TraceReport {
                     offloads: c.offloads,
                     busy_cycles: c.busy_cycles,
                     idle_cycles: c.idle_cycles,
-                    steal_records: k.trace.steal_events(i),
                     utilization: if total > 0 {
                         c.busy_cycles as f64 / total as f64
                     } else {
@@ -634,23 +615,13 @@ impl TraceReport {
         );
         let _ = writeln!(
             out,
-            "{:>4} {:>6} {:>8} {:>6} {:>6} {:>6} {:>5} {:>6} {:>5} {:>8} {:>9}",
-            "tid",
-            "ctxsw",
-            "syscall",
-            "irq",
-            "qput",
-            "qget",
-            "hit",
-            "miss",
-            "rec",
-            "io-ev",
-            "io/ms"
+            "{:>4} {:>6} {:>8} {:>6} {:>6} {:>6} {:>5} {:>6} {:>5}",
+            "tid", "ctxsw", "syscall", "irq", "qput", "qget", "hit", "miss", "rec"
         );
         for t in &self.threads {
             let _ = writeln!(
                 out,
-                "{:>4} {:>6} {:>8} {:>6} {:>6} {:>6} {:>5} {:>6} {:>5} {:>8} {:>9.2}",
+                "{:>4} {:>6} {:>8} {:>6} {:>6} {:>6} {:>5} {:>6} {:>5}",
                 t.tid,
                 t.ctx_switches,
                 t.syscalls,
@@ -659,9 +630,7 @@ impl TraceReport {
                 t.queue_gets,
                 t.cache_hits,
                 t.cache_misses,
-                t.recoveries,
-                t.io_events,
-                t.io_per_ms
+                t.recoveries
             );
         }
         if !self.cpus.is_empty() {
@@ -669,12 +638,11 @@ impl TraceReport {
             for c in &self.cpus {
                 let _ = writeln!(
                     out,
-                    "  cpu {:>2}: {:>5.1}% busy  steals {:>4} ({} traced)  offloads {:>4}  \
+                    "  cpu {:>2}: {:>5.1}% busy  steals {:>4}  offloads {:>4}  \
                      busy {:>10} idle {:>10} cycles",
                     c.cpu,
                     c.utilization * 100.0,
                     c.steals,
-                    c.steal_records,
                     c.offloads,
                     c.busy_cycles,
                     c.idle_cycles

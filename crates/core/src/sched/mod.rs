@@ -5,25 +5,18 @@
 //! execute' criterion. ... a thread's 'need to execute' is determined by
 //! the rate at which I/O data flows into and out of its quaspace."
 //!
-//! The policy below measures each thread's I/O rate two ways and uses
-//! whichever saw traffic this window:
-//!
-//! 1. **Traced I/O events** (primary): the kernel event trace classifies
-//!    records as I/O data flow — read/write traps, device interrupts,
-//!    queue put/get (see
-//!    [`TraceSet::is_io_event`](crate::trace::TraceSet::is_io_event)) —
-//!    and keeps a monotonic per-thread count not subject to ring
-//!    wraparound. This sees *all* I/O, including flows that never touch
-//!    a TTE gauge.
-//! 2. **TTE gauges** (fallback): every synthesized I/O routine
-//!    increments its thread's gauge. With
-//!    [`TraceSet::enabled`](crate::trace::TraceSet::enabled) false, or in
-//!    a window with no traced I/O, the gauges alone drive adaptation.
-//!
-//! Each pass computes a thread's share of the window's I/O traffic and
-//! sets its quantum proportionally — patching the quantum immediate
+//! The rate is read from the thread's **gauge** (Section 2.3), the
+//! counter its own synthesized code keeps: every synthesized `read`/
+//! `write` body and every fused wrapper bumps the TTE's gauge slot each
+//! time a call completes, trapped or bound. Each adaptation pass takes a thread's gauge
+//! delta since the last pass as its share of the window's I/O traffic
+//! and sets its quantum proportionally — patching the quantum immediate
 //! inside the thread's `sw_in` code in place (an executable data
 //! structure being retuned at run time).
+//!
+//! The gauge is the only meter. The event trace
+//! ([`crate::trace`]) is host-side observability: the policy never reads
+//! it, so turning tracing off cannot move a quantum.
 
 use quamachine::isa::{Instr, Operand, Size};
 
@@ -53,15 +46,10 @@ impl FineGrain {
         FineGrain::default()
     }
 
-    /// One adaptation pass: sample every thread's I/O activity since the
-    /// last pass — traced I/O events when the window saw any, TTE gauges
-    /// otherwise — and retune quanta.
+    /// One adaptation pass: sample every thread's gauge delta since the
+    /// last pass and retune quanta by each thread's share of the total.
     pub fn adapt(&mut self, k: &mut Kernel) {
         self.passes += 1;
-        // Attribute any machine events still sitting in the hook log so
-        // this window's traced counts are complete.
-        k.pump_trace();
-        // Sample both meters.
         let mut samples: Vec<(Tid, u64, u64)> = Vec::new();
         for (&tid, t) in &k.threads {
             // The idle thread has no traffic to adapt to, and quarantined
@@ -72,20 +60,12 @@ impl FineGrain {
                 continue;
             }
             let g = u64::from(k.m.mem.peek(t.tte + off::GAUGE, Size::L));
-            let dgauge = g.saturating_sub(t.last_gauge);
-            let dtrace = k.trace.io_events(tid).saturating_sub(t.last_io);
-            samples.push((tid, dtrace, dgauge));
+            samples.push((tid, g, g.saturating_sub(t.last_gauge)));
         }
-        let trace_total: u64 = samples.iter().map(|&(_, dt, _)| dt).sum();
-        let gauge_total: u64 = samples.iter().map(|&(_, _, dg)| dg).sum();
-        for (tid, dtrace, dgauge) in samples {
-            // Prefer the traced rate; a window with no traced I/O at all
-            // (tracing disabled, or purely gauge-visible traffic) falls
-            // back to the gauges.
-            let share = if trace_total > 0 {
-                dtrace as f64 / trace_total as f64
-            } else if gauge_total > 0 {
-                dgauge as f64 / gauge_total as f64
+        let total: u64 = samples.iter().map(|&(_, _, d)| d).sum();
+        for (tid, g, delta) in samples {
+            let share = if total > 0 {
+                delta as f64 / total as f64
             } else {
                 0.0
             };
@@ -99,18 +79,15 @@ impl FineGrain {
                 self.adjustments += 1;
             }
             let _ = set_quantum(k, tid, q);
-            let io = k.trace.io_events(tid);
             if let Some(t) = k.threads.get_mut(&tid) {
-                let g = u64::from(k.m.mem.peek(t.tte + off::GAUGE, Size::L));
                 t.last_gauge = g;
-                t.last_io = io;
             }
         }
     }
 }
 
 /// Set a thread's CPU quantum by patching the immediate inside its
-/// `sw_in` code (same-size in-place patch) and mirroring it in the TTE.
+/// `sw_in` code (same-size in-place patch).
 ///
 /// The requested value is clamped to
 /// [`QUANTUM_MIN_US`]`..=`[`QUANTUM_MAX_US`]: a zero quantum would make
@@ -131,7 +108,6 @@ pub fn set_quantum(
         .get(&tid)
         .ok_or(crate::kernel::KernelError::NoThread(tid))?;
     let base = t.sw.base;
-    let tte = t.tte;
     let qreg =
         quamachine::devices::dev_reg_addr(k.dev.timer, quamachine::devices::timer::REG_QUANTUM_US);
     // Find the `move.l #quantum,(timer_qreg)` instruction in the switch
@@ -149,7 +125,6 @@ pub fn set_quantum(
         let c = crate::charges::code_patch(&k.m.cost);
         k.m.charge(c);
     }
-    k.m.mem.poke(tte + off::QUANTUM, Size::L, quantum_us);
     if let Some(t) = k.threads.get_mut(&tid) {
         t.quantum_us = quantum_us;
     }

@@ -33,8 +33,8 @@ pub mod off {
     pub const FP: u32 = 0x44;
     /// The fd table: 16 entries × (read entry, write entry) longs.
     pub const FD_TABLE: u32 = 0x84;
-    /// The thread's CPU quantum in µs (mirrored in its `sw_in` code).
-    pub const QUANTUM: u32 = 0x104;
+    // 0x104: unused. The quantum lives only as an immediate in the
+    // thread's `sw_in` code (and `Thread::quantum_us`).
     /// The thread's I/O gauge: synthesized I/O code increments it; the
     /// fine-grain scheduler reads it (Section 4.4).
     pub const GAUGE: u32 = 0x108;
@@ -169,9 +169,6 @@ pub struct Thread {
     pub cpu: usize,
     /// Gauge value at the scheduler's last adaptation pass.
     pub last_gauge: u64,
-    /// Traced I/O-event count at the scheduler's last adaptation pass
-    /// (see [`crate::trace::TraceSet::io_events`]).
-    pub last_io: u64,
     /// The registers and USP a signal interrupted, until the handler's
     /// `SIG_RETURN` takes them back.
     pub sig_saved: Option<SavedRegs>,
@@ -231,7 +228,7 @@ mod tests {
     #[allow(clippy::assertions_on_constants)] // layout invariants
     fn tte_fields_fit_in_one_kb() {
         assert!(off::SCRATCH < crate::layout::TTE_LEN);
-        assert!(off::FD_TABLE + FD_MAX * 8 <= off::QUANTUM);
+        assert!(off::FD_TABLE + FD_MAX * 8 < off::GAUGE);
     }
 
     #[test]
@@ -266,7 +263,6 @@ mod tests {
             fds: Vec::new(),
             cpu: 0,
             last_gauge: 0,
-            last_io: 0,
             sig_saved: None,
             fault_mark: 0,
             quarantined: false,

@@ -13,8 +13,11 @@
 //! Recording is always compiled in — like the Quamachine's own
 //! measurement hardware, there is no second kernel without it — and
 //! [`TraceSet::enabled`] is the one switch. Tracing never charges *guest*
-//! cycles — it is host-side observability, which is what keeps every
-//! guest-time measurement identical with the switch on and off.
+//! cycles and no kernel decision reads it: a [`TraceSet`] records and
+//! counts nothing the kernel keeps elsewhere (the scheduler's I/O rate is
+//! the TTE gauge, a CPU's steals are `KCpu::steals`). That is what keeps
+//! every guest-time measurement, and every quantum, identical with the
+//! switch on and off.
 //!
 //! Rings are owned by the kernel and keyed by thread id, **not** stored
 //! in the `Thread`: a reaped thread's ring stays drainable after the
@@ -55,8 +58,6 @@ pub struct TraceSet {
     /// Destroyed threads whose rings still hold records for a drain.
     dead: BTreeSet<Tid>,
     frames: BTreeMap<Tid, Vec<Frame>>,
-    io_counts: BTreeMap<Tid, u64>,
-    steal_counts: BTreeMap<u32, u64>,
     cap: usize,
     /// The one tracing switch: when false, [`TraceSet::push`] drops
     /// everything and no exception frames are tracked. Lets one binary
@@ -65,11 +66,6 @@ pub struct TraceSet {
     /// Machine hook events dropped before the kernel drained them
     /// (mirrors the hook log's counter at the last pump).
     pub dropped: u64,
-    /// CPU attribution stamped into each pushed record's `flags` field.
-    /// The kernel sets it before pushing (drain sites set it per event);
-    /// a uniprocessor kernel leaves it 0, which keeps the record bytes
-    /// identical to the pre-SMP format.
-    pub cpu: u16,
 }
 
 impl TraceSet {
@@ -80,40 +76,17 @@ impl TraceSet {
             rings: BTreeMap::new(),
             dead: BTreeSet::new(),
             frames: BTreeMap::new(),
-            io_counts: BTreeMap::new(),
-            steal_counts: BTreeMap::new(),
             cap,
             enabled: true,
             dropped: 0,
-            cpu: 0,
         }
     }
 
-    /// Whether `kind`/`a` counts as I/O data flow for the fine-grain
-    /// scheduler's "need to execute" criterion: read/write/unix traps,
-    /// non-quantum interrupts, and queue traffic. Context switches,
-    /// cache events, and the quantum timer are scheduling mechanics,
-    /// not I/O.
-    #[must_use]
-    pub fn is_io_event(kind: Kind, a: u32) -> bool {
-        match kind {
-            Kind::QueuePut | Kind::QueueGet => true,
-            Kind::SyscallEnter => matches!(a, 1..=3),
-            Kind::Irq => a != u32::from(crate::kernel::irq_levels::QUANTUM),
-            _ => false,
-        }
-    }
-
-    /// Record one event against `tid` at `cycle`.
-    pub fn push(&mut self, tid: Tid, cycle: u64, kind: Kind, a: u32, b: u32) {
+    /// Record one event against `tid` at `cycle`, on `cpu` (stamped into
+    /// the record's `flags`; always 0 on a uniprocessor).
+    pub fn push(&mut self, tid: Tid, cpu: u16, cycle: u64, kind: Kind, a: u32, b: u32) {
         if !self.enabled {
             return;
-        }
-        if Self::is_io_event(kind, a) {
-            *self.io_counts.entry(tid).or_insert(0) += 1;
-        }
-        if kind == Kind::Steal {
-            *self.steal_counts.entry(a).or_insert(0) += 1;
         }
         let cap = self.cap;
         self.rings
@@ -123,7 +96,7 @@ impl TraceSet {
                 cycle,
                 tid,
                 kind,
-                flags: self.cpu,
+                flags: cpu,
                 a,
                 b,
             });
@@ -150,11 +123,10 @@ impl TraceSet {
     }
 
     /// Forget the destroyed thread `tid`: its open exception frames (no
-    /// `rte` of its will ever match them) and its I/O count go now, its
-    /// ring once a drain has emptied it.
+    /// `rte` of its will ever match them) go now, its ring once a drain
+    /// has emptied it.
     pub(crate) fn forget(&mut self, tid: Tid) {
         self.frames.remove(&tid);
-        self.io_counts.remove(&tid);
         if self.rings.get(&tid).is_some_and(|r| !r.is_empty()) {
             self.dead.insert(tid);
         } else {
@@ -166,23 +138,6 @@ impl TraceSet {
     /// took a trap or interrupt while tracing was enabled.
     pub fn frame_tids(&self) -> impl Iterator<Item = Tid> + '_ {
         self.frames.keys().copied()
-    }
-
-    /// Cumulative I/O-classed events recorded for `tid` (monotonic; not
-    /// subject to ring wraparound — the scheduler samples deltas of
-    /// this).
-    #[must_use]
-    pub fn io_events(&self, tid: Tid) -> u64 {
-        self.io_counts.get(&tid).copied().unwrap_or(0)
-    }
-
-    /// Cumulative [`Kind::Steal`] records naming `cpu` as the thief
-    /// (monotonic; not subject to ring wraparound). Mirrors the
-    /// kernel's per-CPU `steals` counter while tracing is enabled.
-    #[must_use]
-    pub fn steal_events(&self, cpu: usize) -> u64 {
-        let key = u32::try_from(cpu).unwrap_or(u32::MAX);
-        self.steal_counts.get(&key).copied().unwrap_or(0)
     }
 
     /// Threads that have a ring (including destroyed threads whose ring
@@ -249,23 +204,21 @@ impl TraceSet {
         self.rings.values().all(Ring::is_empty)
     }
 
-    /// Drop all records, frames, and I/O counts.
+    /// Drop all records and frames.
     pub fn clear(&mut self) {
         self.rings.clear();
         self.dead.clear();
         self.frames.clear();
-        self.io_counts.clear();
     }
 }
 
-/// Record one trace event: `trace!(kernel, tid, kind, a, b)`. The cycle
-/// stamp is read from the kernel's meter.
+/// Record one trace event: `trace!(kernel, tid, kind, a, b)`, stamped
+/// with the kernel's cycle count and active CPU.
 #[macro_export]
 macro_rules! trace {
     ($k:expr, $tid:expr, $kind:expr, $a:expr, $b:expr) => {{
-        let cycle = $k.m.meter.cycles;
-        $k.trace.cpu = $k.m.active_cpu() as u16;
-        $k.trace.push($tid, cycle, $kind, $a, $b);
+        let (cpu, cycle) = ($k.m.active_cpu() as u16, $k.m.meter.cycles);
+        $k.trace.push($tid, cpu, cycle, $kind, $a, $b);
     }};
 }
 
@@ -275,7 +228,7 @@ mod tests {
 
     fn push_n(ts: &mut TraceSet, tid: Tid, n: u64) {
         for i in 0..n {
-            ts.push(tid, i, Kind::CtxSwitch, 0, 0);
+            ts.push(tid, 0, i, Kind::CtxSwitch, 0, 0);
         }
     }
 
@@ -290,43 +243,27 @@ mod tests {
     }
 
     #[test]
-    fn io_classification() {
-        assert!(TraceSet::is_io_event(Kind::SyscallEnter, 1));
-        assert!(TraceSet::is_io_event(Kind::SyscallEnter, 2));
-        assert!(!TraceSet::is_io_event(Kind::SyscallEnter, 0));
-        assert!(TraceSet::is_io_event(Kind::QueuePut, 0));
-        assert!(!TraceSet::is_io_event(
-            Kind::Irq,
-            u32::from(crate::kernel::irq_levels::QUANTUM)
-        ));
-        assert!(TraceSet::is_io_event(Kind::Irq, 4));
-        assert!(!TraceSet::is_io_event(Kind::CacheHit, 0));
-    }
-
-    #[test]
     fn disabled_set_records_nothing() {
         let mut ts = TraceSet::new(4);
         ts.enabled = false;
         push_n(&mut ts, 1, 3);
         assert!(ts.is_empty());
-        assert_eq!(ts.io_events(1), 0);
     }
 
     #[test]
     fn frame_stacks_die_with_their_thread_and_rings_do_not() {
         let mut ts = TraceSet::new(4);
-        ts.push(1, 10, Kind::SyscallEnter, 3, 0);
+        ts.push(1, 0, 10, Kind::SyscallEnter, 3, 0);
         ts.push_frame(1, Some((3, 10)));
         ts.push_frame(2, None);
         assert_eq!(ts.frame_tids().collect::<Vec<_>>(), vec![1, 2]);
         ts.forget(1);
         assert_eq!(ts.frame_tids().collect::<Vec<_>>(), vec![2]);
         assert_eq!(ts.pop_frame(1), None, "a dead thread's rte matches nothing");
-        assert_eq!(ts.io_events(1), 0, "a dead thread's I/O count goes");
         assert_eq!(ts.snapshot(1).len(), 1, "the ring outlives the thread");
         assert_eq!(ts.drain(1).len(), 1, "a post-mortem drain sees it all");
         assert!(ts.tids().is_empty(), "the emptied ring goes");
-        ts.push(3, 11, Kind::CtxSwitch, 0, 0);
+        ts.push(3, 0, 11, Kind::CtxSwitch, 0, 0);
         ts.forget(3);
         ts.forget(4);
         assert_eq!(ts.tids(), vec![3], "a thread without records gets no ring");
@@ -343,9 +280,9 @@ mod tests {
     #[test]
     fn drain_all_merges_by_cycle() {
         let mut ts = TraceSet::new(8);
-        ts.push(1, 5, Kind::CtxSwitch, 0, 0);
-        ts.push(2, 3, Kind::CtxSwitch, 0, 0);
-        ts.push(1, 9, Kind::CtxSwitch, 0, 0);
+        ts.push(1, 0, 5, Kind::CtxSwitch, 0, 0);
+        ts.push(2, 0, 3, Kind::CtxSwitch, 0, 0);
+        ts.push(1, 0, 9, Kind::CtxSwitch, 0, 0);
         let all = ts.drain_all();
         let cycles: Vec<u64> = all.iter().map(|r| r.cycle).collect();
         assert_eq!(cycles, vec![3, 5, 9]);

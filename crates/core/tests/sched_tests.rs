@@ -1,5 +1,6 @@
 //! Fine-grain scheduling: gauges drive quanta, and the quantum lands as
-//! a patched immediate inside live switch code.
+//! a patched immediate inside live switch code. The gauge is the only
+//! meter: fused I/O counts, and tracing cannot move a quantum.
 
 use quamachine::asm::Asm;
 use quamachine::isa::{Cond, Instr, Operand, Operand::*, Size, Size::*};
@@ -9,6 +10,9 @@ use synthesis_core::layout;
 use synthesis_core::sched::{set_quantum, FineGrain, QUANTUM_MAX_US, QUANTUM_MIN_US};
 use synthesis_core::syscall::{general, traps};
 use synthesis_core::thread::tte::off;
+use synthesis_core::thread::Tid;
+use synthesis_unix::emu::UnixEmulator;
+use synthesis_unix::{abi, programs::addrs};
 
 const USTACK: u32 = layout::USER_BASE + 0x1_0000;
 const UPATH: u32 = layout::USER_BASE + 0x2_8000;
@@ -58,10 +62,7 @@ fn set_quantum_patches_the_switch_code() {
 
     set_quantum(&mut k, tid, 333).unwrap();
     assert_eq!(k.threads[&tid].quantum_us, 333);
-    // The TTE mirror updated...
-    let tte = k.threads[&tid].tte;
-    assert_eq!(k.m.mem.peek(tte + off::QUANTUM, Size::L), 333);
-    // ...and the immediate inside the installed sw_in changed.
+    // The immediate inside the installed sw_in changed.
     let base = k.threads[&tid].sw.base;
     let qreg =
         quamachine::devices::dev_reg_addr(k.dev.timer, quamachine::devices::timer::REG_QUANTUM_US);
@@ -84,8 +85,6 @@ fn set_quantum_clamps_to_bounds() {
     // unschedulable.
     set_quantum(&mut k, tid, 0).unwrap();
     assert_eq!(k.threads[&tid].quantum_us, QUANTUM_MIN_US);
-    let tte = k.threads[&tid].tte;
-    assert_eq!(k.m.mem.peek(tte + off::QUANTUM, Size::L), QUANTUM_MIN_US);
     assert_eq!(
         patched_quantum(&k, tid),
         k.threads[&tid].quantum_us,
@@ -95,7 +94,6 @@ fn set_quantum_clamps_to_bounds() {
     // Above the ceiling: clamped down.
     set_quantum(&mut k, tid, 1_000_000).unwrap();
     assert_eq!(k.threads[&tid].quantum_us, QUANTUM_MAX_US);
-    assert_eq!(k.m.mem.peek(tte + off::QUANTUM, Size::L), QUANTUM_MAX_US);
     assert_eq!(patched_quantum(&k, tid), k.threads[&tid].quantum_us);
 
     // In range: taken verbatim.
@@ -116,20 +114,16 @@ fn adapt_is_a_noop_for_quarantined_threads() {
     set_quantum(&mut k, bad, 777).unwrap();
     k.quarantine(bad, "test: misbehaving peer");
     assert!(k.is_quarantined(bad));
-    let gauge_addr = k.threads[&good].tte + off::GAUGE;
-    let g = k.m.mem.peek(gauge_addr, Size::L);
-    k.m.mem.poke(gauge_addr, Size::L, g + 1_000);
+    bump_gauge(&mut k, good, 1_000);
 
     let mut policy = FineGrain::new();
     policy.adapt(&mut k);
 
     // The healthy thread got all the traffic share, hence the max
-    // quantum; the quarantined one was skipped entirely — its quantum,
-    // TTE mirror, and sw_in immediate are all untouched.
+    // quantum; the quarantined one was skipped entirely — its quantum
+    // and sw_in immediate are both untouched.
     assert_eq!(k.threads[&good].quantum_us, QUANTUM_MAX_US);
     assert_eq!(k.threads[&bad].quantum_us, 777);
-    let tte = k.threads[&bad].tte;
-    assert_eq!(k.m.mem.peek(tte + off::QUANTUM, Size::L), 777);
     assert_eq!(patched_quantum(&k, bad), 777);
 
     // And quarantine still means what it always meant: no restarts.
@@ -279,20 +273,12 @@ fn quarantined_threads_emit_no_dispatch_records() {
     );
 }
 
-/// Feed `n` synthetic queue events into `tid`'s trace, stamped at the
-/// current cycle.
-fn inject_io(k: &mut Kernel, tid: synthesis_core::thread::Tid, n: u64) {
-    use synthesis_core::trace::{Kind, QCLASS_PIPE};
-    let cycle = k.m.meter.cycles;
-    for i in 0..n {
-        k.trace.push(
-            tid,
-            cycle + i,
-            Kind::QueuePut,
-            QCLASS_PIPE,
-            u32::try_from(i).unwrap(),
-        );
-    }
+/// Count `n` calls into `tid`'s synthesized I/O code on its TTE gauge,
+/// as the code itself would.
+fn bump_gauge(k: &mut Kernel, tid: Tid, n: u64) {
+    let at = k.threads[&tid].tte + off::GAUGE;
+    let g = k.m.mem.peek(at, Size::L);
+    k.m.mem.poke(at, Size::L, g + u32::try_from(n).unwrap());
 }
 
 proptest::proptest! {
@@ -315,8 +301,8 @@ proptest::proptest! {
         let mut policy = FineGrain::new();
 
         // Window 1: A is I/O-heavy, B mostly computes.
-        inject_io(&mut k, a, heavy);
-        inject_io(&mut k, b, light);
+        bump_gauge(&mut k, a, heavy);
+        bump_gauge(&mut k, b, light);
         policy.adapt(&mut k);
         let (qa1, qb1) = (k.threads[&a].quantum_us, k.threads[&b].quantum_us);
         proptest::prop_assert!(qa1 > qb1, "I/O-heavy thread got the larger quantum: {qa1} vs {qb1}");
@@ -324,8 +310,8 @@ proptest::proptest! {
         proptest::prop_assert!((QUANTUM_MIN_US..=QUANTUM_MAX_US).contains(&qb1));
 
         // Window 2: the traffic pattern reverses.
-        inject_io(&mut k, a, light);
-        inject_io(&mut k, b, heavy);
+        bump_gauge(&mut k, a, light);
+        bump_gauge(&mut k, b, heavy);
         policy.adapt(&mut k);
         let (qa2, qb2) = (k.threads[&a].quantum_us, k.threads[&b].quantum_us);
         proptest::prop_assert!(qa2 < qa1, "the now-quiet thread's quantum shrinks: {qa1} -> {qa2}");
@@ -333,6 +319,124 @@ proptest::proptest! {
         proptest::prop_assert!((QUANTUM_MIN_US..=QUANTUM_MAX_US).contains(&qa2));
         proptest::prop_assert!((QUANTUM_MIN_US..=QUANTUM_MAX_US).contains(&qb2));
     }
+}
+
+/// A UNIX program writing 8 bytes to `/dev/null` forever.
+fn unix_null_writer() -> Asm {
+    let mut a = Asm::new("unix_null_writer");
+    a.move_i(L, abi::SYS_OPEN, Dr(0));
+    a.lea(Abs(addrs::PATHS), 0);
+    a.move_i(L, 0, Dr(1));
+    a.trap(abi::UNIX_TRAP);
+    a.move_(L, Dr(0), Dr(5));
+    let top = a.here();
+    a.move_i(L, abi::SYS_WRITE, Dr(0));
+    a.move_(L, Dr(5), Dr(1));
+    a.lea(Abs(addrs::BUF), 0);
+    a.move_i(L, 8, Dr(2));
+    a.trap(abi::UNIX_TRAP);
+    a.bcc(Cond::T, top);
+    a
+}
+
+/// One kernel, three threads — a `/dev/null` writer spawned flat through
+/// the UNIX emulator (its writes bound to a fused wrapper: a `jsr`, no
+/// trap), a native `trap #2` `/dev/null` writer under the user map, and
+/// a spinner — run for `windows` windows of `run` + `adapt`.
+fn three_thread_windows(traced: bool, windows: u32) -> (UnixEmulator, [Tid; 3], FineGrain) {
+    let mut emu = UnixEmulator::new(boot());
+    emu.k.trace.enabled = traced;
+    let flat = AddressMap::single(1, 0, emu.k.m.mem.size());
+    let fused = emu.spawn(unix_null_writer(), flat).unwrap();
+
+    let mut io = Asm::new("native_null_writer");
+    io.move_i(L, general::OPEN, Dr(0));
+    io.lea(Abs(addrs::PATHS), 0);
+    io.trap(traps::GENERAL);
+    io.move_(L, Dr(0), Dr(5));
+    let top = io.here();
+    io.move_(L, Dr(5), Dr(0));
+    io.lea(Abs(addrs::BUF), 0);
+    io.move_i(L, 8, Dr(1));
+    io.trap(traps::WRITE);
+    io.bcc(Cond::T, top);
+    let entry = emu.k.load_user_program(io.assemble().unwrap()).unwrap();
+    let native = emu
+        .k
+        .create_thread(entry, USTACK + 0x1000, user_map())
+        .unwrap();
+    emu.k.start(native).unwrap();
+    let spinner = spin_thread(&mut emu.k, USTACK + 0x2000);
+    emu.k.start(spinner).unwrap();
+
+    let mut policy = FineGrain::new();
+    for _ in 0..windows {
+        emu.run(2_000_000);
+        policy.adapt(&mut emu.k);
+    }
+    (emu, [fused, native, spinner], policy)
+}
+
+#[test]
+fn a_fused_writer_earns_a_longer_quantum_than_a_spinner() {
+    use synthesis_core::trace::{Kind, TraceQuery};
+    let (mut emu, [fused, native, spinner], _) = three_thread_windows(true, 4);
+    // The premise: the fused writer does I/O the trace never sees as a
+    // trap, and its gauge counts every call.
+    let q = TraceQuery::drain(&mut emu.k);
+    let writes = q
+        .thread(fused)
+        .count(|r: &synthesis_core::trace::TraceRecord| {
+            r.kind == Kind::SyscallEnter && r.a == u32::from(abi::UNIX_TRAP)
+        });
+    assert_eq!(
+        writes, 0,
+        "the fused writer's writes are bound, not trapped"
+    );
+    let gauge = |tid: Tid| {
+        emu.k
+            .m
+            .mem
+            .peek(emu.k.threads[&tid].tte + off::GAUGE, Size::L)
+    };
+    assert!(
+        gauge(fused) > 100,
+        "the fused writer's gauge counts its writes"
+    );
+    assert!(gauge(native) > 100, "so does the native writer's");
+
+    let quantum = |tid: Tid| emu.k.threads[&tid].quantum_us;
+    assert!(
+        quantum(fused) > quantum(spinner),
+        "fused writer {} µs vs spinner {} µs",
+        quantum(fused),
+        quantum(spinner)
+    );
+    assert_eq!(quantum(spinner), QUANTUM_MIN_US, "the spinner does no I/O");
+    assert!(quantum(native) > QUANTUM_MIN_US);
+}
+
+#[test]
+fn tracing_does_not_move_a_quantum() {
+    // Everything the scheduler decided and everything the guest did,
+    // with the trace switch on and off.
+    let outcome = |traced| {
+        let (emu, tids, policy) = three_thread_windows(traced, 4);
+        let k = &emu.k;
+        (
+            tids.map(|t| k.threads[&t].quantum_us),
+            tids.map(|t| k.m.mem.peek(k.threads[&t].tte + off::GAUGE, Size::L)),
+            policy.adjustments,
+            k.m.meter.cycles,
+            k.m.meter.instr_count,
+        )
+    };
+    let (traced, untraced) = (outcome(true), outcome(false));
+    assert!(traced.2 > 0, "the policy changed quanta: {traced:?}");
+    assert_eq!(
+        traced, untraced,
+        "(quanta, gauges, adjustments, cycles, instructions)"
+    );
 }
 
 #[test]
