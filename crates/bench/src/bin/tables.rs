@@ -12,7 +12,7 @@ use synthesis_bench::{
 use synthesis_core::templates::copy;
 
 /// The one-line synopsis, printed with every argument error.
-const USAGE: &str = "usage: tables [--table 1-5] [--iters N] [--kernel-size] [--json FILE] \
+const USAGE: &str = "usage: tables [--table 1-5] [--kernel-size] [--json FILE] \
 [--cpus 1-8] [--trace-report] [--recovery-report [--seed N]] [--capacity [--threads N]] \
 [--help]";
 
@@ -21,8 +21,7 @@ const HELP: &str = "  tables                      all tables
   tables --table 3            one table
   tables --kernel-size [--json SIZE.json]
                               the Section 6.4 size figures + kept plans
-  tables --iters 100          Table 1 iteration count (default 40)
-  tables --json BENCH_4.json  tables 1-3 + cache figures, as JSON
+  tables --json BENCH_9.json  tables 1-5 + cache figures, as JSON
   tables --trace-report [--json BENCH_5.json]
                               profiler: per-thread events, gauges + quanta
   tables --cpus 4 [--json BENCH_6.json]
@@ -35,7 +34,6 @@ const HELP: &str = "  tables                      all tables
 /// Every flag `tables` accepts, with the number of values it takes.
 const FLAGS: &[(&str, usize)] = &[
     ("--table", 1),
-    ("--iters", 1),
     ("--kernel-size", 0),
     ("--json", 1),
     ("--cpus", 1),
@@ -99,19 +97,22 @@ fn json_rows(rows: &[Row]) -> String {
     format!("[\n{}\n  ]", items.join(",\n"))
 }
 
-/// Emit Tables 1–3 plus the specialization-cache figures as JSON.
-fn emit_json(path: &str, iters: u32) {
-    eprintln!("[json: running tables 1-3 and the cache benchmark ({iters} iterations)...]");
-    let t1 = table1::run(iters);
+/// Emit Tables 1–5 plus the specialization-cache figures as JSON.
+fn emit_json(path: &str) {
+    eprintln!("[json: running tables 1-5 and the cache benchmark...]");
+    let t1 = table1::run();
     let t2 = table2::run();
     let t3 = table3::run();
+    let t4 = table4::run();
+    let t5 = table5::run();
     let cache = table2::open_cold_warm();
     let json = format!(
         "{{\n  \"machine\": \"16 MHz + 1 wait state (SUN 3/160 emulation mode)\",\n  \
-         \"iters\": {iters},\n  \
          \"table1\": {},\n  \
          \"table2\": {},\n  \
          \"table3\": {},\n  \
+         \"table4\": {},\n  \
+         \"table5\": {},\n  \
          \"cache\": {{\n    \
          \"cold_open_us\": {:.3},\n    \
          \"warm_open_us\": {:.3},\n    \
@@ -122,6 +123,8 @@ fn emit_json(path: &str, iters: u32) {
         json_rows(&t1),
         json_rows(&t2),
         json_rows(&t3),
+        json_rows(&t4),
+        json_rows(&t5),
         cache.cold_us,
         cache.warm_us,
         cache.hits,
@@ -460,17 +463,6 @@ fn main() {
         },
         None => None,
     };
-    let iters: u32 = match get("--iters") {
-        Some(s) => s.parse().unwrap_or_else(|_| {
-            eprintln!("error: --iters takes a positive number, got {s:?}");
-            std::process::exit(2);
-        }),
-        None => 40,
-    };
-    if iters == 0 {
-        eprintln!("error: --iters must be at least 1");
-        std::process::exit(2);
-    }
     let cpus: usize = match get("--cpus") {
         Some(s) => match s.parse::<usize>() {
             Ok(n @ 1..=8) => n,
@@ -598,7 +590,7 @@ fn main() {
     }
 
     if let Some(path) = get("--json") {
-        emit_json(&path, iters);
+        emit_json(&path);
         return;
     }
 
@@ -606,12 +598,12 @@ fn main() {
     println!("machine: 16 MHz + 1 wait state (SUN 3/160 emulation mode)");
 
     if only.is_none() || only == Some(1) {
-        println!("\n[table 1: running the seven programs on both kernels ({iters} iterations)...]");
+        println!("\n[table 1: running the seven programs on both kernels, n and 2n iterations...]");
         print!(
             "{}",
             render(
                 "Table 1: measured UNIX system calls (speedup, SUNOS-like / Synthesis)",
-                &table1::run(iters)
+                &table1::run()
             )
         );
     }

@@ -14,9 +14,9 @@
 #![warn(missing_docs)]
 
 pub mod capacity;
+pub mod path;
 pub mod profile;
 pub mod smp;
-pub mod static_cost;
 pub mod table1;
 pub mod table2;
 pub mod table3;

@@ -1,0 +1,125 @@
+//! Timing a kernel path by running it: the paper's Section 6.3 method.
+//!
+//! "Using this trace, we can calculate the exact kernel call times by
+//! counting the memory references and each instruction execution time."
+//! A [`Probe`] is a booted kernel whose user threads run programs loaded
+//! through it, so it knows which code is user code. [`Probe::time`] starts
+//! a path under a thread running user code — raises an interrupt or makes
+//! a call — runs one [`Kernel::run`] slice with the meter's instruction
+//! trace on, and reads off that trace the cycles from the interrupted
+//! instruction to the first instruction back in user code. The slice
+//! services kernel calls on the path as any run does.
+
+use std::ops::Range;
+
+use quamachine::asm::Asm;
+use quamachine::isa::{Cond, Instr};
+use quamachine::mem::AddressMap;
+use quamachine::trace::TraceRecord;
+use synthesis_core::kernel::{Kernel, KernelConfig};
+use synthesis_core::layout;
+use synthesis_core::thread::Tid;
+
+/// The slice a timed path runs in: far longer than any path, far shorter
+/// than the meter's trace ring holds.
+const SLICE: u64 = 4_000;
+
+/// A path as it ran.
+#[derive(Debug, Clone)]
+pub struct Path {
+    /// Cycles from the interrupted instruction to the first instruction
+    /// back in user code.
+    pub cycles: u64,
+    /// The instructions executed on the way, then the first one back in
+    /// user code, each with the cycle it began at.
+    trace: Vec<TraceRecord>,
+}
+
+impl Path {
+    /// Cycles spent in the executed instructions that `pick` selects.
+    #[must_use]
+    pub fn cycles_in(&self, pick: impl Fn(&Instr) -> bool) -> u64 {
+        let spent = self.trace.windows(2).filter(|w| pick(&w[0].instr));
+        spent.map(|w| w[1].cycle - w[0].cycle).sum()
+    }
+}
+
+/// A booted one-CPU kernel that times paths (the trace of Section 6.3 is
+/// one processor's).
+pub struct Probe {
+    /// The kernel.
+    pub k: Kernel,
+    /// Where the programs loaded through [`Probe::load_spinner`] live.
+    user: Vec<Range<u32>>,
+}
+
+impl Probe {
+    /// Boot a kernel with the measurement configuration on one CPU.
+    #[must_use]
+    pub fn boot() -> Probe {
+        let cfg = KernelConfig {
+            cpus: 1,
+            ..crate::measurement_config()
+        };
+        let k = Kernel::boot(cfg).expect("kernel boots");
+        Probe {
+            k,
+            user: Vec::new(),
+        }
+    }
+
+    /// Load a user program of `body` followed by a loop forever; its entry.
+    pub fn load_spinner(&mut self, body: impl FnOnce(&mut Asm)) -> u32 {
+        let mut a = Asm::new("spin");
+        body(&mut a);
+        let top = a.here();
+        a.bcc(Cond::T, top);
+        let block = a.assemble().expect("user program assembles");
+        let size = block.size_bytes();
+        let base = self.k.load_user_program(block).expect("user program loads");
+        self.user.push(base..base + size);
+        base
+    }
+
+    /// Create a thread at `entry` with a stack of its own, in one user
+    /// address map shared by all; it is not started.
+    pub fn create(&mut self, entry: u32) -> Tid {
+        let map = AddressMap::single(1, layout::USER_BASE, layout::USER_LEN);
+        let stack = layout::USER_BASE + 0x1000 + 0x800 * self.k.threads.len() as u32;
+        self.k
+            .create_thread(entry, stack, map)
+            .expect("thread created")
+    }
+
+    fn in_user(&self, pc: u32) -> bool {
+        self.user.iter().any(|r| r.contains(&pc))
+    }
+
+    /// Time the path `start` begins: from the instruction it interrupts to
+    /// the first instruction back in user code.
+    pub fn time(&mut self, start: impl FnOnce(&mut Kernel)) -> Path {
+        for _ in 0..100 {
+            if self.in_user(self.k.m.cpu.pc) {
+                break;
+            }
+            self.k.run(SLICE);
+        }
+        assert!(self.in_user(self.k.m.cpu.pc), "a user thread runs");
+        let k = &mut self.k;
+        k.m.meter.clear_trace();
+        k.m.meter.tracing = true;
+        let t0 = k.m.meter.cycles;
+        start(k);
+        k.run(SLICE);
+        k.m.meter.tracing = false;
+        let mut trace = k.m.meter.trace();
+        assert!(
+            trace.first().is_some_and(|r| r.cycle >= t0),
+            "the ring kept the slice"
+        );
+        let back = trace.iter().position(|r| self.in_user(r.pc));
+        trace.truncate(back.expect("the path returns to user code") + 1);
+        let cycles = trace[trace.len() - 1].cycle - t0;
+        Path { cycles, trace }
+    }
+}

@@ -1,4 +1,10 @@
 //! Table 1 — the same UNIX binaries on the baseline and on Synthesis.
+//!
+//! Each figure is a steady state, as the paper timed long-running loops:
+//! a program runs `n` and `2n` iterations on both kernels, and the
+//! difference is what `n` iterations cost without the run's one-shot
+//! work — the first open's synthesis, a fused wrapper's first bind, the
+//! exit.
 
 use quamachine::asm::Asm;
 use quamachine::machine::RunExit;
@@ -9,8 +15,7 @@ use synthesis_unix::sunos::Sunos;
 use crate::Row;
 
 /// Run a program on the baseline kernel; returns elapsed virtual µs.
-#[must_use]
-pub fn run_sunos(program: Asm, bench_file: bool) -> f64 {
+fn run_sunos(program: Asm, bench_file: bool) -> f64 {
     let mut s = Sunos::boot();
     let entry = s.load_program(program);
     s.m.mem.poke_bytes(addrs::PATHS, &programs::path_blob());
@@ -24,8 +29,7 @@ pub fn run_sunos(program: Asm, bench_file: bool) -> f64 {
 }
 
 /// Run a program under the Synthesis UNIX emulator; returns elapsed µs.
-#[must_use]
-pub fn run_synthesis(program: Asm, bench_file: bool) -> f64 {
+fn run_synthesis(program: Asm, bench_file: bool) -> f64 {
     let (mut emu, tid) =
         boot_with_program(crate::measurement_config(), program).expect("emulator boots");
     if bench_file {
@@ -50,71 +54,84 @@ fn make_bench_file(emu: &mut UnixEmulator) {
         .write_contents(&mut emu.k.m, fid, &vec![0x5Au8; 4096]);
 }
 
-/// The paper's Table 1 speedup factors (SUN time / Synthesis time),
-/// derived from its seconds columns.
-#[must_use]
-pub fn paper_ratios() -> [(&'static str, f64); 7] {
-    [
-        ("1  compute (calibration)", 1.0), // 20.9 vs ~21: parity
-        ("2  r/w pipe, 1 byte", 56.0),
-        ("3  r/w pipe, 1 KB", 4.7), // ~15.3 vs ~3.3
-        ("4  r/w pipe, 4 KB", 6.0), // 38.2 vs ~6.5
-        ("5  r/w file, 1 KB", 9.0),
-        ("6  open /dev/null + close", 28.0), // "20 to 40 times"
-        ("7  open /dev/tty + close", 28.0),
-    ]
+/// One of the seven Table 1 programs.
+#[derive(Debug, Clone, Copy)]
+pub struct Program {
+    /// The row label.
+    pub name: &'static str,
+    /// The paper's speedup (SUN time / Synthesis time).
+    pub paper: f64,
+    /// The program at a given iteration count.
+    build: fn(u32) -> Asm,
+    /// Whether it reads the 4 KB bench file.
+    bench_file: bool,
+    /// The iteration count its figure is taken at.
+    pub n: u32,
 }
 
-/// A boxed program builder.
-type ProgBuilder = Box<dyn Fn() -> Asm>;
-
-/// Regenerate Table 1 with `iters` loop iterations per program.
-#[must_use]
-pub fn run(iters: u32) -> Vec<Row> {
-    let progs: [(usize, ProgBuilder, bool); 7] = [
-        (0, Box::new(move || programs::compute(1024, 2)), false),
-        // Row 2 times the cheapest operation in the table (a fused
-        // 1-byte write+read lands near 200 cycles), so it gets the most
-        // iterations: one-shot costs — pipe open, first-call wrapper
-        // synthesis — must amortize out of a steady-state figure, just
-        // as the paper timed long-running loops. Both kernels run the
-        // identical scaled program, so the ratio stays like-for-like
-        // (rows 4-7 already scale per-row, in the other direction).
-        (1, Box::new(move || programs::pipe_rw(1, iters * 25)), false),
-        (2, Box::new(move || programs::pipe_rw(1024, iters)), false),
-        (
-            3,
-            Box::new(move || programs::pipe_rw(4096, iters.div_ceil(4))),
-            false,
-        ),
-        (
-            4,
-            Box::new(move || programs::file_rw(iters.div_ceil(2))),
-            true,
-        ),
-        (
-            5,
-            Box::new(move || programs::open_close(0, iters.div_ceil(2))),
-            false,
-        ),
-        (
-            6,
-            Box::new(move || programs::open_close(0x10, iters.div_ceil(2))),
-            false,
-        ),
-    ];
-    let names = paper_ratios();
-    let mut rows = Vec::new();
-    for (idx, build, file) in progs {
-        let sun = run_sunos(build(), file);
-        let syn = run_synthesis(build(), file);
-        let (name, paper) = names[idx];
-        rows.push(Row::new(
-            format!("{name} [speedup]"),
-            Some(paper),
-            sun / syn,
-            "x",
-        ));
+impl Program {
+    /// Guest µs per iteration at steady state, on the baseline and on
+    /// Synthesis: the difference between runs of `2n` and `n` iterations,
+    /// over `n`.
+    #[must_use]
+    pub fn per_iteration_us(&self, n: u32) -> (f64, f64) {
+        let per = |run: fn(Asm, bool) -> f64| {
+            let short = run((self.build)(n), self.bench_file);
+            let long = run((self.build)(2 * n), self.bench_file);
+            (long - short) / f64::from(n)
+        };
+        (per(run_sunos), per(run_synthesis))
     }
-    rows
+
+    /// The steady-state speedup at `n` iterations.
+    #[must_use]
+    pub fn speedup(&self, n: u32) -> f64 {
+        let (sun, syn) = self.per_iteration_us(n);
+        sun / syn
+    }
+}
+
+/// A row of [`programs`]: label, paper speedup, program, bench file, `n`.
+type Spec = (&'static str, f64, fn(u32) -> Asm, bool, u32);
+
+/// The seven programs, each at an iteration count that runs it well past
+/// its one-shot costs. The paper's speedups are derived from its seconds
+/// columns.
+#[must_use]
+pub fn programs() -> [Program; 7] {
+    #[rustfmt::skip]
+    let rows: [Spec; 7] = [
+        // 20.9 vs ~21 s: parity.
+        ("1  compute (calibration)", 1.0, |n| programs::compute(1024, n), false, 2),
+        ("2  r/w pipe, 1 byte", 56.0, |n| programs::pipe_rw(1, n), false, 1000),
+        // ~15.3 vs ~3.3 s.
+        ("3  r/w pipe, 1 KB", 4.7, |n| programs::pipe_rw(1024, n), false, 40),
+        // 38.2 vs ~6.5 s.
+        ("4  r/w pipe, 4 KB", 6.0, |n| programs::pipe_rw(4096, n), false, 10),
+        ("5  r/w file, 1 KB", 9.0, programs::file_rw, true, 20),
+        // "20 to 40 times".
+        ("6  open /dev/null + close", 28.0, |n| programs::open_close(0, n), false, 20),
+        ("7  open /dev/tty + close", 28.0, |n| programs::open_close(0x10, n), false, 20),
+    ];
+    rows.map(|(name, paper, build, bench_file, n)| Program {
+        name,
+        paper,
+        build,
+        bench_file,
+        n,
+    })
+}
+
+/// Regenerate Table 1.
+#[must_use]
+pub fn run() -> Vec<Row> {
+    let row = |p: Program| {
+        Row::new(
+            p.name.to_owned() + " [speedup]",
+            Some(p.paper),
+            p.speedup(p.n),
+            "x",
+        )
+    };
+    programs().map(row).into()
 }

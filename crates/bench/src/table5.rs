@@ -1,149 +1,155 @@
 //! Table 5 — interrupt handling.
 //!
-//! Handler costs are static path sums over the *installed* synthesized
-//! handlers (Section 6.3 counting); `set alarm` is the measured kernel
-//! call; procedure chaining is the two frame rewrites plus the chained
-//! stub's own overhead.
+//! Every row is a path run on a booted kernel and counted off the
+//! machine's instruction trace ([`crate::path`]): an interrupt raised under
+//! a running user thread, timed to the first instruction back in user
+//! code, or a kernel call made beside it. Procedure chaining is driven as
+//! `interrupt::chain`'s own test drives it — a handler's kernel call
+//! chains a stub onto the handler's return — and its row is what the chain
+//! adds to that handler's path.
 
+use quamachine::asm::Asm;
+use quamachine::devices::{audio, dev_reg_addr, tty};
 use quamachine::isa::Size;
+use quamachine::machine::RunExit;
 use synthesis_codegen::template::Bindings;
-use synthesis_core::monitor;
+use synthesis_core::interrupt::chain;
+use synthesis_core::kernel::irq_levels;
+use synthesis_core::thread::{tte::off, Tid};
+use synthesis_core::{layout, Kernel};
 
-use crate::static_cost;
+use crate::path::{Path, Probe};
 use crate::Row;
+
+/// A `kcall` selector the kernel does not own: the chaining handler's
+/// call, answered by the probe.
+const CHAIN_CALL: u16 = 0x7F;
+
+/// Scratch memory for the A/D handlers' slots and the chain's resume slot.
+const DATA: u32 = layout::USER_BASE + 0x8000;
+
+/// The audio interrupt's vector.
+const AUDIO_VECTOR: u32 = 24 + irq_levels::AUDIO as u32;
+
+/// Synthesize `template` with `holes` bound; its entry.
+fn synthesize(k: &mut Kernel, template: &str, holes: &[(&'static str, u32)]) -> u32 {
+    let mut b = Bindings::new();
+    for &(hole, value) in holes {
+        b.bind(hole, value);
+    }
+    let opts = k.opts;
+    let code = k.creator.synthesize(&mut k.m, template, &b, opts);
+    code.expect("synthesizes").base
+}
+
+/// Load a block of kernel code; its entry.
+fn load(k: &mut Kernel, a: Asm) -> u32 {
+    k.load_user_program(a.assemble().expect("assembles"))
+        .expect("loads")
+}
+
+/// The A/D handlers of Section 5.4, installed in the vector table of
+/// `user`, the running thread, and timed one audio interrupt each: the
+/// first specialized slot handler, which repoints the vector at its
+/// successor — here the simple pointer-based handler, run on its fast path
+/// (the queue element not yet full).
+pub fn ad_interrupts(p: &mut Probe, user: Tid) -> [Path; 2] {
+    let ad_data = dev_reg_addr(p.k.dev.audio, audio::REG_DATA);
+    let vec_slot = p.k.threads[&user].vt + 4 * AUDIO_VECTOR;
+    let (ptr_slot, end_slot) = (DATA + 0x40, DATA + 0x44);
+    p.k.m.mem.poke(ptr_slot, Size::L, DATA + 0x80);
+    p.k.m.mem.poke(end_slot, Size::L, DATA + 0xA0);
+    let gauge = DATA + 0x48;
+    let simple = [
+        ("ad_data", ad_data),
+        ("ptr_slot", ptr_slot),
+        ("end_slot", end_slot),
+        ("gauge", gauge),
+    ];
+    let simple = synthesize(&mut p.k, "irq_ad_simple", &simple);
+    let slot_0 = [
+        ("ad_data", ad_data),
+        ("slot", DATA),
+        ("vec", vec_slot),
+        ("next", simple),
+    ];
+    let slot_0 = synthesize(&mut p.k, "irq_ad_0", &slot_0);
+    p.k.set_vector(user, AUDIO_VECTOR, slot_0).unwrap();
+    let audio_irq = |k: &mut Kernel| k.m.irq.raise(irq_levels::AUDIO);
+    [p.time(audio_irq), p.time(audio_irq)]
+}
 
 /// Regenerate Table 5.
 #[must_use]
 pub fn run() -> Vec<Row> {
-    let mut k = crate::boot_kernel();
-    let cost = k.m.cost;
-    let entry_us = static_cost::irq_entry_us(&cost);
+    let mut p = Probe::boot();
+    let spin = p.load_spinner(|_| {});
+    let user = p.create(spin);
+    p.k.start(user).unwrap();
 
-    // The shared tty receive handler is installed at boot; find it via a
-    // fresh synthesis with the same bindings (same code, known base).
-    let tty_rx = k
-        .creator
-        .synthesize(
-            &mut k.m,
-            "irq_tty_rx",
-            Bindings::new()
-                .bind("tty_data", k.tty_srv.data_reg)
-                .bind("qhead", k.tty_srv.qhead_slot)
-                .bind("qbuf", k.tty_srv.qbuf)
-                .bind("qmask", k.tty_srv.qmask)
-                .bind("gauge", k.tty_srv.gauge_slot)
-                .bind("waiters", k.tty_srv.waiters_slot),
-            k.opts,
-        )
-        .expect("synthesizes");
-    let skip = static_cost::kcall_indices(&k.m, tty_rx.base);
-    let tty_us = entry_us + static_cost::block_us(&k.m, tty_rx.base, &skip);
+    // The raw tty receive handler every thread's table names: one
+    // character arrives with no reader waiting.
+    let tty_ctrl = dev_reg_addr(p.k.dev.tty, tty::REG_CTRL);
+    p.k.m.host_reg_write(tty_ctrl, tty::CTRL_RX_IRQ);
+    let tty_rx = p.time(|k| {
+        let dev = k.dev.tty;
+        k.m.with_dev_ctx(dev, |t: &mut tty::Tty, ctx| t.inject(b"x", ctx));
+    });
+    let [ad_specialized, ad_simple] = ad_interrupts(&mut p, user);
 
-    // The specialized A/D slot handler (one of the eight of Section 5.4).
-    let ad = k
-        .creator
-        .synthesize(
-            &mut k.m,
-            "irq_ad_0",
-            Bindings::new()
-                .bind("ad_data", 0xFF00_0300)
-                .bind("slot", 0x5000)
-                .bind("vec", 0x100)
-                .bind("next", 0x2000),
-            k.opts,
-        )
-        .expect("synthesizes");
-    let ad_us = entry_us + static_cost::block_us(&k.m, ad.base, &[]);
+    // The alarm handler, its kernel call serviced by the run.
+    let alarm = p.time(|k| k.m.irq.raise(irq_levels::ALARM));
 
-    // The simple (pointer-based) A/D handler, for comparison.
-    let ad_simple = k
-        .creator
-        .synthesize(
-            &mut k.m,
-            "irq_ad_simple",
-            Bindings::new()
-                .bind("ad_data", 0xFF00_0300)
-                .bind("ptr_slot", 0x5100)
-                .bind("end_slot", 0x5104)
-                .bind("gauge", 0x5108),
-            k.opts,
-        )
-        .expect("synthesizes");
-    let skip = static_cost::kcall_indices(&k.m, ad_simple.base);
-    let ad_simple_us = entry_us + static_cost::block_us(&k.m, ad_simple.base, &skip);
+    // Procedure chaining: a handler whose kernel call chains a stub (which
+    // calls an empty procedure) onto its return, against the same handler
+    // unchained.
+    let mut h = Asm::new("chaining_handler");
+    h.kcall(CHAIN_CALL);
+    h.rte();
+    let handler = load(&mut p.k, h);
+    let mut e = Asm::new("empty_procedure");
+    e.rts();
+    let target = load(&mut p.k, e);
+    p.k.creator.lib.add(chain::chained_stub_template());
+    let resume_slot = DATA + 0x60;
+    let stub = [("target", target), ("resume_slot", resume_slot)];
+    let stub = synthesize(&mut p.k, "chain_stub", &stub);
+    p.k.set_vector(user, AUDIO_VECTOR, handler).unwrap();
+    let mut through_handler = |chained: bool| {
+        p.time(|k| {
+            k.m.irq.raise(irq_levels::AUDIO);
+            assert_eq!(k.m.run(u64::MAX), RunExit::KCall(CHAIN_CALL));
+            if chained {
+                chain::chain_procedure(&mut k.m, resume_slot, stub);
+            }
+        })
+        .cycles
+    };
+    let chain_us = through_handler(true) - through_handler(false);
 
-    // Set alarm: the measured kernel call.
-    let (_, set_alarm) = monitor::measure(&mut k, |k| k.set_alarm(500));
+    // Signal a ready thread that is not running.
+    let ready = p.create(spin);
+    let tte = p.k.threads[&ready].tte;
+    p.k.m.mem.poke(tte + off::SIG_HANDLER, Size::L, spin);
+    p.k.start(ready).unwrap();
+    let signal = p.time(|k| k.signal(ready, 1).unwrap());
 
-    // Alarm interrupt: entry + the alarm handler (its kcall charges the
-    // kernel-side work; count the handler body plus that charge).
-    let alarm = k
-        .creator
-        .synthesize(
-            &mut k.m,
-            "irq_alarm",
-            Bindings::new().bind("timer_ack", 0xFF00_010C),
-            k.opts,
-        )
-        .expect("synthesizes");
-    let skip = static_cost::kcall_indices(&k.m, alarm.base);
-    let alarm_us = entry_us
-        + static_cost::block_us(&k.m, alarm.base, &skip)
-        + cost.cycles_to_us(synthesis_core::charges::kcall_overhead(&cost));
+    let set_alarm = p.time(|k| k.set_alarm(500));
 
-    // Procedure chaining: two frame rewrites (park the return address,
-    // redirect it), plus the chained stub's jsr/dispatch overhead.
-    let chain_us = cost.cycles_to_us(2 * synthesis_core::charges::code_patch(&cost));
-    k.creator
-        .lib
-        .add(synthesis_core::interrupt::chain::chained_stub_template());
-    let stub = k
-        .creator
-        .synthesize(
-            &mut k.m,
-            "chain_stub",
-            Bindings::new()
-                .bind("target", 0x2000)
-                .bind("resume_slot", 0x5200),
-            k.opts,
-        )
-        .expect("synthesizes");
-    let stub_us = static_cost::block_us(&k.m, stub.base, &[]);
-
-    // Chaining a signal to a thread: the parked-delivery bookkeeping.
-    let sig_us = cost.cycles_to_us(
-        synthesis_core::charges::kcall_overhead(&cost)
-            + 3 * synthesis_core::charges::code_patch(&cost),
-    ) + cost.cycles_to_us(u64::from(
-        // The fabricated frame: two memory stores.
-        2 * (2 + cost.bus_cycles() as u32),
-    ));
-
-    // Keep the probe threads' memory honest.
-    let _ = k.m.mem.peek(0x5000, Size::L);
-
-    vec![
-        Row::new("service raw tty interrupt", Some(16.0), tty_us, "us"),
-        Row::new(
+    let us = |cycles| p.k.m.cost.cycles_to_us(cycles);
+    [
+        ("service raw tty interrupt", Some(16.0), tty_rx.cycles),
+        (
             "service raw A/D interrupt (specialized)",
             Some(3.0),
-            ad_us,
-            "us",
+            ad_specialized.cycles,
         ),
-        Row::new(
-            "service raw A/D interrupt (simple)",
-            None,
-            ad_simple_us,
-            "us",
-        ),
-        Row::new("set alarm", Some(9.0), set_alarm.us, "us"),
-        Row::new("alarm interrupt", Some(7.0), alarm_us, "us"),
-        Row::new(
-            "chain to a procedure (no retry)",
-            Some(4.0),
-            chain_us + stub_us,
-            "us",
-        ),
-        Row::new("chain (signal) a thread", Some(9.0), sig_us, "us"),
+        ("service raw A/D interrupt (simple)", None, ad_simple.cycles),
+        ("set alarm", Some(9.0), set_alarm.cycles),
+        ("alarm interrupt", Some(7.0), alarm.cycles),
+        ("chain to a procedure (no retry)", Some(4.0), chain_us),
+        ("chain (signal) a thread", Some(9.0), signal.cycles),
     ]
+    .map(|(what, paper, cycles)| Row::new(what, paper, us(cycles), "us"))
+    .into()
 }

@@ -21,6 +21,10 @@ fn help_prints_usage_and_bad_arguments_exit_2() {
     assert_eq!(code, Some(0));
     assert!(stdout.starts_with("usage: tables"), "{stdout}");
     assert!(stdout.contains("--trace-report [--json BENCH_5.json]"));
+    assert!(
+        !stdout.contains("--iters"),
+        "no iteration-count knob: {stdout}"
+    );
 
     for bad in [
         &["--bogus"][..],

@@ -2,8 +2,8 @@
 //! second by amortizing queue overhead with a blocking factor of eight.
 //!
 //! Two layers:
-//! - the *simulated* layer prices the synthesized interrupt handlers under
-//!   the 68020 cost model (Table 5's 3 µs figure);
+//! - the *simulated* layer runs the synthesized interrupt handlers on the
+//!   machine and counts their cycles (Table 5's 3 µs figure);
 //! - the *real* layer pushes one second of 44.1 kHz samples through the
 //!   buffered queue with actual threads.
 //!
@@ -12,65 +12,22 @@
 //! ```
 
 use synthesis::blocks::buffered;
-use synthesis::codegen::template::Bindings;
-use synthesis::kernel::kernel::{Kernel, KernelConfig};
-
-fn handler_cost_us(k: &mut Kernel) -> (f64, f64) {
-    // Static path costs of the two A/D handler styles (Section 6.3's
-    // counting), including interrupt acceptance.
-    let cost = k.m.cost;
-    let entry = {
-        use synthesis::machine::cost::{EXCEPTION_BASE, EXCEPTION_REFS, IACK_BASE};
-        cost.cycles_to_us(IACK_BASE + EXCEPTION_BASE + EXCEPTION_REFS * cost.bus_cycles())
-    };
-    let sum_block = |k: &Kernel, base: u32, skip_kcall: bool| -> f64 {
-        let block = k.m.code.block(base).expect("installed");
-        let mut cycles = 0;
-        for ins in &block.instrs {
-            if skip_kcall && matches!(ins, synthesis::machine::isa::Instr::KCall(_)) {
-                continue;
-            }
-            let (b, r) = synthesis::machine::cost::instr_cost(ins);
-            cycles += b + r * cost.bus_cycles();
-        }
-        cost.cycles_to_us(cycles)
-    };
-    let spec = k
-        .creator
-        .synthesize(
-            &mut k.m,
-            "irq_ad_0",
-            Bindings::new()
-                .bind("ad_data", 0xFF00_0300)
-                .bind("slot", 0x5000)
-                .bind("vec", 0x100)
-                .bind("next", 0x2000),
-            k.opts,
-        )
-        .unwrap();
-    let simple = k
-        .creator
-        .synthesize(
-            &mut k.m,
-            "irq_ad_simple",
-            Bindings::new()
-                .bind("ad_data", 0xFF00_0300)
-                .bind("ptr_slot", 0x5100)
-                .bind("end_slot", 0x5104)
-                .bind("gauge", 0x5108),
-            k.opts,
-        )
-        .unwrap();
-    (
-        entry + sum_block(k, spec.base, false),
-        entry + sum_block(k, simple.base, true),
-    )
-}
+use synthesis_bench::path::Probe;
+use synthesis_bench::table5;
 
 fn main() {
-    // --- Simulated: what one A/D interrupt costs at 16 MHz + 1 ws.
-    let mut k = Kernel::boot(KernelConfig::default()).expect("boots");
-    let (spec_us, simple_us) = handler_cost_us(&mut k);
+    // --- Simulated: one A/D interrupt of each handler style, run under a
+    // user thread and counted off the machine's instruction trace
+    // (Section 6.3), interrupt acceptance included.
+    let mut p = Probe::boot();
+    let spin = p.load_spinner(|_| {});
+    let user = p.create(spin);
+    p.k.start(user).unwrap();
+    let [spec, simple] = table5::ad_interrupts(&mut p, user);
+    let (spec_us, simple_us) = (
+        p.k.m.cost.cycles_to_us(spec.cycles),
+        p.k.m.cost.cycles_to_us(simple.cycles),
+    );
     println!("A/D interrupt service (SUN 3/160 emulation mode):");
     println!("  specialized slot handler: {spec_us:.1} µs  (paper: 3 µs)");
     println!("  simple pointer handler:   {simple_us:.1} µs");

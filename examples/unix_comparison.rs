@@ -1,76 +1,25 @@
 //! Run the paper's benchmark binaries on both kernels — the Table 1
-//! methodology in miniature.
+//! methodology in miniature: each program runs `n` and `2n` iterations on
+//! the SUNOS-like baseline and on Synthesis, and the difference is one
+//! iteration's steady-state cost.
 //!
 //! ```text
 //! cargo run --release --example unix_comparison
 //! ```
 
-use synthesis::unix::programs;
-
-// The bench crate is not a dependency of the facade; inline the two tiny
-// drivers instead.
-mod synthesis_bench_helpers {
-    use synthesis::machine::machine::RunExit;
-    use synthesis::unix::emu::boot_with_program;
-    use synthesis::unix::programs::{addrs, path_blob};
-    use synthesis::unix::sunos::Sunos;
-
-    pub fn run_sunos(program: synthesis::machine::asm::Asm) -> f64 {
-        let mut s = Sunos::boot();
-        let entry = s.load_program(program);
-        s.m.mem.poke_bytes(addrs::PATHS, &path_blob());
-        let t0 = s.m.now_us();
-        assert_eq!(s.run_program(entry, 60_000_000_000), RunExit::Halted);
-        s.m.now_us() - t0
-    }
-
-    pub fn run_synthesis(program: synthesis::machine::asm::Asm) -> f64 {
-        let cfg = synthesis::kernel::kernel::KernelConfig {
-            default_quantum_us: 50_000,
-            ..synthesis::kernel::kernel::KernelConfig::default()
-        };
-        let (mut emu, tid) = boot_with_program(cfg, program).expect("boots");
-        let t0 = emu.k.m.now_us();
-        assert!(emu.run_until_exit(tid, 60_000_000_000));
-        emu.k.m.now_us() - t0
-    }
-}
+use synthesis_bench::table1;
 
 fn main() {
     println!("same binaries, two kernels (virtual time, 16 MHz + 1 ws)\n");
     println!(
-        "{:<28} {:>12} {:>12} {:>8}",
-        "program", "SUNOS-like", "Synthesis", "speedup"
+        "{:<28} {:>14} {:>14} {:>8}",
+        "program (per iteration)", "SUNOS-like", "Synthesis", "speedup"
     );
-    type ProgBuilder = Box<dyn Fn() -> synthesis::machine::asm::Asm>;
-    let cases: Vec<(&str, ProgBuilder)> = vec![
-        (
-            "pipe r/w, 1 byte x30",
-            Box::new(|| programs::pipe_rw(1, 30)),
-        ),
-        (
-            "pipe r/w, 1 KB x30",
-            Box::new(|| programs::pipe_rw(1024, 30)),
-        ),
-        (
-            "pipe r/w, 4 KB x10",
-            Box::new(|| programs::pipe_rw(4096, 10)),
-        ),
-        (
-            "open+close /dev/null x20",
-            Box::new(|| programs::open_close(0, 20)),
-        ),
-        (
-            "open+close /dev/tty x20",
-            Box::new(|| programs::open_close(0x10, 20)),
-        ),
-    ];
-    for (name, build) in cases {
-        let sun = synthesis_bench_helpers::run_sunos(build());
-        let syn = synthesis_bench_helpers::run_synthesis(build());
+    for p in table1::programs() {
+        let (sun, syn) = p.per_iteration_us(p.n);
         println!(
-            "{:<28} {:>9.0} µs {:>9.0} µs {:>7.1}x",
-            name,
+            "{:<28} {:>11.1} µs {:>11.1} µs {:>7.1}x",
+            p.name,
             sun,
             syn,
             sun / syn
