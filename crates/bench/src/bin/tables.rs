@@ -101,11 +101,10 @@ fn json_rows(rows: &[Row]) -> String {
 fn emit_json(path: &str) {
     eprintln!("[json: running tables 1-5 and the cache benchmark...]");
     let t1 = table1::run();
-    let t2 = table2::run();
+    let (t2, cache) = table2::run();
     let t3 = table3::run();
     let t4 = table4::run();
     let t5 = table5::run();
-    let cache = table2::open_cold_warm();
     let json = format!(
         "{{\n  \"machine\": \"16 MHz + 1 wait state (SUN 3/160 emulation mode)\",\n  \
          \"table1\": {},\n  \
@@ -611,7 +610,7 @@ fn main() {
         println!("\n[table 2: single-call file and device I/O...]");
         print!(
             "{}",
-            render("Table 2: file and device I/O (µs)", &table2::run())
+            render("Table 2: file and device I/O (µs)", &table2::run().0)
         );
     }
     if only.is_none() || only == Some(3) {

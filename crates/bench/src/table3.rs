@@ -1,59 +1,63 @@
 //! Table 3 — thread operations.
 //!
-//! These are kernel-call paths measured through the monitor (the host
-//! services charge honest cycles per the work they do; see
-//! `synthesis_core::charges`).
+//! Every row but `step` is a general call a running user thread makes on
+//! another thread, counted on the path probe ([`crate::path`]) from its
+//! `trap` to the first instruction back in user code. `step` has no guest
+//! call: it is the host's debugger call, timed from where it interrupts
+//! the running thread, as Table 4's block and unblock are.
 
-use quamachine::isa::Size;
-use quamachine::mem::AddressMap;
+use quamachine::isa::{Operand::*, Size, Size::*};
 use synthesis_core::layout;
-use synthesis_core::monitor;
+use synthesis_core::syscall::{general, traps};
 use synthesis_core::thread::tte::off;
 
+use crate::path::Probe;
 use crate::Row;
+
+/// The cycles of the general call `call` with `d1` and `d2` as its
+/// arguments, and what it returned in `d0`.
+pub fn general_call(p: &mut Probe, call: u32, d1: u32, d2: u32) -> (u64, u32) {
+    let path = p.call(|a| {
+        a.move_i(L, d1, Dr(1));
+        a.move_i(L, d2, Dr(2));
+        a.move_i(L, call, Dr(0));
+        a.trap(traps::GENERAL);
+    });
+    (path.cycles, p.emu.k.m.cpu.d[0])
+}
 
 /// Regenerate Table 3.
 #[must_use]
 pub fn run() -> Vec<Row> {
-    let mut k = crate::boot_kernel();
-    // A parked target thread doing nothing.
-    let mut a = quamachine::asm::Asm::new("victim");
-    let top = a.here();
-    a.add(
-        Size::L,
-        quamachine::isa::Operand::Imm(1),
-        quamachine::isa::Operand::Dr(0),
-    );
-    a.bcc(quamachine::isa::Cond::T, top);
-    let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
-    let map = AddressMap::single(1, layout::USER_BASE, layout::USER_LEN);
+    let mut p = Probe::boot();
+    let spin = p.load_spinner(|_| {});
+    let caller = p.create(spin);
+    p.emu.k.start(caller).unwrap();
 
-    let (tid, create) = monitor::measure(&mut k, |k| {
-        k.create_thread(entry, layout::USER_BASE + 0x1000, map.clone())
-            .unwrap()
-    });
-    let (_, start) = monitor::measure(&mut k, |k| k.start(tid).unwrap());
-    let (_, stop) = monitor::measure(&mut k, |k| k.stop(tid).unwrap());
-    let (_, step) = monitor::measure(&mut k, |k| k.step_thread(tid).unwrap());
-    // Install a signal handler so delivery succeeds (the handler address
-    // only has to be non-zero for the parked-delivery bookkeeping).
-    let h = entry;
-    let slot = k.threads[&tid].tte + off::SIG_HANDLER;
-    k.m.mem.poke(slot, Size::L, h);
-    let (_, signal) = monitor::measure(&mut k, |k| k.signal(tid, 1).unwrap());
-    let (_, destroy) = monitor::measure(&mut k, |k| k.destroy(tid).unwrap());
+    // The target, a counter loop: created, started and stopped by the
+    // caller, stepped by the host, then — with a signal handler installed
+    // — signalled and destroyed by the caller.
+    let stack = layout::USER_BASE + 0x4000;
+    let victim = p.load_spinner(|a| a.add(L, Imm(1), Dr(0)));
+    let (create, target) = general_call(&mut p, general::THREAD_CREATE, victim, stack);
+    let on_target = |p: &mut Probe, call| general_call(p, call, target, 0).0;
+    let start = on_target(&mut p, general::THREAD_START);
+    let stop = on_target(&mut p, general::THREAD_STOP);
+    let step = p.time(|k| k.step_thread(target).unwrap()).cycles;
+    let tte = p.emu.k.threads[&target].tte;
+    p.emu.k.m.mem.poke(tte + off::SIG_HANDLER, Size::L, spin);
+    let signal = on_target(&mut p, general::SIGNAL);
+    let destroy = on_target(&mut p, general::THREAD_DESTROY);
 
-    vec![
-        Row::new("thread create", Some(142.0), create.us, "us"),
-        Row::new("thread destroy", Some(11.0), destroy.us, "us"),
-        Row::new("thread stop", Some(8.0), stop.us, "us"),
-        Row::new("thread start", Some(8.0), start.us, "us"),
-        Row::new("thread step (debugger)", Some(37.0), step.us, "us"),
-        Row::new(
-            "thread signal (thread to thread)",
-            Some(8.0),
-            signal.us,
-            "us",
-        ),
+    let us = |cycles| p.emu.k.m.cost.cycles_to_us(cycles);
+    [
+        ("thread create", 142.0, create),
+        ("thread destroy", 11.0, destroy),
+        ("thread stop", 8.0, stop),
+        ("thread start", 8.0, start),
+        ("thread step (debugger)", 37.0, step),
+        ("thread signal (thread to thread)", 8.0, signal),
     ]
+    .map(|(what, paper, cycles)| Row::new(what, Some(paper), us(cycles), "us"))
+    .into()
 }

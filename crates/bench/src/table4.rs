@@ -24,7 +24,7 @@ pub fn run() -> Vec<Row> {
     let quantum_expiry = |k: &mut Kernel| k.m.irq.raise(irq_levels::QUANTUM);
     let spin = p.load_spinner(|_| {});
     let plain = [p.create(spin), p.create(spin)];
-    plain.iter().for_each(|&t| p.k.start(t).unwrap());
+    plain.iter().for_each(|&t| p.emu.k.start(t).unwrap());
     let full = p.time(quantum_expiry);
     let movem = full.cycles_in(|i| matches!(i, Instr::Movem { .. }));
 
@@ -37,14 +37,14 @@ pub fn run() -> Vec<Row> {
     let fp_load = Operand::Abs(layout::USER_BASE + 0x2000);
     let fp_spin = p.load_spinner(|a| a.fmove_load(fp_load, 0));
     let fp = [p.create(fp_spin), p.create(fp_spin)];
-    plain.iter().for_each(|&t| p.k.stop(t).unwrap());
-    fp.iter().for_each(|&t| p.k.start(t).unwrap());
-    while !fp.iter().all(|t| p.k.threads[t].uses_fp) {
+    plain.iter().for_each(|&t| p.emu.k.stop(t).unwrap());
+    fp.iter().for_each(|&t| p.emu.k.start(t).unwrap());
+    while !fp.iter().all(|t| p.emu.k.threads[t].uses_fp) {
         p.time(quantum_expiry);
     }
     let full_fp = p.time(quantum_expiry);
 
-    let us = |cycles| p.k.m.cost.cycles_to_us(cycles);
+    let us = |cycles| p.emu.k.m.cost.cycles_to_us(cycles);
     [
         ("full context switch (no FP)", 11.0, full.cycles),
         ("full context switch (FP registers)", 21.0, full_fp.cycles),

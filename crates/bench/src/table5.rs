@@ -54,11 +54,11 @@ fn load(k: &mut Kernel, a: Asm) -> u32 {
 /// successor — here the simple pointer-based handler, run on its fast path
 /// (the queue element not yet full).
 pub fn ad_interrupts(p: &mut Probe, user: Tid) -> [Path; 2] {
-    let ad_data = dev_reg_addr(p.k.dev.audio, audio::REG_DATA);
-    let vec_slot = p.k.threads[&user].vt + 4 * AUDIO_VECTOR;
+    let ad_data = dev_reg_addr(p.emu.k.dev.audio, audio::REG_DATA);
+    let vec_slot = p.emu.k.threads[&user].vt + 4 * AUDIO_VECTOR;
     let (ptr_slot, end_slot) = (DATA + 0x40, DATA + 0x44);
-    p.k.m.mem.poke(ptr_slot, Size::L, DATA + 0x80);
-    p.k.m.mem.poke(end_slot, Size::L, DATA + 0xA0);
+    p.emu.k.m.mem.poke(ptr_slot, Size::L, DATA + 0x80);
+    p.emu.k.m.mem.poke(end_slot, Size::L, DATA + 0xA0);
     let gauge = DATA + 0x48;
     let simple = [
         ("ad_data", ad_data),
@@ -66,15 +66,15 @@ pub fn ad_interrupts(p: &mut Probe, user: Tid) -> [Path; 2] {
         ("end_slot", end_slot),
         ("gauge", gauge),
     ];
-    let simple = synthesize(&mut p.k, "irq_ad_simple", &simple);
+    let simple = synthesize(&mut p.emu.k, "irq_ad_simple", &simple);
     let slot_0 = [
         ("ad_data", ad_data),
         ("slot", DATA),
         ("vec", vec_slot),
         ("next", simple),
     ];
-    let slot_0 = synthesize(&mut p.k, "irq_ad_0", &slot_0);
-    p.k.set_vector(user, AUDIO_VECTOR, slot_0).unwrap();
+    let slot_0 = synthesize(&mut p.emu.k, "irq_ad_0", &slot_0);
+    p.emu.k.set_vector(user, AUDIO_VECTOR, slot_0).unwrap();
     let audio_irq = |k: &mut Kernel| k.m.irq.raise(irq_levels::AUDIO);
     [p.time(audio_irq), p.time(audio_irq)]
 }
@@ -85,12 +85,12 @@ pub fn run() -> Vec<Row> {
     let mut p = Probe::boot();
     let spin = p.load_spinner(|_| {});
     let user = p.create(spin);
-    p.k.start(user).unwrap();
+    p.emu.k.start(user).unwrap();
 
     // The raw tty receive handler every thread's table names: one
     // character arrives with no reader waiting.
-    let tty_ctrl = dev_reg_addr(p.k.dev.tty, tty::REG_CTRL);
-    p.k.m.host_reg_write(tty_ctrl, tty::CTRL_RX_IRQ);
+    let tty_ctrl = dev_reg_addr(p.emu.k.dev.tty, tty::REG_CTRL);
+    p.emu.k.m.host_reg_write(tty_ctrl, tty::CTRL_RX_IRQ);
     let tty_rx = p.time(|k| {
         let dev = k.dev.tty;
         k.m.with_dev_ctx(dev, |t: &mut tty::Tty, ctx| t.inject(b"x", ctx));
@@ -106,15 +106,15 @@ pub fn run() -> Vec<Row> {
     let mut h = Asm::new("chaining_handler");
     h.kcall(CHAIN_CALL);
     h.rte();
-    let handler = load(&mut p.k, h);
+    let handler = load(&mut p.emu.k, h);
     let mut e = Asm::new("empty_procedure");
     e.rts();
-    let target = load(&mut p.k, e);
-    p.k.creator.lib.add(chain::chained_stub_template());
+    let target = load(&mut p.emu.k, e);
+    p.emu.k.creator.lib.add(chain::chained_stub_template());
     let resume_slot = DATA + 0x60;
     let stub = [("target", target), ("resume_slot", resume_slot)];
-    let stub = synthesize(&mut p.k, "chain_stub", &stub);
-    p.k.set_vector(user, AUDIO_VECTOR, handler).unwrap();
+    let stub = synthesize(&mut p.emu.k, "chain_stub", &stub);
+    p.emu.k.set_vector(user, AUDIO_VECTOR, handler).unwrap();
     let mut through_handler = |chained: bool| {
         p.time(|k| {
             k.m.irq.raise(irq_levels::AUDIO);
@@ -129,14 +129,14 @@ pub fn run() -> Vec<Row> {
 
     // Signal a ready thread that is not running.
     let ready = p.create(spin);
-    let tte = p.k.threads[&ready].tte;
-    p.k.m.mem.poke(tte + off::SIG_HANDLER, Size::L, spin);
-    p.k.start(ready).unwrap();
+    let tte = p.emu.k.threads[&ready].tte;
+    p.emu.k.m.mem.poke(tte + off::SIG_HANDLER, Size::L, spin);
+    p.emu.k.start(ready).unwrap();
     let signal = p.time(|k| k.signal(ready, 1).unwrap());
 
     let set_alarm = p.time(|k| k.set_alarm(500));
 
-    let us = |cycles| p.k.m.cost.cycles_to_us(cycles);
+    let us = |cycles| p.emu.k.m.cost.cycles_to_us(cycles);
     [
         ("service raw tty interrupt", Some(16.0), tty_rx.cycles),
         (

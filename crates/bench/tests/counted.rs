@@ -1,14 +1,26 @@
 //! A reported figure is a counted run, and counting it another way gives
 //! the same figure: Table 4's full switch against a `Machine::step` count
-//! of one real quantum expiry, and Table 1's steady state against a second
-//! iteration count.
+//! of one real quantum expiry, Table 1's steady state against a second
+//! iteration count, Table 2's open+close pair against more warm-up pairs,
+//! and Table 3's calls against the Table 4–5 paths they make plus the
+//! general call's own cost.
 
 use quamachine::asm::Asm;
+use quamachine::cost::CostModel;
 use quamachine::isa::Cond;
 use quamachine::mem::AddressMap;
-use synthesis_bench::{table1, table4};
+use synthesis_bench::path::Probe;
+use synthesis_bench::table2::{self, Abi};
+use synthesis_bench::{table1, table3, table4, table5, Row};
 use synthesis_core::kernel::{irq_levels, Kernel, KernelConfig};
 use synthesis_core::layout;
+use synthesis_core::syscall::general;
+
+/// The measured value of the row labelled `what`.
+fn row(rows: &[Row], what: &str) -> f64 {
+    let row = rows.iter().find(|r| r.what == what);
+    row.unwrap_or_else(|| panic!("no row {what:?}")).measured
+}
 
 /// Cycles `Machine::step` counts over one quantum expiry between two user
 /// threads: from the interrupt's acceptance to the incoming thread's first
@@ -59,16 +71,12 @@ fn stepped_quantum_expiry() -> u64 {
 fn table4_full_switch_is_one_stepped_quantum_expiry() {
     let stepped = stepped_quantum_expiry();
     let rows = table4::run();
-    let full = rows
-        .iter()
-        .find(|r| r.what == "full context switch (no FP)")
-        .expect("the full switch row");
-    let cost = quamachine::cost::CostModel::sun3_emulation();
+    let full = row(&rows, "full context switch (no FP)");
+    let cost = CostModel::sun3_emulation();
     assert_eq!(
-        full.measured,
+        full,
         cost.cycles_to_us(stepped),
-        "Table 4 reports {} µs; stepping counts {stepped} cycles",
-        full.measured
+        "Table 4 reports {full} µs; stepping counts {stepped} cycles"
     );
 }
 
@@ -81,4 +89,47 @@ fn table1_tty_row_is_a_steady_state() {
     let at_n = format!("{:.3}", tty.speedup(tty.n));
     let at_2n = format!("{:.3}", tty.speedup(2 * tty.n));
     assert_eq!(at_n, at_2n, "the speedup depends on the iteration count");
+}
+
+#[test]
+fn table2_tty_open_close_is_the_same_after_four_warm_up_pairs() {
+    let reported = row(&table2::run().0, "open+close /dev/tty (native)");
+    let mut p = table2::probe();
+    for _ in 0..4 {
+        table2::open_close(&mut p, Abi::Native, table2::DEV_TTY);
+    }
+    let pair = table2::open_close(&mut p, Abi::Native, table2::DEV_TTY);
+    let after_four = CostModel::sun3_emulation().cycles_to_us(pair);
+    assert_eq!(
+        reported, after_four,
+        "the pair still carries the first open's synthesis"
+    );
+}
+
+#[test]
+fn table3_calls_are_the_table4_and_table5_paths_plus_a_general_call() {
+    let mut p = Probe::boot();
+    let spin = p.load_spinner(|_| {});
+    let caller = p.create(spin);
+    p.emu.k.start(caller).unwrap();
+    let (gettid, tid) = table3::general_call(&mut p, general::GETTID, 0, 0);
+    assert_eq!(tid, caller);
+    let call = CostModel::sun3_emulation().cycles_to_us(gettid);
+
+    let (t3, t4, t5) = (table3::run(), table4::run(), table5::run());
+    for (thread_op, path, rows) in [
+        ("thread stop", "block thread (unlink from ready queue)", &t4),
+        ("thread start", "unblock thread (insert at front)", &t4),
+        (
+            "thread signal (thread to thread)",
+            "chain (signal) a thread",
+            &t5,
+        ),
+    ] {
+        assert_eq!(
+            row(&t3, thread_op) - row(rows, path),
+            call,
+            "{thread_op} is not {path} plus one general call"
+        );
+    }
 }

@@ -22,11 +22,11 @@ fn main() {
     let mut p = Probe::boot();
     let spin = p.load_spinner(|_| {});
     let user = p.create(spin);
-    p.k.start(user).unwrap();
+    p.emu.k.start(user).unwrap();
     let [spec, simple] = table5::ad_interrupts(&mut p, user);
     let (spec_us, simple_us) = (
-        p.k.m.cost.cycles_to_us(spec.cycles),
-        p.k.m.cost.cycles_to_us(simple.cycles),
+        p.emu.k.m.cost.cycles_to_us(spec.cycles),
+        p.emu.k.m.cost.cycles_to_us(simple.cycles),
     );
     println!("A/D interrupt service (SUN 3/160 emulation mode):");
     println!("  specialized slot handler: {spec_us:.1} µs  (paper: 3 µs)");

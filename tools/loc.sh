@@ -37,6 +37,8 @@ printf '  %-32s %7s\n' "non-test" "$(nontest 'crates/*/src/*.rs' | wc -l | tr -d
 for c in crates/*/; do
     printf '  %-32s %7s\n' "${c}src" "$(lines "${c}src/*.rs")"
 done
+printf '%-34s %7s\n' "bench/src + examples/ (non-test)" \
+    "$(nontest 'crates/bench/src/*.rs' 'examples/*.rs' | wc -l | tr -d ' ')"
 printf '%-34s %7s\n' "crates/core/src/kernel.rs" "$(lines crates/core/src/kernel.rs)"
 for f in crates/core/src/kernel/*.rs; do
     printf '  %-32s %7s\n' "$f" "$(lines "$f")"
