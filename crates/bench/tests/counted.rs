@@ -3,7 +3,8 @@
 //! of one real quantum expiry, Table 1's steady state against a second
 //! iteration count, Table 2's open+close pair against more warm-up pairs,
 //! and Table 3's calls against the Table 4–5 paths they make plus the
-//! general call's own cost.
+//! general call's own cost. Table 4's counted switches must also land in
+//! bands around the paper's figures.
 
 use quamachine::asm::Asm;
 use quamachine::cost::CostModel;
@@ -78,6 +79,25 @@ fn table4_full_switch_is_one_stepped_quantum_expiry() {
         cost.cycles_to_us(stepped),
         "Table 4 reports {full} µs; stepping counts {stepped} cycles"
     );
+}
+
+/// The counted full switch lands near the paper's 11 µs (no FP) and 21 µs
+/// (FP). Ours runs a few µs over because it also acknowledges the timer,
+/// saves and restores the USP, and reprograms the per-thread quantum —
+/// work the paper's figure does not itemize (see EXPERIMENTS.md).
+#[test]
+fn table4_full_switches_land_in_the_papers_bands() {
+    let rows = table4::run();
+    for (what, lo, hi) in [
+        ("full context switch (no FP)", 9.0, 17.0),
+        ("full context switch (FP registers)", 18.0, 30.0),
+    ] {
+        let us = row(&rows, what);
+        assert!(
+            (lo..hi).contains(&us),
+            "{what} = {us} µs, expected in [{lo}, {hi})"
+        );
+    }
 }
 
 #[test]

@@ -281,18 +281,17 @@ fn run_to_mark(k: &mut Kernel) {
 /// pipe 1, both through the native traps, one CPU, neither pipe solo —
 /// so each trip blocks twice, once per reader.
 ///
-/// Itemized (sun3 emulation, a bus reference is 4 cycles), the trip was
-/// 1,620 cycles when a blocking kernel call saved the thread on the host:
-/// two host saves charged as a 74-byte copy (2 × 190 = 380), the two
-/// switch-ins (2 × 134 = 268), four trap entries (4 × 32 = 128), four
-/// trap dispatches (4 × 16 = 64), six `rte`s (4 returns and 2 switch-in
-/// exits, 6 × 24 = 144), the pipe bodies — guards, ring arithmetic,
-/// copies, the failed attempt of each woken reader, the wake tests — and
-/// the two `WAKE_*` kernel calls, which cost nothing. Blocking through the
-/// switch-out replaces each 190 by an exception frame (32) and `sw_save`
-/// (`movem` 68, `move usp` 4, two stores 12, `jmp` 4 = 88): 1,480.
+/// Itemized (sun3 emulation, a bus reference is 4 cycles), the trip is
+/// 1,372 cycles: two switch-outs (2 × 120 = 240: an exception frame, 32,
+/// and `sw_save` — `movem` 68, `move usp` 4, two stores 12, `jmp` 4 =
+/// 88), the two switch-ins up to their exits (2 × 98 = 196), four trap
+/// entries (4 × 32 = 128), four trap dispatches (4 × 16 = 64), six `rte`s
+/// (4 trap returns and 2 switch-in exits, 6 × 18 = 108), and 636 cycles
+/// of pipe bodies — guards, ring arithmetic, copies, the failed attempt of
+/// each woken reader, the wake tests — and user code; the two `WAKE_*`
+/// kernel calls cost nothing.
 #[test]
-fn a_blocking_pipe_round_trip_costs_1480_cycles() {
+fn a_blocking_pipe_round_trip_costs_1372_cycles() {
     let mut k = Kernel::boot(KernelConfig {
         cpus: 1,
         default_quantum_us: 50_000,
@@ -348,7 +347,7 @@ fn a_blocking_pipe_round_trip_costs_1480_cycles() {
     };
     let (c100, e100) = pass_cycles(100);
     let (c200, e200) = pass_cycles(200);
-    assert_eq!(c200 - c100, 100 * 1_480, "cycles per round trip × 100");
+    assert_eq!(c200 - c100, 100 * 1_372, "cycles per round trip × 100");
     // Four traps and two switch-out frames per trip.
     assert_eq!(e200 - e100, 100 * 6, "exceptions per round trip × 100");
 }

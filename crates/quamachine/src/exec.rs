@@ -8,9 +8,7 @@
 //! all behave as on the real machine.
 
 use crate::code::{InstrFacts, SlabLoc};
-use crate::cost::{
-    BRANCH_TAKEN_EXTRA, EXCEPTION_BASE, EXCEPTION_REFS, IACK_BASE, RTE_BASE, RTE_REFS,
-};
+use crate::cost::{BRANCH_TAKEN_EXTRA, EXCEPTION_BASE, EXCEPTION_REFS, IACK_BASE};
 use crate::error::{Exception, MachineError};
 use crate::isa::{BranchTarget, Instr, Operand, ShiftKind, Size};
 use crate::machine::{FetchMemo, Machine, RunExit};
@@ -799,7 +797,6 @@ impl Machine {
                 let sr = self.bus_read(sp, Size::W)?;
                 let pc = self.bus_read(sp.wrapping_add(2), Size::L)?;
                 self.cpu.a[7] = sp.wrapping_add(6);
-                self.meter.cycles += RTE_BASE + RTE_REFS * self.cost.bus_cycles();
                 self.write_sr(sr as u16);
                 self.cpu.pc = pc;
                 {

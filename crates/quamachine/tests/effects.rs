@@ -1,9 +1,10 @@
-//! `Instr::effects()` against the interpreter, exhaustively.
+//! `Instr::effects()` and the cost table against the interpreter,
+//! exhaustively.
 //!
 //! Every instruction form the interpreter can execute — each `Instr`
 //! variant with each operand mode and size — is run for one step, in
-//! supervisor mode, from seeded and corner-value states, and four things
-//! are checked against the table:
+//! supervisor mode, from seeded and corner-value states, and five things
+//! are checked against the tables:
 //!
 //! - **(W)** no register outside `writes` changed, and no flag unless
 //!   `writes_flags`;
@@ -18,12 +19,17 @@
 //! - **(K)** a register written and not read ends the same whatever it
 //!   held — (R) applied to the register itself;
 //! - **(C)** a `Fall` instruction retires at the next instruction, a
-//!   `Branch` there or at its target.
+//!   `Branch` there or at its target;
+//! - **(T)** the step charges exactly the form's `instr_cost`, `base +
+//!   refs × bus`, plus `BRANCH_TAKEN_EXTRA` when a `Branch` lands on its
+//!   target — the table is the only static charge. (R) then also holds
+//!   the charge independent of every register the form does not read.
 //!
 //! States in which the instruction raises an exception are skipped; every
 //! form that does not `Leave` must retire in at least one state.
 
 use quamachine::code::CodeBlock;
+use quamachine::cost::{instr_cost, BRANCH_TAKEN_EXTRA};
 use quamachine::cpu::sr_bits::{C, CCR, N, S, V, X, Z};
 use quamachine::isa::{
     BranchTarget, Cond, Control, FpRegList, IndexSpec, Instr, Operand, Operand::*, RegList,
@@ -421,6 +427,8 @@ struct Outcome {
     fp: [u64; 8],
     stopped: bool,
     exit: Option<quamachine::machine::RunExit>,
+    /// Cycles the step charged.
+    cycles: u64,
 }
 
 /// The two memory images a state can start from: seeded bytes, zeros.
@@ -464,7 +472,7 @@ impl<'a> Rig<'a> {
         m.cpu.fpu_enabled = true;
         m.cpu.fp = std::array::from_fn(|i| 1.5 * i as f64 + 0.25);
         m.cpu.pc = CODE;
-        let exceptions = m.meter.exception_count;
+        let (exceptions, cycles) = (m.meter.exception_count, m.meter.cycles);
         let exit = m.step().ok()?;
         (m.meter.exception_count == exceptions).then(|| Outcome {
             d: m.cpu.d,
@@ -476,6 +484,7 @@ impl<'a> Rig<'a> {
             fp: m.cpu.fp.map(f64::to_bits),
             stopped: m.cpu.stopped,
             exit,
+            cycles: m.meter.cycles - cycles,
         })
     }
 }
@@ -539,6 +548,8 @@ fn check(form: Instr, states: &[State], images: &[Vec<u8>; 2]) -> (u32, u64) {
     let (mut base_rig, mut rig) = (Rig::new(form, images), Rig::new(form, images));
     let next = base_rig.m.code.addr_of(CODE, 1).unwrap();
     let target = base_rig.m.code.addr_of(CODE, 2).unwrap();
+    let (cost, refs) = instr_cost(&form);
+    let cost = cost + refs * base_rig.m.cost.bus_cycles();
     let (mut retired, mut steps) = (0, 0);
     for (si, s) in states.iter().enumerate() {
         steps += 1;
@@ -558,6 +569,11 @@ fn check(form: Instr, states: &[State], images: &[Vec<u8>; 2]) -> (u32, u64) {
             ),
             Control::Leave => {}
         }
+
+        // (T)
+        let taken = fx.control == Control::Branch && base.pc == target;
+        let charge = cost + if taken { BRANCH_TAKEN_EXTRA } else { 0 };
+        assert_eq!(base.cycles, charge, "(T) {at}: {} vs {charge}", base.cycles);
 
         // (W)
         for i in 0..16 {
