@@ -2,8 +2,11 @@
 //!
 //! Every row is a path run on a booted kernel and counted off the
 //! machine's instruction trace ([`crate::path`]): an interrupt raised under
-//! a running user thread, timed to the first instruction back in user
-//! code, or a kernel call made beside it. Procedure chaining is driven as
+//! a running user thread, or a host call made beside it, timed to the
+//! first instruction back in user code. "Set alarm" is the running
+//! thread's own `SET_ALARM` general call, counted from its `trap` as
+//! Table 3's calls are; it is the last row, so the alarm it arms fires
+//! after every other row. Procedure chaining is driven as
 //! `interrupt::chain`'s own test drives it — a handler's kernel call
 //! chains a stub onto the handler's return — and its row is what the chain
 //! adds to that handler's path.
@@ -15,11 +18,12 @@ use quamachine::machine::RunExit;
 use synthesis_codegen::template::Bindings;
 use synthesis_core::interrupt::chain;
 use synthesis_core::kernel::irq_levels;
+use synthesis_core::syscall::general;
 use synthesis_core::thread::{tte::off, Tid};
 use synthesis_core::{layout, Kernel};
 
 use crate::path::{Path, Probe};
-use crate::Row;
+use crate::{table3, Row};
 
 /// A `kcall` selector the kernel does not own: the chaining handler's
 /// call, answered by the probe.
@@ -134,7 +138,7 @@ pub fn run() -> Vec<Row> {
     p.emu.k.start(ready).unwrap();
     let signal = p.time(|k| k.signal(ready, 1).unwrap());
 
-    let set_alarm = p.time(|k| k.set_alarm(500));
+    let (set_alarm, _) = table3::general_call(&mut p, general::SET_ALARM, 500, 0);
 
     let us = |cycles| p.emu.k.m.cost.cycles_to_us(cycles);
     [
@@ -145,7 +149,7 @@ pub fn run() -> Vec<Row> {
             ad_specialized.cycles,
         ),
         ("service raw A/D interrupt (simple)", None, ad_simple.cycles),
-        ("set alarm", Some(9.0), set_alarm.cycles),
+        ("set alarm", Some(9.0), set_alarm),
         ("alarm interrupt", Some(7.0), alarm.cycles),
         ("chain to a procedure (no retry)", Some(4.0), chain_us),
         ("chain (signal) a thread", Some(9.0), signal.cycles),

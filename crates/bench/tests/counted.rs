@@ -4,18 +4,20 @@
 //! iteration count, Table 2's open+close pair against more warm-up pairs,
 //! and Table 3's calls against the Table 4–5 paths they make plus the
 //! general call's own cost. Table 4's counted switches must also land in
-//! bands around the paper's figures.
+//! bands around the paper's figures, Table 2's native open+close must be
+//! cheaper than the emulated one, as in the paper, and a kernel call's
+//! `kcall` step must charge nothing: a call costs what it executes.
 
 use quamachine::asm::Asm;
 use quamachine::cost::CostModel;
-use quamachine::isa::Cond;
+use quamachine::isa::{Cond, Instr, Operand::*, Size::*};
 use quamachine::mem::AddressMap;
 use synthesis_bench::path::Probe;
 use synthesis_bench::table2::{self, Abi};
 use synthesis_bench::{table1, table3, table4, table5, Row};
 use synthesis_core::kernel::{irq_levels, Kernel, KernelConfig};
 use synthesis_core::layout;
-use synthesis_core::syscall::general;
+use synthesis_core::syscall::{general, traps};
 
 /// The measured value of the row labelled `what`.
 fn row(rows: &[Row], what: &str) -> f64 {
@@ -151,5 +153,38 @@ fn table3_calls_are_the_table4_and_table5_paths_plus_a_general_call() {
             call,
             "{thread_op} is not {path} plus one general call"
         );
+    }
+}
+
+#[test]
+fn table2_native_open_close_is_cheaper_than_emulated() {
+    let rows = table2::run().0;
+    for dev in ["/dev/null", "/dev/tty"] {
+        let native = row(&rows, &format!("open+close {dev} (native)"));
+        let emulated = row(&rows, &format!("open+close {dev} (emulated)"));
+        assert!(
+            native < emulated,
+            "open+close {dev}: native {native} µs, emulated {emulated} µs"
+        );
+    }
+}
+
+#[test]
+fn a_kernel_calls_kcall_step_charges_nothing() {
+    let mut p = Probe::boot();
+    let spin = p.load_spinner(|_| {});
+    let caller = p.create(spin);
+    p.emu.k.start(caller).unwrap();
+    for (what, call, d1) in [
+        ("GETTID", general::GETTID, 0),
+        ("SET_ALARM", general::SET_ALARM, 500),
+    ] {
+        let path = p.call(|a| {
+            a.move_i(L, d1, Dr(1));
+            a.move_i(L, call, Dr(0));
+            a.trap(traps::GENERAL);
+        });
+        let kcall = path.cycles_in(|i| matches!(i, Instr::KCall(_)));
+        assert_eq!(kcall, 0, "{what}'s kcall step charges {kcall} cycles");
     }
 }

@@ -2,12 +2,13 @@
 //!
 //! The measured hot paths (context switch, interrupt handlers, synthesized
 //! `read`/`write`, queue operations) execute as real simulated code and
-//! are cycle-counted by the machine. Cold bookkeeping (allocating and
-//! initializing a TTE, patching the ready chain, rebuilding a template)
-//! runs host-side behind a `kcall`, and is charged cycles by the formulas
-//! here — **derived from the memory traffic and work the operation would
-//! perform**, not back-fitted to the paper's numbers. EXPERIMENTS.md
-//! reports where the results land.
+//! are cycle-counted by the machine. A `kcall` hypercall is free: a kernel
+//! call costs its trap entry, its `rte` and whatever guest code runs
+//! around it. Cold bookkeeping the host still does in place of guest code
+//! (initializing a TTE, patching the ready chain, an allocator walk, a
+//! name lookup) is charged by the four formulas here — **derived from the
+//! memory traffic and work the operation would perform**, not back-fitted
+//! to the paper's numbers. EXPERIMENTS.md reports where the results land.
 //!
 //! A thread's context is never saved or restored by formula: that is
 //! always its own synthesized `sw_save` and `sw_in`, run and counted.
@@ -36,13 +37,6 @@ pub fn code_patch(cost: &CostModel) -> u64 {
 #[must_use]
 pub fn alloc_op(cost: &CostModel, steps: u32) -> u64 {
     16 + u64::from(steps) * (4 + 2 * cost.bus_cycles())
-}
-
-/// Cycles for general kernel-call bookkeeping (argument decoding, table
-/// updates — a handful of loads and stores).
-#[must_use]
-pub fn kcall_overhead(cost: &CostModel) -> u64 {
-    10 + 4 * cost.bus_cycles()
 }
 
 /// Cycles to hash and compare a backwards-stored string of `len` bytes

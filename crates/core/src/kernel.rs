@@ -5,7 +5,8 @@
 //! the ready queue (Figure 3), synthesized `read`/`write` land behind
 //! per-thread trap vectors (Section 5.3), and interrupt handlers feed
 //! kernel queues. Cold bookkeeping reaches the host through `kcall`
-//! hypercalls, each charging honest cycles (see [`crate::charges`]).
+//! hypercalls; a hypercall is free, and only the host work still priced
+//! by a [`crate::charges`] formula adds cycles.
 //!
 //! This file is boot, the thread lifecycle and the run loop. Everything
 //! the kernel knows about a thread is in its [`Thread`] (or indexed by
@@ -833,7 +834,7 @@ impl Kernel {
         }
         // Charged first: the kick arms the quantum timer relative to the
         // clock the caller sees when `start` returns.
-        let c = 2 * charges::code_patch(&self.m.cost) + charges::kcall_overhead(&self.m.cost);
+        let c = 2 * charges::code_patch(&self.m.cost);
         self.m.charge(c);
         self.enqueue(home, tid)
     }
@@ -862,7 +863,7 @@ impl Kernel {
             return Err(KernelError::NoThread(tid));
         }
         self.dequeue(tid)?;
-        let c = charges::code_patch(&self.m.cost) + charges::kcall_overhead(&self.m.cost);
+        let c = charges::code_patch(&self.m.cost);
         self.m.charge(c);
         if self.current_tid() == Some(tid) {
             self.switch_out(tid);
@@ -1019,7 +1020,7 @@ impl Kernel {
         self.trace.forget(tid);
         t.state = ThreadState::Dead;
         self.exited.insert(tid);
-        let c = charges::kcall_overhead(&self.m.cost) + charges::alloc_op(&self.m.cost, 3) * 3;
+        let c = charges::alloc_op(&self.m.cost, 3) * 3;
         self.m.charge(c);
         if was_current {
             self.enter_next();
@@ -1063,8 +1064,6 @@ impl Kernel {
         self.park(tid);
         self.enter(cur);
         self.ensure_safe_point();
-        let c = charges::kcall_overhead(&self.m.cost);
-        self.m.charge(c);
         Ok(())
     }
 

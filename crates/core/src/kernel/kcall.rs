@@ -52,8 +52,6 @@ impl Kernel {
                 if let Some(t) = self.threads.get(&tid) {
                     self.m.mem.map = t.map.clone();
                 }
-                let c = charges::kcall_overhead(&self.m.cost);
-                self.m.charge(c);
             }
             kcalls::FP_RESYNTH => {
                 self.fp_resynthesize();
@@ -62,13 +60,10 @@ impl Kernel {
                 self.alarm_pending = false;
                 self.wake(WaitObject::Alarm);
             }
-            kcalls::AD_ADVANCE => {
-                // Device servers built on the specialized A/D handlers
-                // register themselves via the audio-server module; the
-                // default kernel just acknowledges.
-                let c = charges::kcall_overhead(&self.m.cost);
-                self.m.charge(c);
-            }
+            // The last A/D slot handler asks for the next queue element.
+            // No server advances or consumes the element yet, so the
+            // kernel only acknowledges the call.
+            kcalls::AD_ADVANCE => {}
             kcalls::DISK_DONE => {
                 let addr = dev_reg_addr(self.dev.disk, quamachine::devices::disk::REG_STATUS);
                 let _ = self.m.host_reg_read(addr); // acknowledge
@@ -150,8 +145,6 @@ impl Kernel {
         let d1 = self.m.cpu.d[1];
         let d2 = self.m.cpu.d[2];
         let a0 = self.m.cpu.a[0];
-        let c = charges::kcall_overhead(&self.m.cost);
-        self.m.charge(c);
         let status = |r: Result<(), KernelError>| r.map_or(-i64::from(errno::EINVAL), |()| 0);
         let neg = |e: u32| -i64::from(e);
         let result: i64 = match call {
@@ -200,8 +193,11 @@ impl Kernel {
             general::PIPE => self
                 .pipe()
                 .map_or_else(neg, |(rfd, wfd)| i64::from((rfd << 8) | wfd)),
+            // A one-shot alarm `d1` µs from now (Table 5: set alarm).
             general::SET_ALARM => {
-                self.set_alarm(d1);
+                self.alarm_pending = true;
+                let addr = dev_reg_addr(self.dev.alarm, timer_regs::REG_ALARM_US);
+                self.m.host_reg_write(addr, d1);
                 0
             }
             general::WAIT_ALARM => {
@@ -236,15 +232,6 @@ impl Kernel {
         if next.is_some_and(|n| n.id != tid) {
             self.switch_out(tid);
         }
-    }
-
-    /// Program a one-shot alarm `us` µs from now (Table 5: set alarm).
-    pub fn set_alarm(&mut self, us: u32) {
-        self.alarm_pending = true;
-        let addr = dev_reg_addr(self.dev.alarm, timer_regs::REG_ALARM_US);
-        self.m.host_reg_write(addr, us);
-        let c = charges::kcall_overhead(&self.m.cost);
-        self.m.charge(c);
     }
 
     // --- Signals ------------------------------------------------------------
@@ -297,7 +284,7 @@ impl Kernel {
             .get_mut(&target)
             .expect("signalled thread exists")
             .sig_saved = Some(saved);
-        let c = charges::kcall_overhead(&self.m.cost) + 3 * charges::code_patch(&self.m.cost);
+        let c = 3 * charges::code_patch(&self.m.cost);
         self.m.charge(c);
     }
 

@@ -69,8 +69,9 @@ pub fn ebadf_template() -> Template {
 }
 
 /// `trap #0` handler: the general kernel call. The host services it (the
-/// selector is in `d0`, arguments in `d1`/`d2`/`a0`) and charges honest
-/// cycles; `rte` returns to the caller.
+/// selector is in `d0`, arguments in `d1`/`d2`/`a0`); the `kcall` itself
+/// is free, so the call costs its trap entry, its `rte` and only the
+/// [`crate::charges`] formulas the work it reaches still carries.
 #[must_use]
 pub fn kcall_trampoline_template() -> Template {
     let mut a = Asm::new("kcall_trampoline");

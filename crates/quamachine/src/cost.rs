@@ -175,7 +175,9 @@ pub fn instr_cost(i: &Instr) -> (u64, u64) {
         FMovem { regs, .. } => (8 + 2 * u64::from(regs.count()), 2 * u64::from(regs.count())),
         FAdd(_, _) | FSub(_, _) | FMul(_, _) => (50, 0),
         Halt => (0, 0),
-        KCall(_) => (0, 0), // The embedder charges an explicit cost.
+        // A hypercall is free: its embedder charges only host work that
+        // it has not yet turned into guest code.
+        KCall(_) => (0, 0),
     }
 }
 

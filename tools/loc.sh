@@ -51,6 +51,8 @@ printf '%-34s %7s\n' "KernelConfig fields" "$(fields KernelConfig crates/core/sr
 printf '%-34s %7s\n' "SynthesisOptions fields" "$(fields SynthesisOptions crates/codegen/src/creator.rs)"
 printf '%-34s %7s\n' "cargo features" "$(features)"
 # Host work still charged by formula instead of executed as guest code:
-# each non-test `charges::f(` is one site.
-printf '%-34s %7s\n' "charges:: call sites" \
-    "$(nontest 'crates/*/src/*.rs' | grep -o 'charges::[a-z_]*(' | wc -l | tr -d ' ')"
+# each non-test `charges::f(` is one site; the total, then each formula.
+sites=$(nontest 'crates/*/src/*.rs' | grep -o 'charges::[a-z_]*(' | sed 's/^charges::\(.*\)($/\1/')
+printf '%-34s %7s\n' "charges:: call sites" "$(printf '%s\n' "$sites" | grep -c .)"
+printf '%s\n' "$sites" | grep . | sort | uniq -c | sort -k1,1nr -k2 |
+    while read -r n f; do printf '  %-32s %7s\n' "$f" "$n"; done
