@@ -1,10 +1,9 @@
-//! I/O: streams, device servers, pipes, the tty discipline, and the disk
-//! path (paper Section 5).
+//! I/O: streams, device servers, pipes, and the tty discipline (paper
+//! Section 5).
 //!
 //! "In Synthesis, I/O means more than device drivers. I/O includes all
 //! data flow among hardware devices and quaspaces" (Section 5).
 
-pub mod disk;
 pub mod pipe;
 pub mod stream;
 pub mod tty;

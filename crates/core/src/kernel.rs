@@ -22,8 +22,6 @@
 use std::collections::{BTreeMap, HashMap};
 
 use quamachine::devices::audio::Audio;
-use quamachine::devices::disk::Disk;
-use quamachine::devices::fb::FrameBuffer;
 use quamachine::devices::null::NullDev;
 use quamachine::devices::timer::Timer;
 use quamachine::devices::tty::Tty;
@@ -40,11 +38,10 @@ use crate::alloc::FastFit;
 use crate::channel::FileChan;
 use crate::charges;
 use crate::fs::Fs;
-use crate::io::disk::{DiskOutcome, DiskRequest, DiskScheduler};
 use crate::io::pipe::Pipe;
 use crate::io::tty::TtyServer;
 use crate::layout;
-use crate::syscall::{errno, general, kcalls};
+use crate::syscall::general;
 use crate::templates;
 use crate::thread::tte::{off, FdObject};
 use crate::thread::{Thread, ThreadState, Tid, TidSet, WaitObject};
@@ -59,13 +56,12 @@ mod tracepump;
 pub use recovery::RecoveryGauges;
 use recovery::WATCHDOG_SLICE;
 
-/// Interrupt levels assigned to devices.
+/// Interrupt levels assigned to devices. Levels 2 and 7 are unassigned:
+/// every thread's vector table aims them at `irq_spurious`.
 pub mod irq_levels {
     /// Inter-processor reschedule interrupt (SMP only; every thread's
     /// IPI vector is its own switch-out, so an IPI *is* a reschedule).
     pub const IPI: u8 = 1;
-    /// Disk completion.
-    pub const DISK: u8 = 2;
     /// One-shot alarms.
     pub const ALARM: u8 = 3;
     /// Tty receive.
@@ -134,10 +130,6 @@ pub struct DeviceIdx {
     pub tty: usize,
     /// The audio (A/D, D/A) device.
     pub audio: usize,
-    /// The disk.
-    pub disk: usize,
-    /// The framebuffer.
-    pub fb: usize,
     /// `/dev/null`'s backing device.
     pub null: usize,
 }
@@ -150,7 +142,6 @@ struct SharedCode {
     fp_trap: u32,
     alarm: u32,
     tty_rx: u32,
-    disk_done: u32,
     spurious: u32,
     user_exit_stub: u32,
 }
@@ -168,9 +159,6 @@ pub enum KernelError {
     Machine(quamachine::error::MachineError),
     /// Invalid operation (e.g. stopping the idle thread).
     Invalid(&'static str),
-    /// An I/O error after recovery was exhausted (disk retries spent or
-    /// the sectors are quarantined).
-    Io(&'static str),
 }
 
 impl From<SynthError> for KernelError {
@@ -199,7 +187,6 @@ impl std::fmt::Display for KernelError {
             KernelError::NoThread(t) => write!(f, "no thread {t}"),
             KernelError::Machine(e) => write!(f, "machine: {e}"),
             KernelError::Invalid(s) => write!(f, "invalid operation: {s}"),
-            KernelError::Io(s) => write!(f, "i/o error: {s}"),
         }
     }
 }
@@ -278,10 +265,7 @@ pub struct Kernel {
     pub console: Vec<u8>,
     /// Threads that have exited.
     pub exited: TidSet,
-    /// The kernel-owned disk scheduler: request queue, retry/backoff, and
-    /// sector quarantine (Section 5.1's pipeline stage, made persistent).
-    pub disk_sched: DiskScheduler,
-    /// Recovery event gauges (reaps, quarantines, surfaced I/O errors).
+    /// Recovery event gauges (reaps, quarantines, CPU recovery).
     pub recovery: RecoveryGauges,
     /// Recovery log: threads reaped or quarantined, with the reason.
     pub recovery_log: Vec<(Tid, String)>,
@@ -303,9 +287,6 @@ pub struct Kernel {
     /// written only by the `ready` submodule.
     waiters: FoldMap<WaitObject, Vec<Tid>>,
     alarm_pending: bool,
-    /// Completed disk outcomes by request cookie: `Ok(req)` or
-    /// `Err(-errno)` once the scheduler gives up.
-    disk_results: HashMap<u32, Result<DiskRequest, i32>>,
     /// Watchdog sweeps since boot — the probation clock for quarantined
     /// CPUs.
     sweep_count: u64,
@@ -342,16 +323,12 @@ impl Kernel {
         let alarm = m.attach_device(Box::new(Timer::new(irq_levels::ALARM)));
         let tty = m.attach_device(Box::new(Tty::new(irq_levels::TTY)));
         let audio = m.attach_device(Box::new(Audio::new(irq_levels::AUDIO)));
-        let disk = m.attach_device(Box::new(Disk::new(irq_levels::DISK, 4096)));
-        let fb = m.attach_device(Box::new(FrameBuffer::new()));
         let null = m.attach_device(Box::new(NullDev::new()));
         let dev = DeviceIdx {
             timer,
             alarm,
             tty,
             audio,
-            disk,
-            fb,
             null,
         };
 
@@ -400,16 +377,7 @@ impl Kernel {
                 opts,
             )?
             .base;
-        // Disk-completion and spurious-interrupt stubs.
-        let disk_done = {
-            let mut a = quamachine::asm::Asm::new("irq_disk_done");
-            a.kcall(kcalls::DISK_DONE);
-            a.rte();
-            let t = synthesis_codegen::template::Template::from_asm(a).expect("assembles");
-            creator
-                .synthesize_template(&mut m, &t, &Bindings::new(), opts)?
-                .base
-        };
+        // The stub for every level no device owns.
         let spurious = {
             let mut a = quamachine::asm::Asm::new("irq_spurious");
             a.rte();
@@ -461,7 +429,6 @@ impl Kernel {
             default_quantum_us: cfg.default_quantum_us,
             console: Vec::new(),
             exited: TidSet::new(),
-            disk_sched: DiskScheduler::new(disk),
             recovery: RecoveryGauges::default(),
             recovery_log: Vec::new(),
             trace: crate::trace::TraceSet::new(cfg.trace_records),
@@ -473,7 +440,6 @@ impl Kernel {
                 fp_trap,
                 alarm: alarm_code,
                 tty_rx,
-                disk_done,
                 spurious,
                 user_exit_stub,
             },
@@ -481,7 +447,6 @@ impl Kernel {
             vbr_to_tid: FoldMap::default(),
             waiters: FoldMap::default(),
             alarm_pending: false,
-            disk_results: HashMap::new(),
             sweep_count: 0,
             fault_cursor: 0,
             watch_exit: None,
@@ -766,15 +731,11 @@ impl Kernel {
         }
         // Lazy FP.
         poke(&mut self.m, 11, self.shared.fp_trap);
-        // Interrupt levels.
+        // Interrupt levels: a level no handler claims (unassigned, or the
+        // A/D until one is installed) is spurious.
         for level in 1..=7u32 {
             poke(&mut self.m, 24 + level, self.shared.spurious);
         }
-        poke(
-            &mut self.m,
-            24 + u32::from(irq_levels::DISK),
-            self.shared.disk_done,
-        );
         poke(
             &mut self.m,
             24 + u32::from(irq_levels::ALARM),
@@ -784,11 +745,6 @@ impl Kernel {
             &mut self.m,
             24 + u32::from(irq_levels::TTY),
             self.shared.tty_rx,
-        );
-        poke(
-            &mut self.m,
-            24 + u32::from(irq_levels::AUDIO),
-            self.shared.spurious,
         );
         self.aim_switch_vectors(vt, sw_out, ipi_in);
         // Traps.
@@ -1340,127 +1296,6 @@ impl Kernel {
             .map_err(SynthError::CodeBuf)?;
         self.m.load_block(base, block)?;
         Ok(base)
-    }
-
-    /// Create a file whose contents are loaded from the disk through the
-    /// Section 5.1 pipeline: the raw disk server DMAs sectors straight
-    /// into the file's cache buffer under the disk scheduler, and the
-    /// machine's virtual time advances by the modelled seek, rotation,
-    /// and transfer latency.
-    ///
-    /// `len` is rounded up to whole sectors for the transfer; the file's
-    /// length is set to `len`.
-    ///
-    /// # Errors
-    ///
-    /// Fails on heap exhaustion, with [`KernelError::Io`] when the
-    /// sectors are quarantined or the scheduler's retries are exhausted,
-    /// or if the disk never completes (a bug).
-    pub fn load_file_from_disk(
-        &mut self,
-        name: &str,
-        sector: u32,
-        len: u32,
-    ) -> Result<u32, KernelError> {
-        use quamachine::devices::disk::SECTOR_SIZE;
-        let sectors = len.div_ceil(SECTOR_SIZE);
-        let cap = (sectors * SECTOR_SIZE).max(SECTOR_SIZE);
-        let fid = self
-            .fs
-            .create(&mut self.m, &mut self.heap, name, cap)
-            .map_err(|_| KernelError::NoMem)?;
-        let f = self.fs.file(fid).expect("just created");
-        let (buf, len_slot) = (f.buf, f.len_slot);
-
-        let req = DiskRequest {
-            sector,
-            count: sectors,
-            addr: buf,
-            read: true,
-            cookie: u32::MAX, // boot-time load; nothing waits on a cookie
-        };
-        if self.disk_sched.submit(&mut self.m, req).is_err() {
-            self.recovery.io_errors.tick();
-            return Err(KernelError::Io("sectors quarantined"));
-        }
-        // Wait for completion: advance virtual time through the event
-        // queue and poll the controller's STATUS (which also acknowledges
-        // the interrupt). Boot-time load; no thread runs meanwhile.
-        // Transient errors are retried by the scheduler with backoff, so
-        // the loop keeps driving until a final outcome.
-        let status_reg = dev_reg_addr(self.dev.disk, quamachine::devices::disk::REG_STATUS);
-        let mut guard = 0;
-        loop {
-            self.m.process_events();
-            let status = self.m.host_reg_read(status_reg);
-            if status & quamachine::devices::disk::STATUS_DONE != 0 {
-                self.m.irq.clear(irq_levels::DISK);
-                match self.disk_sched.on_complete(&mut self.m) {
-                    Some(DiskOutcome::Done(_)) => break,
-                    Some(DiskOutcome::Failed(_)) => {
-                        self.recovery.io_errors.tick();
-                        return Err(KernelError::Io("disk retries exhausted"));
-                    }
-                    Some(DiskOutcome::Retrying { .. }) | None => {}
-                }
-            }
-            match self.m.events.next_due() {
-                Some(t) => {
-                    self.m.meter.cycles = self.m.meter.cycles.max(t).max(self.m.meter.cycles + 1)
-                }
-                None => return Err(KernelError::Invalid("disk never completed")),
-            }
-            guard += 1;
-            if guard > 1_000_000 {
-                return Err(KernelError::Invalid("disk wait guard tripped"));
-            }
-        }
-        self.m.mem.poke(len_slot, Size::L, len);
-        Ok(fid)
-    }
-
-    /// Submit a request through the kernel's disk scheduler. The
-    /// completion lands in [`Kernel::disk_take_result`] under the
-    /// request's cookie, and `WaitObject::Disk` waiters are woken when it
-    /// does (retries in between do not wake anyone).
-    ///
-    /// # Errors
-    ///
-    /// `Err(errno::EIO)` immediately when the range touches a
-    /// quarantined sector — known-bad hardware is not worth a wait.
-    pub fn disk_submit(&mut self, req: DiskRequest) -> Result<(), i32> {
-        #[allow(unused_variables)]
-        let sector = req.sector;
-        match self.disk_sched.submit(&mut self.m, req) {
-            Ok(()) => {
-                crate::trace!(
-                    self,
-                    self.trace_tid(),
-                    crate::trace::Kind::QueuePut,
-                    crate::trace::QCLASS_DISK,
-                    sector
-                );
-                Ok(())
-            }
-            Err(_) => {
-                crate::trace!(
-                    self,
-                    self.trace_tid(),
-                    crate::trace::Kind::Recovery,
-                    crate::trace::REC_IO_ERROR,
-                    sector
-                );
-                self.recovery.io_errors.tick();
-                Err(errno::EIO)
-            }
-        }
-    }
-
-    /// Take the recorded outcome of the disk request submitted with
-    /// `cookie`, if it has reached one: `Ok(req)` on success, or
-    /// `Err(errno::EIO)` when the scheduler gave up.
-    pub fn disk_take_result(&mut self, cookie: u32) -> Option<Result<DiskRequest, i32>> {
-        self.disk_results.remove(&cookie)
     }
 
     fn charge_alloc(&mut self) {

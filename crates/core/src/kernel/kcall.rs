@@ -16,11 +16,10 @@ use quamachine::isa::Size;
 
 use super::{Kernel, KernelError};
 use crate::charges;
-use crate::io::disk::DiskOutcome;
 use crate::syscall::{errno, general, kcalls};
 use crate::thread::tte::off;
 use crate::thread::{Tid, WaitObject};
-use crate::trace::{Kind, QCLASS_DISK, QCLASS_PIPE, QCLASS_TTY, REC_IO_ERROR};
+use crate::trace::{Kind, QCLASS_PIPE, QCLASS_TTY};
 
 impl Kernel {
     /// What a `WAIT_*`/`WAKE_*` selector is about: the wait object (a
@@ -64,40 +63,6 @@ impl Kernel {
             // No server advances or consumes the element yet, so the
             // kernel only acknowledges the call.
             kcalls::AD_ADVANCE => {}
-            kcalls::DISK_DONE => {
-                let addr = dev_reg_addr(self.dev.disk, quamachine::devices::disk::REG_STATUS);
-                let _ = self.m.host_reg_read(addr); // acknowledge
-                match self.disk_sched.on_complete(&mut self.m) {
-                    Some(DiskOutcome::Done(req)) => {
-                        crate::trace!(
-                            self,
-                            self.trace_tid(),
-                            Kind::QueueGet,
-                            QCLASS_DISK,
-                            req.sector
-                        );
-                        self.disk_results.insert(req.cookie, Ok(req));
-                    }
-                    // Re-issued with backoff; waiters stay asleep until
-                    // the retry completes one way or the other.
-                    Some(DiskOutcome::Retrying { .. }) => return true,
-                    Some(DiskOutcome::Failed(req)) => {
-                        crate::trace!(
-                            self,
-                            self.trace_tid(),
-                            Kind::Recovery,
-                            REC_IO_ERROR,
-                            req.sector
-                        );
-                        self.disk_results.insert(req.cookie, Err(errno::EIO));
-                        self.recovery.io_errors.tick();
-                    }
-                    // A completion with nothing in flight (e.g. a raw
-                    // device user bypassing the scheduler): just wake.
-                    None => {}
-                }
-                self.wake(WaitObject::Disk);
-            }
             kcalls::WAIT_TTY | kcalls::WAIT_PIPE_DATA | kcalls::WAIT_PIPE_SPACE => {
                 // Re-check under the "lock" (host atomicity) to avoid a
                 // lost wakeup between the guest's test and the kcall.
@@ -109,7 +74,7 @@ impl Kernel {
                         .get(p as usize)
                         .is_some_and(|p| p.available(&self.m) == 0),
                     WaitObject::PipeSpace(p) => self.pipe_write_must_wait(p),
-                    WaitObject::Alarm | WaitObject::Disk => unreachable!("no WAIT_* names it"),
+                    WaitObject::Alarm => unreachable!("no WAIT_* names it"),
                 };
                 if must_wait {
                     self.block_current(wait);

@@ -332,14 +332,14 @@ impl Kernel {
     }
 
     /// Raise or lower the waiter flag the synthesized producers test
-    /// before bothering the kernel with a wake (alarms and the disk have
-    /// none: their wakes come from interrupt handlers unconditionally).
+    /// before bothering the kernel with a wake (alarms have none: their
+    /// wakes come from the interrupt handler unconditionally).
     fn set_wait_flag(&mut self, wait: WaitObject, up: bool) {
         let slot = match wait {
             WaitObject::TtyInput => Some(self.tty_srv.waiters_slot),
             WaitObject::PipeData(p) => self.pipes.get(p as usize).map(|p| p.r_wait_slot),
             WaitObject::PipeSpace(p) => self.pipes.get(p as usize).map(|p| p.w_wait_slot),
-            WaitObject::Alarm | WaitObject::Disk => None,
+            WaitObject::Alarm => None,
         };
         if let Some(slot) = slot {
             self.m.mem.poke(slot, Size::L, u32::from(up));

@@ -33,9 +33,6 @@ pub struct RecoveryGauges {
     pub reaped: Gauge,
     /// Threads quarantined by the fault-storm watchdog.
     pub quarantined: Gauge,
-    /// Disk I/O errors surfaced to requesters (retries exhausted or
-    /// quarantined sectors).
-    pub io_errors: Gauge,
     /// CPUs quarantined by the cross-CPU watchdog.
     pub cpus_quarantined: Gauge,
     /// Quarantined CPUs re-admitted after probation.

@@ -15,8 +15,8 @@
 //!   observed I/O rates via gauges (Section 4.4);
 //! - [`interrupt`] — synthesized interrupt handlers and Procedure
 //!   Chaining (Table 5);
-//! - [`io`] — streams, device servers, the cooked-tty filter pipeline,
-//!   the disk scheduler and buffer cache (Section 5);
+//! - [`io`] — streams, device servers, pipes, and the cooked-tty filter
+//!   pipeline (Section 5);
 //! - [`fs`] — the memory-resident file system with backwards-hashed
 //!   string names, whose `open` synthesizes the `read`/`write` code
 //!   (Tables 1–2);

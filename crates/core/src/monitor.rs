@@ -219,28 +219,15 @@ pub fn size_report(k: &Kernel) -> SizeReport {
 ///
 /// The injected side comes from the machine's
 /// [`FaultStats`](quamachine::fault::FaultStats); the recovery side
-/// aggregates the disk scheduler's retry machinery and the kernel's
-/// reap/quarantine gauges.
+/// reads the kernel's reap/quarantine gauges.
 #[derive(Debug, Clone)]
 pub struct RecoveryReport {
     /// Faults injected by the machine's fault plan, by class.
     pub injected: quamachine::fault::FaultStats,
-    /// Disk commands re-issued after transient errors.
-    pub disk_retries: u64,
-    /// Total retry backoff programmed into the disk, in µs.
-    pub disk_backoff_us: u64,
-    /// Disk requests that failed permanently.
-    pub disk_failed: u64,
-    /// Requests refused at submit because the range was quarantined.
-    pub disk_rejected_quarantined: u64,
-    /// Sectors currently quarantined.
-    pub sectors_quarantined: usize,
     /// Threads reaped after guest-attributable machine errors.
     pub threads_reaped: u64,
     /// Threads quarantined by the fault-storm watchdog.
     pub threads_quarantined: u64,
-    /// I/O errors surfaced to requesters.
-    pub io_errors: u64,
     /// CPUs quarantined by the cross-CPU watchdog.
     pub cpus_quarantined: u64,
     /// Quarantined CPUs re-admitted after probation.
@@ -289,14 +276,8 @@ pub fn recovery_report(k: &Kernel) -> RecoveryReport {
     };
     RecoveryReport {
         injected: k.m.fault.stats,
-        disk_retries: k.disk_sched.retries,
-        disk_backoff_us: k.disk_sched.backoff_us_total,
-        disk_failed: k.disk_sched.failed,
-        disk_rejected_quarantined: k.disk_sched.rejected_quarantined,
-        sectors_quarantined: k.disk_sched.quarantined_count(),
         threads_reaped: k.recovery.reaped.read(),
         threads_quarantined: k.recovery.quarantined.read(),
-        io_errors: k.recovery.io_errors.read(),
         cpus_quarantined: k.recovery.cpus_quarantined.read(),
         cpus_resumed: k.recovery.cpus_resumed.read(),
         threads_evacuated: k.recovery.threads_evacuated.read(),
@@ -317,9 +298,7 @@ impl RecoveryReport {
         let _ = writeln!(out, "recovery report: {} faults injected", i.total());
         let _ = writeln!(
             out,
-            "  injected: disk {}+{} tty {}+{} irq {}+{} timer {} ipi {}+{}+{} cpu {}+{}",
-            i.disk_transient,
-            i.disk_sticky,
+            "  injected: tty {}+{} irq {}+{} timer {} ipi {}+{}+{} cpu {}+{}",
             i.tty_dropped,
             i.tty_duplicated,
             i.irq_lost,
@@ -333,17 +312,8 @@ impl RecoveryReport {
         );
         let _ = writeln!(
             out,
-            "  disk: {} retries, {} µs backoff, {} failed, {} rejected, {} sectors quarantined",
-            self.disk_retries,
-            self.disk_backoff_us,
-            self.disk_failed,
-            self.disk_rejected_quarantined,
-            self.sectors_quarantined
-        );
-        let _ = writeln!(
-            out,
-            "  threads: {} reaped, {} quarantined, {} io errors",
-            self.threads_reaped, self.threads_quarantined, self.io_errors
+            "  threads: {} reaped, {} quarantined",
+            self.threads_reaped, self.threads_quarantined
         );
         if !self.cpus.is_empty() {
             let _ = writeln!(
@@ -407,17 +377,12 @@ impl RecoveryReport {
             )
         };
         format!(
-            "{{\n  \"injected\": {{\"total\": {}, \"disk_transient\": {}, \"disk_sticky\": {}, \
-             \"tty_dropped\": {}, \"tty_duplicated\": {}, \"irq_lost\": {}, \
-             \"irq_spurious\": {}, \"timer_jitter\": {}, \"ipi_lost\": {}, \
+            "{{\n  \"injected\": {{\"total\": {}, \"tty_dropped\": {}, \"tty_duplicated\": {}, \
+             \"irq_lost\": {}, \"irq_spurious\": {}, \"timer_jitter\": {}, \"ipi_lost\": {}, \
              \"ipi_delayed\": {}, \"ipi_spurious\": {}, \"cpu_stall\": {}, \"cpu_sick\": {}}},\n  \
-             \"disk_retries\": {},\n  \"disk_backoff_us\": {},\n  \"disk_failed\": {},\n  \
-             \"disk_rejected_quarantined\": {},\n  \"sectors_quarantined\": {},\n  \
-             \"threads_reaped\": {},\n  \"threads_quarantined\": {},\n  \"io_errors\": {}{}\n\
+             \"threads_reaped\": {},\n  \"threads_quarantined\": {}{}\n\
              }}\n",
             i.total(),
-            i.disk_transient,
-            i.disk_sticky,
             i.tty_dropped,
             i.tty_duplicated,
             i.irq_lost,
@@ -428,14 +393,8 @@ impl RecoveryReport {
             i.ipi_spurious,
             i.cpu_stall,
             i.cpu_sick,
-            self.disk_retries,
-            self.disk_backoff_us,
-            self.disk_failed,
-            self.disk_rejected_quarantined,
-            self.sectors_quarantined,
             self.threads_reaped,
             self.threads_quarantined,
-            self.io_errors,
             cpus_section
         )
     }
@@ -468,7 +427,7 @@ pub struct ThreadTrace {
     pub cache_misses: u64,
     /// Cached-code destroys.
     pub destroys: u64,
-    /// Recovery actions charged to the thread (reap/quarantine/IO error).
+    /// Recovery actions charged to the thread (reap/quarantine).
     pub recoveries: u64,
     /// Syscall-latency histogram: completed syscalls whose enter→exit
     /// cycle count fell in each [`LATENCY_BUCKETS`] bucket.

@@ -73,8 +73,6 @@ pub mod errno {
     pub const EINVAL: i32 = 22;
     /// Too many open files.
     pub const EMFILE: i32 = 24;
-    /// I/O error (disk retries exhausted or sector quarantined).
-    pub const EIO: i32 = 5;
     /// Path name too long (no NUL within the kernel's path limit).
     pub const ENAMETOOLONG: i32 = 63;
 }
@@ -92,8 +90,6 @@ pub mod kcalls {
     pub const ALARM: u16 = 0x12;
     /// Advance the A/D buffered queue to its next element.
     pub const AD_ADVANCE: u16 = 0x13;
-    /// Disk request completed.
-    pub const DISK_DONE: u16 = 0x14;
     /// Block: tty input needed.
     pub const WAIT_TTY: u16 = 0x20;
     /// Block: pipe (`d2`) space needed.

@@ -76,8 +76,6 @@ pub enum WaitObject {
     PipeSpace(u32),
     /// An alarm tick.
     Alarm,
-    /// Disk-request completion.
-    Disk,
 }
 
 /// What each fd refers to (host mirror of the synthesized routines).

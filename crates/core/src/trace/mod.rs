@@ -30,8 +30,7 @@ pub mod ring;
 
 pub use query::TraceQuery;
 pub use record::{
-    Kind, TraceRecord, QCLASS_DISK, QCLASS_PIPE, QCLASS_TTY, RECORD_BYTES, REC_IO_ERROR,
-    REC_QUARANTINE, REC_REAP,
+    Kind, TraceRecord, QCLASS_PIPE, QCLASS_TTY, RECORD_BYTES, REC_QUARANTINE, REC_REAP,
 };
 pub use ring::Ring;
 

@@ -83,10 +83,8 @@ impl Kind {
     }
 }
 
-/// Queue class for [`Kind::QueuePut`]/[`Kind::QueueGet`]: the disk
-/// scheduler's request queue.
-pub const QCLASS_DISK: u32 = 1;
-/// Queue class: a kernel pipe ring.
+/// Queue class for [`Kind::QueuePut`]/[`Kind::QueueGet`]: a kernel pipe
+/// ring. (Class 1 is retired; recorded traces keep these numbers.)
 pub const QCLASS_PIPE: u32 = 2;
 /// Queue class: the tty input queue.
 pub const QCLASS_TTY: u32 = 3;
@@ -96,8 +94,6 @@ pub const QCLASS_TTY: u32 = 3;
 pub const REC_REAP: u32 = 1;
 /// Recovery sub-code: a thread was quarantined.
 pub const REC_QUARANTINE: u32 = 2;
-/// Recovery sub-code: an I/O error was surfaced to a requester.
-pub const REC_IO_ERROR: u32 = 3;
 
 /// Serialized record size in bytes.
 pub const RECORD_BYTES: usize = 24;

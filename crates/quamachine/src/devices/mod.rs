@@ -1,10 +1,11 @@
 //! Memory-mapped devices.
 //!
-//! The Quamachine's unusual I/O complement (paper Section 6.1): tty, disk,
-//! two-channel 16-bit analog I/O (the 44.1 kHz A/D of Section 5.4), a
-//! compact-disc-player-style sample source folded into the audio device, an
-//! interval timer with microsecond resolution, a framebuffer, and
-//! `/dev/null`.
+//! The part of the Quamachine's I/O complement (paper Section 6.1) that
+//! the paper's measurements drive: tty, two-channel 16-bit analog I/O (the
+//! 44.1 kHz A/D of Section 5.4), a compact-disc-player-style sample source
+//! folded into the audio device, an interval timer with microsecond
+//! resolution, and `/dev/null`. The paper's machine had more devices; no
+//! table measures them, so none is modelled.
 //!
 //! Each device occupies a 256-byte register window starting at
 //! [`DEV_BASE`] + 256 × its index. Device registers are supervisor-only.
@@ -14,11 +15,8 @@ use std::any::Any;
 use crate::event::EventQueue;
 use crate::fault::FaultPlan;
 use crate::irq::IrqController;
-use crate::mem::Memory;
 
 pub mod audio;
-pub mod disk;
-pub mod fb;
 pub mod null;
 pub mod timer;
 pub mod tty;
@@ -41,8 +39,6 @@ pub struct DevCtx<'a> {
     pub irq: &'a mut IrqController,
     /// The event queue (to schedule future work, keyed by absolute cycle).
     pub events: &'a mut EventQueue,
-    /// Physical memory (for DMA).
-    pub mem: &'a mut Memory,
     /// The machine's fault plan (devices consult it at injection points).
     pub fault: &'a mut FaultPlan,
     /// Current cycle count.
@@ -102,6 +98,6 @@ pub trait Device {
     fn tick(&mut self, _what: u32, _ctx: &mut DevCtx) {}
 
     /// Downcast support so the embedder can reach device-specific state
-    /// (inject tty input, load disk images, drain output...).
+    /// (inject tty input, feed A/D samples, drain output...).
     fn as_any(&mut self) -> &mut dyn Any;
 }

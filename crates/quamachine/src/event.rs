@@ -1,7 +1,7 @@
 //! The cycle-driven event queue that gives devices a sense of time.
 //!
 //! Devices schedule callbacks at absolute cycle counts ("raise my IRQ when
-//! the disk seek finishes", "next A/D sample in `clock/44100` cycles"). The
+//! the alarm expires", "next A/D sample in `clock/44100` cycles"). The
 //! machine pops due events between instructions.
 //!
 //! On a multiprocessor Quamachine each CPU has its own virtual clock, so
@@ -100,19 +100,6 @@ impl EventQueue {
         }
     }
 
-    /// The cycle of the earliest scheduled event on any CPU, if any.
-    /// With per-CPU clocks this is only meaningful as "is anything ever
-    /// going to happen"; per-CPU sleep uses [`next_due_for`].
-    ///
-    /// [`next_due_for`]: EventQueue::next_due_for
-    #[must_use]
-    pub fn next_due(&self) -> Option<u64> {
-        self.heaps
-            .iter()
-            .filter_map(|h| h.peek().map(|Reverse(e)| e.when))
-            .min()
-    }
-
     /// The cycle of the earliest event scheduled for CPU `cpu`, if any.
     #[must_use]
     pub fn next_due_for(&self, cpu: usize) -> Option<u64> {
@@ -195,7 +182,7 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(50, 0, 1);
         assert!(q.pop_due(49).is_none());
-        assert_eq!(q.next_due(), Some(50));
+        assert_eq!(q.next_due_for(0), Some(50));
         assert!(q.pop_due(50).is_some());
     }
 

@@ -1,19 +1,16 @@
 //! Deterministic fault injection for the simulated hardware.
 //!
-//! Real disks return soft errors, terminals drop characters, interrupt
-//! lines glitch, and timers drift. The Quamachine models all of these
-//! from a single seeded plan so that a failure trace is *reproducible*:
-//! the same seed and workload produce byte-for-byte the same faults, in
-//! the same order, at the same virtual times.
+//! Terminals drop characters, interrupt lines glitch, timers drift, and
+//! CPUs stall. The Quamachine models all of these from a single seeded
+//! plan so that a failure trace is *reproducible*: the same seed and
+//! workload produce byte-for-byte the same faults, in the same order, at
+//! the same virtual times.
 //!
 //! A [`FaultPlan`] is owned by the [`Machine`](crate::machine::Machine)
 //! and threaded to every device through
 //! [`DevCtx`](crate::devices::DevCtx). Devices consult it at well-defined
 //! points:
 //!
-//! - **disk** — on each command, the plan may declare the transfer failed
-//!   (transient) or poison one of its sectors permanently (sticky); the
-//!   device then completes with `STATUS_ERR` instead of doing DMA.
 //! - **tty** — each received byte may be dropped or duplicated before it
 //!   reaches the input FIFO.
 //! - **interrupts** — raises routed through
@@ -47,10 +44,6 @@ use std::collections::BTreeSet;
 /// (0–1000) per opportunity; zero everywhere means no faults.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultConfig {
-    /// Chance a disk command fails transiently (retry may succeed).
-    pub disk_transient_permille: u16,
-    /// Chance a disk command poisons its first sector permanently.
-    pub disk_sticky_permille: u16,
     /// Chance a received tty byte is dropped before the FIFO.
     pub tty_drop_permille: u16,
     /// Chance a received tty byte is duplicated into the FIFO.
@@ -99,13 +92,11 @@ impl FaultConfig {
     #[must_use]
     pub fn soak() -> FaultConfig {
         FaultConfig {
-            disk_transient_permille: 150,
-            disk_sticky_permille: 8,
             tty_drop_permille: 30,
             tty_dup_permille: 30,
             irq_lost_permille: 20,
             irq_spurious_permille: 1,
-            irq_spurious_levels: 0b0011_0100, // disk (2), tty (4), audio (5)
+            irq_spurious_levels: 0b0011_0100, // unassigned (2), tty (4), audio (5)
             timer_jitter_permille: 100,
             timer_jitter_magnitude_permille: 250,
             ..FaultConfig::none()
@@ -130,15 +121,6 @@ impl FaultConfig {
         }
         cfg
     }
-}
-
-/// What the plan decided about one disk command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiskFault {
-    /// The transfer fails this time; a retry may succeed.
-    Transient,
-    /// A sector in the range is permanently bad; every retry fails.
-    BadSector(u32),
 }
 
 /// What the plan decided about one reschedule IPI send.
@@ -173,22 +155,6 @@ pub enum TtyRx {
 /// One injected fault, stamped with the cycle it happened at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultRecord {
-    /// A disk command failed transiently.
-    DiskTransient {
-        /// Cycle of the command.
-        at: u64,
-        /// First sector of the transfer.
-        sector: u32,
-        /// `true` for writes.
-        write: bool,
-    },
-    /// A sector went permanently bad.
-    DiskSticky {
-        /// Cycle of the command.
-        at: u64,
-        /// The poisoned sector.
-        sector: u32,
-    },
     /// A received tty byte was dropped.
     TtyDrop {
         /// Cycle of arrival.
@@ -271,10 +237,6 @@ pub enum FaultRecord {
 /// Injection counters, one per fault class.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Transient disk command failures injected.
-    pub disk_transient: u64,
-    /// Sectors poisoned.
-    pub disk_sticky: u64,
     /// Tty bytes dropped.
     pub tty_dropped: u64,
     /// Tty bytes duplicated.
@@ -301,9 +263,7 @@ impl FaultStats {
     /// Total faults injected across all classes.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.disk_transient
-            + self.disk_sticky
-            + self.tty_dropped
+        self.tty_dropped
             + self.tty_duplicated
             + self.irq_lost
             + self.irq_spurious
@@ -323,7 +283,6 @@ pub struct FaultPlan {
     state: u64,
     /// The active rates and bounds.
     pub cfg: FaultConfig,
-    bad_sectors: BTreeSet<u32>,
     sick_cpus: BTreeSet<usize>,
     /// Injection counters.
     pub stats: FaultStats,
@@ -352,7 +311,6 @@ impl FaultPlan {
             enabled: false,
             state: 0,
             cfg: FaultConfig::none(),
-            bad_sectors: BTreeSet::new(),
             sick_cpus: BTreeSet::new(),
             stats: FaultStats::default(),
             trace: Vec::new(),
@@ -366,7 +324,6 @@ impl FaultPlan {
             enabled: true,
             state: seed ^ 0x5851_F42D_4C95_7F2D,
             cfg,
-            bad_sectors: BTreeSet::new(),
             sick_cpus: BTreeSet::new(),
             stats: FaultStats::default(),
             trace: Vec::new(),
@@ -383,23 +340,6 @@ impl FaultPlan {
     #[must_use]
     pub fn trace(&self) -> &[FaultRecord] {
         &self.trace
-    }
-
-    /// Sectors currently marked permanently bad.
-    pub fn bad_sectors(&self) -> impl Iterator<Item = u32> + '_ {
-        self.bad_sectors.iter().copied()
-    }
-
-    /// Whether `sector` is permanently bad.
-    #[must_use]
-    pub fn is_bad_sector(&self, sector: u32) -> bool {
-        self.bad_sectors.contains(&sector)
-    }
-
-    /// Host-side: poison a sector directly (targeted tests).
-    pub fn poison_sector(&mut self, sector: u32) {
-        self.enabled = true;
-        self.bad_sectors.insert(sector);
     }
 
     /// Host-side: mark a CPU permanently sick (targeted tests). Every
@@ -425,43 +365,6 @@ impl FaultPlan {
             return false;
         }
         splitmix64(&mut self.state) % 1000 < u64::from(permille)
-    }
-
-    /// Consult for one disk command over `[sector, sector + count)`.
-    pub fn disk_command(
-        &mut self,
-        now: u64,
-        sector: u32,
-        count: u32,
-        write: bool,
-    ) -> Option<DiskFault> {
-        if !self.enabled {
-            return None;
-        }
-        // Sticky sectors dominate: once poisoned, every touch fails.
-        if let Some(&bad) = self
-            .bad_sectors
-            .range(sector..sector.saturating_add(count.max(1)))
-            .next()
-        {
-            return Some(DiskFault::BadSector(bad));
-        }
-        if self.roll(self.cfg.disk_sticky_permille) {
-            self.bad_sectors.insert(sector);
-            self.stats.disk_sticky += 1;
-            self.trace.push(FaultRecord::DiskSticky { at: now, sector });
-            return Some(DiskFault::BadSector(sector));
-        }
-        if self.roll(self.cfg.disk_transient_permille) {
-            self.stats.disk_transient += 1;
-            self.trace.push(FaultRecord::DiskTransient {
-                at: now,
-                sector,
-                write,
-            });
-            return Some(DiskFault::Transient);
-        }
-        None
     }
 
     /// Consult for one byte arriving at the tty receiver.
@@ -611,7 +514,6 @@ mod tests {
     fn inert_plan_never_injects() {
         let mut p = FaultPlan::none();
         for i in 0..10_000u64 {
-            assert_eq!(p.disk_command(i, i as u32, 1, false), None);
             assert_eq!(p.tty_rx(i, i as u8), TtyRx::Deliver);
             assert!(!p.lose_irq(i, 2));
             assert_eq!(p.spurious_irq(i), None);
@@ -625,8 +527,6 @@ mod tests {
     fn same_seed_same_trace() {
         let (mut a, mut b) = (busy_plan(), busy_plan());
         for i in 0..5_000u64 {
-            a.disk_command(i, (i % 64) as u32, 2, i % 2 == 0);
-            b.disk_command(i, (i % 64) as u32, 2, i % 2 == 0);
             a.tty_rx(i, i as u8);
             b.tty_rx(i, i as u8);
             a.lose_irq(i, 6);
@@ -646,26 +546,10 @@ mod tests {
         let mut a = FaultPlan::seeded(1, FaultConfig::soak());
         let mut b = FaultPlan::seeded(2, FaultConfig::soak());
         for i in 0..5_000u64 {
-            a.disk_command(i, (i % 64) as u32, 1, false);
-            b.disk_command(i, (i % 64) as u32, 1, false);
+            a.tty_rx(i, i as u8);
+            b.tty_rx(i, i as u8);
         }
         assert_ne!(a.trace(), b.trace());
-    }
-
-    #[test]
-    fn sticky_sectors_stay_bad() {
-        let mut p = FaultPlan::none();
-        p.poison_sector(7);
-        for i in 0..100u64 {
-            assert_eq!(
-                p.disk_command(i, 5, 4, false),
-                Some(DiskFault::BadSector(7)),
-                "range [5,9) covers the poisoned sector"
-            );
-            assert_eq!(p.disk_command(i, 8, 2, true), None, "range [8,10) misses");
-        }
-        assert!(p.is_bad_sector(7));
-        assert_eq!(p.bad_sectors().collect::<Vec<_>>(), vec![7]);
     }
 
     #[test]
@@ -694,8 +578,6 @@ mod tests {
     fn zero_rate_smp_consults_keep_old_seeds_byte_identical() {
         let (mut old, mut new) = (busy_plan(), busy_plan());
         for i in 0..5_000u64 {
-            old.disk_command(i, (i % 64) as u32, 2, i % 2 == 0);
-            new.disk_command(i, (i % 64) as u32, 2, i % 2 == 0);
             // The "new" plan is consulted at every SMP seam too…
             assert_eq!(new.ipi_send(i, 1), None);
             assert!(!new.spurious_ipi(i, (i % 4) as usize));
@@ -741,6 +623,31 @@ mod tests {
         assert!(a.stats.cpu_stall > 0);
         assert_eq!(a.trace(), b.trace());
         assert_ne!(run(8).trace(), a.trace(), "seeds diverge");
+    }
+
+    /// The module's promise: every injected fault appends one record and
+    /// bumps one counter, so the counters sum to the trace's length.
+    #[test]
+    fn stats_total_counts_every_record() {
+        let mut p = FaultPlan::seeded(
+            11,
+            FaultConfig {
+                cpu_sick_permille: 1,
+                ..FaultConfig::soak_smp(4)
+            },
+        );
+        for i in 0..20_000u64 {
+            let cpu = (i % 4) as usize;
+            p.tty_rx(i, i as u8);
+            p.lose_irq(i, 6);
+            p.spurious_irq(i);
+            p.timer_period(i, 10_000);
+            p.ipi_send(i, cpu);
+            p.spurious_ipi(i, cpu);
+            p.cpu_dispatch(i, cpu);
+        }
+        assert!(p.stats.cpu_sick > 0, "every class gets a chance to inject");
+        assert_eq!(p.stats.total(), p.trace().len() as u64);
     }
 
     #[test]

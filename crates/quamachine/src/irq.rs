@@ -225,12 +225,12 @@ mod tests {
     fn reroute_moves_pending_device_levels() {
         let mut c = IrqController::new();
         c.set_cpus(2);
-        c.raise(2); // disk completion, pending on the route CPU (0)
+        c.raise(5); // an A/D sample, pending on the route CPU (0)
         c.raise_on(0, 1); // an IPI already pending on CPU 0 stays put
         c.raise_on(0, 6); // so does CPU 0's own quantum tick
         c.reroute_devices(1);
         assert_eq!(c.route(), 1);
-        assert_eq!(c.highest_pending_on(1), Some(2), "disk line moved");
+        assert_eq!(c.highest_pending_on(1), Some(5), "A/D line moved");
         assert!(c.any_pending_on(0), "IPI and quantum stay on CPU 0");
         assert_eq!(c.acceptable_on(0, 0), Some(6));
         // New raises land on the new route CPU.

@@ -22,9 +22,9 @@
 //! - [`Machine`](machine::Machine) — the fetch/execute loop with vectored
 //!   interrupts and traps through a relocatable vector table (`VBR`), user
 //!   and supervisor modes, and quaspace memory protection windows;
-//! - [`devices`] — memory-mapped devices: tty, disk (with a seek-time
-//!   model), a 44.1 kHz analog-to-digital converter, an interval
-//!   timer/alarm, a framebuffer, and `/dev/null`;
+//! - [`devices`] — memory-mapped devices: tty, a 44.1 kHz
+//!   analog-to-digital converter, an interval timer/alarm, and
+//!   `/dev/null`;
 //! - [`trace`] — the measurement facilities: instruction and
 //!   memory-reference counters, cycle-exact virtual time, and a program
 //!   trace ring buffer (the paper's "kernel monitor execution trace").

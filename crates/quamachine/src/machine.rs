@@ -328,7 +328,6 @@ impl Machine {
             let mut ctx = DevCtx {
                 irq: &mut self.irq,
                 events: &mut self.events,
-                mem: &mut self.mem,
                 fault: &mut self.fault,
                 now: self.meter.cycles,
                 dev_index: index,
@@ -356,7 +355,6 @@ impl Machine {
     ) -> Option<R> {
         let Machine {
             devices,
-            mem,
             irq,
             events,
             meter,
@@ -369,7 +367,6 @@ impl Machine {
         let mut ctx = DevCtx {
             irq,
             events,
-            mem,
             fault,
             now: meter.cycles,
             dev_index: index,
@@ -443,7 +440,6 @@ impl Machine {
         self.disturbed = true;
         let Machine {
             devices,
-            mem,
             irq,
             events,
             meter,
@@ -455,7 +451,6 @@ impl Machine {
         let mut ctx = DevCtx {
             irq,
             events,
-            mem,
             fault,
             now: meter.cycles,
             dev_index: dev,
@@ -539,7 +534,6 @@ impl Machine {
         while let Some(ev) = self.events.pop_due_on(self.meter.cycles, self.active) {
             let Machine {
                 devices,
-                mem,
                 irq,
                 events,
                 meter,
@@ -551,7 +545,6 @@ impl Machine {
             let mut ctx = DevCtx {
                 irq,
                 events,
-                mem,
                 fault,
                 now: meter.cycles,
                 dev_index: ev.dev,

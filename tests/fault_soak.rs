@@ -2,25 +2,20 @@
 //! randomized device faults, across many distinct seeds.
 //!
 //! Each scenario boots a fresh kernel, installs a [`FaultPlan`] seeded
-//! from the loop index, runs a real pipeline (disk, tty, or pipe), and
-//! checks the recovery invariants:
+//! from the loop index, runs a real pipeline (tty or pipe), and checks
+//! the recovery invariants:
 //!
 //! - successful reads carry intact data — faults may slow a transfer or
 //!   kill it, but never silently corrupt or reorder it;
-//! - exhausted retries surface as I/O errors (`KernelError::Io`
-//!   host-side, `EIO` through the kernel's submit API) and quarantine
-//!   the failing sectors;
 //! - guest-attributable machine errors (wild jumps, double faults) reap
 //!   the offending thread instead of killing the kernel, and fault
 //!   storms get the thread quarantined by the watchdog;
 //! - the same seed reproduces byte-for-byte the same fault trace.
 
-use synthesis::kernel::io::disk::{DiskRequest, MAX_RETRIES};
 use synthesis::kernel::kernel::{Kernel, KernelConfig, KernelError};
 use synthesis::kernel::layout;
-use synthesis::kernel::syscall::{errno, general, traps};
+use synthesis::kernel::syscall::{general, traps};
 use synthesis::machine::asm::Asm;
-use synthesis::machine::devices::disk::Disk;
 use synthesis::machine::devices::tty::Tty;
 use synthesis::machine::devices::{dev_reg_addr, tty};
 use synthesis::machine::fault::{FaultConfig, FaultPlan, FaultRecord};
@@ -59,152 +54,6 @@ fn emit_exit(a: &mut Asm) {
 
 fn boot() -> Kernel {
     Kernel::boot(KernelConfig::default()).expect("kernel boots")
-}
-
-// ---------------------------------------------------------------- disk --
-
-/// One disk soak run: four one-sector files loaded through the scheduler
-/// pipeline under transient + sticky disk faults. Returns the fault
-/// trace and how many loads failed with an I/O error.
-fn disk_scenario(slot: &mut Option<Kernel>, seed: u64) -> (Vec<FaultRecord>, u32) {
-    let k = slot.insert(boot());
-    k.m.fault = FaultPlan::seeded(
-        seed,
-        FaultConfig {
-            disk_transient_permille: 250,
-            disk_sticky_permille: 6,
-            ..FaultConfig::none()
-        },
-    );
-    let image: Vec<u8> = (0..2048u32)
-        .map(|i| ((u64::from(i) * 13 + seed) % 251) as u8)
-        .collect();
-    k.m.device_mut::<Disk>(k.dev.disk)
-        .unwrap()
-        .load_image(64, &image);
-
-    let mut failed = 0;
-    for f in 0..4u32 {
-        let path = format!("/soak/{f}");
-        match k.load_file_from_disk(&path, 64 + f, 512) {
-            Ok(fid) => {
-                let want = &image[(f as usize) * 512..(f as usize + 1) * 512];
-                assert_eq!(
-                    k.fs.read_contents(&k.m, fid),
-                    want,
-                    "seed {seed}: a successful load must carry intact data"
-                );
-            }
-            Err(KernelError::Io(_)) => {
-                failed += 1;
-                assert!(
-                    k.disk_sched.failed > 0 || k.disk_sched.rejected_quarantined > 0,
-                    "seed {seed}: an I/O error implies a failed or rejected request"
-                );
-                assert!(
-                    k.recovery.io_errors.read() >= u64::from(failed),
-                    "seed {seed}: io_errors gauge counts every surfaced error"
-                );
-            }
-            Err(e) => panic!("seed {seed}: only Io errors are acceptable, got {e}"),
-        }
-    }
-    (k.m.fault.trace().to_vec(), failed)
-}
-
-#[test]
-fn disk_pipeline_soaks_across_seeds() {
-    let mut total_faults = 0usize;
-    let mut traces = Vec::new();
-    for seed in soak_seeds(SEEDS) {
-        let trace = soak_case("disk_pipeline_soaks_across_seeds", seed, |slot| {
-            let (trace, _) = disk_scenario(slot, seed);
-            // Same seed, same workload: the trace replays byte for byte.
-            let (replay, _) = disk_scenario(slot, seed);
-            // A terse mismatch message: the kernel-trace post-mortem that
-            // soak_case attaches replaces the old full byte-diff dump.
-            assert!(
-                trace == replay,
-                "seed {seed}: fault trace must be reproducible \
-                 ({} vs {} fault records)",
-                trace.len(),
-                replay.len()
-            );
-            trace
-        });
-        total_faults += trace.len();
-        traces.push(trace);
-    }
-    assert!(
-        total_faults > 0,
-        "a 25% transient rate over {SEEDS} seeds must inject faults"
-    );
-    traces.dedup();
-    assert!(traces.len() > 1, "different seeds must diverge");
-}
-
-#[test]
-fn exhausted_retries_surface_eio_and_quarantine() {
-    for seed in soak_seeds(SEEDS) {
-        soak_case(
-            "exhausted_retries_surface_eio_and_quarantine",
-            seed,
-            |slot| {
-                exhausted_retries_scenario(slot, seed);
-            },
-        );
-    }
-}
-
-fn exhausted_retries_scenario(slot: &mut Option<Kernel>, seed: u64) {
-    {
-        let k = slot.insert(boot());
-        k.m.fault = FaultPlan::seeded(
-            seed,
-            FaultConfig {
-                disk_transient_permille: 1000, // every command fails
-                ..FaultConfig::none()
-            },
-        );
-        let img = vec![0x5Au8; 512];
-        k.m.device_mut::<Disk>(k.dev.disk)
-            .unwrap()
-            .load_image(40, &img);
-        match k.load_file_from_disk("/doomed", 40, 512) {
-            Err(KernelError::Io(_)) => {}
-            other => panic!("seed {seed}: expected an I/O error, got {other:?}"),
-        }
-        assert_eq!(
-            k.disk_sched.retries,
-            u64::from(MAX_RETRIES),
-            "seed {seed}: the scheduler retries to the limit before giving up"
-        );
-        assert!(
-            k.disk_sched.quarantined().any(|s| s == 40),
-            "seed {seed}: the failing sector is quarantined"
-        );
-        assert!(k.recovery.io_errors.read() >= 1);
-        // Fail fast from now on: the kernel API refuses with EIO without
-        // touching the hardware.
-        let req = DiskRequest {
-            sector: 40,
-            count: 1,
-            addr: 0x2_0000,
-            read: true,
-            cookie: 7,
-        };
-        assert_eq!(k.disk_submit(req), Err(errno::EIO));
-        assert!(k.disk_take_result(7).is_none(), "rejected, never in flight");
-        // The monitor's scoreboard aggregates both sides of the story:
-        // what was injected and what recovery did about it.
-        let rep = synthesis::kernel::monitor::recovery_report(k);
-        assert!(rep.injected.disk_transient > u64::from(MAX_RETRIES));
-        assert_eq!(rep.disk_retries, u64::from(MAX_RETRIES));
-        assert_eq!(rep.disk_backoff_us, 7_500, "500+1000+2000+4000 µs");
-        assert_eq!(rep.sectors_quarantined, 1);
-        assert!(rep.disk_rejected_quarantined >= 1);
-        assert!(rep.io_errors >= 1);
-    }
 }
 
 // ----------------------------------------------------------------- tty --
@@ -302,7 +151,7 @@ fn irq_chaos() -> FaultConfig {
     FaultConfig {
         irq_lost_permille: 150,
         irq_spurious_permille: 4,
-        irq_spurious_levels: 0b0011_0100, // disk (2), tty (4), audio (5)
+        irq_spurious_levels: 0b0011_0100, // unassigned (2), tty (4), audio (5)
         timer_jitter_permille: 300,
         timer_jitter_magnitude_permille: 250,
         ..FaultConfig::none()

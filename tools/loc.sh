@@ -43,12 +43,17 @@ printf '%-34s %7s\n' "crates/core/src/kernel.rs" "$(lines crates/core/src/kernel
 for f in crates/core/src/kernel/*.rs; do
     printf '  %-32s %7s\n' "$f" "$(lines "$f")"
 done
+# Every device and I/O module: each has a caller a measured row runs, or goes.
+for f in crates/quamachine/src/devices/*.rs crates/core/src/io/*.rs; do
+    printf '  %-32s %7s\n' "$f" "$(lines "$f")"
+done
 printf '%-34s %7s\n' "tests/ + crates/*/tests" "$(lines 'tests/*.rs' 'crates/*/tests/*.rs')"
 printf '%-34s %7s\n' "crates/*/benches" "$(lines 'crates/*/benches/*.rs')"
 printf '%-34s %7s\n' "benchmark/" "$(lines 'benchmark/*.rs')"
 printf '%-34s %7s\n' "vendor/" "$(lines 'vendor/*.rs')"
 printf '%-34s %7s\n' "KernelConfig fields" "$(fields KernelConfig crates/core/src/kernel.rs)"
 printf '%-34s %7s\n' "SynthesisOptions fields" "$(fields SynthesisOptions crates/codegen/src/creator.rs)"
+printf '%-34s %7s\n' "FaultConfig fields" "$(fields FaultConfig crates/quamachine/src/fault.rs)"
 printf '%-34s %7s\n' "cargo features" "$(features)"
 # Host work still charged by formula instead of executed as guest code:
 # each non-test `charges::f(` is one site; the total, then each formula.
