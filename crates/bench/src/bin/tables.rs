@@ -1,20 +1,25 @@
 //! Regenerate every table of the paper's evaluation section; `tables
-//! --help` lists the modes ([`HELP`]). An unknown flag, or a flag missing
-//! its value, is an error — never a silent fall-through to the default
-//! report.
+//! --help` lists the modes ([`HELP`]). A run makes one report: an unknown
+//! flag, a flag missing its value, a repeated flag or a flag the selected
+//! mode does not read ([`MODES`]) is an error — never a silent
+//! fall-through to the default report.
 //!
-//! `--cpus N` with N > 1 switches to the SMP scaling report (and makes
-//! `--trace-report` / `--recovery-report` run an N-CPU kernel).
+//! `--cpus N` alone runs the SMP scaling report; with `--trace-report` /
+//! `--recovery-report` it runs that report on an N-CPU kernel.
 
 use synthesis_bench::{
     capacity, profile, render, smp, table1, table2, table3, table4, table5, Row,
 };
 use synthesis_core::templates::copy;
 
+use std::ops::RangeInclusive;
+use std::str::FromStr;
+
 /// The one-line synopsis, printed with every argument error.
-const USAGE: &str = "usage: tables [--table 1-5] [--kernel-size] [--json FILE] \
-[--cpus 1-8] [--trace-report] [--recovery-report [--seed N]] [--capacity [--threads N]] \
-[--help]";
+const USAGE: &str = "usage: tables [--table 1-5 | --json FILE | --kernel-size [--json FILE] \
+| --cpus 1-8 [--json FILE] | --trace-report [--cpus 1-8] [--json FILE] \
+| --recovery-report [--cpus 1-8] [--seed N] [--json FILE] \
+| --capacity [--threads N] [--json FILE] | --help]";
 
 /// What `--help` prints under the synopsis.
 const HELP: &str = "  tables                      all tables
@@ -45,21 +50,98 @@ const FLAGS: &[(&str, usize)] = &[
     ("--help", 0),
 ];
 
-/// The front door: reject anything that is not a known flag followed by
-/// its values before any mode runs.
-fn check_args(args: &[String]) {
-    let mut i = 1;
-    while i < args.len() {
-        let Some(&(flag, values)) = FLAGS.iter().find(|(f, _)| *f == args[i]) else {
-            eprintln!("error: unknown argument {:?}\n{USAGE}", args[i]);
-            std::process::exit(2);
-        };
-        if args.len() - i - 1 < values {
-            eprintln!("error: {flag} takes {values} value(s)\n{USAGE}");
-            std::process::exit(2);
+/// One mode per run: the flag that selects each mode and the other flags
+/// that mode reads. The first mode whose flag is present wins; `""` is
+/// the default report (Tables 1–5, or their JSON). `--cpus` alone selects
+/// the SMP scaling report.
+const MODES: &[(&str, &[&str])] = &[
+    ("--help", &[]),
+    ("--kernel-size", &["--json"]),
+    ("--trace-report", &["--cpus", "--json"]),
+    ("--recovery-report", &["--cpus", "--seed", "--json"]),
+    ("--capacity", &["--threads", "--json"]),
+    ("--cpus", &["--json"]),
+    ("--table", &[]),
+    ("", &["--json"]),
+];
+
+/// Refuse the command line: the reason and the usage line on stderr,
+/// exit status 2, before any report runs.
+fn refuse(reason: &str) -> ! {
+    eprintln!("error: {reason}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// A checked command line: its mode and each flag given, with its value
+/// (empty for a flag that takes none).
+struct Args {
+    mode: &'static str,
+    given: Vec<(&'static str, String)>,
+}
+
+impl Args {
+    /// The front door: every argument is a known flag followed by its
+    /// values, no flag is repeated, and every flag is one the selected
+    /// mode reads — never a silently ignored flag.
+    fn parse(args: &[String]) -> Args {
+        let mut given: Vec<(&'static str, String)> = Vec::new();
+        let mut i = 1;
+        while i < args.len() {
+            let Some(&(flag, values)) = FLAGS.iter().find(|(f, _)| *f == args[i]) else {
+                refuse(&format!("unknown argument {:?}", args[i]));
+            };
+            if args.len() - i - 1 < values {
+                refuse(&format!("{flag} takes {values} value(s)"));
+            }
+            if given.iter().any(|(f, _)| *f == flag) {
+                refuse(&format!("{flag} given twice"));
+            }
+            given.push((flag, args[i + 1..=i + values].concat()));
+            i += 1 + values;
         }
-        i += 1 + values;
+        let &(mode, reads) = MODES
+            .iter()
+            .find(|(m, _)| m.is_empty() || given.iter().any(|(f, _)| f == m))
+            .expect("the default mode matches every command line");
+        if let Some((flag, _)) = given.iter().find(|(f, _)| *f != mode && !reads.contains(f)) {
+            let mode = if mode.is_empty() {
+                "the default report"
+            } else {
+                mode
+            };
+            refuse(&format!("{flag} does not apply to {mode}"));
+        }
+        Args { mode, given }
     }
+
+    fn get(&self, flag: &str) -> Option<&str> {
+        self.given
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// The value of `flag` as a number in `range` (named `what` in the
+    /// refusal), or `None` when the flag is absent.
+    fn number<T>(&self, flag: &str, what: &str, range: RangeInclusive<T>) -> Option<T>
+    where
+        T: FromStr + PartialOrd,
+    {
+        let s = self.get(flag)?;
+        match s.parse() {
+            Ok(n) if range.contains(&n) => Some(n),
+            _ => refuse(&format!("{flag} takes {what}, got {s:?}")),
+        }
+    }
+}
+
+/// Write a report file, or exit 1 if it cannot be written.
+fn write(path: &str, contents: &str) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("error: cannot write {path}: {e}");
+        std::process::exit(1);
+    }
+    println!("wrote {path}");
 }
 
 /// Minimal JSON string escaping (the row labels are plain ASCII, but be
@@ -131,11 +213,7 @@ fn emit_json(path: &str) {
         cache.hit_rate,
         cache.shared_bytes
     );
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("error: cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {path}");
+    write(path, &json);
 }
 
 /// Emit the SMP scaling table plus the cross-CPU cache figures as JSON
@@ -192,11 +270,7 @@ fn emit_smp_json(path: &str, points: &[smp::ScalingPoint], cache: &smp::CacheSmp
         cache.bytes_shared_cross,
         cache.shared_tier_bytes
     );
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("error: cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {path}");
+    write(path, &json);
 }
 
 /// Serialize the profiler's result (the per-thread event table, gauges
@@ -442,160 +516,100 @@ fn kernel_size() -> (Vec<Row>, synthesis_core::monitor::SizeReport) {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    check_args(&args);
-    if args.iter().any(|a| a == "--help") {
-        println!("{USAGE}\n{HELP}");
-        return;
-    }
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let only: Option<u32> = match get("--table") {
-        Some(s) => match s.parse::<u32>() {
-            Ok(n @ 1..=5) => Some(n),
-            _ => {
-                eprintln!("error: --table takes a number 1-5, got {s:?}");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
-    let cpus: usize = match get("--cpus") {
-        Some(s) => match s.parse::<usize>() {
-            Ok(n @ 1..=8) => n,
-            _ => {
-                eprintln!("error: --cpus takes a number 1-8, got {s:?}");
-                std::process::exit(2);
-            }
-        },
-        None => 1,
-    };
-    let size_only = args.iter().any(|a| a == "--kernel-size");
+    let a = Args::parse(&args);
+    let only: Option<u32> = a.number("--table", "a number 1-5", 1..=5);
+    let cpus: usize = a.number("--cpus", "a number 1-8", 1..=8).unwrap_or(1);
+    let seed: u64 = a.number("--seed", "a number", 0..=u64::MAX).unwrap_or(42);
+    let threads: usize = a
+        .number("--threads", "a positive number", 1..=usize::MAX)
+        .unwrap_or_else(capacity::default_threads);
+    let json = a.get("--json");
 
-    if args.iter().any(|a| a == "--capacity") {
-        let threads: usize = match get("--threads") {
-            Some(s) => s.parse().unwrap_or_else(|_| {
-                eprintln!("error: --threads takes a positive number, got {s:?}");
-                std::process::exit(2);
-            }),
-            None => capacity::default_threads(),
-        };
-        eprintln!(
-            "[capacity: {threads} threads on 1 and 4 CPUs, eviction curve, lifecycle churn...]"
-        );
-        let report = capacity::run_capacity(
-            threads,
-            capacity::default_churn_per_point(),
-            capacity::default_lifecycle(),
-        );
-        if let Some(path) = get("--json") {
-            if let Err(e) = std::fs::write(&path, capacity_json(&report)) {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("wrote {path}");
-        } else {
-            print!("{}", capacity::render(&report));
-        }
-        return;
-    }
-
-    if args.iter().any(|a| a == "--recovery-report") {
-        let seed: u64 = match get("--seed") {
-            Some(s) => s.parse().unwrap_or_else(|_| {
-                eprintln!("error: --seed takes a number, got {s:?}");
-                std::process::exit(2);
-            }),
-            None => 42,
-        };
-        eprintln!("[recovery report: chaos workload on {cpus} CPU(s), seed {seed}...]");
-        let k = smp::chaos_run(cpus, seed);
-        let report = synthesis_core::monitor::recovery_report(&k);
-        if let Some(path) = get("--json") {
-            if let Err(e) = std::fs::write(&path, report.to_json()) {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("wrote {path}");
-        } else {
-            print!("{}", report.render());
-        }
-        return;
-    }
-
-    if args.iter().any(|a| a == "--trace-report") {
-        eprintln!("[trace report: profiling the mixed workload...]");
-        let p = if cpus > 1 {
-            profile::run_on(cpus, 8, 2_000_000)
-        } else {
-            profile::run(8, 2_000_000)
-        };
-        if let Some(path) = get("--json") {
-            if let Err(e) = std::fs::write(&path, trace_report_json(&p)) {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("wrote {path}");
-        } else {
-            print!("{}", p.render());
-        }
-        return;
-    }
-
-    if cpus > 1 {
-        eprintln!(
-            "[smp: running the mixed workload at {:?} CPUs...]",
-            smp::points_for(cpus)
-        );
-        let points = smp::scaling(cpus);
-        let cache = smp::cache_smp();
-        if let Some(path) = get("--json") {
-            emit_smp_json(&path, &points, &cache);
-        } else {
-            println!("Synthesis kernel reproduction — SMP scaling");
-            println!("machine: 16 MHz + 1 wait state (SUN 3/160 emulation mode)");
-            print!("{}", smp::render(&points));
-            println!(
-                "cache: cold {:.1} µs, warm local {:.1} µs, warm cross-CPU {:.1} µs \
-                 ({} local / {} cross hits, {} B shared tier)",
-                cache.cold_open_us,
-                cache.warm_local_us,
-                cache.warm_cross_us,
-                cache.hits_local,
-                cache.hits_cross,
-                cache.shared_tier_bytes
+    match a.mode {
+        "--help" => println!("{USAGE}\n{HELP}"),
+        "--capacity" => {
+            eprintln!(
+                "[capacity: {threads} threads on 1 and 4 CPUs, eviction curve, lifecycle churn...]"
             );
-        }
-        return;
-    }
-
-    if size_only {
-        let (rows, report) = kernel_size();
-        if let Some(path) = get("--json") {
-            if let Err(e) = std::fs::write(&path, report.to_json()) {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(1);
+            let report = capacity::run_capacity(
+                threads,
+                capacity::default_churn_per_point(),
+                capacity::default_lifecycle(),
+            );
+            match json {
+                Some(path) => write(path, &capacity_json(&report)),
+                None => print!("{}", capacity::render(&report)),
             }
-            println!("wrote {path}");
-        } else {
-            println!("Synthesis kernel reproduction — paper (SOSP '89) vs measured");
-            println!("machine: 16 MHz + 1 wait state (SUN 3/160 emulation mode)");
-            print!("{}", render("Kernel size (Section 6.4)", &rows));
-            print!("\n{}", report.render());
         }
-        return;
+        "--recovery-report" => {
+            eprintln!("[recovery report: chaos workload on {cpus} CPU(s), seed {seed}...]");
+            let k = smp::chaos_run(cpus, seed);
+            let report = synthesis_core::monitor::recovery_report(&k);
+            match json {
+                Some(path) => write(path, &report.to_json()),
+                None => print!("{}", report.render()),
+            }
+        }
+        "--trace-report" => {
+            eprintln!("[trace report: profiling the mixed workload...]");
+            let p = if cpus > 1 {
+                profile::run_on(cpus, 8, 2_000_000)
+            } else {
+                profile::run(8, 2_000_000)
+            };
+            match json {
+                Some(path) => write(path, &trace_report_json(&p)),
+                None => print!("{}", p.render()),
+            }
+        }
+        "--cpus" => {
+            eprintln!(
+                "[smp: running the mixed workload at {:?} CPUs...]",
+                smp::points_for(cpus)
+            );
+            let points = smp::scaling(cpus);
+            let cache = smp::cache_smp();
+            if let Some(path) = json {
+                emit_smp_json(path, &points, &cache);
+            } else {
+                println!("Synthesis kernel reproduction — SMP scaling");
+                println!("machine: 16 MHz + 1 wait state (SUN 3/160 emulation mode)");
+                print!("{}", smp::render(&points));
+                println!(
+                    "cache: cold {:.1} µs, warm local {:.1} µs, warm cross-CPU {:.1} µs \
+                     ({} local / {} cross hits, {} B shared tier)",
+                    cache.cold_open_us,
+                    cache.warm_local_us,
+                    cache.warm_cross_us,
+                    cache.hits_local,
+                    cache.hits_cross,
+                    cache.shared_tier_bytes
+                );
+            }
+        }
+        "--kernel-size" => {
+            let (rows, report) = kernel_size();
+            if let Some(path) = json {
+                write(path, &report.to_json());
+            } else {
+                println!("Synthesis kernel reproduction — paper (SOSP '89) vs measured");
+                println!("machine: 16 MHz + 1 wait state (SUN 3/160 emulation mode)");
+                print!("{}", render("Kernel size (Section 6.4)", &rows));
+                print!("\n{}", report.render());
+            }
+        }
+        _ => match json {
+            Some(path) => emit_json(path),
+            None => print_tables(only),
+        },
     }
+}
 
-    if let Some(path) = get("--json") {
-        emit_json(&path);
-        return;
-    }
-
+/// The default report: Tables 1–5 (or the one `--table` names) and, for
+/// the full report, the kernel size.
+fn print_tables(only: Option<u32>) {
     println!("Synthesis kernel reproduction — paper (SOSP '89) vs measured");
     println!("machine: 16 MHz + 1 wait state (SUN 3/160 emulation mode)");
-
     if only.is_none() || only == Some(1) {
         println!("\n[table 1: running the seven programs on both kernels, n and 2n iterations...]");
         print!(

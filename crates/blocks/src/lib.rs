@@ -5,11 +5,14 @@
 //! queues, and schedulers. The others are simple but somewhat unusual:
 //! switches, pumps and gauges" (Massalin & Pu, SOSP 1989, Section 2.3).
 //!
-//! This crate implements those building blocks as *real Rust concurrency
-//! primitives*, runnable on modern multicore hardware — the layer of the
-//! reproduction that demonstrates the paper's **optimistic
-//! synchronization** claims with actual parallelism (the in-simulator
-//! layer demonstrates the cycle counts):
+//! The kernel runs its own guest forms of these: synthesized queues, the
+//! per-thread vector table as its switch, and TTE gauges; monitors and
+//! pumps have no implementation here, because no table measures them.
+//! This crate keeps the host-Rust queues that the benchmark's probes and the
+//! schedule-exploration suite drive — the layer of the reproduction that
+//! demonstrates the paper's **optimistic synchronization** claims with
+//! actual parallelism (the in-simulator layer demonstrates the cycle
+//! counts):
 //!
 //! - [`spsc`] — the single-producer single-consumer queue of **Figure 1**:
 //!   head written only by the producer, tail only by the consumer (Code
@@ -20,35 +23,27 @@
 //!   array, including the atomic *multi-item* insert;
 //! - [`spmc`], [`mpmc`] — the remaining two multiplicities, using
 //!   per-slot sequence counters (the lap-safe generalization of the
-//!   valid-flag array);
-//! - [`dedicated`] — "dedicated queues use the knowledge that only one
-//!   producer (or consumer) is using the queue and omit the
-//!   synchronization code" (Section 2.3);
-//! - [`blocking`] — the *synchronous* queue flavour (blocks at full /
-//!   empty); [`signal`] — the *asynchronous* flavour (signals at those
-//!   conditions);
+//!   valid-flag array); [`steal`] — an MP-MC pool with offer/steal
+//!   counters;
 //! - [`buffered`] — the buffered queue of Section 5.4 that amortizes
 //!   queue overhead by a blocking factor (how the A/D server survives
 //!   44,100 interrupts per second);
-//! - [`monitor`], [`switch`], [`pump`], [`gauge`] — the remaining blocks.
+//! - [`gauge`] — the event counter the kernel's recovery gauges use;
+//! - [`sync`] — the atomics the queues compile against: `std`'s, or with
+//!   `--features sim` the instrumented shims of `sim`, the deterministic
+//!   schedule explorer.
 
 #![warn(missing_docs)]
 
-pub mod blocking;
 pub mod buffered;
-pub mod dedicated;
 pub mod gauge;
-pub mod monitor;
 pub mod mpmc;
 pub mod mpsc;
-pub mod pump;
-pub mod signal;
 #[cfg(feature = "sim")]
 pub mod sim;
 pub mod spmc;
 pub mod spsc;
 pub mod steal;
-pub mod switch;
 pub mod sync;
 
 /// Result of a non-blocking queue insert: the queue was full and the item
@@ -60,8 +55,3 @@ pub struct Full<T>(pub T);
 /// if it does not fit (the paper's multi-insert is all-or-nothing).
 #[derive(Debug, PartialEq, Eq)]
 pub struct BatchFull<T>(pub Vec<T>);
-
-/// The peer side of a queue is gone (its thread died or closed the
-/// queue); the item is handed back so nothing is lost silently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Disconnected<T>(pub T);

@@ -1,14 +1,12 @@
-//! The work-stealing pool for the SMP scheduler.
-//!
-//! Per-CPU ready queues stay executable data structures (TTE `jmp`
-//! chains) inside the simulated kernel; *balancing* between them flows
-//! through this pool: a CPU with surplus ready threads offers them here,
-//! and a starved CPU steals whatever is oldest. The pool is a thin veneer
-//! over the optimistic multi-producer multi-consumer queue of
-//! [`crate::mpmc`] — the Synthesis claim is precisely that the lock-free
-//! queues designed for single-CPU interrupt concurrency carry over to
-//! multiprocessor concurrency unchanged, so the transfer medium *is* that
-//! queue, plus two counters.
+//! The work-stealing pool: a CPU with surplus work offers it here, and a
+//! starved CPU steals whatever is oldest. The pool is a thin veneer over
+//! the optimistic multi-producer multi-consumer queue of [`crate::mpmc`]
+//! — the Synthesis claim is precisely that the lock-free queues designed
+//! for single-CPU interrupt concurrency carry over to multiprocessor
+//! concurrency unchanged, so the transfer medium *is* that queue, plus
+//! two counters. (The kernel balances its per-CPU ready queues, TTE `jmp`
+//! chains, by migrating threads directly; the benchmark's probes and the
+//! schedule explorer drive this pool.)
 //!
 //! Like the other blocks, the pool compiles against [`crate::sync`], so
 //! under `--features sim` every atomic step becomes a preemption point

@@ -2,8 +2,8 @@
 //! deterministic schedule-exploration executor (`--features sim`).
 //!
 //! Each scenario runs 2–4 model threads doing `put` / `put_many` / `get`
-//! / `close` against a queue, recording a per-thread history of
-//! operations with logical-clock intervals ([`sim::now`]). After the
+//! against a queue, recording a per-thread history of operations with
+//! logical-clock intervals ([`sim::now`]). After the
 //! threads finish, the main thread drains the queue (with timestamps
 //! after every recorded op) and a Wing & Gold-style checker searches for
 //! a legal sequential witness against a reference `VecDeque` model. The
@@ -28,8 +28,6 @@ use std::collections::{HashSet, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use synthesis_blocks::blocking::BlockingQueue;
-use synthesis_blocks::signal::SignalQueue;
 use synthesis_blocks::sim::{self, Explorer, Scenario};
 use synthesis_blocks::steal::WorkPool;
 use synthesis_blocks::{mpmc, mpsc, spmc, spsc};
@@ -41,12 +39,11 @@ use synthesis_blocks::{mpmc, mpsc, spmc, spsc};
 #[derive(Clone, Debug, PartialEq)]
 enum Op {
     /// `Put(value, accepted)`; `accepted == false` means the queue
-    /// refused it (Full / closed).
+    /// refused it (Full).
     Put(u64, bool),
     /// All-or-nothing batch insert and whether it was accepted.
     PutMany(Vec<u64>, bool),
     Get(Option<u64>),
-    Close,
 }
 
 #[derive(Clone, Debug)]
@@ -76,8 +73,6 @@ struct Spec {
     /// Claim-based flavor: transient empty/full verdicts are legal when
     /// an overlapping operation explains them (see module docs).
     relaxed: bool,
-    /// Puts are refused once the queue is closed (`SignalQueue`).
-    refuse_when_closed: bool,
 }
 
 fn overlaps(a: &OpRec, b: &OpRec) -> bool {
@@ -93,7 +88,7 @@ struct Checker<'a> {
     /// `explained[i]`: an overlapping op exists that can explain a
     /// transient empty (for gets) or full (for refused puts) verdict.
     explained: Vec<bool>,
-    memo: HashSet<(u64, Vec<u64>, bool)>,
+    memo: HashSet<(u64, Vec<u64>)>,
 }
 
 impl<'a> Checker<'a> {
@@ -128,18 +123,15 @@ impl<'a> Checker<'a> {
 
     fn search(&mut self) -> bool {
         let mut q = VecDeque::new();
-        self.dfs(0, &mut q, false)
+        self.dfs(0, &mut q)
     }
 
-    fn dfs(&mut self, taken: u64, q: &mut VecDeque<u64>, closed: bool) -> bool {
+    fn dfs(&mut self, taken: u64, q: &mut VecDeque<u64>) -> bool {
         let n = self.hist.len();
         if taken == (1u64 << n) - 1 {
             return true;
         }
-        if !self
-            .memo
-            .insert((taken, q.iter().copied().collect(), closed))
-        {
+        if !self.memo.insert((taken, q.iter().copied().collect())) {
             return false;
         }
         let spec = self.spec;
@@ -149,28 +141,26 @@ impl<'a> Checker<'a> {
             }
             match &self.hist[i].op {
                 Op::Put(v, true) => {
-                    if q.len() < spec.cap && !(closed && spec.refuse_when_closed) {
+                    if q.len() < spec.cap {
                         q.push_back(*v);
-                        if self.dfs(taken | 1 << i, q, closed) {
+                        if self.dfs(taken | 1 << i, q) {
                             return true;
                         }
                         q.pop_back();
                     }
                 }
                 Op::Put(_, false) => {
-                    let legal = q.len() >= spec.cap
-                        || (closed && spec.refuse_when_closed)
-                        || (spec.relaxed && self.explained[i]);
-                    if legal && self.dfs(taken | 1 << i, q, closed) {
+                    let legal = q.len() >= spec.cap || (spec.relaxed && self.explained[i]);
+                    if legal && self.dfs(taken | 1 << i, q) {
                         return true;
                     }
                 }
                 Op::PutMany(vs, true) => {
-                    if q.len() + vs.len() <= spec.cap && !(closed && spec.refuse_when_closed) {
+                    if q.len() + vs.len() <= spec.cap {
                         for &v in vs {
                             q.push_back(v);
                         }
-                        if self.dfs(taken | 1 << i, q, closed) {
+                        if self.dfs(taken | 1 << i, q) {
                             return true;
                         }
                         for _ in vs {
@@ -179,17 +169,16 @@ impl<'a> Checker<'a> {
                     }
                 }
                 Op::PutMany(vs, false) => {
-                    let legal = q.len() + vs.len() > spec.cap
-                        || (closed && spec.refuse_when_closed)
-                        || (spec.relaxed && self.explained[i]);
-                    if legal && self.dfs(taken | 1 << i, q, closed) {
+                    let legal =
+                        q.len() + vs.len() > spec.cap || (spec.relaxed && self.explained[i]);
+                    if legal && self.dfs(taken | 1 << i, q) {
                         return true;
                     }
                 }
                 Op::Get(Some(v)) => {
                     if q.front() == Some(v) {
                         q.pop_front();
-                        if self.dfs(taken | 1 << i, q, closed) {
+                        if self.dfs(taken | 1 << i, q) {
                             return true;
                         }
                         q.push_front(*v);
@@ -197,12 +186,7 @@ impl<'a> Checker<'a> {
                 }
                 Op::Get(None) => {
                     let legal = q.is_empty() || (spec.relaxed && self.explained[i]);
-                    if legal && self.dfs(taken | 1 << i, q, closed) {
-                        return true;
-                    }
-                }
-                Op::Close => {
-                    if self.dfs(taken | 1 << i, q, true) {
+                    if legal && self.dfs(taken | 1 << i, q) {
                         return true;
                     }
                 }
@@ -335,7 +319,6 @@ fn spsc_scenario() -> Scenario {
                 Spec {
                     cap: 3,
                     relaxed: false, // Figure 1 publishes with a single head store
-                    refuse_when_closed: false,
                 },
             )
         })
@@ -389,7 +372,6 @@ fn mpsc_scenario() -> Scenario {
                 Spec {
                     cap: 4,
                     relaxed: true, // Figure 2 claims: empty can hide an in-flight claim
-                    refuse_when_closed: false,
                 },
             )
         })
@@ -439,7 +421,6 @@ fn spmc_strict_scenario() -> Scenario {
                 Spec {
                     cap: 4,
                     relaxed: false,
-                    refuse_when_closed: false,
                 },
             )
         })
@@ -490,7 +471,6 @@ fn spmc_batch_scenario() -> Scenario {
                 Spec {
                     cap: 4,
                     relaxed: true,
-                    refuse_when_closed: false,
                 },
             )
         })
@@ -537,111 +517,6 @@ fn mpmc_scenario() -> Scenario {
                 Spec {
                     cap: 3,
                     relaxed: true,
-                    refuse_when_closed: false,
-                },
-            )
-        })
-}
-
-fn signal_scenario() -> Scenario {
-    let q = SignalQueue::<u64>::new(3);
-    let (qa, qb, qc, qd) = (q.clone(), q.clone(), q.clone(), q);
-    let hist: Hist = Arc::new(Mutex::new(Vec::new()));
-    let (ha, hb, hc, hk) = (hist.clone(), hist.clone(), hist.clone(), hist);
-    Scenario::new()
-        .thread(move || {
-            let s = sim::now();
-            let ok = qa.put(1).is_ok();
-            record(&ha, s, Op::Put(1, ok));
-            let s = sim::now();
-            let ok = qa.put_many(vec![2, 3]).is_ok();
-            record(&ha, s, Op::PutMany(vec![2, 3], ok));
-        })
-        .thread(move || {
-            let s = sim::now();
-            qb.close();
-            record(&hb, s, Op::Close);
-            let s = sim::now();
-            let ok = qb.put(21).is_ok();
-            record(&hb, s, Op::Put(21, ok));
-        })
-        .thread(move || {
-            for _ in 0..2 {
-                let s = sim::now();
-                let got = qc.get();
-                record(&hc, s, Op::Get(got));
-            }
-        })
-        .check(move || {
-            let mut drained = Vec::new();
-            loop {
-                let got = qd.get();
-                let done = got.is_none();
-                drained.push(got);
-                if done {
-                    break;
-                }
-            }
-            check_history(
-                &hk,
-                drained,
-                Spec {
-                    cap: 3,
-                    relaxed: true,
-                    refuse_when_closed: true, // SignalQueue refuses puts once closed
-                },
-            )
-        })
-}
-
-fn blocking_scenario() -> Scenario {
-    let q = BlockingQueue::<u64>::new(2);
-    let (qa, qb, qc, qd) = (q.clone(), q.clone(), q.clone(), q);
-    let hist: Hist = Arc::new(Mutex::new(Vec::new()));
-    let (ha, hb, hc, hk) = (hist.clone(), hist.clone(), hist.clone(), hist);
-    Scenario::new()
-        .thread(move || {
-            let s = sim::now();
-            let ok = qa.try_put(1).is_ok();
-            record(&ha, s, Op::Put(1, ok));
-            let s = sim::now();
-            let ok = qa.try_put_many(vec![2, 3]).is_ok();
-            record(&ha, s, Op::PutMany(vec![2, 3], ok));
-        })
-        .thread(move || {
-            let s = sim::now();
-            qb.close();
-            record(&hb, s, Op::Close);
-            let s = sim::now();
-            let ok = qb.try_put(21).is_ok();
-            record(&hb, s, Op::Put(21, ok));
-        })
-        .thread(move || {
-            for _ in 0..2 {
-                let s = sim::now();
-                let got = qc.try_get();
-                record(&hc, s, Op::Get(got));
-            }
-        })
-        .check(move || {
-            let mut drained = Vec::new();
-            loop {
-                let got = qd.try_get();
-                let done = got.is_none();
-                drained.push(got);
-                if done {
-                    break;
-                }
-            }
-            check_history(
-                &hk,
-                drained,
-                Spec {
-                    cap: 2,
-                    relaxed: true,
-                    // BlockingQueue::try_put deliberately ignores close
-                    // (items enqueued before a racing close still count).
-                    refuse_when_closed: false,
                 },
             )
         })
@@ -719,7 +594,6 @@ fn steal_scenario() -> Scenario {
                 Spec {
                     cap: 3,
                     relaxed: true, // mpmc claims underneath
-                    refuse_when_closed: false,
                 },
             )
         })
@@ -796,16 +670,6 @@ fn spmc_batched_linearizable_under_bounded_dfs() {
 #[test]
 fn mpmc_linearizable_under_bounded_dfs() {
     explore_flavor("mpmc", 3, mpmc_scenario);
-}
-
-#[test]
-fn signal_wrapper_linearizable_with_close() {
-    explore_flavor("signal", 3, signal_scenario);
-}
-
-#[test]
-fn blocking_wrapper_linearizable_with_close() {
-    explore_flavor("blocking", 4, blocking_scenario);
 }
 
 #[test]

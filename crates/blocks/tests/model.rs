@@ -171,30 +171,6 @@ proptest! {
         prop_assert!(model.is_empty());
     }
 
-    #[test]
-    fn dedicated_matches_model(ops in proptest::collection::vec(op_strategy(), 1..200), cap in 1usize..16) {
-        let mut q = synthesis_blocks::dedicated::DedicatedQueue::<u32>::new(cap);
-        let mut model: VecDeque<u32> = VecDeque::new();
-        for op in ops {
-            match op {
-                Op::Put(v) => {
-                    let r = q.put(v);
-                    if model.len() < cap {
-                        prop_assert!(r.is_ok());
-                        model.push_back(v);
-                    } else {
-                        prop_assert!(r.is_err());
-                    }
-                }
-                Op::Get => {
-                    prop_assert_eq!(q.get(), model.pop_front());
-                }
-                Op::PutMany(_) => {}
-            }
-            prop_assert_eq!(q.len(), model.len());
-        }
-    }
-
     /// The Figure 2 multi-item insert is all-or-nothing: a batch that
     /// does not fit is refused *before* any slot is claimed, so the
     /// queue's contents, order, and head position are untouched and the

@@ -11,7 +11,7 @@
 //!   executable data structures, and the peephole optimizer;
 //! - [`blocks`] (crate `synthesis-blocks`) — the kernel building blocks as
 //!   real Rust concurrency primitives: lock-free SP-SC / MP-SC / SP-MC /
-//!   MP-MC queues, monitors, switches, pumps, and gauges;
+//!   MP-MC queues, a buffered queue, a steal pool, and a gauge;
 //! - [`kernel`] (crate `synthesis-core`) — the Synthesis kernel: threads,
 //!   the executable ready queue, synthesized context switches and I/O,
 //!   fine-grain scheduling, streams, device servers, and the file system;

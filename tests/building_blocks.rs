@@ -1,11 +1,7 @@
 //! Composing the building blocks across threads: the producer/consumer
 //! cases of paper Section 5.2 with real concurrency.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
-
-use synthesis::blocks::{blocking::BlockingQueue, gauge::Gauge, pump::Pump, spsc, switch::Switch};
+use synthesis::blocks::spsc;
 
 /// Active producer → SP-SC queue → active consumer → MP-SC merge with a
 /// second producer → single drain: a small stream pipeline.
@@ -90,63 +86,4 @@ fn pipeline_spsc_into_mpsc_merge() {
     side.join().unwrap();
     assert_eq!(evens, N);
     assert_eq!(sides, N);
-}
-
-/// Passive producer + passive consumer = pump (the xclock case), feeding
-/// a gauge whose rate a scheduler could read.
-#[test]
-fn pump_animates_passive_parties_and_gauge_counts() {
-    let clock = Arc::new(AtomicU64::new(0));
-    let gauge = Arc::new(Gauge::new());
-    let display = Arc::new(AtomicU64::new(0));
-    let c2 = clock.clone();
-    let g2 = gauge.clone();
-    let d2 = display.clone();
-    let pump = Pump::start(
-        move || Some(c2.fetch_add(1, Ordering::Relaxed)),
-        move |v| {
-            d2.store(v, Ordering::Relaxed);
-            g2.tick();
-        },
-        Duration::ZERO,
-    );
-    let s0 = gauge.snapshot(0);
-    while pump.moved() < 500 {
-        std::thread::yield_now();
-    }
-    pump.stop();
-    let s1 = gauge.snapshot(1000);
-    assert!(gauge.read() >= 500);
-    assert!(s1.rate_since(&s0) > 0.0);
-    assert!(display.load(Ordering::Relaxed) >= 499);
-}
-
-/// A switch routing "interrupts" to handlers, with a blocking queue as
-/// the synchronous hand-off.
-#[test]
-fn switch_routes_into_blocking_queue() {
-    let q: BlockingQueue<(u8, u32)> = BlockingQueue::new(16);
-    let mut sw: Switch<u8, u32> = Switch::new();
-    for level in 1..=3u8 {
-        let q2 = q.clone();
-        sw.install(level, Box::new(move |payload| q2.put((level, payload))));
-    }
-    let drain = {
-        let q = q.clone();
-        std::thread::spawn(move || {
-            let mut per_level = [0u32; 4];
-            for _ in 0..30 {
-                let (lvl, _) = q.get();
-                per_level[usize::from(lvl)] += 1;
-            }
-            per_level
-        })
-    };
-    for i in 0..30u32 {
-        let level = (i % 3 + 1) as u8;
-        assert!(sw.dispatch(&level, i));
-    }
-    let per_level = drain.join().unwrap();
-    assert_eq!(per_level[1..], [10, 10, 10]);
-    assert_eq!(sw.hits, 30);
 }

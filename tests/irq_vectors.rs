@@ -1,27 +1,86 @@
-//! Which code each interrupt level enters: every thread's vector table,
-//! read back from memory and resolved to the block it names.
+//! Which code each exception, interrupt level and trap enters: every
+//! thread's vector table, read back from memory and resolved to the
+//! block it names.
 //!
 //! A level that no device owns must enter `irq_spurious` (a bare `rte`),
 //! so a table that still names a handler for a device the kernel no
-//! longer boots fails here.
+//! longer boots fails here. A vector that names one of the thread's own
+//! blocks must name that thread's copy, also in a recycled table.
 
 use synthesis::kernel::kernel::{Kernel, KernelConfig};
 use synthesis::kernel::layout;
+use synthesis::kernel::thread::Thread;
 use synthesis::machine::asm::Asm;
 use synthesis::machine::isa::Size;
 use synthesis::machine::mem::AddressMap;
 
-/// The handler each level 1–7 must name on a uniprocessor kernel;
-/// `None` is the thread's own switch-out.
-const EXPECTED: [(u32, Option<&str>); 7] = [
-    (1, Some("irq_spurious")), // the IPI line: no other CPU sends one
-    (2, Some("irq_spurious")), // unassigned
-    (3, Some("irq_alarm")),
-    (4, Some("irq_tty_rx")),
-    (5, Some("irq_spurious")), // A/D: the embedder installs its handlers
-    (6, None),                 // the quantum timer
-    (7, Some("irq_spurious")),
-];
+/// What a vector must name.
+#[derive(Clone, Copy)]
+enum Want {
+    /// The shared block of this name.
+    Shared(&'static str),
+    /// The base of one of the thread's own blocks.
+    Own(fn(&Thread) -> u32),
+    /// The thread's own switch-out entry.
+    SwitchOut,
+}
+
+/// Every pinned vector of a uniprocessor kernel's thread, with what it
+/// must name: the error traps, lazy FP, interrupt levels 1–7 (24 + level)
+/// and the sixteen `trap #n` vectors (32 + n).
+fn expected() -> Vec<(u32, Want)> {
+    let mut v: Vec<(u32, Want)> = [2, 3, 4, 5, 8]
+        .into_iter()
+        .map(|vec| (vec, Want::Own(|t| t.trap_error.base)))
+        .collect();
+    v.extend([
+        (11, Want::Shared("trap_fp_unavail")),
+        (25, Want::Shared("irq_spurious")), // the IPI line: no other CPU sends one
+        (26, Want::Shared("irq_spurious")), // unassigned
+        (27, Want::Shared("irq_alarm")),
+        (28, Want::Shared("irq_tty_rx")),
+        (29, Want::Shared("irq_spurious")), // A/D: the embedder installs its handlers
+        (30, Want::SwitchOut),              // the quantum timer
+        (31, Want::Shared("irq_spurious")),
+    ]);
+    v.extend((32..48).map(|vec| match vec {
+        33 => (vec, Want::Own(|t| t.trap_read.base)),
+        34 => (vec, Want::Own(|t| t.trap_write.base)),
+        _ => (vec, Want::Shared("kcall_trampoline")),
+    }));
+    v
+}
+
+/// Check every thread's table against [`expected`].
+fn assert_vectors(k: &Kernel) {
+    for t in k.threads.values() {
+        for (vec, want) in expected() {
+            let addr = k.m.mem.peek(t.vt + 4 * vec, Size::L);
+            let loc = k.m.code.locate(addr).unwrap_or_else(|| {
+                panic!("thread {}: vector {vec} names no code ({addr:#x})", t.tid)
+            });
+            let name = &k.m.code.block(loc.block_base).expect("resident").name;
+            match want {
+                Want::Shared(want) => assert_eq!(
+                    &**name, want,
+                    "thread {}: vector {vec} enters {name}",
+                    t.tid
+                ),
+                Want::Own(base) => assert_eq!(
+                    addr,
+                    base(t),
+                    "thread {}: vector {vec} enters {name} at {addr:#x}, not its own",
+                    t.tid
+                ),
+                Want::SwitchOut => assert!(
+                    addr == t.sw_out && loc.block_base == t.sw.base,
+                    "thread {}: vector {vec} enters {name}+{addr:#x}, not its switch-out",
+                    t.tid
+                ),
+            }
+        }
+    }
+}
 
 #[test]
 fn every_interrupt_level_enters_its_handler() {
@@ -35,29 +94,17 @@ fn every_interrupt_level_enters_its_handler() {
     a.bra(top);
     let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
     let map = AddressMap::single(1, layout::USER_BASE, layout::USER_LEN);
-    k.create_thread(entry, layout::USER_BASE + 0x1_0000, map)
+    let stack = layout::USER_BASE + 0x1_0000;
+    let first = k
+        .create_thread(entry, stack, map.clone())
         .expect("thread created");
     assert!(k.threads.len() >= 2, "the idle thread and the user thread");
+    assert_vectors(&k);
 
-    for t in k.threads.values() {
-        for (level, want) in EXPECTED {
-            let addr = k.m.mem.peek(t.vt + 4 * (24 + level), Size::L);
-            let loc = k.m.code.locate(addr).unwrap_or_else(|| {
-                panic!("thread {}: level {level} names no code ({addr:#x})", t.tid)
-            });
-            let name = &k.m.code.block(loc.block_base).expect("resident").name;
-            match want {
-                Some(want) => assert_eq!(
-                    &**name, want,
-                    "thread {}: level {level} enters {name}",
-                    t.tid
-                ),
-                None => assert!(
-                    addr == t.sw_out && loc.block_base == t.sw.base,
-                    "thread {}: level {level} enters {name}+{addr:#x}, not its switch-out",
-                    t.tid
-                ),
-            }
-        }
-    }
+    // A table freed by `destroy` and handed to the next thread.
+    let vt = k.threads[&first].vt;
+    k.destroy(first).expect("thread destroyed");
+    let second = k.create_thread(entry, stack, map).expect("thread created");
+    assert_eq!(k.threads[&second].vt, vt, "the vector table is recycled");
+    assert_vectors(&k);
 }

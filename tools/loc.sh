@@ -47,6 +47,11 @@ done
 for f in crates/quamachine/src/devices/*.rs crates/core/src/io/*.rs; do
     printf '  %-32s %7s\n' "$f" "$(lines "$f")"
 done
+# Every host building block: each has a caller outside its own tests, or goes.
+for f in crates/blocks/src/*.rs; do
+    printf '  %-32s %7s\n' "$f" "$(lines "$f")"
+done
+printf '  %-32s %7s\n' "crates/blocks/src/sim/" "$(lines 'crates/blocks/src/sim/*.rs')"
 printf '%-34s %7s\n' "tests/ + crates/*/tests" "$(lines 'tests/*.rs' 'crates/*/tests/*.rs')"
 printf '%-34s %7s\n' "crates/*/benches" "$(lines 'crates/*/benches/*.rs')"
 printf '%-34s %7s\n' "benchmark/" "$(lines 'benchmark/*.rs')"
