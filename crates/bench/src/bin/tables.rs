@@ -219,7 +219,7 @@ fn emit_json(path: &str) {
 /// Emit the SMP scaling table plus the cross-CPU cache figures as JSON
 /// (the BENCH_6 shape).
 fn emit_smp_json(path: &str, points: &[smp::ScalingPoint], cache: &smp::CacheSmp) {
-    let base = points.first().map_or(0.0, |p| p.ops_per_ms);
+    let base = points.first().expect("the scaling table starts at 1 CPU");
     let rows: Vec<String> = points
         .iter()
         .map(|p| {
@@ -235,13 +235,18 @@ fn emit_smp_json(path: &str, points: &[smp::ScalingPoint], cache: &smp::CacheSmp
                 })
                 .collect();
             format!(
-                "    {{\"cpus\": {}, \"total_ops\": {}, \"elapsed_ms\": {:.3}, \
-                 \"ops_per_ms\": {:.3}, \"speedup\": {:.3},\n      \"per_cpu\": [\n{}\n      ]}}",
+                "    {{\"cpus\": {}, \"elapsed_ms\": {:.3},\n      \
+                 \"spins\": {}, \"spins_per_ms\": {:.3}, \"spin_speedup\": {:.3},\n      \
+                 \"writes\": {}, \"writes_per_ms\": {:.3}, \"write_speedup\": {:.3},\n      \
+                 \"per_cpu\": [\n{}\n      ]}}",
                 p.cpus,
-                p.total_ops,
                 p.elapsed_ms,
-                p.ops_per_ms,
-                if base > 0.0 { p.ops_per_ms / base } else { 0.0 },
+                p.spins.ops,
+                p.spins.per_ms,
+                p.spins.speedup(&base.spins),
+                p.writes.ops,
+                p.writes.per_ms,
+                p.writes.speedup(&base.writes),
                 per_cpu.join(",\n")
             )
         })

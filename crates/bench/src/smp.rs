@@ -3,11 +3,14 @@
 //! Where Tables 1–5 time single calls on one CPU, this driver asks the
 //! multiprocessor question: boot the same kernel with more CPUs, run the
 //! same mixed workload (CPU-bound counters plus `/dev/null` writers),
-//! and measure aggregate throughput plus the per-CPU scheduler traffic —
-//! how many threads each CPU stole from or offered to the shared pool,
-//! and how its slice cycles split between real threads and the idle
-//! thread. One CPU is the uniprocessor kernel byte for byte; the scaling
-//! points only add CPUs.
+//! and measure each class's throughput plus the per-CPU scheduler
+//! traffic — how many threads each CPU stole from another's chain or
+//! had stolen from its own, and how its slice cycles split between real
+//! threads and the idle thread. A spinner iteration and a `write` call
+//! are unlike operations, so each class has its own count and its own
+//! speedup against the same class on one CPU; no figure sums the two.
+//! One CPU is the uniprocessor kernel byte for byte; the scaling points
+//! only add CPUs.
 //!
 //! A second probe, [`cache_smp`], times the specialization cache across
 //! CPUs: a cold open on CPU 0, a warm same-CPU open, and a warm open
@@ -40,9 +43,9 @@ pub const RUN_CYCLES: u64 = 2_000_000;
 pub struct CpuFigures {
     /// The CPU.
     pub cpu: usize,
-    /// Threads pulled out of the shared steal pool.
+    /// Threads this CPU stole from another CPU's chain.
     pub steals: u64,
-    /// Threads offered into the pool for others to steal.
+    /// Threads other CPUs stole from this CPU's chain.
     pub offloads: u64,
     /// Slice cycles spent running real threads.
     pub busy_cycles: u64,
@@ -50,17 +53,38 @@ pub struct CpuFigures {
     pub idle_cycles: u64,
 }
 
+/// One class of workers' progress at a scaling point.
+#[derive(Debug, Clone, Copy)]
+pub struct ClassOps {
+    /// Operations the class completed, summed over its workers.
+    pub ops: u64,
+    /// Throughput: `ops` per virtual millisecond.
+    pub per_ms: f64,
+}
+
+impl ClassOps {
+    /// Throughput against the same class at `base` (the 1-CPU point).
+    #[must_use]
+    pub fn speedup(&self, base: &ClassOps) -> f64 {
+        if base.per_ms > 0.0 {
+            self.per_ms / base.per_ms
+        } else {
+            0.0
+        }
+    }
+}
+
 /// One point of the scaling table.
 #[derive(Debug, Clone)]
 pub struct ScalingPoint {
     /// CPUs in this kernel.
     pub cpus: usize,
-    /// Worker loop iterations completed, summed over all workers.
-    pub total_ops: u64,
     /// Virtual milliseconds the run covered.
     pub elapsed_ms: f64,
-    /// Aggregate throughput: `total_ops / elapsed_ms`.
-    pub ops_per_ms: f64,
+    /// The counter spinners: loop iterations.
+    pub spins: ClassOps,
+    /// The `/dev/null` writers: `write` calls.
+    pub writes: ClassOps,
     /// Per-CPU scheduler figures.
     pub per_cpu: Vec<CpuFigures>,
 }
@@ -139,9 +163,17 @@ pub fn run_point(n: usize) -> ScalingPoint {
     let end = (0..n).map(|i| k.m.cpu_cycles(i)).max().unwrap_or(0);
     let elapsed_ms = k.m.cost.cycles_to_us(end.saturating_sub(start)) / 1_000.0;
 
-    let total_ops: u64 = (0..SPINNERS + WRITERS)
-        .map(|i| u64::from(k.m.mem.peek(UCTRS + 8 * u32::try_from(i).unwrap(), L)))
-        .sum();
+    let class = |workers: std::ops::Range<usize>| {
+        let ops: u64 = workers
+            .map(|i| u64::from(k.m.mem.peek(UCTRS + 8 * u32::try_from(i).unwrap(), L)))
+            .sum();
+        let per_ms = if elapsed_ms > 0.0 {
+            ops as f64 / elapsed_ms
+        } else {
+            0.0
+        };
+        ClassOps { ops, per_ms }
+    };
     let per_cpu = (0..n)
         .map(|i| CpuFigures {
             cpu: i,
@@ -153,13 +185,9 @@ pub fn run_point(n: usize) -> ScalingPoint {
         .collect();
     ScalingPoint {
         cpus: n,
-        total_ops,
         elapsed_ms,
-        ops_per_ms: if elapsed_ms > 0.0 {
-            total_ops as f64 / elapsed_ms
-        } else {
-            0.0
-        },
+        spins: class(0..SPINNERS),
+        writes: class(SPINNERS..SPINNERS + WRITERS),
         per_cpu,
     }
 }
@@ -274,11 +302,11 @@ pub fn cache_smp() -> CacheSmp {
     }
 }
 
-/// Render the scaling table as text.
+/// Render the scaling table as text: per class, its operations, their
+/// rate and the speedup against the first (1-CPU) point.
 #[must_use]
 pub fn render(points: &[ScalingPoint]) -> String {
     use std::fmt::Write;
-    let base = points.first().map_or(0.0, |p| p.ops_per_ms);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -286,11 +314,13 @@ pub fn render(points: &[ScalingPoint]) -> String {
     );
     let _ = writeln!(
         out,
-        "{:<6} {:>12} {:>12} {:>8}   per-CPU (steals/offloads, busy%)",
-        "cpus", "total ops", "ops/ms", "speedup"
+        "{:<6} {:>10} {:>10} {:>8} {:>8} {:>9} {:>8}   per-CPU (steals/offloads, busy%)",
+        "cpus", "spins", "spins/ms", "speedup", "writes", "writes/ms", "speedup"
     );
+    let Some(base) = points.first() else {
+        return out;
+    };
     for p in points {
-        let speedup = if base > 0.0 { p.ops_per_ms / base } else { 0.0 };
         let per_cpu: Vec<String> = p
             .per_cpu
             .iter()
@@ -306,11 +336,14 @@ pub fn render(points: &[ScalingPoint]) -> String {
             .collect();
         let _ = writeln!(
             out,
-            "{:<6} {:>12} {:>12.1} {:>7.2}x   {}",
+            "{:<6} {:>10} {:>10.1} {:>7.2}x {:>8} {:>9.1} {:>7.2}x   {}",
             p.cpus,
-            p.total_ops,
-            p.ops_per_ms,
-            speedup,
+            p.spins.ops,
+            p.spins.per_ms,
+            p.spins.speedup(&base.spins),
+            p.writes.ops,
+            p.writes.per_ms,
+            p.writes.speedup(&base.writes),
             per_cpu.join("  ")
         );
     }

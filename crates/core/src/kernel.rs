@@ -1037,9 +1037,11 @@ impl Kernel {
     /// scheduler always resumes the CPU whose clock is furthest behind,
     /// so cross-CPU skew stays bounded by one slice and the interleaving
     /// is deterministic. Between slices — every CPU parked at a safe
-    /// point, outside any context-switch code — the work-stealing
-    /// rebalancer, the watchdogs and the trace pump run. A uniprocessor
-    /// is the same loop with nobody to rotate to or steal from.
+    /// point, outside any context-switch code — the load balancer, the
+    /// watchdogs and the trace pump run. An idle CPU sleeps in `stop` no
+    /// further than its slice's end, so the balancer reaches it within a
+    /// slice of work showing up. A uniprocessor is the same loop with
+    /// nobody to rotate to or steal from.
     pub fn run(&mut self, max_cycles: u64) -> RunExit {
         // The watched thread may have exited host-side between runs (an
         // embedder servicing its exit call). Surface that before anything
@@ -1066,17 +1068,17 @@ impl Kernel {
         // forward, or every host service call would cost the caller up
         // to a full watchdog slice of virtual time.
         self.m.catch_up_cpu_clocks();
-        // Deadlines are taken after the catch-up: an idle CPU that leapt
-        // to its next timer event raises every parked CPU with it, and a
-        // deadline measured from the stale clocks would already be past
-        // for all of them — only the leaper would ever run.
+        // Deadlines are taken after the catch-up, so every CPU gets its
+        // whole budget from the clock it resumes at; from the stale
+        // clocks, a CPU the catch-up raised would lose part of it.
         let mut deadlines = [0u64; MAX_CPUS];
         for (i, d) in deadlines.iter_mut().enumerate().take(self.cpus.len()) {
             *d = self.m.cpu_cycles(i).saturating_add(max_cycles);
         }
         loop {
-            // Balance before picking a CPU, so a starved CPU steals work
-            // instead of idling away its first slice.
+            // Balance before picking a CPU, so a CPU running two fewer
+            // threads than the busiest takes one before its next slice —
+            // a starved CPU before it idles one away.
             self.rebalance();
             for i in self.healthy_cpus() {
                 if !halted[i] {
@@ -1153,8 +1155,9 @@ impl Kernel {
                     RunExit::CycleLimit => break,
                     RunExit::Halted => {
                         // Nothing to run and nothing due on this CPU's
-                        // timeline; park it at the slice boundary so the
-                        // rotation moves on.
+                        // timeline: end its slice where a sleeping CPU's
+                        // ends, at the boundary, and leave it out of the
+                        // rotation until an interrupt or work revives it.
                         halted[i] = true;
                         hit_halt = true;
                         last_halt = Some((i, self.m.meter.cycles));
@@ -1180,9 +1183,13 @@ impl Kernel {
             }
             // A slice is silent when the clock advanced a whole slice on
             // dispatch, or advanced at all without one instruction
-            // executing or an honest halt.
+            // executing, an honest halt, or the CPU sleeping in `stop` —
+            // an idle CPU with its quantum armed sleeps whole slices.
             let silent = jump >= WATCHDOG_SLICE
-                || (delta > 0 && self.m.meter.instr_count == instr_before && !hit_halt);
+                || (delta > 0
+                    && self.m.meter.instr_count == instr_before
+                    && !hit_halt
+                    && !self.m.cpu.stopped);
             self.heartbeat(i, silent);
             self.watchdog_sweep();
             for c in self.cpu_probation_tick() {

@@ -472,11 +472,11 @@ fn gauges_count_synthesized_io() {
 }
 
 /// Regression: `run` budgets shorter than a quantum on a multiprocessor
-/// with an idle CPU. The idle CPU's `stop` leaps its clock to its next
-/// timer event — a whole 50 ms measurement quantum ahead — and the next
-/// `run` raises every parked CPU to that clock. Deadlines taken before
-/// that catch-up were already past for all of them, so only the idle
-/// CPU ever ran again.
+/// with an idle CPU. The idle CPU's `stop` used to leap its clock to its
+/// next timer event — a whole 50 ms measurement quantum ahead — and the
+/// next `run` raised every parked CPU to that clock. Deadlines taken
+/// before that catch-up were already past for all of them, so only the
+/// idle CPU ever ran again.
 #[test]
 fn short_run_budgets_make_progress_on_every_cpu() {
     const COUNTERS: u32 = layout::USER_BASE + 0x2_9200;
@@ -515,6 +515,103 @@ fn short_run_budgets_make_progress_on_every_cpu() {
             }
         }
     }
+}
+
+/// An idle CPU with its quantum armed sleeps in `stop` through whole
+/// watchdog slices, since a sleep ends no later than the run's budget.
+/// Those slices execute nothing, but they are idle, not silent: no CPU
+/// may be quarantined for stopping its heartbeat.
+#[test]
+fn idle_cpus_with_an_armed_quantum_stay_in_service() {
+    let mut k = Kernel::boot(KernelConfig {
+        cpus: 4,
+        default_quantum_us: 50_000,
+        ..KernelConfig::default()
+    })
+    .unwrap();
+    let tid = spin_thread(&mut k, USTACK);
+    k.start(tid).unwrap();
+    for round in 0..20 {
+        k.run(1_000_000);
+        for cpu in 0..4 {
+            assert!(
+                !k.is_cpu_quarantined(cpu),
+                "run {round}: CPU {cpu} quarantined: {:?}",
+                k.recovery_log
+            );
+        }
+    }
+}
+
+/// Run `n` equal finite spinners, all started on CPU 0 of a `cpus`-CPU
+/// kernel with the 50 ms measurement quantum, until every one has
+/// exited; `check` sees the kernel two watchdog slices in. Returns the
+/// cycles the run took.
+fn equal_spinners(cpus: usize, n: usize, check: impl Fn(&Kernel)) -> u64 {
+    const ITERS: u32 = 200_000;
+    let mut k = Kernel::boot(KernelConfig {
+        cpus,
+        default_quantum_us: 50_000,
+        ..KernelConfig::default()
+    })
+    .unwrap();
+    let mut a = Asm::new("finite_spin");
+    a.move_i(L, ITERS, Dr(7));
+    let top = a.here();
+    a.sub(L, Imm(1), Dr(7));
+    a.bcc(Cond::Ne, top);
+    a.move_i(L, general::EXIT, Dr(0));
+    a.trap(traps::GENERAL);
+    let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
+    let tids: Vec<Tid> = (0..n)
+        .map(|i| {
+            let tid = k
+                .create_thread(entry, USTACK + 0x1000 * i as u32, user_map())
+                .unwrap();
+            k.threads.get_mut(&tid).unwrap().cpu = 0;
+            k.start(tid).unwrap();
+            tid
+        })
+        .collect();
+    let start = k.m.meter.cycles;
+    // Two watchdog slices: enough rotations for every steal.
+    k.run(200_000);
+    check(&k);
+    for &tid in &tids {
+        assert!(k.run_until_exit(tid, 1 << 32), "thread {tid} exited");
+    }
+    k.m.meter.cycles - start
+}
+
+/// Eight equal spinners, all started on CPU 0 of four: the balance
+/// moves threads until no CPU runs two more than another, so every chain
+/// holds two, and the last exit lands near the floor of the total work
+/// spread over four CPUs. A balance that steals only for a starved CPU
+/// leaves the chains at 5/1/1/1 and finishes 1.5x the floor.
+#[test]
+fn equal_spinners_balance_across_four_cpus() {
+    let total = equal_spinners(1, 8, |_| {});
+    let four = equal_spinners(4, 8, |k| {
+        let loads: Vec<usize> = k
+            .cpus
+            .iter()
+            .map(|c| {
+                if c.ready.contains(c.idle_tid) {
+                    0
+                } else {
+                    c.ready.len()
+                }
+            })
+            .collect();
+        assert_eq!(loads, [2, 2, 2, 2], "real threads per chain");
+    });
+    // Measured at 1.031x; the starved-only balance read 1.5x.
+    let floor = total / 4;
+    assert!(
+        four * 100 <= floor * 105,
+        "the last exit at {four} cycles, {:.3}x the floor {floor}",
+        four as f64 / floor as f64
+    );
 }
 
 /// Two threads whose address maps differ only in their windows — a

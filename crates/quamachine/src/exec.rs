@@ -54,7 +54,12 @@ impl Machine {
     /// The loop is `step`'s two halves with the first hoisted: after one
     /// [`head`](Machine::head) the instructions of a *quiet stretch* run
     /// back to back, until the clock reaches the next point the head could
-    /// answer differently or an instruction disturbs the machine.
+    /// answer differently or an instruction disturbs the machine. A CPU in
+    /// `stop` sleeps to its next event or to the end of the budget,
+    /// whichever comes first, and is still stopped when a budget that ran
+    /// out first returns [`RunExit::CycleLimit`]: the clock never passes
+    /// the budget while nothing executes, so whoever called `run` can hand
+    /// the sleeping CPU work that shows up in the meantime.
     pub fn run(&mut self, max_cycles: u64) -> RunExit {
         let limit = self.meter.cycles.saturating_add(max_cycles);
         let mut first = true;
@@ -63,7 +68,7 @@ impl Machine {
                 return RunExit::Breakpoint(self.cpu.pc);
             }
             first = false;
-            match self.head() {
+            match self.head(limit) {
                 Ok(ControlFlow::Continue(())) => {
                     let horizon = self.quiet_horizon(limit);
                     self.disturbed = false;
@@ -94,6 +99,8 @@ impl Machine {
     }
 
     /// Execute one instruction (or service one interrupt / idle tick).
+    /// A stopped CPU sleeps to its next event: [`step_until`] with no
+    /// limit.
     ///
     /// Returns `Ok(Some(_))` when control should return to the embedder.
     ///
@@ -101,17 +108,33 @@ impl Machine {
     ///
     /// Returns a [`MachineError`] on fatal simulation problems (bad PC,
     /// unfilled hole, double fault).
+    ///
+    /// [`step_until`]: Machine::step_until
     pub fn step(&mut self) -> Result<Option<RunExit>, MachineError> {
-        match self.head()? {
+        self.step_until(u64::MAX)
+    }
+
+    /// One step whose sleep, if the CPU is stopped, ends at the clock
+    /// `limit` should the next event fall later — the step [`run`] is a
+    /// loop of for a budget ending at `limit`.
+    ///
+    /// # Errors
+    ///
+    /// As [`step`](Machine::step).
+    ///
+    /// [`run`]: Machine::run
+    pub fn step_until(&mut self, limit: u64) -> Result<Option<RunExit>, MachineError> {
+        match self.head(limit)? {
             ControlFlow::Continue(()) => self.fetch_exec(),
             ControlFlow::Break(exit) => Ok(exit),
         }
     }
 
     /// What comes before every instruction: deliver due events, accept an
-    /// interrupt, sleep while stopped. `Break` means the step is spent
-    /// (or the run is over) without fetching.
-    fn head(&mut self) -> Result<ControlFlow<Option<RunExit>>, MachineError> {
+    /// interrupt, sleep while stopped (no later than the clock `limit`).
+    /// `Break` means the step is spent (or the run is over) without
+    /// fetching.
+    fn head(&mut self, limit: u64) -> Result<ControlFlow<Option<RunExit>>, MachineError> {
         if self.events_due() {
             self.process_events();
         }
@@ -128,11 +151,11 @@ impl Machine {
         }
 
         // STOP state: sleep until the next device event on this CPU's
-        // timeline can raise an IRQ.
+        // timeline can raise an IRQ, or until `limit` if that comes first.
         if self.cpu.stopped {
             return Ok(ControlFlow::Break(match self.events.next_due_for(active) {
                 Some(next) => {
-                    self.meter.cycles = self.meter.cycles.max(next);
+                    self.meter.cycles = self.meter.cycles.max(next.min(limit));
                     None
                 }
                 // Stopped forever: nothing will ever wake us.

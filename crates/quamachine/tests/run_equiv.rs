@@ -127,7 +127,8 @@ fn count(m: &Machine, vector: u32) -> u32 {
 // --- The harness ---------------------------------------------------------------
 
 /// The loop `run` was before it owned one: the head before every
-/// instruction. The reference the stretch is compared against.
+/// instruction. The reference the stretch is compared against. Each step
+/// is told where the budget ends, because a stopped CPU sleeps no further.
 fn run_by_steps(m: &mut Machine, max_cycles: u64) -> RunExit {
     let limit = m.meter.cycles.saturating_add(max_cycles);
     let mut first = true;
@@ -136,7 +137,7 @@ fn run_by_steps(m: &mut Machine, max_cycles: u64) -> RunExit {
             return RunExit::Breakpoint(m.cpu.pc);
         }
         first = false;
-        match m.step() {
+        match m.step_until(limit) {
             Ok(None) => {}
             Ok(Some(exit)) => return exit,
             Err(e) => return RunExit::Error(e),
@@ -412,6 +413,57 @@ fn stop_wakes_at_the_pending_alarm_s_clock() {
     assert_eq!(count(&m, irq_vector(TIMER_LEVEL)), 1);
     assert!(m.meter.cycles >= 1600, "slept to the alarm");
     assert!(!m.cpu.stopped);
+}
+
+/// A stopped CPU sleeps to its next event or the end of the budget,
+/// whichever comes first: a budget that ends first returns with the clock
+/// exactly at its end and the CPU still stopped, so the caller can hand
+/// the CPU work before the event; the CPU still wakes at the event's
+/// cycle.
+#[test]
+fn stop_sleeps_no_further_than_the_budget() {
+    const BUDGET: u64 = 300;
+    let build = || {
+        let mut m = machine(1);
+        let mut a = Asm::new("main");
+        straight_line(&mut a, 10);
+        a.stop(0x2000);
+        straight_line(&mut a, 10);
+        a.halt();
+        load(&mut m, MAIN, a);
+        // 2000 cycles: several budgets of 300 away.
+        m.host_reg_write(dev_reg_addr(TIMER, REG_ALARM_US), 125);
+        m
+    };
+    lockstep("stop sleeps to the budget", &build, &undisturbed);
+
+    let mut m = build();
+    let alarm = m.events.next_due_for(0).expect("the alarm is armed");
+    let mut stopped_rounds = 0;
+    while count(&m, irq_vector(TIMER_LEVEL)) == 0 {
+        let end = m.meter.cycles + BUDGET;
+        assert!(end < alarm + BUDGET, "the CPU slept through its alarm");
+        let exit = m.run(BUDGET);
+        if m.meter.cycles < alarm {
+            assert_eq!(exit, RunExit::CycleLimit);
+            assert!(m.cpu.stopped, "the budget ran out before the alarm");
+            assert_eq!(m.meter.cycles, end, "slept exactly to the budget's end");
+            stopped_rounds += 1;
+        }
+    }
+    assert!(
+        stopped_rounds >= 3,
+        "only {stopped_rounds} budgets ended asleep"
+    );
+    let woke = std::iter::from_fn(|| m.hooks.pop()).find_map(|e| match e {
+        MachEvent::IrqAccept { level, cycle, .. } if level == TIMER_LEVEL => Some(cycle),
+        _ => None,
+    });
+    assert_eq!(
+        woke,
+        Some(alarm + quamachine::cost::IACK_BASE),
+        "accepted at the alarm's cycle"
+    );
 }
 
 #[test]
