@@ -46,6 +46,12 @@ impl Path {
         Path { cycles, trace }
     }
 
+    /// The executed instructions, then the first one back in user code.
+    #[must_use]
+    pub fn records(&self) -> &[TraceRecord] {
+        &self.trace
+    }
+
     /// Cycles spent in the executed instructions that `pick` selects.
     #[must_use]
     pub fn cycles_in(&self, pick: impl Fn(&Instr) -> bool) -> u64 {
@@ -62,6 +68,8 @@ pub struct Probe {
     pub emu: UnixEmulator,
     /// Where the programs loaded through [`Probe::load_spinner`] live.
     user: Vec<Range<u32>>,
+    /// Every path timed so far, in order.
+    paths: Vec<Path>,
 }
 
 impl Probe {
@@ -76,7 +84,14 @@ impl Probe {
         Probe {
             emu: UnixEmulator::new(k),
             user: Vec::new(),
+            paths: Vec::new(),
         }
+    }
+
+    /// Every path [`Probe::time`] and [`Probe::call`] have timed, in order.
+    #[must_use]
+    pub fn paths(&self) -> &[Path] {
+        &self.paths
     }
 
     /// Load a user program of `body` followed by a loop forever; its entry.
@@ -118,7 +133,7 @@ impl Probe {
         let back = trace
             .iter()
             .position(|r| r.cycle >= started && self.in_user(r.pc));
-        Path::ending(t0, trace, back)
+        self.keep(Path::ending(t0, trace, back))
     }
 
     /// Time the kernel call `sequence` makes: load it as a user program,
@@ -131,7 +146,12 @@ impl Probe {
         let trap = trace.iter().position(is_trap).expect("the sequence traps");
         let rest = trace.split_off(trap);
         let back = rest.iter().skip(1).position(|r| self.in_user(r.pc));
-        Path::ending(rest[0].cycle, rest, back.map(|i| i + 1))
+        self.keep(Path::ending(rest[0].cycle, rest, back.map(|i| i + 1)))
+    }
+
+    fn keep(&mut self, path: Path) -> Path {
+        self.paths.push(path.clone());
+        path
     }
 
     /// Run one slice with the meter's instruction trace on, `start` made
@@ -148,15 +168,16 @@ impl Probe {
         let k = &mut self.emu.k;
         k.m.meter.clear_trace();
         k.m.meter.tracing = true;
-        let t0 = k.m.meter.cycles;
+        let (t0, n0) = (k.m.meter.cycles, k.m.meter.instr_count);
         start(k);
         let started = k.m.meter.cycles;
         self.emu.run(SLICE);
         let meter = &mut self.emu.k.m.meter;
         meter.tracing = false;
         let trace = meter.trace();
-        assert!(
-            trace.first().is_some_and(|r| r.cycle >= t0),
+        assert_eq!(
+            trace.len() as u64,
+            meter.instr_count - n0,
             "the ring kept the slice"
         );
         (t0, started, trace)

@@ -137,9 +137,10 @@ fn null_writer(k: &mut Kernel, i: usize) -> u32 {
     .unwrap()
 }
 
-/// Run the mixed workload on an `n`-CPU kernel for [`RUN_CYCLES`].
+/// An `n`-CPU kernel with the mixed workload's threads started, not yet
+/// run.
 #[must_use]
-pub fn run_point(n: usize) -> ScalingPoint {
+pub fn mixed_workload(n: usize) -> Kernel {
     let mut k = Kernel::boot(KernelConfig {
         cpus: n,
         ..KernelConfig::default()
@@ -157,7 +158,13 @@ pub fn run_point(n: usize) -> ScalingPoint {
     for &tid in &tids {
         k.start(tid).unwrap();
     }
+    k
+}
 
+/// Run the mixed workload on an `n`-CPU kernel for [`RUN_CYCLES`].
+#[must_use]
+pub fn run_point(n: usize) -> ScalingPoint {
+    let mut k = mixed_workload(n);
     let start = (0..n).map(|i| k.m.cpu_cycles(i)).max().unwrap_or(0);
     k.run(RUN_CYCLES);
     let end = (0..n).map(|i| k.m.cpu_cycles(i)).max().unwrap_or(0);

@@ -8,33 +8,25 @@
 
 use quamachine::asm::Asm;
 use quamachine::machine::RunExit;
+use synthesis_core::thread::Tid;
 use synthesis_unix::emu::{boot_with_program, UnixEmulator};
 use synthesis_unix::programs::{self, addrs};
 use synthesis_unix::sunos::Sunos;
 
 use crate::Row;
 
-/// Run a program on the baseline kernel; returns elapsed virtual µs.
-fn run_sunos(program: Asm, bench_file: bool) -> f64 {
-    let mut s = Sunos::boot();
-    let entry = s.load_program(program);
-    s.m.mem.poke_bytes(addrs::PATHS, &programs::path_blob());
-    if bench_file {
-        s.write_bench_file(&vec![0x5Au8; 4096]);
-    }
+/// Run a program loaded on the baseline kernel to its exit; returns
+/// elapsed virtual µs.
+fn run_sunos((mut s, entry): (Sunos, u32)) -> f64 {
     let t0 = s.m.now_us();
     let exit = s.run_program(entry, 60_000_000_000);
     assert_eq!(exit, RunExit::Halted, "baseline program must exit");
     s.m.now_us() - t0
 }
 
-/// Run a program under the Synthesis UNIX emulator; returns elapsed µs.
-fn run_synthesis(program: Asm, bench_file: bool) -> f64 {
-    let (mut emu, tid) =
-        boot_with_program(crate::measurement_config(), program).expect("emulator boots");
-    if bench_file {
-        make_bench_file(&mut emu);
-    }
+/// Run a program loaded under the Synthesis UNIX emulator to its exit;
+/// returns elapsed µs.
+fn run_synthesis((mut emu, tid): (UnixEmulator, Tid)) -> f64 {
     let t0 = emu.k.m.now_us();
     assert!(
         emu.run_until_exit(tid, 60_000_000_000),
@@ -70,17 +62,40 @@ pub struct Program {
 }
 
 impl Program {
+    /// The baseline kernel with this program at `n` iterations loaded, not
+    /// yet run; the program's entry.
+    #[must_use]
+    pub fn on_sunos(&self, n: u32) -> (Sunos, u32) {
+        let mut s = Sunos::boot();
+        let entry = s.load_program((self.build)(n));
+        s.m.mem.poke_bytes(addrs::PATHS, &programs::path_blob());
+        if self.bench_file {
+            s.write_bench_file(&vec![0x5Au8; 4096]);
+        }
+        (s, entry)
+    }
+
+    /// The Synthesis UNIX emulator with this program at `n` iterations
+    /// loaded, not yet run; the program's thread.
+    #[must_use]
+    pub fn on_synthesis(&self, n: u32) -> (UnixEmulator, Tid) {
+        let (mut emu, tid) = boot_with_program(crate::measurement_config(), (self.build)(n))
+            .expect("emulator boots");
+        if self.bench_file {
+            make_bench_file(&mut emu);
+        }
+        (emu, tid)
+    }
+
     /// Guest µs per iteration at steady state, on the baseline and on
     /// Synthesis: the difference between runs of `2n` and `n` iterations,
     /// over `n`.
     #[must_use]
     pub fn per_iteration_us(&self, n: u32) -> (f64, f64) {
-        let per = |run: fn(Asm, bool) -> f64| {
-            let short = run((self.build)(n), self.bench_file);
-            let long = run((self.build)(2 * n), self.bench_file);
-            (long - short) / f64::from(n)
-        };
-        (per(run_sunos), per(run_synthesis))
+        let n_f = f64::from(n);
+        let sun = run_sunos(self.on_sunos(2 * n)) - run_sunos(self.on_sunos(n));
+        let syn = run_synthesis(self.on_synthesis(2 * n)) - run_synthesis(self.on_synthesis(n));
+        (sun / n_f, syn / n_f)
     }
 
     /// The steady-state speedup at `n` iterations.

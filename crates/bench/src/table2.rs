@@ -141,15 +141,19 @@ pub fn open_close(p: &mut Probe, abi: Abi, path: u32) -> u64 {
 /// Regenerate Table 2, with the cache figures of its cold and warm opens.
 #[must_use]
 pub fn run() -> (Vec<Row>, CacheBench) {
-    let mut p = probe();
+    run_on(&mut probe())
+}
+
+/// [`run`] on `p`, a fresh [`probe`].
+pub fn run_on(p: &mut Probe) -> (Vec<Row>, CacheBench) {
     let hits_misses = |p: &Probe| {
         let stats = &p.emu.k.creator.stats;
         (stats.cache_hits, stats.cache_misses)
     };
-    let (hits0, misses0) = hits_misses(&p);
-    let cold = open(&mut p, Abi::Native, BENCH_FILE);
-    let warm = open(&mut p, Abi::Native, BENCH_FILE);
-    let (hits1, misses1) = hits_misses(&p);
+    let (hits0, misses0) = hits_misses(p);
+    let cold = open(p, Abi::Native, BENCH_FILE);
+    let warm = open(p, Abi::Native, BENCH_FILE);
+    let (hits1, misses1) = hits_misses(p);
 
     let [oc_null_nat, oc_null_emu, oc_tty_nat, oc_tty_emu] = [
         (Abi::Native, DEV_NULL),
@@ -158,8 +162,8 @@ pub fn run() -> (Vec<Row>, CacheBench) {
         (Abi::Emulated, DEV_TTY),
     ]
     .map(|(abi, path)| {
-        open_close(&mut p, abi, path);
-        open_close(&mut p, abi, path)
+        open_close(p, abi, path);
+        open_close(p, abi, path)
     });
     let [null_nat, null_emu, read1_nat, read1_emu, read1k_nat, read1k_emu] = [
         (Abi::Native, NULL_FD, 16),
@@ -169,7 +173,7 @@ pub fn run() -> (Vec<Row>, CacheBench) {
         (Abi::Native, FILE_FD, 1024),
         (Abi::Emulated, FILE_FD, 1024),
     ]
-    .map(|(abi, fd, n)| read(&mut p, abi, fd, n));
+    .map(|(abi, fd, n)| read(p, abi, fd, n));
 
     let us = |cycles| p.emu.k.m.cost.cycles_to_us(cycles);
     let (hits, misses) = (hits1 - hits0, misses1 - misses0);

@@ -29,7 +29,11 @@ pub fn general_call(p: &mut Probe, call: u32, d1: u32, d2: u32) -> (u64, u32) {
 /// Regenerate Table 3.
 #[must_use]
 pub fn run() -> Vec<Row> {
-    let mut p = Probe::boot();
+    run_on(&mut Probe::boot())
+}
+
+/// [`run`] on `p`, a fresh [`Probe`].
+pub fn run_on(p: &mut Probe) -> Vec<Row> {
     let spin = p.load_spinner(|_| {});
     let caller = p.create(spin);
     p.emu.k.start(caller).unwrap();
@@ -39,15 +43,15 @@ pub fn run() -> Vec<Row> {
     // — signalled and destroyed by the caller.
     let stack = layout::USER_BASE + 0x4000;
     let victim = p.load_spinner(|a| a.add(L, Imm(1), Dr(0)));
-    let (create, target) = general_call(&mut p, general::THREAD_CREATE, victim, stack);
+    let (create, target) = general_call(p, general::THREAD_CREATE, victim, stack);
     let on_target = |p: &mut Probe, call| general_call(p, call, target, 0).0;
-    let start = on_target(&mut p, general::THREAD_START);
-    let stop = on_target(&mut p, general::THREAD_STOP);
+    let start = on_target(p, general::THREAD_START);
+    let stop = on_target(p, general::THREAD_STOP);
     let step = p.time(|k| k.step_thread(target).unwrap()).cycles;
     let tte = p.emu.k.threads[&target].tte;
     p.emu.k.m.mem.poke(tte + off::SIG_HANDLER, Size::L, spin);
-    let signal = on_target(&mut p, general::SIGNAL);
-    let destroy = on_target(&mut p, general::THREAD_DESTROY);
+    let signal = on_target(p, general::SIGNAL);
+    let destroy = on_target(p, general::THREAD_DESTROY);
 
     let us = |cycles| p.emu.k.m.cost.cycles_to_us(cycles);
     [

@@ -20,7 +20,11 @@ use crate::Row;
 /// Regenerate Table 4.
 #[must_use]
 pub fn run() -> Vec<Row> {
-    let mut p = Probe::boot();
+    run_on(&mut Probe::boot())
+}
+
+/// [`run`] on `p`, a fresh [`Probe`].
+pub fn run_on(p: &mut Probe) -> Vec<Row> {
     let quantum_expiry = |k: &mut Kernel| k.m.irq.raise(irq_levels::QUANTUM);
     let spin = p.load_spinner(|_| {});
     let plain = [p.create(spin), p.create(spin)];

@@ -86,7 +86,11 @@ pub fn ad_interrupts(p: &mut Probe, user: Tid) -> [Path; 2] {
 /// Regenerate Table 5.
 #[must_use]
 pub fn run() -> Vec<Row> {
-    let mut p = Probe::boot();
+    run_on(&mut Probe::boot())
+}
+
+/// [`run`] on `p`, a fresh [`Probe`].
+pub fn run_on(p: &mut Probe) -> Vec<Row> {
     let spin = p.load_spinner(|_| {});
     let user = p.create(spin);
     p.emu.k.start(user).unwrap();
@@ -99,7 +103,7 @@ pub fn run() -> Vec<Row> {
         let dev = k.dev.tty;
         k.m.with_dev_ctx(dev, |t: &mut tty::Tty, ctx| t.inject(b"x", ctx));
     });
-    let [ad_specialized, ad_simple] = ad_interrupts(&mut p, user);
+    let [ad_specialized, ad_simple] = ad_interrupts(p, user);
 
     // The alarm handler, its kernel call serviced by the run.
     let alarm = p.time(|k| k.m.irq.raise(irq_levels::ALARM));
@@ -138,7 +142,7 @@ pub fn run() -> Vec<Row> {
     p.emu.k.start(ready).unwrap();
     let signal = p.time(|k| k.signal(ready, 1).unwrap());
 
-    let (set_alarm, _) = table3::general_call(&mut p, general::SET_ALARM, 500, 0);
+    let (set_alarm, _) = table3::general_call(p, general::SET_ALARM, 500, 0);
 
     let us = |cycles| p.emu.k.m.cost.cycles_to_us(cycles);
     [

@@ -17,20 +17,13 @@ pub fn map_operands(ins: Instr, mut f: impl FnMut(Operand) -> Operand) -> Instr 
             ea: f(ea),
         },
         Lea(ea, n) => Lea(f(ea), n),
-        Pea(ea) => Pea(f(ea)),
         Add(s, a, b) => Add(s, f(a), f(b)),
         Sub(s, a, b) => Sub(s, f(a), f(b)),
         Cmp(s, a, b) => Cmp(s, f(a), f(b)),
         Tst(s, ea) => Tst(s, f(ea)),
         And(s, a, b) => And(s, f(a), f(b)),
-        Or(s, a, b) => Or(s, f(a), f(b)),
         Eor(s, a, b) => Eor(s, f(a), f(b)),
-        Not(s, ea) => Not(s, f(ea)),
-        Neg(s, ea) => Neg(s, f(ea)),
-        MulU(ea, n) => MulU(f(ea), n),
-        DivU(ea, n) => DivU(f(ea), n),
         Shift(k, s, c, d) => Shift(k, s, f(c), f(d)),
-        Scc(c, ea) => Scc(c, f(ea)),
         Jmp(ea) => Jmp(f(ea)),
         Jsr(ea) => Jsr(f(ea)),
         Cas { size, dc, du, ea } => Cas {

@@ -23,14 +23,10 @@ enum Op {
     AddImm(u32, u8),
     Sub(u8, u8),
     And(u8, u8),
-    Or(u8, u8),
     Eor(u8, u8),
     Lsl(u8, u8),
     Lsr(u8, u8),
-    Not(u8),
-    Neg(u8),
-    Swap(u8),
-    CmpScc(u8, u8, u8),
+    CmpBlt(u8, u8, u8),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -43,14 +39,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (any::<u32>(), r.clone()).prop_map(|(v, d)| Op::AddImm(v, d)),
         (r.clone(), r.clone()).prop_map(|(s, d)| Op::Sub(s, d)),
         (r.clone(), r.clone()).prop_map(|(s, d)| Op::And(s, d)),
-        (r.clone(), r.clone()).prop_map(|(s, d)| Op::Or(s, d)),
         (r.clone(), r.clone()).prop_map(|(s, d)| Op::Eor(s, d)),
         (1u8..9, r.clone()).prop_map(|(c, d)| Op::Lsl(c, d)),
         (1u8..9, r.clone()).prop_map(|(c, d)| Op::Lsr(c, d)),
-        r.clone().prop_map(Op::Not),
-        r.clone().prop_map(Op::Neg),
-        r.clone().prop_map(Op::Swap),
-        (r.clone(), r.clone(), r).prop_map(|(a, b, d)| Op::CmpScc(a, b, d)),
+        (r.clone(), r.clone(), r).prop_map(|(a, b, d)| Op::CmpBlt(a, b, d)),
     ]
 }
 
@@ -68,16 +60,16 @@ fn build_template(ops: &[Op]) -> Template {
             Op::AddImm(v, d) => a.add(L, Imm(v), Dr(d)),
             Op::Sub(s, d) => a.sub(L, Dr(s), Dr(d)),
             Op::And(s, d) => a.and(L, Dr(s), Dr(d)),
-            Op::Or(s, d) => a.or(L, Dr(s), Dr(d)),
             Op::Eor(s, d) => a.eor(L, Dr(s), Dr(d)),
             Op::Lsl(c, d) => a.shift(ShiftKind::Lsl, L, Imm(u32::from(c)), Dr(d)),
             Op::Lsr(c, d) => a.shift(ShiftKind::Lsr, L, Imm(u32::from(c)), Dr(d)),
-            Op::Not(d) => a.not(L, Dr(d)),
-            Op::Neg(d) => a.neg(L, Dr(d)),
-            Op::Swap(d) => a.swap(d),
-            Op::CmpScc(s, d, t) => {
+            Op::CmpBlt(s, d, t) => {
+                // `dt` = -1 unless `ds` < `dd`, signed.
+                let less = a.label();
                 a.cmp(L, Dr(s), Dr(d));
-                a.scc(Cond::Lt, Dr(t));
+                a.bcc(Cond::Lt, less);
+                a.move_i(L, u32::MAX, Dr(t));
+                a.bind(less);
             }
         }
     }

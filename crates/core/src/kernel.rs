@@ -725,7 +725,8 @@ impl Kernel {
             m.mem.poke(vt + 4 * vec, Size::L, addr);
         };
         // Error traps (Section 4.3): bus error, address error, illegal,
-        // zero divide, privilege violation.
+        // zero divide (the 68020's vector; no instruction here raises
+        // it), privilege violation.
         for vec in [2, 3, 4, 5, 8] {
             poke(&mut self.m, vec, errh);
         }

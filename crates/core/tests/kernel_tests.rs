@@ -529,10 +529,9 @@ fn tty_read_blocks_until_typed_input() {
 #[test]
 fn lazy_fp_resynthesis_on_first_fp_instruction() {
     let mut k = boot();
-    // Park a double (42.0) in user memory; the thread loads and doubles it.
+    // Park a double (42.0) in user memory; the thread copies it through fp0.
     let mut a = Asm::new("fpuser");
     a.fmove_load(Abs(UBUF), 0);
-    a.emit(quamachine::isa::Instr::FAdd(0, 0)); // fp0 += fp0 -> 84.0
     a.fmove_store(0, Abs(UBUF + 8));
     emit_exit(&mut a);
     let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
@@ -546,7 +545,7 @@ fn lazy_fp_resynthesis_on_first_fp_instruction() {
     let hi = k.m.mem.peek(UBUF + 8, L);
     let lo = k.m.mem.peek(UBUF + 12, L);
     let v = f64::from_bits((u64::from(hi) << 32) | u64::from(lo));
-    assert!((v - 84.0).abs() < 1e-12, "FP math ran: {v}");
+    assert_eq!(v, 42.0, "the value went through fp0");
 }
 
 /// Regression: the FPU stayed enabled after an FP thread switched out, so
@@ -610,31 +609,48 @@ fn parked_fp(k: &Kernel, tid: u32, reg: u32) -> f64 {
 #[test]
 fn stepping_a_stopped_fp_thread_runs_on_its_own_fp_registers() {
     let mut k = boot();
-    // fp0 = 1.0, then count in fp1 forever.
-    let mut a = Asm::new("fpcounter");
+    let double = |k: &mut Kernel, at: u32, v: f64| {
+        k.m.mem.poke(at, L, (v.to_bits() >> 32) as u32);
+        k.m.mem.poke(at + 4, L, v.to_bits() as u32);
+    };
+    let peek_double = |k: &Kernel, at: u32| {
+        let (hi, lo) = (k.m.mem.peek(at, L), k.m.mem.peek(at + 4, L));
+        f64::from_bits((u64::from(hi) << 32) | u64::from(lo))
+    };
+    // fp0 = 1.0; then forever store fp0 to UBUF + 8 and load fp1 from
+    // UBUF + 16.
+    let mut a = Asm::new("fpcopier");
     a.fmove_load(Abs(UBUF), 0);
     let top = a.here();
-    a.emit(quamachine::isa::Instr::FAdd(0, 1));
+    a.fmove_store(0, Abs(UBUF + 8));
+    a.fmove_load(Abs(UBUF + 16), 1);
     a.bcc(Cond::T, top);
     let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
-    let bits = 1.0f64.to_bits();
-    k.m.mem.poke(UBUF, L, (bits >> 32) as u32);
-    k.m.mem.poke(UBUF + 4, L, bits as u32);
+    double(&mut k, UBUF, 1.0);
+    double(&mut k, UBUF + 16, 2.0);
     let tid = k.create_thread(entry, USTACK, user_map()).unwrap();
     k.start(tid).unwrap();
     k.run(2_000_000);
     k.stop(tid).unwrap();
     assert!(k.threads[&tid].uses_fp, "the first FP instruction ran");
-    let count = parked_fp(&k, tid, 1);
-    assert!(count > 0.0, "the thread counted before it was stopped");
+    assert_eq!(peek_double(&k, UBUF + 8), 1.0, "the thread stored fp0");
+    assert_eq!(parked_fp(&k, tid, 1), 2.0, "the thread loaded fp1");
+    double(&mut k, UBUF + 8, -1.0);
+    double(&mut k, UBUF + 16, 3.0);
     // Another context's FP registers are on the CPU by now.
     k.m.cpu.fp = [1e9; 8];
     let before = k.m.cpu.clone();
-    // One `fadd` and one branch, in whichever order the stop fell.
-    k.step_thread(tid).unwrap();
-    k.step_thread(tid).unwrap();
-    assert_eq!(parked_fp(&k, tid, 1), count + 1.0, "the sum is in the TTE");
-    assert_eq!(parked_fp(&k, tid, 0), 1.0, "the addend is untouched");
+    // The store, the load and the branch, in whichever order the stop fell.
+    for _ in 0..3 {
+        k.step_thread(tid).unwrap();
+    }
+    assert_eq!(
+        peek_double(&k, UBUF + 8),
+        1.0,
+        "the store read the thread's own fp0"
+    );
+    assert_eq!(parked_fp(&k, tid, 1), 3.0, "the load is in the TTE");
+    assert_eq!(parked_fp(&k, tid, 0), 1.0, "fp0 is untouched");
     // The active thread's own context is what it was. Its FP registers
     // are not part of it: under lazy FP a thread that never used them
     // runs on `sw_basic`, which never saves them.
@@ -653,7 +669,7 @@ fn fp_resynthesis_out_of_code_space_reaps_on_the_record() {
     use synthesis_core::trace::{Kind, REC_REAP};
     let mut k = boot();
     let mut a = Asm::new("fpuser");
-    a.emit(quamachine::isa::Instr::FAdd(0, 0));
+    a.fmove_load(Abs(UBUF), 0);
     emit_exit(&mut a);
     let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
     let tid = k.create_thread(entry, USTACK, user_map()).unwrap();

@@ -174,11 +174,6 @@ impl Asm {
         self.emit(Instr::Lea(ea, an));
     }
 
-    /// `pea ea`.
-    pub fn pea(&mut self, ea: Operand) {
-        self.emit(Instr::Pea(ea));
-    }
-
     /// `add.size src,dst`.
     pub fn add(&mut self, size: Size, src: Operand, dst: Operand) {
         self.emit(Instr::Add(size, src, dst));
@@ -204,49 +199,14 @@ impl Asm {
         self.emit(Instr::And(size, src, dst));
     }
 
-    /// `or.size src,dst`.
-    pub fn or(&mut self, size: Size, src: Operand, dst: Operand) {
-        self.emit(Instr::Or(size, src, dst));
-    }
-
     /// `eor.size src,dst`.
     pub fn eor(&mut self, size: Size, src: Operand, dst: Operand) {
         self.emit(Instr::Eor(size, src, dst));
     }
 
-    /// `not.size ea`.
-    pub fn not(&mut self, size: Size, ea: Operand) {
-        self.emit(Instr::Not(size, ea));
-    }
-
-    /// `neg.size ea`.
-    pub fn neg(&mut self, size: Size, ea: Operand) {
-        self.emit(Instr::Neg(size, ea));
-    }
-
-    /// `mulu.w src,dn`.
-    pub fn mulu(&mut self, src: Operand, dn: u8) {
-        self.emit(Instr::MulU(src, dn));
-    }
-
-    /// `divu.w src,dn`.
-    pub fn divu(&mut self, src: Operand, dn: u8) {
-        self.emit(Instr::DivU(src, dn));
-    }
-
     /// Shift/rotate.
     pub fn shift(&mut self, kind: ShiftKind, size: Size, count: Operand, dst: Operand) {
         self.emit(Instr::Shift(kind, size, count, dst));
-    }
-
-    /// `swap dn`.
-    pub fn swap(&mut self, dn: u8) {
-        self.emit(Instr::Swap(dn));
-    }
-
-    /// `ext.size dn`.
-    pub fn ext(&mut self, size: Size, dn: u8) {
-        self.emit(Instr::Ext(size, dn));
     }
 
     /// Conditional branch to a label.
@@ -262,11 +222,6 @@ impl Asm {
     /// `dbf dn,label`.
     pub fn dbf(&mut self, dn: u8, target: Label) {
         self.emit(Instr::Dbf(dn, BranchTarget::Label(target.0)));
-    }
-
-    /// `scc ea`.
-    pub fn scc(&mut self, cond: Cond, ea: Operand) {
-        self.emit(Instr::Scc(cond, ea));
     }
 
     /// `jmp ea`.

@@ -120,7 +120,7 @@ pub fn write_refs(op: &Operand) -> u64 {
 /// executor adds only what the table cannot know:
 ///
 /// - `Bcc`/`Dbf`: [`BRANCH_TAKEN_EXTRA`] when the branch is taken;
-/// - exception processing (trap, interrupt, fault, a `DIVU` by zero):
+/// - exception processing (trap, interrupt, fault):
 ///   [`EXCEPTION_BASE`], [`EXCEPTION_REFS`];
 /// - interrupt acknowledge: [`IACK_BASE`].
 #[must_use]
@@ -130,27 +130,18 @@ pub fn instr_cost(i: &Instr) -> (u64, u64) {
         Move(_, s, d) => (2, read_refs(s) + write_refs(d)),
         Movem { regs, .. } => (8, u64::from(regs.count())),
         Lea(_, _) => (2, 0),
-        Pea(_) => (2, 1),
-        Add(_, s, d) | Sub(_, s, d) | And(_, s, d) | Or(_, s, d) | Eor(_, s, d) => {
+        Add(_, s, d) | Sub(_, s, d) | And(_, s, d) | Eor(_, s, d) => {
             let rmw = if d.is_memory() { 1 } else { 0 };
             (2, read_refs(s) + read_refs(d) + rmw)
         }
         Cmp(_, s, d) => (2, read_refs(s) + read_refs(d)),
         Tst(_, ea) => (2, read_refs(ea)),
-        Not(_, ea) | Neg(_, ea) => {
-            let rmw = if ea.is_memory() { 2 } else { 0 };
-            (2, rmw)
-        }
-        MulU(ea, _) => (27, read_refs(ea)),
-        DivU(ea, _) => (44, read_refs(ea)),
         Shift(_, _, c, d) => {
             let rmw = if d.is_memory() { 2 } else { 0 };
             (4, read_refs(c) + rmw)
         }
-        Swap(_) | Ext(_, _) => (2, 0),
         Bcc(_, _) => (4, 0),
         Dbf(_, _) => (4, 0),
-        Scc(_, ea) => (4, write_refs(ea)),
         // A jump's effective address IS the target; nothing is read.
         Jmp(_) => (4, 0),
         Jsr(_) => (4, 1),
@@ -173,7 +164,6 @@ pub fn instr_cost(i: &Instr) -> (u64, u64) {
         // to save", paper Section 4.2).
         FMove { .. } => (30, 2),
         FMovem { regs, .. } => (8 + 2 * u64::from(regs.count()), 2 * u64::from(regs.count())),
-        FAdd(_, _) | FSub(_, _) | FMul(_, _) => (50, 0),
         Halt => (0, 0),
         // A hypercall is free: its embedder charges only host work that
         // it has not yet turned into guest code.

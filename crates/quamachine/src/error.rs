@@ -16,8 +16,6 @@ pub enum Exception {
     AddressError,
     /// Vector 4 — illegal instruction (e.g. executing an unfilled hole).
     IllegalInstruction,
-    /// Vector 5 — integer divide by zero.
-    ZeroDivide,
     /// Vector 8 — privileged instruction in user mode.
     PrivilegeViolation,
     /// Vector 11 — F-line/coprocessor unavailable: a floating-point
@@ -39,7 +37,6 @@ impl Exception {
             Exception::BusError => 2,
             Exception::AddressError => 3,
             Exception::IllegalInstruction => 4,
-            Exception::ZeroDivide => 5,
             Exception::PrivilegeViolation => 8,
             Exception::FpUnavailable => 11,
             Exception::Interrupt(level) => 24 + u32::from(level),
@@ -54,7 +51,6 @@ impl fmt::Display for Exception {
             Exception::BusError => write!(f, "bus error"),
             Exception::AddressError => write!(f, "address error"),
             Exception::IllegalInstruction => write!(f, "illegal instruction"),
-            Exception::ZeroDivide => write!(f, "zero divide"),
             Exception::PrivilegeViolation => write!(f, "privilege violation"),
             Exception::FpUnavailable => write!(f, "coprocessor unavailable"),
             Exception::Interrupt(l) => write!(f, "interrupt level {l}"),
@@ -111,7 +107,6 @@ mod tests {
     #[test]
     fn vector_numbers_match_68000_assignments() {
         assert_eq!(Exception::BusError.vector(), 2);
-        assert_eq!(Exception::ZeroDivide.vector(), 5);
         assert_eq!(Exception::FpUnavailable.vector(), 11);
         assert_eq!(Exception::Interrupt(1).vector(), 25);
         assert_eq!(Exception::Interrupt(7).vector(), 31);

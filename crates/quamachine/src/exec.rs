@@ -259,9 +259,9 @@ impl Machine {
             Err(Fault::Exc(e)) => {
                 // Faults re-point at the faulting instruction so handlers
                 // can fix the cause and retry (the lazy-FP resynthesis
-                // depends on this); traps and zero-divide resume after.
+                // depends on this); traps resume after.
                 let push_pc = match e {
-                    Exception::Trap(_) | Exception::ZeroDivide => next_pc,
+                    Exception::Trap(_) => next_pc,
                     _ => pc,
                 };
                 // Attribute error-class faults to the running thread (by
@@ -273,7 +273,6 @@ impl Machine {
                     Exception::BusError
                         | Exception::AddressError
                         | Exception::IllegalInstruction
-                        | Exception::ZeroDivide
                         | Exception::PrivilegeViolation
                 ) {
                     *self.meter.error_faults.entry(self.cpu.vbr).or_insert(0) += 1;
@@ -650,10 +649,6 @@ impl Machine {
                 let addr = self.ea_addr(ea, Size::L);
                 self.cpu.a[n as usize] = addr;
             }
-            Pea(ref ea) => {
-                let addr = self.ea_addr(ea, Size::L);
-                self.push_l(addr)?;
-            }
             Add(size, ref s, ref d) => {
                 let sv = self.read_src(s, size)?;
                 let p = self.resolve(d, size);
@@ -695,14 +690,6 @@ impl Machine {
                 self.store(p, size, r)?;
                 self.flags_logic(size, r);
             }
-            Or(size, ref s, ref d) => {
-                let sv = self.read_src(s, size)?;
-                let p = self.resolve(d, size);
-                let dv = self.load(p, size)?;
-                let r = dv | sv;
-                self.store(p, size, r)?;
-                self.flags_logic(size, r);
-            }
             Eor(size, ref s, ref d) => {
                 let sv = self.read_src(s, size)?;
                 let p = self.resolve(d, size);
@@ -711,67 +698,12 @@ impl Machine {
                 self.store(p, size, r)?;
                 self.flags_logic(size, r);
             }
-            Not(size, ref ea) => {
-                let p = self.resolve(ea, size);
-                let v = self.load(p, size)?;
-                let r = !v & size.mask();
-                self.store(p, size, r)?;
-                self.flags_logic(size, r);
-            }
-            Neg(size, ref ea) => {
-                let p = self.resolve(ea, size);
-                let v = self.load(p, size)?;
-                let r = self.sub_flags(size, 0, v, true);
-                self.store(p, size, r)?;
-            }
-            MulU(ref s, n) => {
-                let sv = self.read_src(s, Size::W)?;
-                let r = (self.cpu.d[n as usize] & 0xFFFF).wrapping_mul(sv);
-                self.cpu.d[n as usize] = r;
-                self.cpu
-                    .set_nzvc(r & 0x8000_0000 != 0, r == 0, false, false);
-            }
-            DivU(ref s, n) => {
-                let sv = self.read_src(s, Size::W)?;
-                if sv == 0 {
-                    return Err(Exception::ZeroDivide.into());
-                }
-                let val = self.cpu.d[n as usize];
-                let q = val / sv;
-                let rem = val % sv;
-                if q > 0xFFFF {
-                    // Overflow: V set, register unchanged.
-                    self.cpu.set_nzvc(false, false, true, false);
-                } else {
-                    self.cpu.d[n as usize] = (rem << 16) | q;
-                    self.cpu.set_nzvc(q & 0x8000 != 0, q == 0, false, false);
-                }
-            }
             Shift(kind, size, ref cnt, ref d) => {
                 let c = self.read_src(cnt, Size::L)? % 64;
                 let p = self.resolve(d, size);
                 let v = self.load(p, size)?;
                 let r = self.exec_shift(kind, size, v, c);
                 self.store(p, size, r)?;
-            }
-            Swap(n) => {
-                let v = self.cpu.d[n as usize];
-                let r = v.rotate_left(16);
-                self.cpu.d[n as usize] = r;
-                self.cpu
-                    .set_nzvc(r & 0x8000_0000 != 0, r == 0, false, false);
-            }
-            Ext(size, n) => {
-                let v = self.cpu.d[n as usize];
-                let r = match size {
-                    Size::W => (v & !0xFFFF) | (Size::B.sext(v) & 0xFFFF),
-                    Size::L => Size::W.sext(v),
-                    Size::B => v,
-                };
-                self.cpu.d[n as usize] = r;
-                let sb = size.sign_bit();
-                self.cpu
-                    .set_nzvc(r & sb != 0, r & size.mask() == 0, false, false);
             }
             Bcc(cond, t) => {
                 let taken = cond.eval(
@@ -791,16 +723,6 @@ impl Machine {
                 if nw != 0xFFFF {
                     self.branch_to(slot, t)?;
                 }
-            }
-            Scc(cond, ref ea) => {
-                let hold = cond.eval(
-                    self.cpu.flag_n(),
-                    self.cpu.flag_z(),
-                    self.cpu.flag_v(),
-                    self.cpu.flag_c(),
-                );
-                let p = self.resolve(ea, Size::B);
-                self.store(p, Size::B, if hold { 0xFF } else { 0 })?;
             }
             Jmp(ref ea) => {
                 self.cpu.pc = self.control_target(ea);
@@ -959,18 +881,6 @@ impl Machine {
                 }
                 self.cpu.fpu_enabled |= !to_mem;
             }
-            FAdd(m, n) => {
-                self.check_fpu()?;
-                self.cpu.fp[n as usize] += self.cpu.fp[m as usize];
-            }
-            FSub(m, n) => {
-                self.check_fpu()?;
-                self.cpu.fp[n as usize] -= self.cpu.fp[m as usize];
-            }
-            FMul(m, n) => {
-                self.check_fpu()?;
-                self.cpu.fp[n as usize] *= self.cpu.fp[m as usize];
-            }
             Halt => return Ok(Some(RunExit::Halted)),
             KCall(n) => return Ok(Some(RunExit::KCall(n))),
         }
@@ -1075,17 +985,6 @@ impl Machine {
                     let carry = (v >> (c - 1)) & 1 != 0;
                     (r, carry)
                 }
-            }
-            ShiftKind::Asr => {
-                let sv = size.sext(v) as i32;
-                let sh = c.min(31);
-                let r = (sv >> sh) as u32 & size.mask();
-                let carry = if c > bits {
-                    sv < 0
-                } else {
-                    (sv >> (c - 1)) & 1 != 0
-                };
-                (r, carry)
             }
             ShiftKind::Rol => {
                 let c = c % bits;

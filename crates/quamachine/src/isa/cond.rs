@@ -1,6 +1,10 @@
-//! Condition codes for `Bcc`, `Scc`, and `DBcc`.
+//! Condition codes for `Bcc`.
 
 /// A 68000-family condition.
+///
+/// All sixteen stay although `Bcc` is their only consumer and not every
+/// one is emitted: [`Cond::negate`] must stay closed over the set, and a
+/// condition has no cost, effects or encoding row of its own to keep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Cond {
     /// Always true (`BRA`).

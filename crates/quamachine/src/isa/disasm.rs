@@ -42,7 +42,6 @@ impl fmt::Display for ShiftKind {
         let s = match self {
             ShiftKind::Lsl => "lsl",
             ShiftKind::Lsr => "lsr",
-            ShiftKind::Asr => "asr",
             ShiftKind::Rol => "rol",
             ShiftKind::Ror => "ror",
         };
@@ -63,24 +62,15 @@ impl fmt::Display for Instr {
                 }
             }
             Lea(ea, n) => write!(f, "lea {ea},a{n}"),
-            Pea(ea) => write!(f, "pea {ea}"),
             Add(sz, s, d) => write!(f, "add.{sz} {s},{d}"),
             Sub(sz, s, d) => write!(f, "sub.{sz} {s},{d}"),
             Cmp(sz, s, d) => write!(f, "cmp.{sz} {s},{d}"),
             Tst(sz, ea) => write!(f, "tst.{sz} {ea}"),
             And(sz, s, d) => write!(f, "and.{sz} {s},{d}"),
-            Or(sz, s, d) => write!(f, "or.{sz} {s},{d}"),
             Eor(sz, s, d) => write!(f, "eor.{sz} {s},{d}"),
-            Not(sz, ea) => write!(f, "not.{sz} {ea}"),
-            Neg(sz, ea) => write!(f, "neg.{sz} {ea}"),
-            MulU(ea, n) => write!(f, "mulu.w {ea},d{n}"),
-            DivU(ea, n) => write!(f, "divu.w {ea},d{n}"),
             Shift(k, sz, c, d) => write!(f, "{k}.{sz} {c},{d}"),
-            Swap(n) => write!(f, "swap d{n}"),
-            Ext(sz, n) => write!(f, "ext.{sz} d{n}"),
             Bcc(c, t) => write!(f, "b{c} {t}"),
             Dbf(n, t) => write!(f, "dbf d{n},{t}"),
-            Scc(c, ea) => write!(f, "s{c} {ea}"),
             Jmp(ea) => write!(f, "jmp {ea}"),
             Jsr(ea) => write!(f, "jsr {ea}"),
             Rts => write!(f, "rts"),
@@ -127,9 +117,6 @@ impl fmt::Display for Instr {
                     write!(f, "fmovem {ea},<{:#04x}>", regs.0)
                 }
             }
-            FAdd(m, n) => write!(f, "fadd.d fp{m},fp{n}"),
-            FSub(m, n) => write!(f, "fsub.d fp{m},fp{n}"),
-            FMul(m, n) => write!(f, "fmul.d fp{m},fp{n}"),
             Halt => write!(f, "halt"),
             KCall(n) => write!(f, "kcall #{n}"),
         }

@@ -122,18 +122,14 @@ impl Instr {
             Movem { to_mem, regs, ea } if to_mem => fx.uses(ea).reads(regs),
             Movem { regs, ea, .. } => fx.uses(ea).writes(regs),
             Lea(ea, n) => fx.uses(ea).writes(RegList::a(n)),
-            Pea(ea) => fx.uses(ea).updates(SP),
             Cmp(_, s, d) => fx.uses(s).uses(d).sets_flags(true),
             Tst(_, ea) => fx.uses(ea).sets_flags(true),
-            And(_, s, d) | Or(_, s, d) | Eor(_, s, d) | Shift(_, _, s, d) => {
+            And(_, s, d) | Eor(_, s, d) | Shift(_, _, s, d) => {
                 fx.uses(s).updates(d).sets_flags(true)
             }
-            Not(_, ea) | Neg(_, ea) | Tas(ea) => fx.updates(ea).sets_flags(true),
-            MulU(s, n) | DivU(s, n) => fx.uses(s).updates(Dr(n)).sets_flags(true),
-            Swap(n) | Ext(_, n) => fx.updates(Dr(n)).sets_flags(true),
+            Tas(ea) => fx.updates(ea).sets_flags(true),
             Bcc(..) => fx.goes(Control::Branch),
             Dbf(n, _) => fx.updates(Dr(n)).goes(Control::Branch),
-            Scc(_, ea) => fx.sets(ea, Size::B),
             Jmp(_) | Jsr(_) | Rts | Rte | Trap(_) | Stop(_) | Halt | KCall(_) => fx
                 .reads(RegList::ALL)
                 .writes(RegList::ALL)
@@ -152,7 +148,7 @@ impl Instr {
             MoveVbr { to_vbr: true, ea } => fx.uses(ea),
             MoveVbr { to_vbr: false, ea } => fx.sets(ea, Size::L),
             FMove { ea, .. } | FMovem { ea, .. } => fx.uses(ea),
-            Nop | FAdd(..) | FSub(..) | FMul(..) => fx,
+            Nop => fx,
         }
     }
 }

@@ -41,25 +41,19 @@ pub fn size_bytes(i: &Instr) -> u32 {
     match i {
         Move(sz, s, d) => 2 + operand_ext_bytes(s, *sz) + operand_ext_bytes(d, *sz),
         Movem { ea, .. } => 4 + operand_ext_bytes(ea, Size::L),
-        Lea(ea, _) | Pea(ea) => 2 + operand_ext_bytes(ea, Size::L),
-        Add(sz, s, d)
-        | Sub(sz, s, d)
-        | Cmp(sz, s, d)
-        | And(sz, s, d)
-        | Or(sz, s, d)
-        | Eor(sz, s, d) => 2 + operand_ext_bytes(s, *sz) + operand_ext_bytes(d, *sz),
-        Tst(sz, ea) | Not(sz, ea) | Neg(sz, ea) => 2 + operand_ext_bytes(ea, *sz),
-        MulU(ea, _) | DivU(ea, _) => 2 + operand_ext_bytes(ea, Size::W),
+        Lea(ea, _) => 2 + operand_ext_bytes(ea, Size::L),
+        Add(sz, s, d) | Sub(sz, s, d) | Cmp(sz, s, d) | And(sz, s, d) | Eor(sz, s, d) => {
+            2 + operand_ext_bytes(s, *sz) + operand_ext_bytes(d, *sz)
+        }
+        Tst(sz, ea) => 2 + operand_ext_bytes(ea, *sz),
         Shift(_, sz, cnt, d) => {
             // Register-shift forms are one word; a memory destination or a
             // count > 8 is not encodable in one word on the 68000 but we
             // charge extension words uniformly.
             2 + operand_ext_bytes(cnt, *sz) + operand_ext_bytes(d, *sz)
         }
-        Swap(_) | Ext(_, _) => 2,
         Bcc(_, _) => 4, // Bcc with 16-bit displacement.
         Dbf(_, _) => 4, // DBcc is always 2 words.
-        Scc(_, ea) => 2 + operand_ext_bytes(ea, Size::B),
         Jmp(ea) | Jsr(ea) => 2 + operand_ext_bytes(ea, Size::L),
         Rts | Rte | Nop | Halt => 2,
         Trap(_) => 2,
@@ -73,7 +67,6 @@ pub fn size_bytes(i: &Instr) -> u32 {
         Stop(_) => 4,
         FMove { ea, .. } => 4 + operand_ext_bytes(ea, Size::L),
         FMovem { ea, .. } => 4 + operand_ext_bytes(ea, Size::L),
-        FAdd(_, _) | FSub(_, _) | FMul(_, _) => 4,
         KCall(_) => 2,
     }
 }

@@ -74,8 +74,6 @@ pub enum ShiftKind {
     Lsl,
     /// Logical shift right.
     Lsr,
-    /// Arithmetic shift right (sign-propagating).
-    Asr,
     /// Rotate left.
     Rol,
     /// Rotate right.
@@ -119,8 +117,6 @@ pub enum Instr {
     },
     /// `LEA ea,An` — load effective address.
     Lea(Operand, u8),
-    /// `PEA ea` — push effective address.
-    Pea(Operand),
     /// `ADD.size src,dst`.
     Add(Size, Operand, Operand),
     /// `SUB.size src,dst`.
@@ -131,35 +127,16 @@ pub enum Instr {
     Tst(Size, Operand),
     /// `AND.size src,dst`.
     And(Size, Operand, Operand),
-    /// `OR.size src,dst`.
-    Or(Size, Operand, Operand),
     /// `EOR.size src,dst`.
     Eor(Size, Operand, Operand),
-    /// `NOT.size ea`.
-    Not(Size, Operand),
-    /// `NEG.size ea`.
-    Neg(Size, Operand),
-    /// `MULU.W src,Dn` — 16×16→32 unsigned multiply.
-    MulU(Operand, u8),
-    /// `DIVU.W src,Dn` — 32/16 unsigned divide; quotient in the low word,
-    /// remainder in the high word. Division by zero raises the
-    /// zero-divide trap.
-    DivU(Operand, u8),
     /// Shift or rotate `dst` by `count` (an immediate 1–8 or a data
     /// register, 68000-style).
     Shift(ShiftKind, Size, Operand, Operand),
-    /// `SWAP Dn` — exchange the halves of a data register.
-    Swap(u8),
-    /// `EXT.W`/`EXT.L Dn` — sign-extend byte→word (`Size::W`) or
-    /// word→long (`Size::L`).
-    Ext(Size, u8),
     /// `Bcc label` — conditional branch within the current block.
     Bcc(Cond, BranchTarget),
     /// `DBF Dn,label` — decrement and branch unless the low word
     /// becomes `-1` (the classic `dbra` loop instruction).
     Dbf(u8, BranchTarget),
-    /// `Scc ea` — set byte to `0xFF` if condition holds else `0x00`.
-    Scc(Cond, Operand),
     /// `JMP ea` — jump to an effective address (absolute, register
     /// indirect, displacement...).
     Jmp(Operand),
@@ -237,12 +214,6 @@ pub enum Instr {
         /// Base address operand.
         ea: Operand,
     },
-    /// `FADD.D FPm,FPn`.
-    FAdd(u8, u8),
-    /// `FSUB.D FPm,FPn`.
-    FSub(u8, u8),
-    /// `FMUL.D FPm,FPn`.
-    FMul(u8, u8),
     /// Pseudo: stop the simulation (the embedder regains control).
     Halt,
     /// Pseudo: host-service call with a 16-bit selector. The embedder
@@ -289,15 +260,10 @@ impl Instr {
             | Sub(_, s, d)
             | Cmp(_, s, d)
             | And(_, s, d)
-            | Or(_, s, d)
             | Eor(_, s, d)
             | Shift(_, _, s, d) => ([*s, *d], 2),
             Movem { ea, .. }
-            | Pea(ea)
             | Tst(_, ea)
-            | Not(_, ea)
-            | Neg(_, ea)
-            | Scc(_, ea)
             | Jmp(ea)
             | Jsr(ea)
             | Tas(ea)
@@ -306,9 +272,7 @@ impl Instr {
             | Cas { ea, .. }
             | FMove { ea, .. }
             | FMovem { ea, .. }
-            | Lea(ea, _)
-            | MulU(ea, _)
-            | DivU(ea, _) => ([*ea, UNUSED], 1),
+            | Lea(ea, _) => ([*ea, UNUSED], 1),
             _ => ([UNUSED; 2], 0),
         };
         Operands { ops, len }
@@ -389,7 +353,7 @@ mod tests {
         assert_eq!(&*one.operands(), &[Abs(0x40)]);
         assert_eq!(one.operands().into_iter().count(), 1);
         assert!(Instr::Rts.operands().is_empty());
-        assert_eq!(Instr::Swap(0).operands().into_iter().count(), 0);
+        assert_eq!(Instr::Unlk(6).operands().into_iter().count(), 0);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! This crate reproduces that substrate in software:
 //!
 //! - [`isa`] — a 68020-flavoured instruction set (including `CAS`, `MOVEM`,
-//!   and a small MC68881-style floating-point subset) with realistic encoded
-//!   sizes;
+//!   and the MC68881 moves a context switch needs) with realistic encoded
+//!   sizes, holding only forms a measured run executes;
 //! - [`Asm`](asm::Asm) — an assembler DSL with labels and *holes* (the unit
 //!   of run-time code synthesis);
 //! - [`CostModel`](cost::CostModel) — a documented per-instruction cycle

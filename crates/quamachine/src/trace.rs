@@ -30,9 +30,8 @@ pub struct Meter {
     pub cycles: u64,
     /// Exceptions taken (traps, interrupts, faults).
     pub exception_count: u64,
-    /// Error-class faults (bus/address error, illegal instruction, zero
-    /// divide, privilege violation) keyed by the VBR installed when they
-    /// hit — the VBR identifies the running thread, so embedders can
+    /// Error-class faults (bus/address error, illegal instruction,
+    /// privilege violation) keyed by the VBR installed when they hit — the VBR identifies the running thread, so embedders can
     /// attribute fault storms to the thread causing them.
     pub error_faults: HashMap<u32, u64>,
     /// Ring buffer of recent instructions, when tracing is on.

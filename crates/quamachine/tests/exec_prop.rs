@@ -17,7 +17,6 @@ fn run_alu(op: &str, size: Size, a_val: u32, b_val: u32) -> (u32, bool, bool, bo
         "add" => a.add(size, Dr(0), Dr(1)),
         "sub" => a.sub(size, Dr(0), Dr(1)),
         "and" => a.and(size, Dr(0), Dr(1)),
-        "or" => a.or(size, Dr(0), Dr(1)),
         "eor" => a.eor(size, Dr(0), Dr(1)),
         "cmp" => a.cmp(size, Dr(0), Dr(1)),
         _ => unreachable!(),
@@ -79,7 +78,6 @@ proptest! {
         let mask = size.mask();
         for (op, f) in [
             ("and", x & y),
-            ("or", x | y),
             ("eor", x ^ y),
         ] {
             let (r, n, z, v, c) = run_alu(op, size, x, y);
@@ -96,11 +94,9 @@ proptest! {
         let mut a = Asm::new("sh");
         a.move_i(Size::L, x, Dr(0));
         a.move_i(Size::L, x, Dr(1));
-        a.move_i(Size::L, x, Dr(2));
         a.move_i(Size::L, count, Dr(5));
         a.shift(ShiftKind::Lsl, Size::L, Dr(5), Dr(0));
         a.shift(ShiftKind::Lsr, Size::L, Dr(5), Dr(1));
-        a.shift(ShiftKind::Asr, Size::L, Dr(5), Dr(2));
         a.halt();
         let e = m.load_block(0x1000, a.assemble().unwrap()).unwrap();
         m.cpu.pc = e;
@@ -108,7 +104,6 @@ proptest! {
         assert_eq!(m.run(10_000), RunExit::Halted);
         prop_assert_eq!(m.cpu.d[0], x << count);
         prop_assert_eq!(m.cpu.d[1], x >> count);
-        prop_assert_eq!(m.cpu.d[2], ((x as i32) >> count) as u32);
     }
 
     #[test]

@@ -436,7 +436,6 @@ mod tests {
         // The branch after the trap aims at the `rts` unless a row says otherwise.
         let rows = vec![
             (args.to_vec(), None, elided),
-            (vec![Instr::Pea(Abs(0x4000)), Instr::Nop], None, elided),
             // d0 writers.
             (
                 vec![Instr::Movem {
@@ -447,10 +446,6 @@ mod tests {
                 None,
                 kept,
             ),
-            (vec![Instr::MulU(Imm(3), 0)], None, kept),
-            (vec![Instr::Swap(0)], None, kept),
-            (vec![Instr::Ext(L, 0)], None, kept),
-            (vec![Instr::Scc(Cond::Eq, Dr(0))], None, kept),
             (
                 vec![Instr::MoveSr {
                     to_sr: false,

@@ -8,6 +8,7 @@ use quamachine::machine::{Machine, MachineConfig, RunExit};
 
 use super::{ftype, layout as lay};
 use crate::abi;
+use synthesis_core::syscall::errno;
 
 /// Fixed code-block addresses (each block gets a generous slot).
 mod code {
@@ -917,41 +918,38 @@ impl Sunos {
 
     /// Service the pipe-allocation host assist (`kcall #0x50`): allocate
     /// two file entries and two fds for the pipe descriptor in `a2`,
-    /// charging the same scans open performs.
+    /// charging the same scans open performs. Both tables are scanned for
+    /// both ends before anything is claimed: if either has no room for
+    /// two, the call returns `-EMFILE` and frees the descriptor, with no
+    /// table changed.
     fn pipe_assist(&mut self) {
         let desc = self.m.cpu.a[2];
-        let mut fds = [0u32; 2];
-        for (i, ty) in [(0usize, ftype::PIPE_R), (1usize, ftype::PIPE_W)] {
-            // File-table scan.
-            let mut entry = 0;
-            for e in 0..lay::FTAB_N {
-                let addr = lay::FTAB + e * lay::FTAB_ENT;
-                if self.m.mem.peek(addr, L) == 0 {
-                    entry = addr;
-                    break;
-                }
-            }
-            assert!(entry != 0, "file table full");
+        let mem = &self.m.mem;
+        let entries: Vec<u32> = (0..lay::FTAB_N)
+            .map(|e| lay::FTAB + e * lay::FTAB_ENT)
+            .filter(|&addr| mem.peek(addr, L) == 0)
+            .take(2)
+            .collect();
+        let fds: Vec<u32> = (0..16u32)
+            .filter(|&f| mem.peek(lay::FDTAB + 4 * f, L) == 0)
+            .take(2)
+            .collect();
+        // Charge the scans the real path would perform.
+        self.m.charge(64 * 10);
+        if entries.len() < 2 || fds.len() < 2 {
+            self.m.mem.poke(desc + 20, L, 0); // the descriptor's in_use
+            self.m.cpu.d[0] = (-errno::EMFILE) as u32;
+            return;
+        }
+        for ((&entry, &fd), ty) in entries.iter().zip(&fds).zip([ftype::PIPE_R, ftype::PIPE_W]) {
             self.m.mem.poke(entry, L, 1);
             self.m.mem.poke(entry + 4, L, ty);
             self.m.mem.poke(entry + 8, L, 0);
             self.m.mem.poke(entry + 12, L, desc);
             self.m.mem.poke(entry + 16, L, OPS + ty * 8);
             self.m.mem.poke(entry + 20, L, 1);
-            // fd scan.
-            let mut fd = u32::MAX;
-            for f in 0..16u32 {
-                if self.m.mem.peek(lay::FDTAB + 4 * f, L) == 0 {
-                    fd = f;
-                    break;
-                }
-            }
-            assert!(fd != u32::MAX, "fd table full");
             self.m.mem.poke(lay::FDTAB + 4 * fd, L, entry);
-            fds[i] = fd;
         }
-        // Charge the scans the real path would perform.
-        self.m.charge(64 * 10);
         self.m.cpu.d[0] = (fds[0] << 8) | fds[1];
     }
 

@@ -1,9 +1,12 @@
 //! The Appendix-A programs run correctly on BOTH kernels — the paper's
 //! same-binaries methodology — and Synthesis beats the baseline.
 
-use quamachine::isa::Size::L;
+use quamachine::asm::Asm;
+use quamachine::isa::{Cond, Operand::*, ShiftKind, Size::*};
 use quamachine::machine::RunExit;
 use synthesis_core::kernel::KernelConfig;
+use synthesis_core::syscall::errno;
+use synthesis_unix::abi;
 use synthesis_unix::programs::{self, addrs};
 use synthesis_unix::sunos::Sunos;
 
@@ -141,4 +144,80 @@ fn pipe_data_integrity_both_kernels() {
         e.k.m.mem.poke_bytes(addrs::BUF, &pattern);
     });
     assert_eq!(emu.k.m.mem.peek_bytes(addrs::BUF, 1024), pattern);
+}
+
+/// A guest that fills its fd table: 11 opens of `/dev/null` (fds 0–10),
+/// then `pipe` until a call fails, then a use of the two pipes it was
+/// given — a byte written into each and read back — and of every
+/// `/dev/null` fd, and one more open. Each call's `d0` lands in its own
+/// long from `addrs::RESULT` on: opens 0–10, pipes 11–14, the pipe
+/// transfers 15–18, the `/dev/null` writes 19–29, the last open 30.
+fn pipe_until_full() -> Asm {
+    let mut a = Asm::new("pipe_until_full");
+    let call = |a: &mut Asm, sysno: u32, slot: u32| {
+        a.move_i(L, sysno, Dr(0));
+        a.trap(abi::UNIX_TRAP);
+        a.move_(L, Dr(0), Abs(addrs::RESULT + 4 * slot));
+    };
+    let open = |a: &mut Asm, slot: u32| {
+        a.lea(Abs(addrs::PATHS), 0);
+        a.move_i(L, 0, Dr(1));
+        call(a, abi::SYS_OPEN, slot);
+    };
+    // `d2` bytes at `buf` through the fd in `d1`.
+    let rw = |a: &mut Asm, sysno: u32, buf: u32, slot: u32| {
+        a.lea(Abs(buf), 0);
+        a.move_i(L, 1, Dr(2));
+        call(a, sysno, slot);
+    };
+    a.move_i(B, 0x5A, Abs(addrs::BUF));
+    for slot in 0..11 {
+        open(&mut a, slot);
+    }
+    let full = a.label();
+    for slot in 11..15 {
+        call(&mut a, abi::SYS_PIPE, slot);
+        a.tst(L, Dr(0));
+        a.bcc(Cond::Mi, full);
+    }
+    a.bind(full);
+    for p in 0..2 {
+        let fds = Abs(addrs::RESULT + 4 * (11 + p));
+        a.move_(L, fds, Dr(1));
+        a.and(L, Imm(0xFF), Dr(1)); // the write end
+        rw(&mut a, abi::SYS_WRITE, addrs::BUF, 15 + 2 * p);
+        a.move_(L, fds, Dr(1));
+        a.shift(ShiftKind::Lsr, L, Imm(8), Dr(1)); // the read end
+        rw(&mut a, abi::SYS_READ, addrs::XFER_DST + p, 16 + 2 * p);
+    }
+    for fd in 0..11 {
+        a.move_i(L, fd, Dr(1));
+        rw(&mut a, abi::SYS_WRITE, addrs::BUF, 19 + fd);
+    }
+    open(&mut a, 30);
+    a.move_i(L, abi::SYS_EXIT, Dr(0));
+    a.move_i(L, 0, Dr(1));
+    a.trap(abi::UNIX_TRAP);
+    a
+}
+
+/// Guest input that fills the fd table fails the call with `EMFILE` on
+/// both kernels, with no host panic and nothing claimed: the two pipes
+/// made before still carry a byte, every earlier fd still works, and the
+/// next open gets the one fd the failed `pipe` saw free.
+#[test]
+fn a_pipe_past_a_full_fd_table_fails_with_emfile_on_both() {
+    let results = |mem: &quamachine::mem::Memory| {
+        let at = |slot: u32| mem.peek(addrs::RESULT + 4 * slot, L) as i32;
+        let bytes = [0, 1].map(|p| mem.peek(addrs::XFER_DST + p, B));
+        ((0..31).map(at).collect::<Vec<_>>(), bytes)
+    };
+    let mut want: Vec<i32> = (0..11).collect();
+    want.extend([(11 << 8) | 12, (13 << 8) | 14, -errno::EMFILE, 0]);
+    want.extend([1; 4 + 11]);
+    want.push(15);
+    let (s, _) = run_sunos(pipe_until_full(), |_| {});
+    assert_eq!(results(&s.m.mem), (want.clone(), [0x5A; 2]), "baseline");
+    let (emu, _) = run_synthesis(pipe_until_full(), |_| {});
+    assert_eq!(results(&emu.k.m.mem), (want, [0x5A; 2]), "Synthesis");
 }

@@ -20,7 +20,7 @@ mod common;
 use std::collections::BTreeMap;
 
 use quamachine::asm::Asm;
-use quamachine::isa::{Cond, Instr, Operand::*, Size::*};
+use quamachine::isa::{Cond, Operand::*, Size::*};
 use quamachine::machine::RunExit;
 use quamachine::mem::AddressMap;
 use rand::rngs::SmallRng;
@@ -128,7 +128,7 @@ fn load_programs(k: &mut Kernel) -> Vec<u32> {
     for (write, fp) in [(false, false), (false, true), (true, false), (true, true)] {
         let mut a = Asm::new("churn");
         if fp {
-            a.emit(Instr::FAdd(0, 0));
+            a.fmove_load(Abs(UBUF), 0);
         }
         let top = a.here();
         a.move_i(L, u32::from(write), Dr(0)); // fd 0 reads, fd 1 writes

@@ -26,6 +26,12 @@ fields() {
     awk -v head="pub struct $1 {" '$0 == head { on = 1; next } on && /^}/ { exit } on && /^    pub / { n++ } END { print n + 0 }' "$2"
 }
 
+# Variants of enum `$1` in file `$2`: the body's lines indented once that
+# start with a capital.
+variants() {
+    awk -v head="pub enum $1 {" '$0 == head { on = 1; next } on && /^}/ { exit } on && /^    [A-Z]/ { n++ } END { print n + 0 }' "$2"
+}
+
 # Entries of the `[features]` tables in the workspace's manifests.
 features() {
     git ls-files -z -- Cargo.toml 'crates/*/Cargo.toml' |
@@ -60,6 +66,10 @@ printf '%-34s %7s\n' "KernelConfig fields" "$(fields KernelConfig crates/core/sr
 printf '%-34s %7s\n' "SynthesisOptions fields" "$(fields SynthesisOptions crates/codegen/src/creator.rs)"
 printf '%-34s %7s\n' "FaultConfig fields" "$(fields FaultConfig crates/quamachine/src/fault.rs)"
 printf '%-34s %7s\n' "cargo features" "$(features)"
+# The ISA: every form is executed by a measured row or named in the census
+# (`crates/bench/tests/census.rs`).
+printf '%-34s %7s\n' "Instr variants" "$(variants Instr crates/quamachine/src/isa/instr.rs)"
+printf '%-34s %7s\n' "ShiftKind variants" "$(variants ShiftKind crates/quamachine/src/isa/instr.rs)"
 # Host work still charged by formula instead of executed as guest code:
 # each non-test `charges::f(` is one site; the total, then each formula.
 sites=$(nontest 'crates/*/src/*.rs' | grep -o 'charges::[a-z_]*(' | sed 's/^charges::\(.*\)($/\1/')
