@@ -188,3 +188,48 @@ fn a_kernel_calls_kcall_step_charges_nothing() {
         assert_eq!(kcall, 0, "{what}'s kcall step charges {kcall} cycles");
     }
 }
+
+/// Table 3's create is counted to the cycle: its `kcall` step's meter
+/// delta is the fill the step executes (the resident `thread_init`, its
+/// records in the path's trace) plus what the host still charges — the
+/// four syntheses (424 + 160 + 160 + 112 cycles) and three allocations
+/// (28 each) — and nothing else. The fill is the paper's "about 100 µs to
+/// fill approximately 1 KBytes in the TTE" (Section 6.3), counted.
+#[test]
+fn table3_create_is_its_fill_plus_synthesis_and_allocation() {
+    let mut p = Probe::boot();
+    let spin = p.load_spinner(|_| {});
+    let caller = p.create(spin);
+    p.emu.k.start(caller).unwrap();
+    let victim = p.load_spinner(|_| {});
+    let path = p.call(|a| {
+        a.move_i(L, victim, Dr(1));
+        a.move_i(L, layout::USER_BASE + 0x4000, Dr(2));
+        a.move_i(L, general::THREAD_CREATE, Dr(0));
+        a.trap(traps::GENERAL);
+    });
+    let records = path.records();
+    let kcall = records
+        .iter()
+        .position(|r| matches!(r.instr, Instr::KCall(_)))
+        .expect("the call reaches its kcall");
+    let fill = layout::THREAD_INIT..layout::THREAD_INIT + 0x100;
+    let ran =
+        |r: &&quamachine::trace::TraceRecord| fill.contains(&r.pc) || r.pc == layout::HOST_RETURN;
+    let routine: Vec<_> = records[kcall + 1..].iter().take_while(ran).collect();
+    assert!(!routine.is_empty(), "the create runs no fill");
+    let after = records[kcall + 1 + routine.len()].cycle;
+    let step = after - records[kcall].cycle;
+
+    let cost = CostModel::sun3_emulation();
+    let executed: u64 = routine
+        .iter()
+        .map(|r| {
+            let (base, refs) = quamachine::cost::instr_cost(&r.instr);
+            base + refs * cost.bus_cycles()
+        })
+        .sum();
+    assert_eq!(step - executed, 856 + 3 * 28, "the create kcall's charges");
+    let us = cost.cycles_to_us(executed);
+    assert!((80.0..120.0).contains(&us), "the 1 KB fill takes {us} µs");
+}

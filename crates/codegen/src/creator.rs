@@ -242,13 +242,21 @@ const CACHE_EVENT_CAP: usize = 8192;
 fn install(
     codebuf: &mut CodeBuf,
     stats: &mut CreatorStats,
+    table: &mut Vec<u32>,
     m: &mut Machine,
     plan: &Plan,
     value_of: &impl Fn(&str) -> Option<u32>,
 ) -> Result<Synthesized, SynthError> {
-    let table = plan.table(value_of).map_err(SynthError::Factor)?;
-    let instrs = plan.instantiate(&table);
-    verify::verify_reported(&plan.name, &instrs, plan.marks()).map_err(SynthError::Verify)?;
+    plan.verified().map_err(|e| SynthError::Verify(e.clone()))?;
+    plan.table_into(value_of, table)
+        .map_err(SynthError::Factor)?;
+    let instrs = plan.instantiate(table);
+    // The plan's verdict is every instance's; debug builds check this one.
+    debug_assert_eq!(
+        verify::verify_reported(&plan.name, &instrs, plan.marks()),
+        Ok(()),
+        "an instance of a verified plan fails verification"
+    );
 
     let offsets = plan.offsets();
     let instrs_in = plan.instrs_in;
@@ -259,6 +267,7 @@ fn install(
         name: Arc::clone(&plan.name),
         instrs,
         offsets: Arc::clone(offsets),
+        facts: Some(plan.facts().clone()),
     };
     m.load_block(base, block).map_err(SynthError::Install)?;
 
@@ -333,6 +342,9 @@ pub struct QuajectCreator {
     pub stats: CreatorStats,
     /// Undrained cache transitions.
     pub cache_events: Vec<CacheEvent>,
+    /// The hole values of the block being installed, kept between
+    /// installs for its allocation.
+    table: Vec<u32>,
 }
 
 impl QuajectCreator {
@@ -345,6 +357,7 @@ impl QuajectCreator {
             cache: SpecCache::new(),
             stats: CreatorStats::default(),
             cache_events: Vec::new(),
+            table: Vec::new(),
         }
     }
 
@@ -408,7 +421,14 @@ impl QuajectCreator {
                 self.lib.remember(slot, plan)
             }
         };
-        install(&mut self.codebuf, &mut self.stats, m, plan, &value_of)
+        install(
+            &mut self.codebuf,
+            &mut self.stats,
+            &mut self.table,
+            m,
+            plan,
+            &value_of,
+        )
     }
 
     /// Synthesize a template object directly (not via the library): the
@@ -427,7 +447,14 @@ impl QuajectCreator {
         let value_of = |name: &str| bindings.get(name);
         let plan = Plan::compile(t, &self.lib, opts, &value_of)?;
         self.stats.plans_compiled += 1;
-        install(&mut self.codebuf, &mut self.stats, m, &plan, &value_of)
+        install(
+            &mut self.codebuf,
+            &mut self.stats,
+            &mut self.table,
+            m,
+            &plan,
+            &value_of,
+        )
     }
 
     /// Synthesize through the specialization cache: if a block with the

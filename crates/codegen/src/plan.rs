@@ -22,6 +22,7 @@
 
 use std::sync::Arc;
 
+use quamachine::code::BlockFacts;
 use quamachine::isa::{encode, HoleId, Instr, Operand};
 
 use crate::collapse;
@@ -30,6 +31,7 @@ use crate::factor::{self, FactorError};
 use crate::peephole;
 use crate::rewrite;
 use crate::template::{Template, TemplateLib};
+use crate::verify::{self, VerifyReport};
 
 /// The only way a pass learns what a hole is bound to.
 #[derive(Debug)]
@@ -76,20 +78,23 @@ impl<'a> Resolver<'a> {
     }
 }
 
-/// The value of each hole in `used`, at its [`HoleId`]'s index (0 at the
-/// others); the first one `value_of` lacks is the error.
+/// Fill `table` with the value of each hole in `used`, at its
+/// [`HoleId`]'s index (0 at the others); the first one `value_of` lacks
+/// is the error.
 fn resolve(
     holes: &[String],
     used: &[HoleId],
     value_of: &impl Fn(&str) -> Option<u32>,
-) -> Result<Vec<u32>, FactorError> {
-    let mut table = vec![0; holes.len()];
+    table: &mut Vec<u32>,
+) -> Result<(), FactorError> {
+    table.clear();
+    table.resize(holes.len(), 0);
     for &h in used {
         let name = &holes[usize::from(h)];
         table[usize::from(h)] =
             value_of(name).ok_or_else(|| FactorError::MissingBinding(name.clone()))?;
     }
-    Ok(table)
+    Ok(())
 }
 
 /// One compiled form of a template under one [`SynthesisOptions`]: valid
@@ -109,14 +114,21 @@ pub struct Plan {
     used: Vec<HoleId>,
     /// The optimized stream, carried holes still in place.
     instrs: Vec<Instr>,
+    /// The indices of the instructions in `instrs` that carry a hole.
+    holed: Vec<usize>,
     /// Byte offset of each instruction, plus the total size.
     offsets: Arc<[u32]>,
+    /// Each instruction's cost, as every instance has it.
+    facts: BlockFacts,
     /// Entry points: name → instruction index, sorted by name.
     marks: Vec<(String, usize)>,
     /// The same entry points as byte offsets, sorted by name.
     entries: Arc<[(String, u32)]>,
     /// Every `(hole, value)` a pass computed with.
     log: Vec<(HoleId, u32)>,
+    /// The verdict of [`verify::verify_plan`] on the stream: every
+    /// instance's.
+    verified: Result<(), VerifyReport>,
 }
 
 impl Plan {
@@ -149,7 +161,8 @@ impl Plan {
                 }
             }
         }
-        let table = resolve(&work.holes, &used, value_of).map_err(SynthError::Factor)?;
+        let mut table = Vec::new();
+        resolve(&work.holes, &used, value_of, &mut table).map_err(SynthError::Factor)?;
         let mut r = Resolver::new(&table);
         let mut marks = work.marks.clone();
         let mut instrs = work.instrs.clone();
@@ -167,6 +180,16 @@ impl Plan {
             .iter()
             .filter_map(|(mark, idx)| Some((mark.clone(), *offsets.get(*idx)?)))
             .collect();
+        let facts = BlockFacts::filled(&instrs);
+        let holed = (0..instrs.len())
+            .filter(|&i| instrs[i].has_hole())
+            .collect();
+        let verified = verify::verify_plan(
+            &t.name,
+            &instrs,
+            work.holes.len(),
+            marks.iter().map(|(mark, idx)| (mark.as_str(), *idx)),
+        );
         Ok(Plan {
             name: t.name.clone(),
             opts,
@@ -174,11 +197,24 @@ impl Plan {
             holes: work.holes.clone(),
             used,
             offsets,
+            facts,
             instrs,
+            holed,
             marks,
             entries,
             log: r.into_log(),
+            verified,
         })
+    }
+
+    /// Whether the stream passes verification, as every instance of it
+    /// does: filling a hole changes no branch, mark or final instruction.
+    ///
+    /// # Errors
+    ///
+    /// The report of the first problem.
+    pub fn verified(&self) -> Result<(), &VerifyReport> {
+        self.verified.as_ref().copied()
     }
 
     /// Whether `value_of` binds every logged hole to the logged value —
@@ -197,29 +233,50 @@ impl Plan {
     /// [`FactorError::MissingBinding`] naming the first unbound hole in
     /// instruction order.
     pub fn table(&self, value_of: &impl Fn(&str) -> Option<u32>) -> Result<Vec<u32>, FactorError> {
-        resolve(&self.holes, &self.used, value_of)
+        let mut table = Vec::new();
+        self.table_into(value_of, &mut table)?;
+        Ok(table)
+    }
+
+    /// [`Plan::table`] into `table`, reusing its allocation.
+    ///
+    /// # Errors
+    ///
+    /// As [`Plan::table`].
+    pub(crate) fn table_into(
+        &self,
+        value_of: &impl Fn(&str) -> Option<u32>,
+        table: &mut Vec<u32>,
+    ) -> Result<(), FactorError> {
+        resolve(&self.holes, &self.used, value_of, table)
     }
 
     /// The plan's instructions with every carried hole filled from
-    /// `table` (as [`Plan::table`] builds it).
+    /// `table` (as [`Plan::table`] builds it): a copy of the stream with
+    /// only the holed instructions rewritten.
     #[must_use]
     pub fn instantiate(&self, table: &[u32]) -> Vec<Instr> {
-        self.instrs
-            .iter()
-            .map(|&i| {
-                rewrite::map_operands(i, |op| match op {
-                    Operand::ImmHole(h) => Operand::Imm(table[usize::from(h)]),
-                    Operand::AbsHole(h) => Operand::Abs(table[usize::from(h)]),
-                    other => other,
-                })
-            })
-            .collect()
+        let mut out = self.instrs.clone();
+        for &i in &self.holed {
+            out[i] = rewrite::map_operands(out[i], |op| match op {
+                Operand::ImmHole(h) => Operand::Imm(table[usize::from(h)]),
+                Operand::AbsHole(h) => Operand::Abs(table[usize::from(h)]),
+                other => other,
+            });
+        }
+        out
     }
 
     /// Byte offset of each instruction, plus the total size at the end.
     #[must_use]
     pub fn offsets(&self) -> &Arc<[u32]> {
         &self.offsets
+    }
+
+    /// Each instruction's cost facts, shared by every instance.
+    #[must_use]
+    pub(crate) fn facts(&self) -> &BlockFacts {
+        &self.facts
     }
 
     /// Entry points as `(name, byte offset)`, sorted by name.

@@ -127,7 +127,25 @@ pub fn verify_reported<'a>(
     instrs: &[Instr],
     marks: impl Iterator<Item = (&'a str, usize)>,
 ) -> Result<(), VerifyReport> {
-    verify_parts(instrs, 0, marks).map_err(|error| VerifyReport {
+    verify_plan(name, instrs, 0, marks)
+}
+
+/// [`verify_reported`] on a compiled plan's stream, its holes still in
+/// place (each must be one of the `holes` a request fills). Filling a
+/// hole rewrites only that operand — no branch target, mark or final
+/// instruction — so every instance passes or fails exactly as its plan
+/// does, and a plan is verified once, when it is compiled.
+///
+/// # Errors
+///
+/// Returns the first problem found, as a [`VerifyReport`].
+pub(crate) fn verify_plan<'a>(
+    name: &str,
+    instrs: &[Instr],
+    holes: usize,
+    marks: impl Iterator<Item = (&'a str, usize)>,
+) -> Result<(), VerifyReport> {
+    verify_parts(instrs, holes, marks).map_err(|error| VerifyReport {
         template: name.to_string(),
         window: disasm_window(name, instrs, error.instr_index()),
         error,

@@ -5,25 +5,20 @@
 //! are cycle-counted by the machine. A `kcall` hypercall is free: a kernel
 //! call costs its trap entry, its `rte` and whatever guest code runs
 //! around it. Cold bookkeeping the host still does in place of guest code
-//! (initializing a TTE, patching the ready chain, an allocator walk, a
-//! name lookup) is charged by the four formulas here — **derived from the
-//! memory traffic and work the operation would perform**, not back-fitted
-//! to the paper's numbers. EXPERIMENTS.md reports where the results land.
+//! (patching the ready chain, an allocator walk, a name lookup) is charged
+//! by the three formulas here — **derived from the memory traffic and work
+//! the operation would perform**, not back-fitted to the paper's numbers.
+//! EXPERIMENTS.md reports where the results land.
 //!
 //! A thread's context is never saved or restored by formula: that is
-//! always its own synthesized `sw_save` and `sw_in`, run and counted.
+//! always its own synthesized `sw_save` and `sw_in`, run and counted. Nor
+//! is a new thread's image filled by one: that is the resident
+//! `thread_init` routine ([`crate::templates::thread_init`]), run and
+//! counted too.
 //!
 //! All formulas are in CPU cycles at the machine's configured bus cost.
 
 use quamachine::cost::CostModel;
-
-/// Cycles to initialize `bytes` of kernel memory (a `move.l`-loop: one
-/// long write per 4 bytes, 2 internal cycles each, plus the bus).
-#[must_use]
-pub fn mem_init(cost: &CostModel, bytes: u32) -> u64 {
-    let longs = u64::from(bytes.div_ceil(4));
-    longs * (2 + cost.bus_cycles())
-}
 
 /// Cycles to patch one `jmp` target in code memory (read the instruction
 /// word, write the new operand, plus sequencing).
@@ -50,16 +45,6 @@ pub fn name_scan(cost: &CostModel, len: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tte_fill_lands_near_paper_100us() {
-        // "About 100 [µs] are needed to fill approximately 1 KBytes in
-        // the TTE" (Section 6.3) at 16 MHz + 1 wait state.
-        let cost = CostModel::sun3_emulation();
-        let cycles = mem_init(&cost, 1024);
-        let us = cost.cycles_to_us(cycles);
-        assert!((80.0..120.0).contains(&us), "TTE fill = {us:.1} µs");
-    }
 
     #[test]
     fn patch_is_cheap() {

@@ -20,6 +20,7 @@
 //! `(tid, fd)`), `tracepump` (whose ring an event lands in).
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use quamachine::devices::audio::Audio;
 use quamachine::devices::null::NullDev;
@@ -134,16 +135,25 @@ pub struct DeviceIdx {
     pub null: usize,
 }
 
-/// Shared (per-boot, not per-thread) synthesized code addresses.
+/// A synthesized block's entry points, as its plan shares them.
+type EntryTable = Arc<[(String, u32)]>;
+
+/// The bindings of the four private code blocks of a thread, by template:
+/// the switch, the two trap dispatchers (one table, `fdtable`), the error
+/// handler. What is the same for every thread is bound at boot.
+#[derive(Debug)]
+struct ThreadBindings {
+    switch: Bindings,
+    fdtable: Bindings,
+    error: Bindings,
+}
+
+/// Shared (per-boot, not per-thread) synthesized code the kernel names
+/// after boot; the rest is bound into the thread fill
+/// ([`templates::thread_init`]) and the kept thread bindings.
 #[derive(Debug)]
 struct SharedCode {
-    trampoline: u32,
     ebadf: u32,
-    fp_trap: u32,
-    alarm: u32,
-    tty_rx: u32,
-    spurious: u32,
-    user_exit_stub: u32,
 }
 
 /// Kernel errors surfaced to the embedder.
@@ -281,6 +291,12 @@ pub struct Kernel {
     /// the O(1) index behind [`Kernel::in_switch_code`] (a linear scan
     /// over all threads would make every safe-point step O(n)).
     sw_extents: BTreeMap<u32, u32>,
+    /// The entry table of the last switch plan a thread was made from, and
+    /// the offsets of [`Kernel::switch_entries`]' marks in it.
+    switch_marks: Option<(EntryTable, [u32; 6])>,
+    /// The bindings of a thread's private code: every create rebinds the
+    /// values in place, allocating nothing.
+    thread_bindings: ThreadBindings,
     next_tid: Tid,
     vbr_to_tid: FoldMap<u32, Tid>,
     /// Threads blocked on each wait object, in blocking order. Read and
@@ -399,6 +415,28 @@ impl Kernel {
                 .base
         };
 
+        // Every thread's fill, with what every thread shares bound in;
+        // and where a routine the host calls returns to.
+        let shared = templates::thread_init::Shared {
+            fp_trap,
+            spurious,
+            alarm: alarm_code,
+            tty_rx,
+            trampoline,
+            ebadf,
+        };
+        let (fill, pool) = templates::thread_init::routine(&shared, ncpus);
+        m.load_block(layout::THREAD_INIT, fill)?;
+        for (at, &long) in (layout::THREAD_INIT_POOL..).step_by(4).zip(&pool) {
+            m.mem.poke(at, Size::L, long);
+        }
+        let host_return = {
+            let mut a = quamachine::asm::Asm::new("host_return");
+            a.halt();
+            a.assemble().expect("assembles")
+        };
+        m.load_block(layout::HOST_RETURN, host_return)?;
+
         let mut k = Kernel {
             m,
             creator,
@@ -434,15 +472,26 @@ impl Kernel {
             trace: crate::trace::TraceSet::new(cfg.trace_records),
             layout: cfg.layout,
             sw_extents: BTreeMap::new(),
-            shared: SharedCode {
-                trampoline,
-                ebadf,
-                fp_trap,
-                alarm: alarm_code,
-                tty_rx,
-                spurious,
-                user_exit_stub,
+            switch_marks: None,
+            thread_bindings: ThreadBindings {
+                switch: Bindings::from_iter([
+                    ("save", 0),
+                    ("usp_slot", 0),
+                    ("ssp_slot", 0),
+                    ("vt", 0),
+                    ("quantum", 0),
+                    (
+                        "timer_qreg",
+                        dev_reg_addr(dev.timer, timer_regs::REG_QUANTUM_US),
+                    ),
+                    ("timer_ack", dev_reg_addr(dev.timer, timer_regs::REG_ACK)),
+                    ("tid", 0),
+                    ("next", 0),
+                ]),
+                fdtable: Bindings::from_iter([("fdtable", 0)]),
+                error: Bindings::from_iter([("err_pc_slot", 0), ("handler", user_exit_stub)]),
             },
+            shared: SharedCode { ebadf },
             next_tid: 0,
             vbr_to_tid: FoldMap::default(),
             waiters: FoldMap::default(),
@@ -513,39 +562,55 @@ impl Kernel {
         self.next_tid += 1;
 
         // Everything that can fail comes first and is recorded as it is
-        // taken; a failure anywhere gives all of it back here.
-        let (mut blocks, mut code) = (Vec::with_capacity(3), Vec::with_capacity(4));
-        if let Err(e) = self.take_thread_parts(tid, &mut blocks, &mut code) {
-            for s in &code {
-                self.creator.destroy(&mut self.m, s);
+        // taken (a heap block as its address, never 0; a code block as
+        // `Some`); a failure anywhere gives all of it back here.
+        let mut blocks = [0; THREAD_BLOCKS.len()];
+        let mut code: [Option<Synthesized>; 4] = Default::default();
+        let filled = self
+            .take_thread_parts(tid, &mut blocks, &mut code)
+            .and_then(|()| {
+                let [Some(sw), Some(read), Some(write), Some(error)] = &code else {
+                    unreachable!("every code block is taken")
+                };
+                let entries = self.switch_entries(sw);
+                let (sw_out, _, ipi_in, ..) = entries;
+                // The image — TTE, fd table, stack pointers, the frame
+                // sw_in's rte drops into `entry`, the vector table — is
+                // written by running the fill (the paper's ~100 µs for
+                // ~1 KB), every cycle counted.
+                let image = templates::thread_init::ThreadImage {
+                    tte: blocks[0],
+                    vt: blocks[1],
+                    kstack_top: tte_frame_top(blocks[2]),
+                    entry,
+                    user_sp,
+                    sr: initial_sr,
+                    sw_out,
+                    ipi_in,
+                    dispatch_read: read.base,
+                    dispatch_write: write.base,
+                    error: error.base,
+                };
+                self.call_routine(layout::THREAD_INIT, &image.regs())?;
+                Ok(entries)
+            });
+        let (sw_out, sw_save, _, sw_in, sw_in_mmu, jmp_at) = match filled {
+            Ok(entries) => entries,
+            Err(e) => {
+                for s in code.iter().flatten() {
+                    self.creator.destroy(&mut self.m, s);
+                }
+                for (addr, len) in blocks.into_iter().zip(THREAD_BLOCKS) {
+                    if addr != 0 {
+                        self.heap.free(addr, len);
+                    }
+                }
+                return Err(e);
             }
-            for (addr, len) in blocks.into_iter().zip(THREAD_BLOCKS) {
-                self.heap.free(addr, len);
-            }
-            return Err(e);
-        }
-        let [tte, vt, kstack]: [u32; 3] = blocks.try_into().expect("three blocks");
-        let [sw, trap_read, trap_write, trap_error]: [Synthesized; 4] =
-            code.try_into().expect("four blocks");
+        };
+        let [tte, vt, kstack] = blocks;
+        let [sw, trap_read, trap_write, trap_error] = code.map(|s| s.expect("taken"));
         self.sw_extents.insert(sw.base, sw.base + sw.size);
-        let (sw_out, sw_save, ipi_in, sw_in, sw_in_mmu, jmp_at) =
-            Kernel::switch_entries(&self.m, &sw);
-
-        // Vector table: errors, FP, interrupts, traps.
-        let (d1, d2, errh) = (trap_read.base, trap_write.base, trap_error.base);
-        self.fill_vector_table(vt, sw_out, ipi_in, d1, d2, errh);
-        let c = charges::mem_init(&self.m.cost, layout::VECTOR_TABLE_LEN);
-        self.m.charge(c);
-
-        self.clear_fd_table(tte);
-
-        // Fabricate the initial exception frame on the kernel stack so
-        // sw_in's rte drops into `entry`.
-        let frame = tte_frame_top(kstack) - 6;
-        self.m.mem.poke(frame, Size::W, u32::from(initial_sr));
-        self.m.mem.poke(frame + 2, Size::L, entry);
-        self.m.mem.poke(tte + off::SSP, Size::L, frame);
-        self.m.mem.poke(tte + off::USP, Size::L, user_sp);
 
         self.vbr_to_tid.insert(vt, tid);
         // Homed where it was created — unless that CPU is out of service
@@ -589,41 +654,34 @@ impl Kernel {
     }
 
     /// The fallible half of thread creation: the [`THREAD_BLOCKS`] heap
-    /// blocks, pushed to `blocks`, then the four private code blocks
-    /// (switch, `trap #1`/`#2` dispatchers, error handler), pushed to
-    /// `code`.
+    /// blocks, into `blocks`, then the four private code blocks (switch,
+    /// `trap #1`/`#2` dispatchers, error handler), into `code`.
     fn take_thread_parts(
         &mut self,
         tid: Tid,
-        blocks: &mut Vec<u32>,
-        code: &mut Vec<Synthesized>,
+        blocks: &mut [u32; 3],
+        code: &mut [Option<Synthesized>; 4],
     ) -> Result<(), KernelError> {
-        for len in THREAD_BLOCKS {
-            blocks.push(self.heap.alloc(len)?);
+        for (at, len) in blocks.iter_mut().zip(THREAD_BLOCKS) {
+            *at = self.heap.alloc(len)?;
             self.charge_alloc();
         }
-        let (tte, vt) = (blocks[0], blocks[1]);
-
-        // TTE fill (the paper's ~100 µs for ~1 KB).
-        self.m.mem.fill(tte, layout::TTE_LEN, 0);
-        let c = charges::mem_init(&self.m.cost, layout::TTE_LEN);
-        self.m.charge(c);
+        let [tte, vt, _] = *blocks;
 
         // Factorization + optimization: the per-thread switch code, then
         // the trap dispatchers and the error handler.
         let quantum = self.default_quantum_us;
-        code.push(self.synth_switch(tid, tte, vt, quantum, false)?);
-        let fdtable = Bindings::from_iter([("fdtable", tte + off::FD_TABLE)]);
-        let error = Bindings::from_iter([
-            ("err_pc_slot", tte + off::ERR_PC),
-            ("handler", self.shared.user_exit_stub),
-        ]);
-        for (name, b) in [
-            ("dispatch_trap1", &fdtable),
-            ("dispatch_trap2", &fdtable),
-            ("trap_error", &error),
-        ] {
-            code.push(self.creator.synthesize(&mut self.m, name, b, self.opts)?);
+        code[0] = Some(self.synth_switch(tid, tte, vt, quantum, false)?);
+        let kept = &mut self.thread_bindings;
+        kept.fdtable.bind("fdtable", tte + off::FD_TABLE);
+        kept.error.bind("err_pc_slot", tte + off::ERR_PC);
+        let kept = &self.thread_bindings;
+        for (slot, (name, b)) in code[1..].iter_mut().zip([
+            ("dispatch_trap1", &kept.fdtable),
+            ("dispatch_trap2", &kept.fdtable),
+            ("trap_error", &kept.error),
+        ]) {
+            *slot = Some(self.creator.synthesize(&mut self.m, name, b, self.opts)?);
         }
         Ok(())
     }
@@ -652,49 +710,57 @@ impl Kernel {
         quantum: u32,
         fp: bool,
     ) -> Result<Synthesized, KernelError> {
-        let timer = self.dev.timer;
-        let b: Bindings = [
+        let b = &mut self.thread_bindings.switch;
+        for (name, value) in [
             ("save", tte + off::REGS),
             ("usp_slot", tte + off::USP),
             ("ssp_slot", tte + off::SSP),
             ("vt", vt),
             ("quantum", quantum),
-            (
-                "timer_qreg",
-                dev_reg_addr(timer, timer_regs::REG_QUANTUM_US),
-            ),
-            ("timer_ack", dev_reg_addr(timer, timer_regs::REG_ACK)),
             ("tid", tid),
-            ("next", 0),
-        ]
-        .into_iter()
-        .chain(fp.then_some(("fp_save", tte + off::FP)))
-        .collect();
-        let name = if fp { "sw_fp" } else { "sw_basic" };
-        Ok(self.creator.synthesize(&mut self.m, name, &b, self.opts)?)
+        ] {
+            b.bind(name, value);
+        }
+        if fp {
+            let b = b.clone().with("fp_save", tte + off::FP);
+            return Ok(self
+                .creator
+                .synthesize(&mut self.m, "sw_fp", &b, self.opts)?);
+        }
+        let b = &self.thread_bindings.switch;
+        Ok(self
+            .creator
+            .synthesize(&mut self.m, "sw_basic", b, self.opts)?)
     }
 
     /// The switch code's entries and its patchable jump, all marks of
     /// the switch templates:
-    /// `(sw_out, sw_save, ipi_in, sw_in, sw_in_mmu, chain)`.
-    fn switch_entries(m: &Machine, sw: &Synthesized) -> (u32, u32, u32, u32, u32, u32) {
-        let at = |mark| sw.entry(mark).expect("the switch templates mark it");
-        let jmp_at = at("chain");
+    /// `(sw_out, sw_save, ipi_in, sw_in, sw_in_mmu, chain)`. Every block
+    /// of one plan shares its entry table, so the offsets are looked up by
+    /// name once per plan, not once per thread.
+    fn switch_entries(&mut self, sw: &Synthesized) -> (u32, u32, u32, u32, u32, u32) {
+        let offsets = match &self.switch_marks {
+            Some((entries, offsets)) if Arc::ptr_eq(entries, &sw.entries) => *offsets,
+            _ => {
+                let at = |mark| sw.entry(mark).expect("the switch templates mark it") - sw.base;
+                let offsets =
+                    ["sw_out", "sw_save", "ipi_in", "sw_in", "sw_in_mmu", "chain"].map(at);
+                self.switch_marks = Some((Arc::clone(&sw.entries), offsets));
+                offsets
+            }
+        };
+        let [sw_out, sw_save, ipi_in, sw_in, sw_in_mmu, jmp_at] = offsets.map(|o| sw.base + o);
         debug_assert!(
             matches!(
-                m.code.locate(jmp_at).and_then(|l| m.code.instr(l)),
+                self.m
+                    .code
+                    .locate(jmp_at)
+                    .and_then(|l| self.m.code.instr(l)),
                 Some(Instr::Jmp(Operand::Abs(_)))
             ),
             "the `chain` mark names the switch's `jmp (abs).l`"
         );
-        (
-            at("sw_out"),
-            at("sw_save"),
-            at("ipi_in"),
-            at("sw_in"),
-            at("sw_in_mmu"),
-            jmp_at,
-        )
+        (sw_out, sw_save, ipi_in, sw_in, sw_in_mmu, jmp_at)
     }
 
     /// Point the vector table `vt` at its thread's switch code. The timer
@@ -710,54 +776,6 @@ impl Kernel {
         if self.m.num_cpus() > 1 {
             self.m.mem.poke(irq(irq_levels::IPI), Size::L, ipi_in);
         }
-    }
-
-    fn fill_vector_table(
-        &mut self,
-        vt: u32,
-        sw_out: u32,
-        ipi_in: u32,
-        d1: u32,
-        d2: u32,
-        errh: u32,
-    ) {
-        let poke = |m: &mut Machine, vec: u32, addr: u32| {
-            m.mem.poke(vt + 4 * vec, Size::L, addr);
-        };
-        // Error traps (Section 4.3): bus error, address error, illegal,
-        // zero divide (the 68020's vector; no instruction here raises
-        // it), privilege violation.
-        for vec in [2, 3, 4, 5, 8] {
-            poke(&mut self.m, vec, errh);
-        }
-        // Lazy FP.
-        poke(&mut self.m, 11, self.shared.fp_trap);
-        // Interrupt levels: a level no handler claims (unassigned, or the
-        // A/D until one is installed) is spurious.
-        for level in 1..=7u32 {
-            poke(&mut self.m, 24 + level, self.shared.spurious);
-        }
-        poke(
-            &mut self.m,
-            24 + u32::from(irq_levels::ALARM),
-            self.shared.alarm,
-        );
-        poke(
-            &mut self.m,
-            24 + u32::from(irq_levels::TTY),
-            self.shared.tty_rx,
-        );
-        self.aim_switch_vectors(vt, sw_out, ipi_in);
-        // Traps.
-        for t in 0..16u32 {
-            poke(&mut self.m, 32 + t, self.shared.trampoline);
-        }
-        poke(&mut self.m, 32 + u32::from(crate::syscall::traps::READ), d1);
-        poke(
-            &mut self.m,
-            32 + u32::from(crate::syscall::traps::WRITE),
-            d2,
-        );
     }
 
     /// Install a handler address into a thread's vector table (used by
@@ -1265,8 +1283,7 @@ impl Kernel {
                 return;
             }
         };
-        let (sw_out, sw_save, ipi_in, sw_in, sw_in_mmu, jmp_at) =
-            Kernel::switch_entries(&self.m, &sw);
+        let (sw_out, sw_save, ipi_in, sw_in, sw_in_mmu, jmp_at) = self.switch_entries(&sw);
         self.sw_extents.insert(sw.base, sw.base + sw.size);
         {
             let t = self.threads.get_mut(&tid).expect("exists");
@@ -1286,6 +1303,46 @@ impl Kernel {
     }
 
     // --- Misc host services ---------------------------------------------------
+
+    /// Run the kernel-resident routine at `addr` to its return, on the
+    /// active CPU, starting it with `regs`: every instruction executes and
+    /// is counted on that CPU's clock. It runs in supervisor state with
+    /// every interrupt masked, on the stack below
+    /// [`layout::ROUTINE_STACK`] — never the interrupted `a7`, which may be
+    /// 0 (boot) or sit just above a fabricated frame (a parked signal) —
+    /// and returns to [`layout::HOST_RETURN`]'s `halt`. The CPU is then
+    /// put back as it was (registers, SR, stack pointers, PC, `stop`), so
+    /// a kernel call or a host API may call a routine at any point; an
+    /// interrupt that fell due meanwhile is accepted after, by whatever
+    /// runs next.
+    ///
+    /// # Errors
+    ///
+    /// A machine error the routine ran into (a bug: resident routines
+    /// touch only kernel memory).
+    pub fn call_routine(
+        &mut self,
+        addr: u32,
+        regs: &templates::RoutineRegs,
+    ) -> Result<(), KernelError> {
+        let saved = self.m.cpu.clone();
+        let sp = layout::ROUTINE_STACK - 4;
+        self.m.mem.poke(sp, Size::L, layout::HOST_RETURN);
+        let cpu = &mut self.m.cpu;
+        cpu.d = regs.d;
+        cpu.a[..7].copy_from_slice(&regs.a);
+        cpu.a[7] = sp;
+        cpu.sr = quamachine::cpu::sr_bits::S | 0x0700;
+        cpu.stopped = false;
+        cpu.pc = addr;
+        let exit = self.m.run(u64::MAX);
+        self.m.cpu = saved;
+        match exit {
+            RunExit::Halted => Ok(()),
+            RunExit::Error(e) => Err(e.into()),
+            _ => Err(KernelError::Invalid("a resident routine did not return")),
+        }
+    }
 
     /// Load a user program assembled by the embedder; returns its entry.
     ///

@@ -195,14 +195,6 @@ impl Kernel {
         Ok(fd)
     }
 
-    /// A new thread's fd table: every slot the shared `EBADF` routine.
-    pub(super) fn clear_fd_table(&mut self, tte: u32) {
-        for slot in 0..2 * crate::thread::tte::FD_MAX {
-            let at = tte + off::FD_TABLE + 4 * slot;
-            self.m.mem.poke(at, Size::L, self.shared.ebadf);
-        }
-    }
-
     /// The dynamic-link stage: store the synthesized entry points into
     /// the thread's fd table.
     fn link_fd(&mut self, tid: Tid, fd: u32, read_entry: u32, write_entry: u32) {

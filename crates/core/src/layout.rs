@@ -12,7 +12,8 @@ pub const MEM_SIZE: u32 = 2_621_440;
 pub const BOOT_VECTORS: u32 = 0x0000_0000;
 
 /// Kernel static region: what the kernel places at fixed addresses — the
-/// resident copy routines below; everything else is heap-allocated.
+/// resident routines below, their constant pool and stack; everything
+/// else is heap-allocated.
 pub const KERNEL_DATA_BASE: u32 = 0x0000_0400;
 /// Size of the kernel static-data region.
 pub const KERNEL_DATA_LEN: u32 = 0x0003_FC00; // up to 0x40000
@@ -24,6 +25,20 @@ pub const COPY_WRITE: u32 = KERNEL_DATA_BASE;
 /// The kernel-resident bulk copy `(a1)+ → (a0)+`, called by every read
 /// path; 256 bytes above [`COPY_WRITE`].
 pub const COPY_READ: u32 = KERNEL_DATA_BASE + 0x100;
+/// The kernel-resident fill of a new thread's TTE, kernel-stack frame and
+/// vector table (see [`crate::templates::thread_init`]): loaded once by
+/// `Kernel::boot`, run by every thread creation.
+pub const THREAD_INIT: u32 = KERNEL_DATA_BASE + 0x200;
+/// A one-instruction `halt`: the return address `Kernel::call_routine`
+/// hands a resident routine, so its `rts` gives the machine back to the
+/// host.
+pub const HOST_RETURN: u32 = KERNEL_DATA_BASE + 0x300;
+/// The constant pool of [`THREAD_INIT`]: the shared vectors, zeros and
+/// `EBADF` entries its bursts load (at most 64 longs).
+pub const THREAD_INIT_POOL: u32 = KERNEL_DATA_BASE + 0x400;
+/// Top of the stack a routine runs on when the host calls it (it grows
+/// down from here; `Kernel::call_routine` uses one long of it).
+pub const ROUTINE_STACK: u32 = KERNEL_DATA_BASE + 0x600;
 
 /// Kernel dynamic data: TTEs, vector tables, queues, file buffers
 /// (managed by the fast-fit allocator).
@@ -138,7 +153,9 @@ mod tests {
     fn regions_are_disjoint_and_ordered() {
         assert!(BOOT_VECTORS < KERNEL_DATA_BASE);
         assert!(KERNEL_DATA_BASE <= COPY_WRITE && COPY_WRITE < COPY_READ);
-        assert!(COPY_READ < KERNEL_HEAP_BASE);
+        assert!(COPY_READ < THREAD_INIT && THREAD_INIT < HOST_RETURN);
+        assert!(HOST_RETURN < THREAD_INIT_POOL && THREAD_INIT_POOL + 0x100 < ROUTINE_STACK);
+        assert!(ROUTINE_STACK < KERNEL_HEAP_BASE);
         assert_eq!(KERNEL_DATA_BASE + KERNEL_DATA_LEN, KERNEL_HEAP_BASE);
         assert_eq!(KERNEL_HEAP_BASE + KERNEL_HEAP_LEN, CODE_BASE);
         assert_eq!(CODE_BASE + CODE_LEN, USER_BASE);

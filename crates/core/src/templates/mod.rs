@@ -18,15 +18,22 @@
 //! | `#2` | `write` | `d0` fd, `a0` buffer, `d1` count | `d0` bytes |
 //! | `#3` | UNIX emulator call | `d0` UNIX syscall #, rest per call | `d0` |
 //!
-//! Kernel code also calls two kernel-resident routines with `jsr`, loaded
-//! once at boot and named by templates as constant operands (no hole):
+//! Three kernel-resident routines are loaded once at boot. Templates call
+//! the two copies with `jsr`, naming them as constant operands (no hole);
+//! the host runs the thread fill through `Kernel::call_routine`, which
+//! starts a routine with [`RoutineRegs`], in supervisor state with every
+//! interrupt masked, on the stack below
+//! [`layout::ROUTINE_STACK`](crate::layout::ROUTINE_STACK), and takes the
+//! machine back at its `rts`:
 //!
 //! | address | routine | arguments | result | clobbers |
 //! |---|---|---|---|---|
 //! | [`layout::COPY_WRITE`](crate::layout::COPY_WRITE) | copy `(a0)+ → (a1)+` | `d3` = bytes >> 4 (≥ 1) | `a0`, `a1` advanced by 16 · `d3` | `d3`, CCR |
 //! | [`layout::COPY_READ`](crate::layout::COPY_READ) | copy `(a1)+ → (a0)+` | `d3` = bytes >> 4 (≥ 1) | `a1`, `a0` advanced by 16 · `d3` | `d3`, CCR |
+//! | [`layout::THREAD_INIT`](crate::layout::THREAD_INIT) | fill a new thread's image | [`thread_init::ThreadImage::regs`]: `a0` TTE, `a1` vectors, `a4` kstack top, `d0`–`d5`, `a2`, `a3` | the TTE, kstack frame and pinned vectors written | all but `a7`, CCR |
 //!
-//! [`copy::emit_copy`] is the call sequence (the byte tail stays inline).
+//! [`copy::emit_copy`] is the copy's call sequence (the byte tail stays
+//! inline).
 
 use synthesis_codegen::template::TemplateLib;
 
@@ -37,6 +44,17 @@ pub mod pipe;
 pub mod queue;
 pub mod rw;
 pub mod syscall;
+pub mod thread_init;
+
+/// The registers a host call of a resident routine starts it with:
+/// `d0`–`d7` and `a0`–`a6` (`a7` is the routine stack).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RoutineRegs {
+    /// `d0`–`d7`.
+    pub d: [u32; 8],
+    /// `a0`–`a6`.
+    pub a: [u32; 7],
+}
 
 /// Install every kernel template into a library.
 pub fn install_all(lib: &mut TemplateLib) {
@@ -159,5 +177,72 @@ mod tests {
                 .unwrap_or_else(|| panic!("missing template {name}"));
             verify::verify(t).unwrap_or_else(|e| panic!("{name}: {e}"));
         }
+    }
+
+    /// A plan is verified once, when it is compiled, on the argument that
+    /// filling a hole changes no branch, mark or final instruction: over
+    /// every kernel template — and three broken ones — the plan passes
+    /// exactly when an instance of it does.
+    #[test]
+    fn every_plan_passes_verification_exactly_when_its_instances_do() {
+        use quamachine::asm::Asm;
+        use quamachine::isa::{Cond, Instr, Operand::*, Size::L};
+        use synthesis_codegen::creator::SynthesisOptions;
+        use synthesis_codegen::plan::Plan;
+        use synthesis_codegen::template::Template;
+
+        let mut lib = TemplateLib::new();
+        install_all(&mut lib);
+        lib.add(crate::io::tty::cooked_read_template());
+        let mut broken = Vec::new();
+        let mut a = Asm::new("falls_off_the_end");
+        a.move_(L, AbsHole(0), Dr(0));
+        broken.push(a);
+        let mut a = Asm::new("branches_past_the_end");
+        a.emit(Instr::Bcc(Cond::Eq, quamachine::isa::BranchTarget::Idx(9)));
+        a.move_(L, Dr(0), AbsHole(0));
+        a.rts();
+        broken.push(a);
+        let mut a = Asm::new("mark_past_the_end");
+        a.move_(L, Dr(0), AbsHole(0));
+        a.rts();
+        a.mark("after");
+        broken.push(a);
+        let broken: Vec<Template> = broken
+            .into_iter()
+            .map(|a| {
+                let mut t = Template::from_asm(a).expect("assembles");
+                t.holes = vec!["slot".into()];
+                t
+            })
+            .collect();
+
+        let mut checked = (0, 0);
+        for t in lib.templates().chain(&broken) {
+            // Every name bound, collapsed callees' holes too, each to a
+            // long-aligned value of its own.
+            let value_of = |name: &str| {
+                Some(
+                    0x4_0000
+                        + 4 * name
+                            .bytes()
+                            .fold(0u32, |h, b| (h * 31 + u32::from(b)) % 0x1000),
+                )
+            };
+            let plan = Plan::compile(t, &lib, SynthesisOptions::full(), &value_of)
+                .unwrap_or_else(|e| panic!("{}: {e}", t.name));
+            let table = plan.table(&value_of).expect("every hole bound");
+            let instance = plan.instantiate(&table);
+            let once = plan.verified().is_ok();
+            let each = verify::verify_reported(&t.name, &instance, plan.marks()).is_ok();
+            assert_eq!(once, each, "{}: plan {once}, instance {each}", t.name);
+            if once {
+                checked.0 += 1;
+            } else {
+                checked.1 += 1;
+            }
+        }
+        assert_eq!(checked.1, broken.len(), "only the broken ones fail");
+        assert!(checked.0 >= 41);
     }
 }

@@ -22,8 +22,9 @@ use crate::isa::{encode, Instr, Operand};
 
 /// An assembled block of code, positioned at a base address.
 ///
-/// Only `instrs` belongs to the block: the name and the offsets never
-/// change after it is built (a patch keeps every size), so blocks
+/// Only `instrs` belongs to the block: the name, the offsets and the facts
+/// never change when a hole is filled or a target patched (a patch keeps
+/// every size and, but for a hole it fills, every cost), so blocks
 /// instantiated from one synthesis plan share the plan's copies.
 #[derive(Debug, Clone)]
 pub struct CodeBlock {
@@ -33,6 +34,32 @@ pub struct CodeBlock {
     pub instrs: Vec<Instr>,
     /// Byte offset of each instruction, plus the total size at the end.
     pub offsets: Arc<[u32]>,
+    /// The facts of `instrs`, when the builder has them already; loading a
+    /// block without them computes them.
+    pub facts: Option<BlockFacts>,
+}
+
+/// The [`InstrFacts`] of every instruction of a stream, computed once and
+/// shared by every block instantiated from it.
+#[derive(Debug, Clone)]
+pub struct BlockFacts(Arc<[InstrFacts]>);
+
+impl BlockFacts {
+    /// The facts of `instrs` once every hole in it is filled: what each
+    /// instance of a synthesis plan has, since filling a hole changes
+    /// neither an instruction's cost nor its size.
+    #[must_use]
+    pub fn filled(instrs: &[Instr]) -> BlockFacts {
+        BlockFacts(
+            instrs
+                .iter()
+                .map(|i| InstrFacts {
+                    hole: false,
+                    ..InstrFacts::of(i)
+                })
+                .collect(),
+        )
+    }
 }
 
 impl CodeBlock {
@@ -44,6 +71,7 @@ impl CodeBlock {
             name: name.into(),
             instrs,
             offsets,
+            facts: None,
         }
     }
 
@@ -76,8 +104,9 @@ pub struct CodeLoc {
 /// What the executor needs to know about an instruction before running
 /// it, and which changes only when the instruction itself does: its static
 /// cost and whether it still has a hole. Computed when [`CodeMem`] takes
-/// ownership of a block and refreshed by the patch methods, so a step
-/// reads three bytes instead of re-deriving them.
+/// ownership of a block (unless the block brings its [`BlockFacts`]) and
+/// refreshed by the patch methods, so a step reads three bytes instead of
+/// re-deriving them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct InstrFacts {
     /// `instr_cost(i).0`: base cycles.
@@ -99,13 +128,18 @@ impl InstrFacts {
     }
 }
 
-/// A loaded block: the block, where it sits, and one [`InstrFacts`] per
-/// instruction.
+/// A loaded block: the block, where it sits, the load that put it in its
+/// slot, and one [`InstrFacts`] per instruction.
 #[derive(Debug)]
 pub(crate) struct Resident {
     pub(crate) base: u32,
+    /// Unique to this load: a [`SlabLoc`] remembered with it is good while
+    /// the slot still holds this generation.
+    pub(crate) gen: u64,
     pub(crate) block: CodeBlock,
-    pub(crate) facts: Vec<InstrFacts>,
+    /// Shared with the plan the block was made from until a patch changes
+    /// one (filling a hole).
+    pub(crate) facts: Arc<[InstrFacts]>,
 }
 
 impl Resident {
@@ -113,12 +147,15 @@ impl Resident {
     /// resident instruction changes.
     fn set(&mut self, i: usize, new: Instr) {
         self.block.instrs[i] = new;
-        self.facts[i] = InstrFacts::of(&new);
+        let facts = InstrFacts::of(&new);
+        if self.facts[i] != facts {
+            Arc::make_mut(&mut self.facts)[i] = facts;
+        }
     }
 }
 
 /// A position in the slab: which slot and which instruction. Valid only
-/// for the [`CodeMem::epoch`] it was obtained under.
+/// while the slot holds the [`Resident::gen`] it was obtained under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SlabLoc {
     pub(crate) slot: u32,
@@ -128,10 +165,11 @@ pub(crate) struct SlabLoc {
 /// Lines in [`CodeMem`]'s table of recent answers.
 const LINES: usize = 512;
 
-/// One remembered answer: `addr` resolved to `at` under `epoch`.
+/// One remembered answer: `addr` resolved to `at` in the block of
+/// generation `gen`.
 #[derive(Debug, Clone, Copy)]
 struct Line {
-    epoch: u64,
+    gen: u64,
     addr: u32,
     at: SlabLoc,
 }
@@ -141,9 +179,11 @@ struct Line {
 /// on even addresses, and folding in the bits above the first KB keeps
 /// the same instruction of blocks 1, 2 or 4 KB apart (two threads'
 /// copies of one template, say) on different lines. A line is good only
-/// while its epoch is current: a patch never moves an instruction
-/// boundary, so only `load` and `unload` can change an answer, and both
-/// bump the epoch.
+/// while the block it names is still loaded: blocks never overlap, so no
+/// other block can cover an address while that one does, and a patch
+/// never moves an instruction boundary. Only the `unload` of that very
+/// block can change the answer, and a load into its slot gets a new
+/// generation.
 struct Lines(Box<[Cell<Line>]>);
 
 impl Lines {
@@ -154,9 +194,9 @@ impl Lines {
 
 impl Default for Lines {
     fn default() -> Lines {
-        // No epoch is ever `u64::MAX`, so an unused line never answers.
+        // No generation is ever `u64::MAX`, so an unused line never answers.
         let empty = Line {
-            epoch: u64::MAX,
+            gen: u64::MAX,
             addr: 0,
             at: SlabLoc { slot: 0, index: 0 },
         };
@@ -179,10 +219,9 @@ pub struct CodeMem {
     index: BTreeMap<u32, u32>,
     slab: Vec<Option<Resident>>,
     free_slots: Vec<u32>,
-    /// Bumped by every `load` and `unload`: the only operations that can
-    /// change which `(slot, index)` an address resolves to.
-    epoch: u64,
-    /// Recent answers of `locate_slab`, valid under `epoch`.
+    /// The generation the next `load` gives its block.
+    next_gen: u64,
+    /// Recent answers of `locate_slab`, each valid while its block is.
     lines: Lines,
     /// How many `locate_slab` calls no line could answer.
     searches: Cell<u64>,
@@ -204,26 +243,41 @@ impl CodeMem {
     /// # Errors
     ///
     /// Fails if the block would overlap an existing block.
-    pub fn load(&mut self, base: u32, block: CodeBlock) -> Result<u32, MachineError> {
+    pub fn load(&mut self, base: u32, mut block: CodeBlock) -> Result<u32, MachineError> {
         let size = block.size_bytes();
-        let end = u64::from(base) + u64::from(size);
-        // Check the previous block does not run into us, and we do not run
-        // into the next block.
-        if let Some((pb, ps)) = self.index.range(..=base).next_back() {
-            let prev = &self.resident(*ps).block;
-            if u64::from(*pb) + u64::from(prev.size_bytes()) > u64::from(base) {
-                return Err(MachineError::CodeOverlap(base));
-            }
-        }
-        if let Some((nb, _)) = self.index.range(base..).next() {
-            if u64::from(*nb) < end {
-                return Err(MachineError::CodeOverlap(*nb));
+        // Loaded blocks never overlap one another, so the only one that can
+        // reach into `base..base + size` is the one with the greatest base
+        // inside or below that range: it must end at or before `base`.
+        let last = u64::from(base) + u64::from(size.max(1)) - 1;
+        let last = u32::try_from(last).unwrap_or(u32::MAX);
+        if let Some((&pb, &ps)) = self.index.range(..=last).next_back() {
+            let prev = &self.resident(ps).block;
+            if u64::from(pb) + u64::from(prev.size_bytes()) > u64::from(base) {
+                return Err(MachineError::CodeOverlap(pb.max(base)));
             }
         }
         self.bytes_loaded += u64::from(size);
+        let gen = self.next_gen;
+        self.next_gen += 1;
+        let facts = match block.facts.take() {
+            Some(BlockFacts(facts)) => {
+                debug_assert!(
+                    block
+                        .instrs
+                        .iter()
+                        .map(InstrFacts::of)
+                        .eq(facts.iter().copied()),
+                    "{}: the facts it brought are not its instructions'",
+                    block.name
+                );
+                facts
+            }
+            None => block.instrs.iter().map(InstrFacts::of).collect(),
+        };
         let resident = Some(Resident {
             base,
-            facts: block.instrs.iter().map(InstrFacts::of).collect(),
+            gen,
+            facts,
             block,
         });
         let slot = if let Some(slot) = self.free_slots.pop() {
@@ -234,7 +288,6 @@ impl CodeMem {
             u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 code blocks")
         };
         self.index.insert(base, slot);
-        self.epoch += 1;
         Ok(base)
     }
 
@@ -245,15 +298,18 @@ impl CodeMem {
             .take()
             .expect("an indexed slot is occupied");
         self.free_slots.push(slot);
-        self.epoch += 1;
         self.bytes_freed += u64::from(r.block.size_bytes());
         Some(r.block)
     }
 
-    /// The load/unload generation a [`SlabLoc`] must have been obtained
-    /// under to still be valid.
-    pub(crate) fn epoch(&self) -> u64 {
-        self.epoch
+    /// The block at `at`, if its slot still holds generation `gen` — the
+    /// test every remembered [`SlabLoc`] passes before it is used.
+    #[inline]
+    pub(crate) fn live(&self, at: SlabLoc, gen: u64) -> Option<&Resident> {
+        match self.slab.get(at.slot as usize) {
+            Some(Some(r)) if r.gen == gen => Some(r),
+            _ => None,
+        }
     }
 
     /// The block in `slot`.
@@ -263,20 +319,30 @@ impl CodeMem {
             .expect("slot holds a loaded block")
     }
 
+    /// The fetch of `pc` that no memo answered: [`CodeMem::locate_slab`],
+    /// and the block it names.
+    pub(crate) fn fetch_slow(&self, pc: u32) -> Result<(SlabLoc, &Resident), MachineError> {
+        let at = self
+            .locate_slab(pc)
+            .ok_or(MachineError::BadCodeAddress(pc))?;
+        Ok((at, self.resident(at.slot)))
+    }
+
     /// Resolve an address to a slab position: the remembered answer if
-    /// its line holds one for this address and epoch, else the search
+    /// its line holds one for this address and its block is still
+    /// loaded, else the search
     /// (whose answer the line then keeps). The executor's fetch memo asks
     /// this only for a `pc` it could not name itself.
     pub(crate) fn locate_slab(&self, addr: u32) -> Option<SlabLoc> {
         let line = self.lines.line(addr);
         let l = line.get();
-        if l.epoch == self.epoch && l.addr == addr {
+        if l.addr == addr && self.live(l.at, l.gen).is_some() {
             return Some(l.at);
         }
         self.searches.set(self.searches.get() + 1);
         let at = self.search(addr)?;
         line.set(Line {
-            epoch: self.epoch,
+            gen: self.resident(at.slot).gen,
             addr,
             at,
         });
@@ -478,10 +544,10 @@ mod tests {
         for base in [0x3000, 0x1000, 0x2000] {
             cm.load(base, block3()).unwrap();
         }
-        let epoch = cm.epoch();
+        let gen = cm.next_gen;
         cm.unload(0x1000).unwrap();
         cm.load(0x4000, block3()).unwrap();
-        assert_eq!(cm.epoch(), epoch + 2);
+        assert_eq!(cm.next_gen, gen + 1);
         assert_eq!(cm.slab.len(), 3, "the freed slot was taken");
         let bases: Vec<u32> = cm.iter().map(|(b, _)| b).collect();
         assert_eq!(bases, [0x2000, 0x3000, 0x4000]);
@@ -508,7 +574,7 @@ mod tests {
         let facts = |cm: &CodeMem| {
             cm.resident(cm.locate_slab(0x1000).unwrap().slot)
                 .facts
-                .clone()
+                .to_vec()
         };
         assert!(facts(&cm).iter().all(|f| f.hole));
         cm.patch_jmp_target(0x1000, 0x2000).unwrap();

@@ -9,6 +9,7 @@
 
 use crate::code::{InstrFacts, SlabLoc};
 use crate::cost::{BRANCH_TAKEN_EXTRA, EXCEPTION_BASE, EXCEPTION_REFS, IACK_BASE};
+use crate::devices::DEV_BASE;
 use crate::error::{Exception, MachineError};
 use crate::isa::{BranchTarget, Instr, Operand, ShiftKind, Size};
 use crate::machine::{FetchMemo, Machine, RunExit};
@@ -193,21 +194,19 @@ impl Machine {
     #[inline(always)]
     fn fetch_exec(&mut self) -> Result<Option<RunExit>, MachineError> {
         // Fetch. Where `pc` lives is remembered from the step that set it
-        // (sequential flow and in-block branches); any other way `pc`
-        // moved, or any load/unload since, misses and asks `CodeMem`,
-        // which answers from its line table or searches. The instruction
-        // and its facts are read from the block every time, so a patch is
-        // seen by the very next step.
+        // (sequential flow and in-block branches) while that block stays
+        // loaded; any other way `pc` moved, or an unload of the block,
+        // misses and asks `CodeMem`, which answers from its line table or
+        // searches. The instruction and its facts are read from the block
+        // every time, so a patch is seen by the very next step.
         let pc = self.cpu.pc;
-        let epoch = self.code.epoch();
-        let at = match self.next_fetch {
-            Some(m) if m.pc == pc && m.epoch == epoch => m.at,
-            _ => self
-                .code
-                .locate_slab(pc)
-                .ok_or(MachineError::BadCodeAddress(pc))?,
+        let (at, r) = match self.next_fetch {
+            Some(m) if m.pc == pc => match self.code.live(m.at, m.gen) {
+                Some(r) => (m.at, r),
+                None => self.code.fetch_slow(pc)?,
+            },
+            _ => self.code.fetch_slow(pc)?,
         };
-        let r = self.code.resident(at.slot);
         let index = at.index as usize;
         let (instr, facts) = (r.block.instrs[index], r.facts[index]);
         // Every step cross-checks the memo or line and the load-time facts
@@ -225,7 +224,7 @@ impl Machine {
         // instruction of this block, so nothing is remembered for it.
         let next_pc = r.base + r.block.offsets[index + 1];
         self.next_fetch = (index + 1 < r.block.instrs.len()).then_some(FetchMemo {
-            epoch,
+            gen: r.gen,
             pc: next_pc,
             at: SlabLoc {
                 slot: at.slot,
@@ -550,7 +549,7 @@ impl Machine {
                 // this with `step` through a helper measured 3-5 % slower
                 // on `compute`.)
                 self.next_fetch = ((i as usize) < r.block.instrs.len()).then_some(FetchMemo {
-                    epoch: self.code.epoch(),
+                    gen: r.gen,
                     pc: addr,
                     at: SlabLoc { slot, index: i },
                 });
@@ -935,6 +934,45 @@ impl Machine {
             }
             _ => {
                 let mut addr = self.ea_addr(ea, Size::L);
+                // One check for the whole span when it is all memory and
+                // every long of it would pass; else long by long, so a
+                // fault leaves the longs before it transferred.
+                let len = 4 * regs.count();
+                if addr.checked_add(len).is_some_and(|end| end <= DEV_BASE)
+                    && self.mem.span_ok(addr, len, to_mem, self.cpu.supervisor())
+                {
+                    let cpu = &mut self.cpu;
+                    let span = self.mem.longs_mut(addr, len);
+                    if to_mem {
+                        // All sixteen registers as they would be stored,
+                        // then each run of consecutive ones in one copy.
+                        let mut image = [0u8; 64];
+                        for (i, r) in cpu.d.iter().chain(&cpu.a).enumerate() {
+                            image[4 * i..4 * i + 4].copy_from_slice(&r.to_be_bytes());
+                        }
+                        let (mut bits, mut at) = (u32::from(regs.0), 0);
+                        while bits != 0 {
+                            let lo = bits.trailing_zeros() as usize;
+                            let n = (!(bits >> lo)).trailing_zeros() as usize;
+                            span[at..at + 4 * n].copy_from_slice(&image[4 * lo..4 * (lo + n)]);
+                            at += 4 * n;
+                            bits &= !(((1 << n) - 1) << lo);
+                        }
+                    } else {
+                        let mut bits = regs.0;
+                        for long in span.chunks_exact(4) {
+                            let i = bits.trailing_zeros() as usize;
+                            bits &= bits - 1;
+                            let v = u32::from_be_bytes([long[0], long[1], long[2], long[3]]);
+                            if i < 8 {
+                                cpu.d[i] = v;
+                            } else {
+                                cpu.a[i - 8] = v;
+                            }
+                        }
+                    }
+                    return Ok(());
+                }
                 for (is_a, r) in regs.iter() {
                     if to_mem {
                         let v = if is_a {

@@ -102,11 +102,12 @@ struct DelayedIpi {
 
 /// Where the instruction at `pc` lives, remembered by the step that
 /// computed `pc` as its fall-through or taken-branch target. It answers
-/// `code.locate(pc)` for that one address while `code.epoch()` is
-/// unchanged; whoever else moves `cpu.pc` just fails the comparison.
+/// `code.locate(pc)` for that one address while the slot still holds the
+/// block of generation `gen`; whoever else moves `cpu.pc` just fails the
+/// comparison.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FetchMemo {
-    pub(crate) epoch: u64,
+    pub(crate) gen: u64,
     pub(crate) pc: u32,
     pub(crate) at: SlabLoc,
 }

@@ -112,6 +112,22 @@ impl Memory {
         Ok(())
     }
 
+    /// Whether `len` bytes from `addr` pass, as one span, the check every
+    /// [`Memory::read`] (or, with `write`, [`Memory::write`]) within them
+    /// makes: what lets a multi-long transfer check once.
+    #[inline]
+    pub(crate) fn span_ok(&self, addr: u32, len: u32, write: bool, supervisor: bool) -> bool {
+        self.check(addr, len, write, supervisor).is_ok()
+    }
+
+    /// The `len` bytes from `addr` of a multi-long transfer that
+    /// [`Memory::span_ok`] passed, counting one reference per long.
+    #[inline]
+    pub(crate) fn longs_mut(&mut self, addr: u32, len: u32) -> &mut [u8] {
+        self.ref_count += u64::from(len / 4);
+        &mut self.bytes[addr as usize..(addr + len) as usize]
+    }
+
     /// Read a value. Counts one memory reference.
     #[inline(always)]
     pub fn read(&mut self, addr: u32, size: Size, supervisor: bool) -> Result<u32, Exception> {

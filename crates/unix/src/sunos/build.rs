@@ -519,12 +519,19 @@ impl Sunos {
         {
             let mut a = Asm::new("u_sys_close");
             let bad = a.label();
+            let pipe_end = a.label();
+            let release = a.label();
             a.cmp(L, Imm(16), Dr(1));
             a.bcc(Cond::Cc, bad);
             a.lea(Abs(lay::FDTAB), 1);
             a.move_(L, Idx(0, 1, IndexSpec::d(1, 4)), Ar(2));
             a.cmp(L, Imm(0), Ar(2));
             a.bcc(Cond::Eq, bad);
+            // A pipe end (the two highest file types) also drops its
+            // descriptor's count of open ends: the last close frees it.
+            a.cmp(L, Imm(ftype::PIPE_R), Disp(4, 2));
+            a.bcc(Cond::Cc, pipe_end);
+            a.bind(release);
             // closef() -> vno_close -> vrele: walk the release chain.
             a.move_i(L, 8, Dr(3));
             let audit = a.here();
@@ -542,6 +549,10 @@ impl Sunos {
             a.move_i(L, 0, Idx(0, 1, IndexSpec::d(1, 4)));
             a.move_i(L, 0, Dr(0));
             a.jmp(Abs(code::SYSRET));
+            a.bind(pipe_end);
+            a.move_(L, Disp(12, 2), Ar(3));
+            a.sub(L, Imm(1), Disp(20, 3)); // the descriptor's open ends
+            a.bra(release);
             a.bind(bad);
             a.move_i(L, (-9i32) as u32, Dr(0));
             a.jmp(Abs(code::SYSRET));
@@ -608,7 +619,7 @@ impl Sunos {
             a.sub(L, Imm(1), Dr(5));
             a.bra(pscan);
             a.bind(pfound);
-            a.move_i(L, 1, Disp(20, 2)); // in_use
+            a.move_i(L, 2, Disp(20, 2)); // in use: both ends open
             a.move_i(L, 0, Disp(4, 2)); // ridx
             a.move_i(L, 0, Disp(8, 2)); // widx
             a.move_i(L, 0, Disp(12, 2)); // count

@@ -221,3 +221,54 @@ fn a_pipe_past_a_full_fd_table_fails_with_emfile_on_both() {
     let (emu, _) = run_synthesis(pipe_until_full(), |_| {});
     assert_eq!(results(&emu.k.m.mem), (want, [0x5A; 2]), "Synthesis");
 }
+
+/// `pipe` then `close` of both ends, six times over: more rounds than
+/// either kernel has pipes. Each call's `d0` lands in its own long from
+/// `addrs::RESULT` on: round `r`'s pipe at `3r`, its closes at `3r + 1`
+/// (the read end) and `3r + 2` (the write end).
+fn pipe_close_rounds() -> Asm {
+    let mut a = Asm::new("pipe_close_rounds");
+    for round in 0..6 {
+        let slot = |n: u32| Abs(addrs::RESULT + 4 * (3 * round + n));
+        a.move_i(L, abi::SYS_PIPE, Dr(0));
+        a.trap(abi::UNIX_TRAP);
+        a.move_(L, Dr(0), slot(0));
+        for (n, end) in [(1, 8), (2, 0)] {
+            a.move_(L, slot(0), Dr(1));
+            if end > 0 {
+                a.shift(ShiftKind::Lsr, L, Imm(end), Dr(1));
+            }
+            a.and(L, Imm(0xFF), Dr(1));
+            a.move_i(L, abi::SYS_CLOSE, Dr(0));
+            a.trap(abi::UNIX_TRAP);
+            a.move_(L, Dr(0), slot(n));
+        }
+    }
+    a.move_i(L, abi::SYS_EXIT, Dr(0));
+    a.move_i(L, 0, Dr(1));
+    a.trap(abi::UNIX_TRAP);
+    a
+}
+
+/// Closing both ends of a pipe gives its descriptor back: every round's
+/// `pipe` succeeds on both kernels, with the fds the first round got, and
+/// every `close` answers 0.
+#[test]
+fn closed_pipes_are_reused_on_both() {
+    let results = |mem: &quamachine::mem::Memory| {
+        (0..18)
+            .map(|slot| mem.peek(addrs::RESULT + 4 * slot, L) as i32)
+            .collect::<Vec<_>>()
+    };
+    let (s, _) = run_sunos(pipe_close_rounds(), |_| {});
+    let (emu, _) = run_synthesis(pipe_close_rounds(), |_| {});
+    for (kernel, got) in [
+        ("baseline", results(&s.m.mem)),
+        ("Synthesis", results(&emu.k.m.mem)),
+    ] {
+        let first = got[0];
+        assert!(first > 0, "{kernel}: the first pipe failed: {got:?}");
+        let want: Vec<i32> = (0..6).flat_map(|_| [first, 0, 0]).collect();
+        assert_eq!(got, want, "{kernel}");
+    }
+}

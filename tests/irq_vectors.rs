@@ -5,7 +5,10 @@
 //! A level that no device owns must enter `irq_spurious` (a bare `rte`),
 //! so a table that still names a handler for a device the kernel no
 //! longer boots fails here. A vector that names one of the thread's own
-//! blocks must name that thread's copy, also in a recycled table.
+//! blocks must name that thread's copy, also in a recycled table. The
+//! tables are written by the resident thread fill, which binds the IPI
+//! vector by the CPU count: spurious on one CPU, the thread's own
+//! `ipi_in` on two.
 
 use synthesis::kernel::kernel::{Kernel, KernelConfig};
 use synthesis::kernel::layout;
@@ -23,19 +26,30 @@ enum Want {
     Own(fn(&Thread) -> u32),
     /// The thread's own switch-out entry.
     SwitchOut,
+    /// The thread's own IPI entry, inside its switch code.
+    IpiIn,
 }
 
-/// Every pinned vector of a uniprocessor kernel's thread, with what it
-/// must name: the error traps, lazy FP, interrupt levels 1–7 (24 + level)
-/// and the sixteen `trap #n` vectors (32 + n).
-fn expected() -> Vec<(u32, Want)> {
+/// Every pinned vector of a thread on a kernel of `cpus` CPUs, with what
+/// it must name: the error traps, lazy FP, interrupt levels 1–7 (24 +
+/// level) and the sixteen `trap #n` vectors (32 + n).
+fn expected(cpus: usize) -> Vec<(u32, Want)> {
     let mut v: Vec<(u32, Want)> = [2, 3, 4, 5, 8]
         .into_iter()
         .map(|vec| (vec, Want::Own(|t| t.trap_error.base)))
         .collect();
     v.extend([
         (11, Want::Shared("trap_fp_unavail")),
-        (25, Want::Shared("irq_spurious")), // the IPI line: no other CPU sends one
+        // The IPI line: a reschedule on a multiprocessor; on one CPU
+        // nobody sends one.
+        (
+            25,
+            if cpus > 1 {
+                Want::IpiIn
+            } else {
+                Want::Shared("irq_spurious")
+            },
+        ),
         (26, Want::Shared("irq_spurious")), // unassigned
         (27, Want::Shared("irq_alarm")),
         (28, Want::Shared("irq_tty_rx")),
@@ -54,7 +68,7 @@ fn expected() -> Vec<(u32, Want)> {
 /// Check every thread's table against [`expected`].
 fn assert_vectors(k: &Kernel) {
     for t in k.threads.values() {
-        for (vec, want) in expected() {
+        for (vec, want) in expected(k.cpus.len()) {
             let addr = k.m.mem.peek(t.vt + 4 * vec, Size::L);
             let loc = k.m.code.locate(addr).unwrap_or_else(|| {
                 panic!("thread {}: vector {vec} names no code ({addr:#x})", t.tid)
@@ -77,15 +91,21 @@ fn assert_vectors(k: &Kernel) {
                     "thread {}: vector {vec} enters {name}+{addr:#x}, not its switch-out",
                     t.tid
                 ),
+                Want::IpiIn => assert!(
+                    Some(addr) == t.sw.entry("ipi_in") && loc.block_base == t.sw.base,
+                    "thread {}: vector {vec} enters {name}+{addr:#x}, not its IPI entry",
+                    t.tid
+                ),
             }
         }
     }
 }
 
-#[test]
-fn every_interrupt_level_enters_its_handler() {
+/// Boot `cpus` CPUs, then check every table: the idle threads', a new
+/// thread's, and a thread's that is handed the table of one destroyed.
+fn every_table_on(cpus: usize) {
     let mut k = Kernel::boot(KernelConfig {
-        cpus: 1,
+        cpus,
         ..KernelConfig::default()
     })
     .expect("kernel boots");
@@ -98,7 +118,11 @@ fn every_interrupt_level_enters_its_handler() {
     let first = k
         .create_thread(entry, stack, map.clone())
         .expect("thread created");
-    assert!(k.threads.len() >= 2, "the idle thread and the user thread");
+    assert_eq!(
+        k.threads.len(),
+        cpus + 1,
+        "the idle threads and the user thread"
+    );
     assert_vectors(&k);
 
     // A table freed by `destroy` and handed to the next thread.
@@ -107,4 +131,14 @@ fn every_interrupt_level_enters_its_handler() {
     let second = k.create_thread(entry, stack, map).expect("thread created");
     assert_eq!(k.threads[&second].vt, vt, "the vector table is recycled");
     assert_vectors(&k);
+}
+
+#[test]
+fn every_interrupt_level_enters_its_handler() {
+    every_table_on(1);
+}
+
+#[test]
+fn on_two_cpus_the_ipi_vector_enters_the_threads_own_switch() {
+    every_table_on(2);
 }
