@@ -303,12 +303,12 @@ pub fn scale_point(threads: usize, cpus: usize) -> ScalePoint {
                 };
                 let installed = k
                     .threads
-                    .get(&next.id)
+                    .get(&next)
                     .is_some_and(|t| k.m.mem.peek(t.tte + off::SIG_HANDLER, L) != 0);
-                if installed && k.signal(next.id, 1).is_ok() {
+                if installed && k.signal(next, 1).is_ok() {
                     signals_sent += 1;
                 }
-                cursor = Some(next.id);
+                cursor = Some(next);
             }
         }
     }

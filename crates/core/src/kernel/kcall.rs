@@ -194,7 +194,7 @@ impl Kernel {
         };
         let cpu = self.home_cpu(tid);
         let next = self.cpus[cpu].ready.next_of_id(tid);
-        if next.is_some_and(|n| n.id != tid) {
+        if next.is_some_and(|n| n != tid) {
             self.switch_out(tid);
         }
     }

@@ -312,7 +312,7 @@ impl Kernel {
         // *threads* are on no chain to begin with.
         let idle = self.cpus[cpu].idle_tid;
         let nodes = self.cpus[cpu].ready.nodes();
-        let evacuees = nodes.iter().map(|n| n.id).filter(|&t| t != idle);
+        let evacuees = nodes.into_iter().filter(|&t| t != idle);
         let mut moved = 0u32;
         for (tid, &to) in evacuees.zip(healthy.iter().cycle()) {
             if self.migrate(tid, to).is_ok() {

@@ -74,9 +74,9 @@ impl Kernel {
     /// caller guarantees a load of at least two, so there is one.
     fn stealable(&self, cpu: usize) -> Tid {
         let ready = &self.cpus[cpu].ready;
-        let head = ready.head().expect("a loaded chain has a head").id;
+        let head = ready.head().expect("a loaded chain has a head");
         if Some(head) == self.current_tid_on(cpu) {
-            ready.next_of_id(head).expect("the head is a member").id
+            ready.next_of_id(head).expect("the head is a member")
         } else {
             head
         }

@@ -32,6 +32,10 @@ use synthesis_codegen::template::Template;
 /// id is in `d0`.
 pub const KCALL_SET_MAP: u16 = 0x10;
 
+/// The names of the two switch templates, without and with the FP
+/// registers: every block of switch code is an instance of one of them.
+pub const SWITCH_TEMPLATES: [&str; 2] = ["sw_basic", "sw_fp"];
+
 /// Build the context-switch template.
 ///
 /// Holes: `save` (register save area), `usp_slot`, `ssp_slot`, `vt`
@@ -40,8 +44,7 @@ pub const KCALL_SET_MAP: u16 = 0x10;
 /// — in the FP variant — `fp_save`.
 #[must_use]
 pub fn switch_template(fp: bool) -> Template {
-    let name = if fp { "sw_fp" } else { "sw_basic" };
-    let mut a = Asm::new(name);
+    let mut a = Asm::new(SWITCH_TEMPLATES[usize::from(fp)]);
     let save = a.abs_hole("save");
     let usp_slot = a.abs_hole("usp_slot");
     let ssp_slot = a.abs_hole("ssp_slot");

@@ -2,7 +2,7 @@
 
 pub mod tte;
 
-pub use tte::{Bound, FdObject, SavedRegs, Thread, ThreadState, Tid, WaitObject};
+pub use tte::{Bound, OpenFd, SavedRegs, Thread, ThreadState, Tid, WaitObject};
 
 /// A set of thread ids, one bit per tid. Tids are handed out densely from
 /// 0, so the set grows by a word per 64 tids rather than by a hashed

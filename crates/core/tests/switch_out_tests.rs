@@ -19,7 +19,7 @@ use synthesis_core::kernel::{Kernel, KernelConfig};
 use synthesis_core::layout;
 use synthesis_core::syscall::{general, kcalls, traps};
 use synthesis_core::thread::tte::off;
-use synthesis_core::thread::{FdObject, ThreadState, Tid, WaitObject};
+use synthesis_core::thread::{ThreadState, Tid, WaitObject};
 
 const USTACK: u32 = layout::USER_BASE + 0x1_0000;
 const UBUF: u32 = layout::USER_BASE + 0x2_0000;
@@ -69,11 +69,11 @@ fn kcall_in(k: &Kernel, code: &[Synthesized], sel: u16) -> u32 {
 }
 
 /// The code serving `tid`'s `fd`.
-fn fd_code(k: &Kernel, tid: Tid, fd: usize) -> &[Synthesized] {
-    let FdObject::Channel { code, .. } = &k.threads[&tid].fds[fd] else {
+fn fd_code(k: &Kernel, tid: Tid, fd: u32) -> &[Synthesized] {
+    let Some(open) = k.threads[&tid].fd(fd) else {
         panic!("fd {fd} is open");
     };
-    code
+    &open.code
 }
 
 /// Run until a CPU is about to execute the instruction at `at`; its
@@ -473,7 +473,7 @@ fn a_cross_cpu_thread_stop_returns_to_its_caller() {
 fn a_cross_cpu_thread_destroy_returns_to_its_caller() {
     let (mut k, _, b, _) = cross_cpu_call(general::THREAD_DESTROY, |k| spinner(k, |_| {}).0);
     assert!(!k.threads.contains_key(&b));
-    let head = k.cpus[1].ready.head().map(|n| n.id);
+    let head = k.cpus[1].ready.head();
     assert_eq!(
         k.current_tid_on(1),
         head,

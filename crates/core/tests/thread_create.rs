@@ -76,7 +76,7 @@ fn reference(k: &Kernel, tid: Tid, entry: u32, user_sp: u32, sr: u16) -> Image {
         let handler = match level {
             irq_levels::ALARM => shared(k, "irq_alarm"),
             irq_levels::TTY => shared(k, "irq_tty_rx"),
-            irq_levels::QUANTUM => t.sw_out,
+            irq_levels::QUANTUM => t.sw.entry("sw_out").expect("marked"),
             irq_levels::IPI if k.cpus.len() > 1 => t.sw.entry("ipi_in").expect("marked"),
             _ => spurious,
         };

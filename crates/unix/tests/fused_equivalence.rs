@@ -132,8 +132,6 @@ proptest! {
 /// syscalls stays a trap.
 #[test]
 fn user_window_thread_never_fuses() {
-    use synthesis_core::thread::FdObject;
-
     let iters = 4;
     let specs = |flat: bool| -> (bool, bool) {
         let mut emu = UnixEmulator::new(Kernel::boot(KernelConfig::default()).expect("boots"));
@@ -144,7 +142,7 @@ fn user_window_thread_never_fuses() {
         };
         let tid = emu.spawn(pipe_xfer(64, iters, 1), map).expect("spawns");
         // Run up to the first transfer: the pipe's two fds are open.
-        while matches!(emu.k.threads[&tid].fds[1], FdObject::Free) {
+        while emu.k.threads[&tid].fd(1).is_none() {
             emu.run(500);
         }
         (
@@ -477,15 +475,15 @@ fn an_attach_never_leaves_the_holder_inside_a_solo_wrapper() {
     use quamachine::isa::{Instr, Operand, Size};
     use quamachine::machine::RunExit;
     use synthesis_core::syscall::errno;
-    use synthesis_core::thread::FdObject;
 
     for park in [false, true] {
         let (mut emu, writer) = attach::boot(attach::binder_then_writer());
         attach::run_to_mark(&mut emu);
         // The write wrapper's fast-path publish: its first store to head.
-        let FdObject::Channel { bound, .. } = &emu.k.threads[&writer].fds[1] else {
+        let Some(open) = emu.k.threads[&writer].fd(1) else {
             panic!("fd 1 is the pipe's write end");
         };
+        let bound = &open.bound;
         let [site] = &bound[..] else {
             panic!("one write site, bound: {bound:?}");
         };
@@ -545,7 +543,7 @@ fn an_attach_never_leaves_the_holder_inside_a_solo_wrapper() {
 fn an_attach_reaches_a_holder_blocked_on_its_own_pipe() {
     use quamachine::isa::Size;
     use quamachine::machine::RunExit;
-    use synthesis_core::thread::{FdObject, ThreadState, WaitObject};
+    use synthesis_core::thread::{ThreadState, WaitObject};
 
     for write in [false, true] {
         let (mut emu, holder) = attach::boot(attach::blocks_on_its_own_pipe(write));
@@ -558,9 +556,10 @@ fn an_attach_reaches_a_holder_blocked_on_its_own_pipe() {
             (0, WaitObject::PipeData(0))
         };
         assert_eq!(t.state, ThreadState::Blocked(wait), "write: {write}");
-        let FdObject::Channel { bound, .. } = &t.fds[fd] else {
+        let Some(open) = t.fd(fd) else {
             panic!("fd {fd} is the pipe's");
         };
+        let bound = &open.bound;
         let [site] = &bound[..] else {
             panic!("one site, bound: {bound:?}");
         };

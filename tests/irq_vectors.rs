@@ -87,7 +87,7 @@ fn assert_vectors(k: &Kernel) {
                     t.tid
                 ),
                 Want::SwitchOut => assert!(
-                    addr == t.sw_out && loc.block_base == t.sw.base,
+                    Some(addr) == t.sw.entry("sw_out") && loc.block_base == t.sw.base,
                     "thread {}: vector {vec} enters {name}+{addr:#x}, not its switch-out",
                     t.tid
                 ),

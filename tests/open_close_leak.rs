@@ -215,7 +215,7 @@ fn every_device_class_balances_synthesize_and_destroy_events() {
 #[test]
 fn interleaved_open_close_with_sharing_leaks_nothing() {
     // The cache-heavy pattern: several fds on the same channel live at
-    // once, closed in a different order than opened.
+    // once, closed in a different order than opened; then fd numbering.
     let (mut k, tid) = boot_with_thread();
     k.fs.create(&mut k.m, &mut k.heap, "/tmp/soak", 4096)
         .unwrap();
@@ -233,6 +233,21 @@ fn interleaved_open_close_with_sharing_leaks_nothing() {
         if round % 100 == 0 {
             assert_quiescent(&k, &b, "interleaved", round);
         }
+    }
+    // A full table, two holes punched in it: the lowest free number comes
+    // back first, then the next, then none is left.
+    let fds: Vec<u32> = (0..16)
+        .map(|_| k.open_for(tid, "/dev/null").unwrap())
+        .collect();
+    assert_eq!(fds, (0..16).collect::<Vec<_>>());
+    k.close_for(tid, 3).unwrap();
+    k.close_for(tid, 7).unwrap();
+    assert_eq!(k.open_for(tid, "/tmp/soak"), Ok(3));
+    assert_eq!(k.open_for(tid, "/dev/null"), Ok(7));
+    assert_eq!(k.open_for(tid, "/dev/null"), Err(24), "EMFILE");
+    common::assert_code_consistent(&k);
+    for fd in fds {
+        k.close_for(tid, fd).unwrap();
     }
     assert_restored(&mut k, &b, "interleaved", 500);
 }
@@ -478,7 +493,6 @@ fn a_failed_attach_leaves_the_pipe_and_its_bound_sites_alone() {
 #[test]
 fn a_retired_site_stays_layered_when_its_pipe_is_solo_again() {
     use quamachine::machine::RunExit;
-    use synthesis::kernel::thread::FdObject;
     use synthesis::unix::emu::boot_with_program;
 
     let (mut emu, binder) = boot_with_program(KernelConfig::default(), pipe_binder()).unwrap();
@@ -489,11 +503,13 @@ fn a_retired_site_stays_layered_when_its_pipe_is_solo_again() {
     k.close_for(other, rfd).unwrap();
     k.close_for(other, wfd).unwrap();
     assert!(k.fused_rw_spec(binder, 1, true).is_some(), "solo again");
-    let sites = |k: &Kernel| match &k.threads[&binder].fds[1] {
-        FdObject::Channel { bound, .. } => {
-            bound.iter().map(|b| (b.site, b.rearm, b.retired)).collect()
-        }
-        FdObject::Free => vec![],
+    let sites = |k: &Kernel| match k.threads[&binder].fd(1) {
+        Some(open) => open
+            .bound
+            .iter()
+            .map(|b| (b.site, b.rearm, b.retired))
+            .collect(),
+        None => vec![],
     };
     let [(site, rearm, true)] = sites(k)[..] else {
         panic!("one write site, retired: {:x?}", sites(k));

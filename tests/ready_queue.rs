@@ -48,7 +48,7 @@ fn maps(k: &Kernel) -> [AddressMap; 2] {
 fn installed_links(k: &Kernel) -> BTreeMap<Tid, u32> {
     k.threads
         .iter()
-        .map(|(&tid, t)| (tid, common::installed_jmp(k, t.jmp_at)))
+        .map(|(&tid, t)| (tid, common::installed_jmp(k, k.switch_entries(t).chain)))
         .collect()
 }
 
@@ -165,11 +165,11 @@ fn load_sites(k: &mut Kernel) -> (u32, Vec<u32>) {
 /// its program reads and writes: open, close, a pipe of its own, one more
 /// attach to a live pipe, or a call site bound to one of its fds.
 fn channel_op(k: &mut Kernel, rng: &mut SmallRng, tid: Tid, thunk: u32, sites: &mut Vec<u32>) {
-    use synthesis::kernel::thread::FdObject;
-    let spare: Vec<u32> = (2u32..)
-        .zip(&k.threads[&tid].fds[2..])
-        .filter(|(_, f)| !matches!(f, FdObject::Free))
-        .map(|(fd, _)| fd)
+    let spare: Vec<u32> = k.threads[&tid]
+        .fds
+        .iter()
+        .map(|f| f.fd)
+        .filter(|&fd| fd >= 2)
         .collect();
     let some_fd = |rng: &mut SmallRng| spare.get(rng.random_range(0..spare.len().max(1)));
     // Out of fds (EMFILE) is a legal answer to the three that open.
@@ -278,10 +278,8 @@ fn churn(k: &mut Kernel, seed: u64) -> (bool, bool) {
         common::assert_chains_consistent(k);
         common::assert_code_consistent(k);
         for f in k.threads.values().flat_map(|t| &t.fds) {
-            if let synthesis::kernel::thread::FdObject::Channel { bound, .. } = f {
-                sites_seen.0 |= bound.iter().any(|b| !b.retired);
-                sites_seen.1 |= bound.iter().any(|b| b.retired);
-            }
+            sites_seen.0 |= f.bound.iter().any(|b| !b.retired);
+            sites_seen.1 |= f.bound.iter().any(|b| b.retired);
         }
     }
     assert!(
@@ -325,4 +323,103 @@ fn seeded_churn_keeps_every_chain_and_wait_list_consistent() {
         (true, true),
         "the walks bound a call site, and retired one"
     );
+}
+
+/// Whether the active CPU's PC lies in a block made from a switch
+/// template, as code memory names the block.
+fn pc_in_switch_template(k: &Kernel) -> bool {
+    use synthesis::kernel::templates::ctxsw::SWITCH_TEMPLATES;
+    let code = &k.m.code;
+    code.locate(k.m.cpu.pc)
+        .and_then(|l| code.block(l.block_base))
+        .is_some_and(|b| SWITCH_TEMPLATES.contains(&&*b.name))
+}
+
+/// One step of the active CPU, which must execute no kernel call.
+fn step_plain(k: &mut Kernel) {
+    match k.m.step() {
+        Ok(None) => {}
+        other => panic!("a switch between same-map threads stepped to {other:?}"),
+    }
+}
+
+/// The safe-point test asks code memory which block holds the PC. A CPU
+/// stopped at each instruction boundary of a switch — the outgoing
+/// thread's switch-out through its chain `jmp`, then the incoming one's
+/// switch-in — is stepped by `ensure_safe_point` out of every thread's
+/// switch block, and leaves every chain consistent: through `sw_basic`,
+/// and through `sw_fp` once the lazy-FP trap has resynthesized every
+/// thread's switch, on 1 and 2 CPUs.
+#[test]
+fn a_cpu_stopped_anywhere_in_a_switch_steps_to_a_safe_point() {
+    for cpus in [1usize, 2] {
+        for fp in [false, true] {
+            let mut k = Kernel::boot(KernelConfig {
+                cpus,
+                ..KernelConfig::default()
+            })
+            .unwrap();
+            let mut a = Asm::new("spin");
+            if fp {
+                a.fmove_load(Abs(UBUF), 0);
+            }
+            let top = a.here();
+            a.add(L, Imm(1), Dr(0));
+            a.bcc(Cond::T, top);
+            let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
+            let map = maps(&k)[0].clone();
+            let tids: Vec<Tid> = (0..2 * cpus as u32)
+                .map(|i| {
+                    let tid = k
+                        .create_thread(entry, USTACK + 0x100 * i, map.clone())
+                        .unwrap();
+                    k.start(tid).unwrap();
+                    tid
+                })
+                .collect();
+            // Spread over the CPUs, every thread past its first
+            // instruction (and its FP trap).
+            k.run(400_000);
+            for tid in &tids {
+                assert_eq!(k.threads[tid].uses_fp, fp, "tid {tid} fp {fp}");
+            }
+            let at = format!("{cpus} cpu(s), fp {fp}");
+            let mut boundary = 0;
+            loop {
+                // Up to the next switch, then `boundary` instructions in.
+                let mut budget = 100_000;
+                while !pc_in_switch_template(&k) {
+                    step_plain(&mut k);
+                    budget -= 1;
+                    assert!(budget > 0, "{at}: no switch within 100,000 steps");
+                }
+                for _ in 0..boundary {
+                    step_plain(&mut k);
+                    if !pc_in_switch_template(&k) {
+                        break;
+                    }
+                }
+                if !pc_in_switch_template(&k) {
+                    break; // past the last boundary of the switch
+                }
+                let pc = k.m.cpu.pc;
+                k.ensure_safe_point();
+                let pc_after = k.m.cpu.pc;
+                for t in k.threads.values() {
+                    assert!(
+                        !(t.sw.base..t.sw.base + t.sw.size).contains(&pc_after),
+                        "{at}: stopped at {pc:#x} (boundary {boundary}), left at \
+                         {pc_after:#x}, inside tid {}'s switch code",
+                        t.tid
+                    );
+                }
+                common::assert_chains_consistent(&k);
+                boundary += 1;
+            }
+            assert!(
+                boundary > 10,
+                "{at}: a switch of only {boundary} instruction boundaries"
+            );
+        }
+    }
 }

@@ -109,7 +109,7 @@ fn quarantine_at_scale_loses_no_thread() {
                     .ready
                     .nodes()
                     .iter()
-                    .filter(|n| n.id != k.cpus[victim].idle_tid)
+                    .filter(|&&n| n != k.cpus[victim].idle_tid)
                     .count();
                 let evacuated_before = k.recovery.threads_evacuated.read();
 
