@@ -47,9 +47,9 @@ pub struct CpuFigures {
     pub steals: u64,
     /// Threads other CPUs stole from this CPU's chain.
     pub offloads: u64,
-    /// Slice cycles spent running real threads.
+    /// Slice cycles spent executing (`KCpu::busy_cycles`).
     pub busy_cycles: u64,
-    /// Slice cycles spent in the idle thread.
+    /// Slice cycles spent asleep in `stop` (`KCpu::idle_cycles`).
     pub idle_cycles: u64,
 }
 

@@ -446,9 +446,9 @@ pub struct CpuTrace {
     pub steals: u64,
     /// Threads other CPUs stole from this one's chain.
     pub offloads: u64,
-    /// Slice cycles spent running real threads.
+    /// Slice cycles spent executing (`KCpu::busy_cycles`).
     pub busy_cycles: u64,
-    /// Slice cycles spent in the idle thread.
+    /// Slice cycles spent asleep in `stop` (`KCpu::idle_cycles`).
     pub idle_cycles: u64,
     /// `busy / (busy + idle)`, 0 when the CPU never ran a slice.
     pub utilization: f64,

@@ -543,6 +543,49 @@ fn idle_cpus_with_an_armed_quantum_stay_in_service() {
     }
 }
 
+/// A CPU's idle cycles are the cycles the machine counted it asleep in
+/// `stop`, to the cycle, and its busy cycles the rest of its slices —
+/// whatever was current when a slice began. A thread started on an idle
+/// CPU counts down inside the first slice and exits: its run is busy,
+/// and the CPU's sleep after it (and the whole run of a CPU that never
+/// gets work) is idle.
+#[test]
+fn idle_cycles_are_the_machines_count_of_cycles_asleep() {
+    for cpus in [1, 2] {
+        let mut k = Kernel::boot(KernelConfig {
+            cpus,
+            ..KernelConfig::default()
+        })
+        .unwrap();
+        let mut a = Asm::new("countdown");
+        a.move_i(L, 2_000, Dr(7));
+        let top = a.here();
+        a.sub(L, Imm(1), Dr(7));
+        a.bcc(Cond::Ne, top);
+        a.move_i(L, general::EXIT, Dr(0));
+        a.trap(traps::GENERAL);
+        let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
+        let tid = k.create_thread(entry, USTACK, user_map()).unwrap();
+        k.start(tid).unwrap();
+        let instrs = k.m.meter.instr_count;
+        assert!(k.run_until_exit(tid, 10_000_000), "{cpus} cpu(s)");
+        assert!(k.m.meter.instr_count - instrs > 4_000, "the countdown ran");
+        k.run(1_000_000);
+        for (i, c) in k.cpus.iter().enumerate() {
+            let at = format!("{cpus} cpu(s), cpu {i}");
+            assert_eq!(c.idle_cycles, k.m.halted_cycles(i), "{at}");
+            let slices = c.idle_cycles + c.busy_cycles;
+            assert!(c.idle_cycles * 10 > slices * 9, "{at}: {c:?}");
+        }
+        // Two instructions an iteration, each of at least 4 cycles.
+        let busy = k.cpus[0].busy_cycles;
+        assert!(
+            busy > 2_000 * 8,
+            "{cpus} cpu(s): the countdown was busy for {busy} cycles"
+        );
+    }
+}
+
 /// Run `n` equal finite spinners, all started on CPU 0 of a `cpus`-CPU
 /// kernel with the 50 ms measurement quantum, until every one has
 /// exited; `check` sees the kernel two watchdog slices in. Returns the
