@@ -26,6 +26,11 @@ fields() {
     awk -v head="pub struct $1 {" '$0 == head { on = 1; next } on && /^}/ { exit } on && /^    pub / { n++ } END { print n + 0 }' "$2"
 }
 
+# Fields of struct `$1` in file `$2`, private ones included.
+all_fields() {
+    awk -v head="pub struct $1 {" '$0 == head { on = 1; next } on && /^}/ { exit } on && /^    (pub )?[a-z_][a-z0-9_]*:/ { n++ } END { print n + 0 }' "$2"
+}
+
 # Variants of enum `$1` in file `$2`: the body's lines indented once that
 # start with a capital.
 variants() {
@@ -66,6 +71,9 @@ printf '%-34s %7s\n' "KernelConfig fields" "$(fields KernelConfig crates/core/sr
 printf '%-34s %7s\n' "SynthesisOptions fields" "$(fields SynthesisOptions crates/codegen/src/creator.rs)"
 printf '%-34s %7s\n' "FaultConfig fields" "$(fields FaultConfig crates/quamachine/src/fault.rs)"
 printf '%-34s %7s\n' "cargo features" "$(features)"
+# What the host keeps per thread and per kernel: a fact has one record.
+printf '%-34s %7s\n' "Thread fields" "$(all_fields Thread crates/core/src/thread/tte.rs)"
+printf '%-34s %7s\n' "Kernel fields" "$(all_fields Kernel crates/core/src/kernel.rs)"
 # The ISA: every form is executed by a measured row or named in the census
 # (`crates/bench/tests/census.rs`).
 printf '%-34s %7s\n' "Instr variants" "$(variants Instr crates/quamachine/src/isa/instr.rs)"
