@@ -9,11 +9,17 @@
 //! [`Probe::time`] raises an interrupt or makes a host call and counts
 //! from there; [`Probe::call`] points the running thread at a call
 //! sequence and counts from its `trap`. The slice services kernel calls
-//! on the path as any run does, the UNIX emulator's included.
+//! on the path as any run does, the UNIX emulator's included. When the
+//! slice ends, each record is named by the block it ran in
+//! ([`block_names`]), so a path keeps the name of code that is unloaded
+//! during or after it.
 
+use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::Arc;
 
 use quamachine::asm::Asm;
+use quamachine::code::CodeMem;
 use quamachine::isa::{Cond, Instr};
 use quamachine::mem::AddressMap;
 use quamachine::trace::TraceRecord;
@@ -35,15 +41,23 @@ pub struct Path {
     /// The instructions executed on the way, then the first one back in
     /// user code, each with the cycle it began at.
     trace: Vec<TraceRecord>,
+    /// The block each record of `trace` ran in.
+    blocks: Vec<Option<Arc<str>>>,
 }
 
 impl Path {
     /// The path from `t0` whose trace ends at `back`, the first instruction
     /// back in user code.
-    fn ending(t0: u64, mut trace: Vec<TraceRecord>, back: Option<usize>) -> Path {
-        trace.truncate(back.expect("the path returns to user code") + 1);
-        let cycles = trace[trace.len() - 1].cycle - t0;
-        Path { cycles, trace }
+    fn ending(t0: u64, mut slice: Slice, back: Option<usize>) -> Path {
+        let len = back.expect("the path returns to user code") + 1;
+        slice.trace.truncate(len);
+        slice.blocks.truncate(len);
+        let cycles = slice.trace[len - 1].cycle - t0;
+        Path {
+            cycles,
+            trace: slice.trace,
+            blocks: slice.blocks,
+        }
     }
 
     /// The executed instructions, then the first one back in user code.
@@ -52,12 +66,57 @@ impl Path {
         &self.trace
     }
 
+    /// The name of the block each of [`Path::records`] ran in, `None` for
+    /// one that no loaded block held when the path's slice ended.
+    #[must_use]
+    pub fn blocks(&self) -> &[Option<Arc<str>>] {
+        &self.blocks
+    }
+
     /// Cycles spent in the executed instructions that `pick` selects.
     #[must_use]
     pub fn cycles_in(&self, pick: impl Fn(&Instr) -> bool) -> u64 {
         let spent = self.trace.windows(2).filter(|w| pick(&w[0].instr));
         spent.map(|w| w[1].cycle - w[0].cycle).sum()
     }
+}
+
+/// The blocks code memory held at one moment, by address: what names a
+/// record whose block was unloaded before its slice ended.
+#[derive(Debug, Clone, Default)]
+pub struct Blocks(BTreeMap<u32, (u32, Arc<str>)>);
+
+impl Blocks {
+    /// The blocks `code` holds now.
+    #[must_use]
+    pub fn of(code: &CodeMem) -> Blocks {
+        let blocks = code.iter().map(|(base, b)| {
+            let name = Arc::clone(&b.name);
+            (base, (base + b.size_bytes(), name))
+        });
+        Blocks(blocks.collect())
+    }
+
+    /// The block that holds `pc`.
+    fn name(&self, pc: u32) -> Option<Arc<str>> {
+        let (_, (end, name)) = self.0.range(..=pc).next_back()?;
+        (pc < *end).then(|| Arc::clone(name))
+    }
+}
+
+/// The name of the block each of a slice's records ran in: the one that
+/// holds the record's address in `end`, the blocks when the slice ended,
+/// else in `start`, those when it began (a block the slice unloaded).
+#[must_use]
+pub fn block_names(start: &Blocks, end: &Blocks, records: &[TraceRecord]) -> Vec<Option<Arc<str>>> {
+    let name = |pc| end.name(pc).or_else(|| start.name(pc));
+    records.iter().map(|r| name(r.pc)).collect()
+}
+
+/// One slice's trace, each record named by its block.
+struct Slice {
+    trace: Vec<TraceRecord>,
+    blocks: Vec<Option<Arc<str>>>,
 }
 
 /// A booted one-CPU kernel that times paths (the trace of Section 6.3 is
@@ -129,11 +188,12 @@ impl Probe {
     /// Time the path `start` begins: from the instruction it interrupts to
     /// the first instruction back in user code that runs after it.
     pub fn time(&mut self, start: impl FnOnce(&mut Kernel)) -> Path {
-        let (t0, started, trace) = self.slice(start);
-        let back = trace
+        let (t0, started, slice) = self.slice(start);
+        let back = slice
+            .trace
             .iter()
             .position(|r| r.cycle >= started && self.in_user(r.pc));
-        self.keep(Path::ending(t0, trace, back))
+        self.keep(Path::ending(t0, slice, back))
     }
 
     /// Time the kernel call `sequence` makes: load it as a user program,
@@ -141,12 +201,19 @@ impl Probe {
     /// the first instruction back in user code.
     pub fn call(&mut self, sequence: impl FnOnce(&mut Asm)) -> Path {
         let entry = self.load_spinner(sequence);
-        let (_, _, mut trace) = self.slice(|k| k.m.cpu.pc = entry);
+        let (_, _, mut slice) = self.slice(|k| k.m.cpu.pc = entry);
         let is_trap = |r: &TraceRecord| matches!(r.instr, Instr::Trap(_)) && self.in_user(r.pc);
-        let trap = trace.iter().position(is_trap).expect("the sequence traps");
-        let rest = trace.split_off(trap);
-        let back = rest.iter().skip(1).position(|r| self.in_user(r.pc));
-        self.keep(Path::ending(rest[0].cycle, rest, back.map(|i| i + 1)))
+        let trap = slice
+            .trace
+            .iter()
+            .position(is_trap)
+            .expect("the sequence traps");
+        let rest = Slice {
+            trace: slice.trace.split_off(trap),
+            blocks: slice.blocks.split_off(trap),
+        };
+        let back = rest.trace.iter().skip(1).position(|r| self.in_user(r.pc));
+        self.keep(Path::ending(rest.trace[0].cycle, rest, back.map(|i| i + 1)))
     }
 
     fn keep(&mut self, path: Path) -> Path {
@@ -157,7 +224,7 @@ impl Probe {
     /// Run one slice with the meter's instruction trace on, `start` made
     /// first under a running user thread: the cycle `start` was made at,
     /// the cycle it returned at, and the slice's trace.
-    fn slice(&mut self, start: impl FnOnce(&mut Kernel)) -> (u64, u64, Vec<TraceRecord>) {
+    fn slice(&mut self, start: impl FnOnce(&mut Kernel)) -> (u64, u64, Slice) {
         for _ in 0..100 {
             if self.in_user(self.emu.k.m.cpu.pc) {
                 break;
@@ -166,6 +233,7 @@ impl Probe {
         }
         assert!(self.in_user(self.emu.k.m.cpu.pc), "a user thread runs");
         let k = &mut self.emu.k;
+        let before = Blocks::of(&k.m.code);
         k.m.meter.clear_trace();
         k.m.meter.tracing = true;
         let (t0, n0) = (k.m.meter.cycles, k.m.meter.instr_count);
@@ -180,6 +248,7 @@ impl Probe {
             meter.instr_count - n0,
             "the ring kept the slice"
         );
-        (t0, started, trace)
+        let blocks = block_names(&before, &Blocks::of(&self.emu.k.m.code), &trace);
+        (t0, started, Slice { trace, blocks })
     }
 }

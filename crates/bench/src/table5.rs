@@ -77,7 +77,7 @@ pub fn ad_interrupts(p: &mut Probe, user: Tid) -> [Path; 2] {
         ("vec", vec_slot),
         ("next", simple),
     ];
-    let slot_0 = synthesize(&mut p.emu.k, "irq_ad_0", &slot_0);
+    let slot_0 = synthesize(&mut p.emu.k, "irq_ad_slot", &slot_0);
     p.emu.k.set_vector(user, AUDIO_VECTOR, slot_0).unwrap();
     let audio_irq = |k: &mut Kernel| k.m.irq.raise(irq_levels::AUDIO);
     [p.time(audio_irq), p.time(audio_irq)]

@@ -163,8 +163,10 @@ impl ChannelSpec {
     /// collapsed callee's holes, namespaced `"<callee>~rts.<hole>"` the
     /// way Collapsing Layers renames them).
     ///
-    /// `None` when the end does not exist or has no fused form (e.g.
-    /// the cooked tty's line-editing read). Pipe-end eligibility (solo
+    /// `None` when the end does not exist or has no fused form: the
+    /// cooked tty's line-editing read, and the tty write, whose store to
+    /// the device's data register user mode cannot make (a fused wrapper
+    /// runs in its caller's user mode). Pipe-end eligibility (solo
     /// pipes only) is the *kernel's* call — see
     /// [`Kernel::fused_rw_spec`](crate::kernel::Kernel::fused_rw_spec)
     /// — because it needs the live reader/writer counts.
@@ -182,7 +184,6 @@ impl ChannelSpec {
                 | "read_null"
                 | "write_null"
                 | "read_tty"
-                | "write_tty"
                 | "read_file"
                 | "write_file"
         ) {

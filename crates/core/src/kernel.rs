@@ -396,7 +396,6 @@ impl Kernel {
         templates::copy::load_routines(&mut m)?;
         let mut creator = QuajectCreator::new(cfg.layout.code_base, cfg.layout.code_len);
         templates::install_all(&mut creator.lib);
-        creator.lib.add(crate::io::tty::cooked_read_template());
         let trimmed = creator.cache.set_budget(CACHE_BUDGET);
         debug_assert!(trimmed.is_empty(), "empty cache trims nothing");
 

@@ -15,8 +15,19 @@ pub mod traps {
     pub const READ: u8 = 1;
     /// `write(fd = d0, buf = a0, count = d1) -> d0`.
     pub const WRITE: u8 = 2;
-    /// Reserved for the UNIX emulator (the `synthesis-unix` crate).
+    /// The UNIX emulator's call (the `synthesis-unix` crate): the call
+    /// number in `d0`, one of [`super::unix`]'s for `read`/`write`.
     pub const UNIX: u8 = 3;
+}
+
+/// The UNIX call numbers the kernel's own code names: the fused wrappers'
+/// foreign-fd fallback re-traps through [`traps::UNIX`] with one of them
+/// in `d0` (the `synthesis-unix` crate's ABI takes them from here).
+pub mod unix {
+    /// `read(fd = d1, buf = a0, count = d2)`.
+    pub const SYS_READ: u32 = 3;
+    /// `write(fd = d1, buf = a0, count = d2)`.
+    pub const SYS_WRITE: u32 = 4;
 }
 
 /// Selectors for the general kernel call (`trap #0`, selector in `d0`).
@@ -77,8 +88,9 @@ pub mod errno {
     pub const ENAMETOOLONG: i32 = 63;
 }
 
-/// `kcall` selectors used by synthesized code (see the template modules
-/// for the producers).
+/// `kcall` selectors used by synthesized code, each declared once here
+/// (the template modules and `io::tty` name them; `kernel/kcall.rs`
+/// dispatches on them).
 pub mod kcalls {
     /// General kernel call (selector in `d0`).
     pub const GENERAL: u16 = 0x00;

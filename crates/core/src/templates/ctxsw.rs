@@ -28,9 +28,7 @@ use quamachine::asm::Asm;
 use quamachine::isa::{FpRegList, Operand::*, RegList, Size::*};
 use synthesis_codegen::template::Template;
 
-/// `kcall` selector: install the current thread's address map; the thread
-/// id is in `d0`.
-pub const KCALL_SET_MAP: u16 = 0x10;
+use crate::syscall::kcalls;
 
 /// The names of the two switch templates, without and with the FP
 /// registers: every block of switch code is an instance of one of them.
@@ -101,7 +99,7 @@ pub fn switch_template(fp: bool) -> Template {
     // --- sw_in_mmu ------------------------------------------------------
     a.mark("sw_in_mmu");
     a.move_(L, tid, Dr(0));
-    a.kcall(KCALL_SET_MAP);
+    a.kcall(kcalls::SET_MAP);
     // Falls through into sw_in.
 
     // --- sw_in ----------------------------------------------------------

@@ -10,14 +10,7 @@ use quamachine::asm::Asm;
 use quamachine::isa::{IndexSpec, Operand::*, RegList, Size::*};
 use synthesis_codegen::template::Template;
 
-/// `kcall`: resynthesize the current thread's context switch to include
-/// the floating-point registers and enable the FPU (lazy FP, Section 4.2).
-pub const KCALL_FP_RESYNTH: u16 = 0x11;
-/// `kcall`: an alarm fired; run chained work.
-pub const KCALL_ALARM: u16 = 0x12;
-/// `kcall`: advance the A/D buffered queue to its next element (repatches
-/// the specialized slot handlers).
-pub const KCALL_AD_ADVANCE: u16 = 0x13;
+use crate::syscall::kcalls;
 
 /// The raw tty receive handler: "raw tty interrupt handling simply picks
 /// up the character" (Section 6.3) — and drops it into the raw input
@@ -54,7 +47,7 @@ pub fn tty_rx_template() -> Template {
     // wakeup is chained onto the end of interrupt handling).
     a.tst(L, waiters);
     a.bcc(quamachine::isa::Cond::Eq, no_waiter);
-    a.kcall(super::super::syscall::kcalls::WAKE_TTY);
+    a.kcall(kcalls::WAKE_TTY);
     a.bind(no_waiter);
     a.movem_load(PostInc(7), regs);
     a.rte();
@@ -79,31 +72,33 @@ pub fn ad_simple_template() -> Template {
     a.move_(L, Ar(0), ptr_slot);
     a.cmp(L, end_slot, Ar(0)); // element full?
     a.bcc(quamachine::isa::Cond::Ne, done);
-    a.kcall(KCALL_AD_ADVANCE);
+    a.kcall(kcalls::AD_ADVANCE);
     a.bind(done);
     a.move_(L, PostInc(7), Ar(0));
     a.rte();
     Template::from_asm(a).expect("assembles")
 }
 
-/// One of the eight *specialized* A/D slot handlers of Section 5.4: "a
-/// couple of instructions; each moves a chunk of data into a different
-/// area of the same queue element". Handler `i` stores the sample into
-/// slot `i` (an absolute address folded in) and repoints the interrupt
-/// vector at handler `i + 1` — the handler sequence is an executable data
-/// structure. The last handler instead asks the kernel to advance to the
-/// next queue element (which repatches the slot addresses).
+/// The *specialized* A/D slot handler of Section 5.4, from which the
+/// eight handlers of a queue element are synthesized: "a couple of
+/// instructions; each moves a chunk of data into a different area of the
+/// same queue element". `irq_ad_slot`, specialized for slot `i`, stores
+/// the sample into slot `i` (an absolute address folded in) and repoints
+/// the interrupt vector at handler `i + 1` — the handler sequence is an
+/// executable data structure. `irq_ad_last`, specialized for the last
+/// slot, instead asks the kernel to advance to the next queue element
+/// (which repatches the slot addresses).
 ///
-/// Holes: `ad_data`, `slot`, `vec` (the vector-table entry), `next`
-/// (the following handler's address) — `next` is absent on the last.
+/// Holes: `ad_data`, `slot`; and on `irq_ad_slot`, `vec` (the
+/// vector-table entry) and `next` (the following handler's address).
 #[must_use]
-pub fn ad_slot_template(i: usize, last: bool) -> Template {
-    let mut a = Asm::new(format!("irq_ad_{i}"));
+pub fn ad_slot_template(last: bool) -> Template {
+    let mut a = Asm::new(if last { "irq_ad_last" } else { "irq_ad_slot" });
     let ad_data = a.abs_hole("ad_data");
     let slot = a.abs_hole("slot");
     if last {
         a.move_(L, ad_data, slot);
-        a.kcall(KCALL_AD_ADVANCE);
+        a.kcall(kcalls::AD_ADVANCE);
     } else {
         let vec = a.abs_hole("vec");
         let next = a.imm_hole("next");
@@ -122,7 +117,7 @@ pub fn alarm_template() -> Template {
     let mut a = Asm::new("irq_alarm");
     let timer_ack = a.abs_hole("timer_ack");
     a.move_i(L, 0, timer_ack);
-    a.kcall(KCALL_ALARM);
+    a.kcall(kcalls::ALARM);
     a.rte();
     Template::from_asm(a).expect("assembles")
 }
@@ -131,7 +126,7 @@ pub fn alarm_template() -> Template {
 #[must_use]
 pub fn fp_trap_template() -> Template {
     let mut a = Asm::new("trap_fp_unavail");
-    a.kcall(KCALL_FP_RESYNTH);
+    a.kcall(kcalls::FP_RESYNTH);
     a.rte(); // retries the faulting FP instruction
     Template::from_asm(a).expect("assembles")
 }
@@ -168,11 +163,12 @@ mod tests {
 
     #[test]
     fn ad_slot_handlers_are_a_couple_of_instructions() {
-        for i in 0..8 {
-            let t = ad_slot_template(i, i == 7);
+        for last in [false, true] {
+            let t = ad_slot_template(last);
             assert!(
                 t.instrs.len() <= 3,
-                "slot handler {i} must be tiny: {:?}",
+                "{} must be tiny: {:?}",
+                t.name,
                 t.instrs
             );
         }

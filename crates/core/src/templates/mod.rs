@@ -66,7 +66,7 @@ pub fn install_all(lib: &mut TemplateLib) {
     lib.add(rw::write_tty_template());
     lib.add(rw::read_file_template());
     lib.add(rw::write_file_template());
-    lib.add(rw::rw_generic_template());
+    lib.add(crate::io::tty::cooked_read_template());
     lib.add(pipe::pipe_write_template());
     lib.add(pipe::pipe_read_template());
     lib.add(queue::spsc_put_template());
@@ -86,7 +86,6 @@ pub fn install_all(lib: &mut TemplateLib) {
         "read_null",
         "write_null",
         "read_tty",
-        "write_tty",
         "read_file",
         "write_file",
     ] {
@@ -102,7 +101,6 @@ pub fn install_all(lib: &mut TemplateLib) {
         "read_null",
         "write_null",
         "read_tty",
-        "write_tty",
         "read_file",
         "write_file",
     ] {
@@ -110,9 +108,8 @@ pub fn install_all(lib: &mut TemplateLib) {
     }
     lib.add(irq::tty_rx_template());
     lib.add(irq::ad_simple_template());
-    for i in 0..8 {
-        lib.add(irq::ad_slot_template(i, i == 7));
-    }
+    lib.add(irq::ad_slot_template(false));
+    lib.add(irq::ad_slot_template(true));
     lib.add(irq::alarm_template());
     lib.add(irq::fp_trap_template());
     lib.add(irq::error_trap_template());
@@ -127,14 +124,13 @@ mod tests {
     fn all_templates_verify() {
         let mut lib = TemplateLib::new();
         install_all(&mut lib);
-        assert!(lib.len() >= 41);
+        assert_eq!(lib.len(), 40);
         for name in [
             "pipe_write~rts",
             "pipe_read~rts",
             "read_null~rts",
             "write_null~rts",
             "read_tty~rts",
-            "write_tty~rts",
             "read_file~rts",
             "write_file~rts",
             "fused_pipe_write",
@@ -142,7 +138,6 @@ mod tests {
             "fused_read_null",
             "fused_write_null",
             "fused_read_tty",
-            "fused_write_tty",
             "fused_read_file",
             "fused_write_file",
             "sw_basic",
@@ -153,7 +148,7 @@ mod tests {
             "write_tty",
             "read_file",
             "write_file",
-            "rw_generic",
+            "cooked_read",
             "pipe_write",
             "pipe_read",
             "q_spsc_put",
@@ -166,8 +161,8 @@ mod tests {
             "kcall_trampoline",
             "irq_tty_rx",
             "irq_ad_simple",
-            "irq_ad_0",
-            "irq_ad_7",
+            "irq_ad_slot",
+            "irq_ad_last",
             "irq_alarm",
             "trap_fp_unavail",
             "trap_error",
@@ -193,7 +188,6 @@ mod tests {
 
         let mut lib = TemplateLib::new();
         install_all(&mut lib);
-        lib.add(crate::io::tty::cooked_read_template());
         let mut broken = Vec::new();
         let mut a = Asm::new("falls_off_the_end");
         a.move_(L, AbsHole(0), Dr(0));
@@ -243,6 +237,6 @@ mod tests {
             }
         }
         assert_eq!(checked.1, broken.len(), "only the broken ones fail");
-        assert!(checked.0 >= 41);
+        assert_eq!(checked.0, lib.len());
     }
 }

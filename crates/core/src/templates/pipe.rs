@@ -15,11 +15,7 @@ use quamachine::isa::{Cond, Operand::*, Size::*};
 use synthesis_codegen::template::Template;
 
 use super::copy::{emit_copy, Dir};
-
-/// `kcall`: writer found the pipe full; block until space.
-pub const KCALL_WAIT_PIPE_SPACE: u16 = 0x21;
-/// `kcall`: reader found the pipe empty; block until data.
-pub const KCALL_WAIT_PIPE_DATA: u16 = 0x22;
+use crate::syscall::kcalls;
 
 /// `write(pipe)`: copy `d1` bytes from `(a0)` into the ring; block while
 /// there is not enough space for the whole write (writes up to the ring
@@ -54,7 +50,7 @@ pub fn pipe_write_template() -> Template {
     a.cmp(L, Dr(3), Dr(1)); // count - space
     a.bcc(Cond::Ls, ok);
     a.move_(L, pid, Dr(2)); // identify the pipe for the kernel
-    a.kcall(KCALL_WAIT_PIPE_SPACE);
+    a.kcall(kcalls::WAIT_PIPE_SPACE);
     a.bra(retry);
 
     a.bind(ok);
@@ -92,7 +88,7 @@ pub fn pipe_write_template() -> Template {
     a.tst(L, r_wait);
     a.bcc(Cond::Eq, no_waiter);
     a.move_(L, pid, Dr(2));
-    a.kcall(super::super::syscall::kcalls::WAKE_PIPE_DATA);
+    a.kcall(kcalls::WAKE_PIPE_DATA);
     a.bind(no_waiter);
     a.move_(L, Dr(1), Dr(0));
     a.rte();
@@ -124,7 +120,7 @@ pub fn pipe_read_template() -> Template {
     a.sub(L, tail_slot, Dr(2)); // available
     a.bcc(Cond::Ne, have);
     a.move_(L, pid, Dr(2));
-    a.kcall(KCALL_WAIT_PIPE_DATA);
+    a.kcall(kcalls::WAIT_PIPE_DATA);
     a.bra(retry);
 
     a.bind(have);
@@ -163,7 +159,7 @@ pub fn pipe_read_template() -> Template {
     a.tst(L, w_wait);
     a.bcc(Cond::Eq, no_waiter);
     a.move_(L, pid, Dr(2));
-    a.kcall(super::super::syscall::kcalls::WAKE_PIPE_SPACE);
+    a.kcall(kcalls::WAKE_PIPE_SPACE);
     a.bind(no_waiter);
     a.move_(L, Dr(1), Dr(0));
     a.rte();

@@ -16,17 +16,16 @@
 //!
 //! `rw_generic` is the baseline: one routine handling every object kind
 //! by consulting a descriptor at run time — the layered, general-purpose
-//! code that synthesis specializes away (this module's tests hold the
-//! specialized read to fewer cycles than it).
+//! code that synthesis specializes away. It is in no kernel's library: it
+//! is built only for this module's tests, which hold the specialized read
+//! to fewer cycles than it.
 
 use quamachine::asm::Asm;
 use quamachine::isa::{Cond, IndexSpec, Operand::*, Size::*};
 use synthesis_codegen::template::Template;
 
 use super::copy::{emit_copy, Dir};
-
-/// `kcall`: block the current thread until tty input is available.
-pub const KCALL_WAIT_TTY: u16 = 0x20;
+use crate::syscall::kcalls;
 
 /// `read(/dev/null)`: always 0 bytes (EOF).
 #[must_use]
@@ -86,7 +85,7 @@ pub fn read_tty_template() -> Template {
     // Return short reads; block only when nothing at all arrived.
     a.tst(L, Dr(0));
     a.bcc(Cond::Ne, done);
-    a.kcall(KCALL_WAIT_TTY);
+    a.kcall(kcalls::WAIT_TTY);
     a.bra(top);
     a.bind(done);
     a.add(L, Imm(1), gauge);
@@ -181,29 +180,26 @@ pub fn write_file_template() -> Template {
     Template::from_asm(a).expect("assembles")
 }
 
-/// Object kinds understood by the generic routine.
-pub mod obj_kind {
-    /// `/dev/null`.
-    pub const NULL: u32 = 0;
+/// Object kinds understood by the generic routine; kind 0 is
+/// `/dev/null`.
+#[cfg(test)]
+mod obj_kind {
     /// The tty.
     pub const TTY: u32 = 1;
     /// A cached file.
     pub const FILE: u32 = 2;
 }
 
-/// Descriptor layout for the generic routine (all longs):
-/// `+0` kind, `+4` offset, `+8` length, `+12` buffer address,
-/// `+16` capacity, `+20` device data register, `+24` gauge address.
-pub const GENERIC_DESC_LEN: u32 = 28;
-
 /// The general-purpose, unspecialized read/write — the baseline the
 /// synthesized routines are measured against.
 ///
 /// Entry `read` (the default) or mark `write`. The object descriptor's
-/// address arrives in `a2` (loaded by the generic dispatcher); every
-/// decision the synthesized routines fold away is taken at run time here.
-#[must_use]
-pub fn rw_generic_template() -> Template {
+/// address arrives in `a2`; its longs are `+0` kind, `+4` offset, `+8`
+/// length, `+12` buffer address, `+16` capacity, `+20` device data
+/// register, `+24` gauge address. Every decision the synthesized routines
+/// fold away is taken at run time here.
+#[cfg(test)]
+fn rw_generic_template() -> Template {
     let mut a = Asm::new("rw_generic");
     let gauge_indirect = 24i16;
 
@@ -224,7 +220,7 @@ pub fn rw_generic_template() -> Template {
         a.cmp(L, Imm(obj_kind::TTY), Dr(2));
         a.bcc(Cond::Ne, not_tty);
         // Generic tty read: one blocking character via the kernel.
-        a.kcall(KCALL_WAIT_TTY);
+        a.kcall(kcalls::WAIT_TTY);
         a.move_i(L, 1, Dr(0));
         a.bra(done);
         a.bind(not_tty);

@@ -21,22 +21,7 @@ use quamachine::asm::Asm;
 use quamachine::isa::{Cond, IndexSpec, Operand::*, Size::*};
 use synthesis_codegen::template::Template;
 
-/// `kcall` selector for the general kernel call (selector in `d0`).
-pub const KCALL_GENERAL: u16 = 0x00;
-
-/// The trap number reserved for the UNIX emulator call (see the ABI
-/// table in [`super`]); the fused wrappers' foreign-fd fallback re-traps
-/// through it.
-pub const UNIX_TRAP_NO: u8 = 3;
-
-/// UNIX `read`/`write` syscall numbers (mirroring the emulator's ABI
-/// table). The fused wrappers' foreign-fd fallback must re-materialize
-/// `d0` before re-trapping: once a site is bound, trap elision deletes
-/// the caller's own `move #sysno,d0` (the wrapper keys on `d1`/`d2`
-/// only), so `d0` is dead on entry here.
-pub const UNIX_SYS_READ: u32 = 3;
-/// See [`UNIX_SYS_READ`].
-pub const UNIX_SYS_WRITE: u32 = 4;
+use crate::syscall::{kcalls, traps, unix};
 
 /// Per-thread `read`/`write` dispatcher.
 ///
@@ -75,7 +60,7 @@ pub fn ebadf_template() -> Template {
 #[must_use]
 pub fn kcall_trampoline_template() -> Template {
     let mut a = Asm::new("kcall_trampoline");
-    a.kcall(KCALL_GENERAL);
+    a.kcall(kcalls::GENERAL);
     a.rte();
     Template::from_asm(a).expect("assembles")
 }
@@ -94,9 +79,9 @@ pub fn kcall_trampoline_template() -> Template {
 #[must_use]
 pub fn fused_rw_template(callee: &str) -> Template {
     let sysno = if callee.starts_with("write") {
-        UNIX_SYS_WRITE
+        unix::SYS_WRITE
     } else {
-        UNIX_SYS_READ
+        unix::SYS_READ
     };
     let mut a = Asm::new(format!("fused_{callee}"));
     let fd = a.imm_hole("fd");
@@ -112,7 +97,7 @@ pub fn fused_rw_template(callee: &str) -> Template {
     // is a constant here; the caller's own `move #sysno,d0` was elided
     // when this site was bound.
     a.move_i(L, sysno, Dr(0));
-    a.trap(UNIX_TRAP_NO);
+    a.trap(traps::UNIX);
     a.rts();
     Template::from_asm(a).expect("assembles")
 }
@@ -174,8 +159,8 @@ pub fn fused_pipe_write_template() -> Template {
     a.jsr(call);
     a.rts();
     a.bind(ltrap);
-    a.move_i(L, UNIX_SYS_WRITE, Dr(0)); // see fused_rw_template's ltrap
-    a.trap(UNIX_TRAP_NO);
+    a.move_i(L, unix::SYS_WRITE, Dr(0)); // see fused_rw_template's ltrap
+    a.trap(traps::UNIX);
     a.rts();
     Template::from_asm(a).expect("assembles")
 }
@@ -216,8 +201,8 @@ pub fn fused_pipe_read_template() -> Template {
     a.jsr(call);
     a.rts();
     a.bind(ltrap);
-    a.move_i(L, UNIX_SYS_READ, Dr(0)); // see fused_rw_template's ltrap
-    a.trap(UNIX_TRAP_NO);
+    a.move_i(L, unix::SYS_READ, Dr(0)); // see fused_rw_template's ltrap
+    a.trap(traps::UNIX);
     a.rts();
     Template::from_asm(a).expect("assembles")
 }

@@ -1,8 +1,9 @@
 //! The eight specialized A/D slot handlers of Section 5.4, run on the
-//! machine: each audio interrupt enters the handler the vector names, which
-//! stores the sample into its own slot of the queue element and repoints
-//! the vector at the next handler; the eighth asks the kernel to advance
-//! to the next element.
+//! machine: seven synthesized from `irq_ad_slot` and the eighth from
+//! `irq_ad_last`, each specialized for its own slot. Each audio interrupt
+//! enters the handler the vector names, which stores the sample into its
+//! own slot of the queue element and repoints the vector at the next
+//! handler; the eighth asks the kernel to advance to the next element.
 
 use quamachine::asm::Asm;
 use quamachine::devices::{audio, dev_reg_addr};
@@ -12,7 +13,7 @@ use quamachine::mem::AddressMap;
 use synthesis_codegen::template::Bindings;
 use synthesis_core::kernel::{irq_levels, Kernel, KernelConfig};
 use synthesis_core::layout;
-use synthesis_core::templates::irq::KCALL_AD_ADVANCE;
+use synthesis_core::syscall::kcalls;
 
 /// The queue element's eight slots.
 const SLOTS: u32 = layout::USER_BASE + 0x8000;
@@ -54,13 +55,16 @@ fn eight_audio_interrupts_walk_the_slot_handlers_to_the_advance_call() {
         let mut b = Bindings::new();
         b.bind("ad_data", ad_data)
             .bind("slot", SLOTS + 4 * i as u32);
-        if i < 7 {
+        let template = if i < 7 {
             b.bind("vec", vec_slot).bind("next", handlers[i + 1]);
-        }
+            "irq_ad_slot"
+        } else {
+            "irq_ad_last"
+        };
         let opts = k.opts;
         handlers[i] = k
             .creator
-            .synthesize(&mut k.m, &format!("irq_ad_{i}"), &b, opts)
+            .synthesize(&mut k.m, template, &b, opts)
             .expect("synthesizes")
             .base;
     }
@@ -95,7 +99,7 @@ fn eight_audio_interrupts_walk_the_slot_handlers_to_the_advance_call() {
                     break exit;
                 }
             };
-            assert_eq!(exit, RunExit::KCall(KCALL_AD_ADVANCE));
+            assert_eq!(exit, RunExit::KCall(kcalls::AD_ADVANCE));
         }
         // The device still presents the sample the handler read.
         let sample = k.m.host_reg_read(ad_data);

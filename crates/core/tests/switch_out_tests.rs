@@ -20,6 +20,7 @@ use synthesis_core::layout;
 use synthesis_core::syscall::{general, kcalls, traps};
 use synthesis_core::thread::tte::off;
 use synthesis_core::thread::{ThreadState, Tid, WaitObject};
+use synthesis_unix::programs::pingpong;
 
 const USTACK: u32 = layout::USER_BASE + 0x1_0000;
 const UBUF: u32 = layout::USER_BASE + 0x2_0000;
@@ -260,26 +261,22 @@ fn a_user_mode_caller_of_a_fused_wrapper_blocks_and_resumes() {
     k.release_code_for(holder, &wrapper);
 }
 
-/// The kernel call the round-trip initiator makes after each pass.
-const MARK: u16 = 0x60;
-const COUNT: u32 = UBUF + 0x9008;
-const TOTAL: u32 = UBUF + 0x9000;
-
 /// Run until the initiator's mark.
 fn run_to_mark(k: &mut Kernel) {
     loop {
         match k.run(50_000) {
-            RunExit::KCall(MARK) => return,
+            RunExit::KCall(pingpong::MARK) => return,
             RunExit::CycleLimit => {}
             other => panic!("stopped before the mark: {other:?}"),
         }
     }
 }
 
-/// `pipe_pingpong`'s round trip, exactly: the initiator writes a byte on
-/// pipe 0 and reads the echo on pipe 1, the echo reads pipe 0 and writes
-/// pipe 1, both through the native traps, one CPU, neither pipe solo —
-/// so each trip blocks twice, once per reader.
+/// `pipe_pingpong`'s round trip, exactly, on its programs
+/// (`programs::pingpong`): the initiator writes a byte on pipe 0 and reads
+/// the echo on pipe 1, the echo reads pipe 0 and writes pipe 1, both
+/// through the native traps, one CPU, neither pipe solo — so each trip
+/// blocks twice, once per reader.
 ///
 /// Itemized (sun3 emulation, a bus reference is 4 cycles), the trip is
 /// 1,372 cycles: two switch-outs (2 × 120 = 240: an exception frame, 32,
@@ -298,49 +295,15 @@ fn a_blocking_pipe_round_trip_costs_1372_cycles() {
         ..KernelConfig::default()
     })
     .expect("boots");
-    // Each call's result is added to a running total, as the benchmark's
-    // programs do.
-    let io = |a: &mut Asm, trap: u8, fd: u32, buf: u32, total: u32| {
-        emit_io(a, trap, fd, buf, 1);
-        a.add(L, Dr(0), Abs(total));
-    };
-    let mut a = Asm::new("initiator");
-    let pass = a.here();
-    a.move_(L, Abs(COUNT), Dr(7));
-    let top = a.here();
-    io(&mut a, traps::WRITE, 1, UBUF, TOTAL);
-    io(&mut a, traps::READ, 2, UBUF + 0x100, TOTAL);
-    a.sub(L, Imm(1), Dr(7));
-    a.bcc(Cond::Ne, top);
-    a.kcall(MARK);
-    a.bcc(Cond::T, pass);
-    let mut b = Asm::new("echo");
-    b.move_i(L, 1_000_000, Dr(7));
-    let top = b.here();
-    io(&mut b, traps::READ, 0, UBUF + 0x200, TOTAL + 4);
-    io(&mut b, traps::WRITE, 3, UBUF + 0x200, TOTAL + 4);
-    b.sub(L, Imm(1), Dr(7));
-    b.bcc(Cond::Ne, top);
-    emit_exit(&mut b);
-    let ea = k.load_user_program(a.assemble().unwrap()).unwrap();
-    let eb = k.load_user_program(b.assemble().unwrap()).unwrap();
-    let ta = k.create_thread(ea, USTACK, user_map()).unwrap();
-    let tb = k.create_thread(eb, USTACK + 0x1000, user_map()).unwrap();
-    let fds = [
-        k.pipe_for(ta),
-        k.pipe_attach(tb, 0),
-        k.pipe_for(tb),
-        k.pipe_attach(ta, 1),
-    ];
-    assert_eq!(fds, [Ok((0, 1)), Ok((0, 1)), Ok((2, 3)), Ok((2, 3))]);
-    k.m.mem.poke(COUNT, L, 10);
+    let [ta, tb] = pingpong::load(&mut k, 1_000_000).unwrap();
+    k.m.mem.poke(pingpong::COUNT, L, 10);
     k.start(ta).unwrap();
     k.start(tb).unwrap();
     run_to_mark(&mut k);
 
     // Two passes differ only in their number of trips.
     let mut pass_cycles = |trips: u32| {
-        k.m.mem.poke(COUNT, L, trips);
+        k.m.mem.poke(pingpong::COUNT, L, trips);
         let (c0, e0) = (k.m.meter.cycles, k.m.meter.exception_count);
         run_to_mark(&mut k);
         (k.m.meter.cycles - c0, k.m.meter.exception_count - e0)

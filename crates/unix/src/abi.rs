@@ -3,17 +3,18 @@
 //! Calls are `trap #3` with the call number in `d0`; arguments in `d1`,
 //! `d2`, and `a0`; the result (or a negative errno) returns in `d0`.
 //! The call numbers follow the SUNOS 3.5 table for the calls the
-//! benchmarks use.
+//! benchmarks use; any other number returns `-EINVAL` on both kernels.
+//! The trap and the `read`/`write` numbers are the kernel's own
+//! (`synthesis_core::syscall`), which its fused wrappers re-trap with.
 
 /// The trap used for UNIX system calls.
-pub const UNIX_TRAP: u8 = 3;
+pub use synthesis_core::syscall::traps::UNIX as UNIX_TRAP;
+/// `read(fd = d1, buf = a0, count = d2)` and `write(fd = d1, buf = a0,
+/// count = d2)`.
+pub use synthesis_core::syscall::unix::{SYS_READ, SYS_WRITE};
 
 /// `exit(status = d1)`.
 pub const SYS_EXIT: u32 = 1;
-/// `read(fd = d1, buf = a0, count = d2)`.
-pub const SYS_READ: u32 = 3;
-/// `write(fd = d1, buf = a0, count = d2)`.
-pub const SYS_WRITE: u32 = 4;
 /// `open(path = a0, flags = d1)`.
 pub const SYS_OPEN: u32 = 5;
 /// `close(fd = d1)`.
@@ -22,8 +23,6 @@ pub const SYS_CLOSE: u32 = 6;
 pub const SYS_CREAT: u32 = 8;
 /// `lseek(fd = d1, offset = d2, whence = 0)`.
 pub const SYS_LSEEK: u32 = 19;
-/// `getpid()`.
-pub const SYS_GETPID: u32 = 20;
 /// `pipe()` → `(rfd << 8) | wfd` (simplified return convention).
 pub const SYS_PIPE: u32 = 42;
 

@@ -370,7 +370,6 @@ impl UnixEmulator {
             },
             // Whence is always 0 (absolute) in the benchmarks.
             abi::SYS_LSEEK => self.k.seek(d1, self.k.m.cpu.d[2]),
-            abi::SYS_GETPID => i64::from(self.k.current_tid().unwrap_or(0)),
             abi::SYS_PIPE => match self.k.pipe() {
                 Ok((rfd, wfd)) => i64::from((rfd << 8) | wfd),
                 Err(e) => -i64::from(e),
@@ -498,12 +497,12 @@ mod tests {
     #[test]
     fn other_syscalls_keep_their_number_for_the_kcall_thunk() {
         let mut instrs = vec![
-            Instr::Move(L, Imm(abi::SYS_GETPID), Dr(0)),
+            Instr::Move(L, Imm(abi::SYS_LSEEK), Dr(0)),
             Instr::Trap(abi::UNIX_TRAP),
             Instr::Rts,
         ];
         assert_eq!(elide_traps(&mut instrs, 0x9000, 0x9100, 0x9200), 1);
-        assert_eq!(instrs[0], Instr::Move(L, Imm(abi::SYS_GETPID), Dr(0)));
+        assert_eq!(instrs[0], Instr::Move(L, Imm(abi::SYS_LSEEK), Dr(0)));
         assert_eq!(instrs[1], Instr::Jsr(Abs(0x9000)));
     }
 }

@@ -203,6 +203,119 @@ pub fn pipe_xfer(chunk: u32, iters: u32, rounds: u32) -> Asm {
     a
 }
 
+/// `pipe_pingpong`'s two programs and their pipes: two threads on one
+/// CPU, through the native `trap #1`/`trap #2` (not the UNIX ABI). The
+/// initiator writes a byte on pipe 0 and reads the echo on pipe 1; the
+/// echo reads pipe 0 and writes the byte back on pipe 1. Both threads hold
+/// both ends of both pipes, so neither pipe is solo: every call takes the
+/// layered path, and every read blocks until the peer's write wakes it.
+/// Each call's result is added to its thread's [`pingpong::TOTALS`] slot.
+pub mod pingpong {
+    use quamachine::asm::Asm;
+    use quamachine::isa::{Cond, Operand::*, Size::*};
+    use quamachine::mem::AddressMap;
+    use synthesis_core::kernel::{Kernel, KernelError};
+    use synthesis_core::layout::{USER_BASE, USER_LEN};
+    use synthesis_core::syscall::{general, traps};
+    use synthesis_core::thread::Tid;
+
+    /// The `kcall` the initiator makes after each pass of round trips.
+    pub const MARK: u16 = 0x60;
+    /// The byte the initiator sends.
+    pub const SRC: u32 = USER_BASE + 0x2_0000;
+    /// Where the initiator, then the echo, reads into.
+    pub const DST: [u32; 2] = [USER_BASE + 0x2_0100, USER_BASE + 0x2_0200];
+    /// The bytes the initiator's, then the echo's, calls returned.
+    pub const TOTALS: [u32; 2] = [USER_BASE + 0x2_9000, USER_BASE + 0x2_9004];
+    /// The round trips of the initiator's next pass, read at its start.
+    pub const COUNT: u32 = USER_BASE + 0x2_9008;
+    /// Nonzero: the initiator exits after its pass instead of starting
+    /// another.
+    pub const DONE: u32 = USER_BASE + 0x2_900C;
+    /// The initiator's user stack; the echo's is 4 KB above it.
+    const USTACK: u32 = USER_BASE + 0x1_0000;
+
+    /// A 1-byte `read`/`write` on `fd` through `trap`, its result added
+    /// to `total`.
+    fn emit_io(a: &mut Asm, trap: u8, fd: u32, buf: u32, total: u32) {
+        a.move_i(L, fd, Dr(0));
+        a.lea(Abs(buf), 0);
+        a.move_i(L, 1, Dr(1));
+        a.trap(trap);
+        a.add(L, Dr(0), Abs(total));
+    }
+
+    fn emit_exit(a: &mut Asm) {
+        a.move_i(L, general::EXIT, Dr(0));
+        a.trap(traps::GENERAL);
+        let dead = a.here();
+        a.bcc(Cond::T, dead);
+    }
+
+    /// The initiator: passes of [`COUNT`] round trips, a `kcall` [`MARK`]
+    /// after each, until the host sets [`DONE`]. Fds: 1 = pipe 0 write,
+    /// 2 = pipe 1 read.
+    #[must_use]
+    pub fn initiator() -> Asm {
+        let mut a = Asm::new("pingpong_a");
+        let pass = a.here();
+        a.move_(L, Abs(COUNT), Dr(7));
+        let top = a.here();
+        emit_io(&mut a, traps::WRITE, 1, SRC, TOTALS[0]);
+        emit_io(&mut a, traps::READ, 2, DST[0], TOTALS[0]);
+        a.sub(L, Imm(1), Dr(7));
+        a.bcc(Cond::Ne, top);
+        a.kcall(MARK);
+        a.tst(L, Abs(DONE));
+        a.bcc(Cond::Eq, pass);
+        emit_exit(&mut a);
+        a
+    }
+
+    /// The echo: `trips` times read pipe 0 and write the byte back on
+    /// pipe 1, then exit. Fds: 0 = pipe 0 read, 3 = pipe 1 write.
+    #[must_use]
+    pub fn echo(trips: u32) -> Asm {
+        let mut a = Asm::new("pingpong_b");
+        a.move_i(L, trips, Dr(7));
+        let top = a.here();
+        emit_io(&mut a, traps::READ, 0, DST[1], TOTALS[1]);
+        emit_io(&mut a, traps::WRITE, 3, DST[1], TOTALS[1]);
+        a.sub(L, Imm(1), Dr(7));
+        a.bcc(Cond::Ne, top);
+        emit_exit(&mut a);
+        a
+    }
+
+    /// Load [`initiator`] and [`echo`]`(trips)`, create their threads in
+    /// one user address map, and give both threads both ends of two new
+    /// pipes; starts neither. Returns the initiator's and the echo's tid.
+    ///
+    /// # Errors
+    ///
+    /// Propagates load and create errors.
+    ///
+    /// # Panics
+    ///
+    /// If the pipes cannot be made, or their fds are not the programs'.
+    pub fn load(k: &mut Kernel, trips: u32) -> Result<[Tid; 2], KernelError> {
+        let assemble = |a: Asm| a.assemble().expect("program assembles");
+        let ea = k.load_user_program(assemble(initiator()))?;
+        let eb = k.load_user_program(assemble(echo(trips)))?;
+        let map = AddressMap::single(1, USER_BASE, USER_LEN);
+        let ta = k.create_thread(ea, USTACK, map.clone())?;
+        let tb = k.create_thread(eb, USTACK + 0x1000, map)?;
+        let fds = [
+            k.pipe_for(ta),
+            k.pipe_attach(tb, 0),
+            k.pipe_for(tb),
+            k.pipe_attach(ta, 1),
+        ];
+        assert_eq!(fds, [Ok((0, 1)), Ok((0, 1)), Ok((2, 3)), Ok((2, 3))]);
+        Ok([ta, tb])
+    }
+}
+
 /// Program 5 — file write/read in 1 KB chunks, `iters` iterations.
 ///
 /// The file (`/tmp/bench`) must exist before the run; it stays cached in

@@ -25,10 +25,8 @@ mod code {
     pub const SYS_PIPE: u32 = CODE + 0x1800;
     pub const SYS_LSEEK: u32 = CODE + 0x1C00;
     pub const SYS_EXIT: u32 = CODE + 0x2000;
-    pub const SYS_GETPID: u32 = CODE + 0x2100;
     pub const NULL_READ: u32 = CODE + 0x2200;
     pub const NULL_WRITE: u32 = CODE + 0x2280;
-    pub const TTY_READ: u32 = CODE + 0x2300;
     pub const TTY_WRITE: u32 = CODE + 0x2380;
     pub const PIPE_READ: u32 = CODE + 0x2400;
     pub const PIPE_WRITE: u32 = CODE + 0x2600;
@@ -39,6 +37,10 @@ mod code {
 
 /// Vnode-style operation tables: `OPS + type*8` → `[read, write]`.
 const OPS: u32 = 0x2E00;
+
+/// The host assist `sys_pipe` calls to allocate its two fds (see
+/// [`Sunos::run`]).
+const KCALL_PIPE_ASSIST: u16 = 0x50;
 
 /// The baseline kernel.
 pub struct Sunos {
@@ -128,8 +130,6 @@ impl Sunos {
             .poke(lay::JTAB + 4 * abi::SYS_CLOSE, L, code::SYS_CLOSE);
         m.mem
             .poke(lay::JTAB + 4 * abi::SYS_LSEEK, L, code::SYS_LSEEK);
-        m.mem
-            .poke(lay::JTAB + 4 * abi::SYS_GETPID, L, code::SYS_GETPID);
         m.mem.poke(lay::JTAB + 4 * abi::SYS_PIPE, L, code::SYS_PIPE);
 
         // Pipe pool: 4 descriptors, buffers in PIPEBUF.
@@ -215,10 +215,11 @@ impl Sunos {
         // namei finds the root at a fixed slot.
         m.mem.poke(lay::NAMEBUF - 4, L, root);
 
-        // Vnode ops tables.
+        // Vnode ops tables. A tty read returns 0, as a /dev/null read
+        // does: the one routine serves both.
         let ops = [
             (ftype::NULL, code::NULL_READ, code::NULL_WRITE),
-            (ftype::TTY, code::TTY_READ, code::TTY_WRITE),
+            (ftype::TTY, code::NULL_READ, code::TTY_WRITE),
             (ftype::FILE, code::FILE_READ, code::FILE_WRITE),
             (ftype::PIPE_R, code::PIPE_READ, code::RET_EBADF),
             (ftype::PIPE_W, code::RET_EBADF, code::PIPE_WRITE),
@@ -626,7 +627,7 @@ impl Sunos {
                                          // Two file entries + two fds; the host sets the jump-table up
                                          // so this path is exercised rarely — allocation is done with
                                          // the same scans as open, inlined for the two ends.
-            a.kcall(0x50); // host assist: allocate the two fds (see below)
+            a.kcall(KCALL_PIPE_ASSIST); // allocate the two fds (see below)
             a.jmp(Abs(code::SYSRET));
             a.bind(fail);
             a.move_i(L, (-23i32) as u32, Dr(0));
@@ -653,15 +654,11 @@ impl Sunos {
             load(m, code::SYS_LSEEK, a);
         }
 
-        // --- sys_exit / sys_getpid ------------------------------------------------------
+        // --- sys_exit ----------------------------------------------------------------------
         {
             let mut a = Asm::new("u_sys_exit");
             a.halt();
             load(m, code::SYS_EXIT, a);
-            let mut a = Asm::new("u_sys_getpid");
-            a.move_(L, Abs(lay::PROC + 4), Dr(0));
-            a.jmp(Abs(code::SYSRET));
-            load(m, code::SYS_GETPID, a);
         }
 
         // --- vnode functions: called with a2 = file entry, a0 = buf, d2 = count.
@@ -676,10 +673,6 @@ impl Sunos {
             load(m, code::NULL_WRITE, a);
         }
         {
-            let mut a = Asm::new("u_tty_read");
-            a.move_i(L, 0, Dr(0));
-            a.rts();
-            load(m, code::TTY_READ, a);
             // tty write: canonical output processing, one byte at a time.
             let mut a = Asm::new("u_tty_write");
             let done = a.label();
@@ -927,7 +920,7 @@ impl Sunos {
         }
     }
 
-    /// Service the pipe-allocation host assist (`kcall #0x50`): allocate
+    /// Service the pipe-allocation host assist ([`KCALL_PIPE_ASSIST`]): allocate
     /// two file entries and two fds for the pipe descriptor in `a2`,
     /// charging the same scans open performs. Both tables are scanned for
     /// both ends before anything is claimed: if either has no room for
@@ -973,7 +966,7 @@ impl Sunos {
                 return RunExit::CycleLimit;
             }
             match self.m.run(deadline - now) {
-                RunExit::KCall(0x50) => self.pipe_assist(),
+                RunExit::KCall(KCALL_PIPE_ASSIST) => self.pipe_assist(),
                 other => return other,
             }
         }

@@ -272,3 +272,184 @@ fn closed_pipes_are_reused_on_both() {
         assert_eq!(got, want, "{kernel}");
     }
 }
+
+/// Run a program under the Synthesis UNIX emulator in the user window,
+/// which the kernel never fuses: every call takes the layered trap path.
+fn run_layered(program: Asm) -> synthesis_unix::emu::UnixEmulator {
+    let k = synthesis_core::kernel::Kernel::boot(KernelConfig::default()).unwrap();
+    let mut emu = synthesis_unix::emu::UnixEmulator::new(k);
+    let map = quamachine::mem::AddressMap::single(
+        1,
+        synthesis_core::layout::USER_BASE,
+        synthesis_core::layout::USER_LEN,
+    );
+    let tid = emu.spawn(program, map).unwrap();
+    assert!(
+        emu.run_until_exit(tid, 20_000_000_000),
+        "program must exit cleanly under emulation"
+    );
+    emu
+}
+
+/// UNIX call `sysno` with `d1`, `a0` and `d2` as given; its `d0` is stored
+/// in result slot `slot`.
+fn emit_call(a: &mut Asm, sysno: u32, d1: quamachine::isa::Operand, a0: u32, d2: u32, slot: u32) {
+    a.move_i(L, sysno, Dr(0));
+    a.move_(L, d1, Dr(1));
+    a.lea(Abs(a0), 0);
+    a.move_i(L, d2, Dr(2));
+    a.trap(abi::UNIX_TRAP);
+    a.move_(L, Dr(0), Abs(result_slot(slot)));
+}
+
+fn result_slot(slot: u32) -> u32 {
+    addrs::RESULT + 4 * slot
+}
+
+fn emit_unix_exit(a: &mut Asm) {
+    a.move_i(L, abi::SYS_EXIT, Dr(0));
+    a.move_i(L, 0, Dr(1));
+    a.trap(abi::UNIX_TRAP);
+}
+
+/// The first `n` result slots of a program's run, as signed `d0`s.
+fn results(mem: &quamachine::mem::Memory, n: u32) -> Vec<i32> {
+    (0..n).map(|s| mem.peek(result_slot(s), L) as i32).collect()
+}
+
+/// Open `/dev/null`, write 5 bytes to it and read 5 back; open `/dev/tty`
+/// and write 5 bytes to it; make call 20, which neither kernel has.
+fn device_calls() -> Asm {
+    let mut a = Asm::new("device_calls");
+    emit_call(&mut a, abi::SYS_OPEN, Imm(0), addrs::PATHS, 0, 0);
+    emit_call(
+        &mut a,
+        abi::SYS_WRITE,
+        Abs(result_slot(0)),
+        addrs::BUF,
+        5,
+        1,
+    );
+    emit_call(
+        &mut a,
+        abi::SYS_READ,
+        Abs(result_slot(0)),
+        addrs::BUF + 0x100,
+        5,
+        2,
+    );
+    emit_call(&mut a, abi::SYS_OPEN, Imm(0), addrs::PATHS + 0x10, 0, 3);
+    emit_call(
+        &mut a,
+        abi::SYS_WRITE,
+        Abs(result_slot(3)),
+        addrs::BUF,
+        5,
+        4,
+    );
+    emit_call(&mut a, 20, Imm(0), addrs::BUF, 0, 5);
+    emit_unix_exit(&mut a);
+    a
+}
+
+/// `/dev/null` and `/dev/tty` answer alike on the baseline and on
+/// Synthesis, fused and layered: the same fds, a `/dev/null` write takes
+/// all its bytes and a read finds none, a tty write takes all its bytes;
+/// and a call number neither kernel has (20) is `-EINVAL` on each.
+#[test]
+fn device_calls_agree_on_both_kernels_and_an_unknown_call_is_einval() {
+    let (s, _) = run_sunos(device_calls(), |_| {});
+    let baseline = results(&s.m.mem, 6);
+    let (fused, _) = run_synthesis(device_calls(), |_| {});
+    let layered = run_layered(device_calls());
+    let (null, tty) = (baseline[0], baseline[3]);
+    assert_eq!(baseline, [null, 5, 0, tty, 5, -errno::EINVAL]);
+    assert_ne!(null, tty);
+    assert_eq!(results(&fused.k.m.mem, 6), baseline, "fused");
+    assert_eq!(results(&layered.k.m.mem, 6), baseline, "layered");
+}
+
+/// `pipe()`, then a write to its read end and a read from its write end.
+fn wrong_way_pipe_calls() -> Asm {
+    let mut a = Asm::new("wrong_way_pipe_calls");
+    emit_call(&mut a, abi::SYS_PIPE, Imm(0), addrs::BUF, 0, 0);
+    a.move_(L, Abs(result_slot(0)), Dr(3));
+    a.shift(ShiftKind::Lsr, L, Imm(8), Dr(3));
+    emit_call(&mut a, abi::SYS_WRITE, Dr(3), addrs::BUF, 1, 1);
+    a.move_(L, Abs(result_slot(0)), Dr(3));
+    a.and(L, Imm(0xFF), Dr(3));
+    emit_call(&mut a, abi::SYS_READ, Dr(3), addrs::BUF + 0x100, 1, 2);
+    emit_unix_exit(&mut a);
+    a
+}
+
+/// A call on the wrong end of a pipe is `-EBADF` on both kernels: the
+/// baseline's vnode table names `u_ret_ebadf` for it; on Synthesis the
+/// fd's slot for that direction names the shared `ebadf` routine, which
+/// a fused program reaches through the layered shims, since the bind
+/// finds no wrapper for a wrong-way end.
+#[test]
+fn a_wrong_way_pipe_call_is_ebadf_on_both_kernels() {
+    let (s, _) = run_sunos(wrong_way_pipe_calls(), |_| {});
+    let baseline = results(&s.m.mem, 3);
+    assert!(baseline[0] > 0, "the pipe is made: {baseline:?}");
+    assert_eq!(baseline[1..], [-errno::EBADF; 2]);
+    let (fused, _) = run_synthesis(wrong_way_pipe_calls(), |_| {});
+    let layered = run_layered(wrong_way_pipe_calls());
+    for (kernel, emu) in [("fused", &fused), ("layered", &layered)] {
+        let got = results(&emu.k.m.mem, 3);
+        assert!(got[0] > 0, "{kernel}: the pipe is made: {got:?}");
+        assert_eq!(got[1..], [-errno::EBADF; 2], "{kernel}");
+    }
+}
+
+/// A trap that no vector claims enters the baseline's `u_panic`, which
+/// halts the machine with `0xDEAD` in `d7`.
+#[test]
+fn an_unclaimed_trap_panics_the_baseline() {
+    let mut a = Asm::new("unclaimed_trap");
+    a.move_i(L, 0, Dr(7));
+    a.trap(5);
+    let (s, _) = run_sunos(a, |_| {});
+    assert_eq!(s.m.cpu.d[7], 0xDEAD);
+}
+
+/// Under the emulator, a fused program's tty reads wait for typed input
+/// (`WAIT_TTY`, woken by the receive interrupt's `WAKE_TTY`): a raw read
+/// (`/dev/tty-raw`) runs its fused wrapper, which returns what has
+/// arrived; a cooked read (`/dev/tty`) has no fused form, so its site is
+/// bound to the layered read shim, and the line-editing `cooked_read`
+/// returns the line.
+#[test]
+fn a_fused_programs_tty_reads_wait_for_typed_input_raw_and_cooked() {
+    const RAW_PATH: u32 = addrs::PATHS + 0x30;
+    let mut a = Asm::new("tty_reads");
+    emit_call(&mut a, abi::SYS_OPEN, Imm(0), RAW_PATH, 0, 0);
+    emit_call(&mut a, abi::SYS_READ, Abs(result_slot(0)), addrs::BUF, 3, 1);
+    emit_call(&mut a, abi::SYS_OPEN, Imm(0), addrs::PATHS + 0x10, 0, 2);
+    emit_call(
+        &mut a,
+        abi::SYS_READ,
+        Abs(result_slot(2)),
+        addrs::BUF + 0x100,
+        16,
+        3,
+    );
+    emit_unix_exit(&mut a);
+    let (emu, _) = run_synthesis(a, |emu| {
+        use quamachine::devices::{dev_reg_addr, tty};
+        emu.k.m.mem.poke_bytes(RAW_PATH, b"/dev/tty-raw\0");
+        let dev = emu.k.dev.tty;
+        emu.k
+            .m
+            .with_dev_ctx(dev, |t: &mut tty::Tty, ctx| t.type_at(b"xcd\n", 1000, ctx))
+            .unwrap();
+        emu.k
+            .m
+            .host_reg_write(dev_reg_addr(dev, tty::REG_CTRL), tty::CTRL_RX_IRQ);
+    });
+    let got = results(&emu.k.m.mem, 4);
+    assert_eq!([got[1], got[3]], [1, 3], "{got:?}");
+    assert_eq!(emu.k.m.mem.peek_bytes(addrs::BUF, 1), b"x");
+    assert_eq!(emu.k.m.mem.peek_bytes(addrs::BUF + 0x100, 3), b"cd\n");
+}

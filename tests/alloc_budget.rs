@@ -28,8 +28,8 @@ use quamachine::isa::{Cond, Operand::*, Size, Size::*};
 use quamachine::machine::RunExit;
 use quamachine::mem::AddressMap;
 use synthesis::kernel::kernel::{Kernel, KernelConfig};
-use synthesis::kernel::layout::{MemLayout, USER_BASE, USER_LEN};
-use synthesis::kernel::syscall::traps;
+use synthesis::kernel::layout::MemLayout;
+use synthesis::unix::programs::pingpong;
 
 /// The system allocator, counting what the current thread allocates
 /// (a reallocation counts: it is a fresh allocation when it moves).
@@ -163,42 +163,11 @@ fn the_thread_fill_allocates_nothing() {
     assert_eq!(ALLOCS.with(Cell::get) - before, 0);
 }
 
-const MARK: u16 = 0x60;
-const COUNT: u32 = USER_BASE + 0x2_9008;
-
-/// One pass of `COUNT` round trips as `pipe_pingpong` makes them: the
-/// initiator writes a byte on pipe 0 (fd 1) and reads the echo on pipe 1
-/// (fd 2); the echo reads pipe 0 (fd 0) and writes pipe 1 (fd 3).
-fn pingpong_programs() -> (Asm, Asm) {
-    let io = |a: &mut Asm, trap: u8, fd: u32, buf: u32| {
-        a.move_i(L, fd, Dr(0));
-        a.lea(Abs(buf), 0);
-        a.move_i(L, 1, Dr(1));
-        a.trap(trap);
-    };
-    let mut a = Asm::new("initiator");
-    let pass = a.here();
-    a.move_(L, Abs(COUNT), Dr(7));
-    let top = a.here();
-    io(&mut a, traps::WRITE, 1, USER_BASE + 0x2_0000);
-    io(&mut a, traps::READ, 2, USER_BASE + 0x2_0100);
-    a.sub(L, Imm(1), Dr(7));
-    a.bcc(Cond::Ne, top);
-    a.kcall(MARK);
-    a.bcc(Cond::T, pass);
-    let mut b = Asm::new("echo");
-    let top = b.here();
-    io(&mut b, traps::READ, 0, USER_BASE + 0x2_0200);
-    io(&mut b, traps::WRITE, 3, USER_BASE + 0x2_0200);
-    b.bcc(Cond::T, top);
-    (a, b)
-}
-
 /// Run in the benchmark's 50,000-cycle slices until the initiator's mark.
 fn run_to_mark(k: &mut Kernel) {
     loop {
         match k.run(50_000) {
-            RunExit::KCall(MARK) => return,
+            RunExit::KCall(pingpong::MARK) => return,
             RunExit::CycleLimit => {}
             other => panic!("stopped before the mark: {other:?}"),
         }
@@ -218,22 +187,8 @@ fn a_blocking_pipe_round_trip_allocates_nothing() {
     .expect("boots");
     k.trace.enabled = false;
     k.m.meter.tracing = false;
-    let (a, b) = pingpong_programs();
-    let ea = k.load_user_program(a.assemble().unwrap()).unwrap();
-    let eb = k.load_user_program(b.assemble().unwrap()).unwrap();
-    let map = AddressMap::single(1, USER_BASE, USER_LEN);
-    let ta = k
-        .create_thread(ea, USER_BASE + 0x1_0000, map.clone())
-        .unwrap();
-    let tb = k.create_thread(eb, USER_BASE + 0x1_1000, map).unwrap();
-    let fds = [
-        k.pipe_for(ta),
-        k.pipe_attach(tb, 0),
-        k.pipe_for(tb),
-        k.pipe_attach(ta, 1),
-    ];
-    assert_eq!(fds, [Ok((0, 1)), Ok((0, 1)), Ok((2, 3)), Ok((2, 3))]);
-    k.m.mem.poke(COUNT, L, 500);
+    let [ta, tb] = pingpong::load(&mut k, 1_000_000).unwrap();
+    k.m.mem.poke(pingpong::COUNT, L, 500);
     k.start(ta).unwrap();
     k.start(tb).unwrap();
     // Two warm-up passes: `run` returns at a mark without draining the
@@ -243,7 +198,7 @@ fn a_blocking_pipe_round_trip_allocates_nothing() {
     run_to_mark(&mut k);
 
     let trips = 4_000;
-    k.m.mem.poke(COUNT, L, trips);
+    k.m.mem.poke(pingpong::COUNT, L, trips);
     let moved = k.m.meter.instr_count;
     let searched = k.m.code.searches();
     let before = ALLOCS.with(Cell::get);

@@ -37,6 +37,12 @@ variants() {
     awk -v head="pub enum $1 {" '$0 == head { on = 1; next } on && /^}/ { exit } on && /^    [A-Z]/ { n++ } END { print n + 0 }' "$2"
 }
 
+# `pub const`s of module `$1` in file `$2`: the body's lines indented once
+# that start with `pub const`.
+consts() {
+    awk -v head="pub mod $1 {" '$0 == head { on = 1; next } on && /^}/ { exit } on && /^    pub const / { n++ } END { print n + 0 }' "$2"
+}
+
 # Entries of the `[features]` tables in the workspace's manifests.
 features() {
     git ls-files -z -- Cargo.toml 'crates/*/Cargo.toml' |
@@ -78,6 +84,9 @@ printf '%-34s %7s\n' "Kernel fields" "$(all_fields Kernel crates/core/src/kernel
 # (`crates/bench/tests/census.rs`).
 printf '%-34s %7s\n' "Instr variants" "$(variants Instr crates/quamachine/src/isa/instr.rs)"
 printf '%-34s %7s\n' "ShiftKind variants" "$(variants ShiftKind crates/quamachine/src/isa/instr.rs)"
+# The kernel's own code: every `kcall` selector is executed by a measured
+# row or named in the census, as every library template and boot block is.
+printf '%-34s %7s\n' "syscall::kcalls selectors" "$(consts kcalls crates/core/src/syscall.rs)"
 # Host work still charged by formula instead of executed as guest code:
 # each non-test `charges::f(` is one site; the total, then each formula.
 sites=$(nontest 'crates/*/src/*.rs' | grep -o 'charges::[a-z_]*(' | sed 's/^charges::\(.*\)($/\1/')
