@@ -462,8 +462,8 @@ pub struct LifecycleStats {
     pub heap_largest_free: u32,
 }
 
-/// 10k× synthesize/destroy a thread (4 quajects + 3 heap blocks per
-/// cycle) and account every byte back.
+/// 10k× synthesize/destroy a thread (4 quajects and a thread block off
+/// and back onto the free list per cycle) and account every byte back.
 #[must_use]
 pub fn lifecycle_churn(cycles: usize) -> LifecycleStats {
     let mut k = boot_capacity(64, 1);
@@ -471,7 +471,8 @@ pub fn lifecycle_churn(cycles: usize) -> LifecycleStats {
     let entry = load_spinner(&mut k, ub + 0x100, ub + 0x108, ub + 0x110);
     let map = user_map(&k);
     let ustack = ub + 0x1_0000;
-    // One throwaway cycle so lazily-allocated kernel state settles.
+    // One throwaway cycle so lazily-allocated kernel state settles (and
+    // the thread block it grew stays listed).
     let tid = k.create_thread(entry, ustack, map.clone()).expect("fits");
     k.destroy(tid).expect("destroys");
     let (heap_before, code_before) = (k.heap.in_use, k.creator.codebuf.in_use);

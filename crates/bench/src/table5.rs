@@ -59,7 +59,7 @@ fn load(k: &mut Kernel, a: Asm) -> u32 {
 /// (the queue element not yet full).
 pub fn ad_interrupts(p: &mut Probe, user: Tid) -> [Path; 2] {
     let ad_data = dev_reg_addr(p.emu.k.dev.audio, audio::REG_DATA);
-    let vec_slot = p.emu.k.threads[&user].vt + 4 * AUDIO_VECTOR;
+    let vec_slot = p.emu.k.threads[&user].vt() + 4 * AUDIO_VECTOR;
     let (ptr_slot, end_slot) = (DATA + 0x40, DATA + 0x44);
     p.emu.k.m.mem.poke(ptr_slot, Size::L, DATA + 0x80);
     p.emu.k.m.mem.poke(end_slot, Size::L, DATA + 0xA0);

@@ -2,11 +2,14 @@
 //! the same figure: Table 4's full switch against a `Machine::step` count
 //! of one real quantum expiry, Table 1's steady state against a second
 //! iteration count, Table 2's open+close pair against more warm-up pairs,
-//! and Table 3's calls against the Table 4–5 paths they make plus the
-//! general call's own cost. Table 4's counted switches must also land in
-//! bands around the paper's figures, Table 2's native open+close must be
-//! cheaper than the emulated one, as in the paper, and a kernel call's
-//! `kcall` step must charge nothing: a call costs what it executes.
+//! Table 3's calls against the Table 4–5 paths they make plus the
+//! general call's own cost, and Table 3's create and destroy against the
+//! resident code they execute — the thread block's pop and fill, its
+//! push — plus the synthesis and allocation charges. Table 4's counted
+//! switches must also land in bands around the paper's figures, Table
+//! 2's native open+close must be cheaper than the emulated one, as in
+//! the paper, and a kernel call's `kcall` step must charge nothing: a
+//! call costs what it executes.
 
 use quamachine::asm::Asm;
 use quamachine::cost::CostModel;
@@ -18,6 +21,7 @@ use synthesis_bench::{table1, table3, table4, table5, Row};
 use synthesis_core::kernel::{irq_levels, Kernel, KernelConfig};
 use synthesis_core::layout;
 use synthesis_core::syscall::{general, traps};
+use synthesis_core::templates;
 
 /// The measured value of the row labelled `what`.
 fn row(rows: &[Row], what: &str) -> f64 {
@@ -64,7 +68,7 @@ fn stepped_quantum_expiry() -> u64 {
         assert_eq!(k.m.step().expect("steps"), None);
     }
     // Step the switch through to the incoming thread's user code.
-    while !(user.contains(&k.m.cpu.pc) && k.m.cpu.vbr == k.threads[incoming].vt) {
+    while !(user.contains(&k.m.cpu.pc) && k.m.cpu.vbr == k.threads[incoming].vt()) {
         assert_eq!(k.m.step().expect("steps"), None);
     }
     k.m.meter.cycles - at
@@ -189,12 +193,51 @@ fn a_kernel_calls_kcall_step_charges_nothing() {
     }
 }
 
+/// The records of `records` from just after its `kcall` that ran in the
+/// resident routines the step calls (the thread fill or the thread-block
+/// push, and their return's `halt`), and the `kcall` step's meter delta.
+fn kcall_step(records: &[quamachine::trace::TraceRecord]) -> (Vec<Instr>, u64) {
+    let kcall = records
+        .iter()
+        .position(|r| matches!(r.instr, Instr::KCall(_)))
+        .expect("the call reaches its kcall");
+    let resident = [
+        layout::THREAD_INIT..layout::THREAD_INIT + 0x100,
+        layout::THREAD_FINI..layout::THREAD_FINI + 0x80,
+    ];
+    let ran = |r: &&quamachine::trace::TraceRecord| {
+        resident.iter().any(|at| at.contains(&r.pc)) || r.pc == layout::HOST_RETURN
+    };
+    let routines: Vec<_> = records[kcall + 1..]
+        .iter()
+        .take_while(ran)
+        .map(|r| r.instr)
+        .collect();
+    let after = records[kcall + 1 + routines.len()].cycle;
+    (routines, after - records[kcall].cycle)
+}
+
+/// The cycles `instrs` cost as they execute (none of them branches).
+fn executed(instrs: &[Instr]) -> u64 {
+    let cost = CostModel::sun3_emulation();
+    instrs
+        .iter()
+        .map(|i| {
+            let (base, refs) = quamachine::cost::instr_cost(i);
+            base + refs * cost.bus_cycles()
+        })
+        .sum()
+}
+
 /// Table 3's create is counted to the cycle: its `kcall` step's meter
-/// delta is the fill the step executes (the resident `thread_init`, its
-/// records in the path's trace) plus what the host still charges — the
-/// four syntheses (424 + 160 + 160 + 112 cycles) and three allocations
-/// (28 each) — and nothing else. The fill is the paper's "about 100 µs to
-/// fill approximately 1 KBytes in the TTE" (Section 6.3), counted.
+/// delta is the resident code the step executes (its records in the
+/// path's trace) plus what the host still charges — the four syntheses
+/// (424 + 160 + 160 + 112 cycles) and one allocation (28) — and nothing
+/// else. The probe's fresh kernel has no thread block listed, so the
+/// create grows the free list: one fast-fit allocation, the block pushed
+/// by `thread_fini`, then popped by the fill. The fill is the paper's
+/// "about 100 µs to fill approximately 1 KBytes in the TTE" (Section 6.3),
+/// counted.
 #[test]
 fn table3_create_is_its_fill_plus_synthesis_and_allocation() {
     let mut p = Probe::boot();
@@ -208,28 +251,84 @@ fn table3_create_is_its_fill_plus_synthesis_and_allocation() {
         a.move_i(L, general::THREAD_CREATE, Dr(0));
         a.trap(traps::GENERAL);
     });
-    let records = path.records();
-    let kcall = records
-        .iter()
-        .position(|r| matches!(r.instr, Instr::KCall(_)))
-        .expect("the call reaches its kcall");
-    let fill = layout::THREAD_INIT..layout::THREAD_INIT + 0x100;
-    let ran =
-        |r: &&quamachine::trace::TraceRecord| fill.contains(&r.pc) || r.pc == layout::HOST_RETURN;
-    let routine: Vec<_> = records[kcall + 1..].iter().take_while(ran).collect();
-    assert!(!routine.is_empty(), "the create runs no fill");
-    let after = records[kcall + 1 + routine.len()].cycle;
-    let step = after - records[kcall].cycle;
-
-    let cost = CostModel::sun3_emulation();
-    let executed: u64 = routine
-        .iter()
-        .map(|r| {
-            let (base, refs) = quamachine::cost::instr_cost(&r.instr);
-            base + refs * cost.bus_cycles()
-        })
-        .sum();
-    assert_eq!(step - executed, 856 + 3 * 28, "the create kcall's charges");
-    let us = cost.cycles_to_us(executed);
+    let (routines, step) = kcall_step(path.records());
+    let fini = templates::thread_init::fini().instrs;
+    assert_eq!(
+        routines[..=fini.len()],
+        [&fini[..], &[Instr::Halt]].concat(),
+        "the create grows the list: the push runs first"
+    );
+    let fill = &routines[fini.len() + 1..];
+    assert!(!fill.is_empty(), "the create runs no fill");
+    assert_eq!(
+        step - executed(&routines),
+        856 + 28,
+        "the create kcall's charges"
+    );
+    let us = CostModel::sun3_emulation().cycles_to_us(executed(fill));
     assert!((80.0..120.0).contains(&us), "the 1 KB fill takes {us} µs");
+}
+
+/// Table 3's destroy is its push, counted: the `kcall` step's meter delta
+/// is exactly the resident `thread_fini` the step executes, putting the
+/// thread's block back on the free list, with nothing charged.
+#[test]
+fn table3_destroy_is_its_push() {
+    let mut p = Probe::boot();
+    let spin = p.load_spinner(|_| {});
+    let caller = p.create(spin);
+    p.emu.k.start(caller).unwrap();
+    let entry = p.load_spinner(|_| {});
+    let victim = p.create(entry);
+    let block = p.emu.k.threads[&victim].tte;
+    let path = p.call(|a| {
+        a.move_i(L, victim, Dr(1));
+        a.move_i(L, general::THREAD_DESTROY, Dr(0));
+        a.trap(traps::GENERAL);
+    });
+    let (routines, step) = kcall_step(path.records());
+    let fini = templates::thread_init::fini().instrs;
+    assert_eq!(routines, [&fini[..], &[Instr::Halt]].concat(), "the push");
+    assert_eq!(step, executed(&routines), "the destroy kcall charges");
+    assert_eq!(
+        p.emu.k.listed_thread_blocks(),
+        [block],
+        "the block is listed"
+    );
+}
+
+/// A create that finds a listed block pops it and charges synthesis
+/// alone: no fast-fit allocation, no push.
+#[test]
+fn table3_create_after_a_destroy_pops_and_charges_synthesis_alone() {
+    let mut p = Probe::boot();
+    let spin = p.load_spinner(|_| {});
+    let caller = p.create(spin);
+    p.emu.k.start(caller).unwrap();
+    let entry = p.load_spinner(|_| {});
+    let gone = p.create(entry);
+    let block = p.emu.k.threads[&gone].tte;
+    p.emu.k.destroy(gone).unwrap();
+    let path = p.call(|a| {
+        a.move_i(L, entry, Dr(1));
+        a.move_i(L, layout::USER_BASE + 0x4000, Dr(2));
+        a.move_i(L, general::THREAD_CREATE, Dr(0));
+        a.trap(traps::GENERAL);
+    });
+    let (routines, step) = kcall_step(path.records());
+    let k = &p.emu.k;
+    let fill = &k.m.code.block(layout::THREAD_INIT).expect("loaded").instrs;
+    assert_eq!(
+        routines,
+        [&fill[..], &[Instr::Halt]].concat(),
+        "the create runs the fill alone"
+    );
+    assert_eq!(
+        step - executed(&routines),
+        856,
+        "the create kcall's charges"
+    );
+    let (_, created) = p.emu.k.threads.last_key_value().expect("the new thread");
+    assert_eq!(created.tte, block, "the listed block is popped");
+    assert!(p.emu.k.listed_thread_blocks().is_empty());
 }

@@ -12,8 +12,16 @@
 //! first-fit.
 //!
 //! The tree is host-side state; each operation reports how many nodes it
-//! examined so the kernel can charge honest cycles
-//! ([`crate::charges::alloc_op`]).
+//! examined, which the kernel charges ([`crate::charges::alloc_op`]) where
+//! it still calls the heap on a measured path: a thread creation that
+//! finds the thread blocks' free list empty. A thread's block otherwise
+//! never comes back here: destruction pushes it on that list, in guest
+//! code (`templates::thread_init`), and only a heap allocation that fails
+//! returns the listed blocks to the tree.
+//!
+//! Each operation's host work is O(depth): an allocation unlinks only the
+//! node it emptied, and a free that merges with a neighbour reuses that
+//! neighbour's box, so only a free that merges with nothing allocates.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -145,13 +153,15 @@ impl FastFit {
         // Randomized descent: among {left, here, right} that can satisfy
         // the request, pick one at random.
         let mut steps = 0u32;
-        let addr = {
+        let (addr, emptied) = {
             let root = self.root.as_deref_mut().expect("checked above");
             Self::take_fit(root, size, &mut self.rng, &mut steps)
         };
-        // take_fit shrinks a node in place; a node shrunk to zero must be
-        // removed.
-        self.remove_empty(addr);
+        // take_fit shrinks a node in place; the node it shrank to zero
+        // (now keyed `addr + size`) is removed.
+        if emptied {
+            self.remove_at(addr + size);
+        }
         self.last_steps = steps;
         self.in_use += size;
         self.high_water = self.high_water.max(self.in_use);
@@ -159,9 +169,9 @@ impl FastFit {
     }
 
     /// Descend to a node with `len >= size`, carve `size` bytes off its
-    /// front, and return the carved address. The node keeps its tail (len
-    /// may become 0).
-    fn take_fit(n: &mut Node, size: u32, rng: &mut SmallRng, steps: &mut u32) -> u32 {
+    /// front, and return the carved address and whether the node was left
+    /// empty. The node keeps its tail (len may become 0).
+    fn take_fit(n: &mut Node, size: u32, rng: &mut SmallRng, steps: &mut u32) -> (u32, bool) {
         *steps += 1;
         let here = n.len >= size;
         let left = max_len(&n.left) >= size;
@@ -184,7 +194,7 @@ impl FastFit {
         }
         debug_assert!(nc > 0, "caller guaranteed a fit exists");
         let pick = choices[rng.random_range(0..nc)];
-        let addr = match pick {
+        let taken = match pick {
             0 => Self::take_fit(n.left.as_deref_mut().expect("left fits"), size, rng, steps),
             2 => Self::take_fit(
                 n.right.as_deref_mut().expect("right fits"),
@@ -196,28 +206,11 @@ impl FastFit {
                 let addr = n.addr;
                 n.addr += size;
                 n.len -= size;
-                addr
+                (addr, n.len == 0)
             }
         };
         n.update();
-        addr
-    }
-
-    /// Remove any zero-length node (there is at most one, at `addr +
-    /// carved size`... identified simply by len == 0).
-    fn remove_empty(&mut self, _hint: u32) {
-        fn prune(n: Option<Box<Node>>) -> Option<Box<Node>> {
-            let mut n = n?;
-            n.left = prune(n.left.take());
-            n.right = prune(n.right.take());
-            if n.len == 0 {
-                let merged = merge(n.left.take(), n.right.take());
-                return merged;
-            }
-            n.update();
-            Some(n)
-        }
-        self.root = prune(self.root.take());
+        taken
     }
 
     /// Free `[addr, addr + size)` (size rounded as in `alloc`).
@@ -229,49 +222,57 @@ impl FastFit {
         self.in_use = self.in_use.saturating_sub(size);
         // Coalescing: absorb a predecessor that ends at addr and a
         // successor that starts at addr+size, then insert the merged
-        // block.
+        // block in the box of a neighbour it absorbed, if any.
         let mut lo = addr;
         let mut hi = addr + size;
-        if let Some((a, l)) = self.remove_adjacent_ending_at(lo) {
-            lo = a;
+        let mut reused = None;
+        if let Some((a, l)) = find_pred_end(self.root.as_deref(), lo) {
             debug_assert_eq!(a + l, addr);
+            lo = a;
+            reused = self.remove_at(a);
         }
-        if let Some((a, l)) = self.remove_starting_at(hi) {
-            debug_assert_eq!(a, hi);
+        if let Some((a, l)) = find_addr(self.root.as_deref(), hi) {
             hi = a + l;
+            let succ = self.remove_at(a);
+            reused = reused.or(succ);
         }
         let prio = self.rng.random();
-        let node = Node::new(lo, hi - lo, prio);
+        let node = match reused {
+            Some(mut n) => {
+                *n = Node {
+                    addr: lo,
+                    len: hi - lo,
+                    prio,
+                    max_len: hi - lo,
+                    left: None,
+                    right: None,
+                };
+                n
+            }
+            None => Node::new(lo, hi - lo, prio),
+        };
         let root = self.root.take();
         self.root = insert(root, node);
     }
 
-    fn remove_adjacent_ending_at(&mut self, addr: u32) -> Option<(u32, u32)> {
-        let found = find_pred_end(self.root.as_deref(), addr)?;
-        self.remove_at(found.0);
-        Some(found)
-    }
-
-    fn remove_starting_at(&mut self, addr: u32) -> Option<(u32, u32)> {
-        let found = find_addr(self.root.as_deref(), addr)?;
-        self.remove_at(found.0);
-        Some(found)
-    }
-
-    fn remove_at(&mut self, addr: u32) {
-        fn rec(n: Option<Box<Node>>, addr: u32) -> Option<Box<Node>> {
-            let mut n = n?;
-            if addr < n.addr {
-                n.left = rec(n.left.take(), addr);
-            } else if addr > n.addr {
-                n.right = rec(n.right.take(), addr);
-            } else {
-                return merge(n.left.take(), n.right.take());
-            }
-            n.update();
-            Some(n)
+    /// Unlink the node keyed `addr`, returning its box (`None` if no node
+    /// has that key).
+    fn remove_at(&mut self, addr: u32) -> Option<Box<Node>> {
+        fn rec(n: &mut Option<Box<Node>>, addr: u32) -> Option<Box<Node>> {
+            let node = n.as_mut()?;
+            let removed = match addr.cmp(&node.addr) {
+                std::cmp::Ordering::Less => rec(&mut node.left, addr),
+                std::cmp::Ordering::Greater => rec(&mut node.right, addr),
+                std::cmp::Ordering::Equal => {
+                    let mut hit = n.take().expect("matched");
+                    *n = merge(hit.left.take(), hit.right.take());
+                    return Some(hit);
+                }
+            };
+            node.update();
+            removed
         }
-        self.root = rec(self.root.take(), addr);
+        rec(&mut self.root, addr)
     }
 
     /// Number of free blocks (fragmentation indicator).

@@ -12,9 +12,13 @@
 //!
 //! A thread's context is never saved or restored by formula: that is
 //! always its own synthesized `sw_save` and `sw_in`, run and counted. Nor
-//! is a new thread's image filled by one: that is the resident
-//! `thread_init` routine ([`crate::templates::thread_init`]), run and
-//! counted too.
+//! is a new thread's image filled by one, or its memory taken or given
+//! back: the resident `thread_init` pops its thread block off the guest
+//! free list and fills it, and `thread_fini` pushes a dead thread's block
+//! back ([`crate::templates::thread_init`]), run and counted too.
+//! [`alloc_op`] is left on one path: a create that finds that list empty
+//! grows it by one block from the host's fast-fit heap
+//! ([`crate::alloc::fastfit`]), once per high-water thread.
 //!
 //! All formulas are in CPU cycles at the machine's configured bus cost.
 
@@ -28,7 +32,8 @@ pub fn code_patch(cost: &CostModel) -> u64 {
 }
 
 /// Cycles for one allocator operation that examined `steps` nodes (each
-/// step reads a node header and a child pointer).
+/// step reads a node header and a child pointer): charged for the
+/// fast-fit allocation that grows the thread blocks' free list.
 #[must_use]
 pub fn alloc_op(cost: &CostModel, steps: u32) -> u64 {
     16 + u64::from(steps) * (4 + 2 * cost.bus_cycles())

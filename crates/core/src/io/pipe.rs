@@ -50,7 +50,7 @@ impl Pipe {
     ///
     /// # Errors
     ///
-    /// Fails when the kernel heap is exhausted.
+    /// Fails when the kernel heap is exhausted, with nothing taken.
     pub fn allocate(
         m: &mut Machine,
         heap: &mut FastFit,
@@ -59,7 +59,7 @@ impl Pipe {
     ) -> Result<Pipe, OutOfMemory> {
         assert!(size.is_power_of_two(), "pipe size must be a power of two");
         let slots = heap.alloc(16)?;
-        let buf = heap.alloc(size)?;
+        let buf = heap.alloc(size).inspect_err(|_| heap.free(slots, 16))?;
         for off in (0..16).step_by(4) {
             m.mem.poke(slots + off, Size::L, 0);
         }

@@ -85,8 +85,8 @@ impl Kernel {
         );
 
         // Storage first, so the rollback below is pure arithmetic.
-        let slots = self.heap.alloc(8).map_err(|_| KernelError::NoMem)?;
-        let buf = match self.heap.alloc(size * 4) {
+        let slots = self.heap_alloc(8).map_err(|_| KernelError::NoMem)?;
+        let buf = match self.heap_alloc(size * 4) {
             Ok(b) => b,
             Err(_) => {
                 self.heap.free(slots, 8);
@@ -94,7 +94,7 @@ impl Kernel {
             }
         };
         let flags = if flagged {
-            match self.heap.alloc(size) {
+            match self.heap_alloc(size) {
                 Ok(f) => f,
                 Err(_) => {
                     self.heap.free(slots, 8);

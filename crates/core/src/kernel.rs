@@ -35,6 +35,7 @@ use synthesis_codegen::execds::JumpChain;
 use synthesis_codegen::hash::FoldMap;
 use synthesis_codegen::template::Bindings;
 
+use crate::alloc::fastfit::OutOfMemory;
 use crate::alloc::FastFit;
 use crate::channel::FileChan;
 use crate::charges;
@@ -470,6 +471,8 @@ impl Kernel {
         };
         let (fill, pool) = templates::thread_init::routine(&shared, ncpus);
         m.load_block(layout::THREAD_INIT, fill)?;
+        m.load_block(layout::THREAD_FINI, templates::thread_init::fini())?;
+        m.mem.poke(layout::THREAD_FREE, Size::L, 0);
         for (at, &long) in (layout::THREAD_INIT_POOL..).step_by(4).zip(&pool) {
             m.mem.poke(at, Size::L, long);
         }
@@ -563,7 +566,7 @@ impl Kernel {
             k.cpus[cpu].idle_tid = it;
             k.start(it)?;
             let t = &k.threads[&it];
-            let (sw_in, vt) = (k.switch_entries(t).sw_in, t.vt);
+            let (sw_in, vt) = (k.switch_entries(t).sw_in, t.vt());
             let slot = k.m.cpu_mut(cpu);
             slot.pc = sw_in;
             slot.vbr = vt;
@@ -604,52 +607,51 @@ impl Kernel {
         let tid = self.next_tid;
         self.next_tid += 1;
 
-        // Everything that can fail comes first and is recorded as it is
-        // taken (a heap block as its address, never 0; a code block as
-        // `Some`); a failure anywhere gives all of it back here.
-        let mut blocks = [0; THREAD_BLOCKS.len()];
+        // The block the fill will pop, read first: the switch code binds
+        // its addresses. Nothing is taken before the fill but the four
+        // code blocks, recorded as they are taken (`Some`); a failure
+        // anywhere gives them back here and leaves the block listed.
         let mut code: [Option<Synthesized>; 4] = Default::default();
-        let filled = self
-            .take_thread_parts(tid, &mut blocks, &mut code)
-            .and_then(|()| {
-                let [Some(sw), Some(read), Some(write), Some(error)] = &code else {
-                    unreachable!("every code block is taken")
-                };
-                let entries = self.switch_plans.entries(sw);
-                // The image — TTE, fd table, stack pointers, the frame
-                // sw_in's rte drops into `entry`, the vector table — is
-                // written by running the fill (the paper's ~100 µs for
-                // ~1 KB), every cycle counted.
-                let image = templates::thread_init::ThreadImage {
-                    tte: blocks[0],
-                    vt: blocks[1],
-                    kstack_top: tte_frame_top(blocks[2]),
-                    entry,
-                    user_sp,
-                    sr: initial_sr,
-                    sw_out: entries.sw_out,
-                    ipi_in: entries.ipi_in,
-                    dispatch_read: read.base,
-                    dispatch_write: write.base,
-                    error: error.base,
-                };
-                self.call_routine(layout::THREAD_INIT, &image.regs())
-            });
-        if let Err(e) = filled {
-            for s in code.iter().flatten() {
-                self.creator.destroy(&mut self.m, s);
-            }
-            for (addr, len) in blocks.into_iter().zip(THREAD_BLOCKS) {
-                if addr != 0 {
-                    self.heap.free(addr, len);
+        let filled = self.next_thread_block().and_then(|tte| {
+            self.take_thread_code(tid, tte, &mut code)?;
+            let [Some(sw), Some(read), Some(write), Some(error)] = &code else {
+                unreachable!("every code block is taken")
+            };
+            let entries = self.switch_plans.entries(sw);
+            // The image — TTE, fd table, stack pointers, the frame sw_in's
+            // rte drops into `entry`, the vector table — is written by
+            // running the fill (the paper's ~100 µs for ~1 KB), every cycle
+            // counted; it pops `tte` off the free list first.
+            let image = templates::thread_init::ThreadImage {
+                entry,
+                user_sp,
+                sr: initial_sr,
+                sw_out: entries.sw_out,
+                ipi_in: entries.ipi_in,
+                dispatch_read: read.base,
+                dispatch_write: write.base,
+                error: error.base,
+            };
+            let next = self.m.mem.peek(tte, Size::L);
+            self.call_routine(layout::THREAD_INIT, &image.regs())?;
+            debug_assert_eq!(
+                self.m.mem.peek(layout::THREAD_FREE, Size::L),
+                next,
+                "the fill popped a block other than {tte:#x}"
+            );
+            Ok(tte)
+        });
+        let tte = match filled {
+            Ok(tte) => tte,
+            Err(e) => {
+                for s in code.iter().flatten() {
+                    self.creator.destroy(&mut self.m, s);
                 }
+                return Err(e);
             }
-            return Err(e);
-        }
-        let [tte, vt, kstack] = blocks;
+        };
         let [sw, trap_read, trap_write, trap_error] = code.map(|s| s.expect("taken"));
 
-        self.vbr_to_tid.insert(vt, tid);
         // Homed where it was created — unless that CPU is out of service
         // (a host-side create after quarantining the active CPU).
         let here = self.m.active_cpu();
@@ -661,8 +663,6 @@ impl Kernel {
         let thread = Thread {
             tid,
             tte,
-            vt,
-            kstack,
             sw,
             trap_read,
             trap_write,
@@ -679,29 +679,91 @@ impl Kernel {
             fault_mark: 0,
             quarantined: false,
         };
+        self.vbr_to_tid.insert(thread.vt(), tid);
         self.threads.insert(tid, thread);
         Ok(tid)
     }
 
-    /// The fallible half of thread creation: the [`THREAD_BLOCKS`] heap
-    /// blocks, into `blocks`, then the four private code blocks (switch,
-    /// `trap #1`/`#2` dispatchers, error handler), into `code`.
-    fn take_thread_parts(
+    /// The block the next thread creation fills: the free list's head,
+    /// after growing the list by one block from the fast-fit heap if it is
+    /// empty — the one allocation a create charges.
+    fn next_thread_block(&mut self) -> Result<u32, KernelError> {
+        let head = self.m.mem.peek(layout::THREAD_FREE, Size::L);
+        if head != 0 {
+            return Ok(head);
+        }
+        let block = self.heap.alloc(layout::THREAD_BLOCK_LEN)?;
+        self.charge_alloc();
+        self.push_thread_block(block)?;
+        Ok(block)
+    }
+
+    /// Run the resident push of `block` onto the thread blocks' free list.
+    fn push_thread_block(&mut self, block: u32) -> Result<(), KernelError> {
+        let mut regs = templates::RoutineRegs::default();
+        regs.a[0] = block;
+        self.call_routine(layout::THREAD_FINI, &regs)
+    }
+
+    /// The thread blocks on the free list, head first.
+    #[must_use]
+    pub fn listed_thread_blocks(&self) -> Vec<u32> {
+        let mut blocks = Vec::new();
+        let mut at = self.m.mem.peek(layout::THREAD_FREE, Size::L);
+        while at != 0 {
+            blocks.push(at);
+            at = self.m.mem.peek(at, Size::L);
+        }
+        blocks
+    }
+
+    /// Give every listed thread block back to the fast-fit heap, emptying
+    /// the list; whether there was any. Only a heap allocation that failed
+    /// calls this ([`Kernel::heap_retry`]): the list never shrinks on its
+    /// own.
+    fn reclaim_thread_blocks(&mut self) -> bool {
+        let blocks = self.listed_thread_blocks();
+        for &block in &blocks {
+            self.heap.free(block, layout::THREAD_BLOCK_LEN);
+        }
+        self.m.mem.poke(layout::THREAD_FREE, Size::L, 0);
+        !blocks.is_empty()
+    }
+
+    /// Run `alloc` against the kernel heap; if it fails while thread
+    /// blocks are listed, give them back to the heap and run it once more.
+    /// A failing `alloc` must leave the heap as it found it.
+    pub(crate) fn heap_retry<T, E>(
+        &mut self,
+        mut alloc: impl FnMut(&mut Kernel) -> Result<T, E>,
+    ) -> Result<T, E> {
+        alloc(self).or_else(|e| {
+            if self.reclaim_thread_blocks() {
+                alloc(self)
+            } else {
+                Err(e)
+            }
+        })
+    }
+
+    /// `size` bytes of kernel heap, through [`Kernel::heap_retry`].
+    pub(crate) fn heap_alloc(&mut self, size: u32) -> Result<u32, OutOfMemory> {
+        self.heap_retry(|k| k.heap.alloc(size))
+    }
+
+    /// The fallible half of thread creation: the four private code blocks
+    /// (switch, `trap #1`/`#2` dispatchers, error handler) for the thread
+    /// block at `tte`, into `code`.
+    fn take_thread_code(
         &mut self,
         tid: Tid,
-        blocks: &mut [u32; 3],
+        tte: u32,
         code: &mut [Option<Synthesized>; 4],
     ) -> Result<(), KernelError> {
-        for (at, len) in blocks.iter_mut().zip(THREAD_BLOCKS) {
-            *at = self.heap.alloc(len)?;
-            self.charge_alloc();
-        }
-        let [tte, vt, _] = *blocks;
-
         // Factorization + optimization: the per-thread switch code, then
         // the trap dispatchers and the error handler.
         let quantum = self.default_quantum_us;
-        code[0] = Some(self.synth_switch(tid, tte, vt, quantum, false)?);
+        code[0] = Some(self.synth_switch(tid, tte, quantum, false)?);
         let kept = &mut self.thread_bindings;
         kept.fdtable.bind("fdtable", tte + off::FD_TABLE);
         kept.error.bind("err_pc_slot", tte + off::ERR_PC);
@@ -731,13 +793,12 @@ impl Kernel {
         Ok(())
     }
 
-    /// Synthesize (or resynthesize) a thread's context-switch code, and
-    /// learn its plan's marks if they are new.
+    /// Synthesize (or resynthesize) the context-switch code of the thread
+    /// whose block is at `tte`, and learn its plan's marks if they are new.
     fn synth_switch(
         &mut self,
         tid: Tid,
         tte: u32,
-        vt: u32,
         quantum: u32,
         fp: bool,
     ) -> Result<Synthesized, KernelError> {
@@ -746,7 +807,7 @@ impl Kernel {
             ("save", tte + off::REGS),
             ("usp_slot", tte + off::USP),
             ("ssp_slot", tte + off::SSP),
-            ("vt", vt),
+            ("vt", tte + layout::TTE_LEN),
             ("quantum", quantum),
             ("tid", tid),
         ] {
@@ -784,7 +845,11 @@ impl Kernel {
     /// Install a handler address into a thread's vector table (used by
     /// the UNIX emulator and device servers).
     pub fn set_vector(&mut self, tid: Tid, vector: u32, handler: u32) -> Result<(), KernelError> {
-        let vt = self.threads.get(&tid).ok_or(KernelError::NoThread(tid))?.vt;
+        let vt = self
+            .threads
+            .get(&tid)
+            .ok_or(KernelError::NoThread(tid))?
+            .vt();
         self.m.mem.poke(vt + 4 * vector, Size::L, handler);
         let c = charges::code_patch(&self.m.cost);
         self.m.charge(c);
@@ -939,7 +1004,7 @@ impl Kernel {
         } else {
             entries.sw_in
         };
-        self.m.cpu.vbr = t.vt;
+        self.m.cpu.vbr = t.vt();
         // Supervisor mode (sw_in uses privileged instructions) with
         // interrupts masked: a pending interrupt accepted before sw_in's
         // first instruction would vector through the *previous* thread's
@@ -983,19 +1048,17 @@ impl Kernel {
         for s in own.into_iter().chain(&t.adopted) {
             self.creator.destroy(&mut self.m, s);
         }
-        for (addr, len) in [t.tte, t.vt, t.kstack].into_iter().zip(THREAD_BLOCKS) {
-            self.heap.free(addr, len);
-        }
+        // The block goes back on the free list, by guest code: the next
+        // create pops it.
+        self.push_thread_block(t.tte)?;
         // What the kernel and the machine keep by the thread's addresses
         // goes with it: the next thread to be handed this `vt` starts with
         // no fault history.
-        self.vbr_to_tid.remove(&t.vt);
-        self.m.meter.error_faults.remove(&t.vt);
+        self.vbr_to_tid.remove(&t.vt());
+        self.m.meter.error_faults.remove(&t.vt());
         self.trace.forget(tid);
         t.state = ThreadState::Dead;
         self.exited.insert(tid);
-        let c = charges::alloc_op(&self.m.cost, 3) * 3;
-        self.m.charge(c);
         if was_current {
             self.enter_next();
         }
@@ -1259,7 +1322,7 @@ impl Kernel {
             self.m.cpu.fpu_enabled = true; // already resynthesized
             return;
         }
-        let (tte, vt, quantum, old_sw) = (t.tte, t.vt, t.quantum_us, t.sw.clone());
+        let (tte, vt, quantum, old_sw) = (t.tte, t.vt(), t.quantum_us, t.sw.clone());
         // The chain's links name the old code's entries and `jmp`: leave
         // the chain before that code goes, rejoin once the new code is in.
         let cpu = self.home_cpu(tid);
@@ -1268,7 +1331,7 @@ impl Kernel {
             let _ = self.dequeue(tid);
         }
         self.creator.destroy(&mut self.m, &old_sw);
-        let sw = match self.synth_switch(tid, tte, vt, quantum, true) {
+        let sw = match self.synth_switch(tid, tte, quantum, true) {
             Ok(sw) => sw,
             Err(_) => {
                 // Code space is exhausted: the thread asked for FP it
@@ -1368,17 +1431,4 @@ impl Kernel {
         let c = charges::alloc_op(&self.m.cost, steps);
         self.m.charge(c);
     }
-}
-
-/// The heap blocks a thread owns, in the order they are taken: TTE,
-/// vector table, kernel stack.
-const THREAD_BLOCKS: [u32; 3] = [
-    layout::TTE_LEN,
-    layout::VECTOR_TABLE_LEN,
-    layout::KSTACK_LEN,
-];
-
-/// Top of a kernel stack (stacks grow down).
-fn tte_frame_top(kstack: u32) -> u32 {
-    kstack + layout::KSTACK_LEN
 }

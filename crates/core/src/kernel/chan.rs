@@ -133,7 +133,7 @@ impl Kernel {
                         chan.offset_slot
                     }
                     None => {
-                        let slot = self.heap.alloc(4).map_err(|_| errno::ENOMEM as u32)?;
+                        let slot = self.heap_alloc(4).map_err(|_| errno::ENOMEM as u32)?;
                         self.m.mem.poke(slot, Size::L, 0);
                         self.file_chans.insert(
                             (tid, fid),
@@ -352,7 +352,7 @@ impl Kernel {
         let Some(t) = self.threads.get_mut(&holder) else {
             return Ok(());
         };
-        let (tte, kstack) = (t.tte, t.kstack);
+        let (tte, kstack) = (t.tte, t.kstack());
         let bases: Vec<u32> = live_pipe_sites(t, pid).map(|b| b.wrapper.base).collect();
         let extents: Vec<_> = bases.iter().map(|&b| self.solo_only(b, pid)).collect();
         let inside = |pc: u32| extents.iter().any(|x| x.contains(&pc));
@@ -508,7 +508,8 @@ impl Kernel {
     /// Returns an errno.
     pub fn pipe_for(&mut self, tid: Tid) -> Result<(u32, u32), u32> {
         let pid = self.pipes.len() as u32;
-        let p = Pipe::allocate(&mut self.m, &mut self.heap, pid, DEFAULT_PIPE_SIZE)
+        let p = self
+            .heap_retry(|k| Pipe::allocate(&mut k.m, &mut k.heap, pid, DEFAULT_PIPE_SIZE))
             .map_err(|_| errno::ENOMEM as u32)?;
         // Register before attaching so the endpoints go through the
         // ordinary registry path; the end refcounts start at zero and

@@ -12,8 +12,8 @@ pub const MEM_SIZE: u32 = 2_621_440;
 pub const BOOT_VECTORS: u32 = 0x0000_0000;
 
 /// Kernel static region: what the kernel places at fixed addresses — the
-/// resident routines below, their constant pool and stack; everything
-/// else is heap-allocated.
+/// resident routines below, their constant pool and stack, and the head
+/// of the thread blocks' free list; everything else is heap-allocated.
 pub const KERNEL_DATA_BASE: u32 = 0x0000_0400;
 /// Size of the kernel static-data region.
 pub const KERNEL_DATA_LEN: u32 = 0x0003_FC00; // up to 0x40000
@@ -33,15 +33,23 @@ pub const THREAD_INIT: u32 = KERNEL_DATA_BASE + 0x200;
 /// hands a resident routine, so its `rts` gives the machine back to the
 /// host.
 pub const HOST_RETURN: u32 = KERNEL_DATA_BASE + 0x300;
+/// The kernel-resident push of a thread block onto the free list at
+/// [`THREAD_FREE`] (see [`crate::templates::thread_init::fini`]): run by
+/// every thread destruction, and by a creation that finds the list empty.
+pub const THREAD_FINI: u32 = KERNEL_DATA_BASE + 0x380;
 /// The constant pool of [`THREAD_INIT`]: the shared vectors, zeros and
 /// `EBADF` entries its bursts load (at most 64 longs).
 pub const THREAD_INIT_POOL: u32 = KERNEL_DATA_BASE + 0x400;
 /// Top of the stack a routine runs on when the host calls it (it grows
 /// down from here; `Kernel::call_routine` uses one long of it).
 pub const ROUTINE_STACK: u32 = KERNEL_DATA_BASE + 0x600;
+/// The head of the free list of thread blocks: one long, 0 when the list
+/// is empty; a listed block's first long links to the next.
+/// [`THREAD_INIT`] pops it, [`THREAD_FINI`] pushes it.
+pub const THREAD_FREE: u32 = ROUTINE_STACK;
 
-/// Kernel dynamic data: TTEs, vector tables, queues, file buffers
-/// (managed by the fast-fit allocator).
+/// Kernel dynamic data: thread blocks, queues, file buffers (managed by
+/// the fast-fit allocator).
 pub const KERNEL_HEAP_BASE: u32 = 0x0004_0000;
 /// Size of the kernel heap.
 pub const KERNEL_HEAP_LEN: u32 = 0x000C_0000; // 768 KB, up to 0x100000
@@ -65,6 +73,11 @@ pub const VECTOR_TABLE_LEN: u32 = 0x100;
 /// Bytes in a TTE. "About 100 [µs] are needed to fill approximately
 /// 1 KBytes in the TTE" (Section 6.3): the TTE is 1 KB.
 pub const TTE_LEN: u32 = 0x400;
+
+/// Bytes in a thread block, the one piece of kernel heap a thread owns:
+/// its TTE, then its vector table at `+TTE_LEN`, then its kernel stack at
+/// `+TTE_LEN + VECTOR_TABLE_LEN` (3,328 bytes).
+pub const THREAD_BLOCK_LEN: u32 = TTE_LEN + VECTOR_TABLE_LEN + KSTACK_LEN;
 
 /// A configurable quaspace partition.
 ///
@@ -107,10 +120,10 @@ impl Default for MemLayout {
 }
 
 impl MemLayout {
-    /// Per-thread kernel heap footprint: TTE + vector table + kernel
-    /// stack, each rounded to the allocator's granularity, plus slack
-    /// for fd offset slots and queue headers.
-    pub const PER_THREAD_HEAP: u32 = TTE_LEN + VECTOR_TABLE_LEN + KSTACK_LEN + 0x100;
+    /// Per-thread kernel heap footprint: the thread block (a multiple of
+    /// the allocator's granularity) plus slack for fd offset slots and
+    /// queue headers.
+    pub const PER_THREAD_HEAP: u32 = THREAD_BLOCK_LEN + 0x100;
 
     /// Per-thread synthesized-code budget: the switch quaject plus the
     /// three small per-thread handlers (dispatchers, error handler),
@@ -154,8 +167,10 @@ mod tests {
         assert!(BOOT_VECTORS < KERNEL_DATA_BASE);
         assert!(KERNEL_DATA_BASE <= COPY_WRITE && COPY_WRITE < COPY_READ);
         assert!(COPY_READ < THREAD_INIT && THREAD_INIT < HOST_RETURN);
-        assert!(HOST_RETURN < THREAD_INIT_POOL && THREAD_INIT_POOL + 0x100 < ROUTINE_STACK);
-        assert!(ROUTINE_STACK < KERNEL_HEAP_BASE);
+        assert!(HOST_RETURN < THREAD_FINI && THREAD_FINI < THREAD_INIT_POOL);
+        assert!(THREAD_INIT_POOL + 0x100 < ROUTINE_STACK);
+        assert!(ROUTINE_STACK <= THREAD_FREE && THREAD_FREE + 4 <= KERNEL_HEAP_BASE);
+        assert_eq!(THREAD_BLOCK_LEN, 3_328);
         assert_eq!(KERNEL_DATA_BASE + KERNEL_DATA_LEN, KERNEL_HEAP_BASE);
         assert_eq!(KERNEL_HEAP_BASE + KERNEL_HEAP_LEN, CODE_BASE);
         assert_eq!(CODE_BASE + CODE_LEN, USER_BASE);

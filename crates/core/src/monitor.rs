@@ -65,7 +65,8 @@ pub struct SizeReport {
     pub code_resident: u64,
     /// Bytes of code ever synthesized.
     pub code_total: u64,
-    /// Kernel heap bytes in use (TTEs, queues, buffers).
+    /// Kernel heap bytes in use (thread blocks, listed ones too; queues,
+    /// buffers).
     pub heap_in_use: u32,
     /// Kernel heap high-water mark.
     pub heap_high_water: u32,

@@ -18,9 +18,10 @@
 //! | `#2` | `write` | `d0` fd, `a0` buffer, `d1` count | `d0` bytes |
 //! | `#3` | UNIX emulator call | `d0` UNIX syscall #, rest per call | `d0` |
 //!
-//! Three kernel-resident routines are loaded once at boot. Templates call
+//! Four kernel-resident routines are loaded once at boot. Templates call
 //! the two copies with `jsr`, naming them as constant operands (no hole);
-//! the host runs the thread fill through `Kernel::call_routine`, which
+//! the host runs the thread fill and the thread block's release through
+//! `Kernel::call_routine`, which
 //! starts a routine with [`RoutineRegs`], in supervisor state with every
 //! interrupt masked, on the stack below
 //! [`layout::ROUTINE_STACK`](crate::layout::ROUTINE_STACK), and takes the
@@ -30,7 +31,8 @@
 //! |---|---|---|---|---|
 //! | [`layout::COPY_WRITE`](crate::layout::COPY_WRITE) | copy `(a0)+ → (a1)+` | `d3` = bytes >> 4 (≥ 1) | `a0`, `a1` advanced by 16 · `d3` | `d3`, CCR |
 //! | [`layout::COPY_READ`](crate::layout::COPY_READ) | copy `(a1)+ → (a0)+` | `d3` = bytes >> 4 (≥ 1) | `a1`, `a0` advanced by 16 · `d3` | `d3`, CCR |
-//! | [`layout::THREAD_INIT`](crate::layout::THREAD_INIT) | fill a new thread's image | [`thread_init::ThreadImage::regs`]: `a0` TTE, `a1` vectors, `a4` kstack top, `d0`–`d5`, `a2`, `a3` | the TTE, kstack frame and pinned vectors written | all but `a7`, CCR |
+//! | [`layout::THREAD_INIT`](crate::layout::THREAD_INIT) | pop a thread block, fill the new thread's image | [`thread_init::ThreadImage::regs`]: `d0`–`d5`, `a2`, `a3` | the free list's head block popped; its TTE, kstack frame and pinned vectors written | all but `a7`, CCR |
+//! | [`layout::THREAD_FINI`](crate::layout::THREAD_FINI) | push a thread block | `a0` the block | the block is the free list's head | nothing |
 //!
 //! [`copy::emit_copy`] is the copy's call sequence (the byte tail stays
 //! inline).

@@ -1,6 +1,7 @@
-//! Thread creation's fill: the kernel-resident routine that writes a new
+//! Thread creation's fill and destruction's release: the kernel-resident
+//! routines that pop a thread block off the free list and write the new
 //! thread's TTE, fd table, stack pointers, first kernel-stack frame and
-//! vector table.
+//! vector table into it, and that push a dead thread's block back.
 //!
 //! "About 100 [µs] are needed to fill approximately 1 KBytes in the TTE"
 //! (Section 6.3). The fill is code that runs: [`routine`] is straight-line
@@ -8,6 +9,20 @@
 //! at [`layout::THREAD_INIT`] and every thread creation — the boot CPUs'
 //! idle threads too — runs through `Kernel::call_routine`, every cycle
 //! counted.
+//!
+//! # The free list
+//!
+//! A thread owns one block of [`layout::THREAD_BLOCK_LEN`] bytes: the TTE,
+//! the vector table at `+TTE_LEN`, the kernel stack above it. Blocks no
+//! thread owns sit on a LIFO list whose head is the long at
+//! [`layout::THREAD_FREE`] (0: empty); a listed block's first long (the
+//! TTE's saved `d0`, which the fill zeroes) links to the next. The fill
+//! pops the head as its first instructions and derives the vector table
+//! and the kernel-stack top from it with `lea`; [`fini`], loaded at
+//! [`layout::THREAD_FINI`], pushes a block. The host reads the head before
+//! the fill, to bind the block's addresses into the thread's synthesized
+//! code, and grows the list from the fast-fit heap (one block, pushed by
+//! [`fini`]) only when it is empty.
 //!
 //! Factoring Invariants at boot: what every thread shares (the FP,
 //! spurious, alarm, tty and trampoline vectors, the `EBADF` routine in
@@ -17,7 +32,8 @@
 //! [`layout::THREAD_INIT_POOL`]; what differs per thread comes in
 //! registers ([`ThreadImage::regs`]).
 //!
-//! The routine writes the thread's image and nothing else:
+//! The routine writes the thread's image and nothing else but the list's
+//! head:
 //! - the 1 KB TTE: zero, but for the fd table (every slot `EBADF`), the
 //!   saved USP (the user stack) and SSP (the frame below);
 //! - the 6-byte frame at the top of the kernel stack that the first
@@ -30,9 +46,11 @@
 //!
 //! | | |
 //! |---|---|
-//! | in | `a0` TTE, `a1` vector table, `a4` kernel-stack top, `d1` entry, `d2` initial SR, `d3` user SP, `d4` error handler, `d5` `sw_out`, `d0` `ipi_in` (read on a multiprocessor only), `a2`/`a3` the `trap #1`/`#2` dispatchers |
-//! | out | nothing |
+//! | in | the block at the head of the free list; `d1` entry, `d2` initial SR, `d3` user SP, `d4` error handler, `d5` `sw_out`, `d0` `ipi_in` (read on a multiprocessor only), `a2`/`a3` the `trap #1`/`#2` dispatchers |
+//! | out | the block popped |
 //! | clobbers | every register but `a7`, and the CCR |
+//!
+//! [`fini`] takes the block in `a0`, pushes it, and clobbers nothing.
 
 use quamachine::asm::Asm;
 use quamachine::code::CodeBlock;
@@ -62,15 +80,10 @@ pub struct Shared {
     pub ebadf: u32,
 }
 
-/// What differs from one thread's image to the next.
+/// What differs from one thread's image to the next, but for its block
+/// (the free list's head).
 #[derive(Debug, Clone, Copy)]
 pub struct ThreadImage {
-    /// The TTE.
-    pub tte: u32,
-    /// The vector table.
-    pub vt: u32,
-    /// The top of the kernel stack (stacks grow down).
-    pub kstack_top: u32,
     /// Where the thread starts.
     pub entry: u32,
     /// Its initial user stack pointer.
@@ -105,15 +118,7 @@ impl ThreadImage {
                 0,
                 0,
             ],
-            a: [
-                self.tte,
-                self.vt,
-                self.dispatch_read,
-                self.dispatch_write,
-                self.kstack_top,
-                0,
-                0,
-            ],
+            a: [0, 0, self.dispatch_read, self.dispatch_write, 0, 0, 0],
         }
     }
 }
@@ -151,9 +156,9 @@ fn vector(v: u32) -> Operand {
     )
 }
 
-/// Offset `at` of the TTE in `a0`.
+/// Offset `at` of the thread block in `a0` (its TTE first).
 fn tte(at: u32) -> Operand {
-    Disp(i16::try_from(at).expect("a TTE is 1 KB"), 0)
+    Disp(i16::try_from(at).expect("a thread block is 3,328 bytes"), 0)
 }
 
 /// The registers of `list` in `movem` order, each as a one-register list.
@@ -183,6 +188,13 @@ pub fn routine(shared: &Shared, cpus: usize) -> (CodeBlock, Vec<u32>) {
         a.movem_load(Abs(at), list);
     };
     let mut a = Asm::new("thread_init");
+
+    // Pop the free list's head: the TTE, then the vector table and the
+    // kernel-stack top at their offsets in the block.
+    a.move_(L, Abs(layout::THREAD_FREE), Ar(0));
+    a.move_(L, Ind(0), Abs(layout::THREAD_FREE));
+    a.lea(tte(layout::TTE_LEN), 1);
+    a.lea(tte(layout::THREAD_BLOCK_LEN), 4);
 
     // The frame `sw_in`'s `rte` pops into `entry`, pushed on the kernel
     // stack; the USP and SSP beside each other in the TTE.
@@ -252,6 +264,17 @@ pub fn routine(shared: &Shared, cpus: usize) -> (CodeBlock, Vec<u32>) {
     (a.assemble().expect("assembles"), pool)
 }
 
+/// The push of the thread block in `a0` onto the free list: its first
+/// long links to the old head, and it becomes the head.
+#[must_use]
+pub fn fini() -> CodeBlock {
+    let mut a = Asm::new("thread_fini");
+    a.move_(L, Abs(layout::THREAD_FREE), Ind(0));
+    a.move_(L, Ar(0), Abs(layout::THREAD_FREE));
+    a.rts();
+    a.assemble().expect("assembles")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,6 +295,7 @@ mod tests {
         for cpus in [1, 2] {
             let (block, pool) = routine(&shared(), cpus);
             assert!(block.size_bytes() <= layout::HOST_RETURN - layout::THREAD_INIT);
+            assert!(fini().size_bytes() <= layout::THREAD_INIT_POOL - layout::THREAD_FINI);
             assert!(4 * pool.len() as u32 <= 0x100, "{} longs", pool.len());
         }
     }
@@ -281,9 +305,6 @@ mod tests {
     #[test]
     fn run_a_stores_each_own_vector_from_its_argument_register() {
         let image = ThreadImage {
-            tte: 0,
-            vt: 0,
-            kstack_top: 0,
             entry: 0,
             user_sp: 0,
             sr: 0,

@@ -17,6 +17,7 @@ use quamachine::mem::{AddressMap, Memory};
 use synthesis_codegen::creator::Synthesized;
 
 use crate::channel::ChannelClass;
+use crate::layout;
 
 /// Thread identifier.
 pub type Tid = u32;
@@ -120,12 +121,10 @@ pub struct Bound {
 pub struct Thread {
     /// Thread id.
     pub tid: Tid,
-    /// TTE base address in kernel memory.
+    /// TTE base address in kernel memory: the start of the thread's
+    /// block, which holds its vector table ([`Thread::vt`]) and kernel
+    /// stack ([`Thread::kstack`]) too.
     pub tte: u32,
-    /// Vector-table address (loaded into the VBR when running).
-    pub vt: u32,
-    /// Kernel stack base (the stack grows down from `kstack + KSTACK_LEN`).
-    pub kstack: u32,
     /// The synthesized context-switch code. Its entries and chain `jmp`
     /// are its base plus its plan's mark offsets
     /// (`Kernel::switch_entries`).
@@ -171,6 +170,19 @@ pub struct Thread {
 pub type SavedRegs = ([u32; 15], u32);
 
 impl Thread {
+    /// Vector-table address (loaded into the VBR when running).
+    #[must_use]
+    pub fn vt(&self) -> u32 {
+        self.tte + layout::TTE_LEN
+    }
+
+    /// Kernel stack base (the stack grows down from `kstack() +
+    /// KSTACK_LEN`).
+    #[must_use]
+    pub fn kstack(&self) -> u32 {
+        self.vt() + layout::VECTOR_TABLE_LEN
+    }
+
     /// The registers and USP of the parked context, as the thread's own
     /// `sw_save` left them (read for signal delivery).
     #[must_use]
@@ -230,8 +242,6 @@ mod tests {
         let t = Thread {
             tid: 1,
             tte: 0x4000,
-            vt: 0,
-            kstack: 0,
             sw: none(),
             trap_read: none(),
             trap_write: none(),

@@ -49,7 +49,7 @@ fn eight_audio_interrupts_walk_the_slot_handlers_to_the_advance_call() {
     // built last to first, so each knows its successor's address.
     let ad_data = dev_reg_addr(k.dev.audio, audio::REG_DATA);
     let vector = 24 + u32::from(irq_levels::AUDIO);
-    let vec_slot = k.threads[&tid].vt + 4 * vector;
+    let vec_slot = k.threads[&tid].vt() + 4 * vector;
     let mut handlers = [0u32; 8];
     for i in (0..8).rev() {
         let mut b = Bindings::new();

@@ -7,7 +7,8 @@ use quamachine::isa::{Cond, Operand::*, Size::*};
 use quamachine::machine::RunExit;
 use quamachine::mem::AddressMap;
 use synthesis_core::kernel::{Kernel, KernelConfig};
-use synthesis_core::syscall::{general, traps};
+use synthesis_core::layout::{self, MemLayout};
+use synthesis_core::syscall::{errno, general, traps};
 use synthesis_core::thread::ThreadState;
 
 /// A user map covering the whole user area.
@@ -829,16 +830,34 @@ fn boot_with_entry() -> (Kernel, u32) {
     (k, entry)
 }
 
+/// The kernel heap and code buffer in use, and the thread blocks listed.
+fn held(k: &Kernel) -> (u32, u32, u32) {
+    let listed = k.listed_thread_blocks().len() as u32;
+    (k.heap.in_use, k.creator.codebuf.in_use, listed)
+}
+
+/// A failed create took nothing but, perhaps, the `grown` thread blocks it
+/// added to the free list: the heap holds exactly those more.
+fn assert_gave_back(k: &Kernel, before: (u32, u32, u32), grown: u32) {
+    let (heap, code, listed) = held(k);
+    assert_eq!(listed, before.2 + grown, "thread blocks listed");
+    assert_eq!(heap, before.0 + grown * layout::THREAD_BLOCK_LEN, "heap");
+    assert_eq!(code, before.1, "code buffer");
+}
+
 #[test]
 fn create_thread_out_of_heap_gives_back_what_it_took() {
     let (mut k, entry) = boot_with_entry();
-    // Exactly one TTE is left: the second allocation fails.
-    let tte = k.heap.alloc(synthesis_core::layout::TTE_LEN).unwrap();
+    // Less than a thread block is left, and none is listed: the
+    // list cannot grow.
+    let room = layout::THREAD_BLOCK_LEN - synthesis_core::alloc::fastfit::ALIGN;
+    let hold = k.heap.alloc(room).unwrap();
     exhaust(|n| k.heap.alloc(n).is_ok());
-    k.heap.free(tte, synthesis_core::layout::TTE_LEN);
-    let before = (k.heap.in_use, k.creator.codebuf.in_use);
+    k.heap.free(hold, room);
+    let before = held(&k);
+    assert_eq!(before.2, 0);
     assert!(k.create_thread(entry, USTACK, user_map()).is_err());
-    assert_eq!((k.heap.in_use, k.creator.codebuf.in_use), before);
+    assert_gave_back(&k, before, 0);
 }
 
 #[test]
@@ -849,17 +868,63 @@ fn create_thread_out_of_code_space_gives_back_what_it_took() {
     let sw_size = k.threads.values().next().expect("idle").sw.size;
     let hold = k.creator.codebuf.alloc(sw_size).unwrap();
     exhaust(|n| k.creator.codebuf.alloc(n).is_ok());
-    // No room for the switch block...
-    let before = (k.heap.in_use, k.creator.codebuf.in_use);
+    // No room for the switch block: the create grew the free list by the
+    // block it would have filled, and that block stays listed...
+    let before = held(&k);
     assert!(k.create_thread(entry, USTACK, user_map()).is_err());
-    assert_eq!((k.heap.in_use, k.creator.codebuf.in_use), before);
-    // ...then room for exactly that: the first dispatcher fails.
+    assert_gave_back(&k, before, 1);
+    // ...then room for exactly that: the first dispatcher fails, and the
+    // listed block serves without growing the list.
     k.creator.codebuf.free(hold, sw_size);
-    let before = (k.heap.in_use, k.creator.codebuf.in_use);
+    let before = held(&k);
     assert!(k.create_thread(entry, USTACK, user_map()).is_err());
-    assert_eq!((k.heap.in_use, k.creator.codebuf.in_use), before);
+    assert_gave_back(&k, before, 0);
     assert_eq!(k.threads.len(), threads);
     assert_eq!(k.run(50_000), RunExit::CycleLimit, "the kernel runs on");
+}
+
+/// The pipes one thread of a kernel with a 64 KB heap opens until the
+/// heap is out, after `others` other threads were created and destroyed
+/// (their blocks listed); also how many blocks are listed at the end.
+fn pipes_until_the_heap_is_out(others: usize) -> (usize, usize) {
+    let mut k = Kernel::boot(KernelConfig {
+        layout: MemLayout {
+            heap_len: 0x1_0000,
+            ..MemLayout::default()
+        },
+        ..KernelConfig::default()
+    })
+    .expect("kernel boots");
+    let mut a = Asm::new("never_run");
+    emit_exit(&mut a);
+    let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
+    let holder = k.create_thread(entry, USTACK, user_map()).unwrap();
+    let tids: Vec<_> = (0..others)
+        .map(|_| k.create_thread(entry, USTACK, user_map()).unwrap())
+        .collect();
+    for tid in tids {
+        k.destroy(tid).unwrap();
+    }
+    assert_eq!(k.listed_thread_blocks().len(), others);
+    let mut pipes = 0;
+    while k.pipe_for(holder).is_ok() {
+        pipes += 1;
+    }
+    assert_eq!(k.pipe_for(holder), Err(errno::ENOMEM as u32));
+    (pipes, k.listed_thread_blocks().len())
+}
+
+/// Listed thread blocks are kernel heap no thread owns: an allocation
+/// that finds the heap full gives them back to it and tries again, so a
+/// kernel whose threads came and went opens as many pipes as a fresh one.
+#[test]
+fn a_full_heap_takes_back_the_listed_thread_blocks() {
+    let (fresh, _) = pipes_until_the_heap_is_out(0);
+    assert!(
+        (2..8).contains(&fresh),
+        "{fresh} pipes: the heap binds first"
+    );
+    assert_eq!(pipes_until_the_heap_is_out(5), (fresh, 0));
 }
 
 #[test]

@@ -3,8 +3,9 @@
 //! kernel-stack frame and pinned vectors, counted, on the creating CPU.
 //!
 //! What it writes is checked byte for byte against a host reference of
-//! the image — fresh blocks and recycled ones, whose other bytes must be
-//! left as they were — at 1 and 2 CPUs, and at boot (1, 2 and 4 CPUs),
+//! the image — a fresh thread block and a recycled one popped off the
+//! free list, whose link must be gone and whose other bytes must be left
+//! as they were — at 1 and 2 CPUs, and at boot (1, 2 and 4 CPUs),
 //! where the first idle thread is created with the CPU's `a7` still 0. The
 //! routine runs on its own stack with every interrupt masked: a quantum
 //! that expires during a create is taken after it, and a parked thread's
@@ -55,7 +56,7 @@ struct Image {
 
 fn reference(k: &Kernel, tid: Tid, entry: u32, user_sp: u32, sr: u16) -> Image {
     let t = &k.threads[&tid];
-    let frame_at = t.kstack + layout::KSTACK_LEN - 6;
+    let frame_at = t.kstack() + layout::KSTACK_LEN - 6;
     let mut tte = vec![0u8; layout::TTE_LEN as usize];
     let mut put = |at: u32, v: u32| {
         tte[at as usize..at as usize + 4].copy_from_slice(&v.to_be_bytes());
@@ -106,14 +107,14 @@ fn assert_image(k: &Kernel, tid: Tid, want: &Image) {
         want.tte,
         "thread {tid}: TTE"
     );
-    let frame_at = t.kstack + layout::KSTACK_LEN - 6;
+    let frame_at = t.kstack() + layout::KSTACK_LEN - 6;
     assert_eq!(
         k.m.mem.peek_bytes(frame_at, 6),
         want.frame,
         "thread {tid}: frame"
     );
     for &(v, handler) in &want.vectors {
-        let got = k.m.mem.peek(t.vt + 4 * v, L);
+        let got = k.m.mem.peek(t.vt() + 4 * v, L);
         assert_eq!(got, handler, "thread {tid}: vector {v} is {got:#x}");
     }
 }
@@ -126,9 +127,11 @@ fn spinner(k: &mut Kernel) -> u32 {
     k.load_user_program(a.assemble().unwrap()).unwrap()
 }
 
-/// A new thread's image at `cpus` CPUs, in fresh blocks and then in the
-/// blocks of a destroyed thread, poisoned first: every byte the image
-/// does not cover stays poisoned.
+/// A new thread's image at `cpus` CPUs, in a fresh block and then in the
+/// block of a destroyed thread, popped off the free list with a link to
+/// the next listed block in its first long and every other byte
+/// poisoned: the link is gone, and every byte the image does not cover
+/// stays poisoned.
 fn images_on(cpus: usize) {
     let mut k = boot(cpus);
     let entry = spinner(&mut k);
@@ -136,25 +139,27 @@ fn images_on(cpus: usize) {
     let want = reference(&k, first, entry, USTACK, 0);
     assert_image(&k, first, &want);
 
-    let t = &k.threads[&first];
-    let blocks = (t.tte, t.vt, t.kstack);
+    let other = k.create_thread(entry, USTACK, user_map()).unwrap();
+    let (block, next) = (k.threads[&first].tte, k.threads[&other].tte);
+    k.destroy(other).unwrap();
     k.destroy(first).unwrap();
-    let poison = |k: &mut Kernel, at: u32, len: u32| {
-        k.m.mem.poke_bytes(at, &vec![0xA5; len as usize]);
-    };
-    poison(&mut k, blocks.0, layout::TTE_LEN);
-    poison(&mut k, blocks.1, layout::VECTOR_TABLE_LEN);
-    poison(&mut k, blocks.2, layout::KSTACK_LEN);
+    assert_eq!(k.listed_thread_blocks(), [block, next]);
+    assert_eq!(k.m.mem.peek(block, L), next, "the link");
+    let poisoned = layout::THREAD_BLOCK_LEN - 4;
+    k.m.mem
+        .poke_bytes(block + 4, &vec![0xA5; poisoned as usize]);
     let second = k.create_thread(entry, USTACK + 0x100, user_map()).unwrap();
     let t = &k.threads[&second];
-    assert_eq!((t.tte, t.vt, t.kstack), blocks, "the blocks are recycled");
+    assert_eq!(t.tte, block, "the listed block is popped");
+    assert_eq!(k.listed_thread_blocks(), [next]);
     let want = reference(&k, second, entry, USTACK + 0x100, 0);
     assert_image(&k, second, &want);
     let t = &k.threads[&second];
+    assert_eq!(k.m.mem.peek(t.tte, L), 0, "the stale link is gone");
     for v in 0..layout::VECTOR_TABLE_LEN / 4 {
         if want.vectors.iter().all(|&(pinned, _)| pinned != v) {
             assert_eq!(
-                k.m.mem.peek(t.vt + 4 * v, L),
+                k.m.mem.peek(t.vt() + 4 * v, L),
                 0xA5A5_A5A5,
                 "vector {v} is not the fill's to write"
             );
@@ -162,7 +167,7 @@ fn images_on(cpus: usize) {
     }
     let below = layout::KSTACK_LEN - 6;
     assert_eq!(
-        k.m.mem.peek_bytes(t.kstack, below),
+        k.m.mem.peek_bytes(t.kstack(), below),
         vec![0xA5; below as usize],
         "the kernel stack below the frame is not the fill's to write"
     );

@@ -565,7 +565,7 @@ fn an_attach_reaches_a_holder_blocked_on_its_own_pipe() {
         };
         // It blocked in the wrapper itself, not in a layered routine.
         let wrapper = site.wrapper.base..site.wrapper.base + site.wrapper.size;
-        let stack = t.kstack..t.kstack + layout::KSTACK_LEN - 3;
+        let stack = t.kstack()..t.kstack() + layout::KSTACK_LEN - 3;
         assert!(
             stack
                 .step_by(2)

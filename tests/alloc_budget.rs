@@ -2,15 +2,18 @@
 //!
 //! A create → start → stop → destroy lifecycle instantiates four kept
 //! plans (the switch, two trap dispatchers, the error handler) and runs
-//! the resident fill, which allocates nothing. What an instantiation owns
-//! is only what varies — the filled instructions, the code-buffer extent;
-//! the name, offsets, instruction facts and entry table are its plan's,
+//! the resident fill and push of its thread block, which allocate nothing:
+//! the block comes off the kernel's guest free list and goes back on it,
+//! never through the fast-fit heap. What an instantiation owns is only
+//! what varies — the filled instructions, the code-buffer extent; the
+//! name, offsets, instruction facts and entry table are its plan's,
 //! shared, the hole values go into the creator's reused table, and the
 //! kernel rebinds the values of kept bindings (DESIGN.md §10). What is
-//! left: the four instruction vectors, the fast-fit heap's three free-list
-//! nodes, a node of code memory's index now and then, and the caller's
-//! copy of the address map. A thread that opens no file allocates no fd
-//! list. A blocking pipe round trip synthesizes nothing and allocates
+//! left: the four instruction vectors and the caller's copy of the
+//! address map, and a node of code memory's index now and then. A thread that
+//! opens no file allocates no fd list. A warm open+close of a file makes
+//! a pinned number of allocations: its offset slot's heap free reuses the
+//! box of the block it merges with. A blocking pipe round trip synthesizes nothing and allocates
 //! nothing: the wait lists keep their capacity across a
 //! wake and `Kernel::run` keeps its per-CPU state in fixed arrays; once
 //! warm it does not search code memory either. This
@@ -28,7 +31,9 @@ use quamachine::isa::{Cond, Operand::*, Size, Size::*};
 use quamachine::machine::RunExit;
 use quamachine::mem::AddressMap;
 use synthesis::kernel::kernel::{Kernel, KernelConfig};
-use synthesis::kernel::layout::MemLayout;
+use synthesis::kernel::layout::{self, MemLayout};
+use synthesis::kernel::templates::thread_init::ThreadImage;
+use synthesis::kernel::templates::RoutineRegs;
 use synthesis::unix::programs::pingpong;
 
 /// The system allocator, counting what the current thread allocates
@@ -72,12 +77,16 @@ static GLOBAL: Counting = Counting;
 const RESIDENT: u32 = 100;
 const WARM: u32 = 2_000;
 const MEASURED: u32 = 5_000;
-/// Allocations allowed per lifecycle, on average: the 9 it makes, plus
+/// Allocations allowed per lifecycle, on average: the 5 it makes, plus
 /// one (the kernel that copied every plan's name, offsets and entries
 /// made 50; a table and a facts vector per instantiation and fresh
 /// bindings and part lists per create made 23; a 16-slot fd vector per
-/// create made 10).
-const BUDGET: f64 = 10.0;
+/// create made 10; three fast-fit blocks per thread, each freed into a
+/// new heap node, made 9).
+const BUDGET: f64 = 6.0;
+/// Allocations of one warm open+close of a file (7 while every fast-fit
+/// free boxed a new node).
+const OPEN_CLOSE_ALLOCS: f64 = 6.0;
 
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
@@ -124,13 +133,12 @@ fn a_thread_lifecycle_stays_within_its_allocation_budget() {
     );
 }
 
-/// The kcall the round-trip initiator makes after each pass.
-/// The resident fill, run from the host as every create runs it,
-/// allocates nothing: `call_routine` keeps the CPU it borrows on the
-/// stack.
+/// The resident push and fill of a thread block, run from the host as
+/// every destroy and create runs them, allocate nothing: `call_routine`
+/// keeps the CPU it borrows on the stack.
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
-fn the_thread_fill_allocates_nothing() {
+fn the_thread_block_push_and_fill_allocate_nothing() {
     let mut k = Kernel::boot(KernelConfig {
         cpus: 1,
         ..synthesis_bench::measurement_config()
@@ -138,12 +146,12 @@ fn the_thread_fill_allocates_nothing() {
     .expect("boots");
     let idle = k.cpus[0].idle_tid;
     let t = &k.threads[&idle];
-    let kstack_top = t.kstack + synthesis::kernel::layout::KSTACK_LEN;
-    // The idle thread's own image, written again.
-    let image = synthesis::kernel::templates::thread_init::ThreadImage {
-        tte: t.tte,
-        vt: t.vt,
-        kstack_top,
+    let kstack_top = t.kstack() + layout::KSTACK_LEN;
+    // The idle thread's own block, pushed and filled with its own image
+    // again.
+    let mut push = RoutineRegs::default();
+    push.a[0] = t.tte;
+    let image = ThreadImage {
         entry: k.m.mem.peek(kstack_top - 4, Size::L),
         user_sp: 0,
         sr: 0x2000,
@@ -153,14 +161,63 @@ fn the_thread_fill_allocates_nothing() {
         dispatch_write: t.trap_write.base,
         error: t.trap_error.base,
     };
-    let regs = image.regs();
-    let fill = synthesis::kernel::layout::THREAD_INIT;
-    k.call_routine(fill, &regs).unwrap();
+    let fill = image.regs();
+    let cycle = |k: &mut Kernel| {
+        k.call_routine(layout::THREAD_FINI, &push).unwrap();
+        k.call_routine(layout::THREAD_INIT, &fill).unwrap();
+    };
+    cycle(&mut k);
     let before = ALLOCS.with(Cell::get);
     for _ in 0..100 {
-        k.call_routine(fill, &regs).unwrap();
+        cycle(&mut k);
     }
     assert_eq!(ALLOCS.with(Cell::get) - before, 0);
+    assert_eq!(
+        k.m.mem.peek(layout::THREAD_FREE, Size::L),
+        0,
+        "each push popped"
+    );
+}
+
+/// A warm open+close of a file from the host makes exactly
+/// `OPEN_CLOSE_ALLOCS` allocations: the fast-fit heap's offset slot is
+/// carved off a free block and freed back into it, reusing that block's
+/// node, and the cached code is a hit.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn a_warm_open_close_pair_makes_its_pinned_allocations() {
+    let mut k = Kernel::boot(KernelConfig {
+        cpus: 1,
+        ..synthesis_bench::measurement_config()
+    })
+    .expect("boots");
+    k.trace.enabled = false;
+    k.m.meter.tracing = false;
+    let mut a = Asm::new("never_run");
+    let top = a.here();
+    a.bcc(Cond::T, top);
+    let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
+    let ub = k.layout.user_base;
+    let map = AddressMap::single(1, ub, k.layout.user_len);
+    let tid = k.create_thread(entry, ub + 0x1_0000, map).unwrap();
+    let fid =
+        k.fs.create(&mut k.m, &mut k.heap, "/tmp/budget", 256)
+            .unwrap();
+    assert_eq!(k.fs.lookup("/tmp/budget").0, Some(fid));
+    let pair = |k: &mut Kernel| {
+        let fd = k.open_for(tid, "/tmp/budget").unwrap();
+        k.close_for(tid, fd).unwrap();
+    };
+    for _ in 0..20 {
+        pair(&mut k);
+    }
+    let pairs = 1_000;
+    let before = ALLOCS.with(Cell::get);
+    for _ in 0..pairs {
+        pair(&mut k);
+    }
+    let per = (ALLOCS.with(Cell::get) - before) as f64 / f64::from(pairs);
+    assert_eq!(per, OPEN_CLOSE_ALLOCS, "allocations per warm open+close");
 }
 
 /// Run in the benchmark's 50,000-cycle slices until the initiator's mark.

@@ -234,7 +234,7 @@ pub fn assert_chains_consistent(k: &Kernel) {
         assert_ne!(k.m.irq.route(), c, "devices interrupt quarantined cpu {c}");
     }
 
-    let by_vt: BTreeMap<u32, u32> = k.threads.values().map(|t| (t.vt, t.tid)).collect();
+    let by_vt: BTreeMap<u32, u32> = k.threads.values().map(|t| (t.vt(), t.tid)).collect();
     assert_eq!(
         k.vbr_index().collect::<BTreeMap<_, _>>(),
         by_vt,

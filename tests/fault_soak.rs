@@ -796,7 +796,7 @@ fn a_recycled_vector_table_inherits_no_fault_count() {
     let storm = start_storm(&mut k);
     assert_eq!(k.run(5_000_000), RunExit::CycleLimit);
     assert!(k.is_quarantined(storm));
-    let vt = k.threads[&storm].vt;
+    let vt = k.threads[&storm].vt();
     k.destroy(storm).unwrap();
 
     let mut a = Asm::new("innocent");
@@ -806,7 +806,8 @@ fn a_recycled_vector_table_inherits_no_fault_count() {
     let tid = k.create_thread(entry, USTACK, user_map()).unwrap();
     k.start(tid).unwrap();
     assert_eq!(
-        k.threads[&tid].vt, vt,
+        k.threads[&tid].vt(),
+        vt,
         "premise: the vector table is reused"
     );
     assert_eq!(k.run(1_000_000), RunExit::CycleLimit);

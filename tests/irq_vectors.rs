@@ -69,7 +69,7 @@ fn expected(cpus: usize) -> Vec<(u32, Want)> {
 fn assert_vectors(k: &Kernel) {
     for t in k.threads.values() {
         for (vec, want) in expected(k.cpus.len()) {
-            let addr = k.m.mem.peek(t.vt + 4 * vec, Size::L);
+            let addr = k.m.mem.peek(t.vt() + 4 * vec, Size::L);
             let loc = k.m.code.locate(addr).unwrap_or_else(|| {
                 panic!("thread {}: vector {vec} names no code ({addr:#x})", t.tid)
             });
@@ -126,10 +126,10 @@ fn every_table_on(cpus: usize) {
     assert_vectors(&k);
 
     // A table freed by `destroy` and handed to the next thread.
-    let vt = k.threads[&first].vt;
+    let vt = k.threads[&first].vt();
     k.destroy(first).expect("thread destroyed");
     let second = k.create_thread(entry, stack, map).expect("thread created");
-    assert_eq!(k.threads[&second].vt, vt, "the vector table is recycled");
+    assert_eq!(k.threads[&second].vt(), vt, "the vector table is recycled");
     assert_vectors(&k);
 }
 
