@@ -218,7 +218,7 @@ pub fn scaling(n: usize) -> Vec<ScalingPoint> {
 
 /// Run the mixed workload under the seeded chaos fault plan and return
 /// the kernel so the caller can snapshot
-/// [`monitor::recovery_report`](synthesis_core::monitor::recovery_report).
+/// [`monitor::recovery_report`].
 /// A uniprocessor kernel gets the classic soak plan; a multiprocessor
 /// one adds the SMP fault domain (lost/delayed/spurious IPIs, dispatch
 /// stalls).

@@ -43,7 +43,7 @@ pub fn run_on(p: &mut Probe) -> Vec<Row> {
     let fp = [p.create(fp_spin), p.create(fp_spin)];
     plain.iter().for_each(|&t| p.emu.k.stop(t).unwrap());
     fp.iter().for_each(|&t| p.emu.k.start(t).unwrap());
-    while !fp.iter().all(|t| p.emu.k.threads[t].uses_fp) {
+    while !fp.iter().all(|t| p.emu.k.uses_fp(&p.emu.k.threads[t])) {
         p.time(quantum_expiry);
     }
     let full_fp = p.time(quantum_expiry);

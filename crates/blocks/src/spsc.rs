@@ -6,7 +6,7 @@
 //! full" (Section 3.2). Correctness comes from Code Isolation: "Of the two
 //! variables being written, `Q_head` is updated only by the producer and
 //! `Q_tail` only by the consumer", and from publishing order: "we update
-//! `Q_head` at the last instruction during `Q_put`, [so] the consumer will
+//! `Q_head` at the last instruction during `Q_put`, \[so\] the consumer will
 //! not detect an item until the producer has finished."
 //!
 //! Faithful details: one slot is sacrificed to distinguish full from empty

@@ -3,7 +3,7 @@
 //! In a normal build this module is a zero-cost re-export of
 //! `std::sync::atomic` and `std::cell::UnsafeCell`. With
 //! `--features sim` the same names resolve to the instrumented shims in
-//! [`crate::sim::shim`], which hand control to the deterministic
+//! `crate::sim::shim`, which hand control to the deterministic
 //! schedule-exploration executor at every atomic operation. The queue
 //! modules import *only* from here, so their algorithmic code is
 //! byte-for-byte identical under both backends — exactly the property a

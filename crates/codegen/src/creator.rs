@@ -335,8 +335,8 @@ pub struct QuajectCreator {
     pub lib: TemplateLib,
     /// Code-space allocator.
     pub codebuf: CodeBuf,
-    /// The specialization cache ([`synthesize_cached`]
-    /// (QuajectCreator::synthesize_cached) entries).
+    /// The specialization cache
+    /// ([`synthesize_cached`](QuajectCreator::synthesize_cached) entries).
     pub cache: SpecCache,
     /// Statistics.
     pub stats: CreatorStats,
@@ -466,8 +466,8 @@ impl QuajectCreator {
     /// Only code that is never patched after installation may be shared
     /// this way (I/O channel endpoints qualify; context-switch code and
     /// executable data structures, whose installed instructions are
-    /// rewritten in place, must use [`synthesize`]
-    /// (QuajectCreator::synthesize)).
+    /// rewritten in place, must use
+    /// [`synthesize`](QuajectCreator::synthesize)).
     ///
     /// The returned block's `synth_cycles` reflects what *this* request
     /// was charged, so a hit reports [`CACHE_HIT_CYCLES`].
@@ -517,9 +517,9 @@ impl QuajectCreator {
     /// Unload and free a synthesized object (e.g. at `close` or thread
     /// destruction).
     ///
-    /// Cache-aware: a block handed out by [`synthesize_cached`]
-    /// (QuajectCreator::synthesize_cached) only drops a reference; the
-    /// code stays installed until the last reference is destroyed.
+    /// Cache-aware: a block handed out by [`Self::synthesize_cached`] only
+    /// drops a reference; the code stays installed until the last
+    /// reference is destroyed.
     pub fn destroy(&mut self, m: &mut Machine, s: &Synthesized) {
         match self.cache.release(s.base) {
             Release::Shared => self.cache_event(CacheEvent::Release {

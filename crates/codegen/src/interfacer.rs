@@ -1,7 +1,7 @@
 //! The quaject interfacer's combination stage.
 //!
 //! "The quaject interfacer starts the execution of existing quajects by
-//! installing them in the invoking thread. [It] has four stages:
+//! installing them in the invoking thread. \[It\] has four stages:
 //! combination, factorization, optimization, and dynamic link. The
 //! combination stage finds the appropriate connecting mechanism (queue,
 //! monitor, pump, or a simple procedure call)" (paper Section 2.3).

@@ -1,8 +1,8 @@
 //! The fast-fit kernel heap.
 //!
 //! "In Synthesis, the memory allocation routine is an executable data
-//! structure implementing a fast-fit heap [6] with randomized traversal
-//! added" (Section 6.3; [6] is Stephenson's *Fast Fits*). Stephenson's
+//! structure implementing a fast-fit heap \[6\] with randomized traversal
+//! added" (Section 6.3; \[6\] is Stephenson's *Fast Fits*). Stephenson's
 //! allocator keeps free blocks in a Cartesian tree ordered by address and
 //! searchable by size; ours is the same shape: a treap keyed by address
 //! with a max-free-size augmentation, so an allocation descends only into

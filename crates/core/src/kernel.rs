@@ -9,14 +9,15 @@
 //! by a [`crate::charges`] formula adds cycles.
 //!
 //! This file is boot, the thread lifecycle and the run loop. Everything
-//! the kernel knows about a thread is in its [`Thread`] (or indexed by
-//! its `vt` and dropped in [`Kernel::destroy`]), so removing it from
-//! `threads` is the end of it. The rest has one owner each, a submodule
-//! that opens with the invariant it keeps: `ready` (chain membership,
-//! blocking and waking — everything here that makes a thread runnable or
-//! not does it through `enqueue`/`dequeue`), `smp` (balancing between
-//! CPUs), `recovery` (reaping, thread and CPU quarantine), `kcall`
-//! (kernel-call dispatch and signals), `chan` (the code behind a
+//! the kernel knows about a thread is in its block (whose TTE names it:
+//! [`Kernel::tid_at`]), its code or its [`Thread`] (but the machine's
+//! fault count by its `vt`, dropped in [`Kernel::destroy`]), so removing
+//! it from `threads` is the end of it. The rest has one owner each, a
+//! submodule that opens with the invariant it keeps: `ready` (chain
+//! membership, blocking and waking — everything here that makes a thread
+//! runnable or not does it through `enqueue`/`dequeue`), `smp` (balancing
+//! between CPUs), `recovery` (reaping, thread and CPU quarantine),
+//! `kcall` (kernel-call dispatch and signals), `chan` (the code behind a
 //! `(tid, fd)`), `tracepump` (whose ring an event lands in).
 
 use std::collections::{BTreeMap, HashMap};
@@ -81,7 +82,7 @@ pub struct KernelConfig {
     /// Initial per-thread CPU quantum in µs ("a typical quantum is on the
     /// order of a few hundred microseconds", Section 4.4).
     pub default_quantum_us: u32,
-    /// Per-thread trace-ring capacity in records (see [`crate::trace`]).
+    /// Per-thread trace-ring capacity in records (see [`TraceSet`](crate::trace::TraceSet)).
     pub trace_records: usize,
     /// Number of CPUs in the Quamachine (1..=8). The default reads the
     /// `SYNTHESIS_CPUS` environment variable, falling back to 1.
@@ -325,9 +326,8 @@ pub struct Kernel {
     pub recovery: RecoveryGauges,
     /// Recovery log: threads reaped or quarantined, with the reason.
     pub recovery_log: Vec<(Tid, String)>,
-    /// Kernel event trace: per-thread rings of fixed-size records (see
-    /// [`crate::trace`]), fed by [`Kernel::pump_trace`] and the
-    /// [`trace!`](crate::trace!) hook.
+    /// Kernel event trace: per-thread rings of fixed-size records, fed by
+    /// [`Kernel::pump_trace`] and the [`trace!`](crate::trace!) hook.
     pub trace: crate::trace::TraceSet,
     /// The quaspace partition this kernel booted with.
     pub layout: layout::MemLayout,
@@ -343,7 +343,6 @@ pub struct Kernel {
     /// values in place, allocating nothing.
     thread_bindings: ThreadBindings,
     next_tid: Tid,
-    vbr_to_tid: FoldMap<u32, Tid>,
     /// Threads blocked on each wait object, in blocking order. Read and
     /// written only by the `ready` submodule.
     waiters: FoldMap<WaitObject, Vec<Tid>>,
@@ -538,7 +537,6 @@ impl Kernel {
             },
             ebadf,
             next_tid: 0,
-            vbr_to_tid: FoldMap::default(),
             waiters: FoldMap::default(),
             alarm_pending: false,
             sweep_count: 0,
@@ -623,6 +621,7 @@ impl Kernel {
             // running the fill (the paper's ~100 µs for ~1 KB), every cycle
             // counted; it pops `tte` off the free list first.
             let image = templates::thread_init::ThreadImage {
+                tid,
                 entry,
                 user_sp,
                 sr: initial_sr,
@@ -661,14 +660,12 @@ impl Kernel {
             here
         };
         let thread = Thread {
-            tid,
             tte,
             sw,
             trap_read,
             trap_write,
             trap_error,
             adopted: Vec::new(),
-            uses_fp: false,
             quantum_us: self.default_quantum_us,
             state: ThreadState::Stopped,
             map,
@@ -679,7 +676,6 @@ impl Kernel {
             fault_mark: 0,
             quarantined: false,
         };
-        self.vbr_to_tid.insert(thread.vt(), tid);
         self.threads.insert(tid, thread);
         Ok(tid)
     }
@@ -861,13 +857,10 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// Fails for unknown or dead threads.
+    /// Fails for unknown (or destroyed) and quarantined threads.
     pub fn start(&mut self, tid: Tid) -> Result<(), KernelError> {
         self.ensure_safe_point();
         let t = self.threads.get(&tid).ok_or(KernelError::NoThread(tid))?;
-        if matches!(t.state, ThreadState::Dead) {
-            return Err(KernelError::Invalid("starting a dead thread"));
-        }
         if t.quarantined {
             return Err(KernelError::Invalid("starting a quarantined thread"));
         }
@@ -917,20 +910,33 @@ impl Kernel {
     /// The currently executing thread, identified by the installed VBR.
     #[must_use]
     pub fn current_tid(&self) -> Option<Tid> {
-        self.vbr_to_tid.get(&self.m.cpu.vbr).copied()
+        self.tid_at(self.m.cpu.vbr)
     }
 
     /// The thread currently executing on CPU `cpu` (active or parked),
     /// identified by that CPU's installed VBR.
     #[must_use]
     pub fn current_tid_on(&self, cpu: usize) -> Option<Tid> {
-        self.vbr_to_tid.get(&self.m.cpu_ref(cpu).vbr).copied()
+        self.tid_at(self.m.cpu_ref(cpu).vbr)
     }
 
-    /// The VBR index behind [`Kernel::current_tid`]: each live thread's
-    /// vector-table address and its tid, nothing else.
-    pub fn vbr_index(&self) -> impl Iterator<Item = (u32, Tid)> + '_ {
-        self.vbr_to_tid.iter().map(|(&vt, &tid)| (vt, tid))
+    /// The thread whose vector table is at `vbr`: the tid in the TTE below
+    /// it, if that live thread owns the block (a listed block's does not).
+    #[must_use]
+    pub fn tid_at(&self, vbr: u32) -> Option<Tid> {
+        let tte = vbr.checked_sub(layout::TTE_LEN)?;
+        let heap = self.layout.heap_base..self.layout.heap_base + self.layout.heap_len;
+        let tid = heap
+            .contains(&tte)
+            .then(|| self.m.mem.peek(tte + off::TID, Size::L))?;
+        (self.threads.get(&tid)?.tte == tte).then_some(tid)
+    }
+
+    /// Whether `t`'s switch block is made from the FP switch template.
+    #[must_use]
+    pub fn uses_fp(&self, t: &Thread) -> bool {
+        let block = self.m.code.block(t.sw.base);
+        block.is_some_and(|b| &*b.name == SWITCH_TEMPLATES[1])
     }
 
     /// Whether `tid` is one of the per-CPU idle threads.
@@ -1051,13 +1057,11 @@ impl Kernel {
         // The block goes back on the free list, by guest code: the next
         // create pops it.
         self.push_thread_block(t.tte)?;
-        // What the kernel and the machine keep by the thread's addresses
-        // goes with it: the next thread to be handed this `vt` starts with
-        // no fault history.
-        self.vbr_to_tid.remove(&t.vt());
+        // What the machine keeps by the thread's addresses goes with it:
+        // the next thread to be handed this `vt` starts with no fault
+        // history.
         self.m.meter.error_faults.remove(&t.vt());
         self.trace.forget(tid);
-        t.state = ThreadState::Dead;
         self.exited.insert(tid);
         if was_current {
             self.enter_next();
@@ -1318,7 +1322,7 @@ impl Kernel {
             return;
         };
         let t = &self.threads[&tid];
-        if t.uses_fp {
+        if self.uses_fp(t) {
             self.m.cpu.fpu_enabled = true; // already resynthesized
             return;
         }
@@ -1343,9 +1347,7 @@ impl Kernel {
             }
         };
         let entries = self.switch_plans.entries(&sw);
-        let t = self.threads.get_mut(&tid).expect("exists");
-        t.sw = sw;
-        t.uses_fp = true;
+        self.threads.get_mut(&tid).expect("exists").sw = sw;
         // Re-aim what the thread fill aimed at the old code: the quantum
         // vector at `sw_out` (Figure 3's "the interrupt is vectored to
         // thread-0's context-switch-out procedure") and, on a

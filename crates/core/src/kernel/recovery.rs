@@ -160,10 +160,10 @@ impl Kernel {
     pub(super) fn watchdog_sweep(&mut self) {
         let mut storming = Vec::new();
         for (vbr, &n) in &self.m.meter.error_faults {
-            let Some(&tid) = self.vbr_to_tid.get(vbr) else {
+            let Some(tid) = self.tid_at(*vbr) else {
                 continue;
             };
-            let t = self.threads.get_mut(&tid).expect("indexed thread is live");
+            let t = self.threads.get_mut(&tid).expect("tid_at: live");
             let delta = n.saturating_sub(std::mem::replace(&mut t.fault_mark, n));
             if delta > WATCHDOG_FAULT_LIMIT && !t.quarantined {
                 storming.push((tid, delta));
@@ -290,7 +290,7 @@ impl Kernel {
     /// CPUs, re-home every thread that called it home, re-route device
     /// interrupts and pending event timelines off it, and stop
     /// dispatching it. Probation re-admits it after a widening number of
-    /// watchdog sweeps until [`CPU_MAX_STRIKES`] strikes put it out for
+    /// watchdog sweeps until `CPU_MAX_STRIKES` strikes put it out for
     /// good. Returns `false` — and does nothing — for an unknown or
     /// already-quarantined CPU, or when `cpu` is the last healthy CPU
     /// (the kernel never quarantines itself out of existence).
@@ -324,9 +324,9 @@ impl Kernel {
         // onto healthy chains instead.
         let rehome = self
             .threads
-            .values_mut()
-            .filter(|t| t.cpu == cpu && t.tid != idle);
-        for (t, &to) in rehome.zip(healthy.iter().cycle()) {
+            .iter_mut()
+            .filter(|(&tid, t)| t.cpu == cpu && tid != idle);
+        for ((_, t), &to) in rehome.zip(healthy.iter().cycle()) {
             t.cpu = to;
         }
         // Device interrupts and pending event timelines must not target

@@ -40,10 +40,7 @@ impl Kernel {
     /// The thread whose vector table is `vbr`, or `cpu`'s idle thread
     /// when no live thread owns it.
     fn tid_under(&self, vbr: u32, cpu: usize) -> Tid {
-        self.vbr_to_tid
-            .get(&vbr)
-            .copied()
-            .unwrap_or(self.cpus[cpu].idle_tid)
+        self.tid_at(vbr).unwrap_or(self.cpus[cpu].idle_tid)
     }
 
     /// Specialize `template` through the creator's cache on behalf of
@@ -113,7 +110,7 @@ impl Kernel {
                 // Guest-side dispatch: sw_in installing the incoming
                 // thread's vector table IS the context switch.
                 MachEvent::VbrWrite { vbr, cycle, cpu } => {
-                    if let Some(&tid) = self.vbr_to_tid.get(&vbr) {
+                    if let Some(tid) = self.tid_at(vbr) {
                         self.trace
                             .push(tid, cpu as u16, cycle, Kind::CtxSwitch, 0, 0);
                     }

@@ -70,7 +70,7 @@ pub const KSTACK_LEN: u32 = 0x800;
 /// Bytes in a thread's vector table (48 vectors × 4, rounded up).
 pub const VECTOR_TABLE_LEN: u32 = 0x100;
 
-/// Bytes in a TTE. "About 100 [µs] are needed to fill approximately
+/// Bytes in a TTE. "About 100 µs are needed to fill approximately
 /// 1 KBytes in the TTE" (Section 6.3): the TTE is 1 KB.
 pub const TTE_LEN: u32 = 0x400;
 

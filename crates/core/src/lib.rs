@@ -24,10 +24,10 @@
 //!   mentions "a fast-fit heap with randomized traversal added");
 //! - [`monitor`] — the kernel monitor's measurement interface (Section
 //!   6.3's instruction-counting methodology);
-//! - [`trace`] — kernel-wide event tracing: per-thread ring buffers of
-//!   fixed-size binary records, the [`trace!`] recording hook, and the
-//!   [`TraceQuery`](trace::TraceQuery) assertion API;
-//! - [`kernel`] — the [`Kernel`](kernel::Kernel) tying it all together:
+//! - [`trace`](mod@trace) — kernel-wide event tracing: per-thread ring
+//!   buffers of fixed-size binary records, the [`trace!`] recording hook,
+//!   and the [`TraceQuery`](trace::TraceQuery) assertion API;
+//! - [`kernel`] — the [`Kernel`] tying it all together:
 //!   boot, thread lifecycle, kernel-call dispatch, and the one run loop
 //!   (any CPU count); its `ready` submodule owns the executable ready
 //!   queues — every chain membership change is its `enqueue`/`dequeue`,

@@ -1,4 +1,4 @@
-//! Fine-grain scheduling (paper Section 4.4 and reference [3]).
+//! Fine-grain scheduling (paper Section 4.4 and reference \[3\]).
 //!
 //! "Instead of priorities, Synthesis uses fine-grain scheduling, which
 //! assigns larger or smaller quanta to threads based on a 'need to
@@ -15,8 +15,8 @@
 //! structure being retuned at run time).
 //!
 //! The gauge is the only meter. The event trace
-//! ([`crate::trace`]) is host-side observability: the policy never reads
-//! it, so turning tracing off cannot move a quantum.
+//! ([`crate::trace`](mod@crate::trace)) is host-side observability: the
+//! policy never reads it, so turning tracing off cannot move a quantum.
 
 use quamachine::isa::{Instr, Operand, Size};
 

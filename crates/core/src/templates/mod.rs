@@ -2,7 +2,7 @@
 //!
 //! "1000 lines for the templates used in code synthesis (e.g., queues,
 //! threads, files)" (Section 6.4). Each submodule builds parameterized
-//! [`Template`]s; the kernel's quaject creator specializes them with
+//! [`Template`](synthesis_codegen::template::Template)s; the kernel's quaject creator specializes them with
 //! Factoring Invariants and installs the result.
 //!
 //! # Kernel ABI
@@ -31,7 +31,7 @@
 //! |---|---|---|---|---|
 //! | [`layout::COPY_WRITE`](crate::layout::COPY_WRITE) | copy `(a0)+ → (a1)+` | `d3` = bytes >> 4 (≥ 1) | `a0`, `a1` advanced by 16 · `d3` | `d3`, CCR |
 //! | [`layout::COPY_READ`](crate::layout::COPY_READ) | copy `(a1)+ → (a0)+` | `d3` = bytes >> 4 (≥ 1) | `a1`, `a0` advanced by 16 · `d3` | `d3`, CCR |
-//! | [`layout::THREAD_INIT`](crate::layout::THREAD_INIT) | pop a thread block, fill the new thread's image | [`thread_init::ThreadImage::regs`]: `d0`–`d5`, `a2`, `a3` | the free list's head block popped; its TTE, kstack frame and pinned vectors written | all but `a7`, CCR |
+//! | [`layout::THREAD_INIT`](crate::layout::THREAD_INIT) | pop a thread block, fill the new thread's image | [`thread_init::ThreadImage::regs`]: `d0`–`d5`, `a2`, `a3`, `a5` | the free list's head block popped; its TTE (tid included), kstack frame and pinned vectors written | all but `a7`, CCR |
 //! | [`layout::THREAD_FINI`](crate::layout::THREAD_FINI) | push a thread block | `a0` the block | the block is the free list's head | nothing |
 //!
 //! [`copy::emit_copy`] is the copy's call sequence (the byte tail stays

@@ -3,7 +3,7 @@
 //! thread's TTE, fd table, stack pointers, first kernel-stack frame and
 //! vector table into it, and that push a dead thread's block back.
 //!
-//! "About 100 [µs] are needed to fill approximately 1 KBytes in the TTE"
+//! "About 100 µs are needed to fill approximately 1 KBytes in the TTE"
 //! (Section 6.3). The fill is code that runs: [`routine`] is straight-line
 //! `movem.l` bursts of up to 14 registers, which `Kernel::boot` loads once
 //! at [`layout::THREAD_INIT`] and every thread creation — the boot CPUs'
@@ -35,7 +35,7 @@
 //! The routine writes the thread's image and nothing else but the list's
 //! head:
 //! - the 1 KB TTE: zero, but for the fd table (every slot `EBADF`), the
-//!   saved USP (the user stack) and SSP (the frame below);
+//!   saved USP (the user stack) and SSP (the frame below), and the tid;
 //! - the 6-byte frame at the top of the kernel stack that the first
 //!   `sw_in`'s `rte` pops: the initial SR, then `entry`;
 //! - the pinned vectors: the error traps (2–5, 8) at the thread's error
@@ -46,7 +46,7 @@
 //!
 //! | | |
 //! |---|---|
-//! | in | the block at the head of the free list; `d1` entry, `d2` initial SR, `d3` user SP, `d4` error handler, `d5` `sw_out`, `d0` `ipi_in` (read on a multiprocessor only), `a2`/`a3` the `trap #1`/`#2` dispatchers |
+//! | in | the block at the head of the free list; `d1` entry, `d2` initial SR, `d3` user SP, `d4` error handler, `d5` `sw_out`, `d0` `ipi_in` (read on a multiprocessor only), `a2`/`a3` the `trap #1`/`#2` dispatchers, `a5` the tid |
 //! | out | the block popped |
 //! | clobbers | every register but `a7`, and the CCR |
 //!
@@ -84,6 +84,8 @@ pub struct Shared {
 /// (the free list's head).
 #[derive(Debug, Clone, Copy)]
 pub struct ThreadImage {
+    /// The thread's id, for [`off::TID`].
+    pub tid: u32,
     /// Where the thread starts.
     pub entry: u32,
     /// Its initial user stack pointer.
@@ -107,6 +109,7 @@ impl ThreadImage {
     /// module doc).
     #[must_use]
     pub fn regs(&self) -> RoutineRegs {
+        let (read, write) = (self.dispatch_read, self.dispatch_write);
         RoutineRegs {
             d: [
                 self.ipi_in,
@@ -118,7 +121,7 @@ impl ThreadImage {
                 0,
                 0,
             ],
-            a: [0, 0, self.dispatch_read, self.dispatch_write, 0, 0, 0],
+            a: [0, 0, read, write, 0, self.tid, 0],
         }
     }
 }
@@ -197,10 +200,11 @@ pub fn routine(shared: &Shared, cpus: usize) -> (CodeBlock, Vec<u32>) {
     a.lea(tte(layout::THREAD_BLOCK_LEN), 4);
 
     // The frame `sw_in`'s `rte` pops into `entry`, pushed on the kernel
-    // stack; the USP and SSP beside each other in the TTE.
+    // stack; the USP, SSP and tid beside each other in the TTE.
     a.move_(L, Dr(1), PreDec(4));
     a.move_(W, Dr(2), PreDec(4));
-    a.movem_save(RegList::d(3).with(RegList::a(4)), tte(off::USP));
+    let pointers = RegList::d(3).with(RegList::a(4)).with(RegList::a(5));
+    a.movem_save(pointers, tte(off::USP));
     // Error traps (Section 4.3): bus error, address error, illegal, zero
     // divide (the 68020's vector; no instruction here raises it),
     // privilege violation.
@@ -305,6 +309,7 @@ mod tests {
     #[test]
     fn run_a_stores_each_own_vector_from_its_argument_register() {
         let image = ThreadImage {
+            tid: 0,
             entry: 0,
             user_sp: 0,
             sr: 0,

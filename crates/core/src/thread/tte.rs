@@ -3,10 +3,10 @@
 //! "The thread state is completely described by its TTE, containing: the
 //! register save area; the vector table ...; the address map tables; and
 //! the context-switch-in and context-switch-out procedures" (Section
-//! 4.1). The TTE proper is a 1 KB block in the kernel quaspace ("about
-//! 100 [µs] are needed to fill approximately 1 KBytes in the TTE",
-//! Section 6.3); the vector table, kernel stack, and switch code are
-//! separate allocations pointed to by it.
+//! 4.1). The TTE proper is the first 1 KB of the thread's block ("about
+//! 100 µs are needed to fill approximately 1 KBytes in the TTE", Section
+//! 6.3); the vector table (the VBR, `TTE_LEN` on) and the kernel stack
+//! follow it in the block, and it names its thread ([`off::TID`]).
 //!
 //! Code Isolation applies: "each thread updates its own TTE exclusively.
 //! Therefore, we can synthesize short code to manipulate the TTE without
@@ -30,13 +30,15 @@ pub mod off {
     pub const USP: u32 = 0x3C;
     /// Saved supervisor stack pointer.
     pub const SSP: u32 = 0x40;
+    /// The thread's id: what `Kernel::tid_at` reads behind a VBR.
+    pub const TID: u32 = 0x44;
     /// Floating-point save area (`fp0`–`fp7`, 8 doubles).
-    pub const FP: u32 = 0x44;
-    /// The fd table: 16 entries × (read entry, write entry) longs.
-    pub const FD_TABLE: u32 = 0x84;
-    // 0x104: unused. The quantum lives as an immediate in the thread's
-    // `sw_in` code; `Thread::quantum_us` is the host's one copy of it
-    // (DESIGN.md §14, "One owner per thread fact").
+    pub const FP: u32 = 0x48;
+    /// The fd table: 16 entries × (read entry, write entry) longs, ending
+    /// at [`GAUGE`]. The quantum has no slot: it lives as an immediate in
+    /// the thread's `sw_in` code, and `Thread::quantum_us` is the host's
+    /// one copy of it (DESIGN.md §14, "One owner per thread fact").
+    pub const FD_TABLE: u32 = 0x88;
     /// The thread's I/O gauge: synthesized I/O code increments it; the
     /// fine-grain scheduler reads it (Section 4.4).
     pub const GAUGE: u32 = 0x108;
@@ -63,8 +65,6 @@ pub enum ThreadState {
     Stopped,
     /// Removed from the chain, waiting on an event.
     Blocked(WaitObject),
-    /// Destroyed (kept briefly for diagnostics).
-    Dead,
 }
 
 /// What a blocked thread waits for.
@@ -119,8 +119,6 @@ pub struct Bound {
 /// hold (DESIGN.md §14, "One owner per thread fact").
 #[derive(Debug)]
 pub struct Thread {
-    /// Thread id.
-    pub tid: Tid,
     /// TTE base address in kernel memory: the start of the thread's
     /// block, which holds its vector table ([`Thread::vt`]) and kernel
     /// stack ([`Thread::kstack`]) too.
@@ -138,8 +136,6 @@ pub struct Thread {
     /// Private code an embedder synthesized for this thread and handed
     /// over with `Kernel::adopt_code`; freed with the thread.
     pub adopted: Vec<Synthesized>,
-    /// Whether this thread's switch includes the FP registers.
-    pub uses_fp: bool,
     /// Current CPU quantum in µs.
     pub quantum_us: u32,
     /// Lifecycle state.
@@ -226,7 +222,7 @@ mod tests {
     #[allow(clippy::assertions_on_constants)] // layout invariants
     fn tte_fields_fit_in_one_kb() {
         assert!(off::SCRATCH < crate::layout::TTE_LEN);
-        assert!(off::FD_TABLE + FD_MAX * 8 < off::GAUGE);
+        assert!(off::FD_TABLE + FD_MAX * 8 <= off::GAUGE);
     }
 
     #[test]
@@ -240,14 +236,12 @@ mod tests {
             synth_cycles: 0,
         };
         let t = Thread {
-            tid: 1,
             tte: 0x4000,
             sw: none(),
             trap_read: none(),
             trap_write: none(),
             trap_error: none(),
             adopted: Vec::new(),
-            uses_fp: false,
             quantum_us: 200,
             state: ThreadState::Stopped,
             map: AddressMap::default(),

@@ -540,7 +540,7 @@ fn lazy_fp_resynthesis_on_first_fp_instruction() {
     k.m.mem.poke(UBUF, L, (bits >> 32) as u32);
     k.m.mem.poke(UBUF + 4, L, bits as u32);
     let tid = k.create_thread(entry, USTACK, user_map()).unwrap();
-    assert!(!k.threads[&tid].uses_fp);
+    assert!(!k.uses_fp(&k.threads[&tid]));
     k.start(tid).unwrap();
     assert!(k.run_until_exit(tid, 100_000_000));
     let hi = k.m.mem.peek(UBUF + 8, L);
@@ -587,11 +587,11 @@ fn a_thread_after_an_fp_thread_takes_its_own_lazy_fp_trap() {
     let ta = k.create_thread(ea, USTACK, user_map()).unwrap();
     k.start(ta).unwrap();
     k.run(200_000);
-    assert!(k.threads[&ta].uses_fp, "A is on the FP switch");
+    assert!(k.uses_fp(&k.threads[&ta]), "A is on the FP switch");
     let tb = k.create_thread(eb, USTACK + 0x1000, user_map()).unwrap();
     k.start(tb).unwrap();
     k.run(2_000_000);
-    assert!(k.threads[&tb].uses_fp, "B's first fmove trapped");
+    assert!(k.uses_fp(&k.threads[&tb]), "B's first fmove trapped");
     let (hi, lo) = (k.m.mem.peek(UBUF + 16, L), k.m.mem.peek(UBUF + 20, L));
     let v = f64::from_bits((u64::from(hi) << 32) | u64::from(lo));
     assert_eq!(v, 2.0, "B's fp0 survived a switch through A");
@@ -633,7 +633,7 @@ fn stepping_a_stopped_fp_thread_runs_on_its_own_fp_registers() {
     k.start(tid).unwrap();
     k.run(2_000_000);
     k.stop(tid).unwrap();
-    assert!(k.threads[&tid].uses_fp, "the first FP instruction ran");
+    assert!(k.uses_fp(&k.threads[&tid]), "the first FP instruction ran");
     assert_eq!(peek_double(&k, UBUF + 8), 1.0, "the thread stored fp0");
     assert_eq!(parked_fp(&k, tid, 1), 2.0, "the thread loaded fp1");
     double(&mut k, UBUF + 8, -1.0);
@@ -964,4 +964,47 @@ fn exited_yields_destroyed_tids_in_ascending_order() {
         [tids[0], tids[2], tids[3]]
     );
     assert!(!k.exited.contains(&tids[1]), "still alive");
+}
+
+/// The thread behind a VBR is the tid its TTE holds, checked against the
+/// thread that owns the block: a destroyed thread's vector table names
+/// nobody until the next create pops its block and names itself, and a
+/// VBR outside the heap, or a TTE whose tid slot names another thread,
+/// names nobody.
+#[test]
+fn tid_at_reads_the_tid_the_tte_behind_a_vbr_holds() {
+    use synthesis_core::thread::tte::off;
+    let (mut k, entry) = boot_with_entry();
+    let tids: Vec<u32> = (0..3)
+        .map(|_| k.create_thread(entry, USTACK, user_map()).unwrap())
+        .collect();
+    for (&tid, t) in &k.threads {
+        assert_eq!(k.tid_at(t.vt()), Some(tid), "live tid {tid}");
+    }
+    assert_eq!(k.tid_at(0), None, "the VBR at boot");
+    // A TTE-shaped long outside the heap that names a live thread.
+    let outside = layout::USER_BASE + 0x4_0000;
+    k.m.mem.poke(outside + off::TID, L, tids[0]);
+    assert_eq!(
+        k.tid_at(outside + layout::TTE_LEN),
+        None,
+        "outside the heap"
+    );
+
+    // A scribbled tid slot names another live thread: nobody.
+    let (vt1, tte1) = (k.threads[&tids[1]].vt(), k.threads[&tids[1]].tte);
+    k.m.mem.poke(tte1 + off::TID, L, tids[2]);
+    assert_eq!(k.tid_at(vt1), None, "a scribbled slot");
+    k.m.mem.poke(tte1 + off::TID, L, tids[1]);
+
+    let (dead, dead_vt) = (tids[0], k.threads[&tids[0]].vt());
+    k.destroy(dead).unwrap();
+    let block = dead_vt - layout::TTE_LEN;
+    assert_eq!(k.listed_thread_blocks(), [block]);
+    assert_eq!(k.m.mem.peek(block + off::TID, L), dead, "the stale tid");
+    assert_eq!(k.tid_at(dead_vt), None, "a listed block");
+
+    let next = k.create_thread(entry, USTACK, user_map()).unwrap();
+    assert_eq!(k.threads[&next].vt(), dead_vt, "the create pops the block");
+    assert_eq!(k.tid_at(dead_vt), Some(next));
 }

@@ -207,7 +207,7 @@ fn an_fp_thread_blocked_on_a_pipe_resumes_with_its_fp_registers() {
     while k.threads[&reader].state != ThreadState::Blocked(WaitObject::PipeData(0)) {
         k.run(50_000);
     }
-    assert!(k.threads[&reader].uses_fp, "blocked on the FP switch");
+    assert!(k.uses_fp(&k.threads[&reader]), "blocked on the FP switch");
     k.start(writer).unwrap();
     assert!(k.run_until_exit(reader, 50_000_000));
     for i in 0..8u32 {
@@ -608,7 +608,7 @@ fn a_host_stop_of_an_fp_thread_keeps_its_fp_registers() {
             poke_doubles(k, UBUF, 1.5);
             spinner(k, |a| emit_fp_loads(a, UBUF)).0
         });
-        assert!(k.threads[&tid].uses_fp, "on the FP switch");
+        assert!(k.uses_fp(&k.threads[&tid]), "on the FP switch");
         let at = stop_running(&mut k, tid);
         let fp_slot = |k: &Kernel, i: u32| peek_double(k, k.threads[&tid].tte + off::FP + 8 * i);
         for i in 0..8u32 {

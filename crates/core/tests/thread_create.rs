@@ -3,9 +3,10 @@
 //! kernel-stack frame and pinned vectors, counted, on the creating CPU.
 //!
 //! What it writes is checked byte for byte against a host reference of
-//! the image — a fresh thread block and a recycled one popped off the
-//! free list, whose link must be gone and whose other bytes must be left
-//! as they were — at 1 and 2 CPUs, and at boot (1, 2 and 4 CPUs),
+//! the image — the tid in the TTE included — for a fresh thread block
+//! and a recycled one popped off the free list, whose link and old tid
+//! must be gone and whose other bytes must be left as they were — at 1
+//! and 2 CPUs, and at boot (1, 2 and 4 CPUs),
 //! where the first idle thread is created with the CPU's `a7` still 0. The
 //! routine runs on its own stack with every interrupt masked: a quantum
 //! that expires during a create is taken after it, and a parked thread's
@@ -67,6 +68,7 @@ fn reference(k: &Kernel, tid: Tid, entry: u32, user_sp: u32, sr: u16) -> Image {
     }
     put(off::USP, user_sp);
     put(off::SSP, frame_at);
+    put(off::TID, tid);
     let mut frame = sr.to_be_bytes().to_vec();
     frame.extend(entry.to_be_bytes());
 
@@ -130,8 +132,8 @@ fn spinner(k: &mut Kernel) -> u32 {
 /// A new thread's image at `cpus` CPUs, in a fresh block and then in the
 /// block of a destroyed thread, popped off the free list with a link to
 /// the next listed block in its first long and every other byte
-/// poisoned: the link is gone, and every byte the image does not cover
-/// stays poisoned.
+/// poisoned: the link is gone, the TTE names the new thread, and every
+/// byte the image does not cover stays poisoned.
 fn images_on(cpus: usize) {
     let mut k = boot(cpus);
     let entry = spinner(&mut k);
@@ -145,6 +147,11 @@ fn images_on(cpus: usize) {
     k.destroy(first).unwrap();
     assert_eq!(k.listed_thread_blocks(), [block, next]);
     assert_eq!(k.m.mem.peek(block, L), next, "the link");
+    assert_eq!(
+        k.m.mem.peek(block + off::TID, L),
+        first,
+        "a listed block keeps its last thread's tid"
+    );
     let poisoned = layout::THREAD_BLOCK_LEN - 4;
     k.m.mem
         .poke_bytes(block + 4, &vec![0xA5; poisoned as usize]);
@@ -156,6 +163,7 @@ fn images_on(cpus: usize) {
     assert_image(&k, second, &want);
     let t = &k.threads[&second];
     assert_eq!(k.m.mem.peek(t.tte, L), 0, "the stale link is gone");
+    assert_eq!(k.m.mem.peek(t.tte + off::TID, L), second, "the new tid");
     for v in 0..layout::VECTOR_TABLE_LEN / 4 {
         if want.vectors.iter().all(|&(pinned, _)| pinned != v) {
             assert_eq!(

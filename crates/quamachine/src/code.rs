@@ -39,7 +39,7 @@ pub struct CodeBlock {
     pub facts: Option<BlockFacts>,
 }
 
-/// The [`InstrFacts`] of every instruction of a stream, computed once and
+/// The `InstrFacts` of every instruction of a stream, computed once and
 /// shared by every block instantiated from it.
 #[derive(Debug, Clone)]
 pub struct BlockFacts(Arc<[InstrFacts]>);
@@ -213,7 +213,7 @@ impl fmt::Debug for Lines {
 /// The registry of code blocks.
 ///
 /// Blocks live in a slab; the `BTreeMap` only maps a base address to its
-/// slot, so a holder of a [`SlabLoc`] reaches the block without searching.
+/// slot, so a holder of a `SlabLoc` reaches the block without searching.
 #[derive(Debug, Default)]
 pub struct CodeMem {
     index: BTreeMap<u32, u32>,

@@ -53,7 +53,7 @@ impl Machine {
     /// occurs.
     ///
     /// The loop is `step`'s two halves with the first hoisted: after one
-    /// [`head`](Machine::head) the instructions of a *quiet stretch* run
+    /// `head` the instructions of a *quiet stretch* run
     /// back to back, until the clock reaches the next point the head could
     /// answer differently or an instruction disturbs the machine. A CPU in
     /// `stop` sleeps to its next event or to the end of the budget,

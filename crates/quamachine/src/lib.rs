@@ -15,11 +15,11 @@
 //! - [`isa`] — a 68020-flavoured instruction set (including `CAS`, `MOVEM`,
 //!   and the MC68881 moves a context switch needs) with realistic encoded
 //!   sizes, holding only forms a measured run executes;
-//! - [`Asm`](asm::Asm) — an assembler DSL with labels and *holes* (the unit
+//! - [`Asm`] — an assembler DSL with labels and *holes* (the unit
 //!   of run-time code synthesis);
-//! - [`CostModel`](cost::CostModel) — a documented per-instruction cycle
+//! - [`CostModel`] — a documented per-instruction cycle
 //!   model with configurable clock speed and memory wait states;
-//! - [`Machine`](machine::Machine) — the fetch/execute loop with vectored
+//! - [`Machine`] — the fetch/execute loop with vectored
 //!   interrupts and traps through a relocatable vector table (`VBR`), user
 //!   and supervisor modes, and quaspace memory protection windows;
 //! - [`devices`] — memory-mapped devices: tty, a 44.1 kHz

@@ -453,3 +453,51 @@ fn a_fused_programs_tty_reads_wait_for_typed_input_raw_and_cooked() {
     assert_eq!(emu.k.m.mem.peek_bytes(addrs::BUF, 1), b"x");
     assert_eq!(emu.k.m.mem.peek_bytes(addrs::BUF + 0x100, 3), b"cd\n");
 }
+
+/// Open `/dev/tty` and read up to 16 bytes from it.
+fn tty_read() -> Asm {
+    let mut a = Asm::new("tty_read");
+    emit_call(&mut a, abi::SYS_OPEN, Imm(0), addrs::PATHS + 0x10, 0, 0);
+    emit_call(
+        &mut a,
+        abi::SYS_READ,
+        Abs(result_slot(0)),
+        addrs::BUF + 0x100,
+        16,
+        1,
+    );
+    emit_unix_exit(&mut a);
+    a
+}
+
+/// Where the kernels differ on purpose: the baseline answers a `/dev/tty`
+/// read with 0 bytes at once (its vnode read is `u_null_read`), while
+/// Synthesis's cooked read waits for a whole line. Typed at 100
+/// characters a second, the line `ok\n` is complete 30 ms in; the
+/// baseline's answer comes long before the first character would.
+#[test]
+fn a_tty_read_is_eof_at_once_on_the_baseline_and_waits_for_a_line_on_synthesis() {
+    let (s, t_sun) = run_sunos(tty_read(), |_| {});
+    let got = results(&s.m.mem, 2);
+    let fd = got[0];
+    assert!(fd >= 0, "the tty opens: {got:?}");
+    assert_eq!(got[1], 0, "the baseline's tty read is EOF");
+    assert!(t_sun < 10_000.0, "at once: {t_sun:.0} µs");
+
+    let (emu, t_syn) = run_synthesis(tty_read(), |emu| {
+        use quamachine::devices::{dev_reg_addr, tty};
+        let dev = emu.k.dev.tty;
+        emu.k
+            .m
+            .with_dev_ctx(dev, |t: &mut tty::Tty, ctx| t.type_at(b"ok\n", 100, ctx))
+            .unwrap();
+        emu.k
+            .m
+            .host_reg_write(dev_reg_addr(dev, tty::REG_CTRL), tty::CTRL_RX_IRQ);
+    });
+    let got = results(&emu.k.m.mem, 2);
+    assert_eq!(got[0], fd, "the same fd");
+    assert_eq!(got[1], 3, "Synthesis's tty read returns the line");
+    assert_eq!(emu.k.m.mem.peek_bytes(addrs::BUF + 0x100, 3), b"ok\n");
+    assert!(t_syn >= 30_000.0, "it waited for the line: {t_syn:.0} µs");
+}

@@ -152,6 +152,7 @@ fn the_thread_block_push_and_fill_allocate_nothing() {
     let mut push = RoutineRegs::default();
     push.a[0] = t.tte;
     let image = ThreadImage {
+        tid: idle,
         entry: k.m.mem.peek(kstack_top - 4, Size::L),
         user_sp: 0,
         sr: 0x2000,

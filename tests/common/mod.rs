@@ -139,10 +139,10 @@ pub fn installed_jmp(k: &Kernel, jmp_at: u32) -> u32 {
 /// - a quarantined thread is `Stopped`; a quarantined CPU's context names
 ///   no thread (`vbr == 0`), no thread but its idle is homed on it, and
 ///   device interrupts are not routed to it;
-/// - nothing outlives a thread: the VBR index has exactly one entry per
-///   live thread, naming its `vt`; every fault counter the machine keeps
-///   is keyed by a live thread's `vt`, and every `(tid, file)` channel by
-///   a live tid;
+/// - every live thread's TTE names it, and [`Kernel::tid_at`] its `vt`
+///   is that thread; nothing outlives a thread: every fault counter the
+///   machine keeps is keyed by a live thread's `vt`, and every
+///   `(tid, file)` channel by a live tid;
 /// - the wait lists name exactly the live `Blocked` threads, each once
 ///   under the object it is blocked on, and a pipe's or the tty's wait
 ///   flag is up exactly when its list is non-empty;
@@ -151,6 +151,7 @@ pub fn installed_jmp(k: &Kernel, jmp_at: u32) -> u32 {
 pub fn assert_chains_consistent(k: &Kernel) {
     use quamachine::isa::Size;
     use std::collections::BTreeMap;
+    use synthesis::kernel::thread::tte::off;
     use synthesis::kernel::thread::{ThreadState, WaitObject};
 
     // Entries by the plan's mark names, not the kernel's offset table.
@@ -225,7 +226,11 @@ pub fn assert_chains_consistent(k: &Kernel) {
     for (c, cpu) in k.cpus.iter().enumerate().filter(|(_, cpu)| cpu.quarantined) {
         let vbr = k.m.cpu_ref(c).vbr;
         assert_eq!(vbr, 0, "quarantined cpu {c}'s context names a thread");
-        let homed = k.threads.values().filter(|t| t.cpu == c).map(|t| t.tid);
+        let homed = k
+            .threads
+            .iter()
+            .filter(|(_, t)| t.cpu == c)
+            .map(|(&tid, _)| tid);
         assert_eq!(
             homed.collect::<Vec<_>>(),
             [cpu.idle_tid],
@@ -234,15 +239,17 @@ pub fn assert_chains_consistent(k: &Kernel) {
         assert_ne!(k.m.irq.route(), c, "devices interrupt quarantined cpu {c}");
     }
 
-    let by_vt: BTreeMap<u32, u32> = k.threads.values().map(|t| (t.vt(), t.tid)).collect();
-    assert_eq!(
-        k.vbr_index().collect::<BTreeMap<_, _>>(),
-        by_vt,
-        "the VBR index and the live threads' vector tables"
-    );
-    for vt in k.m.meter.error_faults.keys() {
+    for (&tid, t) in &k.threads {
+        assert_eq!(
+            k.m.mem.peek(t.tte + off::TID, Size::L),
+            tid,
+            "tid {tid}'s TTE names another thread"
+        );
+        assert_eq!(k.tid_at(t.vt()), Some(tid), "tid {tid}'s vt");
+    }
+    for &vt in k.m.meter.error_faults.keys() {
         assert!(
-            by_vt.contains_key(vt),
+            k.tid_at(vt).is_some(),
             "fault count kept for dead vt {vt:#x}"
         );
     }

@@ -67,34 +67,30 @@ fn expected(cpus: usize) -> Vec<(u32, Want)> {
 
 /// Check every thread's table against [`expected`].
 fn assert_vectors(k: &Kernel) {
-    for t in k.threads.values() {
+    for (tid, t) in &k.threads {
         for (vec, want) in expected(k.cpus.len()) {
             let addr = k.m.mem.peek(t.vt() + 4 * vec, Size::L);
-            let loc = k.m.code.locate(addr).unwrap_or_else(|| {
-                panic!("thread {}: vector {vec} names no code ({addr:#x})", t.tid)
-            });
+            let loc =
+                k.m.code.locate(addr).unwrap_or_else(|| {
+                    panic!("thread {tid}: vector {vec} names no code ({addr:#x})")
+                });
             let name = &k.m.code.block(loc.block_base).expect("resident").name;
             match want {
-                Want::Shared(want) => assert_eq!(
-                    &**name, want,
-                    "thread {}: vector {vec} enters {name}",
-                    t.tid
-                ),
+                Want::Shared(want) => {
+                    assert_eq!(&**name, want, "thread {tid}: vector {vec} enters {name}")
+                }
                 Want::Own(base) => assert_eq!(
                     addr,
                     base(t),
-                    "thread {}: vector {vec} enters {name} at {addr:#x}, not its own",
-                    t.tid
+                    "thread {tid}: vector {vec} enters {name} at {addr:#x}, not its own"
                 ),
                 Want::SwitchOut => assert!(
                     Some(addr) == t.sw.entry("sw_out") && loc.block_base == t.sw.base,
-                    "thread {}: vector {vec} enters {name}+{addr:#x}, not its switch-out",
-                    t.tid
+                    "thread {tid}: vector {vec} enters {name}+{addr:#x}, not its switch-out"
                 ),
                 Want::IpiIn => assert!(
                     Some(addr) == t.sw.entry("ipi_in") && loc.block_base == t.sw.base,
-                    "thread {}: vector {vec} enters {name}+{addr:#x}, not its IPI entry",
-                    t.tid
+                    "thread {tid}: vector {vec} enters {name}+{addr:#x}, not its IPI entry"
                 ),
             }
         }

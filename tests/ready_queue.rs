@@ -274,7 +274,7 @@ fn churn(k: &mut Kernel, seed: u64) -> (bool, bool) {
         // Threads reaped by the kernel itself (none expected) would show
         // up here rather than as a stale tid in a later step.
         live.retain(|t| k.threads.contains_key(t));
-        fp_resynthesized |= live.iter().any(|t| k.threads[t].uses_fp);
+        fp_resynthesized |= live.iter().any(|t| k.uses_fp(&k.threads[t]));
         common::assert_chains_consistent(k);
         common::assert_code_consistent(k);
         for f in k.threads.values().flat_map(|t| &t.fds) {
@@ -381,7 +381,7 @@ fn a_cpu_stopped_anywhere_in_a_switch_steps_to_a_safe_point() {
             // instruction (and its FP trap).
             k.run(400_000);
             for tid in &tids {
-                assert_eq!(k.threads[tid].uses_fp, fp, "tid {tid} fp {fp}");
+                assert_eq!(k.uses_fp(&k.threads[tid]), fp, "tid {tid} fp {fp}");
             }
             let at = format!("{cpus} cpu(s), fp {fp}");
             let mut boundary = 0;
@@ -405,12 +405,11 @@ fn a_cpu_stopped_anywhere_in_a_switch_steps_to_a_safe_point() {
                 let pc = k.m.cpu.pc;
                 k.ensure_safe_point();
                 let pc_after = k.m.cpu.pc;
-                for t in k.threads.values() {
+                for (tid, t) in &k.threads {
                     assert!(
                         !(t.sw.base..t.sw.base + t.sw.size).contains(&pc_after),
                         "{at}: stopped at {pc:#x} (boundary {boundary}), left at \
-                         {pc_after:#x}, inside tid {}'s switch code",
-                        t.tid
+                         {pc_after:#x}, inside tid {tid}'s switch code"
                     );
                 }
                 common::assert_chains_consistent(&k);
