@@ -166,7 +166,7 @@ pub fn run_on(cpus: usize, windows: u32, window_cycles: u64) -> ProfileResult {
                 role,
                 gauge,
                 gauge_per_ms: f64::from(gauge) / run_ms,
-                quantum_us: t.quantum_us,
+                quantum_us: k.quantum_us(tid).expect("a live thread's switch code"),
             }
         })
         .collect();

@@ -16,8 +16,13 @@ use crate::fs::File;
 use crate::io::pipe::Pipe;
 use crate::io::tty::TtyServer;
 
-/// The kernel object behind a channel, with the state its teardown must
-/// release. This is the host-side mirror stored in the fd table.
+/// The kernel object behind an open fd ([`OpenFd::class`]), with the state
+/// its teardown must release. The guest fd table holds only entry points;
+/// this is the one record of what they serve, and the fd lists are the
+/// one record of what is open: a file's offset slot and a pipe's ends
+/// are whatever the open fds' classes name.
+///
+/// [`OpenFd::class`]: crate::thread::tte::OpenFd::class
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChannelClass {
     /// `/dev/null`.
@@ -32,7 +37,9 @@ pub enum ChannelClass {
         /// File identifier in the [`crate::fs::Fs`].
         fid: u32,
         /// The seek-offset slot, shared by every open of this file in
-        /// this thread (so identical invariants mean identical code).
+        /// this thread (so identical invariants mean identical code):
+        /// taken by the thread's first open of the file, freed when its
+        /// last such fd closes.
         offset_slot: u32,
     },
     /// One end of a pipe.
@@ -169,7 +176,7 @@ impl ChannelSpec {
     /// runs in its caller's user mode). Pipe-end eligibility (solo
     /// pipes only) is the *kernel's* call — see
     /// [`Kernel::fused_rw_spec`](crate::kernel::Kernel::fused_rw_spec)
-    /// — because it needs the live reader/writer counts.
+    /// — because it needs every thread's open fds.
     #[must_use]
     pub fn fused_end(&self, read_end: bool, fd: u32) -> Option<(String, Bindings)> {
         let end = if read_end {
@@ -222,16 +229,4 @@ impl ChannelSpec {
             .with("r_wait", p.r_wait_slot)
             .with("w_wait", p.w_wait_slot)
     }
-}
-
-/// Per-`(thread, file)` channel state: one seek-offset slot shared by
-/// every open of that file in that thread, so reopening hits the
-/// specialization cache (same invariants ⇒ same code). `refs` counts
-/// fds using the slot; it is freed when the last closes.
-#[derive(Debug)]
-pub struct FileChan {
-    /// The shared seek-offset slot in kernel memory.
-    pub offset_slot: u32,
-    /// Open fds using this slot.
-    pub refs: u32,
 }

@@ -34,18 +34,12 @@ pub struct File {
     /// Address of the length slot (a long the synthesized code reads and
     /// extends).
     pub len_slot: u32,
-    /// Open count (files cannot be removed while open).
-    pub opens: u32,
 }
 
 /// The file system.
 #[derive(Debug, Default)]
 pub struct Fs {
     files: Vec<File>,
-    /// Characters scanned by lookups (drives the charge model).
-    pub chars_scanned: u64,
-    /// Lookups performed.
-    pub lookups: u64,
 }
 
 impl Fs {
@@ -77,7 +71,6 @@ impl Fs {
             buf,
             cap,
             len_slot,
-            opens: 0,
         });
         Ok(fid)
     }
@@ -87,8 +80,7 @@ impl Fs {
     /// backwards-from-the-end, so the scan count reflects how quickly
     /// mismatching names are rejected.
     #[must_use]
-    pub fn lookup(&mut self, name: &str) -> (Option<u32>, u64) {
-        self.lookups += 1;
+    pub fn lookup(&self, name: &str) -> (Option<u32>, u64) {
         // Hash the probe name (one full scan).
         let mut scanned = name.len() as u64;
         let probe_hash = names::hash_backwards(name.as_bytes());
@@ -105,7 +97,6 @@ impl Fs {
                 break;
             }
         }
-        self.chars_scanned += scanned;
         (found, scanned)
     }
 
@@ -113,11 +104,6 @@ impl Fs {
     #[must_use]
     pub fn file(&self, fid: u32) -> Option<&File> {
         self.files.get(fid as usize)
-    }
-
-    /// Mutable access to the file with id `fid`.
-    pub fn file_mut(&mut self, fid: u32) -> Option<&mut File> {
-        self.files.get_mut(fid as usize)
     }
 
     /// Write host bytes into a file's cache buffer (loader convenience).

@@ -10,13 +10,13 @@ use quamachine::machine::Machine;
 
 use crate::alloc::fastfit::OutOfMemory;
 use crate::alloc::FastFit;
-use crate::thread::Tid;
 
 /// Default pipe capacity in bytes (a power of two; comfortably above the
 /// 4 KB chunks of Table 1's program 4).
 pub const DEFAULT_PIPE_SIZE: u32 = 8192;
 
-/// A kernel pipe.
+/// A kernel pipe: its ring and slots. Which fds hold its ends is the
+/// threads' fd lists' to say; the kernel frees the ring when none does.
 #[derive(Debug)]
 pub struct Pipe {
     /// Pipe id (index in the kernel's pipe table).
@@ -33,16 +33,6 @@ pub struct Pipe {
     pub r_wait_slot: u32,
     /// Writer-waiting flag slot (checked by the synthesized reader).
     pub w_wait_slot: u32,
-    /// Open read-end fds (the kernel frees the ring when both end
-    /// counts reach zero).
-    pub readers: u32,
-    /// Open write-end fds.
-    pub writers: u32,
-    /// The last thread to bind a call site to one of this pipe's fused
-    /// wrappers — the only one that can hold live ones, since they bind
-    /// only while it owns every open end. Set by the kernel's `chan`
-    /// module; `pipe_attach` retires the sites through it and clears it.
-    pub fused_by: Option<Tid>,
 }
 
 impl Pipe {
@@ -71,9 +61,6 @@ impl Pipe {
             w_wait_slot: slots + 12,
             buf,
             size,
-            readers: 0,
-            writers: 0,
-            fused_by: None,
         })
     }
 

@@ -20,7 +20,7 @@
 //! `kcall` (kernel-call dispatch and signals), `chan` (the code behind a
 //! `(tid, fd)`), `tracepump` (whose ring an event lands in).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use quamachine::devices::audio::Audio;
@@ -38,7 +38,6 @@ use synthesis_codegen::template::Bindings;
 
 use crate::alloc::fastfit::OutOfMemory;
 use crate::alloc::FastFit;
-use crate::channel::FileChan;
 use crate::charges;
 use crate::fs::Fs;
 use crate::io::pipe::Pipe;
@@ -308,11 +307,9 @@ pub struct Kernel {
     pub dev: DeviceIdx,
     /// The tty server state.
     pub tty_srv: TtyServer,
-    /// Kernel pipes.
-    pub pipes: Vec<Pipe>,
-    /// Per-`(thread, file)` channel state: the shared seek-offset slot
-    /// and its fd refcount (see [`crate::channel::FileChan`]).
-    pub file_chans: HashMap<(Tid, u32), FileChan>,
+    /// Kernel pipes by id: `None` once the last fd naming one closed
+    /// and its ring was freed ([`Kernel::live_pipe`]).
+    pub pipes: Vec<Option<Pipe>>,
     /// The synthesis options every block is made with: always
     /// [`SynthesisOptions::full`]; read by the benchmark's codegen probe.
     pub opts: SynthesisOptions,
@@ -507,7 +504,6 @@ impl Kernel {
             dev,
             tty_srv,
             pipes: Vec::new(),
-            file_chans: HashMap::new(),
             opts,
             default_quantum_us: cfg.default_quantum_us,
             console: Vec::new(),
@@ -666,12 +662,10 @@ impl Kernel {
             trap_write,
             trap_error,
             adopted: Vec::new(),
-            quantum_us: self.default_quantum_us,
             state: ThreadState::Stopped,
             map,
             fds: Vec::new(),
             cpu: home,
-            last_gauge: 0,
             sig_saved: None,
             fault_mark: 0,
             quarantined: false,
@@ -1042,14 +1036,19 @@ impl Kernel {
         self.pump_trace();
         let was_current = self.current_tid() == Some(tid);
         self.dequeue(tid)?;
-        let mut t = self
-            .threads
-            .remove(&tid)
-            .ok_or(KernelError::NoThread(tid))?;
-        // Close fds.
-        for f in std::mem::take(&mut t.fds) {
+        // Close fds in fd order, each taken off the list as it goes: the
+        // rest stay listed, so a slot or ring one of them names outlives
+        // the fds before it.
+        loop {
+            let t = self.threads.get_mut(&tid);
+            let fds = &mut t.ok_or(KernelError::NoThread(tid))?.fds;
+            if fds.is_empty() {
+                break;
+            }
+            let f = fds.remove(0);
             self.release_fd(tid, f);
         }
+        let t = self.threads.remove(&tid).expect("listed above");
         let own = [&t.sw, &t.trap_read, &t.trap_write, &t.trap_error];
         for s in own.into_iter().chain(&t.adopted) {
             self.creator.destroy(&mut self.m, s);
@@ -1326,7 +1325,11 @@ impl Kernel {
             self.m.cpu.fpu_enabled = true; // already resynthesized
             return;
         }
-        let (tte, vt, quantum, old_sw) = (t.tte, t.vt(), t.quantum_us, t.sw.clone());
+        let (tte, vt, old_sw) = (t.tte, t.vt(), t.sw.clone());
+        // The quantum's one record is the old code: read it before it goes.
+        let quantum = self
+            .quantum_us(tid)
+            .expect("switch code stores its quantum");
         // The chain's links name the old code's entries and `jmp`: leave
         // the chain before that code goes, rejoin once the new code is in.
         let cpu = self.home_cpu(tid);

@@ -28,6 +28,13 @@
 //!   `close` and every way a thread dies end: live sites are re-armed
 //!   and every wrapper released, so no caller has to remember to.
 //!
+//! The fd lists are also the one record of what is open. A thread's fds
+//! on one file share the offset slot the first of them took; a pipe's
+//! ends, and its fused holder, are the fds that name it
+//! ([`Kernel::pipe_ends`], [`Kernel::pipe_holder`]); and teardown frees
+//! a slot or a ring once no listed fd names it. Those scans run at open,
+//! close, bind and attach, never on a call.
+//!
 //! Limit: the in-flight check is the attach's alone. A host-side
 //! [`close_for`](Kernel::close_for) or `destroy` of a thread preempted
 //! inside one of the fd's wrappers releases the block under it, as it
@@ -41,7 +48,7 @@ use synthesis_codegen::creator::Synthesized;
 use synthesis_codegen::template::Bindings;
 
 use super::Kernel;
-use crate::channel::{ChannelClass, ChannelSpec, FileChan};
+use crate::channel::{ChannelClass, ChannelSpec};
 use crate::charges;
 use crate::io::pipe::{Pipe, DEFAULT_PIPE_SIZE};
 use crate::layout;
@@ -49,11 +56,16 @@ use crate::syscall::errno;
 use crate::thread::tte::{off, Bound, OpenFd};
 use crate::thread::{Thread, Tid};
 
+/// Whether `f` is an end of pipe `pid`.
+fn on_pipe(f: &OpenFd, pid: u32) -> bool {
+    matches!(f.class, ChannelClass::Pipe { pid: p, .. } if p == pid)
+}
+
 /// `t`'s live (not retired) bound sites on pipe `pid`, either end.
 fn live_pipe_sites(t: &mut Thread, pid: u32) -> impl Iterator<Item = &mut Bound> {
     t.fds
         .iter_mut()
-        .filter(move |f| matches!(f.class, ChannelClass::Pipe { pid: p, .. } if p == pid))
+        .filter(move |f| on_pipe(f, pid))
         .flat_map(|f| &mut f.bound)
         .filter(|b| !b.retired)
 }
@@ -107,7 +119,7 @@ impl Kernel {
     }
 
     /// The name-lookup stage of `open`: map a path to its [`ChannelSpec`]
-    /// and acquire the class state (file offset slot, open counts).
+    /// and acquire the class state (a file's offset slot).
     fn lookup_channel(&mut self, tid: Tid, path: &str) -> Result<ChannelSpec, u32> {
         let t = self.threads.get(&tid).ok_or(errno::EINVAL as u32)?;
         let gauge = t.tte + off::GAUGE;
@@ -127,29 +139,31 @@ impl Kernel {
                 // same file in the same thread shares it, so the bindings
                 // — and therefore the synthesized code — are identical
                 // and the specialization cache hits.
-                let offset_slot = match self.file_chans.get_mut(&(tid, fid)) {
-                    Some(chan) => {
-                        chan.refs += 1;
-                        chan.offset_slot
-                    }
+                let offset_slot = match self.file_slot(tid, fid) {
+                    Some(slot) => slot,
                     None => {
                         let slot = self.heap_alloc(4).map_err(|_| errno::ENOMEM as u32)?;
                         self.m.mem.poke(slot, Size::L, 0);
-                        self.file_chans.insert(
-                            (tid, fid),
-                            FileChan {
-                                offset_slot: slot,
-                                refs: 1,
-                            },
-                        );
                         slot
                     }
                 };
-                self.fs.file_mut(fid).expect("fid valid").opens += 1;
                 let f = self.fs.file(fid).expect("fid valid");
                 Ok(ChannelSpec::file(f, offset_slot, gauge))
             }
         }
+    }
+
+    /// The offset slot `tid`'s open fds on file `fid` share, if it has
+    /// any open.
+    fn file_slot(&self, tid: Tid, fid: u32) -> Option<u32> {
+        let fds = &self.threads.get(&tid)?.fds;
+        fds.iter().find_map(|f| match f.class {
+            ChannelClass::File {
+                fid: g,
+                offset_slot,
+            } if g == fid => Some(offset_slot),
+            _ => None,
+        })
     }
 
     /// The generic open pipeline: allocate an fd, specialize each
@@ -216,16 +230,11 @@ impl Kernel {
         map.allows(0, self.m.mem.size(), true)
     }
 
-    /// Whether pipe `pid` is *solo* for `t`: exactly one read fd and one
-    /// write fd exist, and both are in `t`'s table (the counts alone also
+    /// Whether pipe `pid` is *solo* for `tid`: exactly one read fd and
+    /// one write fd exist, and both are `tid`'s (the counts alone also
     /// describe an ordinary two-thread producer/consumer pipe).
-    fn solo(&self, t: &Thread, pid: u32) -> bool {
-        let owns = |read_end| {
-            let end = ChannelClass::Pipe { pid, read_end };
-            t.fds.iter().any(|f| f.class == end)
-        };
-        let p = &self.pipes[pid as usize];
-        p.readers == 1 && p.writers == 1 && owns(true) && owns(false)
+    fn solo(&self, tid: Tid, pid: u32) -> bool {
+        self.pipe_ends(pid) == (1, 1) && self.pipe_fds(pid).all(|(owner, _)| owner == tid)
     }
 
     /// The fused (trap-elided) wrapper spec for `(tid, fd)`: the template
@@ -259,10 +268,10 @@ impl Kernel {
                 ChannelSpec::file(self.fs.file(fid)?, offset_slot, gauge)
             }
             ChannelClass::Pipe { pid, read_end } => {
-                if read_end == write || !self.solo(t, pid) {
+                if read_end == write || !self.solo(tid, pid) {
                     return None; // wrong direction for this end, or shared
                 }
-                ChannelSpec::pipe(&self.pipes[pid as usize], read_end, gauge)
+                ChannelSpec::pipe(self.live_pipe(pid)?, read_end, gauge)
             }
         };
         spec.fused_end(!write, fd)
@@ -317,9 +326,6 @@ impl Kernel {
             wrapper,
             retired: false,
         });
-        if let ChannelClass::Pipe { pid, .. } = open.class {
-            self.pipes[pid as usize].fused_by = Some(tid);
-        }
         Some(entry)
     }
 
@@ -329,7 +335,7 @@ impl Kernel {
     /// lie the epilogue, the collapsed general body and the re-trap, which
     /// block and wake like any layered caller.
     fn solo_only(&self, base: u32, pid: u32) -> RangeInclusive<u32> {
-        let p = &self.pipes[pid as usize];
+        let p = self.live_pipe(pid).expect("a bound site's fd names it");
         let slots = [p.head_slot, p.tail_slot];
         let publish =
             |i: &Instr| matches!(i, Instr::Move(_, _, Operand::Abs(a)) if slots.contains(a));
@@ -384,7 +390,6 @@ impl Kernel {
     /// its next call re-enters the bind thunk and is refused; its wrapper
     /// stays referenced by the fd until the fd's teardown.
     fn retire_pipe_sites(&mut self, holder: Tid, pid: u32) {
-        self.pipes[pid as usize].fused_by = None;
         let Some(t) = self.threads.get_mut(&holder) else {
             return;
         };
@@ -446,8 +451,10 @@ impl Kernel {
 
     /// THE teardown path, once the fd's call sites are released: destroy
     /// the endpoint code (dropping cache references) and release the
-    /// class state. Used by `close`, thread destruction, and the open
-    /// pipeline's rollback — there is exactly one unwind.
+    /// class state — a file's offset slot, a pipe's ring — once no listed
+    /// fd names it, so the fd must already be off its thread's list. Used
+    /// by `close`, thread destruction, and the open pipeline's rollback —
+    /// there is exactly one unwind.
     fn release_channel(&mut self, tid: Tid, class: ChannelClass, code: &[Synthesized]) {
         for s in code {
             self.release_code_for(tid, s);
@@ -455,33 +462,16 @@ impl Kernel {
         match class {
             ChannelClass::Null | ChannelClass::Tty { .. } => {}
             ChannelClass::File { fid, offset_slot } => {
-                let gone = {
-                    let chan = self
-                        .file_chans
-                        .get_mut(&(tid, fid))
-                        .expect("file channel state exists while referenced");
-                    chan.refs -= 1;
-                    chan.refs == 0
-                };
-                if gone {
-                    self.file_chans.remove(&(tid, fid));
+                if self.file_slot(tid, fid).is_none() {
                     self.heap.free(offset_slot, 4);
                 }
-                if let Some(f) = self.fs.file_mut(fid) {
-                    f.opens = f.opens.saturating_sub(1);
-                }
             }
-            ChannelClass::Pipe { pid, read_end } => {
-                let Some(p) = self.pipes.get_mut(pid as usize) else {
+            ChannelClass::Pipe { pid, .. } => {
+                if self.pipe_fds(pid).next().is_some() {
                     return;
-                };
-                if read_end {
-                    p.readers = p.readers.saturating_sub(1);
-                } else {
-                    p.writers = p.writers.saturating_sub(1);
                 }
-                if p.readers == 0 && p.writers == 0 {
-                    // Free the ring; keep the table slot (ids are stable).
+                // Free the ring; keep the table slot (ids are stable).
+                if let Some(p) = self.pipes.get_mut(pid as usize).and_then(Option::take) {
                     p.release(&mut self.heap);
                     self.forget_pipe_waits(pid);
                 }
@@ -490,6 +480,46 @@ impl Kernel {
     }
 
     // --- pipes --------------------------------------------------------------
+
+    /// Pipe `pid`, while its ring is allocated: from its creation until
+    /// the last fd naming it closes.
+    #[must_use]
+    pub fn live_pipe(&self, pid: u32) -> Option<&Pipe> {
+        self.pipes.get(pid as usize)?.as_ref()
+    }
+
+    /// Every open fd on pipe `pid`, either end, with its thread.
+    fn pipe_fds(&self, pid: u32) -> impl Iterator<Item = (Tid, &OpenFd)> {
+        self.threads.iter().flat_map(move |(&tid, t)| {
+            t.fds
+                .iter()
+                .filter(move |f| on_pipe(f, pid))
+                .map(move |f| (tid, f))
+        })
+    }
+
+    /// The open read-end and write-end fds on pipe `pid`, over every
+    /// thread.
+    #[must_use]
+    pub fn pipe_ends(&self, pid: u32) -> (u32, u32) {
+        self.pipe_fds(pid)
+            .fold((0, 0), |(r, w), (_, f)| match f.class {
+                ChannelClass::Pipe { read_end: true, .. } => (r + 1, w),
+                _ => (r, w + 1),
+            })
+    }
+
+    /// Pipe `pid`'s fused holder: the thread with a live (not retired)
+    /// site bound to one of the pipe's wrappers. There is at most one,
+    /// since a site binds only while its thread holds every open end, and
+    /// [`pipe_attach`](Kernel::pipe_attach) retires the holder's sites
+    /// before another end opens.
+    #[must_use]
+    pub fn pipe_holder(&self, pid: u32) -> Option<Tid> {
+        self.pipe_fds(pid)
+            .find(|(_, f)| f.bound.iter().any(|b| !b.retired))
+            .map(|(tid, _)| tid)
+    }
 
     /// Create a pipe for the current thread; returns `(read_fd, write_fd)`.
     ///
@@ -512,25 +542,22 @@ impl Kernel {
             .heap_retry(|k| Pipe::allocate(&mut k.m, &mut k.heap, pid, DEFAULT_PIPE_SIZE))
             .map_err(|_| errno::ENOMEM as u32)?;
         // Register before attaching so the endpoints go through the
-        // ordinary registry path; the end refcounts start at zero and
-        // count attached fds.
-        self.pipes.push(p);
-        match self.pipe_attach_inner(tid, pid) {
-            Ok(fds) => Ok(fds),
-            Err(e) => {
-                // Each end that was counted went through the one
-                // teardown, so both counts are back at zero and the ring
-                // is freed; drop the never-exposed table slot.
-                self.pipes.pop();
-                Err(e)
+        // ordinary registry path.
+        self.pipes.push(Some(p));
+        self.pipe_attach_inner(tid, pid).inspect_err(|_| {
+            // An end that opened went through the one teardown, which
+            // freed the ring when its fd closed; free it here if none
+            // opened, and drop the never-exposed table slot.
+            if let Some(Some(p)) = self.pipes.pop() {
+                p.release(&mut self.heap);
             }
-        }
+        })
     }
 
     /// Attach an existing pipe to another thread (cross-thread pipes);
     /// returns `(read_fd, write_fd)` in that thread.
     ///
-    /// This is the one operation that raises a pipe's end counts, so it
+    /// This is the one operation that opens another end of a pipe, so it
     /// is where a *solo* pipe stops being one: the sites bound on it are
     /// retired (see the module docs) — after this returns `Ok`, no
     /// thread's next instruction lies on a fast path that elides the
@@ -538,15 +565,15 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// Returns an errno; `EAGAIN` — with nothing changed — when the
-    /// pipe's fused holder is parked on such a fast path, a dozen
-    /// instructions that never block (the attach succeeds once the
-    /// holder has run past them).
+    /// Returns an errno: `EINVAL` for a pipe never made, `EBADF` for one
+    /// whose every end has closed (its ring is freed), and `EAGAIN` — with
+    /// nothing changed — when the pipe's fused holder is parked on such a
+    /// fast path, a dozen instructions that never block (the attach
+    /// succeeds once the holder has run past them).
     pub fn pipe_attach(&mut self, tid: Tid, pid: u32) -> Result<(u32, u32), u32> {
-        let Some(p) = self.pipes.get(pid as usize) else {
-            return Err(errno::EINVAL as u32);
-        };
-        let holder = p.fused_by;
+        let p = self.pipes.get(pid as usize).ok_or(errno::EINVAL as u32)?;
+        p.as_ref().ok_or(errno::EBADF as u32)?;
+        let holder = self.pipe_holder(pid);
         if let Some(h) = holder {
             self.vacate_pipe_wrappers(h, pid)?;
         }
@@ -557,24 +584,19 @@ impl Kernel {
         Ok(fds)
     }
 
-    /// Open both ends of pipe `pid` in `tid` through the channel
-    /// registry. Each end is counted just before its open, and an open
-    /// that fails un-counts it in its own rollback; a write-end failure
-    /// closes the read end through the normal `close` teardown — so a
-    /// failure at either step leaves both counts as found.
+    /// Open both ends of live pipe `pid` in `tid` through the channel
+    /// registry. A write-end failure closes the read end through the
+    /// normal `close` teardown — so a failure at either step leaves the
+    /// pipe's ends as found.
     fn pipe_attach_inner(&mut self, tid: Tid, pid: u32) -> Result<(u32, u32), u32> {
         let t = self.threads.get(&tid).ok_or(errno::EINVAL as u32)?;
         let gauge = t.tte + off::GAUGE;
-        let (rspec, wspec) = {
-            let p = &self.pipes[pid as usize];
-            (
-                ChannelSpec::pipe(p, true, gauge),
-                ChannelSpec::pipe(p, false, gauge),
-            )
-        };
-        self.pipes[pid as usize].readers += 1;
+        let p = self.live_pipe(pid).ok_or(errno::EBADF as u32)?;
+        let (rspec, wspec) = (
+            ChannelSpec::pipe(p, true, gauge),
+            ChannelSpec::pipe(p, false, gauge),
+        );
         let rfd = self.open_channel(tid, rspec)?;
-        self.pipes[pid as usize].writers += 1;
         match self.open_channel(tid, wspec) {
             Ok(wfd) => Ok((rfd, wfd)),
             Err(e) => {

@@ -69,10 +69,9 @@ impl Kernel {
                 let (wait, ..) = self.wait_selector(sel);
                 let must_wait = match wait {
                     WaitObject::TtyInput => self.tty_srv.available(&self.m) == 0,
-                    WaitObject::PipeData(p) => self
-                        .pipes
-                        .get(p as usize)
-                        .is_some_and(|p| p.available(&self.m) == 0),
+                    WaitObject::PipeData(p) => {
+                        self.live_pipe(p).is_some_and(|p| p.available(&self.m) == 0)
+                    }
                     WaitObject::PipeSpace(p) => self.pipe_write_must_wait(p),
                     WaitObject::Alarm => unreachable!("no WAIT_* names it"),
                 };
@@ -96,7 +95,7 @@ impl Kernel {
     /// count is cut to the ring size first and the writer's retry
     /// completes as a short write.
     fn pipe_write_must_wait(&mut self, pid: u32) -> bool {
-        let Some(p) = self.pipes.get(pid as usize) else {
+        let Some(p) = self.live_pipe(pid) else {
             return false;
         };
         let (size, space) = (p.size, p.space(&self.m));

@@ -343,8 +343,8 @@ impl Kernel {
     fn set_wait_flag(&mut self, wait: WaitObject, up: bool) {
         let slot = match wait {
             WaitObject::TtyInput => Some(self.tty_srv.waiters_slot),
-            WaitObject::PipeData(p) => self.pipes.get(p as usize).map(|p| p.r_wait_slot),
-            WaitObject::PipeSpace(p) => self.pipes.get(p as usize).map(|p| p.w_wait_slot),
+            WaitObject::PipeData(p) => self.live_pipe(p).map(|p| p.r_wait_slot),
+            WaitObject::PipeSpace(p) => self.live_pipe(p).map(|p| p.w_wait_slot),
             WaitObject::Alarm => None,
         };
         if let Some(slot) = slot {

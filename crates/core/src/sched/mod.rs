@@ -12,15 +12,19 @@
 //! delta since the last pass as its share of the window's I/O traffic
 //! and sets its quantum proportionally — patching the quantum immediate
 //! inside the thread's `sw_in` code in place (an executable data
-//! structure being retuned at run time).
+//! structure being retuned at run time). That immediate is the quantum's
+//! one record: [`Kernel::quantum_us`] reads it back.
 //!
 //! The gauge is the only meter. The event trace
 //! ([`crate::trace`](mod@crate::trace)) is host-side observability: the
 //! policy never reads it, so turning tracing off cannot move a quantum.
 
+use std::collections::BTreeMap;
+
+use quamachine::devices::{dev_reg_addr, timer};
 use quamachine::isa::{Instr, Operand, Size};
 
-use crate::kernel::Kernel;
+use crate::kernel::{Kernel, KernelError};
 use crate::thread::tte::off;
 use crate::thread::Tid;
 
@@ -37,6 +41,8 @@ pub struct FineGrain {
     pub passes: u64,
     /// Quanta actually changed (code patches performed).
     pub adjustments: u64,
+    /// Each sampled thread's gauge at the last pass.
+    last_gauge: BTreeMap<Tid, u64>,
 }
 
 impl FineGrain {
@@ -60,10 +66,14 @@ impl FineGrain {
                 continue;
             }
             let g = u64::from(k.m.mem.peek(t.tte + off::GAUGE, Size::L));
-            samples.push((tid, g, g.saturating_sub(t.last_gauge)));
+            let last = self.last_gauge.get(&tid).copied().unwrap_or(0);
+            samples.push((tid, g, g.saturating_sub(last)));
         }
+        // Only the threads sampled now are kept: a thread gone since has
+        // no next pass (tids are never reused).
+        self.last_gauge = samples.iter().map(|&(tid, g, _)| (tid, g)).collect();
         let total: u64 = samples.iter().map(|&(_, _, d)| d).sum();
-        for (tid, g, delta) in samples {
+        for (tid, _, delta) in samples {
             let share = if total > 0 {
                 delta as f64 / total as f64
             } else {
@@ -74,15 +84,35 @@ impl FineGrain {
             let q =
                 QUANTUM_MIN_US + ((QUANTUM_MAX_US - QUANTUM_MIN_US) as f64 * share).round() as u32;
             let q = q.clamp(QUANTUM_MIN_US, QUANTUM_MAX_US);
-            let old = k.threads.get(&tid).map_or(q, |t| t.quantum_us);
-            if old != q {
+            if k.quantum_us(tid) != Some(q) {
                 self.adjustments += 1;
             }
             let _ = set_quantum(k, tid, q);
-            if let Some(t) = k.threads.get_mut(&tid) {
-                t.last_gauge = g;
-            }
         }
+    }
+}
+
+/// Where `tid`'s switch code stores its quantum — the
+/// `move.l #q,(timer_qreg)` in `sw_in` — and the `q` it stores: the
+/// quantum's one record.
+fn quantum_store(k: &Kernel, tid: Tid) -> Result<(u32, u32), KernelError> {
+    let t = k.threads.get(&tid).ok_or(KernelError::NoThread(tid))?;
+    let qreg = dev_reg_addr(k.dev.timer, timer::REG_QUANTUM_US);
+    let block = k.m.code.block(t.sw.base).expect("switch code installed");
+    let store = |(i, ins): (usize, &Instr)| match *ins {
+        Instr::Move(Size::L, Operand::Imm(q), Operand::Abs(r)) if r == qreg => Some((i, q)),
+        _ => None,
+    };
+    let found = block.instrs.iter().enumerate().find_map(store);
+    let (idx, q) = found.ok_or(KernelError::Invalid("switch code stores no quantum"))?;
+    Ok((k.m.code.addr_of(t.sw.base, idx).expect("in range"), q))
+}
+
+impl Kernel {
+    /// Thread `tid`'s CPU quantum in µs, read from its switch code.
+    #[must_use]
+    pub fn quantum_us(&self, tid: Tid) -> Option<u32> {
+        quantum_store(self, tid).ok().map(|(_, q)| q)
     }
 }
 
@@ -96,37 +126,17 @@ impl FineGrain {
 ///
 /// # Errors
 ///
-/// Fails for unknown threads.
-pub fn set_quantum(
-    k: &mut Kernel,
-    tid: Tid,
-    quantum_us: u32,
-) -> Result<(), crate::kernel::KernelError> {
+/// Fails for unknown threads, and with [`KernelError::Invalid`] —
+/// nothing changed — when the switch code holds no quantum store.
+pub fn set_quantum(k: &mut Kernel, tid: Tid, quantum_us: u32) -> Result<(), KernelError> {
     let quantum_us = quantum_us.clamp(QUANTUM_MIN_US, QUANTUM_MAX_US);
-    let t = k
-        .threads
-        .get(&tid)
-        .ok_or(crate::kernel::KernelError::NoThread(tid))?;
-    let base = t.sw.base;
-    let qreg =
-        quamachine::devices::dev_reg_addr(k.dev.timer, quamachine::devices::timer::REG_QUANTUM_US);
-    // Find the `move.l #quantum,(timer_qreg)` instruction in the switch
-    // code and patch its immediate.
-    let block = k.m.code.block(base).expect("switch code installed");
-    let idx = block.instrs.iter().position(
-        |i| matches!(i, Instr::Move(Size::L, Operand::Imm(_), Operand::Abs(r)) if *r == qreg),
-    );
-    if let Some(idx) = idx {
-        let addr = k.m.code.addr_of(base, idx).expect("in range");
-        k.m.code.patch(
-            addr,
-            Instr::Move(Size::L, Operand::Imm(quantum_us), Operand::Abs(qreg)),
-        )?;
-        let c = crate::charges::code_patch(&k.m.cost);
-        k.m.charge(c);
-    }
-    if let Some(t) = k.threads.get_mut(&tid) {
-        t.quantum_us = quantum_us;
-    }
+    let (addr, _) = quantum_store(k, tid)?;
+    let qreg = dev_reg_addr(k.dev.timer, timer::REG_QUANTUM_US);
+    k.m.code.patch(
+        addr,
+        Instr::Move(Size::L, Operand::Imm(quantum_us), Operand::Abs(qreg)),
+    )?;
+    let c = crate::charges::code_patch(&k.m.cost);
+    k.m.charge(c);
     Ok(())
 }

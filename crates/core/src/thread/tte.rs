@@ -35,9 +35,11 @@ pub mod off {
     /// Floating-point save area (`fp0`–`fp7`, 8 doubles).
     pub const FP: u32 = 0x48;
     /// The fd table: 16 entries × (read entry, write entry) longs, ending
-    /// at [`GAUGE`]. The quantum has no slot: it lives as an immediate in
-    /// the thread's `sw_in` code, and `Thread::quantum_us` is the host's
-    /// one copy of it (DESIGN.md §14, "One owner per thread fact").
+    /// at [`GAUGE`]; what an open fd's entries serve is its
+    /// [`OpenFd`](super::OpenFd). The quantum has no slot: it lives as an
+    /// immediate in the thread's `sw_in` code, its one record
+    /// (`Kernel::quantum_us` reads it; DESIGN.md §14, "One owner per
+    /// thread fact").
     pub const FD_TABLE: u32 = 0x88;
     /// The thread's I/O gauge: synthesized I/O code increments it; the
     /// fine-grain scheduler reads it (Section 4.4).
@@ -136,8 +138,6 @@ pub struct Thread {
     /// Private code an embedder synthesized for this thread and handed
     /// over with `Kernel::adopt_code`; freed with the thread.
     pub adopted: Vec<Synthesized>,
-    /// Current CPU quantum in µs.
-    pub quantum_us: u32,
     /// Lifecycle state.
     pub state: ThreadState,
     /// The thread's quaspace (installed by `sw_in_mmu`).
@@ -149,8 +149,6 @@ pub struct Thread {
     /// runnable. Work stealing rewrites it; a uniprocessor kernel leaves
     /// it 0.
     pub cpu: usize,
-    /// Gauge value at the scheduler's last adaptation pass.
-    pub last_gauge: u64,
     /// The registers and USP a signal interrupted, until the handler's
     /// `SIG_RETURN` takes them back.
     pub sig_saved: Option<SavedRegs>,
@@ -242,12 +240,10 @@ mod tests {
             trap_write: none(),
             trap_error: none(),
             adopted: Vec::new(),
-            quantum_us: 200,
             state: ThreadState::Stopped,
             map: AddressMap::default(),
             fds: Vec::new(),
             cpu: 0,
-            last_gauge: 0,
             sig_saved: None,
             fault_mark: 0,
             quarantined: false,

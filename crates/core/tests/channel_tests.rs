@@ -5,6 +5,7 @@
 use quamachine::asm::Asm;
 use quamachine::isa::{Operand::*, Size::*};
 use quamachine::mem::AddressMap;
+use synthesis_core::channel::ChannelClass;
 use synthesis_core::io::stream::standard;
 use synthesis_core::kernel::{Kernel, KernelConfig};
 use synthesis_core::monitor;
@@ -38,6 +39,21 @@ fn boot_with_thread() -> (Kernel, Tid) {
     (k, tid)
 }
 
+/// The offset slot each of `tid`'s open fds on file `fid` names, in fd
+/// order.
+fn file_slots(k: &Kernel, tid: Tid, fid: u32) -> Vec<u32> {
+    let fds = &k.threads[&tid].fds;
+    fds.iter()
+        .filter_map(|f| match f.class {
+            ChannelClass::File {
+                fid: g,
+                offset_slot,
+            } if g == fid => Some(offset_slot),
+            _ => None,
+        })
+        .collect()
+}
+
 #[test]
 fn second_open_of_same_file_hits_the_cache() {
     let (mut k, tid) = boot_with_thread();
@@ -66,10 +82,11 @@ fn second_open_of_same_file_hits_the_cache() {
         "the second open installed zero bytes"
     );
 
-    // Both fds share one offset slot (dup-like aliasing) and one ref-
-    // counted channel state.
+    // Both fds share one offset slot (dup-like aliasing).
     let fid = k.fs.lookup("/tmp/f").0.unwrap();
-    assert_eq!(k.file_chans[&(tid, fid)].refs, 2);
+    let slots = file_slots(&k, tid, fid);
+    assert_eq!(slots.len(), 2);
+    assert_eq!(slots[0], slots[1]);
 
     let report = monitor::size_report(&k);
     assert!(
@@ -187,8 +204,7 @@ fn eviction_at_zero_refcount_returns_code_space() {
     assert_eq!(k.creator.codebuf.in_use, code_base, "code space restored");
     assert_eq!(k.heap.in_use, heap_base, "offset slot restored");
     let fid = k.fs.lookup("/tmp/f").0.unwrap();
-    assert!(!k.file_chans.contains_key(&(tid, fid)));
-    assert_eq!(k.fs.file(fid).unwrap().opens, 0);
+    assert!(file_slots(&k, tid, fid).is_empty());
 }
 
 #[test]
@@ -200,11 +216,11 @@ fn shared_offset_slot_aliases_seeks_like_dup() {
     let fid = k.fs.lookup("/tmp/f").0.unwrap();
     k.open_for(tid, "/tmp/f").unwrap();
     k.open_for(tid, "/tmp/f").unwrap();
-    let slot = k.file_chans[&(tid, fid)].offset_slot;
+    let slots = file_slots(&k, tid, fid);
+    let slot = slots[0];
     k.m.mem.poke(slot, L, 123);
-    // Either fd's synthesized code reads the same slot; the host-side
-    // state confirms a single slot serves both.
-    assert_eq!(k.file_chans[&(tid, fid)].refs, 2);
+    // Either fd's synthesized code reads the same slot: both fds name it.
+    assert_eq!(slots, [slot, slot]);
     assert_eq!(k.m.mem.peek(slot, L), 123);
 }
 

@@ -812,6 +812,10 @@ fn pipe_with_one_free_fd_fails_cleanly_and_unwinds() {
     // ...and the pipe's kernel memory was released.
     assert_eq!(k.heap.in_use, before_heap, "no pipe memory leaked");
     assert!(k.pipes.is_empty(), "failed pipe never registered");
+    // A pipe for no thread opens no end: its ring goes back too.
+    assert_eq!(k.pipe_for(tid + 1), Err(errno::EINVAL as u32));
+    assert_eq!(k.heap.in_use, before_heap, "no pipe memory leaked");
+    assert!(k.pipes.is_empty());
 }
 
 /// Take everything `alloc` will still give, largest pieces first.

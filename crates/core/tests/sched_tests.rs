@@ -61,7 +61,7 @@ fn set_quantum_patches_the_switch_code() {
     let tid = k.create_thread(entry, USTACK, user_map()).unwrap();
 
     set_quantum(&mut k, tid, 333).unwrap();
-    assert_eq!(k.threads[&tid].quantum_us, 333);
+    assert_eq!(k.quantum_us(tid).unwrap(), 333);
     // The immediate inside the installed sw_in changed.
     let base = k.threads[&tid].sw.base;
     let qreg =
@@ -76,6 +76,59 @@ fn set_quantum_patches_the_switch_code() {
     );
 }
 
+/// `set_quantum` on switch code without its quantum store fails and
+/// patches nothing, and the quantum reads as unknown.
+#[test]
+fn set_quantum_without_a_quantum_store_fails_loudly() {
+    let mut k = boot();
+    let tid = spin_thread(&mut k, USTACK);
+    let base = k.threads[&tid].sw.base;
+    let qreg =
+        quamachine::devices::dev_reg_addr(k.dev.timer, quamachine::devices::timer::REG_QUANTUM_US);
+    let block = k.m.code.block(base).unwrap();
+    let at = block
+        .instrs
+        .iter()
+        .position(|i| matches!(i, Instr::Move(L, Imm(_), Abs(r)) if *r == qreg))
+        .unwrap();
+    let addr = k.m.code.addr_of(base, at).unwrap();
+    // The same store, aimed one long past the register.
+    let elsewhere = Instr::Move(L, Imm(200), Abs(qreg + 4));
+    k.m.code.patch(addr, elsewhere).unwrap();
+    let cycles = k.m.meter.cycles;
+
+    assert!(matches!(
+        set_quantum(&mut k, tid, 333),
+        Err(synthesis_core::kernel::KernelError::Invalid(_))
+    ));
+    assert_eq!(k.quantum_us(tid), None);
+    assert_eq!(k.m.code.block(base).unwrap().instrs[at], elsewhere);
+    assert_eq!(k.m.meter.cycles, cycles, "nothing charged");
+}
+
+/// A quantum `set_quantum` set survives the lazy-FP resynthesis that
+/// replaces the thread's switch code on its first FP instruction.
+#[test]
+fn an_adapted_quantum_survives_lazy_fp_resynthesis() {
+    let mut k = boot();
+    let mut a = Asm::new("fp_spin");
+    a.fmove_load(Abs(layout::USER_BASE + 0x3_0000), 0);
+    let top = a.here();
+    a.bcc(Cond::T, top);
+    let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
+    let tid = k.create_thread(entry, USTACK, user_map()).unwrap();
+    set_quantum(&mut k, tid, 333).unwrap();
+    let old_sw = k.threads[&tid].sw.base;
+    assert!(!k.uses_fp(&k.threads[&tid]));
+
+    k.start(tid).unwrap();
+    k.run(200_000);
+    assert!(k.uses_fp(&k.threads[&tid]), "the fmove moved it onto sw_fp");
+    assert_ne!(k.threads[&tid].sw.base, old_sw, "new switch code");
+    assert_eq!(k.quantum_us(tid), Some(333));
+    assert_eq!(patched_quantum(&k, tid), 333);
+}
+
 #[test]
 fn set_quantum_clamps_to_bounds() {
     let mut k = boot();
@@ -84,21 +137,21 @@ fn set_quantum_clamps_to_bounds() {
     // Below the floor: clamped up. A zero quantum would make the thread
     // unschedulable.
     set_quantum(&mut k, tid, 0).unwrap();
-    assert_eq!(k.threads[&tid].quantum_us, QUANTUM_MIN_US);
+    assert_eq!(k.quantum_us(tid).unwrap(), QUANTUM_MIN_US);
     assert_eq!(
         patched_quantum(&k, tid),
-        k.threads[&tid].quantum_us,
-        "the sw_in immediate always matches Thread::quantum_us"
+        k.quantum_us(tid).unwrap(),
+        "Kernel::quantum_us reads the sw_in immediate"
     );
 
     // Above the ceiling: clamped down.
     set_quantum(&mut k, tid, 1_000_000).unwrap();
-    assert_eq!(k.threads[&tid].quantum_us, QUANTUM_MAX_US);
-    assert_eq!(patched_quantum(&k, tid), k.threads[&tid].quantum_us);
+    assert_eq!(k.quantum_us(tid).unwrap(), QUANTUM_MAX_US);
+    assert_eq!(patched_quantum(&k, tid), k.quantum_us(tid).unwrap());
 
     // In range: taken verbatim.
     set_quantum(&mut k, tid, 250).unwrap();
-    assert_eq!(k.threads[&tid].quantum_us, 250);
+    assert_eq!(k.quantum_us(tid).unwrap(), 250);
     assert_eq!(patched_quantum(&k, tid), 250);
 }
 
@@ -122,8 +175,8 @@ fn adapt_is_a_noop_for_quarantined_threads() {
     // The healthy thread got all the traffic share, hence the max
     // quantum; the quarantined one was skipped entirely — its quantum
     // and sw_in immediate are both untouched.
-    assert_eq!(k.threads[&good].quantum_us, QUANTUM_MAX_US);
-    assert_eq!(k.threads[&bad].quantum_us, 777);
+    assert_eq!(k.quantum_us(good).unwrap(), QUANTUM_MAX_US);
+    assert_eq!(k.quantum_us(bad).unwrap(), 777);
     assert_eq!(patched_quantum(&k, bad), 777);
 
     // And quarantine still means what it always meant: no restarts.
@@ -201,8 +254,8 @@ fn adapt_rewards_io_bound_threads() {
         k.run(6_000_000);
         policy.adapt(&mut k);
     }
-    let io_q = k.threads[&t_io].quantum_us;
-    let cpu_q = k.threads[&t_cpu].quantum_us;
+    let io_q = k.quantum_us(t_io).unwrap();
+    let cpu_q = k.quantum_us(t_cpu).unwrap();
     assert!(
         io_q > cpu_q,
         "I/O-bound got the larger quantum: {io_q} vs {cpu_q}"
@@ -216,7 +269,7 @@ fn adapt_rewards_io_bound_threads() {
         k.run(6_000_000);
         policy.adapt(&mut k);
     }
-    let io_q2 = k.threads[&t_io].quantum_us;
+    let io_q2 = k.quantum_us(t_io).unwrap();
     assert!(
         io_q2 < io_q,
         "idle I/O thread loses its bonus: {io_q} -> {io_q2}"
@@ -304,7 +357,7 @@ proptest::proptest! {
         bump_gauge(&mut k, a, heavy);
         bump_gauge(&mut k, b, light);
         policy.adapt(&mut k);
-        let (qa1, qb1) = (k.threads[&a].quantum_us, k.threads[&b].quantum_us);
+        let (qa1, qb1) = (k.quantum_us(a).unwrap(), k.quantum_us(b).unwrap());
         proptest::prop_assert!(qa1 > qb1, "I/O-heavy thread got the larger quantum: {qa1} vs {qb1}");
         proptest::prop_assert!((QUANTUM_MIN_US..=QUANTUM_MAX_US).contains(&qa1));
         proptest::prop_assert!((QUANTUM_MIN_US..=QUANTUM_MAX_US).contains(&qb1));
@@ -313,7 +366,7 @@ proptest::proptest! {
         bump_gauge(&mut k, a, light);
         bump_gauge(&mut k, b, heavy);
         policy.adapt(&mut k);
-        let (qa2, qb2) = (k.threads[&a].quantum_us, k.threads[&b].quantum_us);
+        let (qa2, qb2) = (k.quantum_us(a).unwrap(), k.quantum_us(b).unwrap());
         proptest::prop_assert!(qa2 < qa1, "the now-quiet thread's quantum shrinks: {qa1} -> {qa2}");
         proptest::prop_assert!(qb2 > qb1, "the now-busy thread's quantum grows: {qb1} -> {qb2}");
         proptest::prop_assert!((QUANTUM_MIN_US..=QUANTUM_MAX_US).contains(&qa2));
@@ -405,7 +458,7 @@ fn a_fused_writer_earns_a_longer_quantum_than_a_spinner() {
     );
     assert!(gauge(native) > 100, "so does the native writer's");
 
-    let quantum = |tid: Tid| emu.k.threads[&tid].quantum_us;
+    let quantum = |tid: Tid| emu.k.quantum_us(tid).unwrap();
     assert!(
         quantum(fused) > quantum(spinner),
         "fused writer {} µs vs spinner {} µs",
@@ -424,7 +477,7 @@ fn tracing_does_not_move_a_quantum() {
         let (emu, tids, policy) = three_thread_windows(traced, 4);
         let k = &emu.k;
         (
-            tids.map(|t| k.threads[&t].quantum_us),
+            tids.map(|t| k.quantum_us(t).unwrap()),
             tids.map(|t| k.m.mem.peek(k.threads[&t].tte + off::GAUGE, Size::L)),
             policy.adjustments,
             k.m.meter.cycles,

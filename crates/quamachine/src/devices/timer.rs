@@ -51,8 +51,6 @@ pub struct Timer {
     quantum_gen: Vec<u32>,
     /// Quantum interrupts delivered (all CPUs).
     pub quantum_fires: u64,
-    /// Alarm interrupts delivered.
-    pub alarm_fires: u64,
 }
 
 impl Timer {
@@ -65,7 +63,6 @@ impl Timer {
             alarm_gen: 0,
             quantum_gen: vec![0],
             quantum_fires: 0,
-            alarm_fires: 0,
         }
     }
 
@@ -137,7 +134,6 @@ impl Device for Timer {
         let gen = what >> 8;
         match kind {
             EV_ALARM if gen == self.alarm_gen => {
-                self.alarm_fires += 1;
                 ctx.irq.raise_on(ctx.cpu, self.irq_level);
             }
             // Quantum events are scheduled on the arming CPU's timeline

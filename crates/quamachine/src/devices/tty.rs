@@ -46,8 +46,6 @@ pub struct Tty {
     /// Everything the guest wrote (host-visible screen).
     pub output: Vec<u8>,
     irq_enabled: bool,
-    /// Received characters dropped because nothing consumed them in time.
-    pub chars_received: u64,
     /// Ground truth: every byte that actually entered the input FIFO,
     /// post-fault (drops excluded, duplicates doubled). Receivers that
     /// lose nothing read exactly this sequence.
@@ -65,7 +63,6 @@ impl Tty {
             arrival_interval: 0,
             output: Vec::new(),
             irq_enabled: false,
-            chars_received: 0,
             delivered: Vec::new(),
         }
     }
@@ -88,7 +85,6 @@ impl Tty {
             self.input.push_back(c);
             self.delivered.push(c);
         }
-        self.chars_received += copies as u64;
         copies
     }
 

@@ -448,8 +448,7 @@ fn one_reader_and_one_writer_in_two_threads_is_not_solo() {
     assert_eq!(emu.k.pipe_attach(reader, 0), Ok((0, 1)));
     emu.k.close_for(writer, 0).unwrap();
     emu.k.close_for(reader, 1).unwrap();
-    let p = &emu.k.pipes[0];
-    assert_eq!((p.readers, p.writers), (1, 1), "solo by count alone");
+    assert_eq!(emu.k.pipe_ends(0), (1, 1), "solo by count alone");
     assert!(
         emu.k.fused_rw_spec(writer, 1, true).is_none(),
         "the read end is another thread's"
@@ -488,7 +487,7 @@ fn an_attach_never_leaves_the_holder_inside_a_solo_wrapper() {
             panic!("one write site, bound: {bound:?}");
         };
         let (site_at, wrapper) = (site.site, site.wrapper.base);
-        let head_slot = emu.k.pipes[0].head_slot;
+        let head_slot = emu.k.live_pipe(0).expect("open").head_slot;
         let block = emu.k.m.code.block(wrapper).expect("resident");
         let store = block
             .instrs
@@ -510,8 +509,8 @@ fn an_attach_never_leaves_the_holder_inside_a_solo_wrapper() {
         if park {
             emu.k.stop(writer).unwrap();
             assert_eq!(emu.k.pipe_attach(reader, 0), Err(errno::EAGAIN as u32));
-            let p = &emu.k.pipes[0];
-            assert_eq!((p.readers, p.writers, p.fused_by), (1, 1, Some(writer)));
+            let k = &emu.k;
+            assert_eq!((k.pipe_ends(0), k.pipe_holder(0)), ((1, 1), Some(writer)));
             assert_eq!(jsr_targets(&emu.k, "binder_then_writer")[1], wrapper);
             assert_eq!(head(&emu), before, "nothing ran");
             emu.k.start(writer).unwrap();

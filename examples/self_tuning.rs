@@ -58,8 +58,8 @@ fn main() {
     for pass in 0..6 {
         k.run(8_000_000); // half a simulated second
         policy.adapt(&mut k);
-        let io_q = k.threads[&t_io].quantum_us;
-        let cpu_q = k.threads[&t_cpu].quantum_us;
+        let io_q = k.quantum_us(t_io).unwrap();
+        let cpu_q = k.quantum_us(t_cpu).unwrap();
         let g = u64::from(k.m.mem.peek(
             k.threads[&t_io].tte + synthesis::kernel::thread::tte::off::GAUGE,
             synthesis::machine::isa::Size::L,
@@ -70,8 +70,8 @@ fn main() {
         );
         last_gauge = g;
     }
-    let io_q = k.threads[&t_io].quantum_us;
-    let cpu_q = k.threads[&t_cpu].quantum_us;
+    let io_q = k.quantum_us(t_io).unwrap();
+    let cpu_q = k.quantum_us(t_cpu).unwrap();
     assert!(
         io_q > cpu_q,
         "the I/O-bound thread earned the larger quantum ({io_q} vs {cpu_q})"

@@ -253,12 +253,6 @@ pub fn assert_chains_consistent(k: &Kernel) {
             "fault count kept for dead vt {vt:#x}"
         );
     }
-    for (tid, fid) in k.file_chans.keys() {
-        assert!(
-            k.threads.contains_key(tid),
-            "file {fid}'s channel outlives tid {tid}"
-        );
-    }
 
     let mut waiting: BTreeMap<u32, usize> = BTreeMap::new();
     for (wait, tids) in k.wait_lists() {
@@ -289,9 +283,9 @@ pub fn assert_chains_consistent(k: &Kernel) {
         "tty wait flag"
     );
     for (p, pipe) in (0u32..).zip(&k.pipes) {
-        if pipe.readers == 0 && pipe.writers == 0 {
+        let Some(pipe) = pipe else {
             continue; // ring freed, slots with it
-        }
+        };
         assert_eq!(
             flag_up(pipe.r_wait_slot),
             listed(WaitObject::PipeData(p)),
@@ -323,10 +317,12 @@ pub fn assert_chains_consistent(k: &Kernel) {
 ///   reference lives anywhere else. (A kernel with an open stream
 ///   channel holds references outside the fd tables; do not call this
 ///   on one.)
-/// - `File::opens`, `FileChan::refs` and `Pipe::readers`/`writers` equal
-///   the counts of fds naming them;
-/// - a pipe with a live bound wrapper names its holder in `fused_by`,
-///   and every open end of it is the holder's.
+/// - what is open is derived from the fd lists, so this checks what the
+///   derivation relies on: every fd names a file that exists or a pipe
+///   whose ring is live, a thread's fds on one file name one offset slot
+///   and no other (thread, file) names it, and no live pipe goes unnamed;
+/// - a pipe with a live bound wrapper is fused: every open end of it is
+///   its holder's, and [`Kernel::pipe_holder`] names that thread.
 pub fn assert_code_consistent(k: &Kernel) {
     use quamachine::isa::{Instr, Operand, Size};
     use std::collections::BTreeMap;
@@ -347,8 +343,9 @@ pub fn assert_code_consistent(k: &Kernel) {
     };
     // base -> (references counted, block size)
     let mut refs: BTreeMap<u32, (u32, u32)> = BTreeMap::new();
-    let mut opens: BTreeMap<u32, u32> = BTreeMap::new();
-    let mut chan_refs: BTreeMap<(u32, u32), u32> = BTreeMap::new();
+    // (tid, fid) -> the offset slot its fds name, and back
+    let mut slot_of: BTreeMap<(u32, u32), u32> = BTreeMap::new();
+    let mut named_by: BTreeMap<u32, (u32, u32)> = BTreeMap::new();
     // (pid, read_end) -> owning tids, one entry per fd
     let mut ends: BTreeMap<(u32, bool), Vec<u32>> = BTreeMap::new();
     let mut fused: Vec<(u32, u32)> = Vec::new(); // (pid, holder)
@@ -398,11 +395,15 @@ pub fn assert_code_consistent(k: &Kernel) {
             }
             match *class {
                 ChannelClass::Null | ChannelClass::Tty { .. } => {}
-                ChannelClass::File { fid, .. } => {
-                    *opens.entry(fid).or_insert(0) += 1;
-                    *chan_refs.entry((tid, fid)).or_insert(0) += 1;
+                ChannelClass::File { fid, offset_slot } => {
+                    assert!(fid < k.fs.len() as u32, "{at}: no such file");
+                    let slot = *slot_of.entry((tid, fid)).or_insert(offset_slot);
+                    assert_eq!(slot, offset_slot, "{at}: a second offset slot");
+                    let by = *named_by.entry(offset_slot).or_insert((tid, fid));
+                    assert_eq!(by, (tid, fid), "{at}: offset slot {offset_slot:#x} shared");
                 }
                 ChannelClass::Pipe { pid, read_end } => {
+                    assert!(k.live_pipe(pid).is_some(), "{at}: its ring is freed");
                     ends.entry((pid, read_end)).or_default().push(tid);
                     if bound.iter().any(|b| !b.retired) {
                         fused.push((pid, tid));
@@ -422,27 +423,13 @@ pub fn assert_code_consistent(k: &Kernel) {
         "a cache reference is held by something other than an fd"
     );
 
-    for fid in 0..k.fs.len() as u32 {
-        let want = opens.get(&fid).copied().unwrap_or(0);
-        assert_eq!(
-            k.fs.file(fid).map(|f| f.opens),
-            Some(want),
-            "file {fid} opens"
-        );
-    }
-    let held: BTreeMap<(u32, u32), u32> = k.file_chans.iter().map(|(&k, c)| (k, c.refs)).collect();
-    assert_eq!(held, chan_refs, "(tid, fid) offset-slot references");
     for (pid, p) in (0u32..).zip(&k.pipes) {
-        let count = |read_end| ends.get(&(pid, read_end)).map_or(0, Vec::len) as u32;
-        assert_eq!(
-            (p.readers, p.writers),
-            (count(true), count(false)),
-            "pipe {pid} end counts"
-        );
+        let named = ends.contains_key(&(pid, true)) || ends.contains_key(&(pid, false));
+        assert!(p.is_none() || named, "live pipe {pid} is named by no fd");
     }
     for (pid, holder) in fused {
         assert_eq!(
-            k.pipes[pid as usize].fused_by,
+            k.pipe_holder(pid),
             Some(holder),
             "pipe {pid} has live bound sites in tid {holder}"
         );

@@ -16,7 +16,7 @@ use synthesis::codegen::codebuf;
 use synthesis::kernel::io::stream::standard;
 use synthesis::kernel::kernel::{Kernel, KernelConfig};
 use synthesis::kernel::layout;
-use synthesis::kernel::syscall::{general, traps};
+use synthesis::kernel::syscall::{errno, general, traps};
 use synthesis::kernel::thread::Tid;
 
 const CYCLES: usize = 10_000;
@@ -457,8 +457,8 @@ fn a_unix_thread_takes_its_dispatcher_with_it() {
     );
 }
 
-/// An attach that fails half way leaves the pipe as it found it: the end
-/// counts, and the holder whose bound sites it would have retired.
+/// An attach that fails half way leaves the pipe as it found it: its
+/// ends, and the holder whose bound sites it would have retired.
 #[test]
 fn a_failed_attach_leaves_the_pipe_and_its_bound_sites_alone() {
     use quamachine::machine::RunExit;
@@ -472,9 +472,9 @@ fn a_failed_attach_leaves_the_pipe_and_its_bound_sites_alone() {
     for _ in 0..15 {
         k.open_for(other, "/dev/null").unwrap();
     }
-    let found = |k: &Kernel| (k.pipes[0].readers, k.pipes[0].writers, k.pipes[0].fused_by);
+    let found = |k: &Kernel| (k.pipe_ends(0), k.pipe_holder(0));
     let before = found(k);
-    assert_eq!(before, (1, 1, Some(binder)));
+    assert_eq!(before, ((1, 1), Some(binder)));
     assert_eq!(k.pipe_attach(other, 0), Err(24), "EMFILE");
     assert_eq!(found(k), before);
     common::assert_code_consistent(k);
@@ -482,7 +482,7 @@ fn a_failed_attach_leaves_the_pipe_and_its_bound_sites_alone() {
     // With room, it goes through and the sites are retired.
     k.close_for(other, 0).unwrap();
     assert_eq!(k.pipe_attach(other, 0), Ok((0, 15)));
-    assert_eq!(found(k), (2, 2, None));
+    assert_eq!(found(k), ((2, 2), None));
     common::assert_code_consistent(k);
     assert!(k.fused_rw_spec(binder, 1, true).is_none());
 }
@@ -518,4 +518,48 @@ fn a_retired_site_stays_layered_when_its_pipe_is_solo_again() {
     assert_eq!(k.bind_site(binder, 1, true, site, rearm, rearm), rearm);
     assert_eq!(sites(k), [(site, rearm, true)]);
     common::assert_code_consistent(k);
+}
+
+/// An attach to a pipe whose every end has closed answers `EBADF` and
+/// touches nothing: the ring went back to the heap with the last close,
+/// and whatever the heap handed the memory to next keeps it.
+#[test]
+fn attaching_a_freed_pipe_is_ebadf() {
+    let (mut k, tid) = boot_with_thread();
+    assert_eq!(k.pipe_for(tid), Ok((0, 1)));
+    k.close_for(tid, 0).unwrap();
+    k.close_for(tid, 1).unwrap();
+    // The next small allocation takes the ring's freed head slot.
+    let reused = k.heap.alloc(16).unwrap();
+    let (in_use, free) = (k.heap.in_use, k.heap.free_bytes());
+
+    assert_eq!(k.pipe_attach(tid, 0), Err(errno::EBADF as u32));
+    assert!(k.threads[&tid].fds.is_empty(), "no fd opened");
+    assert_eq!((k.heap.in_use, k.heap.free_bytes()), (in_use, free));
+    common::assert_code_consistent(&k);
+    k.heap.free(reused, 16);
+}
+
+/// Destroying a thread that holds two fds on one file and both ends of a
+/// pipe frees the shared offset slot and the ring once each: each fd is
+/// released while the later ones still name them.
+#[test]
+fn destroy_frees_a_shared_offset_slot_and_a_ring_once() {
+    let (mut k, tid) = boot_with_thread();
+    k.fs.create(&mut k.m, &mut k.heap, "/tmp/f", 256).unwrap();
+    let b = baseline(&k);
+    assert_eq!(k.open_for(tid, "/tmp/f"), Ok(0));
+    assert_eq!(k.open_for(tid, "/tmp/f"), Ok(1));
+    assert_eq!(k.pipe_for(tid), Ok((2, 3)));
+    common::assert_code_consistent(&k);
+
+    k.destroy(tid).unwrap();
+    assert!(k.live_pipe(0).is_none(), "the ring is freed");
+    assert_eq!(
+        k.heap.in_use, b.heap_in_use,
+        "slot and ring freed once each"
+    );
+    assert_eq!(k.heap.free_bytes(), b.heap_free);
+    common::assert_code_consistent(&k);
+    common::assert_chains_consistent(&k);
 }

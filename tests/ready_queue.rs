@@ -188,9 +188,8 @@ fn channel_op(k: &mut Kernel, rng: &mut SmallRng, tid: Tid, thunk: u32, sites: &
         }
         3 => {
             // A pipe some thread has fused, when there is one.
-            let alive = |p: &&synthesis::kernel::io::pipe::Pipe| p.readers + p.writers > 0;
-            let fused = k.pipes.iter().filter(alive).find(|p| p.fused_by.is_some());
-            let pid = fused.map_or(rng.random_range(0..PIPES), |p| p.pid);
+            let fused = (0..k.pipes.len() as u32).find(|&p| k.pipe_holder(p).is_some());
+            let pid = fused.unwrap_or(rng.random_range(0..PIPES));
             let _ = k.pipe_attach(tid, pid);
         }
         _ => {

@@ -80,6 +80,9 @@ printf '%-34s %7s\n' "cargo features" "$(features)"
 # What the host keeps per thread and per kernel: a fact has one record.
 printf '%-34s %7s\n' "Thread fields" "$(all_fields Thread crates/core/src/thread/tte.rs)"
 printf '%-34s %7s\n' "Kernel fields" "$(all_fields Kernel crates/core/src/kernel.rs)"
+# What is open is the threads' fd lists: a pipe or file keeps no count of it.
+printf '%-34s %7s\n' "Pipe fields" "$(all_fields Pipe crates/core/src/io/pipe.rs)"
+printf '%-34s %7s\n' "File fields" "$(all_fields File crates/core/src/fs/mod.rs)"
 # The ISA: every form is executed by a measured row or named in the census
 # (`crates/bench/tests/census.rs`).
 printf '%-34s %7s\n' "Instr variants" "$(variants Instr crates/quamachine/src/isa/instr.rs)"
