@@ -25,7 +25,7 @@ pub fn run() -> Vec<Row> {
 
 /// [`run`] on `p`, a fresh [`Probe`].
 pub fn run_on(p: &mut Probe) -> Vec<Row> {
-    let quantum_expiry = |k: &mut Kernel| k.m.irq.raise(irq_levels::QUANTUM);
+    let quantum_expiry = |k: &mut Kernel| k.m.irq.raise_on(k.m.active_cpu(), irq_levels::QUANTUM);
     let spin = p.load_spinner(|_| {});
     let plain = [p.create(spin), p.create(spin)];
     plain.iter().for_each(|&t| p.emu.k.start(t).unwrap());

@@ -79,7 +79,7 @@ pub fn ad_interrupts(p: &mut Probe, user: Tid) -> [Path; 2] {
     ];
     let slot_0 = synthesize(&mut p.emu.k, "irq_ad_slot", &slot_0);
     p.emu.k.set_vector(user, AUDIO_VECTOR, slot_0).unwrap();
-    let audio_irq = |k: &mut Kernel| k.m.irq.raise(irq_levels::AUDIO);
+    let audio_irq = |k: &mut Kernel| k.m.irq.raise_on(k.m.active_cpu(), irq_levels::AUDIO);
     [p.time(audio_irq), p.time(audio_irq)]
 }
 
@@ -106,7 +106,7 @@ pub fn run_on(p: &mut Probe) -> Vec<Row> {
     let [ad_specialized, ad_simple] = ad_interrupts(p, user);
 
     // The alarm handler, its kernel call serviced by the run.
-    let alarm = p.time(|k| k.m.irq.raise(irq_levels::ALARM));
+    let alarm = p.time(|k| k.m.irq.raise_on(k.m.active_cpu(), irq_levels::ALARM));
 
     // Procedure chaining: a handler whose kernel call chains a stub (which
     // calls an empty procedure) onto its return, against the same handler
@@ -125,7 +125,7 @@ pub fn run_on(p: &mut Probe) -> Vec<Row> {
     p.emu.k.set_vector(user, AUDIO_VECTOR, handler).unwrap();
     let mut through_handler = |chained: bool| {
         p.time(|k| {
-            k.m.irq.raise(irq_levels::AUDIO);
+            k.m.irq.raise_on(k.m.active_cpu(), irq_levels::AUDIO);
             assert_eq!(k.m.run(u64::MAX), RunExit::KCall(CHAIN_CALL));
             if chained {
                 chain::chain_procedure(&mut k.m, resume_slot, stub);

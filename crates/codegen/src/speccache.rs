@@ -140,12 +140,6 @@ impl SpecCache {
         SpecCache::default()
     }
 
-    /// Look up `key`; on a hit, take a reference and return the shared
-    /// block (uniprocessor form of [`acquire_on`](SpecCache::acquire_on)).
-    pub fn acquire(&mut self, key: &SpecKey) -> Option<Synthesized> {
-        self.acquire_on(key, 0).map(|(s, _)| s)
-    }
-
     /// Look up `key` from CPU `cpu`; on a hit, take a reference and
     /// return the shared block plus whether the hit crossed CPUs (the
     /// requester is not the CPU that synthesized the block). A hit on a
@@ -160,12 +154,6 @@ impl SpecCache {
         e.refs += 1;
         e.cpus_seen |= 1u32 << (cpu % 32);
         Some((e.code.clone(), cpu != e.first_cpu))
-    }
-
-    /// Insert a freshly synthesized block with one reference
-    /// (uniprocessor form of [`insert_on`](SpecCache::insert_on)).
-    pub fn insert(&mut self, key: SpecKey, code: Synthesized) {
-        self.insert_on(key, code, 0);
     }
 
     /// Insert a freshly synthesized block with one reference, homed on
@@ -383,9 +371,9 @@ mod tests {
     #[test]
     fn acquire_release_lifecycle() {
         let mut c = SpecCache::new();
-        assert!(c.acquire(&key(1)).is_none());
-        c.insert(key(1), synth(0x100, 8, 0));
-        let hit = c.acquire(&key(1)).expect("hit");
+        assert!(c.acquire_on(&key(1), 0).is_none());
+        c.insert_on(key(1), synth(0x100, 8, 0), 0);
+        let (hit, _) = c.acquire_on(&key(1), 0).expect("hit");
         assert_eq!(hit.base, 0x100);
         assert_eq!(c.refs(0x100), Some(2));
         assert_eq!(c.shared_bytes(), 8);
@@ -428,17 +416,17 @@ mod tests {
     #[test]
     fn distinct_bindings_are_distinct_entries() {
         let mut c = SpecCache::new();
-        c.insert(key(1), synth(0x100, 8, 0));
-        c.insert(key(2), synth(0x200, 8, 0));
+        c.insert_on(key(1), synth(0x100, 8, 0), 0);
+        c.insert_on(key(2), synth(0x200, 8, 0), 0);
         assert_eq!(c.len(), 2);
-        assert!(c.acquire(&key(3)).is_none());
+        assert!(c.acquire_on(&key(3), 0).is_none());
         // An unbound hole is a value of its own.
         let unbound = SpecKey::of(
             &two_holes(),
             &Bindings::new().with("a", 1),
             SynthesisOptions::full(),
         );
-        assert!(c.acquire(&unbound).is_none());
+        assert!(c.acquire_on(&unbound, 0).is_none());
     }
 
     #[test]
@@ -480,7 +468,7 @@ mod tests {
         let mut c = SpecCache::new();
         assert!(c.set_budget(u32::MAX).is_empty());
         for (i, &cy) in (0u32..).zip(&cycles) {
-            c.insert(key(i), synth(0x100 * (i + 1), 8, cy));
+            c.insert_on(key(i), synth(0x100 * (i + 1), 8, cy), 0);
         }
         for i in 0..10 {
             assert!(matches!(

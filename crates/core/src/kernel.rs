@@ -308,7 +308,8 @@ pub struct Kernel {
     /// The tty server state.
     pub tty_srv: TtyServer,
     /// Kernel pipes by id: `None` once the last fd naming one closed
-    /// and its ring was freed ([`Kernel::live_pipe`]).
+    /// and its ring was freed ([`Kernel::live_pipe`]), until the next
+    /// [`Kernel::pipe_for`] reuses the lowest such id.
     pub pipes: Vec<Option<Pipe>>,
     /// The synthesis options every block is made with: always
     /// [`SynthesisOptions::full`]; read by the benchmark's codegen probe.
@@ -570,7 +571,7 @@ impl Kernel {
         }
         // The CPUs ticked in lockstep through boot even though CPU 0 did
         // all the work; align the clocks so cross-CPU timestamps compare.
-        k.m.sync_cpu_clocks();
+        k.m.catch_up_cpu_clocks();
         Ok(k)
     }
 
@@ -647,14 +648,9 @@ impl Kernel {
         };
         let [sw, trap_read, trap_write, trap_error] = code.map(|s| s.expect("taken"));
 
-        // Homed where it was created — unless that CPU is out of service
-        // (a host-side create after quarantining the active CPU).
-        let here = self.m.active_cpu();
-        let home = if self.cpus[here].quarantined {
-            self.healthy_cpus().next().unwrap_or(here)
-        } else {
-            here
-        };
+        // Homed where it was created: the active CPU is never out of
+        // service, since a quarantine hands the active role on.
+        let home = self.m.active_cpu();
         let thread = Thread {
             tte,
             sw,
@@ -1170,13 +1166,13 @@ impl Kernel {
                 }
                 if self.m.irq.any_pending_on(i) {
                     halted[i] = false;
-                } else if self.m.delayed_ipi_pending(i) || !self.cpu_starved(i) {
+                } else if !self.cpu_starved(i) {
                     // Timer-fallback rescheduling: the IPI that should
                     // have woken this CPU was lost or is still in
-                    // flight, but its chain holds runnable work (or the
-                    // delayed interrupt needs the CPU running to land).
-                    // Revive it — a dropped IPI costs one rotation of
-                    // latency, never a hang.
+                    // flight, but its chain holds runnable work. Revive
+                    // it — a dropped IPI costs one rotation of latency,
+                    // never a hang; a delayed one is an event on the
+                    // CPU's timeline, which its `stop` sleeps to.
                     halted[i] = false;
                     self.recovery.ipi_fallbacks.tick();
                 }
@@ -1250,6 +1246,11 @@ impl Kernel {
                         if let Err(exit) = self.recover_machine_error(e) {
                             return exit;
                         }
+                        // A CPU its own fault quarantined ends its slice
+                        // (a healthy CPU is active now).
+                        if self.cpus[i].quarantined {
+                            break;
+                        }
                     }
                     other => return other,
                 }
@@ -1259,7 +1260,7 @@ impl Kernel {
             self.ensure_safe_point();
             // Idle is what the machine counted asleep in `stop`; the rest
             // of the slice was busy, whichever thread spent it.
-            let delta = self.m.meter.cycles.saturating_sub(before);
+            let delta = self.m.cpu_cycles(i).saturating_sub(before);
             let idle = self.m.halted_cycles(i) - halted_before;
             self.cpus[i].idle_cycles += idle;
             self.cpus[i].busy_cycles += delta - idle;

@@ -531,25 +531,35 @@ impl Kernel {
         self.pipe_for(tid)
     }
 
-    /// Create a pipe on behalf of a thread (host API).
+    /// Create a pipe on behalf of a thread (host API). It takes the
+    /// lowest id no live pipe holds, so the table is as long as the most
+    /// pipes ever live at once.
     ///
     /// # Errors
     ///
     /// Returns an errno.
     pub fn pipe_for(&mut self, tid: Tid) -> Result<(u32, u32), u32> {
-        let pid = self.pipes.len() as u32;
+        let slot = self.pipes.iter().position(Option::is_none);
+        let slot = slot.unwrap_or(self.pipes.len());
+        let pid = slot as u32;
         let p = self
             .heap_retry(|k| Pipe::allocate(&mut k.m, &mut k.heap, pid, DEFAULT_PIPE_SIZE))
             .map_err(|_| errno::ENOMEM as u32)?;
         // Register before attaching so the endpoints go through the
         // ordinary registry path.
-        self.pipes.push(Some(p));
+        if slot == self.pipes.len() {
+            self.pipes.push(None);
+        }
+        self.pipes[slot] = Some(p);
         self.pipe_attach_inner(tid, pid).inspect_err(|_| {
             // An end that opened went through the one teardown, which
             // freed the ring when its fd closed; free it here if none
-            // opened, and drop the never-exposed table slot.
-            if let Some(Some(p)) = self.pipes.pop() {
+            // opened, and drop a never-exposed table slot at the end.
+            if let Some(p) = self.pipes[slot].take() {
                 p.release(&mut self.heap);
+            }
+            if slot + 1 == self.pipes.len() {
+                self.pipes.pop();
             }
         })
     }

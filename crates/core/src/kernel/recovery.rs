@@ -21,7 +21,7 @@ use quamachine::error::MachineError;
 use quamachine::machine::{RunExit, SICK_WILD_PC};
 use synthesis_blocks::gauge::Gauge;
 
-use super::{Kernel, KernelError};
+use super::{irq_levels, Kernel, KernelError};
 use crate::thread::Tid;
 use crate::trace::{Kind, REC_QUARANTINE, REC_REAP};
 
@@ -287,13 +287,17 @@ impl Kernel {
     }
 
     /// Quarantine CPU `cpu`: evacuate its ready chain onto the healthy
-    /// CPUs, re-home every thread that called it home, re-route device
-    /// interrupts and pending event timelines off it, and stop
-    /// dispatching it. Probation re-admits it after a widening number of
-    /// watchdog sweeps until `CPU_MAX_STRIKES` strikes put it out for
-    /// good. Returns `false` — and does nothing — for an unknown or
-    /// already-quarantined CPU, or when `cpu` is the last healthy CPU
-    /// (the kernel never quarantines itself out of existence).
+    /// CPUs, re-home every thread that called it home, move its timeline
+    /// (device events and IPIs in flight, each keeping its remaining
+    /// delay) and its pending device levels onto a healthy CPU, and stop
+    /// dispatching it. If `cpu` is the active CPU, that healthy CPU
+    /// becomes the active one, so the host's next device call lands
+    /// where it will be serviced. Probation re-admits it after a
+    /// widening number of watchdog sweeps until `CPU_MAX_STRIKES`
+    /// strikes put it out for good. Returns `false` — and does nothing —
+    /// for an unknown or already-quarantined CPU, or when `cpu` is the
+    /// last healthy CPU (the kernel never quarantines itself out of
+    /// existence).
     pub fn quarantine_cpu(&mut self, cpu: usize, reason: &str) -> bool {
         if cpu >= self.cpus.len() || self.cpus[cpu].quarantined {
             return false;
@@ -329,14 +333,24 @@ impl Kernel {
         for ((_, t), &to) in rehome.zip(healthy.iter().cycle()) {
             t.cpu = to;
         }
-        // Device interrupts and pending event timelines must not target
-        // a CPU that will never run again.
-        if self.m.irq.route() == cpu {
-            self.m.irq.reroute_devices(target);
-        }
+        // A device interrupt lands where its event or access was, so
+        // nothing owed to a device may stay on a CPU that will not run
+        // again: its events and in-flight IPIs, and its asserted device
+        // lines (its quantum and IPI lines are its own and stay).
         let from_now = self.m.cpu_cycles(cpu);
         let to_now = self.m.cpu_cycles(target);
         self.m.events.migrate_cpu(cpu, target, from_now, to_now);
+        for level in [irq_levels::ALARM, irq_levels::TTY, irq_levels::AUDIO] {
+            if self.m.irq.is_pending_on(cpu, level) {
+                self.m.irq.clear_on(cpu, level);
+                self.m.irq.raise_on(target, level);
+            }
+        }
+        if self.m.active_cpu() == cpu {
+            let parked_pc = self.m.cpu_ref(target).pc;
+            self.m.switch_cpu(target);
+            self.check_dispatch(target, parked_pc);
+        }
 
         let c = &mut self.cpus[cpu];
         c.strikes += 1;

@@ -101,7 +101,6 @@ impl Kernel {
     /// frame-stack depth cap.
     pub fn pump_trace(&mut self) {
         self.pump_fault_trace();
-        self.trace.dropped = self.m.hooks.dropped;
         if self.m.hooks.is_empty() {
             return;
         }

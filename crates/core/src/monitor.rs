@@ -555,7 +555,7 @@ pub fn trace_report(k: &mut Kernel) -> TraceReport {
         cpus,
         window_start,
         window_end,
-        dropped: k.trace.dropped,
+        dropped: k.m.hooks.dropped,
         records: merged.len(),
     }
 }

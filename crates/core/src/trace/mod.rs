@@ -62,9 +62,6 @@ pub struct TraceSet {
     /// everything and no exception frames are tracked. Lets one binary
     /// compare traced and untraced runs of the same workload.
     pub enabled: bool,
-    /// Machine hook events dropped before the kernel drained them
-    /// (mirrors the hook log's counter at the last pump).
-    pub dropped: u64,
 }
 
 impl TraceSet {
@@ -77,7 +74,6 @@ impl TraceSet {
             frames: BTreeMap::new(),
             cap,
             enabled: true,
-            dropped: 0,
         }
     }
 

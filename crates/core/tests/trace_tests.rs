@@ -388,7 +388,7 @@ fn pingpong_dispatches(trips: u32) -> u64 {
     assert!(k.run_until_exit(ta, 1_000_000_000) && k.run_until_exit(tb, 1_000_000_000));
     assert_eq!(k.m.mem.peek(TOTAL, L), 4 * trips, "every byte moved");
     let report = synthesis_core::monitor::trace_report(&mut k);
-    assert_eq!(k.trace.dropped, 0);
+    assert_eq!(k.m.hooks.dropped, 0);
     report
         .threads
         .iter()

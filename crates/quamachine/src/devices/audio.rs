@@ -116,7 +116,7 @@ impl Device for Audio {
         match off {
             REG_DATA => {
                 self.unread = false;
-                ctx.irq.clear(self.irq_level);
+                ctx.irq.clear_on(ctx.cpu, self.irq_level);
                 self.current
             }
             REG_CTRL => {
@@ -145,7 +145,7 @@ impl Device for Audio {
                     ctx.schedule_in(interval, EV_SAMPLE);
                 }
                 if !self.irq_enabled {
-                    ctx.irq.clear(self.irq_level);
+                    ctx.irq.clear_on(ctx.cpu, self.irq_level);
                 }
             }
             REG_DAC => self.dac_output.push(val),
@@ -165,7 +165,7 @@ impl Device for Audio {
         self.unread = true;
         self.samples_generated += 1;
         if self.irq_enabled {
-            ctx.irq.raise(self.irq_level);
+            ctx.irq.raise_on(ctx.cpu, self.irq_level);
         }
         let interval = ctx.cycles_per_event(u64::from(self.rate_hz));
         ctx.schedule_in(interval, EV_SAMPLE);

@@ -48,7 +48,11 @@ pub struct DevCtx<'a> {
     /// CPU clock, for converting real-time rates to cycles.
     pub clock_hz: u64,
     /// The CPU whose access (or event) this context serves — `now` is
-    /// that CPU's clock, and events scheduled here fire on its timeline.
+    /// that CPU's clock, events scheduled here fire on its timeline, and
+    /// the device raises and clears its level on this CPU's lines. A
+    /// host call through
+    /// [`Machine::with_dev_ctx`](crate::machine::Machine::with_dev_ctx)
+    /// serves the active CPU.
     pub cpu: usize,
 }
 
@@ -70,8 +74,8 @@ impl DevCtx<'_> {
     ///
     /// Only *self-healing* sources should route through this (e.g. the
     /// periodic quantum timer, which re-raises every period); one-shot
-    /// completion interrupts use `ctx.irq.raise` directly so a lost edge
-    /// cannot wedge a waiter forever.
+    /// completion interrupts use `ctx.irq.raise_on(ctx.cpu, level)`
+    /// directly so a lost edge cannot wedge a waiter forever.
     pub fn raise_irq(&mut self, level: u8) {
         if self.fault.lose_irq(self.now, level) {
             return;

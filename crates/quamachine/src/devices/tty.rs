@@ -98,7 +98,7 @@ impl Tty {
             arrived += self.receive(c, ctx);
         }
         if was_empty && arrived > 0 && self.irq_enabled {
-            ctx.irq.raise(self.irq_level);
+            ctx.irq.raise_on(ctx.cpu, self.irq_level);
         }
     }
 
@@ -132,10 +132,10 @@ impl Device for Tty {
             REG_DATA => {
                 let c = self.input.pop_front().map_or(0, u32::from);
                 if self.input.is_empty() {
-                    ctx.irq.clear(self.irq_level);
+                    ctx.irq.clear_on(ctx.cpu, self.irq_level);
                 } else if self.irq_enabled {
                     // More input: keep the level asserted.
-                    ctx.irq.raise(self.irq_level);
+                    ctx.irq.raise_on(ctx.cpu, self.irq_level);
                 }
                 c
             }
@@ -156,10 +156,10 @@ impl Device for Tty {
             REG_CTRL => {
                 self.irq_enabled = val & CTRL_RX_IRQ != 0;
                 if self.irq_enabled && self.rx_ready() {
-                    ctx.irq.raise(self.irq_level);
+                    ctx.irq.raise_on(ctx.cpu, self.irq_level);
                 }
                 if !self.irq_enabled {
-                    ctx.irq.clear(self.irq_level);
+                    ctx.irq.clear_on(ctx.cpu, self.irq_level);
                 }
             }
             _ => {}
@@ -170,7 +170,7 @@ impl Device for Tty {
         if what == EV_ARRIVAL {
             if let Some(c) = self.staged.pop_front() {
                 if self.receive(c, ctx) > 0 && self.irq_enabled {
-                    ctx.irq.raise(self.irq_level);
+                    ctx.irq.raise_on(ctx.cpu, self.irq_level);
                 }
             }
             if !self.staged.is_empty() {

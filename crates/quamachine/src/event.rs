@@ -5,13 +5,22 @@
 //! machine pops due events between instructions.
 //!
 //! On a multiprocessor Quamachine each CPU has its own virtual clock, so
-//! every event is tagged with the CPU whose timeline its `when` belongs
-//! to: the CPU that was active when the event was scheduled. Each CPU
-//! pops only its own events. A single-CPU machine tags everything CPU 0,
-//! which degenerates to the old behavior exactly.
+//! each CPU has its own timeline: every event is tagged with the CPU
+//! whose clock its `when` is read on, fires on that CPU, and lands its
+//! interrupt there. A device's event is tagged with the CPU that was
+//! active when the device scheduled it; a fault-delayed IPI
+//! ([`IPI_EVENT`]) with its target. Everything a CPU has pending is on
+//! its own timeline, so a stopped CPU sleeps to its next event and a
+//! quarantined CPU's work moves with [`EventQueue::migrate_cpu`]. A
+//! single-CPU machine tags everything CPU 0.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// The `dev` of an event that belongs to no device: an inter-processor
+/// interrupt the fault plan held in flight, which asserts level `what` on
+/// the event's CPU when it fires.
+pub const IPI_EVENT: usize = usize::MAX;
 
 /// A scheduled event: fire `what` on device `dev` at cycle `when` of CPU
 /// `cpu`'s clock.
@@ -19,7 +28,8 @@ use std::collections::BinaryHeap;
 pub struct Event {
     /// Absolute cycle count at which the event fires.
     pub when: u64,
-    /// Index of the device in the machine's device table.
+    /// Index of the device in the machine's device table, or
+    /// [`IPI_EVENT`].
     pub dev: usize,
     /// Device-private event tag.
     pub what: u32,
@@ -64,12 +74,6 @@ impl EventQueue {
         &mut self.heaps[cpu]
     }
 
-    /// Schedule `what` for device `dev` at absolute cycle `when` on CPU
-    /// 0's timeline.
-    pub fn schedule(&mut self, when: u64, dev: usize, what: u32) {
-        self.schedule_on(when, dev, what, 0);
-    }
-
     /// Schedule `what` for device `dev` at absolute cycle `when` of CPU
     /// `cpu`'s clock.
     pub fn schedule_on(&mut self, when: u64, dev: usize, what: u32, cpu: usize) {
@@ -82,11 +86,6 @@ impl EventQueue {
             cpu,
             seq,
         }));
-    }
-
-    /// Pop the next CPU-0 event if it is due at or before `now`.
-    pub fn pop_due(&mut self, now: u64) -> Option<Event> {
-        self.pop_due_on(now, 0)
     }
 
     /// Pop the next event for CPU `cpu` if it is due at or before `now`
@@ -106,23 +105,12 @@ impl EventQueue {
         self.heaps.get(cpu)?.peek().map(|Reverse(e)| e.when)
     }
 
-    /// Number of scheduled events across all CPUs.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heaps.iter().map(BinaryHeap::len).sum()
-    }
-
-    /// Whether no events are scheduled.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heaps.iter().all(BinaryHeap::is_empty)
-    }
-
     /// Move every event scheduled on CPU `from`'s timeline onto CPU
     /// `to`'s, preserving each event's *remaining* delay: an event due at
     /// `when` on a clock reading `from_now` becomes due at `to_now +
     /// (when - from_now)` (already-due events fire immediately). Used
-    /// when a CPU is quarantined and another must service its devices.
+    /// when a CPU is quarantined and another must service its devices
+    /// and take the IPIs in flight to it.
     /// Returns how many events moved.
     pub fn migrate_cpu(&mut self, from: usize, to: usize, from_now: u64, to_now: u64) -> usize {
         if from == to || self.heaps.len() <= from {
@@ -145,20 +133,6 @@ impl EventQueue {
         }
         n
     }
-
-    /// Whether CPU `cpu` has any events scheduled.
-    #[must_use]
-    pub fn has_events_for(&self, cpu: usize) -> bool {
-        self.heaps.get(cpu).is_some_and(|h| !h.is_empty())
-    }
-
-    /// Remove all events for a device (used when resetting a device).
-    pub fn cancel_device(&mut self, dev: usize) {
-        for heap in &mut self.heaps {
-            let keep: Vec<_> = heap.drain().filter(|Reverse(e)| e.dev != dev).collect();
-            *heap = keep.into_iter().collect();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -168,44 +142,33 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.schedule(30, 0, 3);
-        q.schedule(10, 1, 1);
-        q.schedule(20, 2, 2);
-        assert_eq!(q.pop_due(100).unwrap().what, 1);
-        assert_eq!(q.pop_due(100).unwrap().what, 2);
-        assert_eq!(q.pop_due(100).unwrap().what, 3);
-        assert!(q.pop_due(100).is_none());
+        q.schedule_on(30, 0, 3, 0);
+        q.schedule_on(10, 1, 1, 0);
+        q.schedule_on(20, 2, 2, 0);
+        assert_eq!(q.pop_due_on(100, 0).unwrap().what, 1);
+        assert_eq!(q.pop_due_on(100, 0).unwrap().what, 2);
+        assert_eq!(q.pop_due_on(100, 0).unwrap().what, 3);
+        assert!(q.pop_due_on(100, 0).is_none());
     }
 
     #[test]
     fn not_due_yet() {
         let mut q = EventQueue::new();
-        q.schedule(50, 0, 1);
-        assert!(q.pop_due(49).is_none());
+        q.schedule_on(50, 0, 1, 0);
+        assert!(q.pop_due_on(49, 0).is_none());
         assert_eq!(q.next_due_for(0), Some(50));
-        assert!(q.pop_due(50).is_some());
+        assert!(q.pop_due_on(50, 0).is_some());
     }
 
     #[test]
     fn simultaneous_events_fifo() {
         let mut q = EventQueue::new();
-        q.schedule(10, 0, 1);
-        q.schedule(10, 0, 2);
-        q.schedule(10, 0, 3);
-        assert_eq!(q.pop_due(10).unwrap().what, 1);
-        assert_eq!(q.pop_due(10).unwrap().what, 2);
-        assert_eq!(q.pop_due(10).unwrap().what, 3);
-    }
-
-    #[test]
-    fn cancel_device_removes_only_that_device() {
-        let mut q = EventQueue::new();
-        q.schedule(10, 0, 1);
-        q.schedule(20, 1, 2);
-        q.schedule(30, 0, 3);
-        q.cancel_device(0);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop_due(100).unwrap().what, 2);
+        q.schedule_on(10, 0, 1, 0);
+        q.schedule_on(10, 0, 2, 0);
+        q.schedule_on(10, 0, 3, 0);
+        assert_eq!(q.pop_due_on(10, 0).unwrap().what, 1);
+        assert_eq!(q.pop_due_on(10, 0).unwrap().what, 2);
+        assert_eq!(q.pop_due_on(10, 0).unwrap().what, 3);
     }
 
     #[test]
@@ -219,35 +182,28 @@ mod tests {
         assert_eq!(q.next_due_for(0), Some(10));
         assert_eq!(q.next_due_for(1), None);
         assert_eq!(q.pop_due_on(100, 0).unwrap().what, 1);
-        assert!(q.is_empty());
+        assert_eq!(q.next_due_for(0), None);
     }
 
     #[test]
     fn migrate_preserves_remaining_delay() {
         let mut q = EventQueue::new();
         // On CPU 1's clock (reading 100): one event 50 cycles out, one
-        // already overdue.
+        // already overdue, and an IPI in flight 20 cycles out.
         q.schedule_on(150, 3, 7, 1);
         q.schedule_on(90, 3, 8, 1);
+        q.schedule_on(120, IPI_EVENT, 1, 1);
         let n = q.migrate_cpu(1, 0, 100, 1000);
-        assert_eq!(n, 2);
-        assert!(!q.has_events_for(1));
-        // Overdue fires immediately on the new clock; the other keeps
-        // its 50-cycle remainder.
+        assert_eq!(n, 3);
+        assert_eq!(q.next_due_for(1), None);
+        // Overdue fires immediately on the new clock; the others keep
+        // their remainders.
         let first = q.pop_due_on(1000, 0).unwrap();
         assert_eq!((first.what, first.when, first.cpu), (8, 1000, 0));
+        assert!(q.pop_due_on(1019, 0).is_none());
+        let ipi = q.pop_due_on(1020, 0).unwrap();
+        assert_eq!((ipi.dev, ipi.what, ipi.cpu), (IPI_EVENT, 1, 0));
         assert!(q.pop_due_on(1049, 0).is_none());
         assert_eq!(q.pop_due_on(1050, 0).unwrap().what, 7);
-    }
-
-    #[test]
-    fn cancel_device_spans_cpus() {
-        let mut q = EventQueue::new();
-        q.schedule_on(10, 0, 1, 0);
-        q.schedule_on(10, 0, 2, 1);
-        q.schedule_on(10, 1, 3, 1);
-        q.cancel_device(0);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop_due_on(100, 1).unwrap().what, 3);
     }
 }

@@ -151,8 +151,9 @@ impl Machine {
             return Ok(ControlFlow::Break(None));
         }
 
-        // STOP state: sleep until the next device event on this CPU's
-        // timeline can raise an IRQ, or until `limit` if that comes first.
+        // STOP state: sleep until the next event on this CPU's timeline
+        // (a device's, or an IPI in flight) can raise an IRQ, or until
+        // `limit` if that comes first.
         if self.cpu.stopped {
             return Ok(ControlFlow::Break(match self.events.next_due_for(active) {
                 Some(next) => {
@@ -179,8 +180,8 @@ impl Machine {
     /// The clock below which a quiet head stays quiet, provided no
     /// instruction sets `disturbed`: the next event due on this CPU, capped
     /// by `limit`. Zero — a stretch of one instruction — while the head has
-    /// work on every step (a fault plan to consult, a delayed IPI to time)
-    /// or `run` has breakpoints to probe.
+    /// work on every step (a fault plan to consult) or `run` has
+    /// breakpoints to probe.
     fn quiet_horizon(&self, limit: u64) -> u64 {
         if self.events_due() || !self.breakpoints.is_empty() {
             return 0;

@@ -8,7 +8,7 @@ use crate::cost::CostModel;
 use crate::cpu::Cpu;
 use crate::devices::{DevCtx, Device, DEV_BASE, DEV_WINDOW};
 use crate::error::{Exception, MachineError};
-use crate::event::EventQueue;
+use crate::event::{EventQueue, IPI_EVENT};
 use crate::fault::{CpuDispatchFault, FaultPlan, IpiFault};
 use crate::irq::IrqController;
 use crate::mem::{AddressMap, Memory};
@@ -94,15 +94,6 @@ pub const SICK_WILD_PC: u32 = 0x00F0_0000;
 /// The level a spurious IPI asserts (the reschedule IPI line).
 const SPURIOUS_IPI_LEVEL: u8 = 1;
 
-/// An IPI held in flight by the fault plan: it lands on `cpu` when that
-/// CPU's clock reaches `due`.
-#[derive(Debug, Clone, Copy)]
-struct DelayedIpi {
-    cpu: usize,
-    level: u8,
-    due: u64,
-}
-
 /// Where the instruction at `pc` lives, remembered by the step that
 /// computed `pc` as its fall-through or taken-branch target. It answers
 /// `code.locate(pc)` for that one address while the slot still holds the
@@ -125,7 +116,7 @@ pub struct Machine {
     pub code: CodeMem,
     /// Interrupt controller.
     pub irq: IrqController,
-    /// Device event queue.
+    /// Every CPU's timeline: device events and IPIs in flight.
     pub events: EventQueue,
     /// Attached devices, indexed by attach order.
     pub devices: Vec<Box<dyn Device>>,
@@ -146,9 +137,6 @@ pub struct Machine {
     /// Index of the CPU whose context currently occupies `cpu`,
     /// `meter.cycles`, and `mem.map`.
     active: usize,
-    /// IPIs the fault plan delayed in flight; delivered by the event
-    /// pump once the target CPU's clock catches up.
-    delayed_ipis: Vec<DelayedIpi>,
     /// The next sequential fetch, if the last step could name it.
     pub(crate) next_fetch: Option<FetchMemo>,
     /// Set by everything an instruction can do that may change what the
@@ -162,13 +150,11 @@ impl Machine {
     #[must_use]
     pub fn new(config: MachineConfig) -> Machine {
         let ncpus = config.cpus.max(1);
-        let mut irq = IrqController::new();
-        irq.set_cpus(ncpus);
         Machine {
             cpu: Cpu::new(),
             mem: Memory::new(config.mem_size),
             code: CodeMem::new(),
-            irq,
+            irq: IrqController::new(ncpus),
             events: EventQueue::new(),
             devices: Vec::new(),
             meter: Meter::new(config.trace_capacity),
@@ -185,7 +171,6 @@ impl Machine {
                 })
                 .collect(),
             active: 0,
-            delayed_ipis: Vec::new(),
             next_fetch: None,
             disturbed: false,
         }
@@ -264,26 +249,10 @@ impl Machine {
         }
     }
 
-    /// Align every CPU's virtual clock to the most advanced one. The
-    /// embedder calls this when the CPUs conceptually ticked in lockstep
-    /// while only one was simulated — e.g. at the end of boot, where CPU
-    /// 0 does all the work but the others' clocks ran too.
-    pub fn sync_cpu_clocks(&mut self) {
-        let max = (0..self.num_cpus())
-            .map(|i| self.cpu_cycles(i))
-            .max()
-            .unwrap_or(0);
-        for slot in &mut self.slots {
-            slot.cycles = max;
-        }
-        self.meter.cycles = max;
-    }
-
     /// Raise every *parked* CPU's clock to at least the active CPU's.
     /// This is the catch-up for host-side work charged to the active CPU
-    /// between runs (thread creation, synthesis, emulator services): the
-    /// parked CPUs conceptually ticked along. Unlike
-    /// [`Machine::sync_cpu_clocks`] it never moves the active clock
+    /// (boot, thread creation, synthesis, emulator services): the parked
+    /// CPUs conceptually ticked along. It never moves the active clock
     /// forward, so a parked CPU that merely overshot its last run slice
     /// (slice granularity, not conceptual time) cannot inflate the
     /// active CPU's — the embedder's measuring — clock.
@@ -331,8 +300,10 @@ impl Machine {
     }
 
     /// Send an inter-processor interrupt at `level` to `cpu` through the
-    /// fault plan: delivered, lost, or held in flight and delivered when
-    /// the target's clock reaches the delayed due time.
+    /// fault plan: delivered, lost, or held in flight — an
+    /// [`IPI_EVENT`] on the target's timeline, due the delay after its
+    /// clock's reading now, so it wakes a stopped target on time and
+    /// moves with the target's other events.
     pub fn send_ipi(&mut self, cpu: usize, level: u8) {
         self.irq.ipis_sent += 1;
         if self.fault.is_active() {
@@ -340,19 +311,14 @@ impl Machine {
                 Some(IpiFault::Lost) => return,
                 Some(IpiFault::Delayed(d)) => {
                     let due = self.cpu_cycles(cpu).saturating_add(d);
-                    self.delayed_ipis.push(DelayedIpi { cpu, level, due });
+                    self.events
+                        .schedule_on(due, IPI_EVENT, u32::from(level), cpu);
                     return;
                 }
                 None => {}
             }
         }
         self.irq.raise_on(cpu, level);
-    }
-
-    /// Whether a fault-delayed IPI is still in flight toward `cpu`.
-    #[must_use]
-    pub fn delayed_ipi_pending(&self, cpu: usize) -> bool {
-        self.delayed_ipis.iter().any(|d| d.cpu == cpu)
     }
 
     /// Attach a device; returns its index (which determines its register
@@ -522,39 +488,20 @@ impl Machine {
     }
 
     /// Whether [`Machine::process_events`] has anything to do right now:
-    /// a delayed IPI in flight, a fault plan to consult, or an event due
-    /// on the active CPU. The per-step guard around it.
+    /// a fault plan to consult, or an event due on the active CPU. The
+    /// per-step guard around it.
     #[inline]
     pub(crate) fn events_due(&self) -> bool {
-        !self.delayed_ipis.is_empty()
-            || self.fault.is_active()
+        self.fault.is_active()
             || self
                 .events
                 .next_due_for(self.active)
                 .is_some_and(|due| due <= self.meter.cycles)
     }
 
-    /// Deliver all device events due on the active CPU at its current
-    /// cycle, plus any fault-delayed IPIs whose due time this CPU's
-    /// clock has reached.
+    /// Deliver every event due on the active CPU at its current cycle:
+    /// device ticks, and the IPIs in flight to it that have landed.
     pub fn process_events(&mut self) {
-        if !self.delayed_ipis.is_empty() {
-            let (active, now) = (self.active, self.meter.cycles);
-            let mut landed = 0u8;
-            self.delayed_ipis.retain(|d| {
-                if d.cpu == active && d.due <= now {
-                    landed |= 1 << (d.level - 1);
-                    false
-                } else {
-                    true
-                }
-            });
-            for level in 1..=7u8 {
-                if landed & (1 << (level - 1)) != 0 {
-                    self.irq.raise_on(active, level);
-                }
-            }
-        }
         if self.fault.is_active() {
             if let Some(level) = self.fault.spurious_irq(self.meter.cycles) {
                 self.irq.raise_on(self.active, level);
@@ -567,6 +514,10 @@ impl Machine {
             }
         }
         while let Some(ev) = self.events.pop_due_on(self.meter.cycles, self.active) {
+            if ev.dev == IPI_EVENT {
+                self.irq.raise_on(self.active, ev.what as u8);
+                continue;
+            }
             let Machine {
                 devices,
                 irq,

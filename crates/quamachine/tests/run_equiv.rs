@@ -13,6 +13,7 @@ use quamachine::asm::Asm;
 use quamachine::devices::dev_reg_addr;
 use quamachine::devices::timer::{Timer, REG_ALARM_US, REG_QUANTUM_US};
 use quamachine::devices::tty::{Tty, CTRL_RX_IRQ, REG_CTRL, REG_DATA};
+use quamachine::fault::FaultRecord;
 use quamachine::isa::{Cond, IndexSpec, Operand, Operand::*, ShiftKind, Size, Size::*};
 use quamachine::mem::AddressMap;
 use quamachine::trace::MachEvent;
@@ -163,9 +164,8 @@ struct Snapshot {
     trace: Vec<(u32, quamachine::isa::Instr, u64)>,
     /// Pending lines per CPU, accepted counts, IPIs sent.
     irq: String,
-    next_events: Vec<Option<u64>>,
-    events: usize,
-    delayed_ipis: Vec<bool>,
+    /// Every CPU's timeline: device events and IPIs in flight.
+    events: String,
     faults: String,
 }
 
@@ -177,7 +177,6 @@ fn snapshot(m: &mut Machine, exit: RunExit) -> Snapshot {
         exit,
         active: m.active_cpu(),
         cpus: cpus
-            .clone()
             .map(|i| (format!("{:?}", m.cpu_ref(i)), m.cpu_cycles(i)))
             .collect(),
         instrs: m.meter.instr_count,
@@ -192,9 +191,7 @@ fn snapshot(m: &mut Machine, exit: RunExit) -> Snapshot {
             .map(|r| (r.pc, r.instr, r.cycle))
             .collect(),
         irq: format!("{:?}", m.irq),
-        next_events: cpus.clone().map(|i| m.events.next_due_for(i)).collect(),
-        events: m.events.len(),
-        delayed_ipis: cpus.map(|i| m.delayed_ipi_pending(i)).collect(),
+        events: format!("{:?}", m.events),
         faults: format!("{:?} {:?}", m.fault.stats, m.fault.trace()),
     }
 }
@@ -350,7 +347,7 @@ fn a_pending_irq_is_taken_right_after_move_to_sr_unmasks_it() {
             straight_line(&mut a, 20);
             a.halt();
             load_noting(&mut m, a, "next");
-            m.irq.raise(3);
+            m.irq.raise_on(0, 3);
             m
         },
         &undisturbed,
@@ -381,7 +378,7 @@ fn a_pending_irq_is_taken_right_after_rte_unmasks_it() {
             m.cpu.a[7] = SSP - 6;
             m.mem.poke(SSP - 6, W, 0x2000);
             m.mem.poke(SSP - 4, L, SIDE);
-            m.irq.raise(3);
+            m.irq.raise_on(0, 3);
             m
         },
         &undisturbed,
@@ -462,6 +459,54 @@ fn stop_sleeps_no_further_than_the_budget() {
         woke,
         Some(alarm + quamachine::cost::IACK_BASE),
         "accepted at the alarm's cycle"
+    );
+}
+
+/// A fault-delayed IPI is an event on its target's timeline: a target
+/// stopped with nothing else due sleeps to the IPI's due cycle and takes
+/// it there, instead of halting with the IPI still in flight.
+#[test]
+fn stop_wakes_at_a_delayed_ipi_s_due_cycle() {
+    let build = || {
+        let mut m = machine(2);
+        m.fault = FaultPlan::seeded(
+            3,
+            FaultConfig {
+                ipi_delay_permille: 1000,
+                ipi_delay_max_cycles: 5_000,
+                ..FaultConfig::none()
+            },
+        );
+        let mut a = Asm::new("side");
+        straight_line(&mut a, 10);
+        a.stop(0x2000);
+        straight_line(&mut a, 10);
+        a.halt();
+        load(&mut m, SIDE, a);
+        m.cpu_mut(1).pc = SIDE;
+        m.send_ipi(1, 1);
+        m.switch_cpu(1);
+        m
+    };
+    lockstep("stop with an IPI in flight", &build, &undisturbed);
+
+    let mut m = build();
+    let due = match m.fault.trace() {
+        [FaultRecord::IpiDelayed { cpu: 1, delay, .. }] => *delay,
+        other => panic!("expected one IPI delayed to cpu 1, got {other:?}"),
+    };
+    assert_eq!(m.run(1 << 20), RunExit::Halted);
+    assert_eq!(count(&m, irq_vector(1)), 1, "the IPI was taken");
+    let woke = std::iter::from_fn(|| m.hooks.pop()).find_map(|e| match e {
+        MachEvent::IrqAccept {
+            level: 1, cycle, ..
+        } => Some(cycle),
+        _ => None,
+    });
+    assert_eq!(
+        woke,
+        Some(due + quamachine::cost::IACK_BASE),
+        "accepted at the IPI's due cycle"
     );
 }
 

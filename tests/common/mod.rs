@@ -11,7 +11,7 @@
 
 #![allow(dead_code)] // each test binary uses a subset of these helpers
 
-use synthesis::kernel::kernel::Kernel;
+use synthesis::kernel::kernel::{irq_levels, Kernel};
 
 /// The base seed: 0 unless `SOAK_SEED=<n>` overrides it.
 pub fn soak_base() -> u64 {
@@ -236,7 +236,19 @@ pub fn assert_chains_consistent(k: &Kernel) {
             [cpu.idle_tid],
             "threads homed on quarantined cpu {c}"
         );
-        assert_ne!(k.m.irq.route(), c, "devices interrupt quarantined cpu {c}");
+        // Nothing owed to a device waits on a CPU that will not run: no
+        // event or in-flight IPI on its timeline, no device line asserted.
+        assert_eq!(
+            k.m.events.next_due_for(c),
+            None,
+            "an event waits on quarantined cpu {c}"
+        );
+        for level in [irq_levels::ALARM, irq_levels::TTY, irq_levels::AUDIO] {
+            assert!(
+                !k.m.irq.is_pending_on(c, level),
+                "device level {level} pending on quarantined cpu {c}"
+            );
+        }
     }
 
     for (&tid, t) in &k.threads {

@@ -12,7 +12,7 @@
 //!   storms get the thread quarantined by the watchdog;
 //! - the same seed reproduces byte-for-byte the same fault trace.
 
-use synthesis::kernel::kernel::{Kernel, KernelConfig, KernelError};
+use synthesis::kernel::kernel::{irq_levels, Kernel, KernelConfig, KernelError};
 use synthesis::kernel::layout;
 use synthesis::kernel::syscall::{general, traps};
 use synthesis::machine::asm::Asm;
@@ -813,5 +813,112 @@ fn a_recycled_vector_table_inherits_no_fault_count() {
     assert_eq!(k.run(1_000_000), RunExit::CycleLimit);
     assert!(!k.is_quarantined(tid), "{:?}", k.recovery_log);
     assert_eq!(k.recovery_log.len(), 1, "{:?}", k.recovery_log);
+    common::assert_chains_consistent(&k);
+}
+
+// ------------------------------------------------------ one timeline --
+
+/// The cycles at which CPU `cpu` accepted an interrupt at `level`, from
+/// the kernel's trace.
+fn accepts(k: &mut Kernel, cpu: usize, level: u8) -> Vec<u64> {
+    let q = synthesis::kernel::trace::TraceQuery::snapshot(k);
+    q.kind(synthesis::kernel::trace::Kind::Irq)
+        .records()
+        .iter()
+        .filter(|r| usize::from(r.flags) == cpu && r.a == u32::from(level))
+        .map(|r| r.cycle)
+        .collect()
+}
+
+/// A CPU's quarantine moves the IPIs in flight to it with the rest of its
+/// timeline: one still in flight lands on the CPU that took its work,
+/// after the delay it had left.
+#[test]
+fn a_delayed_ipi_to_a_quarantined_cpu_lands_on_the_target_after_its_remaining_delay() {
+    let mut k = boot_smp(2);
+    let mut a = Asm::new("spin");
+    let top = a.here();
+    a.bcc(synthesis::machine::isa::Cond::T, top);
+    let block = k.load_user_program(a.assemble().unwrap()).unwrap();
+    let tid = k.create_thread(block, USTACK, user_map()).unwrap();
+    // Both CPUs settle into their idle loops; the spinner is homed on the
+    // one not active, so starting it sends that CPU an IPI.
+    k.run(200_000);
+    let home = 1 - k.m.active_cpu();
+    let target = 1 - home;
+    k.threads.get_mut(&tid).unwrap().cpu = home;
+    k.m.fault = FaultPlan::seeded(
+        1,
+        FaultConfig {
+            ipi_delay_permille: 1000,
+            ipi_delay_max_cycles: 20_000,
+            ..FaultConfig::none()
+        },
+    );
+    let sent_at = k.m.cpu_cycles(home);
+    k.start(tid).unwrap();
+    let due = match k.m.fault.trace() {
+        [FaultRecord::IpiDelayed { cpu, delay, .. }] if *cpu == home => sent_at + delay,
+        other => panic!("expected one IPI delayed to cpu {home}, got {other:?}"),
+    };
+    let left = due - k.m.cpu_cycles(home);
+
+    assert!(k.quarantine_cpu(home, "test: an IPI in flight"));
+    let lands = k.m.cpu_cycles(target) + left;
+    common::assert_chains_consistent(&k);
+    k.run(100_000);
+    assert_eq!(accepts(&mut k, home, irq_levels::IPI), []);
+    let at = accepts(&mut k, target, irq_levels::IPI);
+    assert_eq!(at.len(), 1, "the IPI landed once, on the target");
+    assert!(
+        (lands..lands + 16).contains(&at[0]),
+        "accepted at {}, {left} cycles after the quarantine at {}",
+        at[0],
+        lands - left
+    );
+    assert_eq!(k.current_tid_on(target), Some(tid), "the spinner moved");
+}
+
+/// A quarantine leaves a healthy CPU active, so the tty's arrival
+/// events, raises and clears all land on a CPU that runs: with the
+/// active CPU 0 quarantined, bytes typed right after reach the raw
+/// reader exactly, one interrupt each, while CPU 0 is still out.
+#[test]
+fn a_quarantined_boot_cpu_leaves_the_raw_tty_exact() {
+    const TYPED: &[u8] = b"quarantine";
+    let mut k = boot_smp(2);
+    assert_eq!(k.m.active_cpu(), 0);
+    assert!(k.quarantine_cpu(0, "test: tty on the survivor"));
+
+    let mut a = Asm::new("ttyexact");
+    a.move_i(L, general::OPEN, Dr(0));
+    a.lea(Abs(UBUF2), 0);
+    a.trap(traps::GENERAL);
+    a.lea(Abs(UBUF), 0);
+    a.move_i(L, 64, Dr(1));
+    a.trap(traps::READ);
+    a.move_(L, Dr(0), Abs(UBUF + 0x100));
+    emit_exit(&mut a);
+    let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
+    k.m.mem.poke_bytes(UBUF2, b"/dev/tty-raw\0");
+    let reader = k.create_thread(entry, USTACK, user_map()).unwrap();
+
+    let tty_idx = k.dev.tty;
+    k.m.with_dev_ctx::<Tty, _>(tty_idx, |t, ctx| t.type_at(TYPED, 2000, ctx))
+        .unwrap();
+    k.m.host_reg_write(dev_reg_addr(tty_idx, tty::REG_CTRL), tty::CTRL_RX_IRQ);
+    // Every byte arrives (8,000 cycles apart) before the reader asks, so
+    // one read takes all; CPU 0's probation is 32 sweeps away.
+    k.run(1_000_000);
+    common::assert_chains_consistent(&k);
+    k.start(reader).unwrap();
+    assert!(k.run_until_exit(reader, 1_000_000), "the reader finishes");
+    assert!(k.is_cpu_quarantined(0), "all of it on CPU 1");
+
+    let got = k.m.mem.peek(UBUF + 0x100, Size::L);
+    assert_eq!(got as usize, TYPED.len(), "one byte per typed byte");
+    assert_eq!(k.m.mem.peek_bytes(UBUF, got), TYPED);
+    let tty_irqs = k.m.irq.accepted[usize::from(irq_levels::TTY)];
+    assert_eq!(tty_irqs, TYPED.len() as u64, "one interrupt per byte");
     common::assert_chains_consistent(&k);
 }

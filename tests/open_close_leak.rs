@@ -540,6 +540,35 @@ fn attaching_a_freed_pipe_is_ebadf() {
     k.heap.free(reused, 16);
 }
 
+/// A pipe takes the lowest id no live pipe holds: 1,000 pipes made and
+/// closed one after another leave one table slot, not 1,000, and two
+/// live at once take ids 0 and 1, as the first two pipes always have.
+#[test]
+fn pipe_ids_are_reused_lowest_first() {
+    let (mut k, tid) = boot_with_thread();
+    let b = baseline(&k);
+    for _ in 0..1000 {
+        let (r, w) = k.pipe_for(tid).unwrap();
+        k.close_for(tid, r).unwrap();
+        k.close_for(tid, w).unwrap();
+    }
+    assert_eq!(k.pipes.len(), 1, "one slot for one pipe live at a time");
+    assert_eq!(k.heap.in_use, b.heap_in_use, "every ring was freed");
+
+    assert_eq!(k.pipe_for(tid), Ok((0, 1)));
+    assert_eq!(k.pipe_for(tid), Ok((2, 3)));
+    assert_eq!((k.pipe_ends(0), k.pipe_ends(1)), ((1, 1), (1, 1)));
+    // Closing pipe 0 frees its id for the next pipe; pipe 1 keeps its own.
+    k.close_for(tid, 0).unwrap();
+    k.close_for(tid, 1).unwrap();
+    assert!(k.live_pipe(0).is_none());
+    assert_eq!(k.pipe_for(tid), Ok((0, 1)));
+    assert_eq!(k.pipes.len(), 2);
+    assert_eq!((k.pipe_ends(0), k.pipe_ends(1)), ((1, 1), (1, 1)));
+    common::assert_code_consistent(&k);
+    common::assert_chains_consistent(&k);
+}
+
 /// Destroying a thread that holds two fds on one file and both ends of a
 /// pipe frees the shared offset slot and the ring once each: each fd is
 /// released while the later ones still name them.

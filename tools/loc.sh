@@ -43,6 +43,11 @@ consts() {
     awk -v head="pub mod $1 {" '$0 == head { on = 1; next } on && /^}/ { exit } on && /^    pub const / { n++ } END { print n + 0 }' "$2"
 }
 
+# `pub fn`s of the inherent `impl $1` block in file `$2`.
+pub_fns() {
+    awk -v head="impl $1 {" '$0 == head { on = 1; next } on && /^}/ { exit } on && /^    pub fn / { n++ } END { print n + 0 }' "$2"
+}
+
 # Entries of the `[features]` tables in the workspace's manifests.
 features() {
     git ls-files -z -- Cargo.toml 'crates/*/Cargo.toml' |
@@ -83,6 +88,9 @@ printf '%-34s %7s\n' "Kernel fields" "$(all_fields Kernel crates/core/src/kernel
 # What is open is the threads' fd lists: a pipe or file keeps no count of it.
 printf '%-34s %7s\n' "Pipe fields" "$(all_fields Pipe crates/core/src/io/pipe.rs)"
 printf '%-34s %7s\n' "File fields" "$(all_fields File crates/core/src/fs/mod.rs)"
+# Where an interrupt lands: one CPU-explicit form per operation.
+printf '%-34s %7s\n' "IrqController pub fns" "$(pub_fns IrqController crates/quamachine/src/irq.rs)"
+printf '%-34s %7s\n' "EventQueue pub fns" "$(pub_fns EventQueue crates/quamachine/src/event.rs)"
 # The ISA: every form is executed by a measured row or named in the census
 # (`crates/bench/tests/census.rs`).
 printf '%-34s %7s\n' "Instr variants" "$(variants Instr crates/quamachine/src/isa/instr.rs)"
