@@ -28,7 +28,6 @@
 //! - [`buffered`] — the buffered queue of Section 5.4 that amortizes
 //!   queue overhead by a blocking factor (how the A/D server survives
 //!   44,100 interrupts per second);
-//! - [`gauge`] — the event counter the kernel's recovery gauges use;
 //! - [`sync`] — the atomics the queues compile against: `std`'s, or with
 //!   `--features sim` the instrumented shims of `sim`, the deterministic
 //!   schedule explorer.
@@ -36,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod buffered;
-pub mod gauge;
 pub mod mpmc;
 pub mod mpsc;
 #[cfg(feature = "sim")]

@@ -320,7 +320,7 @@ pub struct Kernel {
     pub console: Vec<u8>,
     /// Threads that have exited.
     pub exited: TidSet,
-    /// Recovery event gauges (reaps, quarantines, CPU recovery).
+    /// Recovery event counts (reaps, quarantines, CPU recovery).
     pub recovery: RecoveryGauges,
     /// Recovery log: threads reaped or quarantined, with the reason.
     pub recovery_log: Vec<(Tid, String)>,
@@ -662,7 +662,6 @@ impl Kernel {
             map,
             fds: Vec::new(),
             cpu: home,
-            sig_saved: None,
             fault_mark: 0,
             quarantined: false,
         };
@@ -1160,6 +1159,7 @@ impl Kernel {
             // threads than the busiest takes one before its next slice —
             // a starved CPU before it idles one away.
             self.rebalance();
+            let mut fallbacks = 0;
             for i in self.healthy_cpus() {
                 if !halted[i] {
                     continue;
@@ -1174,9 +1174,10 @@ impl Kernel {
                     // never a hang; a delayed one is an event on the
                     // CPU's timeline, which its `stop` sleeps to.
                     halted[i] = false;
-                    self.recovery.ipi_fallbacks.tick();
+                    fallbacks += 1;
                 }
             }
+            self.recovery.ipi_fallbacks += fallbacks;
             let Some(i) = self
                 .healthy_cpus()
                 .filter(|&i| !halted[i] && self.m.cpu_cycles(i) < deadlines[i])

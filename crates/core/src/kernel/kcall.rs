@@ -15,11 +15,25 @@ use quamachine::devices::{dev_reg_addr, timer as timer_regs};
 use quamachine::isa::Size;
 
 use super::{Kernel, KernelError};
-use crate::charges;
 use crate::syscall::{errno, general, kcalls};
 use crate::thread::tte::off;
-use crate::thread::{Tid, WaitObject};
+use crate::thread::{SavedRegs, Tid, WaitObject};
 use crate::trace::{Kind, QCLASS_PIPE, QCLASS_TTY};
+use crate::{charges, layout};
+
+/// Bytes of the context a delivered signal saves on its thread's kernel
+/// stack: `d0`–`d7`/`a0`–`a6` and the USP, in the TTE's save-area order.
+const SIGNAL_CONTEXT_LEN: u32 = 16 * 4;
+/// Bytes one delivery writes: the context under the handler's frame.
+const SIGNAL_DELIVERY_LEN: u32 = SIGNAL_CONTEXT_LEN + 6;
+/// Bytes a delivery leaves free above the kernel stack's base, for what
+/// the handler's own exceptions push there: its `SIG_RETURN` trap frame,
+/// a frame per interrupt level (7 × 6) under it, and the register saves
+/// of the kernel paths those enter (a full `movem` is 60) with room to
+/// spare. A delivery that would cut into it is refused: a thread that is
+/// signalled faster than it runs cannot grow its stack into its vector
+/// table.
+const SIGNAL_MARGIN: u32 = 0x100;
 
 impl Kernel {
     /// What a `WAIT_*`/`WAKE_*` selector is about: the wait object (a
@@ -150,16 +164,17 @@ impl Kernel {
                 }
                 0
             }
-            general::SIG_RETURN => {
-                self.sig_return();
-                return; // d0 intentionally preserved from the saved registers
-            }
+            general::SIG_RETURN => match self.sig_return() {
+                Ok(()) => return, // d0 is the interrupted context's
+                Err(e) => status(Err(e)),
+            },
             general::PIPE => self
                 .pipe()
                 .map_or_else(neg, |(rfd, wfd)| i64::from((rfd << 8) | wfd)),
-            // A one-shot alarm `d1` µs from now (Table 5: set alarm).
+            // A one-shot alarm `d1` µs from now (Table 5: set alarm); 0
+            // cancels the one set, and `WAIT_ALARM` then waits for none.
             general::SET_ALARM => {
-                self.alarm_pending = true;
+                self.alarm_pending = d1 != 0;
                 let addr = dev_reg_addr(self.dev.alarm, timer_regs::REG_ALARM_US);
                 self.m.host_reg_write(addr, d1);
                 0
@@ -214,8 +229,8 @@ impl Kernel {
 
     /// [`Kernel::signal`] on the CPU where `target` is current, if
     /// anywhere. A running target is parked by its own switch code,
-    /// handed the frame a parked thread gets, and resumed through its
-    /// switch-in, so the fabricated frame unwinds first.
+    /// handed the context and frame a parked thread gets, and resumed
+    /// through its switch-in, so the handler runs first.
     fn signal_here(&mut self, target: Tid) -> Result<(), KernelError> {
         if self.current_tid() != Some(target) {
             return self.signal_parked(target);
@@ -229,8 +244,21 @@ impl Kernel {
         delivered
     }
 
-    /// `target`'s TTE and installed signal handler.
-    fn signal_handler_of(&self, target: Tid) -> Result<(u32, u32), KernelError> {
+    /// Deliver a signal to `target` by writing, beneath `top` on its
+    /// kernel stack, the context `(regs, usp)` and a frame that enters its
+    /// handler in user mode. The `rte` that takes the frame runs the
+    /// handler; its `SIG_RETURN` pops the context and the `rte` takes the
+    /// frame beneath. Returns the new top of the stack, for the caller to
+    /// make the target's supervisor stack pointer.
+    ///
+    /// Nothing is written when `target` has no handler installed, or when
+    /// the write would leave less than [`SIGNAL_MARGIN`] of the stack.
+    fn push_signal(
+        &mut self,
+        target: Tid,
+        top: u32,
+        (regs, usp): SavedRegs,
+    ) -> Result<u32, KernelError> {
         let t = self
             .threads
             .get(&target)
@@ -239,80 +267,73 @@ impl Kernel {
         if handler == 0 {
             return Err(KernelError::Invalid("no signal handler installed"));
         }
-        Ok((t.tte, handler))
-    }
-
-    /// Remember what `target`'s handler interrupts, for `SIG_RETURN`.
-    fn finish_delivery(&mut self, target: Tid, saved: crate::thread::SavedRegs) {
-        self.threads
-            .get_mut(&target)
-            .expect("signalled thread exists")
-            .sig_saved = Some(saved);
+        let room =
+            t.kstack() + SIGNAL_MARGIN + SIGNAL_DELIVERY_LEN..=t.kstack() + layout::KSTACK_LEN;
+        if !room.contains(&top) {
+            return Err(KernelError::Invalid(
+                "no room for a signal on the kernel stack",
+            ));
+        }
+        let sp = top - SIGNAL_DELIVERY_LEN;
+        self.m.mem.poke(sp, Size::W, 0); // user mode
+        self.m.mem.poke(sp + 2, Size::L, handler);
+        for (i, &v) in regs.iter().chain([&usp]).enumerate() {
+            self.m.mem.poke(sp + 6 + 4 * i as u32, Size::L, v);
+        }
         let c = 3 * charges::code_patch(&self.m.cost);
         self.m.charge(c);
+        Ok(sp)
     }
 
     /// The `SIGNAL` call: to another thread as [`Kernel::signal`]
     /// delivers, on whichever CPU it is current; to the calling thread
-    /// from inside its own kernel call.
+    /// beneath its own trap frame, so the handler runs when the call
+    /// returns and the caller resumes with the call's result, 0.
     fn signal_from_kcall(&mut self, target: Tid) -> Result<(), KernelError> {
         if self.current_tid() != Some(target) {
             return self.signal(target, 0);
         }
-        let (tte, handler) = self.signal_handler_of(target)?;
-        // Running target: rewrite the active trap frame (we are in a
-        // kernel call from it). Park the old PC and swap in the handler.
-        let sp = self.m.cpu.a[7];
-        let old_pc = self.m.mem.peek(sp + 2, Size::L);
-        self.m.mem.poke(tte + off::SIG_PC, Size::L, old_pc);
-        self.m.mem.poke(sp + 2, Size::L, handler);
-        let mut regs = [0u32; 15];
-        regs[..8].copy_from_slice(&self.m.cpu.d);
+        let mut regs = [0u32; 15]; // d0: the call's result
+        regs[1..8].copy_from_slice(&self.m.cpu.d[1..]);
         regs[8..].copy_from_slice(&self.m.cpu.a[..7]);
-        self.finish_delivery(target, (regs, self.m.cpu.usp()));
+        let sp = self.push_signal(target, self.m.cpu.a[7], (regs, self.m.cpu.usp()))?;
+        self.m.cpu.a[7] = sp;
         Ok(())
     }
 
-    /// Deliver to a thread whose state lives in its TTE: push a
-    /// fabricated frame so its next `rte` runs the handler; `SIG_RETURN`
-    /// then falls back to the real frame.
+    /// Deliver to a thread whose state lives in its TTE: the context is
+    /// its save area, and the stack is the one its switch-in resumes.
     fn signal_parked(&mut self, target: Tid) -> Result<(), KernelError> {
-        let (tte, handler) = self.signal_handler_of(target)?;
+        let t = self
+            .threads
+            .get(&target)
+            .ok_or(KernelError::NoThread(target))?;
+        let (tte, saved) = (t.tte, t.parked_regs(&self.m.mem));
         let ssp = self.m.mem.peek(tte + off::SSP, Size::L);
-        let fake = ssp - 6;
-        self.m.mem.poke(fake, Size::W, 0); // user mode
-        self.m.mem.poke(fake + 2, Size::L, handler);
-        self.m.mem.poke(tte + off::SSP, Size::L, fake);
-        let saved = self.threads[&target].parked_regs(&self.m.mem);
-        self.finish_delivery(target, saved);
+        let sp = self.push_signal(target, ssp, saved)?;
+        self.m.mem.poke(tte + off::SSP, Size::L, sp);
         Ok(())
     }
 
-    /// The `SIG_RETURN` call: give the current thread back the registers
-    /// its handler interrupted and unwind the handler's frame.
-    fn sig_return(&mut self) {
+    /// The `SIG_RETURN` call: drop this call's own frame and pop the
+    /// context beneath it, so the `rte` takes the frame the handler
+    /// interrupted. A thread with no handler active has no context to
+    /// pop, and is refused.
+    fn sig_return(&mut self) -> Result<(), KernelError> {
         let Some(tid) = self.current_tid() else {
-            return;
+            return Ok(());
         };
-        let t = self.threads.get_mut(&tid).expect("current exists");
-        let tte = t.tte;
-        if let Some((regs, usp)) = t.sig_saved.take() {
-            self.m.cpu.d.copy_from_slice(&regs[..8]);
-            self.m.cpu.a[..7].copy_from_slice(&regs[8..]);
-            self.m.cpu.set_usp(usp);
+        // This call's frame, the context, then the interrupted frame.
+        let at = self.m.cpu.a[7] + 6;
+        let top = self.threads[&tid].kstack() + layout::KSTACK_LEN;
+        if at + SIGNAL_CONTEXT_LEN + 6 > top {
+            return Err(KernelError::Invalid("no signal handler is active"));
         }
-        // Drop the handler's trap frame; the original frame (or the
-        // parked PC) sits right above it.
-        let sp = self.m.cpu.a[7];
-        let parked = self.m.mem.peek(tte + off::SIG_PC, Size::L);
-        if parked != 0 {
-            // Signal was delivered to a running thread: reuse this
-            // frame, restoring the parked PC.
-            self.m.mem.poke(sp + 2, Size::L, parked);
-            self.m.mem.poke(tte + off::SIG_PC, Size::L, 0);
-        } else {
-            // Parked-thread delivery: discard this frame.
-            self.m.cpu.a[7] = sp + 6;
-        }
+        let saved: [u32; 16] = std::array::from_fn(|i| self.m.mem.peek(at + 4 * i as u32, Size::L));
+        self.m.cpu.d.copy_from_slice(&saved[..8]);
+        self.m.cpu.a[..7].copy_from_slice(&saved[8..15]);
+        self.m.cpu.set_usp(saved[15]);
+        self.m.cpu.a[7] = at + SIGNAL_CONTEXT_LEN;
+        Ok(())
     }
 }

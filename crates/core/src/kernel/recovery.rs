@@ -12,37 +12,37 @@
 //!   the run loop never dispatches it. Everyone who needs "the CPUs in
 //!   service" asks [`Kernel::healthy_cpus`];
 //! - **every recovery action leaves the same three marks** — a
-//!   `recovery_log` line, a gauge tick and a trace record — because
+//!   `recovery_log` line, a count and a trace record — because
 //!   [`Kernel::record_recovery`] is the only code that writes any of
 //!   them; and a CPU's fault budget is spent in one place,
 //!   [`Kernel::charge_cpu_fault`], whichever way the fault surfaced.
 
 use quamachine::error::MachineError;
 use quamachine::machine::{RunExit, SICK_WILD_PC};
-use synthesis_blocks::gauge::Gauge;
 
 use super::{irq_levels, Kernel, KernelError};
 use crate::thread::Tid;
 use crate::trace::{Kind, REC_QUARANTINE, REC_REAP};
 
-/// Gauges counting recovery events ([Section 2.3's gauges][Gauge] feeding
-/// the monitor's recovery report).
+/// Counts of recovery events, which the monitor's recovery report reads.
+/// The kernel runs on one host thread and nothing reads a rate, so each
+/// is a plain count.
 #[derive(Debug, Default)]
 pub struct RecoveryGauges {
     /// Threads killed by run-loop recovery after a fatal guest fault.
-    pub reaped: Gauge,
+    pub reaped: u64,
     /// Threads quarantined by the fault-storm watchdog.
-    pub quarantined: Gauge,
+    pub quarantined: u64,
     /// CPUs quarantined by the cross-CPU watchdog.
-    pub cpus_quarantined: Gauge,
+    pub cpus_quarantined: u64,
     /// Quarantined CPUs re-admitted after probation.
-    pub cpus_resumed: Gauge,
+    pub cpus_resumed: u64,
     /// Threads migrated off a quarantined CPU's ready chain.
-    pub threads_evacuated: Gauge,
+    pub threads_evacuated: u64,
     /// Parked CPUs revived by the timer-fallback path after a reschedule
     /// IPI went missing (work waiting in the chain with no interrupt
     /// pending).
-    pub ipi_fallbacks: Gauge,
+    pub ipi_fallbacks: u64,
 }
 
 /// Cycles between watchdog sweeps of the per-thread fault counters (the
@@ -84,17 +84,17 @@ impl Kernel {
         (0..self.cpus.len()).filter(|&i| !self.cpus[i].quarantined)
     }
 
-    /// The marks every recovery action leaves: the log line, the gauge
-    /// tick, and the trace record `(kind, a, b)` in `tid`'s ring.
+    /// The marks every recovery action leaves: the log line, one more in
+    /// its count, and the trace record `(kind, a, b)` in `tid`'s ring.
     fn record_recovery(
         &mut self,
         tid: Tid,
         what: String,
-        gauge: fn(&RecoveryGauges) -> &Gauge,
+        count: fn(&mut RecoveryGauges) -> &mut u64,
         (kind, a, b): (Kind, u32, u32),
     ) {
         self.recovery_log.push((tid, what));
-        gauge(&self.recovery).tick();
+        *count(&mut self.recovery) += 1;
         crate::trace!(self, tid, kind, a, b);
     }
 
@@ -105,7 +105,7 @@ impl Kernel {
         self.record_recovery(
             tid,
             format!("reaped: {why}"),
-            |g| &g.reaped,
+            |g| &mut g.reaped,
             (Kind::Recovery, REC_REAP, 0),
         );
         self.destroy(tid)
@@ -190,7 +190,7 @@ impl Kernel {
         self.record_recovery(
             tid,
             format!("quarantined: {reason}"),
-            |g| &g.quarantined,
+            |g| &mut g.quarantined,
             (Kind::Recovery, REC_QUARANTINE, 0),
         );
         // A storming thread is runnable by definition; if stop fails the
@@ -321,7 +321,7 @@ impl Kernel {
         for (tid, &to) in evacuees.zip(healthy.iter().cycle()) {
             if self.migrate(tid, to).is_ok() {
                 moved += 1;
-                self.recovery.threads_evacuated.tick();
+                self.recovery.threads_evacuated += 1;
             }
         }
         // Blocked and stopped threads that called this CPU home wake
@@ -359,7 +359,7 @@ impl Kernel {
         self.record_recovery(
             idle,
             format!("cpu {cpu} quarantined: {reason} ({moved} threads evacuated)"),
-            |g| &g.cpus_quarantined,
+            |g| &mut g.cpus_quarantined,
             (Kind::CpuQuarantine, cpu as u32, moved),
         );
         self.kick(target);
@@ -387,7 +387,7 @@ impl Kernel {
         self.record_recovery(
             idle,
             format!("cpu {cpu} resumed from probation"),
-            |g| &g.cpus_resumed,
+            |g| &mut g.cpus_resumed,
             (Kind::CpuResume, cpu as u32, strikes),
         );
     }

@@ -220,7 +220,7 @@ pub fn size_report(k: &Kernel) -> SizeReport {
 ///
 /// The injected side comes from the machine's
 /// [`FaultStats`](quamachine::fault::FaultStats); the recovery side
-/// reads the kernel's reap/quarantine gauges.
+/// reads the kernel's reap/quarantine counts.
 #[derive(Debug, Clone)]
 pub struct RecoveryReport {
     /// Faults injected by the machine's fault plan, by class.
@@ -277,12 +277,12 @@ pub fn recovery_report(k: &Kernel) -> RecoveryReport {
     };
     RecoveryReport {
         injected: k.m.fault.stats,
-        threads_reaped: k.recovery.reaped.read(),
-        threads_quarantined: k.recovery.quarantined.read(),
-        cpus_quarantined: k.recovery.cpus_quarantined.read(),
-        cpus_resumed: k.recovery.cpus_resumed.read(),
-        threads_evacuated: k.recovery.threads_evacuated.read(),
-        ipi_fallbacks: k.recovery.ipi_fallbacks.read(),
+        threads_reaped: k.recovery.reaped,
+        threads_quarantined: k.recovery.quarantined,
+        cpus_quarantined: k.recovery.cpus_quarantined,
+        cpus_resumed: k.recovery.cpus_resumed,
+        threads_evacuated: k.recovery.threads_evacuated,
+        ipi_fallbacks: k.recovery.ipi_fallbacks,
         cpus,
     }
 }

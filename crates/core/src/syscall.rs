@@ -42,7 +42,9 @@ pub mod general {
     pub const THREAD_STOP: u32 = 4;
     /// Destroy thread `d1`.
     pub const THREAD_DESTROY: u32 = 5;
-    /// Send signal `d2` to thread `d1`.
+    /// Send a signal to thread `d1`: it runs its handler the next time
+    /// it is activated. There is one signal; no code reads a number from
+    /// `d2`.
     pub const SIGNAL: u32 = 6;
     /// Open: `a0` = path address (NUL-terminated in the caller's space);
     /// returns an fd or a negative error.
@@ -55,11 +57,13 @@ pub mod general {
     pub const GETTID: u32 = 10;
     /// Install signal handler `d1` for the calling thread.
     pub const SET_SIG_HANDLER: u32 = 11;
-    /// Return from a signal handler.
+    /// Return from a signal handler: the thread resumes the context the
+    /// signal interrupted. `-EINVAL` when no handler is active.
     pub const SIG_RETURN: u32 = 12;
     /// Create a pipe; returns `(read_fd << 8) | write_fd`.
     pub const PIPE: u32 = 13;
-    /// Set a one-shot alarm `d1` µs from now.
+    /// Set a one-shot alarm `d1` µs from now; `d1 = 0` cancels the alarm
+    /// set.
     pub const SET_ALARM: u32 = 14;
     /// Block until the next alarm fires.
     pub const WAIT_ALARM: u32 = 15;

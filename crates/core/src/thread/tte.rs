@@ -48,8 +48,6 @@ pub mod off {
     pub const SIG_HANDLER: u32 = 0x10C;
     /// Parking slot for the faulting PC used by the error-trap handler.
     pub const ERR_PC: u32 = 0x110;
-    /// Parking slot for the interrupted PC during signal delivery.
-    pub const SIG_PC: u32 = 0x114;
     /// Scratch area for synthesized per-thread code.
     pub const SCRATCH: u32 = 0x120;
 }
@@ -149,9 +147,6 @@ pub struct Thread {
     /// runnable. Work stealing rewrites it; a uniprocessor kernel leaves
     /// it 0.
     pub cpu: usize,
-    /// The registers and USP a signal interrupted, until the handler's
-    /// `SIG_RETURN` takes them back.
-    pub sig_saved: Option<SavedRegs>,
     /// The machine's error-fault count for this thread at the watchdog's
     /// last sweep.
     pub fault_mark: u64,
@@ -244,7 +239,6 @@ mod tests {
             map: AddressMap::default(),
             fds: Vec::new(),
             cpu: 0,
-            sig_saved: None,
             fault_mark: 0,
             quarantined: false,
         };

@@ -73,6 +73,30 @@ fn a_wait_alarm_that_blocks_returns_zero() {
     assert_eq!(k.m.mem.peek(UBUF, Size::L), 0, "WAIT_ALARM's result");
 }
 
+/// Regression: `SET_ALARM` with `d1 = 0` cancels the timer's alarm but
+/// still marked one pending, so the next `WAIT_ALARM` blocked for an
+/// alarm that never came.
+#[test]
+fn a_cancelled_alarm_leaves_nothing_to_wait_for() {
+    let mut k = boot();
+    let mut a = Asm::new("alarmcancel");
+    // set_alarm(300 µs); set_alarm(0); wait; mark; exit.
+    for us in [300, 0] {
+        a.move_i(L, general::SET_ALARM, Dr(0));
+        a.move_i(L, us, Dr(1));
+        a.trap(traps::GENERAL);
+    }
+    a.move_i(L, general::WAIT_ALARM, Dr(0));
+    a.trap(traps::GENERAL);
+    a.move_i(L, 0xCA7, Abs(UBUF));
+    emit_exit(&mut a);
+    let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
+    let tid = k.create_thread(entry, USTACK, user_map()).unwrap();
+    k.start(tid).unwrap();
+    assert!(k.run_until_exit(tid, 50_000_000), "WAIT_ALARM returned");
+    assert_eq!(k.m.mem.peek(UBUF, Size::L), 0xCA7);
+}
+
 #[test]
 fn yield_rotates_between_threads() {
     // Pinned to one CPU: the alternation this test asserts is a

@@ -9,6 +9,7 @@ use quamachine::mem::AddressMap;
 use synthesis_core::kernel::{Kernel, KernelConfig};
 use synthesis_core::layout::{self, MemLayout};
 use synthesis_core::syscall::{errno, general, traps};
+use synthesis_core::thread::tte::off;
 use synthesis_core::thread::ThreadState;
 
 /// A user map covering the whole user area.
@@ -679,7 +680,7 @@ fn fp_resynthesis_out_of_code_space_reaps_on_the_record() {
     exhaust(|n| k.creator.codebuf.alloc(n).is_ok());
     assert_eq!(k.run(2_000_000), RunExit::CycleLimit, "the kernel runs on");
     assert!(!k.threads.contains_key(&tid), "the thread was reaped");
-    assert_eq!(k.recovery.reaped.read(), 1);
+    assert_eq!(k.recovery.reaped, 1);
     assert!(
         k.recovery_log
             .iter()
@@ -785,6 +786,147 @@ fn signal_delivery_to_parked_thread() {
     let c = k.m.mem.peek(UBUF, L);
     k.run(2_000_000);
     assert!(k.m.mem.peek(UBUF, L) > c, "target resumed after handler");
+}
+
+/// Bumped by [`clobbering_handler`].
+const HITS: u32 = UBUF + 0x800;
+
+/// A signal handler that bumps `HITS`, clobbers `d1`, `d3` and `a0`, and
+/// returns with `SIG_RETURN`.
+fn clobbering_handler(k: &mut Kernel) -> u32 {
+    let mut h = Asm::new("clobber");
+    h.add(L, Imm(1), Abs(HITS));
+    h.move_i(L, 0xBAD, Dr(1));
+    h.move_i(L, 0xBAD, Dr(3));
+    h.move_(L, Imm(0xBAD), Ar(0));
+    h.move_i(L, general::SIG_RETURN, Dr(0));
+    h.trap(traps::GENERAL);
+    let dead = h.here();
+    h.bcc(Cond::T, dead); // unreachable
+    k.load_user_program(h.assemble().unwrap()).unwrap()
+}
+
+/// Install `handler` as the calling thread's signal handler.
+fn emit_set_handler(a: &mut Asm, handler: u32) {
+    a.move_i(L, general::SET_SIG_HANDLER, Dr(0));
+    a.move_i(L, handler, Dr(1));
+    a.trap(traps::GENERAL);
+}
+
+/// Regression: the host kept one copy of the registers a signal
+/// interrupted, so a second signal before the first handler returned
+/// replaced it, and the thread resumed with the handler's `d3`.
+#[test]
+fn two_signals_before_a_parked_target_runs_leave_its_registers_intact() {
+    let mut k = boot();
+    let handler = clobbering_handler(&mut k);
+    // Install the handler, mark d3, then store d3 forever.
+    let mut a = Asm::new("sigtarget");
+    emit_set_handler(&mut a, handler);
+    a.move_i(L, 0x5EED, Dr(3));
+    let top = a.here();
+    a.move_(L, Dr(3), Abs(UBUF));
+    a.bcc(Cond::T, top);
+    let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
+    let tid = k.create_thread(entry, USTACK, user_map()).unwrap();
+    k.start(tid).unwrap();
+    k.run(2_000_000);
+    assert_eq!(k.m.mem.peek(UBUF, L), 0x5EED, "target running");
+    k.stop(tid).unwrap();
+    k.m.mem.poke(UBUF, L, 0);
+    k.signal(tid, 1).unwrap();
+    k.signal(tid, 1).unwrap();
+    k.start(tid).unwrap();
+    k.run(2_000_000);
+    assert_eq!(k.m.mem.peek(HITS, L), 2, "both handlers ran");
+    assert_eq!(k.m.mem.peek(UBUF, L), 0x5EED, "d3 is the thread's own");
+}
+
+/// Regression: a thread that signalled itself resumed from its `SIGNAL`
+/// call with the registers it made the call with — `d0` its own call
+/// number, 6 — instead of the call's result.
+#[test]
+fn a_self_signal_returns_zero_after_the_handler() {
+    let mut k = boot();
+    let handler = clobbering_handler(&mut k);
+    let mut a = Asm::new("selfsignal");
+    emit_set_handler(&mut a, handler);
+    a.move_i(L, 0x5EED, Dr(3));
+    a.move_i(L, general::GETTID, Dr(0));
+    a.trap(traps::GENERAL);
+    a.move_(L, Dr(0), Dr(1));
+    a.move_i(L, general::SIGNAL, Dr(0));
+    a.trap(traps::GENERAL);
+    a.move_(L, Dr(0), Abs(UBUF));
+    a.move_(L, Dr(3), Abs(UBUF + 4));
+    emit_exit(&mut a);
+    let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
+    k.m.mem.poke(UBUF, L, 0xFFFF_FFFF);
+    let tid = k.create_thread(entry, USTACK, user_map()).unwrap();
+    k.start(tid).unwrap();
+    assert!(k.run_until_exit(tid, 50_000_000));
+    assert_eq!(k.m.mem.peek(HITS, L), 1, "the handler ran");
+    assert_eq!(k.m.mem.peek(UBUF, L), 0, "SIGNAL's result");
+    assert_eq!(k.m.mem.peek(UBUF + 4, L), 0x5EED, "d3 is the thread's own");
+}
+
+/// Regression: every signal to a thread that does not run was accepted,
+/// each a frame further down its kernel stack, until the frames overwrote
+/// its vector table. A delivery that would leave the stack too little
+/// room is refused; the ones accepted all run when the thread does.
+#[test]
+fn signals_to_a_parked_thread_stop_short_of_its_vector_table() {
+    let mut k = boot();
+    let handler = clobbering_handler(&mut k);
+    let mut a = Asm::new("marker");
+    a.move_i(L, 0xC0DE, Abs(UBUF));
+    emit_exit(&mut a);
+    let entry = k.load_user_program(a.assemble().unwrap()).unwrap();
+    let tid = k.create_thread(entry, USTACK, user_map()).unwrap();
+    let (tte, vt) = (k.threads[&tid].tte, k.threads[&tid].vt());
+    k.m.mem.poke(tte + off::SIG_HANDLER, L, handler);
+    let table = k.m.mem.peek_bytes(vt, layout::VECTOR_TABLE_LEN);
+    let accepted = (0..1000).filter(|_| k.signal(tid, 1).is_ok()).count() as u32;
+    assert!(accepted > 0, "a parked thread takes a signal");
+    assert!(accepted < 1000, "some signals are refused");
+    assert_eq!(
+        k.m.mem.peek_bytes(vt, layout::VECTOR_TABLE_LEN),
+        table,
+        "the vector table is untouched"
+    );
+    k.start(tid).unwrap();
+    assert!(
+        k.run_until_exit(tid, 50_000_000),
+        "the thread ran to its exit"
+    );
+    assert_eq!(
+        k.m.mem.peek(HITS, L),
+        accepted,
+        "every accepted handler ran"
+    );
+    assert_eq!(k.m.mem.peek(UBUF, L), 0xC0DE);
+}
+
+/// A signal to a reader blocked in a pipe `read` runs its handler once the
+/// write wakes it, and the handler's clobbers of the read's registers are
+/// gone when the read goes on: it still returns its 8 bytes.
+#[test]
+fn a_signal_to_a_blocked_reader_runs_when_the_write_wakes_it() {
+    let (mut k, rt, _) = pipe_reader_and_writer();
+    let handler = clobbering_handler(&mut k);
+    run_until_blocked(&mut k, rt);
+    let tte = k.threads[&rt].tte;
+    k.m.mem.poke(tte + off::SIG_HANDLER, L, handler);
+    k.signal(rt, 1).unwrap();
+    assert!(
+        matches!(k.threads[&rt].state, ThreadState::Blocked(_)),
+        "a signal does not wake the reader"
+    );
+    assert_eq!(k.m.mem.peek(HITS, L), 0, "nor run its handler yet");
+    assert!(k.run_until_exit(rt, 500_000_000), "reader finished");
+    assert_eq!(k.m.mem.peek(HITS, L), 1, "the handler ran");
+    assert_eq!(k.m.mem.peek(UBUF2, L), 8, "the read's result");
+    assert_eq!(k.m.mem.peek_bytes(UBUF + 0x100, 8), b"pipedata");
 }
 
 #[test]

@@ -572,33 +572,49 @@ fn a_host_stop_inside_a_trap_handler_parks_above_the_trap_frame() {
     }
 }
 
+/// `signals` host signals of a thread running on the last of `cpus` CPUs,
+/// sent from CPU 0: each handler runs once, and the thread goes back to
+/// exactly the state the first interrupted.
+fn assert_host_signals_unwind(cpus: usize, signals: u32) {
+    let (mut k, tid) = running_thread(cpus, |k| {
+        let handler = counting_handler(k);
+        spinner(k, |a| emit_set_handler(a, handler)).0
+    });
+    let (_, at) = running(&k, tid);
+    let active = k.m.active_cpu();
+    for _ in 0..signals {
+        k.signal(tid, 1).unwrap();
+        assert_eq!(k.m.active_cpu(), active, "the host's CPU is active again");
+    }
+    k.run(2_000_000);
+    assert_eq!(
+        k.m.mem.peek(HITS, L),
+        signals,
+        "{cpus} cpus: each handler ran once"
+    );
+    // The handler's clobbers are gone: what is parked now is what the
+    // signal interrupted.
+    let now = stop_running(&mut k, tid);
+    assert_eq!(
+        (now.d, now.a, now.usp(), now.sr, now.pc),
+        (at.d, at.a, at.usp(), at.sr, at.pc),
+        "{cpus} cpus"
+    );
+}
+
 #[test]
 fn a_host_signal_of_a_running_thread_returns_to_the_exact_interrupted_state() {
     for cpus in [1, 2] {
-        let (mut k, tid) = running_thread(cpus, |k| {
-            let handler = counting_handler(k);
-            spinner(k, |a| emit_set_handler(a, handler)).0
-        });
-        let (_, at) = running(&k, tid);
-        let active = k.m.active_cpu();
-        k.signal(tid, 1).unwrap();
-        assert_eq!(k.m.active_cpu(), active, "the host's CPU is active again");
-        k.run(2_000_000);
-        assert_eq!(
-            k.m.mem.peek(HITS, L),
-            1,
-            "{cpus} cpus: the handler ran once"
-        );
-        k.m.mem.poke(HITS, L, 0);
-        // The handler's clobbers are gone: what is parked now is what the
-        // signal interrupted.
-        let now = stop_running(&mut k, tid);
-        assert_eq!(
-            (now.d, now.a, now.usp(), now.sr, now.pc),
-            (at.d, at.a, at.usp(), at.sr, at.pc),
-            "{cpus} cpus"
-        );
+        assert_host_signals_unwind(cpus, 1);
     }
+}
+
+/// Two signals of a thread current on the other CPU, each delivered there
+/// (`Kernel::on_owner`): the second lands while the first handler is
+/// about to run, and both unwind to the thread.
+#[test]
+fn two_host_signals_of_a_thread_running_on_the_other_cpu_both_unwind() {
+    assert_host_signals_unwind(2, 2);
 }
 
 #[test]

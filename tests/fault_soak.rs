@@ -384,9 +384,9 @@ fn sick_cpu_is_quarantined_and_workload_completes() {
         );
     }
     assert!(k.is_cpu_quarantined(2), "the sick CPU ends up quarantined");
-    assert!(k.recovery.cpus_quarantined.read() >= 1);
+    assert!(k.recovery.cpus_quarantined >= 1);
     assert!(
-        k.recovery.threads_evacuated.read() >= 1,
+        k.recovery.threads_evacuated >= 1,
         "threads resident on the sick CPU's chain were evacuated"
     );
     let rep = synthesis::kernel::monitor::recovery_report(&k);
@@ -435,7 +435,7 @@ fn quarantined_thread_is_not_evacuated_onto_healthy_cpus() {
         "the quarantined thread must not ride the evacuation"
     );
     assert!(!k.cpus[1].ready.contains(victim));
-    assert!(k.recovery.threads_evacuated.read() >= 1);
+    assert!(k.recovery.threads_evacuated >= 1);
     // And it never comes back through the scheduler either.
     assert!(matches!(k.start(victim), Err(KernelError::Invalid(_))));
     k.run(2_000_000);
@@ -683,7 +683,7 @@ fn sick_cpu_under_a_fused_program_finishes_on_the_survivors() {
         emu.k.is_cpu_quarantined(home),
         "the sick CPU ends up quarantined"
     );
-    assert!(emu.k.recovery.threads_evacuated.read() >= 1);
+    assert!(emu.k.recovery.threads_evacuated >= 1);
 }
 
 // ------------------------------------------------------------ recovery --
@@ -731,7 +731,7 @@ fn wild_jump_scenario(slot: &mut Option<Kernel>, seed: u64) {
         // Keep the kernel running until the victim's trap lands and the
         // reaper does its job.
         assert_eq!(k.run(5_000_000), RunExit::CycleLimit);
-        assert!(k.recovery.reaped.read() >= 1, "seed {seed}: reap counted");
+        assert!(k.recovery.reaped >= 1, "seed {seed}: reap counted");
         assert!(
             k.recovery_log
                 .iter()
@@ -771,7 +771,7 @@ fn fault_storm_thread_is_quarantined() {
 
     assert_eq!(k.run(5_000_000), RunExit::CycleLimit);
     assert!(k.is_quarantined(tid), "the storm thread is quarantined");
-    assert_eq!(k.recovery.quarantined.read(), 1);
+    assert_eq!(k.recovery.quarantined, 1);
     assert!(
         k.recovery_log.iter().any(|(t, _)| *t == tid),
         "the quarantine is logged against the thread"

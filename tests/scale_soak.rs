@@ -111,7 +111,7 @@ fn quarantine_at_scale_loses_no_thread() {
                     .iter()
                     .filter(|&&n| n != k.cpus[victim].idle_tid)
                     .count();
-                let evacuated_before = k.recovery.threads_evacuated.read();
+                let evacuated_before = k.recovery.threads_evacuated;
 
                 assert!(
                     k.quarantine_cpu(victim, "scale soak drill"),
@@ -130,7 +130,7 @@ fn quarantine_at_scale_loses_no_thread() {
                     "trace counts every evacuated TTE"
                 );
                 assert_eq!(
-                    k.recovery.threads_evacuated.read() - evacuated_before,
+                    k.recovery.threads_evacuated - evacuated_before,
                     u64::try_from(on_victim).unwrap(),
                     "recovery gauge matches the chain load"
                 );

@@ -84,6 +84,7 @@ printf '%-34s %7s\n' "FaultConfig fields" "$(fields FaultConfig crates/quamachin
 printf '%-34s %7s\n' "cargo features" "$(features)"
 # What the host keeps per thread and per kernel: a fact has one record.
 printf '%-34s %7s\n' "Thread fields" "$(all_fields Thread crates/core/src/thread/tte.rs)"
+printf '%-34s %7s\n' "tte::off slots" "$(consts off crates/core/src/thread/tte.rs)"
 printf '%-34s %7s\n' "Kernel fields" "$(all_fields Kernel crates/core/src/kernel.rs)"
 # What is open is the threads' fd lists: a pipe or file keeps no count of it.
 printf '%-34s %7s\n' "Pipe fields" "$(all_fields Pipe crates/core/src/io/pipe.rs)"
